@@ -48,7 +48,6 @@ func main() {
 		nocSpec   = flag.String("noc", "pair", "NoC topology when -ic noc: pair | mesh:WxH | ring:N")
 		freqMHz   = flag.Int("freq", 0, "virtual clock in MHz (0 = platform default)")
 		blocks    = flag.Bool("blocks", false, "threaded-code block dispatch: translate straight-line R32 blocks at first execution (bit-identical results, faster on compute-bound code)")
-		speculate = flag.Bool("speculate", false, "speculative shared-path kernel: cores free-run against logged shared state, validated and committed at chunk boundaries (implies the parallel kernel; bit-identical results, scales with cores)")
 		withTM    = flag.Bool("tm", false, "enable the 350K/340K threshold DFS policy")
 		windowMs  = flag.Float64("window", 1.0, "sampling window in virtual ms")
 		pipeline  = flag.Int("pipeline", 0, "pipeline depth: overlap emulation with the thermal solve at a sensor latency of this many windows (0 = serial loop)")
@@ -76,7 +75,7 @@ func main() {
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	if err := profiled(*cpuProf, *memProf, *execTrace, func() error {
-		return run(*scenPath, setFlags, *cores, *workload, *n, *iters, *size, *words, *ic, *nocSpec, *freqMHz, *blocks, *speculate, *withTM,
+		return run(*scenPath, setFlags, *cores, *workload, *n, *iters, *size, *words, *ic, *nocSpec, *freqMHz, *blocks, *withTM,
 			*windowMs, *pipeline, *tscale, *cells, *workers, *csvPath, *hostAddr, *fault, *faultSeed,
 			*redial, *report, *digest, *ckptDir, *ckptEvery, *resume, *fork, *vcdPath, *jsonPath)
 	}); err != nil {
@@ -89,7 +88,7 @@ func main() {
 // them together with -scenario is a conflict, not a silent override.
 var scenarioOwned = []string{
 	"cores", "workload", "n", "iters", "size", "words", "ic", "noc", "freq",
-	"blocks", "speculate", "tm", "window", "pipeline", "timescale", "cells", "workers",
+	"blocks", "tm", "window", "pipeline", "timescale", "cells", "workers",
 	"fault", "fault-seed",
 }
 
@@ -139,7 +138,7 @@ func profiled(cpuPath, memPath, tracePath string, body func() error) error {
 
 func run(scenPath string, setFlags map[string]bool,
 	cores int, workload string, n, iters, size, words int, ic, nocSpec string, freqMHz int,
-	blocks, speculate, withTM bool, windowMs float64, pipeline int, tscale float64, cells, workers int,
+	blocks, withTM bool, windowMs float64, pipeline int, tscale float64, cells, workers int,
 	csvPath, hostAddr, fault string, faultSeed int64, redial, report, digest bool,
 	ckptDir string, ckptEvery int, resumePath, forkPath string,
 	vcdPath, jsonPath string) error {
@@ -203,12 +202,6 @@ func run(scenPath string, setFlags map[string]bool,
 			pcfg.FreqHz = uint64(b.ForceFreqMHz) * 1e6 // the workload's pinned operating point
 		}
 		pcfg.Blocks = blocks
-		if speculate {
-			// The speculative kernel rides on the parallel kernel's chunked
-			// epochs; selecting it selects both.
-			pcfg.Parallel = true
-			pcfg.Speculate = true
-		}
 
 		topt := thermemu.DefaultThermalOptions()
 		if workers > 0 {
@@ -329,14 +322,6 @@ func run(scenPath string, setFlags map[string]bool,
 	fmt.Printf("samples:        %d (window %.2f ms)\n", len(res.Samples), windowMs)
 	fmt.Printf("max temp:       %.2f K\n", res.MaxTempK)
 	fmt.Printf("DFS events:     %d\n", res.DFSEvents)
-	if sp := res.Speculation; sp.SpecChunks > 0 || sp.GatedChunks > 0 {
-		clean := 0.0
-		if sp.SpecChunks > 0 {
-			clean = 100 * float64(sp.CleanChunks) / float64(sp.SpecChunks)
-		}
-		fmt.Printf("speculation:    %d chunks (%.1f%% clean), %d conflicts, %d poisoned, %d replays, %d gated\n",
-			sp.SpecChunks, clean, sp.Conflicts, sp.Poisoned, sp.Replays, sp.GatedChunks)
-	}
 	if pipeline > 0 {
 		fmt.Printf("pipeline:       depth %d (sensor latency %d windows), thermal lag %.3f ms frozen\n",
 			pipeline, pipeline, float64(res.ThermalLagPs)*1e-9)

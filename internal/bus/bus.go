@@ -131,17 +131,6 @@ func MustNew(cfg Config) *Bus {
 // Name implements mem.Interconnect.
 func (b *Bus) Name() string { return b.cfg.Name }
 
-// CopyStateFrom overwrites this bus's mutable timing state (busy horizon,
-// arbitration pointer, counters) with src's. Both buses must share the same
-// configuration; the speculative kernel uses identically configured shadow
-// buses to predict transaction timing without disturbing the real one.
-func (b *Bus) CopyStateFrom(src *Bus) {
-	b.busyUntil = src.busyUntil
-	b.lastGrant = src.lastGrant
-	b.stats = src.stats
-	copy(b.perMaster, src.perMaster)
-}
-
 // Config returns the bus configuration.
 func (b *Bus) Config() Config { return b.cfg }
 

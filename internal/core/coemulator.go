@@ -144,9 +144,6 @@ type Result struct {
 	// because the thermal solve (or the link carrying it) lagged the
 	// pipelined emulation (vpcm.ThermalLagSource). Always 0 in serial runs.
 	ThermalLagPs uint64
-	// Speculation is the speculative kernel's telemetry (zero-valued unless
-	// the platform ran with Config.Speculate).
-	Speculation emu.SpecStats
 }
 
 // DefaultWindowPs is the paper's 10 ms sampling period.
@@ -411,7 +408,6 @@ func Run(cfg Config, onSample func(Sample)) (*Result, error) {
 	res.DFSEvents = p.VPCM.DFSEvents()
 	res.FinalSnap = p.Snapshot()
 	res.Report = p.Report()
-	res.Speculation = p.SpecStats()
 
 	if res.Done && cfg.Workload.Verify != nil {
 		if err := cfg.Workload.Verify(p.ReadSharedWord); err != nil {

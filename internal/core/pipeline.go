@@ -326,7 +326,6 @@ func runPipelined(cfg Config, p *emu.Platform, eval *PowerEvaluator,
 	res.ThermalLagPs = thermalLagPs(p.VPCM)
 	res.FinalSnap = p.Snapshot()
 	res.Report = p.Report()
-	res.Speculation = p.SpecStats()
 
 	if res.Done && cfg.Workload.Verify != nil {
 		if err := cfg.Workload.Verify(p.ReadSharedWord); err != nil {

@@ -165,11 +165,6 @@ func New(id int, kind Kind, ctrl *mem.Controller) *Core {
 // dual-issue bundles.
 func (c *Core) SetTracer(fn func(pc uint32, word uint32)) { c.tracer = fn }
 
-// HasTracer reports whether an instruction tracer is attached. The
-// speculative kernel forces gated execution while one is, so trace order
-// matches the committed interleaving.
-func (c *Core) HasTracer() bool { return c.tracer != nil }
-
 // IssueWidth returns the core's maximum instructions per cycle.
 func (c *Core) IssueWidth() int { return c.issueWidth }
 

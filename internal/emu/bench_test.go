@@ -8,7 +8,9 @@ package emu_test
 // as BENCH_emu.json and cmd/benchgate enforces no cycles/s regression
 // against the committed baseline, so future kernel PRs can prove they
 // changed nothing but speed (their golden digests must not move; these
-// numbers should only go up).
+// numbers should only go up). Each row also reports core-cycles/s (emulated
+// cycles × cores per host second) and instr/s (committed instructions per
+// host second), which compare fairly across core counts.
 
 import (
 	"fmt"
@@ -37,12 +39,11 @@ func benchSpec(b *testing.B, stall bool, cores int) *workloads.Spec {
 	return spec
 }
 
-func benchPlatform(b *testing.B, spec *workloads.Spec, cores int, parallel, blocks, speculate bool) *emu.Platform {
+func benchPlatform(b *testing.B, spec *workloads.Spec, cores int, parallel, blocks bool) *emu.Platform {
 	b.Helper()
 	cfg := emu.DefaultConfig(cores)
 	cfg.Parallel = parallel
 	cfg.Blocks = blocks
-	cfg.Speculate = speculate
 	p := emu.MustNew(cfg)
 	for i, im := range spec.Programs {
 		if err := p.LoadProgram(i, im); err != nil {
@@ -55,12 +56,12 @@ func benchPlatform(b *testing.B, spec *workloads.Spec, cores int, parallel, bloc
 	return p
 }
 
-func benchKernel(b *testing.B, stall bool, cores int, parallel, blocks, speculate bool) {
+func benchKernel(b *testing.B, stall bool, cores int, parallel, blocks bool) {
 	spec := benchSpec(b, stall, cores)
-	var cycles uint64
+	var cycles, instrs uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		p := benchPlatform(b, spec, cores, parallel, blocks, speculate)
+		p := benchPlatform(b, spec, cores, parallel, blocks)
 		b.StartTimer()
 		var (
 			cyc  uint64
@@ -75,19 +76,23 @@ func benchKernel(b *testing.B, stall bool, cores int, parallel, blocks, speculat
 			b.Fatalf("workload %s did not finish", spec.Name)
 		}
 		cycles += cyc
+		instrs += p.TotalInstructions()
 	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+	secs := b.Elapsed().Seconds()
+	b.ReportMetric(float64(cycles)/secs, "cycles/s")
+	b.ReportMetric(float64(cycles)*float64(cores)/secs, "core-cycles/s")
+	b.ReportMetric(float64(instrs)/secs, "instr/s")
 }
 
 func BenchmarkRunSerial(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, false, false, false)
+			benchKernel(b, false, cores, false, false)
 		})
 	}
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, false, false, false)
+			benchKernel(b, true, cores, false, false)
 		})
 	}
 }
@@ -95,12 +100,12 @@ func BenchmarkRunSerial(b *testing.B) {
 func BenchmarkRunParallel(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, true, false, false)
+			benchKernel(b, false, cores, true, false)
 		})
 	}
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, true, false, false)
+			benchKernel(b, true, cores, true, false)
 		})
 	}
 }
@@ -112,12 +117,12 @@ func BenchmarkRunParallel(b *testing.B) {
 func BenchmarkRunSerialBlocks(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, false, true, false)
+			benchKernel(b, false, cores, false, true)
 		})
 	}
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, false, true, false)
+			benchKernel(b, true, cores, false, true)
 		})
 	}
 }
@@ -125,43 +130,12 @@ func BenchmarkRunSerialBlocks(b *testing.B) {
 func BenchmarkRunParallelBlocks(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, true, true, false)
+			benchKernel(b, false, cores, true, true)
 		})
 	}
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, true, true, false)
-		})
-	}
-}
-
-// The Spec variants run the speculative shared-path kernel (Config.Speculate):
-// free-running chunks with logged shared traffic, validated and committed in
-// serial order at each boundary. The matrix rows are the scaling headline —
-// aggregate cycles/s should hold nearly flat as cores are added, where the
-// gated kernel collapses under arbitration.
-func BenchmarkRunParallelSpec(b *testing.B) {
-	for _, cores := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, true, false, true)
-		})
-	}
-	for _, cores := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, true, false, true)
-		})
-	}
-}
-
-func BenchmarkRunParallelSpecBlocks(b *testing.B) {
-	for _, cores := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, true, true, true)
-		})
-	}
-	for _, cores := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, true, true, true)
+			benchKernel(b, true, cores, true, true)
 		})
 	}
 }

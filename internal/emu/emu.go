@@ -155,20 +155,6 @@ type Config struct {
 	// after restore) — but substantially faster on compute-bound workloads.
 	// Works with both the serial and the parallel kernel.
 	Blocks bool
-
-	// Speculate layers the speculative shared-path kernel over the parallel
-	// arbiter (see spec.go): within each chunk the cores free-run against
-	// epoch-local read/write logs instead of parking, and the chunk commits
-	// only after a validation walk replays the logged shared traffic in
-	// (cycle, coreID) order against the real platform; chunks that cannot be
-	// proven equivalent to the serial interleaving are rolled back and
-	// re-executed through the gated path. Bit-identical to the serial and
-	// gated kernels — same digests, cycle counts and statistics — but
-	// without per-access arbitration in the conflict-free common case.
-	// Requires Parallel; incompatible with SharedCacheable and L2 (both put
-	// per-core mutable state on the shared path that free-runs would
-	// observe before commit).
-	Speculate bool
 }
 
 // DefaultConfig mirrors the Table 3 exploration platform: N cores with 4 KB
@@ -233,17 +219,6 @@ func (c Config) Validate() error {
 	if c.Parallel && c.EventLogging {
 		return fmt.Errorf("emu: event logging is not supported in parallel mode")
 	}
-	if c.Speculate {
-		if !c.Parallel {
-			return fmt.Errorf("emu: Speculate requires Parallel")
-		}
-		if c.SharedCacheable {
-			return fmt.Errorf("emu: Speculate is incompatible with a cacheable shared memory")
-		}
-		if c.L2 != nil {
-			return fmt.Errorf("emu: Speculate is incompatible with L2 caches")
-		}
-	}
 	for _, cc := range []*mem.CacheConfig{c.ICache, c.DCache, c.L2} {
 		if cc != nil {
 			if err := cc.Validate(); err != nil {
@@ -274,16 +249,7 @@ type Platform struct {
 	// the ring (e.g. pump the Ethernet dispatcher) and report success.
 	OnBufferFull func() bool
 
-	sched *scheduler  // shared-path arbiter, built only with Config.Parallel
-	spec  *specEngine // speculative kernel, built only with Config.Speculate
-
-	// spms holds each core's scratchpad memory (nil entries when
-	// Config.ScratchKB is 0) and issueHooks the parallel block-dispatch gate
-	// refreshers; both are needed by the speculative kernel, which snapshots
-	// scratchpads across chunks and swaps the hooks in and out around
-	// free-runs.
-	spms       []*mem.Memory
-	issueHooks []func(uint64)
+	sched *scheduler // shared-path arbiter, built only with Config.Parallel
 
 	// Skip-ahead kernel state: per-core wake cycles and idle-span origins
 	// (reused across spans to keep Step/Run allocation-free) plus telemetry.
@@ -320,7 +286,6 @@ func New(cfg Config) (*Platform, error) {
 	p.Barrier = mem.NewBarrier("barrier", cfg.Cores, 1)
 
 	var ic mem.Interconnect
-	var specBusCfg *bus.Config // the resolved bus config, for spec shadow buses
 	switch cfg.IC {
 	case ICBusOPB, ICBusPLB, ICBusCustom:
 		bc := bus.OPB(cfg.Cores)
@@ -338,7 +303,6 @@ func New(cfg Config) (*Platform, error) {
 		}
 		p.Bus = b
 		ic = b
-		specBusCfg = &bc
 	case ICNoC:
 		n, err := noc.New(cfg.NoC.Topo, cfg.NoC.Cfg)
 		if err != nil {
@@ -347,11 +311,6 @@ func New(cfg Config) (*Platform, error) {
 		p.Net = n
 		ic = n.TargetPort(cfg.NoC.MemSwitch)
 	}
-	if cfg.Speculate {
-		p.spec = newSpecEngine(p, cfg, specBusCfg)
-	}
-	p.spms = make([]*mem.Memory, cfg.Cores)
-	p.issueHooks = make([]func(uint64), cfg.Cores)
 
 	for i := 0; i < cfg.Cores; i++ {
 		ctl := mem.NewController(fmt.Sprintf("memctl%d", i), i)
@@ -379,17 +338,6 @@ func New(cfg Config) (*Platform, error) {
 			barrier = &gated{gate: g, under: barrier}
 			sniffctl = &gated{gate: g, under: sniffctl}
 		}
-		if cfg.Speculate {
-			// The speculative wrapper sits above the gate: pass-through while
-			// the core is not free-running (so gated chunks and the
-			// validation walk reach the arbitrated chain), log-and-buffer
-			// while it is.
-			sc := p.spec.cores[i]
-			sc.underShared, sc.underBarrier = shared, barrier
-			shared = &specTarget{sc: sc, dev: specDevShared, under: shared}
-			barrier = &specTarget{sc: sc, dev: specDevBarrier, under: barrier}
-			sniffctl = &specTarget{sc: sc, dev: specDevSniff, under: sniffctl}
-		}
 		if err := ctl.AddRange(mem.Range{Name: "shared", Base: SharedBase, Target: shared,
 			Cacheable: cfg.SharedCacheable, Kind: mem.KindShared}); err != nil {
 			return nil, err
@@ -408,7 +356,6 @@ func New(cfg Config) (*Platform, error) {
 				Target: spm, Kind: mem.KindPrivate}); err != nil {
 				return nil, err
 			}
-			p.spms[i] = spm
 		}
 		coreID := uint32(i)
 		info := mem.NewRegDevice("info", 4, 1, func(reg uint32) uint32 {
@@ -450,11 +397,10 @@ func New(cfg Config) (*Platform, error) {
 				// gate exactly like the parallel runner does before each
 				// Step, so gated accesses park at the right (cycle, coreID).
 				g := p.sched.gates[i]
-				p.issueHooks[i] = func(cyc uint64) {
+				core.SetIssueHook(func(cyc uint64) {
 					g.cycle = cyc
 					g.held = false
-				}
-				core.SetIssueHook(p.issueHooks[i])
+				})
 			}
 		}
 		p.Cores = append(p.Cores, core)
@@ -930,4 +876,16 @@ func (p *Platform) RunParallel(chunk uint64, maxCycles uint64) (uint64, bool) {
 		p.advanceChunk(chunk, maxCycles)
 	}
 	return p.VPCM.Cycle(), p.AllHalted()
+}
+
+// advanceChunk executes one epoch of at most chunk cycles (clamped to limit)
+// and advances the virtual clock. It is the shared inner step of RunParallel
+// and RunParallelDigest.
+func (p *Platform) advanceChunk(chunk, limit uint64) {
+	base := p.VPCM.Cycle()
+	n := chunk
+	if left := limit - base; n > left {
+		n = left
+	}
+	p.VPCM.Advance(p.runChunk(base, n))
 }

@@ -85,19 +85,6 @@ func (p *Platform) Report() string {
 		}
 	}
 
-	if p.Cfg.Speculate {
-		st := p.SpecStats()
-		fmt.Fprintf(&b, "\nspeculative kernel:\n")
-		clean := 0.0
-		if st.SpecChunks > 0 {
-			clean = 100 * float64(st.CleanChunks) / float64(st.SpecChunks)
-		}
-		fmt.Fprintf(&b, "  %d chunks speculated (%.1f%% clean: %d committed, %d conflicts, %d poisoned), %d replays, %d gated\n",
-			st.SpecChunks, clean, st.CleanChunks, st.Conflicts, st.Poisoned, st.Replays, st.GatedChunks)
-		fmt.Fprintf(&b, "  %d shared-path ops logged; arbiter: %d parks, %d grants\n",
-			st.LogEntries, st.Parks, st.Grants)
-	}
-
 	fmt.Fprintf(&b, "\nvirtual platform clock:\n")
 	fmt.Fprintf(&b, "  %s, %d DFS events, %d suppression cycles\n",
 		p.VPCM, p.VPCM.DFSEvents(), p.VPCM.SuppressionCycles())

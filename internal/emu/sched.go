@@ -115,11 +115,6 @@ type scheduler struct {
 	// those writes before the arbiter sums them into the skip telemetry.
 	skipped []uint64
 	pending []schedEvent
-	// parks/grants count arbiter traffic for the speculation/parallel
-	// telemetry (SpecStats); both are touched only on the arbiter's
-	// goroutine.
-	parks  uint64
-	grants uint64
 }
 
 func newScheduler(cores int) *scheduler {
@@ -283,14 +278,12 @@ func (p *Platform) runChunk(base, n uint64) uint64 {
 				s.gates[grant.core].solo = true
 			}
 			running++
-			s.grants++
 			s.gates[grant.core].grant <- struct{}{}
 		}
 		ev := <-s.events
 		running--
 		switch ev.kind {
 		case evPark:
-			s.parks++
 			pending = append(pending, ev)
 		case evDone:
 			s.doneAt[ev.core] = ev.cycle

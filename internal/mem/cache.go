@@ -98,8 +98,8 @@ type Cache struct {
 	// on. The memos hold indices into the flat lines array rather than
 	// pointers so repointing them on every access is barrier-free; -1 means
 	// empty. They are repointed by Refill and dropped whenever the
-	// directory could change under them — Invalidate, Flush, SetEnabled,
-	// RestoreState and RestoreMirror all clear both.
+	// directory could change under them — Invalidate, Flush, SetEnabled
+	// and RestoreState all clear both.
 	memoLine  uint32
 	memoIdx   int32
 	memoLine2 uint32
@@ -342,30 +342,4 @@ func (c *Cache) Invalidate(addr uint32) {
 			return
 		}
 	}
-}
-
-// CacheMirror is a reusable in-memory snapshot of a cache's directory and
-// counters, sized for the high-frequency save/restore the speculative kernel
-// performs at every chunk boundary (unlike CacheState, it is not a wire
-// format and reuses its backing array across snapshots).
-type CacheMirror struct {
-	lines  []cacheLine
-	stamp  uint64
-	stats  CacheStats
-	enable bool
-}
-
-// MirrorInto copies the cache's full directory state into m, reusing m's
-// storage when already sized.
-func (c *Cache) MirrorInto(m *CacheMirror) {
-	m.lines = append(m.lines[:0], c.lines...)
-	m.stamp, m.stats, m.enable = c.stamp, c.stats, c.enable
-}
-
-// RestoreMirror reinstates a snapshot taken by MirrorInto on the same cache.
-func (c *Cache) RestoreMirror(m *CacheMirror) {
-	copy(c.lines, m.lines)
-	c.stamp, c.stats, c.enable = m.stamp, m.stats, m.enable
-	c.memoIdx, c.memoIdx2 = -1, -1
-	c.epoch++
 }

@@ -125,11 +125,6 @@ func (c *Controller) AttachCaches(icache, dcache *Cache) {
 // SetObserver installs the access observer (event-logging sniffer hook).
 func (c *Controller) SetObserver(o Observer) { c.observer = o }
 
-// HasObserver reports whether an access observer is attached. The
-// speculative kernel forces gated execution while one is: observer delivery
-// order must match the committed interleaving exactly.
-func (c *Controller) HasObserver() bool { return c.observer != nil }
-
 // SetCodeWriteHook installs fn, invoked with the global address and width of
 // every store this controller commits — word and byte data stores and the
 // write half of atomic swaps — after the bytes have reached the backing

@@ -75,22 +75,6 @@ type Memory struct {
 	lastIdx  uint32
 	lastPage *[pageSize]byte
 	stats    MemStats
-	// vers holds per-page version stamps, bumped on every store once
-	// EnableVersions is called. The speculative kernel snapshots a page's
-	// version with each optimistic load: an unchanged version at validation
-	// time proves the loaded value is still current without comparing data.
-	vers map[uint32]uint32
-	// undoOn/undo journal old values of stores between BeginUndo and
-	// DropUndo/RollbackUndo so a speculative chunk (or a partially applied
-	// commit walk) can be rewound exactly.
-	undoOn bool
-	undo   []undoRec
-}
-
-type undoRec struct {
-	addr   uint32
-	old    uint32
-	isByte bool
 }
 
 // NewMemory creates a memory of the given size (bytes) and user-defined
@@ -175,9 +159,6 @@ func (m *Memory) StoreWord(addr uint32, v uint32) {
 	p := m.page(addr)
 	o := addr % pageSize
 	if o+4 <= pageSize {
-		if m.undoOn || m.vers != nil {
-			m.noteWord(addr, uint32(p[o])|uint32(p[o+1])<<8|uint32(p[o+2])<<16|uint32(p[o+3])<<24)
-		}
 		p[o], p[o+1], p[o+2], p[o+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 		return
 	}
@@ -211,110 +192,7 @@ func (m *Memory) PeekWord(addr uint32) uint32 {
 
 func (m *Memory) loadByteRaw(addr uint32) byte { return m.page(addr)[addr%pageSize] }
 func (m *Memory) storeByteRaw(addr uint32, b byte) {
-	p := m.page(addr)
-	if m.undoOn || m.vers != nil {
-		m.noteByte(addr, p[addr%pageSize])
-	}
-	p[addr%pageSize] = b
-}
-
-func (m *Memory) noteWord(addr, old uint32) {
-	if m.undoOn {
-		m.undo = append(m.undo, undoRec{addr: addr, old: old})
-	}
-	if m.vers != nil {
-		m.vers[addr/pageSize]++
-	}
-}
-
-func (m *Memory) noteByte(addr uint32, old byte) {
-	if m.undoOn {
-		m.undo = append(m.undo, undoRec{addr: addr, old: uint32(old), isByte: true})
-	}
-	if m.vers != nil {
-		m.vers[addr/pageSize]++
-	}
-}
-
-// EnableVersions switches on per-page version stamping for this memory.
-func (m *Memory) EnableVersions() {
-	if m.vers == nil {
-		m.vers = make(map[uint32]uint32)
-	}
-}
-
-// PageVersion returns the version stamp of the page containing addr (0 until
-// the page is first stored to after EnableVersions).
-func (m *Memory) PageVersion(addr uint32) uint32 { return m.vers[addr/pageSize] }
-
-// BeginUndo starts journalling old values of every subsequent store so
-// RollbackUndo can rewind them. The journal is reset first.
-func (m *Memory) BeginUndo() {
-	m.undoOn = true
-	m.undo = m.undo[:0]
-}
-
-// DropUndo commits the journalled stores: journalling stops and the journal
-// is discarded.
-func (m *Memory) DropUndo() {
-	m.undoOn = false
-	m.undo = m.undo[:0]
-}
-
-// RollbackUndo rewinds every store journalled since BeginUndo, newest first,
-// and stops journalling. Rollback writes bypass statistics and version
-// stamping (versions stay monotone; a stale stamp can only cause a spurious
-// conflict, never a false clean).
-func (m *Memory) RollbackUndo() {
-	m.undoOn = false
-	for i := len(m.undo) - 1; i >= 0; i-- {
-		r := m.undo[i]
-		if r.isByte {
-			m.page(r.addr)[r.addr%pageSize] = byte(r.old)
-			continue
-		}
-		p := m.page(r.addr)
-		o := r.addr % pageSize
-		if o+4 <= pageSize {
-			p[o], p[o+1], p[o+2], p[o+3] = byte(r.old), byte(r.old>>8), byte(r.old>>16), byte(r.old>>24)
-			continue
-		}
-		for j := uint32(0); j < 4; j++ {
-			a := r.addr + j
-			m.page(a)[a%pageSize] = byte(r.old >> (8 * j))
-		}
-	}
-	m.undo = m.undo[:0]
-}
-
-// RestoreStats replaces the functional access counters (used by the
-// speculative kernel's chunk rollback).
-func (m *Memory) RestoreStats(s MemStats) { m.stats = s }
-
-// PureLatency returns the user-defined access latency for a burst of the
-// given size without the suppression side effect. The speculative kernel
-// predicts timing with it during free-runs and defers the real Latency call
-// (and its suppression accounting) to commit time, so suppression still
-// accrues exactly once per access.
-func (m *Memory) PureLatency(bytes uint32) uint64 {
-	words := uint64((bytes + 3) / 4)
-	if words == 0 {
-		words = 1
-	}
-	return m.latency + (words - 1)
-}
-
-// PeekByte returns the byte at addr without counting the access; untouched
-// pages read as zero without being allocated.
-func (m *Memory) PeekByte(addr uint32) byte {
-	if addr >= m.size {
-		panic(fmt.Sprintf("mem: %s: address 0x%x beyond size 0x%x", m.name, addr, m.size))
-	}
-	p := m.pages[addr/pageSize]
-	if p == nil {
-		return 0
-	}
-	return p[addr%pageSize]
+	m.page(addr)[addr%pageSize] = b
 }
 
 // LoadByte implements Target.

@@ -50,7 +50,6 @@ func (m *Memory) RestoreState(s MemoryState) error {
 	m.pages = pages
 	m.lastPage = nil // the memoised page belongs to the replaced map
 	m.stats = s.Stats
-	m.undoOn, m.undo = false, m.undo[:0] // the journal refers to replaced pages
 	return nil
 }
 

@@ -217,17 +217,6 @@ func MustNew(topo *Topology, cfg Config) *Network {
 // Topology returns the underlying switch graph.
 func (n *Network) Topology() *Topology { return n.topo }
 
-// CopyStateFrom overwrites this network's mutable timing state (link
-// horizons, link usage, counters) with src's. Both networks must share the
-// same topology and configuration; the speculative kernel uses identically
-// configured shadow networks to predict transaction timing without
-// disturbing the real one.
-func (n *Network) CopyStateFrom(src *Network) {
-	copy(n.linkBusy, src.linkBusy)
-	copy(n.linkUse, src.linkUse)
-	n.stats = src.stats
-}
-
 // Stats returns the sniffer counters.
 func (n *Network) Stats() Stats { return n.stats }
 

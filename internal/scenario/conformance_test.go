@@ -90,10 +90,7 @@ func TestScenarioConformance(t *testing.T) {
 // so a digest drift report says which kernel produced the mismatch.
 func kernelName(s *Scenario) string {
 	k := "serial"
-	switch {
-	case s.Speculate:
-		k = "speculative"
-	case s.Parallel:
+	if s.Parallel {
 		k = "parallel"
 	}
 	if s.Blocks {

@@ -36,9 +36,6 @@ func (s *Scenario) Lint() error {
 	if s.SharedKB < 1 {
 		fail("platform: shared-kb must be at least 1, got %d", s.SharedKB)
 	}
-	if s.Speculate && !s.Parallel {
-		fail("platform: speculate requires parallel = true")
-	}
 
 	if _, ok := floorplans[s.Floorplan]; !ok {
 		fail("thermal: unknown floorplan %q (want arm7 | arm11)", s.Floorplan)

@@ -108,7 +108,7 @@ func stripComment(s string) string {
 // kvSections lists the key-value sections and their accepted keys.
 var kvSections = map[string][]string{
 	"scenario": {"name", "digest"},
-	"platform": {"cores", "ic", "freq-mhz", "priv-kb", "shared-kb", "blocks", "parallel", "speculate"},
+	"platform": {"cores", "ic", "freq-mhz", "priv-kb", "shared-kb", "blocks", "parallel"},
 	"workload": {"name", "n", "iters", "size", "words"},
 	"thermal":  {"floorplan", "cells", "window-ms", "timescale", "pipeline", "workers"},
 	"tm":       {"policy"},
@@ -269,8 +269,6 @@ func (p *parser) assign(qual, val string) error {
 		return parseBool(&s.Blocks, qual, val)
 	case "platform.parallel":
 		return parseBool(&s.Parallel, qual, val)
-	case "platform.speculate":
-		return parseBool(&s.Speculate, qual, val)
 	case "workload.name":
 		s.Workload = val
 	case "workload.n":

@@ -31,7 +31,6 @@ func (s *Scenario) Render() string {
 	fmt.Fprintf(&b, "shared-kb = %d\n", s.SharedKB)
 	fmt.Fprintf(&b, "blocks = %t\n", s.Blocks)
 	fmt.Fprintf(&b, "parallel = %t\n", s.Parallel)
-	fmt.Fprintf(&b, "speculate = %t\n", s.Speculate)
 	if len(s.Programs) == 0 {
 		b.WriteString("\n[workload]\n")
 		fmt.Fprintf(&b, "name = %s\n", s.Workload)

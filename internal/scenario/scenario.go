@@ -86,9 +86,6 @@ type Scenario struct {
 	SharedKB int
 	Blocks   bool
 	Parallel bool
-	// Speculate selects the speculative shared-path kernel (requires
-	// Parallel; results stay bit-identical to the serial kernel).
-	Speculate bool
 
 	// [workload] — a named corpus workload with its parameters...
 	Workload string
@@ -211,7 +208,6 @@ func (s *Scenario) Platform() (emu.Config, error) {
 	}
 	cfg.Blocks = s.Blocks
 	cfg.Parallel = s.Parallel
-	cfg.Speculate = s.Speculate
 	return cfg, nil
 }
 

@@ -155,6 +155,7 @@ func TestParseErrors(t *testing.T) {
 		{"unknown section", Header + "\n[nope]\n", "unknown section"},
 		{"duplicate section", Header + "\n[platform]\ncores = 2\n[platform]\n", "duplicate section"},
 		{"unknown key", Header + "\n[platform]\nspeed = 9\n", "unknown key"},
+		{"speculate key", Header + "\n[platform]\nparallel = true\nspeculate = true\n", `line 4: unknown key "speculate"`},
 		{"duplicate key", Header + "\n[platform]\ncores = 2\ncores = 4\n", "duplicate key"},
 		{"key outside section", Header + "\ncores = 4\n", "outside any section"},
 		{"no equals", Header + "\n[platform]\ncores\n", "want key = value"},

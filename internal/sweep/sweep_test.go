@@ -123,6 +123,33 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireRejectsOversizedMessage streams non-final chunks past maxMsgBytes
+// and checks the receiver gives up with an error instead of buffering them.
+func TestWireRejectsOversizedMessage(t *testing.T) {
+	devTr, coordTr := etherlink.LoopbackPair(256)
+	link := (&Options{}).sweepLink()
+	worker := newEndpoint(devTr, false, link)
+	coord := newEndpoint(coordTr, true, link)
+
+	chunk := append([]byte{0}, bytes.Repeat([]byte{'x'}, maxChunk)...)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i <= maxMsgBytes/maxChunk; i++ {
+			if worker.Send(etherlink.MsgSweep, chunk) != nil {
+				return // the transports closed under a blocked send
+			}
+		}
+	}()
+	_, err := recvMsg(coord)
+	devTr.Close()
+	coordTr.Close()
+	<-done
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("recv of an unbounded chunk stream = %v, want the size-cap error", err)
+	}
+}
+
 // TestSweepInProcessParity is the core determinism contract: a 4-worker
 // in-process sweep produces, for every point, the digest the serial
 // cmd/thermemu path produces.

@@ -39,6 +39,12 @@ type wireMsg struct {
 // maxChunk keeps a chunk plus its 1-byte last-marker inside MaxPayload.
 const maxChunk = etherlink.MaxPayload - 1
 
+// maxMsgBytes bounds the reassembled size of one protocol message, so a
+// peer that streams non-final chunks cannot grow the receiver's buffer
+// without limit. The largest real message, a job carrying its warm-up
+// checkpoint, is under 100 kB for the example and benchmark grids.
+const maxMsgBytes = 16 << 20
+
 // errPeerStopped reports a graceful CtrlStop from the peer (e.g. a
 // supervisor shutting down) observed mid-conversation.
 var errPeerStopped = errors.New("sweep: peer stopped")
@@ -76,6 +82,9 @@ func recvMsg(ep *etherlink.Endpoint) (*wireMsg, error) {
 		}
 		if len(f.Payload) == 0 {
 			return nil, fmt.Errorf("sweep: empty protocol frame")
+		}
+		if len(doc)+len(f.Payload)-1 > maxMsgBytes {
+			return nil, fmt.Errorf("sweep: protocol message exceeds %d bytes", maxMsgBytes)
 		}
 		doc = append(doc, f.Payload[1:]...)
 		if f.Payload[0] == 0 {
