@@ -15,8 +15,10 @@
 // Emulation-kernel mode (-emu) compares a fresh BENCH_emu.json against the
 // committed baseline: every BenchmarkRunSerial/BenchmarkRunParallel variant
 // present in the baseline must still exist and must retain at least -ratio
-// of its cycles/s (the slack absorbs runner noise). Kernel PRs may only
-// make these numbers go up; their golden digests prove nothing else moved.
+// of its cycles/s (the slack absorbs runner noise). Rows are keyed by name
+// and maxprocs, so a `-cpu 1,2` run keeps one row per processor count.
+// Kernel PRs may only make these numbers go up; their golden digests prove
+// nothing else moved.
 //
 // Coverage mode (-cover) computes total statement coverage from a
 // `go test -coverprofile` file and gates it against the committed
@@ -109,7 +111,10 @@ func readText(path string) (string, error) {
 	return text.String(), nil
 }
 
-func parse(path string, result *regexp.Regexp) (map[string]metrics, error) {
+// parse collects the benchmark rows matching result, keyed by name, or by
+// name and maxprocs when byProcs is set (rows without a maxprocs metric
+// keep the bare name).
+func parse(path string, result *regexp.Regexp, byProcs bool) (map[string]metrics, error) {
 	text, err := readText(path)
 	if err != nil {
 		return nil, err
@@ -141,7 +146,11 @@ func parse(path string, result *regexp.Regexp) (map[string]metrics, error) {
 				mt.maxprocs = v
 			}
 		}
-		out[m[1]] = mt
+		key := m[1]
+		if byProcs && mt.maxprocs > 0 {
+			key = fmt.Sprintf("%s (maxprocs %d)", key, int(mt.maxprocs))
+		}
+		out[key] = mt
 	}
 	return out, nil
 }
@@ -159,7 +168,7 @@ func (c *checker) check(ok bool, format string, args ...any) {
 }
 
 func gateLoop(path string) int {
-	res, err := parse(path, loopResultLine)
+	res, err := parse(path, loopResultLine, false)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		return 2
@@ -203,12 +212,12 @@ func gateLoop(path string) int {
 }
 
 func gateEmu(newPath, basePath string, ratio float64) int {
-	fresh, err := parse(newPath, emuResultLine)
+	fresh, err := parse(newPath, emuResultLine, true)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		return 2
 	}
-	base, err := parse(basePath, emuResultLine)
+	base, err := parse(basePath, emuResultLine, true)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		return 2
@@ -258,12 +267,12 @@ func gateEmu(newPath, basePath string, ratio float64) int {
 // scaling contracts bind whenever their canonical rows exist in the fresh
 // run — they encode *why* the sweep coordinator is worth having.
 func gateSweep(newPath, basePath string, ratio float64) int {
-	fresh, err := parse(newPath, sweepResultLine)
+	fresh, err := parse(newPath, sweepResultLine, false)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		return 2
 	}
-	base, err := parse(basePath, sweepResultLine)
+	base, err := parse(basePath, sweepResultLine, false)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		return 2

@@ -47,7 +47,6 @@ func main() {
 		ic        = flag.String("ic", "opb", "interconnect: opb | plb | custom | noc")
 		nocSpec   = flag.String("noc", "pair", "NoC topology when -ic noc: pair | mesh:WxH | ring:N")
 		freqMHz   = flag.Int("freq", 0, "virtual clock in MHz (0 = platform default)")
-		blocks    = flag.Bool("blocks", false, "threaded-code block dispatch: translate straight-line R32 blocks at first execution (bit-identical results, faster on compute-bound code)")
 		withTM    = flag.Bool("tm", false, "enable the 350K/340K threshold DFS policy")
 		windowMs  = flag.Float64("window", 1.0, "sampling window in virtual ms")
 		pipeline  = flag.Int("pipeline", 0, "pipeline depth: overlap emulation with the thermal solve at a sensor latency of this many windows (0 = serial loop)")
@@ -75,7 +74,7 @@ func main() {
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	if err := profiled(*cpuProf, *memProf, *execTrace, func() error {
-		return run(*scenPath, setFlags, *cores, *workload, *n, *iters, *size, *words, *ic, *nocSpec, *freqMHz, *blocks, *withTM,
+		return run(*scenPath, setFlags, *cores, *workload, *n, *iters, *size, *words, *ic, *nocSpec, *freqMHz, *withTM,
 			*windowMs, *pipeline, *tscale, *cells, *workers, *csvPath, *hostAddr, *fault, *faultSeed,
 			*redial, *report, *digest, *ckptDir, *ckptEvery, *resume, *fork, *vcdPath, *jsonPath)
 	}); err != nil {
@@ -88,7 +87,7 @@ func main() {
 // them together with -scenario is a conflict, not a silent override.
 var scenarioOwned = []string{
 	"cores", "workload", "n", "iters", "size", "words", "ic", "noc", "freq",
-	"blocks", "tm", "window", "pipeline", "timescale", "cells", "workers",
+	"tm", "window", "pipeline", "timescale", "cells", "workers",
 	"fault", "fault-seed",
 }
 
@@ -138,7 +137,7 @@ func profiled(cpuPath, memPath, tracePath string, body func() error) error {
 
 func run(scenPath string, setFlags map[string]bool,
 	cores int, workload string, n, iters, size, words int, ic, nocSpec string, freqMHz int,
-	blocks, withTM bool, windowMs float64, pipeline int, tscale float64, cells, workers int,
+	withTM bool, windowMs float64, pipeline int, tscale float64, cells, workers int,
 	csvPath, hostAddr, fault string, faultSeed int64, redial, report, digest bool,
 	ckptDir string, ckptEvery int, resumePath, forkPath string,
 	vcdPath, jsonPath string) error {
@@ -201,7 +200,6 @@ func run(scenPath string, setFlags map[string]bool,
 		if b, _ := workloads.Lookup(workload); b.ForceFreqMHz > 0 {
 			pcfg.FreqHz = uint64(b.ForceFreqMHz) * 1e6 // the workload's pinned operating point
 		}
-		pcfg.Blocks = blocks
 
 		topt := thermemu.DefaultThermalOptions()
 		if workers > 0 {

@@ -209,18 +209,6 @@ func (b *Bus) Transaction(initiator int, now uint64, bytes uint32, write bool, t
 	return end - now
 }
 
-// NextEvent returns the cycle at which the bus's in-flight transaction
-// completes (its busy horizon frees) and whether one is pending after now.
-// Transaction timing is charged to the initiator at access time, so this is
-// purely an event-query for skip-ahead kernels: jumping past an idle bus
-// cannot change any outcome.
-func (b *Bus) NextEvent(now uint64) (uint64, bool) {
-	if b.busyUntil > now {
-		return b.busyUntil, true
-	}
-	return 0, false
-}
-
 // Utilisation returns the fraction of cycles the bus was held over the
 // given elapsed cycle count.
 func (b *Bus) Utilisation(elapsed uint64) float64 {

@@ -162,25 +162,3 @@ func TestInitiatorRangePanic(t *testing.T) {
 	}()
 	b.Transaction(5, 0, 4, false, 0)
 }
-
-func TestNextEventTracksBusyHorizon(t *testing.T) {
-	b := MustNew(OPB(2))
-	if _, ok := b.NextEvent(0); ok {
-		t.Error("idle bus reported an event")
-	}
-	lat := b.Transaction(0, 0, 4, false, 5)
-	e, ok := b.NextEvent(0)
-	if !ok {
-		t.Fatal("bus with an in-flight transaction reported no event")
-	}
-	if e != b.busyUntil {
-		t.Errorf("event cycle %d != busy horizon %d", e, b.busyUntil)
-	}
-	if e == 0 || e > lat {
-		t.Errorf("event cycle %d outside (0, %d]", e, lat)
-	}
-	// At and past the horizon the bus is free again.
-	if _, ok := b.NextEvent(e); ok {
-		t.Error("event reported at the busy horizon itself")
-	}
-}

@@ -1,10 +1,10 @@
 package checkpoint_test
 
-// Satellite of the threaded-code block dispatch PR: checkpoints must carry
-// no translated-block state, so a checkpoint is interchangeable between
-// interpreter and block-dispatch platforms, and a resume into a
-// block-dispatch platform starts from a cold cache mid-hot-loop and still
-// reproduces the interpreter's golden digest bit-for-bit.
+// Checkpoints must carry no translated-block state, so a checkpoint is
+// interchangeable between the block-dispatch kernel and the per-cycle
+// interpreter reference (StepOne), and a resume starts from a cold block
+// cache mid-hot-loop and still reproduces the interpreter's golden digest
+// bit-for-bit.
 
 import (
 	"testing"
@@ -15,11 +15,9 @@ import (
 	"thermemu/internal/workloads"
 )
 
-func buildBlocksCase(t *testing.T, blocks bool) *emu.Platform {
+func buildBlocksCase(t *testing.T) *emu.Platform {
 	t.Helper()
-	cfg := emu.DefaultConfig(2)
-	cfg.Blocks = blocks
-	p := emu.MustNew(cfg)
+	p := emu.MustNew(emu.DefaultConfig(2))
 	spec, err := workloads.Matrix(2, 4, 2, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -28,13 +26,33 @@ func buildBlocksCase(t *testing.T, blocks bool) *emu.Platform {
 	return p
 }
 
-func TestResumeBlocksColdCache(t *testing.T) {
-	// Reference: the uninterrupted interpreter run.
-	straight := golden.New()
-	ref := buildBlocksCase(t, false)
-	ref.RunDigest(matrixMax, matrixEvery, straight)
+// stepWindow advances one digest window with the block-dispatch kernel
+// (interp false) or the per-cycle interpreter reference (interp true).
+func stepWindow(p *emu.Platform, interp bool) {
+	if !interp {
+		stepDigestWindow(p, false)
+		return
+	}
+	end := p.VPCM.Cycle() + matrixEvery
+	if end > matrixMax {
+		end = matrixMax
+	}
+	for p.VPCM.Cycle() < end && !p.AllHalted() {
+		p.StepOne()
+	}
+}
 
-	// Checkpointed run with block dispatch on: capture a checkpoint and the
+func TestResumeBlocksColdCache(t *testing.T) {
+	// Reference: the uninterrupted per-cycle interpreter run.
+	straight := golden.New()
+	ref := buildBlocksCase(t)
+	for ref.VPCM.Cycle() < matrixMax && !ref.AllHalted() {
+		stepWindow(ref, true)
+		emu.DigestSnapshot(straight, ref.Snapshot())
+	}
+	ref.DigestInto(straight)
+
+	// Checkpointed run with block dispatch: capture a checkpoint and the
 	// digest accumulator at every window boundary. Windows land mid-loop, so
 	// the blocks are hot at every capture point.
 	type point struct {
@@ -44,7 +62,7 @@ func TestResumeBlocksColdCache(t *testing.T) {
 	}
 	var pts []point
 	tr := golden.New()
-	q := buildBlocksCase(t, true)
+	q := buildBlocksCase(t)
 	for q.VPCM.Cycle() < matrixMax && !q.AllHalted() {
 		stepDigestWindow(q, false)
 		emu.DigestSnapshot(tr, q.Snapshot())
@@ -60,31 +78,31 @@ func TestResumeBlocksColdCache(t *testing.T) {
 		t.Fatalf("workload too short: %d windows", len(pts))
 	}
 
-	// Resume the mid-run checkpoint into both kernel flavours: the stream
-	// holds no translated state, so a blocks platform restores to a cold
-	// cache and an interpreter platform restores to exactly the same bits.
+	// Resume the mid-run checkpoint under both stepping flavours: the
+	// stream holds no translated state, so the block kernel restarts from a
+	// cold cache and the interpreter from exactly the same bits.
 	mid := pts[len(pts)/2]
-	for _, blocks := range []bool{true, false} {
+	for _, interp := range []bool{false, true} {
 		ck, err := checkpoint.Decode(checkpoint.Encode(mid.ck))
 		if err != nil {
-			t.Fatalf("blocks=%v: decode: %v", blocks, err)
+			t.Fatalf("interp=%v: decode: %v", interp, err)
 		}
-		r := buildBlocksCase(t, blocks)
+		r := buildBlocksCase(t)
 		if err := ck.Apply(r); err != nil {
-			t.Fatalf("blocks=%v: apply: %v", blocks, err)
+			t.Fatalf("interp=%v: apply: %v", interp, err)
 		}
 		rtr := golden.New()
 		if err := rtr.Seed(mid.sum, mid.n); err != nil {
 			t.Fatal(err)
 		}
 		for r.VPCM.Cycle() < matrixMax && !r.AllHalted() {
-			stepDigestWindow(r, false)
+			stepWindow(r, interp)
 			emu.DigestSnapshot(rtr, r.Snapshot())
 		}
 		r.DigestInto(rtr)
 		if rtr.Sum64() != straight.Sum64() || rtr.Len() != straight.Len() {
-			t.Errorf("resume into blocks=%v: digest %s/%d, want %s/%d",
-				blocks, rtr.Hex(), rtr.Len(), straight.Hex(), straight.Len())
+			t.Errorf("resume with interp=%v: digest %s/%d, want %s/%d",
+				interp, rtr.Hex(), rtr.Len(), straight.Hex(), straight.Len())
 		}
 	}
 }

@@ -188,6 +188,9 @@ func Run(cfg Config, onSample func(Sample)) (*Result, error) {
 	if cfg.PipelineDepth > 0 && cfg.Platform.EventLogging {
 		return nil, fmt.Errorf("core: pipelined loop is incompatible with event logging (the BRAM ring drains inline with the emulating stage)")
 	}
+	if cells := len(cfg.Host.SiCells); cfg.Transport != nil && etherlink.MaxTempsBatch(cells) == 0 {
+		return nil, &etherlink.TempsTooLargeError{Cells: cells}
+	}
 	if cfg.WindowPs == 0 {
 		cfg.WindowPs = DefaultWindowPs
 	}
@@ -260,10 +263,13 @@ func Run(cfg Config, onSample func(Sample)) (*Result, error) {
 	}
 	res := &Result{MaxTempK: resumedMax}
 	start := time.Now()
-	prev := p.Snapshot()
-	// committed tracks the last fully-solved sampling window; an abort
-	// mid-window reports it instead of the half-stepped platform state.
-	committed := prev
+	// prev/snap are the window's boundary snapshots and committed the last
+	// fully-solved window; an abort mid-window reports it instead of the
+	// half-stepped platform state. The three buffers are reused across
+	// windows (SnapshotInto/CopyInto), as in runPipelined.
+	var prev, snap, committed emu.Snapshot
+	p.SnapshotInto(&prev)
+	prev.CopyInto(&committed)
 	powers := make([]float64, cfg.Host.NumComponents())
 	powerUW := make([]uint32, cfg.Host.NumComponents())
 	partial := func(err error) (*Result, error) {
@@ -303,7 +309,7 @@ func Run(cfg Config, onSample func(Sample)) (*Result, error) {
 		if err := p.Fault(); err != nil {
 			return partial(err)
 		}
-		snap := p.Snapshot()
+		p.SnapshotInto(&snap)
 		emu.DigestSnapshot(cfg.Golden, snap)
 		if disp != nil && cfg.Platform.EventLogging {
 			if _, err := disp.PumpEvents(p.Ring); err != nil {
@@ -314,7 +320,6 @@ func Run(cfg Config, onSample func(Sample)) (*Result, error) {
 			return partial(err)
 		}
 		windowPs := uint64(float64(snap.TimePs-prev.TimePs) * tscale)
-		prev = snap
 
 		var cellTemps []float64
 		if disp != nil {
@@ -384,7 +389,8 @@ func Run(cfg Config, onSample func(Sample)) (*Result, error) {
 		}
 		// The window is committed only once its temperatures arrived and the
 		// policy ran: from here on its snapshot is safe to report.
-		committed = snap
+		snap.CopyInto(&committed)
+		prev, snap = snap, prev
 		ck.commit(compTemps)
 		if ck.due() {
 			if err := ck.write(false, res.MaxTempK); err != nil {

@@ -340,7 +340,8 @@ func runPipelined(cfg Config, p *emu.Platform, eval *PowerEvaluator,
 // cell temperatures to component sensor readings, and runs the TM policy,
 // recording the DFS verdict for the emulate stage to apply at the
 // deterministic boundary. In transport mode, windows that queued up while
-// the link was busy are shipped as one MsgStatsBatch frame. After a
+// the link was busy are shipped as one MsgStatsBatch frame, as many as the
+// statistics and the temperature reply both fit one frame. After a
 // failure every subsequent window is bounced with the same error so the
 // emulate stage observes it at the next boundary.
 func solveStage(cfg Config, disp *etherlink.Dispatcher, work <-chan *window, done chan<- *window) {
@@ -348,10 +349,8 @@ func solveStage(cfg Config, disp *etherlink.Dispatcher, work <-chan *window, don
 	var failed error
 	maxBatch := 1
 	if disp != nil {
-		maxBatch = etherlink.MaxStatsBatch(cfg.Host.NumComponents())
-		if maxBatch > cfg.PipelineDepth {
-			maxBatch = cfg.PipelineDepth
-		}
+		maxBatch = min(etherlink.MaxStatsBatch(cfg.Host.NumComponents()),
+			etherlink.MaxTempsBatch(len(cfg.Host.SiCells)), cfg.PipelineDepth)
 	}
 	var (
 		pend   []*window

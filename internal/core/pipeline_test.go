@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -111,6 +112,61 @@ func TestPipelinedTransportMatchesSerial(t *testing.T) {
 		if math.Abs(d-r) > 0.002 {
 			t.Fatalf("sample %d: in-process %.4f K vs link %.4f K", i, d, r)
 		}
+	}
+}
+
+// TestPipelinedLinkSizesBatchesByReply covers the temperature reply's frame
+// limit. At about 200 cells two windows' temperatures overflow one frame,
+// so the depth-2 loop must cap its batches at one window and still match
+// the serial in-process digest. At about 400 cells not even one window's
+// reply fits, and Run must refuse up front with a typed error instead of
+// stalling the link.
+func TestPipelinedLinkSizesBatchesByReply(t *testing.T) {
+	withCells := func(cells int) Config {
+		cfg := testConfig(t, 2, nil)
+		host, err := NewThermalHost(floorplan.FourARM11(), cells, thermal.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Host = host
+		// Short windows emulate faster than the host solves them, so
+		// windows queue up and the loop batches whenever it may.
+		cfg.WindowPs = 2_000_000
+		return cfg
+	}
+
+	serialCfg := withCells(200)
+	if n := len(serialCfg.Host.SiCells); etherlink.MaxTempsBatch(n) != 1 ||
+		etherlink.MaxStatsBatch(serialCfg.Host.NumComponents()) < 2 {
+		t.Fatalf("%d cells: want a stats batch of 2+ windows whose reply fits only one", n)
+	}
+	_, serialTr := runWithJournal(t, serialCfg)
+	cfg := withCells(200)
+	cfg.PipelineDepth = 2
+	devTr, hostTr := etherlink.LoopbackPair(8)
+	cfg.Transport = devTr
+	cfg.DrainPhysCycles = 100
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- withCells(200).Host.Serve(hostTr) }()
+	_, pipeTr := runWithJournal(t, cfg)
+	if err := <-serveErr; err != nil {
+		t.Fatalf("host serve: %v", err)
+	}
+	if d := golden.Compare(serialTr, pipeTr); d != nil {
+		t.Fatalf("200-cell link run diverged from serial: %v", d)
+	}
+
+	cfg = withCells(400)
+	cfg.PipelineDepth = 2
+	cfg.Transport, _ = etherlink.LoopbackPair(8)
+	start := time.Now()
+	_, err := Run(cfg, nil)
+	var tooLarge *etherlink.TempsTooLargeError
+	if !errors.As(err, &tooLarge) || tooLarge.Cells != len(cfg.Host.SiCells) {
+		t.Fatalf("400 cells: got error %v, want a TempsTooLargeError", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("400 cells: refusal took %v", el)
 	}
 }
 

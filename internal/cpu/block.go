@@ -47,6 +47,7 @@ type blockOp struct {
 	rs1  uint8
 	rs2  uint8
 	imm  int32
+	mem  bool   // a load, store or swap: subject to StepBlocks' sharedBefore bound
 	pc   uint32 // fetch address of this instruction
 	next uint32 // pc+4, or the taken target for jal/branches
 }
@@ -269,20 +270,33 @@ func (bc *blockCache) fetchPath(ctrl *mem.Controller, pc uint32) *mem.FetchPath 
 // cycles starting at platform cycle now, returning the cycles consumed, the
 // instructions issued and the stall cycles settled in bulk. A zero cycle
 // count means block dispatch cannot run from the current state (disabled,
-// tracing, dual-issue, stalled, halted, or an undispatchable pc) and the
-// caller must fall back to Step. Every observable effect over the consumed
-// cycles is bit-identical to that many Step calls.
-func (c *Core) StepBlocks(now, max uint64) (cycles, steps, skipped uint64) {
+// tracing, dual-issue, stalled, halted, an undispatchable pc, or a first
+// instruction the sharedBefore bound stops) and the caller must fall back
+// to Step. Every observable effect over the consumed cycles is
+// bit-identical to that many Step calls.
+//
+// sharedBefore orders the core against the rest of the platform: a memory
+// operation issued at or after it whose effective address the controller
+// does not report Private stops the core before any side effect of that
+// instruction (no fetch, no statistics, no issue hook). An access observer
+// sees every instruction, fetches included, and another core's
+// sniffer-control store can switch an attached activity sniffer mid-run,
+// so with either attached the whole window is clamped to sharedBefore.
+func (c *Core) StepBlocks(now, max, sharedBefore uint64) (cycles, steps, skipped uint64) {
 	if c.blocks == nil || max == 0 || c.tracer != nil || c.issueWidth > 1 ||
 		c.halt || c.fault != nil || c.stall > 0 {
 		return 0, 0, 0
 	}
 	bc := c.blocks
+	ctrl := c.ctrl
 	hook := c.issueHook
 	cyc, end := now, now+max
+	if (c.act != nil || ctrl.Observed()) && sharedBefore < end {
+		end = sharedBefore
+	}
 	// issued counts instructions committed this invocation; the per-core
 	// active-cycle and instruction counters are settled from it in one add
-	// at each return (their intermediate values are unobservable inside the
+	// at the exit (their intermediate values are unobservable inside the
 	// window), keeping two counter updates off the per-instruction path.
 	var issued uint64
 	// Batched-fetch state, carried ACROSS block executions: while consecutive
@@ -297,17 +311,12 @@ func (c *Core) StepBlocks(now, max uint64) (cycles, steps, skipped uint64) {
 		fetched  uint32
 		fHit     uint64
 	)
+dispatch:
 	for cyc < end {
 		b := bc.lookup(c.pc)
 		if b == nil {
-			b = c.translate(c.pc)
-			if b == nil {
-				if fetched > 0 {
-					pendFp.Settle(pendPlan, fetched)
-				}
-				c.stats.ActiveCycles += issued
-				c.stats.Instructions += issued
-				return cyc - now, issued, skipped
+			if b = c.translate(c.pc); b == nil {
+				break
 			}
 		}
 		fp := b.fp
@@ -337,15 +346,10 @@ func (c *Core) StepBlocks(now, max uint64) (cycles, steps, skipped uint64) {
 			pendPlan = nil
 		}
 		for i := range ops {
-			if cyc >= end {
-				if fetched > 0 {
-					pendFp.Settle(pendPlan, fetched)
-				}
-				c.stats.ActiveCycles += issued
-				c.stats.Instructions += issued
-				return cyc - now, issued, skipped
-			}
 			x := &ops[i]
+			if cyc >= end || cyc >= sharedBefore && x.mem && !ctrl.Private(c.regs[x.rs1]+uint32(x.imm)) {
+				break dispatch
+			}
 			if hook != nil {
 				hook(cyc)
 			}
@@ -368,22 +372,13 @@ func (c *Core) StepBlocks(now, max uint64) (cycles, steps, skipped uint64) {
 				// Faulting Step: cycle charged (the faulting issue is an
 				// active cycle), no commit, stall untouched (the fetch
 				// preceding the fault did happen).
-				if fetched > 0 {
-					pendFp.Settle(pendPlan, fetched)
-				}
-				c.stats.ActiveCycles += issued + 1
-				c.stats.Instructions += issued
-				return cyc - now, issued, skipped
+				c.stats.ActiveCycles++
+				break dispatch
 			}
 			c.stall = fstall + dstall
 			issued++
 			if c.halt {
-				if fetched > 0 {
-					pendFp.Settle(pendPlan, fetched)
-				}
-				c.stats.ActiveCycles += issued
-				c.stats.Instructions += issued
-				return cyc - now, issued, skipped
+				break dispatch
 			}
 			if c.stall > 0 {
 				// Settle the stall span in bulk, clipped to the window.
@@ -395,12 +390,7 @@ func (c *Core) StepBlocks(now, max uint64) (cycles, steps, skipped uint64) {
 				skipped += span
 				cyc += span
 				if c.stall > 0 {
-					if fetched > 0 {
-						pendFp.Settle(pendPlan, fetched)
-					}
-					c.stats.ActiveCycles += issued
-					c.stats.Instructions += issued
-					return cyc - now, issued, skipped
+					break dispatch
 				}
 			}
 			if !b.valid {
@@ -447,6 +437,7 @@ func emitOp(x *blockOp, in isa.Instr, pc uint32) {
 		x.run = branchOps[in.Op-isa.OpBeq]
 	case in.Op.IsMem():
 		x.run = memOps[in.Op]
+		x.mem = true
 	default:
 		x.run = aluIOps[in.Op]
 	}

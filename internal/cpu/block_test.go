@@ -13,7 +13,7 @@ func runWithBlocks(t *testing.T, c *Core, maxCycles uint64) {
 	t.Helper()
 	c.EnableBlocks()
 	for now := uint64(0); now < maxCycles && !c.Halted(); {
-		if n, _, _ := c.StepBlocks(now, maxCycles-now); n > 0 {
+		if n, _, _ := c.StepBlocks(now, maxCycles-now, WakeNever); n > 0 {
 			now += n
 			continue
 		}
@@ -270,7 +270,7 @@ func TestBlocksFaultSemantics(t *testing.T) {
 	blk, _ := buildCore(t, src)
 	blk.EnableBlocks()
 	for now := uint64(0); now < 100 && !blk.Halted() && blk.Fault() == nil; {
-		if n, _, _ := blk.StepBlocks(now, 100-now); n > 0 {
+		if n, _, _ := blk.StepBlocks(now, 100-now, WakeNever); n > 0 {
 			now += n
 			continue
 		}

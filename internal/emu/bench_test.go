@@ -10,10 +10,13 @@ package emu_test
 // changed nothing but speed (their golden digests must not move; these
 // numbers should only go up). Each row also reports core-cycles/s (emulated
 // cycles × cores per host second) and instr/s (committed instructions per
-// host second), which compare fairly across core counts.
+// host second), which compare fairly across core counts, and maxprocs, so
+// rows recorded at `-cpu 1,2` stay apart. Both kernels dispatch translated
+// blocks; the serial kernel is the ordered run-ahead loop.
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"thermemu/internal/emu"
@@ -39,11 +42,10 @@ func benchSpec(b *testing.B, stall bool, cores int) *workloads.Spec {
 	return spec
 }
 
-func benchPlatform(b *testing.B, spec *workloads.Spec, cores int, parallel, blocks bool) *emu.Platform {
+func benchPlatform(b *testing.B, spec *workloads.Spec, cores int, parallel bool) *emu.Platform {
 	b.Helper()
 	cfg := emu.DefaultConfig(cores)
 	cfg.Parallel = parallel
-	cfg.Blocks = blocks
 	p := emu.MustNew(cfg)
 	for i, im := range spec.Programs {
 		if err := p.LoadProgram(i, im); err != nil {
@@ -56,12 +58,12 @@ func benchPlatform(b *testing.B, spec *workloads.Spec, cores int, parallel, bloc
 	return p
 }
 
-func benchKernel(b *testing.B, stall bool, cores int, parallel, blocks bool) {
+func benchKernel(b *testing.B, stall bool, cores int, parallel bool) {
 	spec := benchSpec(b, stall, cores)
 	var cycles, instrs uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		p := benchPlatform(b, spec, cores, parallel, blocks)
+		p := benchPlatform(b, spec, cores, parallel)
 		b.StartTimer()
 		var (
 			cyc  uint64
@@ -82,17 +84,18 @@ func benchKernel(b *testing.B, stall bool, cores int, parallel, blocks bool) {
 	b.ReportMetric(float64(cycles)/secs, "cycles/s")
 	b.ReportMetric(float64(cycles)*float64(cores)/secs, "core-cycles/s")
 	b.ReportMetric(float64(instrs)/secs, "instr/s")
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "maxprocs")
 }
 
 func BenchmarkRunSerial(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, false, false)
+			benchKernel(b, false, cores, false)
 		})
 	}
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, false, false)
+			benchKernel(b, true, cores, false)
 		})
 	}
 }
@@ -100,42 +103,12 @@ func BenchmarkRunSerial(b *testing.B) {
 func BenchmarkRunParallel(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, true, false)
+			benchKernel(b, false, cores, true)
 		})
 	}
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, true, false)
-		})
-	}
-}
-
-// The Blocks variants run the same workloads with threaded-code block
-// dispatch enabled (Config.Blocks). The matrix rows are the headline
-// numbers of the translation kernel; the stall rows prove skip-ahead
-// workloads don't regress when blocks are on.
-func BenchmarkRunSerialBlocks(b *testing.B) {
-	for _, cores := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, false, true)
-		})
-	}
-	for _, cores := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, false, true)
-		})
-	}
-}
-
-func BenchmarkRunParallelBlocks(b *testing.B) {
-	for _, cores := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, true, true)
-		})
-	}
-	for _, cores := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, true, true)
+			benchKernel(b, true, cores, true)
 		})
 	}
 }

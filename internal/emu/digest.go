@@ -38,13 +38,13 @@ func DigestSnapshot(tr *golden.Trace, s Snapshot) {
 		tr.Record(cy, i, "paired", c.Paired)
 	}
 	for i := range s.ICaches {
-		digestCache(tr, cy, i, "icache", s.ICaches[i])
+		digestCache(tr, cy, i, &icacheFields, s.ICaches[i])
 	}
 	for i := range s.DCaches {
-		digestCache(tr, cy, i, "dcache", s.DCaches[i])
+		digestCache(tr, cy, i, &dcacheFields, s.DCaches[i])
 	}
 	for i := range s.L2s {
-		digestCache(tr, cy, i, "l2", s.L2s[i])
+		digestCache(tr, cy, i, &l2Fields, s.L2s[i])
 	}
 	for i := range s.Ctrls {
 		c := s.Ctrls[i]
@@ -80,13 +80,27 @@ func DigestSnapshot(tr *golden.Trace, s Snapshot) {
 	}
 }
 
-func digestCache(tr *golden.Trace, cy uint64, core int, name string, c mem.CacheStats) {
-	tr.Record(cy, core, name+"_reads", c.Reads)
-	tr.Record(cy, core, name+"_writes", c.Writes)
-	tr.Record(cy, core, name+"_hits", c.Hits)
-	tr.Record(cy, core, name+"_misses", c.Misses)
-	tr.Record(cy, core, name+"_evictions", c.Evictions)
-	tr.Record(cy, core, name+"_writebacks", c.Writebacks)
+// cacheFields names the six digested counters of one cache level, in
+// record order. Constant tables keep the per-window digest free of string
+// building.
+type cacheFields [6]string
+
+var (
+	icacheFields = cacheFields{"icache_reads", "icache_writes", "icache_hits",
+		"icache_misses", "icache_evictions", "icache_writebacks"}
+	dcacheFields = cacheFields{"dcache_reads", "dcache_writes", "dcache_hits",
+		"dcache_misses", "dcache_evictions", "dcache_writebacks"}
+	l2Fields = cacheFields{"l2_reads", "l2_writes", "l2_hits",
+		"l2_misses", "l2_evictions", "l2_writebacks"}
+)
+
+func digestCache(tr *golden.Trace, cy uint64, core int, f *cacheFields, c mem.CacheStats) {
+	tr.Record(cy, core, f[0], c.Reads)
+	tr.Record(cy, core, f[1], c.Writes)
+	tr.Record(cy, core, f[2], c.Hits)
+	tr.Record(cy, core, f[3], c.Misses)
+	tr.Record(cy, core, f[4], c.Evictions)
+	tr.Record(cy, core, f[5], c.Writebacks)
 }
 
 // DigestInto folds the platform's full architectural state into tr: per-core

@@ -145,16 +145,6 @@ type Config struct {
 	// Parallel-built platform also works and behaves identically.
 	// Incompatible with EventLogging.
 	Parallel bool
-
-	// Blocks enables threaded-code basic-block dispatch: straight-line R32
-	// runs are discovered at first execution, pre-decoded once and executed
-	// whole, with the kernels falling back to per-cycle Step at block
-	// exits, stalls, shared-path windows and self-modifying-code
-	// invalidations. Bit-identical to Blocks=false — same digests, stats,
-	// event logs and checkpoints (the block cache is derived state, rebuilt
-	// after restore) — but substantially faster on compute-bound workloads.
-	// Works with both the serial and the parallel kernel.
-	Blocks bool
 }
 
 // DefaultConfig mirrors the Table 3 exploration platform: N cores with 4 KB
@@ -390,18 +380,16 @@ func New(cfg Config) (*Platform, error) {
 			kind = cfg.CoreKinds[i]
 		}
 		core := cpu.New(i, kind, ctl)
-		if cfg.Blocks {
-			core.EnableBlocks()
-			if cfg.Parallel {
-				// Block-dispatched instructions must refresh the shared-path
-				// gate exactly like the parallel runner does before each
-				// Step, so gated accesses park at the right (cycle, coreID).
-				g := p.sched.gates[i]
-				core.SetIssueHook(func(cyc uint64) {
-					g.cycle = cyc
-					g.held = false
-				})
-			}
+		core.EnableBlocks()
+		if cfg.Parallel {
+			// Block-dispatched instructions must refresh the shared-path
+			// gate exactly like the parallel runner does before each Step,
+			// so gated accesses park at the right (cycle, coreID).
+			g := p.sched.gates[i]
+			core.SetIssueHook(func(cyc uint64) {
+				g.cycle = cyc
+				g.held = false
+			})
 		}
 		p.Cores = append(p.Cores, core)
 		p.Ctrls = append(p.Ctrls, ctl)
@@ -501,56 +489,25 @@ func (p *Platform) StepOne() {
 	p.VPCM.Advance(1)
 }
 
-// SkipStats is the skip-ahead kernel's telemetry: how much per-cycle work
-// the event-driven stepping avoided.
+// SkipStats is the kernels' telemetry: how much per-cycle work the
+// run-ahead and skip-ahead stepping avoided.
 type SkipStats struct {
-	// EventCycles counts cycles on which at least one core was swept by
-	// the serial skip-ahead kernel (and the single-core parallel fast
-	// path; multi-core parallel chunks keep no per-step counts).
+	// EventCycles counts issue cycles executed by the serial kernel and the
+	// single-core parallel fast path. Each issue is its own event there, so
+	// it equals CoreSteps; multi-core parallel chunks keep no per-step
+	// counts. The field stays for the checkpoint format.
 	EventCycles uint64
 	// SkippedCycles counts core-cycles settled in bulk — stall/idle spans
 	// charged by accrual instead of per-cycle Step calls. Serial spans and
 	// parallel chunks both contribute.
 	SkippedCycles uint64
-	// CoreSteps counts individual core Step calls executed by the serial
-	// kernel and the single-core parallel fast path.
+	// CoreSteps counts instructions issued (block-dispatched or stepped)
+	// by the serial kernel and the single-core parallel fast path.
 	CoreSteps uint64
 }
 
 // SkipStats returns the cumulative skip-ahead telemetry.
 func (p *Platform) SkipStats() SkipStats { return p.skip }
-
-// icNextEvent returns the interconnect's next in-flight-transaction event
-// after now — the cycle its busy horizon frees — and whether one exists.
-// Interconnect timing is settled at access time (the initiating core's
-// stall countdown already covers the transaction), so this is a jump bound
-// for the event kernel, never a correctness requirement.
-func (p *Platform) icNextEvent(now uint64) (uint64, bool) {
-	if p.Bus != nil {
-		return p.Bus.NextEvent(now)
-	}
-	if p.Net != nil {
-		return p.Net.NextEvent(now)
-	}
-	return 0, false
-}
-
-// NextEventCycle returns the earliest cycle after now at which the platform
-// can do anything: the minimum of every live core's wake cycle and the
-// interconnect's in-flight-transaction horizon. It returns cpu.WakeNever
-// when every core has halted and no transaction is in flight.
-func (p *Platform) NextEventCycle(now uint64) uint64 {
-	next := uint64(cpu.WakeNever)
-	for _, c := range p.Cores {
-		if w := c.WakeCycle(now); w < next {
-			next = w
-		}
-	}
-	if e, ok := p.icNextEvent(now); ok && e < next {
-		next = e
-	}
-	return next
-}
 
 // Step advances the platform by n cycles (or until every core halts).
 func (p *Platform) Step(n uint64) {
@@ -567,22 +524,34 @@ func (p *Platform) Run(maxCycles uint64) (uint64, bool) {
 }
 
 // stepSpan advances virtual time to limit (exclusive) — or to one cycle
-// past the last core's halt, whichever comes first — with the event-driven
-// skip-ahead kernel.
+// past the last core's halt, whichever comes first — with the ordered
+// run-ahead kernel.
 //
-// Instead of sweeping every core every cycle, the kernel keeps one wake
-// cycle per core: the next cycle on which that core issues an instruction
-// (halted = never). Each iteration jumps straight to the minimum wake — one
-// O(cores) scan per *event*, not per cycle — and steps only the cores due
-// there, in core-ID order, exactly as the per-cycle sweep would reach them.
-// The jumped span is pure stall/idle time: a stalled core's Step only
-// decrements its countdown and bumps its stall counter, and a halted core's
-// Step only bumps its idle counter, so those cycles are settled in bulk via
-// cpu.AccrueStall/AccrueIdle when the core next wakes or when the span ends.
-// Live cores are tracked as a count updated on halt transitions, so nothing
-// scans for AllHalted mid-span. The result is bit-identical to per-cycle
-// stepping — same counters, event logs, VPCM time and architectural state —
-// which the golden digests and the differential matrix enforce.
+// The kernel keeps one wake cycle per core: the next cycle on which that
+// core issues an instruction (halted = never). It repeatedly picks the core
+// with the smallest (wake, coreID), settles the stall span that ends there
+// in one charge, and runs translated blocks from that cycle towards limit
+// with sharedBefore set to the earliest wake among the other cores. A core
+// alone at the front may run far ahead on private work — registers,
+// private memory, scratchpad, L1s, its stall counter — because no other
+// core can observe that work. It stops before its first non-private access
+// (shared memory, interconnect, barrier, sniffer control, devices) at or
+// after sharedBefore; when dispatch cannot start at all (an undispatchable
+// pc, a dual-issue core, a tracer, or a non-private access tied with a
+// higher-ID core) the front core executes one interpreter Step instead.
+// Either way every non-private access commits at the global front of the
+// (cycle, coreID) order, which is exactly StepOne's interleaving: no
+// access another core could observe is ever reordered, and the rest is
+// invisible. An access observer sees every instruction, and another core
+// can switch an activity sniffer, so with either attached StepBlocks clamps
+// the whole run to sharedBefore.
+//
+// Stall and idle spans are settled in bulk via cpu.AccrueStall/AccrueIdle
+// when the core next wakes or when the span ends; live cores are tracked as
+// a count updated on halt transitions. The result is bit-identical to
+// per-cycle stepping — same counters, event logs, VPCM time and
+// architectural state — which the golden digests and the differential
+// matrix enforce.
 func (p *Platform) stepSpan(limit uint64) {
 	start := p.VPCM.Cycle()
 	if start >= limit {
@@ -610,89 +579,48 @@ func (p *Platform) stepSpan(limit uint64) {
 
 	// stop tracks one past the latest cycle on which a core halted this
 	// span: where the per-cycle kernel would stop once the last core halts.
-	// Block dispatch can retire a halt many cycles past the current event
-	// cycle, so this is tracked explicitly rather than read off the loop
-	// variable.
 	stop := start
-	cyc := start
-	for live > 0 && cyc < limit {
-		// Jump to the next event: the earliest wake, bounded by the
-		// interconnect's in-flight-transaction horizon (always at or before
-		// the initiating core's wake, so this only splits a jump, never
-		// moves an access).
-		next := limit
-		for _, w := range wake {
-			if w < next {
-				next = w
+	for live > 0 {
+		// The front core (lowest ID on ties) and the earliest other wake.
+		i := 0
+		for j, w := range wake {
+			if w < wake[i] {
+				i = j
 			}
 		}
-		if e, ok := p.icNextEvent(cyc); ok && e < next {
-			next = e
-		}
-		if next > cyc {
-			cyc = next
-		}
+		cyc := wake[i]
 		if cyc >= limit {
 			break
 		}
-		p.skip.EventCycles++
-		for i, c := range p.Cores {
-			if wake[i] != cyc {
-				continue
-			}
-			// Settle the stall span that ends here in one charge, then
-			// issue. AccrueStall(s) ≡ s stalled Step calls, so the books
-			// match the per-cycle sweep exactly.
-			if s := c.StallRemaining(); s > 0 {
-				p.skip.SkippedCycles += s
-				c.AccrueStall(s)
-			}
-			if p.Cfg.Blocks {
-				// Block window: run translated blocks up to the earliest
-				// cycle any *other* core acts. Until then every other core
-				// is pure stall/idle time, so this core's view of shared
-				// state — and everyone's view of its writes — is exactly
-				// the serial interleaving. (Cores due this same cycle make
-				// the window empty, falling back to lockstep Step below.)
-				w := limit
-				for j, wj := range wake {
-					if j != i && wj < w {
-						w = wj
-					}
-				}
-				if w > cyc {
-					if n, bsteps, bskip := c.StepBlocks(cyc, w-cyc); n > 0 {
-						p.skip.CoreSteps += bsteps
-						p.skip.EventCycles += bsteps
-						p.skip.SkippedCycles += bskip
-						if c.Halted() {
-							live--
-							wake[i] = cpu.WakeNever
-							idleFrom[i] = cyc + n
-							if cyc+n > stop {
-								stop = cyc + n
-							}
-						} else {
-							wake[i] = c.WakeCycle(cyc + n)
-						}
-						continue
-					}
-				}
-			}
-			c.Step(cyc)
-			p.skip.CoreSteps++
-			if c.Halted() {
-				live--
-				wake[i] = cpu.WakeNever
-				idleFrom[i] = cyc + 1
-				if cyc+1 > stop {
-					stop = cyc + 1
-				}
-			} else {
-				wake[i] = c.WakeCycle(cyc + 1)
+		other := uint64(cpu.WakeNever)
+		for j, w := range wake {
+			if j != i && w < other {
+				other = w
 			}
 		}
-		cyc++
+		c := p.Cores[i]
+		if s := c.StallRemaining(); s > 0 {
+			p.skip.SkippedCycles += s
+			c.AccrueStall(s)
+		}
+		n, steps, skipped := c.StepBlocks(cyc, limit-cyc, other)
+		if n == 0 {
+			c.Step(cyc)
+			n, steps = 1, 1
+		}
+		p.skip.CoreSteps += steps
+		p.skip.EventCycles += steps
+		p.skip.SkippedCycles += skipped
+		if c.Halted() {
+			live--
+			wake[i] = cpu.WakeNever
+			idleFrom[i] = cyc + n
+			if cyc+n > stop {
+				stop = cyc + n
+			}
+		} else {
+			wake[i] = c.WakeCycle(cyc + n)
+		}
 	}
 
 	// End of span: when the last core halted at cycle h the per-cycle

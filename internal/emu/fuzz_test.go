@@ -1,13 +1,14 @@
 package emu_test
 
 // FuzzPlatformStep feeds random short programs to a two-core platform and
-// asserts that the per-cycle sweep (StepOne), the serial skip-ahead kernel
+// asserts that the per-cycle sweep (StepOne), the serial run-ahead kernel
 // and the deterministic parallel kernel all produce bit-identical golden
 // digests — including when the program faults, loops forever, hammers the
 // barrier or races both cores over shared memory. This is the adversarial
 // counterpart of the hand-written differential matrix.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -50,6 +51,16 @@ func FuzzPlatformStep(f *testing.F) {
 	f.Add(append(
 		u32le(isa.Encode(isa.Instr{Op: isa.OpSwap, Rd: 4, Rs1: 1, Imm: 8})),
 		u32le(isa.Encode(isa.Instr{Op: isa.OpBne, Rs1: 4, Rs2: 0, Imm: -2}))...))
+	// A backward-branch private loop (counter plus a private store) before
+	// a shared store: the front core runs the loop ahead of the other and
+	// must still commit the shared store in (cycle, coreID) order.
+	f.Add(bytes.Join([][]byte{
+		u32le(isa.Encode(isa.Instr{Op: isa.OpAddi, Rd: 5, Rs1: 0, Imm: 20})),
+		u32le(isa.Encode(isa.Instr{Op: isa.OpSw, Rd: 5, Rs1: 0, Imm: 0x200})),
+		u32le(isa.Encode(isa.Instr{Op: isa.OpAddi, Rd: 5, Rs1: 5, Imm: -1})),
+		u32le(isa.Encode(isa.Instr{Op: isa.OpBne, Rs1: 5, Rs2: 0, Imm: -3})),
+		u32le(isa.Encode(isa.Instr{Op: isa.OpSw, Rd: 4, Rs1: 1, Imm: 0})),
+	}, nil))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) > 256 {
 			payload = payload[:256]

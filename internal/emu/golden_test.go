@@ -132,29 +132,6 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 							t.Errorf("chunk %d diverges from serial: %s", chunk, d)
 						}
 					}
-
-					// Block-dispatch columns: the same workload with
-					// threaded-code blocks enabled, serial and parallel,
-					// must match the interpreted serial reference
-					// bit-for-bit.
-					blkSerial := diffConfig(cores, ic.noc, false)
-					blkSerial.Blocks = true
-					gotBlk := digestRun(t, blkSerial, spec,
-						func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
-							return p.RunDigest(diffMaxCycles, diffEvery, tr)
-						})
-					if d := golden.Compare(want, gotBlk); d != nil {
-						t.Errorf("serial blocks diverge from interpreter: %s", d)
-					}
-					blkPar := diffConfig(cores, ic.noc, true)
-					blkPar.Blocks = true
-					gotBlkPar := digestRun(t, blkPar, spec,
-						func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
-							return p.RunParallelDigest(64, diffMaxCycles, diffEvery, tr)
-						})
-					if d := golden.Compare(want, gotBlkPar); d != nil {
-						t.Errorf("parallel blocks diverge from interpreter: %s", d)
-					}
 				})
 			}
 		}

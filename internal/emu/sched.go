@@ -188,17 +188,15 @@ func (p *Platform) runChunk(base, n uint64) uint64 {
 		chunkEnd := base + n
 		cyc += skipStall(c, cyc, chunkEnd, &p.skip.SkippedCycles)
 		for cyc < chunkEnd && !c.Halted() {
-			if p.Cfg.Blocks {
-				// A lone core's accesses are trivially in serial order, so
-				// translated blocks may run to the chunk boundary; the gates
-				// are transparent here (the scheduler is not running).
-				if bn, bsteps, bskip := c.StepBlocks(cyc, chunkEnd-cyc); bn > 0 {
-					cyc += bn
-					p.skip.CoreSteps += bsteps
-					p.skip.EventCycles += bsteps
-					p.skip.SkippedCycles += bskip
-					continue
-				}
+			// A lone core's accesses are trivially in serial order, so
+			// translated blocks may run to the chunk boundary; the gates are
+			// transparent here (the scheduler is not running).
+			if bn, bsteps, bskip := c.StepBlocks(cyc, chunkEnd-cyc, cpu.WakeNever); bn > 0 {
+				cyc += bn
+				p.skip.CoreSteps += bsteps
+				p.skip.EventCycles += bsteps
+				p.skip.SkippedCycles += bskip
+				continue
 			}
 			c.Step(cyc)
 			p.skip.CoreSteps++
@@ -230,15 +228,13 @@ func (p *Platform) runChunk(base, n uint64) uint64 {
 			var skipped uint64
 			cyc += skipStall(c, cyc, end, &skipped)
 			for cyc < end && !c.Halted() {
-				if p.Cfg.Blocks {
-					// Block dispatch inside the free-run phase: the issue
-					// hook refreshes the gate before every instruction, so
-					// shared touches park exactly as they do under Step.
-					if bn, _, bskip := c.StepBlocks(cyc, end-cyc); bn > 0 {
-						cyc += bn
-						skipped += bskip
-						continue
-					}
+				// Block dispatch inside the free-run phase: the issue hook
+				// refreshes the gate before every instruction, so shared
+				// touches park exactly as they do under Step.
+				if bn, _, bskip := c.StepBlocks(cyc, end-cyc, cpu.WakeNever); bn > 0 {
+					cyc += bn
+					skipped += bskip
+					continue
 				}
 				g.cycle = cyc
 				g.held = false

@@ -39,3 +39,45 @@ func FuzzUnmarshalStats(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUnmarshalBatches checks the batched stats and temperature payload
+// parsers on arbitrary bytes: decoding never panics, and every accepted
+// payload re-encodes to exactly the bytes it came from. The first input
+// byte picks the parser, so one corpus covers both.
+func FuzzUnmarshalBatches(f *testing.F) {
+	stats := (&StatsBatch{Windows: []Stats{
+		{Cycle: 1, WindowPs: 2, PowerUW: []uint32{3, 4}},
+		{Cycle: 5, WindowPs: 6},
+	}}).MarshalPayload()
+	temps := (&TempsBatch{Windows: []Temps{
+		{TimePs: 7, MilliK: []uint32{300000, 301000}},
+		{TimePs: 8, MilliK: []uint32{302000}},
+	}}).MarshalPayload()
+	f.Add(append([]byte{0}, stats...))
+	f.Add(append([]byte{1}, temps...))
+	f.Add([]byte{0, 0xff, 0xff})
+	f.Add([]byte{1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		payload := data[1:]
+		var again []byte
+		if data[0]&1 == 0 {
+			sb, err := UnmarshalStatsBatch(payload)
+			if err != nil {
+				return
+			}
+			again = sb.MarshalPayload()
+		} else {
+			tb, err := UnmarshalTempsBatch(payload)
+			if err != nil {
+				return
+			}
+			again = tb.MarshalPayload()
+		}
+		if string(again) != string(payload) {
+			t.Fatal("batch payload not canonical")
+		}
+	})
+}

@@ -241,6 +241,29 @@ type TempsBatch struct {
 	Windows []Temps
 }
 
+// tempsEntryBytes returns the wire size of one temperature window.
+func tempsEntryBytes(cells int) int { return 8 + 2 + 4*cells }
+
+// MaxTempsBatch returns how many temperature windows of the given cell
+// count fit one MAC frame as a TempsBatch reply. 0 means not even one
+// window's reply fits (see TempsTooLargeError). A one-window reply travels
+// as a plain Temps payload, which is 2 bytes smaller, so a result of 1 is
+// always deliverable.
+func MaxTempsBatch(cells int) int {
+	return (MaxPayload - 2) / tempsEntryBytes(cells)
+}
+
+// TempsTooLargeError reports a thermal grid whose per-window temperature
+// reply cannot fit one frame, so no window could ever be answered.
+type TempsTooLargeError struct {
+	Cells int // thermal cells per window
+}
+
+func (e *TempsTooLargeError) Error() string {
+	return fmt.Sprintf("etherlink: a %d-cell temperature reply needs %d payload bytes, over the %d-byte frame limit",
+		e.Cells, tempsEntryBytes(e.Cells), MaxPayload)
+}
+
 // AppendPayload serialises the batch onto b (reusing its capacity) and
 // returns the extended slice.
 func (tb *TempsBatch) AppendPayload(b []byte) []byte {

@@ -91,6 +91,10 @@ type Controller struct {
 	// state *derived from* instruction memory (the cpu block cache) can be
 	// invalidated. See SetCodeWriteHook.
 	codeWrite func(addr, bytes uint32)
+	// spills is set when the data cache is write-back and some cacheable
+	// range is not private: a private miss may then evict a dirty line of
+	// that range and write it back over the interconnect. See Private.
+	spills bool
 }
 
 // NewController creates a memory controller for core coreID.
@@ -120,10 +124,45 @@ func (c *Controller) DCache() *Cache { return c.dcache }
 // be nil for an uncached configuration.
 func (c *Controller) AttachCaches(icache, dcache *Cache) {
 	c.icache, c.dcache = icache, dcache
+	c.updateSpills()
 }
 
 // SetObserver installs the access observer (event-logging sniffer hook).
 func (c *Controller) SetObserver(o Observer) { c.observer = o }
+
+// Observed reports whether an access observer is installed. Every access,
+// instruction fetches included, is then visible outside the core.
+func (c *Controller) Observed() bool { return c.observer != nil }
+
+// Private reports whether a data access at the global address addr touches
+// only this core's own state: the address resolves to a private range, no
+// observer is installed, and the access cannot write back a dirty line of
+// a non-private range (the data cache holds no such lines, or the line of
+// addr is resident, so no refill evicts anything). It mutates no cache
+// state. Unmapped addresses are not private: their fault is left to the
+// caller's ordered path.
+func (c *Controller) Private(addr uint32) bool {
+	if c.observer != nil {
+		return false
+	}
+	r := c.rangeFor(addr)
+	if r == nil || r.Kind != KindPrivate {
+		return false
+	}
+	return !c.spills || !r.Cacheable || !c.dcache.enable || c.dcache.resident(addr) >= 0
+}
+
+func (c *Controller) updateSpills() {
+	c.spills = false
+	if c.dcache == nil || c.dcache.cfg.WriteThrough {
+		return
+	}
+	for _, r := range c.ranges {
+		if r.Cacheable && r.Kind == KindShared {
+			c.spills = true
+		}
+	}
+}
 
 // SetCodeWriteHook installs fn, invoked with the global address and width of
 // every store this controller commits — word and byte data stores and the
@@ -162,6 +201,7 @@ func (c *Controller) AddRange(r Range) error {
 		e.end = uint64(e.Base) + uint64(e.Target.Size())
 	}
 	c.last = nil // the sort may have moved the memoised entry
+	c.updateSpills()
 	return nil
 }
 

@@ -241,20 +241,6 @@ func (n *Network) LinkUtilisation() []struct {
 	return out
 }
 
-// NextEvent returns the cycle at which the earliest busy link frees and
-// whether any link is busy after now. Packet timing is charged to the
-// initiating core at access time, so — like bus.NextEvent — this is purely
-// an event-query bound for skip-ahead kernels.
-func (n *Network) NextEvent(now uint64) (uint64, bool) {
-	next, any := uint64(0), false
-	for _, b := range n.linkBusy {
-		if b > now && (!any || b < next) {
-			next, any = b, true
-		}
-	}
-	return next, any
-}
-
 func (n *Network) flits(bytes uint32) uint64 {
 	f := uint64((bytes + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes)
 	if f == 0 {

@@ -236,33 +236,3 @@ func TestParseTopology(t *testing.T) {
 		}
 	}
 }
-
-func TestNextEventTracksLinkBusy(t *testing.T) {
-	m := Mesh(2, 1)
-	m.Attach(0, 0)
-	n := MustNew(m, DefaultConfig())
-	if _, ok := n.NextEvent(0); ok {
-		t.Error("idle network reported an event")
-	}
-	n.TargetPort(1).Transaction(0, 0, 32, false, 0)
-	e, ok := n.NextEvent(0)
-	if !ok {
-		t.Fatal("network with busy links reported no event")
-	}
-	var min, max uint64
-	for _, b := range n.linkBusy {
-		if b > 0 && (min == 0 || b < min) {
-			min = b
-		}
-		if b > max {
-			max = b
-		}
-	}
-	if e != min {
-		t.Errorf("event cycle %d != earliest link release %d", e, min)
-	}
-	// Past the last release the network is quiet.
-	if _, ok := n.NextEvent(max); ok {
-		t.Error("event reported past the last busy link")
-	}
-}

@@ -89,14 +89,10 @@ func TestScenarioConformance(t *testing.T) {
 // kernelName names the execution kernel a scenario's platform flags select,
 // so a digest drift report says which kernel produced the mismatch.
 func kernelName(s *Scenario) string {
-	k := "serial"
 	if s.Parallel {
-		k = "parallel"
+		return "parallel"
 	}
-	if s.Blocks {
-		return k + "+blocks"
-	}
-	return k + "+interp"
+	return "serial"
 }
 
 // TestScenarioExamplesRoundTrip holds every committed example to the

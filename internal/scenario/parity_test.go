@@ -39,7 +39,7 @@ func TestScenarioMatchesFlagDrivenRun(t *testing.T) {
 		name string
 		scn  string
 		// flags mirrors: -cores -workload -n -iters -size -words -ic -noc
-		// -freq -blocks -tm -window -timescale -cells
+		// -freq -tm -window -timescale -cells
 		cfg func(t *testing.T) core.Config
 	}{
 		{
@@ -83,7 +83,6 @@ policy = threshold-dfs
 [platform]
 cores = 4
 ic = plb
-blocks = true
 [workload]
 name = fir
 n = 8
@@ -92,7 +91,7 @@ iters = 2
 `,
 			cfg: func(t *testing.T) core.Config {
 				return flagConfig(t, flagSet{cores: 4, workload: "fir", n: 8, words: 32, iters: 2,
-					ic: "plb", blocks: true})
+					ic: "plb"})
 			},
 		},
 	}
@@ -127,7 +126,7 @@ type flagSet struct {
 	words            int
 	ic, nocSpec      string
 	freqMHz          int
-	blocks, withTM   bool
+	withTM           bool
 	windowMs, tscale float64
 	cells            int
 }
@@ -190,7 +189,6 @@ func flagConfig(t *testing.T, f flagSet) core.Config {
 	if b, _ := workloads.Lookup(f.workload); b.ForceFreqMHz > 0 {
 		pcfg.FreqHz = uint64(b.ForceFreqMHz) * 1e6
 	}
-	pcfg.Blocks = f.blocks
 	host, err := core.NewThermalHost(floorplan.FourARM11(), f.cells, thermal.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -84,7 +84,6 @@ type Scenario struct {
 	FreqMHz  int    // 0 = platform default (workloads may force their own)
 	PrivKB   int
 	SharedKB int
-	Blocks   bool
 	Parallel bool
 
 	// [workload] — a named corpus workload with its parameters...
@@ -206,7 +205,6 @@ func (s *Scenario) Platform() (emu.Config, error) {
 			cfg.FreqHz = uint64(b.ForceFreqMHz) * 1e6
 		}
 	}
-	cfg.Blocks = s.Blocks
 	cfg.Parallel = s.Parallel
 	return cfg, nil
 }

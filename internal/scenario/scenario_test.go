@@ -22,7 +22,6 @@ ic = noc:ring:4
 freq-mhz = 500
 priv-kb = 32
 shared-kb = 64
-blocks = true
 parallel = false
 
 [workload]
@@ -70,7 +69,6 @@ func TestParseFullFile(t *testing.T) {
 	want := &Scenario{
 		Name:  "kitchen-sink",
 		Cores: 2, IC: "noc:ring:4", FreqMHz: 500, PrivKB: 32, SharedKB: 64,
-		Blocks:   true,
 		Workload: "fir", N: 8, Iters: 3, Size: 16, Words: 32,
 		Shared: []SharedWords{
 			{Addr: 0x8000, Words: []uint32{0xdeadbeef, 1, 2, 3}},
@@ -156,6 +154,7 @@ func TestParseErrors(t *testing.T) {
 		{"duplicate section", Header + "\n[platform]\ncores = 2\n[platform]\n", "duplicate section"},
 		{"unknown key", Header + "\n[platform]\nspeed = 9\n", "unknown key"},
 		{"speculate key", Header + "\n[platform]\nparallel = true\nspeculate = true\n", `line 4: unknown key "speculate"`},
+		{"blocks key", Header + "\n[platform]\ncores = 2\nblocks = true\n", `line 4: unknown key "blocks"`},
 		{"duplicate key", Header + "\n[platform]\ncores = 2\ncores = 4\n", "duplicate key"},
 		{"key outside section", Header + "\ncores = 4\n", "outside any section"},
 		{"no equals", Header + "\n[platform]\ncores\n", "want key = value"},
@@ -163,7 +162,7 @@ func TestParseErrors(t *testing.T) {
 		{"missing value", Header + "\n[platform]\ncores =\n", "no value"},
 		{"bad int", Header + "\n[platform]\ncores = many\n", "cores"},
 		{"int overflow", Header + "\n[platform]\ncores = 99999999999999\n", "cores"},
-		{"bad bool", Header + "\n[platform]\nblocks = maybe\n", "boolean"},
+		{"bad bool", Header + "\n[platform]\nparallel = maybe\n", "boolean"},
 		{"bad float", Header + "\n[thermal]\nwindow-ms = soon\n", "window-ms"},
 		{"inf float", Header + "\n[thermal]\nwindow-ms = 1e999\n", "window-ms"},
 		{"unclosed section", Header + "\n[platform\n", "malformed section"},

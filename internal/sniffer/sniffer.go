@@ -56,9 +56,12 @@ type Event struct {
 }
 
 // Ring is the BRAM buffer where sniffers store extracted statistics before
-// the Ethernet dispatcher sends them to the host.
+// the Ethernet dispatcher sends them to the host. The backing array is
+// allocated on the first Push or RestoreState, so platforms that never log
+// events pay nothing for it.
 type Ring struct {
 	buf  []Event
+	size int
 	head int
 	n    int
 }
@@ -68,24 +71,32 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		panic("sniffer: ring capacity must be positive")
 	}
-	return &Ring{buf: make([]Event, capacity)}
+	return &Ring{size: capacity}
 }
 
 // Cap returns the buffer capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
+func (r *Ring) Cap() int { return r.size }
 
 // Len returns the number of buffered events.
 func (r *Ring) Len() int { return r.n }
 
 // Full reports whether the buffer cannot accept another event.
-func (r *Ring) Full() bool { return r.n == len(r.buf) }
+func (r *Ring) Full() bool { return r.n == r.size }
+
+// alloc materialises the backing array.
+func (r *Ring) alloc() {
+	if r.buf == nil {
+		r.buf = make([]Event, r.size)
+	}
+}
 
 // Push appends an event, reporting false when the buffer is full.
 func (r *Ring) Push(ev Event) bool {
 	if r.Full() {
 		return false
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = ev
+	r.alloc()
+	r.buf[(r.head+r.n)%r.size] = ev
 	r.n++
 	return true
 }
@@ -96,7 +107,7 @@ func (r *Ring) Pop() (Event, bool) {
 		return Event{}, false
 	}
 	ev := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) % r.size
 	r.n--
 	return ev, true
 }

@@ -29,6 +29,31 @@ func TestRingPushPop(t *testing.T) {
 	}
 }
 
+// TestRingAllocatesOnFirstUse: platforms that never log events must not pay
+// for the buffer, yet Cap reports the configured capacity throughout.
+func TestRingAllocatesOnFirstUse(t *testing.T) {
+	r := NewRing(4096)
+	if err := r.RestoreState(nil); err != nil {
+		t.Fatal(err)
+	}
+	if r.buf != nil || r.Cap() != 4096 || r.Len() != 0 {
+		t.Fatalf("unused ring: buf allocated=%v cap=%d len=%d", r.buf != nil, r.Cap(), r.Len())
+	}
+	if !r.Push(Event{Cycle: 1}) || len(r.buf) != 4096 || r.Cap() != 4096 {
+		t.Fatalf("first push: len(buf)=%d cap=%d", len(r.buf), r.Cap())
+	}
+	q := NewRing(2)
+	if err := q.RestoreState([]Event{{Cycle: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if ev, ok := q.Pop(); !ok || ev.Cycle != 5 {
+		t.Fatalf("restored ring popped %v, %v", ev, ok)
+	}
+	if err := q.RestoreState(make([]Event, 3)); err == nil {
+		t.Error("restore beyond capacity accepted")
+	}
+}
+
 func TestRingWrapAround(t *testing.T) {
 	r := NewRing(4)
 	for i := uint64(0); i < 100; i++ {

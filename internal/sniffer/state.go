@@ -46,7 +46,7 @@ func (s *EventSniffer) RestoreState(c EventCounters) {
 func (r *Ring) SaveState() []Event {
 	out := make([]Event, 0, r.n)
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)])
+		out = append(out, r.buf[(r.head+i)%r.size])
 	}
 	return out
 }
@@ -54,8 +54,11 @@ func (r *Ring) SaveState() []Event {
 // RestoreState replaces the buffer contents with evs (oldest-first). The
 // events must fit the ring's capacity.
 func (r *Ring) RestoreState(evs []Event) error {
-	if len(evs) > len(r.buf) {
-		return fmt.Errorf("sniffer: %d buffered events exceed ring capacity %d", len(evs), len(r.buf))
+	if len(evs) > r.size {
+		return fmt.Errorf("sniffer: %d buffered events exceed ring capacity %d", len(evs), r.size)
+	}
+	if len(evs) > 0 {
+		r.alloc()
 	}
 	r.head = 0
 	r.n = copy(r.buf, evs)
