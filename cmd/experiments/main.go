@@ -46,7 +46,7 @@ func main() {
 
 		fig6Iters = flag.Int("fig6-iters", 0, "Figure 6 Matrix-TM iterations")
 		fig6Scale = flag.Float64("fig6-timescale", 0, "Figure 6 thermal time compression (1 = paper-faithful)")
-		fig6Pipe  = flag.Int("fig6-pipeline", 0, "Figure 6 pipeline depth (DFS sensor latency in windows; 0 = serial loop)")
+		fig6Pipe  = flag.Int("fig6-pipeline", 0, "Figure 6 pipeline depth (DFS sensor latency in windows; 0 = synchronous solve)")
 		out       = flag.String("out", "fig6.csv", "Figure 6 CSV output path")
 
 		solverSimS    = flag.Float64("solver-sim", 2.0, "seconds of thermal simulation to run")

@@ -4,18 +4,26 @@
 // default, or to a remote cmd/thermserver over TCP), applies the selected
 // run-time thermal-management policy, and reports the run.
 //
+// Every run is built from a scenario (internal/scenario): the file named by
+// -scenario, or the default scenario without it. Each platform, workload,
+// thermal, TM or fault flag the user sets overrides the matching scenario
+// field, so a flag-only run and the equivalent scenario file are the same
+// run.
+//
 // Examples:
 //
 //	thermemu -cores 4 -workload matrix -n 16 -iters 100
 //	thermemu -cores 4 -workload matrix-tm -iters 400 -tm -csv run.csv
 //	thermemu -cores 4 -workload dithering -size 64 -ic noc
 //	thermemu -scenario examples/scenarios/fir.scn -digest   (declarative run)
+//	thermemu -scenario examples/scenarios/fir.scn -iters 3   (scenario with an override)
 //	thermemu -workload matrix-tm -host 127.0.0.1:9077   (remote thermal host)
 //	thermemu -workload matrix-tm -iters 400 -digest -checkpoint ck/   (checkpointed)
 //	thermemu -workload matrix-tm -iters 400 -digest -resume ck/win-000010.tmck
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -23,72 +31,154 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"strings"
 
 	"thermemu"
-	"thermemu/internal/core"
-	"thermemu/internal/emu"
 	"thermemu/internal/etherlink"
-	"thermemu/internal/noc"
 	"thermemu/internal/scenario"
-	"thermemu/internal/tm"
 	"thermemu/internal/trace"
-	"thermemu/internal/workloads"
 )
 
+// options are the run-control values of the command line: everything a
+// run needs that is not part of its scenario.
+type options struct {
+	ckptDir                     string
+	ckptEvery                   int
+	resume, fork                string
+	host                        string
+	redial                      bool
+	report                      bool
+	csv, vcd, json              string
+	cpuProf, memProf, execTrace string
+}
+
 func main() {
-	var (
-		scenPath  = flag.String("scenario", "", "run a declarative scenario file instead of the platform/workload flags")
-		cores     = flag.Int("cores", 4, "emulated cores (1-8)")
-		workload  = flag.String("workload", "matrix", workloads.NamesHelp())
-		n         = flag.Int("n", 16, "matrix dimension / FIR taps / histogram bins")
-		iters     = flag.Int("iters", 10, "repetition count (sustained-load iterations)")
-		size      = flag.Int("size", 64, "dithering image edge")
-		words     = flag.Int("words", 64, "stream length (membound, fir, histogram) / pipeline items")
-		ic        = flag.String("ic", "opb", "interconnect: opb | plb | custom | noc")
-		nocSpec   = flag.String("noc", "pair", "NoC topology when -ic noc: pair | mesh:WxH | ring:N")
-		freqMHz   = flag.Int("freq", 0, "virtual clock in MHz (0 = platform default)")
-		withTM    = flag.Bool("tm", false, "enable the 350K/340K threshold DFS policy")
-		windowMs  = flag.Float64("window", 1.0, "sampling window in virtual ms")
-		pipeline  = flag.Int("pipeline", 0, "pipeline depth: overlap emulation with the thermal solve at a sensor latency of this many windows (0 = serial loop)")
-		tscale    = flag.Float64("timescale", 100, "thermal time compression (1 = paper-faithful)")
-		cells     = flag.Int("cells", 28, "thermal cells for the floorplan grid")
-		workers   = flag.Int("workers", 0, "thermal solver shards (0 = auto, 1 = serial)")
-		csvPath   = flag.String("csv", "", "write per-window samples to this CSV file")
-		hostAddr  = flag.String("host", "", "remote thermal server address (empty = in-process)")
-		fault     = flag.String("fault", "", "inject link faults, e.g. drop=0.01,dup=0.005,reorder=0.01,corrupt=0.001,delay=2ms,cut=500 (applied to both directions)")
-		faultSeed = flag.Int64("fault-seed", 1, "PRNG seed for -fault")
-		redial    = flag.Bool("redial", false, "supervise the host connection: reconnect with capped exponential backoff on link faults")
-		report    = flag.Bool("report", false, "print the detailed platform statistics report")
-		digest    = flag.Bool("digest", false, "accumulate and print the run's golden conformance digest")
-		ckptDir   = flag.String("checkpoint", "", "write window-boundary checkpoints (win-NNNNNN.tmck) into this directory")
-		ckptEvery = flag.Int("checkpoint-every", 10, "checkpoint cadence in sampling windows for -checkpoint")
-		resume    = flag.String("resume", "", "resume a run from this checkpoint file (continues its golden digest lineage; flags must match the original run)")
-		fork      = flag.String("fork", "", "like -resume but as a new experiment branching off the snapshot (fresh digest lineage)")
-		vcdPath   = flag.String("vcd", "", "write the run as a VCD waveform to this path")
-		jsonPath  = flag.String("json", "", "write the run's samples as JSON to this path")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
-		execTrace = flag.String("exectrace", "", "write a runtime execution trace of the run to this path (inspect with go tool trace)")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
-	)
-	flag.Parse()
-	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if err := profiled(*cpuProf, *memProf, *execTrace, func() error {
-		return run(*scenPath, setFlags, *cores, *workload, *n, *iters, *size, *words, *ic, *nocSpec, *freqMHz, *withTM,
-			*windowMs, *pipeline, *tscale, *cells, *workers, *csvPath, *hostAddr, *fault, *faultSeed,
-			*redial, *report, *digest, *ckptDir, *ckptEvery, *resume, *fork, *vcdPath, *jsonPath)
-	}); err != nil {
+	s, o, err := parseArgs(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the flag package already printed the error and usage
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "thermemu:", err)
+		os.Exit(1)
+	}
+	if err := profiled(o.cpuProf, o.memProf, o.execTrace, func() error { return run(s, o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "thermemu:", err)
 		os.Exit(1)
 	}
 }
 
-// scenarioOwned lists the flags a scenario file replaces; setting one of
-// them together with -scenario is a conflict, not a silent override.
-var scenarioOwned = []string{
-	"cores", "workload", "n", "iters", "size", "words", "ic", "noc", "freq",
-	"tm", "window", "pipeline", "timescale", "cells", "workers",
-	"fault", "fault-seed",
+// errUsage reports a command line the flag package rejected (and already
+// printed along with the usage).
+var errUsage = errors.New("invalid command line")
+
+// parseArgs parses the command line into the scenario to run and the
+// run-control options. The scenario starts as the -scenario file, or as
+// scenario.New() without one; every scenario flag the user set then
+// overrides its field, and unset flags leave the scenario untouched.
+func parseArgs(args []string) (*scenario.Scenario, options, error) {
+	fs := flag.NewFlagSet("thermemu", flag.ContinueOnError)
+	var o options
+	// f holds the scenario flags' values; their defaults are New()'s, so a
+	// flag's default and the default scenario cannot disagree.
+	f := scenario.New()
+	scenPath := fs.String("scenario", "", "start from this declarative scenario file instead of the default scenario (set flags override its fields)")
+	fs.IntVar(&f.Cores, "cores", f.Cores, "emulated cores (1-8)")
+	fs.StringVar(&f.Workload, "workload", f.Workload, "workload name from the corpus (an unknown name lists them all)")
+	fs.IntVar(&f.N, "n", f.N, "matrix dimension / FIR taps / histogram bins")
+	fs.IntVar(&f.Iters, "iters", f.Iters, "repetition count (sustained-load iterations)")
+	fs.IntVar(&f.Size, "size", f.Size, "dithering image edge")
+	fs.IntVar(&f.Words, "words", f.Words, "stream length (membound, fir, histogram) / pipeline items")
+	ic := fs.String("ic", f.IC, "interconnect: opb | plb | custom | noc")
+	nocSpec := fs.String("noc", "pair", "NoC topology when -ic noc: pair | mesh:WxH | ring:N")
+	fs.IntVar(&f.FreqMHz, "freq", f.FreqMHz, "virtual clock in MHz (0 = platform default)")
+	withTM := fs.Bool("tm", false, "enable the 350K/340K threshold DFS policy")
+	fs.Float64Var(&f.WindowMs, "window", f.WindowMs, "sampling window in virtual ms")
+	fs.IntVar(&f.Pipeline, "pipeline", f.Pipeline, "pipeline depth: overlap emulation with the thermal solve at a sensor latency of this many windows (0 = synchronous solve)")
+	fs.Float64Var(&f.Timescale, "timescale", f.Timescale, "thermal time compression (1 = paper-faithful)")
+	fs.IntVar(&f.Cells, "cells", f.Cells, "thermal cells for the floorplan grid")
+	fs.IntVar(&f.Workers, "workers", f.Workers, "thermal solver shards (0 = auto, 1 = serial)")
+	fs.StringVar(&o.csv, "csv", "", "write per-window samples to this CSV file")
+	fs.StringVar(&o.host, "host", "", "remote thermal server address (empty = in-process)")
+	fs.StringVar(&f.Fault, "fault", f.Fault, "inject link faults, e.g. drop=0.01,dup=0.005,reorder=0.01,corrupt=0.001,delay=2ms,cut=500 (applied to both directions)")
+	fs.Int64Var(&f.FaultSeed, "fault-seed", f.FaultSeed, "PRNG seed for -fault")
+	fs.BoolVar(&o.redial, "redial", false, "supervise the host connection: reconnect with capped exponential backoff on link faults")
+	fs.BoolVar(&o.report, "report", false, "print the detailed platform statistics report")
+	fs.BoolVar(&f.Digest, "digest", f.Digest, "accumulate and print the run's golden conformance digest")
+	fs.StringVar(&o.ckptDir, "checkpoint", "", "write window-boundary checkpoints (win-NNNNNN.tmck) into this directory")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 10, "checkpoint cadence in sampling windows for -checkpoint")
+	fs.StringVar(&o.resume, "resume", "", "resume a run from this checkpoint file (continues its golden digest lineage; flags must match the original run)")
+	fs.StringVar(&o.fork, "fork", "", "like -resume but as a new experiment branching off the snapshot (fresh digest lineage)")
+	fs.StringVar(&o.vcd, "vcd", "", "write the run as a VCD waveform to this path")
+	fs.StringVar(&o.json, "json", "", "write the run's samples as JSON to this path")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a pprof CPU profile of the run to this path")
+	fs.StringVar(&o.execTrace, "exectrace", "", "write a runtime execution trace of the run to this path (inspect with go tool trace)")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a pprof heap profile at exit to this path")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, o, err
+		}
+		return nil, o, errUsage
+	}
+
+	s := scenario.New()
+	if *scenPath != "" {
+		var err error
+		if s, err = scenario.Load(*scenPath); err != nil {
+			return nil, o, err
+		}
+	}
+	fs.Visit(func(fl *flag.Flag) {
+		switch fl.Name {
+		case "cores":
+			s.Cores = f.Cores
+		case "workload":
+			s.Workload = f.Workload
+			s.Programs = nil // a named workload replaces inline programs
+		case "n":
+			s.N = f.N
+		case "iters":
+			s.Iters = f.Iters
+		case "size":
+			s.Size = f.Size
+		case "words":
+			s.Words = f.Words
+		case "ic":
+			s.IC = *ic
+			if *ic == "noc" {
+				s.IC = "noc:" + *nocSpec
+			}
+		case "noc":
+			if strings.HasPrefix(s.IC, "noc:") || *ic == "noc" {
+				s.IC = "noc:" + *nocSpec
+			}
+		case "freq":
+			s.FreqMHz = f.FreqMHz
+		case "tm":
+			s.Policy = "none"
+			if *withTM {
+				s.Policy = "threshold-dfs"
+			}
+		case "window":
+			s.WindowMs = f.WindowMs
+		case "pipeline":
+			s.Pipeline = f.Pipeline
+		case "timescale":
+			s.Timescale = f.Timescale
+		case "cells":
+			s.Cells = f.Cells
+		case "workers":
+			s.Workers = f.Workers
+		case "fault":
+			s.Fault = f.Fault
+		case "fault-seed":
+			s.FaultSeed = f.FaultSeed
+		case "digest":
+			s.Digest = f.Digest
+		}
+	})
+	return s, o, nil
 }
 
 // profiled runs body under the requested pprof collectors and the runtime
@@ -135,124 +225,49 @@ func profiled(cpuPath, memPath, tracePath string, body func() error) error {
 	return body()
 }
 
-func run(scenPath string, setFlags map[string]bool,
-	cores int, workload string, n, iters, size, words int, ic, nocSpec string, freqMHz int,
-	withTM bool, windowMs float64, pipeline int, tscale float64, cells, workers int,
-	csvPath, hostAddr, fault string, faultSeed int64, redial, report, digest bool,
-	ckptDir string, ckptEvery int, resumePath, forkPath string,
-	vcdPath, jsonPath string) error {
-	var cfg thermemu.CoEmulationConfig
-	if scenPath != "" {
-		for _, name := range scenarioOwned {
-			if setFlags[name] {
-				return fmt.Errorf("-%s conflicts with -scenario: set it in the scenario file", name)
-			}
-		}
-		s, err := scenario.Load(scenPath)
-		if err != nil {
-			return err
-		}
-		for _, w := range s.Warnings() {
-			fmt.Fprintf(os.Stderr, "thermemu: warning: %s: %s\n", scenPath, w)
-		}
-		cfg, err = s.CoEmulation()
-		if err != nil {
-			return err
-		}
-		// The report lines below describe the run through these locals.
-		cores, ic = s.Cores, s.IC
-		windowMs, pipeline = s.WindowMs, s.Pipeline
-		fault, faultSeed = s.Fault, s.FaultSeed
-		if s.Digest {
-			digest = true // the scenario pins its own evidence
-		}
-	} else {
-		pcfg := thermemu.DefaultPlatform(cores)
-		switch ic {
-		case "opb":
-			pcfg.IC = emu.ICBusOPB
-		case "plb":
-			pcfg.IC = emu.ICBusPLB
-		case "custom":
-			pcfg.IC = emu.ICBusCustom
-		case "noc":
-			pcfg.IC = emu.ICNoC
-			topo, err := noc.ParseTopology(nocSpec)
-			if err != nil {
-				return err
-			}
-			for c := 0; c < cores; c++ {
-				topo.Attach(c, c%topo.Switches)
-			}
-			pcfg.NoC = &emu.NoCSpec{Topo: topo, Cfg: noc.DefaultConfig(), MemSwitch: topo.Switches - 1}
-		default:
-			return fmt.Errorf("unknown interconnect %q", ic)
-		}
-		if freqMHz > 0 {
-			pcfg.FreqHz = uint64(freqMHz) * 1e6
-		}
-		spec, err := workloads.Build(workload, workloads.Params{
-			Cores: cores, PrivKB: pcfg.PrivKB, N: n, Iters: iters, Size: size, Words: words,
-		})
-		if err != nil {
-			return err
-		}
-		if b, _ := workloads.Lookup(workload); b.ForceFreqMHz > 0 {
-			pcfg.FreqHz = uint64(b.ForceFreqMHz) * 1e6 // the workload's pinned operating point
-		}
-
-		topt := thermemu.DefaultThermalOptions()
-		if workers > 0 {
-			topt.Workers = workers
-		}
-		host, err := thermemu.NewThermalHostWith(thermemu.FourARM11(), cells, topt)
-		if err != nil {
-			return err
-		}
-		cfg = thermemu.CoEmulationConfig{
-			Platform:         pcfg,
-			Workload:         spec,
-			Host:             host,
-			WindowPs:         uint64(windowMs * 1e9),
-			ThermalTimeScale: tscale,
-			PipelineDepth:    pipeline,
-		}
-		if withTM {
-			cfg.Policy = tm.NewThresholdDFS()
-		}
+func run(s *scenario.Scenario, o options) error {
+	if err := s.Lint(); err != nil {
+		return err
+	}
+	for _, w := range s.Warnings() {
+		fmt.Fprintf(os.Stderr, "thermemu: warning: %s\n", w)
+	}
+	cfg, err := s.CoEmulation()
+	if err != nil {
+		return err
 	}
 	spec := cfg.Workload
-	if digest {
+	if s.Digest {
 		cfg.Golden = thermemu.NewGoldenTrace()
 	}
-	if ckptDir != "" {
-		if err := os.MkdirAll(ckptDir, 0o755); err != nil {
+	if o.ckptDir != "" {
+		if err := os.MkdirAll(o.ckptDir, 0o755); err != nil {
 			return err
 		}
-		cfg.CheckpointEvery = ckptEvery
+		cfg.CheckpointEvery = o.ckptEvery
 		cfg.CheckpointSink = func(c *thermemu.Checkpoint) error {
 			name := fmt.Sprintf("win-%06d.tmck", c.Window)
 			if c.Partial {
 				name = fmt.Sprintf("win-%06d-partial.tmck", c.Window)
 			}
-			return c.WriteFile(filepath.Join(ckptDir, name))
+			return c.WriteFile(filepath.Join(o.ckptDir, name))
 		}
 	}
-	if resumePath != "" && forkPath != "" {
+	if o.resume != "" && o.fork != "" {
 		return fmt.Errorf("-resume and -fork are mutually exclusive")
 	}
-	if path := resumePath + forkPath; path != "" {
+	if path := o.resume + o.fork; path != "" {
 		c, err := thermemu.ReadCheckpoint(path)
 		if err != nil {
 			return err
 		}
 		cfg.Resume = c
-		cfg.Fork = forkPath != ""
+		cfg.Fork = o.fork != ""
 		fmt.Printf("resuming:       %s (window %d, cycle %d, partial=%v)\n",
 			path, c.Window, c.Platform.Clock.Cycle, c.Partial)
 	}
-	if hostAddr != "" {
-		fcfg, err := etherlink.ParseFaultSpec(fault)
+	if o.host != "" {
+		fcfg, err := s.FaultConfig()
 		if err != nil {
 			return err
 		}
@@ -260,18 +275,18 @@ func run(scenPath string, setFlags map[string]bool,
 			if fcfg.Zero() {
 				return tr
 			}
-			return etherlink.NewFaultTransport(tr, faultSeed, fcfg, fcfg)
+			return etherlink.NewFaultTransport(tr, s.FaultSeed, fcfg, fcfg)
 		}
 		var tr thermemu.Transport
-		if redial {
+		if o.redial {
 			tr, err = etherlink.DialSupervised(etherlink.SupervisorConfig{
-				Addr:         hostAddr,
+				Addr:         o.host,
 				GracefulStop: true,
 				Wrap:         wrap,
 				Logf:         func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
 			})
 		} else {
-			tr, err = thermemu.DialThermalHost(hostAddr)
+			tr, err = thermemu.DialThermalHost(o.host)
 			if err == nil {
 				tr = wrap(tr)
 			}
@@ -285,8 +300,8 @@ func run(scenPath string, setFlags map[string]bool,
 	}
 
 	var csv *os.File
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
+	if o.csv != "" {
+		f, err := os.Create(o.csv)
 		if err != nil {
 			return err
 		}
@@ -294,42 +309,42 @@ func run(scenPath string, setFlags map[string]bool,
 		defer csv.Close()
 		fmt.Fprintln(csv, "time_s,cycle,freq_mhz,max_temp_k,total_power_w,throttled")
 	}
-	onSample := func(s core.Sample) {
+	onSample := func(smp thermemu.Sample) {
 		if csv == nil {
 			return
 		}
 		var pw float64
-		for _, w := range s.CompPowerW {
+		for _, w := range smp.CompPowerW {
 			pw += w
 		}
 		throttled := 0
-		if s.Throttled {
+		if smp.Throttled {
 			throttled = 1
 		}
 		fmt.Fprintf(csv, "%.6f,%d,%.0f,%.3f,%.4f,%d\n",
-			float64(s.TimePs)*1e-12, s.Cycle, float64(s.FreqHz)/1e6, s.MaxTempK, pw, throttled)
+			float64(smp.TimePs)*1e-12, smp.Cycle, float64(smp.FreqHz)/1e6, smp.MaxTempK, pw, throttled)
 	}
 
 	res, err := thermemu.RunCoEmulation(cfg, onSample)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("workload:       %s on %d cores over %s\n", spec.Name, cores, ic)
+	fmt.Printf("workload:       %s on %d cores over %s\n", spec.Name, s.Cores, s.IC)
 	fmt.Printf("cycles:         %d (%.4f s virtual)\n", res.Cycles, res.VirtualS)
 	fmt.Printf("wall time:      %v\n", res.Wall)
-	fmt.Printf("samples:        %d (window %.2f ms)\n", len(res.Samples), windowMs)
+	fmt.Printf("samples:        %d (window %.2f ms)\n", len(res.Samples), s.WindowMs)
 	fmt.Printf("max temp:       %.2f K\n", res.MaxTempK)
 	fmt.Printf("DFS events:     %d\n", res.DFSEvents)
-	if pipeline > 0 {
+	if s.Pipeline > 0 {
 		fmt.Printf("pipeline:       depth %d (sensor latency %d windows), thermal lag %.3f ms frozen\n",
-			pipeline, pipeline, float64(res.ThermalLagPs)*1e-9)
+			s.Pipeline, s.Pipeline, float64(res.ThermalLagPs)*1e-9)
 	}
-	if digest {
+	if s.Digest {
 		// The digest pins the whole run: identical flags must reproduce it
 		// bit for bit (serial or parallel platform alike).
 		fmt.Printf("golden digest:  %s over %d records\n", cfg.Golden.Hex(), cfg.Golden.Len())
 	}
-	if hostAddr != "" {
+	if o.host != "" {
 		fmt.Printf("link stats:     %d stats frames, %d temps frames, %d congestions, %d retries\n",
 			res.Congestion.StatsSent, res.Congestion.TempsRecv, res.Congestion.Congestions,
 			res.Congestion.Retries)
@@ -338,7 +353,7 @@ func run(scenPath string, setFlags map[string]bool,
 	if !res.Done {
 		fmt.Println("note:           run stopped before the workload halted")
 	}
-	if report {
+	if o.report {
 		fmt.Println()
 		fmt.Println(res.Report)
 	}
@@ -357,12 +372,12 @@ func run(scenPath string, setFlags map[string]bool,
 		fmt.Printf("wrote %s\n", path)
 		return f.Close()
 	}
-	if err := writeArtifact(vcdPath, func(f *os.File) error {
+	if err := writeArtifact(o.vcd, func(f *os.File) error {
 		return trace.WriteSamplesVCD(f, cfg.Host.FP, res.Samples)
 	}); err != nil {
 		return err
 	}
-	return writeArtifact(jsonPath, func(f *os.File) error {
+	return writeArtifact(o.json, func(f *os.File) error {
 		// The structured run document: summary (final temps, windows/s,
 		// digest, thermal lag) plus the per-window sample series.
 		sum := trace.NewRunSummary(spec.Name, cfg.Host.FP, res, len(res.Samples), cfg.Golden)

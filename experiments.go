@@ -324,7 +324,7 @@ type Fig6Options struct {
 	TimeScale float64 // thermal time compression (1 = paper-faithful)
 	MaxCycles uint64  // optional hard bound
 	// PipelineDepth overlaps emulation with the thermal solve; DFS actions
-	// land this many windows later than in the serial loop (0 = serial).
+	// land this many windows later than at depth 0 (0 = synchronous solve).
 	PipelineDepth int
 }
 

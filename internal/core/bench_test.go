@@ -126,7 +126,7 @@ func benchClosedLoop(b *testing.B, depth int, linkDelay time.Duration) {
 	}
 }
 
-// BenchmarkClosedLoopSerial is the in-process baseline: emulate, solve,
+// BenchmarkClosedLoopSerial is the in-process depth-0 baseline: emulate, solve,
 // and feed back strictly in sequence.
 func BenchmarkClosedLoopSerial(b *testing.B) { benchClosedLoop(b, 0, 0) }
 
@@ -137,7 +137,7 @@ func BenchmarkClosedLoopSerial(b *testing.B) { benchClosedLoop(b, 0, 0) }
 func BenchmarkClosedLoopPipelined(b *testing.B) { benchClosedLoop(b, 1, 0) }
 
 // BenchmarkClosedLoopSerialLink sends every window over a loopback link
-// whose reply costs 300 µs, the way a real Ethernet RTT does: the serial
+// whose reply costs 300 µs, the way a real Ethernet RTT does: the depth-0
 // loop stalls for it once per window.
 func BenchmarkClosedLoopSerialLink(b *testing.B) { benchClosedLoop(b, 0, 300*time.Microsecond) }
 

@@ -1,6 +1,6 @@
 package core
 
-// Checkpoint/resume wiring for the co-emulation loops. A checkpoint is cut
+// Checkpoint/resume wiring for the co-emulation loop. A checkpoint is cut
 // at committed sampling-window boundaries — the only points where the
 // platform, the thermal model, the policy and the golden digest lineage are
 // all consistent with each other — and carries everything a later process
@@ -29,8 +29,8 @@ type ckptRuntime struct {
 	// aligned with the original run's.
 	windows uint64
 	// lagTemps are the component temperatures in effect for the next power
-	// evaluation at the last committed boundary (the serial loop's latest
-	// SetComponentTemps, the pipeline's delayed feedback).
+	// evaluation at the last committed boundary (the latest applied
+	// feedback).
 	lagTemps []float64
 	// broken latches a sink failure so the abort path does not try the
 	// failing sink again.
@@ -105,17 +105,10 @@ func (ck *ckptRuntime) commit(compTemps []float64) {
 	ck.lagTemps = append(ck.lagTemps[:0], compTemps...)
 }
 
-// due reports whether the cadence calls for a checkpoint at the current
-// committed window count (serial loop: ask right after commit).
-func (ck *ckptRuntime) due() bool {
-	return ck != nil && ck.cfg.CheckpointSink != nil && !ck.broken &&
-		ck.windows%ck.every == 0
-}
-
-// pending reports whether a checkpoint will be due once the given number of
-// in-flight windows commit (pipelined loop: ask before draining). The
-// committed+inflight total advances by exactly one per emulated window, so
-// each cadence multiple triggers exactly once.
+// pending reports whether a checkpoint is due once the given number of
+// in-flight windows commit (ask after each window is handed off, before
+// the feedback boundary). The committed+inflight total advances by exactly
+// one per emulated window, so each cadence multiple triggers exactly once.
 func (ck *ckptRuntime) pending(inflight uint64) bool {
 	return ck != nil && ck.cfg.CheckpointSink != nil && !ck.broken &&
 		inflight > 0 && (ck.windows+inflight)%ck.every == 0

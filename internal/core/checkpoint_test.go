@@ -267,6 +267,37 @@ loop:
 	return spec
 }
 
+// TestCheckpointCadenceAtEveryDepth: the cadence rule is the same at every
+// pipeline depth — the window that reaches a cadence multiple drains the
+// pipeline and cuts its checkpoint, the run's final window included — so
+// with a cadence of one window every committed window has its checkpoint.
+func TestCheckpointCadenceAtEveryDepth(t *testing.T) {
+	for _, depth := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			cfg := ckptConfig(t, 2, nil)
+			cfg.PipelineDepth = depth
+			var cks []*checkpoint.Checkpoint
+			cfg.CheckpointEvery = 1
+			cfg.CheckpointSink = collectSink(&cks)
+			res, err := Run(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			windows := uint64(len(res.Samples))
+			if windows == 0 {
+				t.Fatal("run committed no windows")
+			}
+			if uint64(len(cks)) != windows {
+				t.Fatalf("%d checkpoints for %d committed windows", len(cks), windows)
+			}
+			if last := cks[len(cks)-1]; last.Window != windows || last.Partial {
+				t.Fatalf("last checkpoint at window %d (partial=%v), want window %d",
+					last.Window, last.Partial, windows)
+			}
+		})
+	}
+}
+
 // TestPartialErrorFlushesLoadableCheckpoint: when a run aborts mid-flight
 // with checkpointing active, the Partial error path must flush one final
 // checkpoint, and that snapshot must load back into a fresh platform.

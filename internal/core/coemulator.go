@@ -61,28 +61,34 @@ type Config struct {
 	// architectural state at run end (see internal/golden). Two runs with
 	// equal digests executed the same emulation bit for bit.
 	Golden *golden.Trace
-	// PipelineDepth > 0 runs the loop as a software pipeline: window N+1
-	// emulates while window N's statistics are dispatched and solved, with
-	// a bounded hand-off queue of that depth. Temperature/DFS feedback is
-	// applied at deterministic window boundaries with a fixed sensor
-	// latency of PipelineDepth windows (the serial loop has latency 0), so
-	// pipelined runs are bit-reproducible run to run and — with TM feedback
-	// off — digest-identical to serial runs. When the queue fills, the
-	// virtual clock freezes under the vpcm.ThermalLagSource attribution
-	// instead of corrupting windows. 0 keeps the serial loop. Incompatible
+	// PipelineDepth is the sensor latency of the closed loop in windows:
+	// the feedback (DFS action, component temperatures) of window N takes
+	// effect before window N+PipelineDepth+1 emulates. At 0 each window is
+	// solved synchronously and its feedback applied right after it. Above
+	// 0 the thermal solve runs on its own goroutine behind a bounded
+	// hand-off queue of that depth, so window N+1 emulates while window N
+	// is dispatched and solved; when the queue fills, the virtual clock
+	// freezes under the vpcm.ThermalLagSource attribution instead of
+	// corrupting windows. Window boundaries depend only on emulated state,
+	// so runs are bit-reproducible at every depth and — with TM feedback
+	// off — digest-identical across depths. Depths above 0 are incompatible
 	// with Platform.EventLogging (the event ring drains inline with the
-	// emulating stage).
+	// synchronous solve).
 	PipelineDepth int
 	// DiscardSamples skips accumulating Result.Samples so week-long
 	// monitoring runs keep a flat memory profile; onSample still observes
 	// every window, but the sample's slices are only valid during the
-	// callback (they are reused buffers on the pipelined hot path).
+	// callback (they are the loop's reused window buffers).
 	DiscardSamples bool
 	// CheckpointEvery cuts a checkpoint through CheckpointSink every N
 	// committed sampling windows (0 with a sink set means every window).
 	// Checkpointing requires the in-process thermal host — a transport-mode
-	// run does not own the thermal state and is rejected. In a pipelined
-	// run every checkpoint first drains the pipeline (a pipeline flush), so
+	// run does not own the thermal state and is rejected. The rule is the
+	// same at every depth: right after the window that brings the emulated
+	// window count to a multiple of N — the run's final window included —
+	// every in-flight window drains (a pipeline flush) and the checkpoint
+	// is cut. A depth-0 run has nothing in flight to drain. At depth > 0
+	// the drain applies feedback earlier than the steady-state schedule, so
 	// the cadence is part of the run's determinism contract: two runs with
 	// the same cadence are bit-identical, and a checkpointed run matches an
 	// uncheckpointed one whenever TM feedback (DFS, leakage) is off.
@@ -142,7 +148,9 @@ type Result struct {
 	Partial bool
 	// ThermalLagPs is the physical time the virtual clock spent frozen
 	// because the thermal solve (or the link carrying it) lagged the
-	// pipelined emulation (vpcm.ThermalLagSource). Always 0 in serial runs.
+	// pipelined emulation (vpcm.ThermalLagSource). Always 0 at depth 0,
+	// where the solve is synchronous and link stalls freeze the clock under
+	// the dispatcher's own sources.
 	ThermalLagPs uint64
 }
 
@@ -186,7 +194,7 @@ func Run(cfg Config, onSample func(Sample)) (*Result, error) {
 		return nil, fmt.Errorf("core: negative pipeline depth %d", cfg.PipelineDepth)
 	}
 	if cfg.PipelineDepth > 0 && cfg.Platform.EventLogging {
-		return nil, fmt.Errorf("core: pipelined loop is incompatible with event logging (the BRAM ring drains inline with the emulating stage)")
+		return nil, fmt.Errorf("core: pipelined loop is incompatible with event logging (the BRAM ring drains inline with the synchronous solve)")
 	}
 	if cells := len(cfg.Host.SiCells); cfg.Transport != nil && etherlink.MaxTempsBatch(cells) == 0 {
 		return nil, &etherlink.TempsTooLargeError{Cells: cells}
@@ -250,177 +258,7 @@ func Run(cfg Config, onSample func(Sample)) (*Result, error) {
 		}
 	}
 
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 1 << 62
-	}
-	tscale := cfg.ThermalTimeScale
-	if tscale <= 0 {
-		tscale = 1
-	}
-	if cfg.PipelineDepth > 0 {
-		return runPipelined(cfg, p, eval, disp, maxCycles, tscale, onSample, ck, resumedMax)
-	}
-	res := &Result{MaxTempK: resumedMax}
-	start := time.Now()
-	// prev/snap are the window's boundary snapshots and committed the last
-	// fully-solved window; an abort mid-window reports it instead of the
-	// half-stepped platform state. The three buffers are reused across
-	// windows (SnapshotInto/CopyInto), as in runPipelined.
-	var prev, snap, committed emu.Snapshot
-	p.SnapshotInto(&prev)
-	prev.CopyInto(&committed)
-	powers := make([]float64, cfg.Host.NumComponents())
-	powerUW := make([]uint32, cfg.Host.NumComponents())
-	partial := func(err error) (*Result, error) {
-		err = ck.flushPartial(err, res.MaxTempK)
-		res.Partial = true
-		res.FinalSnap = committed
-		res.Cycles = committed.Cycle
-		res.VirtualS = float64(committed.TimePs) * 1e-12
-		res.Wall = time.Since(start)
-		res.DFSEvents = p.VPCM.DFSEvents()
-		if disp != nil {
-			res.Congestion = disp.Stats()
-			res.Link = disp.Link().Snapshot()
-		}
-		return res, err
-	}
-
-	for !p.AllHalted() && p.VPCM.Cycle() < maxCycles {
-		// One sampling window at the current virtual frequency.
-		period := uint64(1e12) / p.VPCM.Frequency()
-		n := cfg.WindowPs / period
-		if n == 0 {
-			n = 1
-		}
-		if left := maxCycles - p.VPCM.Cycle(); n > left {
-			n = left
-		}
-		// With a Parallel platform the window is executed by the
-		// deterministic parallel kernel; results are bit-identical to
-		// serial stepping (asserted by the golden conformance suite), so
-		// the whole closed loop — power, temperature, DFS — is unchanged.
-		if cfg.Platform.Parallel {
-			p.RunParallel(0, p.VPCM.Cycle()+n)
-		} else {
-			p.Step(n)
-		}
-		if err := p.Fault(); err != nil {
-			return partial(err)
-		}
-		p.SnapshotInto(&snap)
-		emu.DigestSnapshot(cfg.Golden, snap)
-		if disp != nil && cfg.Platform.EventLogging {
-			if _, err := disp.PumpEvents(p.Ring); err != nil {
-				return partial(err)
-			}
-		}
-		if _, err := eval.Powers(prev, snap, powers); err != nil {
-			return partial(err)
-		}
-		windowPs := uint64(float64(snap.TimePs-prev.TimePs) * tscale)
-
-		var cellTemps []float64
-		if disp != nil {
-			for i, w := range powers {
-				powerUW[i] = uint32(w*1e6 + 0.5)
-			}
-			if err := disp.SendStats(&etherlink.Stats{
-				Cycle: snap.Cycle, WindowPs: windowPs, PowerUW: powerUW,
-			}); err != nil {
-				return partial(err)
-			}
-			temps, err := disp.RecvTemps(nil)
-			if err != nil {
-				return partial(err)
-			}
-			cellTemps = make([]float64, len(temps.MilliK))
-			for i := range temps.MilliK {
-				cellTemps[i] = temps.Kelvin(i)
-			}
-		} else {
-			cellTemps, err = cfg.Host.StepWindow(powers, float64(windowPs)*1e-12)
-			if err != nil {
-				return partial(err)
-			}
-		}
-
-		compTemps := cfg.Host.ComponentTemps(cellTemps)
-		eval.SetComponentTemps(compTemps)
-		sample := Sample{
-			Cycle:      snap.Cycle,
-			TimePs:     snap.TimePs,
-			FreqHz:     snap.FreqHz,
-			CompPowerW: append([]float64(nil), powers...),
-			CellTempK:  cellTemps,
-			CompTempK:  compTemps,
-		}
-		for _, t := range cellTemps {
-			if t > sample.MaxTempK {
-				sample.MaxTempK = t
-			}
-		}
-		if sample.MaxTempK > res.MaxTempK {
-			res.MaxTempK = sample.MaxTempK
-		}
-
-		// Temperature sensors -> VPCM -> policy (DFS).
-		if cfg.Policy != nil {
-			sensors := make([]tm.Sensor, len(compTemps))
-			for i := range compTemps {
-				sensors[i] = tm.Sensor{Name: cfg.Host.FP.Components[i].Name,
-					TempK: cfg.Sensor.Read(compTemps[i])}
-			}
-			action := cfg.Policy.Update(sensors)
-			if action.SetFreqHz != 0 {
-				p.VPCM.SetFrequency(action.SetFreqHz)
-			}
-			if th, ok := cfg.Policy.(*tm.ThresholdDFS); ok {
-				sample.Throttled = th.Throttled()
-			}
-		}
-
-		if !cfg.DiscardSamples {
-			res.Samples = append(res.Samples, sample)
-		}
-		if onSample != nil {
-			onSample(sample)
-		}
-		// The window is committed only once its temperatures arrived and the
-		// policy ran: from here on its snapshot is safe to report.
-		snap.CopyInto(&committed)
-		prev, snap = snap, prev
-		ck.commit(compTemps)
-		if ck.due() {
-			if err := ck.write(false, res.MaxTempK); err != nil {
-				return partial(err)
-			}
-		}
-	}
-
-	if disp != nil {
-		if err := disp.SendCtrl(etherlink.CtrlStop, p.VPCM.Cycle()); err != nil {
-			return partial(err)
-		}
-		res.Congestion = disp.Stats()
-		res.Link = disp.Link().Snapshot()
-	}
-	p.DigestInto(cfg.Golden)
-	res.Cycles = p.VPCM.Cycle()
-	res.VirtualS = p.VPCM.Time()
-	res.Wall = time.Since(start)
-	res.Done = p.AllHalted()
-	res.DFSEvents = p.VPCM.DFSEvents()
-	res.FinalSnap = p.Snapshot()
-	res.Report = p.Report()
-
-	if res.Done && cfg.Workload.Verify != nil {
-		if err := cfg.Workload.Verify(p.ReadSharedWord); err != nil {
-			return res, fmt.Errorf("core: workload verification: %w", err)
-		}
-	}
-	return res, nil
+	return runLoop(cfg, p, eval, disp, onSample, ck, resumedMax)
 }
 
 // FreqHistory exposes the VPCM DFS trace of a finished platform run; the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -15,8 +16,15 @@ import (
 // direction must produce bit-identical temperature samples to a clean run —
 // the reliability layer heals the loss, and the freeze-don't-drop guarantee
 // keeps the emulated timeline exact — while the link metrics record the
-// recovery work.
+// recovery work. It runs at depth 0 (one window per frame, synchronous
+// solve) and depth 2 (batched frames from the solver goroutine).
 func TestClosedLoopUnderLinkFaults(t *testing.T) {
+	for _, depth := range []int{0, 2} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) { linkFaultsAtDepth(t, depth) })
+	}
+}
+
+func linkFaultsAtDepth(t *testing.T, depth int) {
 	run := func(faulty bool) *Result {
 		t.Helper()
 		// A short sampling window multiplies the frame count so ~1.5% loss
@@ -24,6 +32,7 @@ func TestClosedLoopUnderLinkFaults(t *testing.T) {
 		// it deterministic either way).
 		cfg := testConfig(t, 40, nil)
 		cfg.WindowPs = 2_000_000 // 2 µs virtual
+		cfg.PipelineDepth = depth
 		devTr, hostTr := etherlink.LoopbackPair(4)
 		var dev etherlink.Transport = devTr
 		if faulty {

@@ -1,36 +1,39 @@
 package core
 
-// The pipelined co-emulation loop: the software analogue of the paper's
-// HW/SW overlap. On the FPGA the emulator keeps running at speed while the
-// host PC integrates temperatures concurrently, and the VPCM freezes the
-// virtual clock only when the link or the solver genuinely falls behind
-// (Section 4.2, Table 3). The serial loop in coemulator.go instead blocks
-// the emulation for every thermal solve. Here the loop is split into two
-// stages connected by a bounded hand-off queue of PipelineDepth windows:
+// The co-emulation loop: the software analogue of the paper's HW/SW
+// overlap. On the FPGA the emulator keeps running at speed while the host
+// PC integrates temperatures concurrently, and the VPCM freezes the virtual
+// clock only when the link or the solver genuinely falls behind (Section
+// 4.2, Table 3). The loop is split into two stages connected by a bounded
+// hand-off queue of PipelineDepth windows:
 //
-//	emulate stage (this goroutine)       solve stage (one goroutine)
+//	emulate stage (this goroutine)       solve stage
 //	┌──────────────────────────┐  work   ┌───────────────────────────┐
 //	│ step window, snapshot,   │ ──────► │ dispatch stats (link or   │
 //	│ power eval, golden digest│         │ in-process), thermal step,│
 //	│ apply delayed feedback   │ ◄────── │ sensors, TM policy        │
 //	└──────────────────────────┘  done   └───────────────────────────┘
 //
+// Depth 0 is the synchronous case: the solve stage runs on the calling
+// goroutine, so each window is solved and its feedback applied before the
+// next one emulates. Depth > 0 runs the solve stage on its own goroutine.
+//
 // Determinism contract: the feedback of window N (DFS action and component
 // temperatures for leakage) is applied at the fixed window boundary before
-// window N+depth+1 emulates — a sensor latency of `depth` windows relative
-// to the serial loop. Window boundaries therefore depend only on emulated
-// state, never on host timing: pipelined runs are bit-reproducible run to
-// run, and with TM feedback off (no DFS, no leakage) they are
-// digest-identical to serial runs. Backpressure — the solver lagging so far
-// that the queue fills — only freezes *physical* time via
-// vpcm.ThermalLagSource, mirroring the Ethernet congestion freeze.
+// window N+depth+1 emulates — a sensor latency of `depth` windows. Window
+// boundaries therefore depend only on emulated state, never on host timing:
+// runs are bit-reproducible run to run at every depth, and with TM feedback
+// off (no DFS, no leakage) every depth is digest-identical to depth 0.
+// Backpressure — the solver lagging so far that the queue fills — only
+// freezes *physical* time via vpcm.ThermalLagSource, mirroring the Ethernet
+// congestion freeze.
 //
-// Buffer ownership: depth+1 window jobs circulate free → work → done →
-// free. A job is written by the emulate stage (snapshot, powers), handed
-// off, written by the solve stage (temps, sensors, policy verdict), handed
-// back, and read/recycled at the feedback boundary. Channel hand-off
-// provides the happens-before edges, so no other synchronisation is
-// needed, and the steady-state loop allocates nothing.
+// Buffer ownership: window jobs form a ring indexed by window number. A job
+// is written by the emulate stage (snapshot, powers), handed off, written by
+// the solve stage (temps, sensors, policy verdict), handed back, and read at
+// the feedback boundary; the ring slot is reused only after that. Channel
+// hand-off provides the happens-before edges, so no other synchronisation
+// is needed, and the steady-state loop allocates nothing.
 
 import (
 	"fmt"
@@ -50,20 +53,19 @@ import (
 // when link stalls actually reach the virtual clock.
 type asyncFreezer struct{ v *vpcm.VPCM }
 
-func (a asyncFreezer) RequestFreeze(string) {}
-func (a asyncFreezer) ReleaseFreeze(string) {}
+func (a asyncFreezer) RequestFreeze(string)            {}
+func (a asyncFreezer) ReleaseFreeze(string)            {}
 func (a asyncFreezer) AddFrozenTime(physCycles uint64) { a.v.AddFrozenTime(physCycles) }
 func (a asyncFreezer) AddFrozenTimeSource(source string, physCycles uint64) {
 	a.v.AddFrozenTimeSource(source, physCycles)
 }
 
-// window is one in-flight sampling window of the pipeline.
+// window is one in-flight sampling window.
 type window struct {
-	seq      uint64 // 1-based window number
 	windowPs uint64 // thermal integration span (time-scaled)
 	snap     emu.Snapshot
 	powers   []float64 // per-component dynamic+static power, W
-	powerUW  []uint32  // link encoding of powers
+	powerUW  []uint32  // link encoding of powers (transport mode)
 	// Solve-stage results.
 	cellTemps []float64
 	compTemps []float64
@@ -84,35 +86,123 @@ func thermalLagPs(v *vpcm.VPCM) uint64 {
 	return 0
 }
 
-// runPipelined executes the co-emulation loop with a pipeline of the
-// configured depth. The platform is already built and loaded; disp is nil
-// in in-process mode.
-func runPipelined(cfg Config, p *emu.Platform, eval *PowerEvaluator,
-	disp *etherlink.Dispatcher, maxCycles uint64, tscale float64,
-	onSample func(Sample), ck *ckptRuntime, resumedMax float64) (*Result, error) {
+// stage is the solve stage as the emulate stage sees it: submit hands a
+// window off, next returns the oldest submitted window once solved, stop
+// tears the stage down. At depth 0 (work == nil) submit solves in place.
+type stage struct {
+	v          *vpcm.VPCM
+	sv         *solver
+	ready      *window // depth 0: the window solved by the last submit
+	work, done chan *window
+	stopped    bool
+}
 
-	depth := cfg.PipelineDepth
-	ncomp := cfg.Host.NumComponents()
-	free := make(chan *window, depth+1)
-	for i := 0; i < depth+1; i++ {
-		free <- &window{
-			powers:  make([]float64, ncomp),
-			powerUW: make([]uint32, ncomp),
+func newStage(cfg Config, disp *etherlink.Dispatcher, v *vpcm.VPCM) *stage {
+	st := &stage{v: v, sv: &solver{host: cfg.Host, policy: cfg.Policy, sensor: cfg.Sensor,
+		disp: disp, maxBatch: 1}}
+	if depth := cfg.PipelineDepth; depth > 0 {
+		if disp != nil {
+			st.sv.maxBatch = min(etherlink.MaxStatsBatch(cfg.Host.NumComponents()),
+				etherlink.MaxTempsBatch(len(cfg.Host.SiCells)), depth)
 		}
+		st.work = make(chan *window, depth)
+		st.done = make(chan *window, depth+1)
+		go st.sv.run(st.work, st.done)
 	}
-	work := make(chan *window, depth)
-	done := make(chan *window, depth+1)
-	go solveStage(cfg, disp, work, done)
+	return st
+}
+
+// submit hands window w to the solve stage. At depth > 0 a full queue
+// means the solver is a full pipeline behind: the wait freezes virtual
+// time.
+func (st *stage) submit(w *window) {
+	if st.work == nil {
+		st.sv.solve([]*window{w})
+		st.ready = w
+		return
+	}
+	select {
+	case st.work <- w:
+	default:
+		st.lagFrozen(func() { st.work <- w })
+	}
+}
+
+// next returns the oldest solved window (ok is false if the solve stage
+// exited). At depth > 0 an empty done queue means the solver is behind:
+// virtual time freezes for the wait.
+func (st *stage) next() (w *window, ok bool) {
+	if st.work == nil {
+		w, st.ready = st.ready, nil
+		return w, w != nil
+	}
+	select {
+	case w, ok = <-st.done:
+	default:
+		st.lagFrozen(func() { w, ok = <-st.done })
+	}
+	return w, ok
+}
+
+// lagFrozen runs a blocking hand-off with the virtual clock frozen under
+// vpcm.ThermalLagSource, and accounts the physical time it took.
+func (st *stage) lagFrozen(wait func()) {
+	t0 := time.Now()
+	st.v.RequestFreeze(vpcm.ThermalLagSource)
+	wait()
+	st.v.ReleaseFreeze(vpcm.ThermalLagSource)
+	phys := uint64(time.Since(t0).Seconds() * float64(st.v.PhysHz()))
+	st.v.AddFrozenTimeSource(vpcm.ThermalLagSource, phys)
+}
+
+// stop closes the work queue and waits for the solver goroutine to exit,
+// discarding windows it still returns. Safe to call more than once.
+func (st *stage) stop() {
+	if st.work == nil || st.stopped {
+		return
+	}
+	st.stopped = true
+	close(st.work)
+	for range st.done {
+	}
+}
+
+// runLoop executes the co-emulation loop at the configured pipeline depth.
+// The platform is already built and loaded; disp is nil in in-process mode.
+func runLoop(cfg Config, p *emu.Platform, eval *PowerEvaluator,
+	disp *etherlink.Dispatcher, onSample func(Sample), ck *ckptRuntime, resumedMax float64) (*Result, error) {
+
+	maxCycles := cfg.MaxCycles
+	if maxCycles == 0 {
+		maxCycles = 1 << 62
+	}
+	tscale := cfg.ThermalTimeScale
+	if tscale <= 0 {
+		tscale = 1
+	}
+	depth := uint64(cfg.PipelineDepth)
+	ncomp := cfg.Host.NumComponents()
+	// Window k reuses the ring slot of window k-len(jobs), whose feedback
+	// the boundary rule applied before window k-1 ended, while window k-1's
+	// snapshot stays the power baseline: depth+1 slots, and at least two.
+	jobs := make([]*window, max(depth+1, 2))
+	for i := range jobs {
+		jobs[i] = &window{powers: make([]float64, ncomp)}
+	}
+	st := newStage(cfg, disp, p.VPCM)
 
 	res := &Result{MaxTempK: resumedMax}
 	start := time.Now()
-	var snap0 emu.Snapshot
-	p.SnapshotInto(&snap0)
-	prev := &snap0
+	// The initial snapshot, window 1's power baseline, lives in the last
+	// ring slot: window len(jobs) is the first to reuse it.
+	prev := &jobs[len(jobs)-1].snap
+	p.SnapshotInto(prev)
+	// committed is the last fully-solved window; an abort reports it
+	// instead of the half-stepped platform state.
 	var committed emu.Snapshot
-	snap0.CopyInto(&committed)
+	prev.CopyInto(&committed)
 	// lagTemps is the evaluator-owned copy of the last applied component
-	// temperatures (the job buffer is recycled after the boundary).
+	// temperatures (the job buffer is reused after the boundary).
 	lagTemps := make([]float64, 0, ncomp)
 
 	var (
@@ -120,45 +210,18 @@ func runPipelined(cfg Config, p *emu.Platform, eval *PowerEvaluator,
 		applied uint64 // window feedbacks consumed
 	)
 
-	// recvFeedback blocks on the next solved window. An empty done queue
-	// means the solver is behind and the bounded queue has filled: virtual
-	// time freezes for the wait, attributed to vpcm.ThermalLagSource.
-	recvFeedback := func() (*window, bool) {
-		select {
-		case w, ok := <-done:
-			return w, ok
-		default:
+	// applyNext commits the oldest in-flight window's feedback at the
+	// current window boundary: DFS programs the VPCM, component
+	// temperatures feed the next power evaluation (leakage), and the sample
+	// is emitted.
+	applyNext := func() error {
+		w, ok := st.next()
+		if !ok {
+			return fmt.Errorf("core: pipeline solver exited early")
 		}
-		t0 := time.Now()
-		p.VPCM.RequestFreeze(vpcm.ThermalLagSource)
-		w, ok := <-done
-		p.VPCM.ReleaseFreeze(vpcm.ThermalLagSource)
-		phys := uint64(time.Since(t0).Seconds() * float64(p.VPCM.PhysHz()))
-		p.VPCM.AddFrozenTimeSource(vpcm.ThermalLagSource, phys)
-		return w, ok
-	}
-
-	// sendWork hands a window to the solve stage. A full queue means the
-	// solver is a full pipeline behind: the wait freezes virtual time just
-	// like recvFeedback's.
-	sendWork := func(job *window) {
-		select {
-		case work <- job:
-			return
-		default:
+		if w.err != nil {
+			return w.err
 		}
-		t0 := time.Now()
-		p.VPCM.RequestFreeze(vpcm.ThermalLagSource)
-		work <- job
-		p.VPCM.ReleaseFreeze(vpcm.ThermalLagSource)
-		phys := uint64(time.Since(t0).Seconds() * float64(p.VPCM.PhysHz()))
-		p.VPCM.AddFrozenTimeSource(vpcm.ThermalLagSource, phys)
-	}
-
-	// apply commits window w's feedback at the current window boundary:
-	// DFS programs the VPCM, component temperatures feed the next power
-	// evaluation (leakage), and the sample is emitted.
-	apply := func(w *window) {
 		if w.setFreqHz != 0 {
 			p.VPCM.SetFrequency(w.setFreqHz)
 		}
@@ -178,9 +241,11 @@ func runPipelined(cfg Config, p *emu.Platform, eval *PowerEvaluator,
 			sample.CellTempK = w.cellTemps
 			sample.CompTempK = w.compTemps
 		} else {
+			// The kept sample takes over the window's temperature buffers;
+			// the next solve into this ring slot allocates fresh ones.
 			sample.CompPowerW = append([]float64(nil), w.powers...)
-			sample.CellTempK = append([]float64(nil), w.cellTemps...)
-			sample.CompTempK = append([]float64(nil), w.compTemps...)
+			sample.CellTempK, w.cellTemps = w.cellTemps, nil
+			sample.CompTempK, w.compTemps = w.compTemps, nil
 			res.Samples = append(res.Samples, sample)
 		}
 		if w.maxTempK > res.MaxTempK {
@@ -191,20 +256,16 @@ func runPipelined(cfg Config, p *emu.Platform, eval *PowerEvaluator,
 		}
 		w.snap.CopyInto(&committed)
 		applied++
-		ck.commit(w.compTemps)
-		free <- w
+		ck.commit(sample.CompTempK)
+		return nil
 	}
 
-	// finishPartial tears the pipeline down after err and reports the last
-	// committed window. workClosed tells whether close(work) already ran.
-	finishPartial := func(err error, workClosed bool) (*Result, error) {
-		if !workClosed {
-			close(work)
-		}
-		for range done {
-		}
-		// The solver has exited (the drain above closed its output), so the
-		// thermal model is quiescent and safe to snapshot for the flush.
+	// finishPartial tears the solve stage down after err and reports the
+	// last committed window.
+	finishPartial := func(err error) (*Result, error) {
+		st.stop()
+		// The solver has exited, so the thermal model is quiescent and safe
+		// to snapshot for the flush.
 		err = ck.flushPartial(err, res.MaxTempK)
 		res.Partial = true
 		res.FinalSnap = committed
@@ -221,46 +282,8 @@ func runPipelined(cfg Config, p *emu.Platform, eval *PowerEvaluator,
 	}
 
 	for !p.AllHalted() && p.VPCM.Cycle() < maxCycles {
-		// Checkpoint boundary: drain every in-flight window so the platform
-		// state and all committed feedback coincide — a pipeline flush —
-		// then cut the checkpoint. The drain applies feedback earlier than
-		// the steady-state schedule, so the cadence is part of the run's
-		// determinism contract (see Config.CheckpointEvery).
-		if ck.pending(seq - applied) {
-			for applied < seq {
-				w, ok := recvFeedback()
-				if !ok {
-					return finishPartial(fmt.Errorf("core: pipeline solver exited early"), false)
-				}
-				if w.err != nil {
-					err := w.err
-					free <- w
-					return finishPartial(err, false)
-				}
-				apply(w)
-			}
-			if err := ck.write(false, res.MaxTempK); err != nil {
-				return finishPartial(err, false)
-			}
-		}
-		// Deterministic feedback boundary: before window seq+1 emulates,
-		// window seq-depth's feedback must be in effect. (seq-applied is the
-		// in-flight count; a checkpoint drain resets it to 0 and the
-		// pipeline refills.)
-		if seq-applied > uint64(depth) {
-			w, ok := recvFeedback()
-			if !ok {
-				return finishPartial(fmt.Errorf("core: pipeline solver exited early"), false)
-			}
-			if w.err != nil {
-				err := w.err
-				free <- w
-				return finishPartial(err, false)
-			}
-			apply(w)
-		}
-
-		job := <-free
+		// One sampling window at the current virtual frequency.
+		job := jobs[seq%uint64(len(jobs))]
 		period := uint64(1e12) / p.VPCM.Frequency()
 		n := cfg.WindowPs / period
 		if n == 0 {
@@ -269,50 +292,71 @@ func runPipelined(cfg Config, p *emu.Platform, eval *PowerEvaluator,
 		if left := maxCycles - p.VPCM.Cycle(); n > left {
 			n = left
 		}
+		// With a Parallel platform the window is executed by the
+		// deterministic parallel kernel; results are bit-identical to
+		// serial stepping (asserted by the golden conformance suite), so
+		// the whole closed loop — power, temperature, DFS — is unchanged.
 		if cfg.Platform.Parallel {
 			p.RunParallel(0, p.VPCM.Cycle()+n)
 		} else {
 			p.Step(n)
 		}
 		if err := p.Fault(); err != nil {
-			free <- job
-			return finishPartial(err, false)
+			return finishPartial(err)
 		}
 		p.SnapshotInto(&job.snap)
 		emu.DigestSnapshot(cfg.Golden, job.snap)
+		if disp != nil && cfg.Platform.EventLogging {
+			// Depth 0 only (Run rejects event logging in a pipeline): the
+			// sniffer ring drains through the link at the window boundary.
+			if _, err := disp.PumpEvents(p.Ring); err != nil {
+				return finishPartial(err)
+			}
+		}
 		if _, err := eval.Powers(*prev, job.snap, job.powers); err != nil {
-			free <- job
-			return finishPartial(err, false)
+			return finishPartial(err)
 		}
 		job.windowPs = uint64(float64(job.snap.TimePs-prev.TimePs) * tscale)
+		job.err = nil
 		prev = &job.snap
 		seq++
-		job.seq = seq
-		job.err = nil
-		sendWork(job)
+		st.submit(job)
+
+		// Feedback boundary: before window seq+1 emulates, window
+		// seq-depth's feedback must be in effect (seq-applied is the
+		// in-flight count). When the windows emulated so far reach a
+		// checkpoint cadence multiple, every in-flight window drains first —
+		// a pipeline flush — so the platform state and all committed
+		// feedback coincide; the pipeline then refills.
+		cut := ck.pending(seq - applied)
+		keep := depth
+		if cut {
+			keep = 0
+		}
+		for seq-applied > keep {
+			if err := applyNext(); err != nil {
+				return finishPartial(err)
+			}
+		}
+		if cut {
+			if err := ck.write(false, res.MaxTempK); err != nil {
+				return finishPartial(err)
+			}
+		}
 	}
 
 	// Drain: the remaining min(depth, seq) in-flight windows still owe
 	// their feedback; commit them in order at the final boundary.
-	close(work)
 	for applied < seq {
-		w, ok := recvFeedback()
-		if !ok {
-			return finishPartial(fmt.Errorf("core: pipeline solver exited early"), true)
+		if err := applyNext(); err != nil {
+			return finishPartial(err)
 		}
-		if w.err != nil {
-			err := w.err
-			free <- w
-			return finishPartial(err, true)
-		}
-		apply(w)
 	}
-	for range done {
-	}
+	st.stop()
 
 	if disp != nil {
 		if err := disp.SendCtrl(etherlink.CtrlStop, p.VPCM.Cycle()); err != nil {
-			return finishPartial(err, true)
+			return finishPartial(err)
 		}
 		res.Congestion = disp.Stats()
 		res.Link = disp.Link().Snapshot()
@@ -335,38 +379,41 @@ func runPipelined(cfg Config, p *emu.Platform, eval *PowerEvaluator,
 	return res, nil
 }
 
-// solveStage is the pipeline's consumer: it dispatches each window's
-// statistics (in-process call or Ethernet frames), converts the returned
-// cell temperatures to component sensor readings, and runs the TM policy,
-// recording the DFS verdict for the emulate stage to apply at the
-// deterministic boundary. In transport mode, windows that queued up while
-// the link was busy are shipped as one MsgStatsBatch frame, as many as the
-// statistics and the temperature reply both fit one frame. After a
-// failure every subsequent window is bounced with the same error so the
-// emulate stage observes it at the next boundary.
-func solveStage(cfg Config, disp *etherlink.Dispatcher, work <-chan *window, done chan<- *window) {
+// solver dispatches each window's statistics (in-process call or Ethernet
+// frames), converts the returned cell temperatures to component sensor
+// readings, and runs the TM policy, recording the DFS verdict for the
+// emulate stage to apply at the deterministic boundary. Its link buffers
+// are reused across windows.
+type solver struct {
+	host     *ThermalHost
+	policy   tm.Policy
+	sensor   tm.SensorModel
+	disp     *etherlink.Dispatcher
+	maxBatch int
+
+	pend   []*window
+	batch  etherlink.StatsBatch
+	treply etherlink.TempsBatch
+	temps  etherlink.Temps
+}
+
+// run is the pipelined solve stage's goroutine. In transport mode, windows
+// that queued up while the link was busy are shipped as one MsgStatsBatch
+// frame, as many as the statistics and the temperature reply both fit one
+// frame. After a failure every subsequent window is bounced with the same
+// error so the emulate stage observes it at the next boundary.
+func (sv *solver) run(work <-chan *window, done chan<- *window) {
 	defer close(done)
 	var failed error
-	maxBatch := 1
-	if disp != nil {
-		maxBatch = min(etherlink.MaxStatsBatch(cfg.Host.NumComponents()),
-			etherlink.MaxTempsBatch(len(cfg.Host.SiCells)), cfg.PipelineDepth)
-	}
-	var (
-		pend   []*window
-		batch  etherlink.StatsBatch
-		treply etherlink.TempsBatch
-		temps  etherlink.Temps
-	)
 	for w := range work {
-		pend = append(pend[:0], w)
-		for len(pend) < maxBatch {
+		sv.pend = append(sv.pend[:0], w)
+		for len(sv.pend) < sv.maxBatch {
 			select {
 			case w2, ok := <-work:
 				if !ok {
 					goto process
 				}
-				pend = append(pend, w2)
+				sv.pend = append(sv.pend, w2)
 				continue
 			default:
 			}
@@ -374,38 +421,38 @@ func solveStage(cfg Config, disp *etherlink.Dispatcher, work <-chan *window, don
 		}
 	process:
 		if failed == nil {
-			failed = solveWindows(cfg, disp, pend, &batch, &treply, &temps)
+			failed = sv.solve(sv.pend)
 		} else {
-			for _, w := range pend {
+			for _, w := range sv.pend {
 				w.err = failed
 			}
 		}
-		for _, w := range pend {
+		for _, w := range sv.pend {
 			done <- w
 		}
 	}
 }
 
-// solveWindows solves a run of consecutive windows. On error the failing
-// and every later window carry w.err; earlier windows stay valid.
-func solveWindows(cfg Config, disp *etherlink.Dispatcher, pend []*window,
-	batch *etherlink.StatsBatch, treply *etherlink.TempsBatch, temps *etherlink.Temps) error {
-
+// solve solves a run of consecutive windows. On error the failing and
+// every later window carry w.err; earlier windows stay valid.
+func (sv *solver) solve(pend []*window) error {
+	disp := sv.disp
 	if disp == nil {
 		for _, w := range pend {
-			ct, err := cfg.Host.StepWindowInto(w.powers, float64(w.windowPs)*1e-12, w.cellTemps)
+			ct, err := sv.host.StepWindowInto(w.powers, float64(w.windowPs)*1e-12, w.cellTemps)
 			if err != nil {
 				return failFrom(pend, w, err)
 			}
 			w.cellTemps = ct
-			finishWindow(cfg, w)
+			sv.finish(w)
 		}
 		return nil
 	}
 
 	for _, w := range pend {
-		for i, pw := range w.powers {
-			w.powerUW[i] = uint32(pw*1e6 + 0.5)
+		w.powerUW = w.powerUW[:0]
+		for _, pw := range w.powers {
+			w.powerUW = append(w.powerUW, uint32(pw*1e6+0.5))
 		}
 	}
 	if len(pend) == 1 {
@@ -415,14 +462,15 @@ func solveWindows(cfg Config, disp *etherlink.Dispatcher, pend []*window,
 		}); err != nil {
 			return failFrom(pend, w, err)
 		}
-		if err := disp.RecvTempsInto(temps, nil); err != nil {
+		if err := disp.RecvTempsInto(&sv.temps, nil); err != nil {
 			return failFrom(pend, w, err)
 		}
-		w.cellTemps = kelvinInto(w.cellTemps, temps.MilliK)
-		finishWindow(cfg, w)
+		w.cellTemps = kelvinInto(w.cellTemps, sv.temps.MilliK)
+		sv.finish(w)
 		return nil
 	}
 
+	batch := &sv.batch
 	if cap(batch.Windows) < len(pend) {
 		batch.Windows = make([]etherlink.Stats, len(pend))
 	}
@@ -435,17 +483,17 @@ func solveWindows(cfg Config, disp *etherlink.Dispatcher, pend []*window,
 	if err := disp.SendStatsBatch(batch); err != nil {
 		return failFrom(pend, pend[0], err)
 	}
-	if err := disp.RecvTempsBatchInto(treply, nil); err != nil {
+	if err := disp.RecvTempsBatchInto(&sv.treply, nil); err != nil {
 		return failFrom(pend, pend[0], err)
 	}
-	if len(treply.Windows) != len(pend) {
+	if len(sv.treply.Windows) != len(pend) {
 		return failFrom(pend, pend[0], fmt.Errorf(
 			"core: host answered %d temperature windows for a %d-window batch",
-			len(treply.Windows), len(pend)))
+			len(sv.treply.Windows), len(pend)))
 	}
 	for i, w := range pend {
-		w.cellTemps = kelvinInto(w.cellTemps, treply.Windows[i].MilliK)
-		finishWindow(cfg, w)
+		w.cellTemps = kelvinInto(w.cellTemps, sv.treply.Windows[i].MilliK)
+		sv.finish(w)
 	}
 	return nil
 }
@@ -476,10 +524,10 @@ func kelvinInto(dst []float64, milliK []uint32) []float64 {
 	return dst
 }
 
-// finishWindow derives the window's sensor readings and policy verdict
-// from its fresh cell temperatures.
-func finishWindow(cfg Config, w *window) {
-	w.compTemps = cfg.Host.ComponentTempsInto(w.cellTemps, w.compTemps)
+// finish derives the window's sensor readings and policy verdict from its
+// fresh cell temperatures.
+func (sv *solver) finish(w *window) {
+	w.compTemps = sv.host.ComponentTempsInto(w.cellTemps, w.compTemps)
 	w.maxTempK = 0
 	for _, t := range w.cellTemps {
 		if t > w.maxTempK {
@@ -488,20 +536,20 @@ func finishWindow(cfg Config, w *window) {
 	}
 	w.setFreqHz = 0
 	w.throttled = false
-	if cfg.Policy != nil {
+	if sv.policy != nil {
 		if cap(w.sensors) < len(w.compTemps) {
 			w.sensors = make([]tm.Sensor, 0, len(w.compTemps))
 		}
 		w.sensors = w.sensors[:0]
 		for i, t := range w.compTemps {
 			w.sensors = append(w.sensors, tm.Sensor{
-				Name:  cfg.Host.FP.Components[i].Name,
-				TempK: cfg.Sensor.Read(t),
+				Name:  sv.host.FP.Components[i].Name,
+				TempK: sv.sensor.Read(t),
 			})
 		}
-		action := cfg.Policy.Update(w.sensors)
+		action := sv.policy.Update(w.sensors)
 		w.setFreqHz = action.SetFreqHz
-		if th, ok := cfg.Policy.(*tm.ThresholdDFS); ok {
+		if th, ok := sv.policy.(*tm.ThresholdDFS); ok {
 			w.throttled = th.Throttled()
 		}
 	}

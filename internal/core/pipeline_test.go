@@ -32,7 +32,7 @@ func runWithJournal(t *testing.T, cfg Config) (*Result, *golden.Trace) {
 
 // TestPipelinedDigestMatchesSerialTMOff is the differential matrix of the
 // determinism contract: with thermal feedback off (no DFS policy, no
-// leakage) the pipelined loop must be digest-identical to the serial loop
+// leakage) the pipelined loop must be digest-identical to depth 0
 // at every depth, because window boundaries depend only on emulated state.
 func TestPipelinedDigestMatchesSerialTMOff(t *testing.T) {
 	serial, serialTr := runWithJournal(t, testConfig(t, 4, nil))

@@ -2,6 +2,7 @@ package floorplan
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -274,6 +275,28 @@ func TestReadJSONValidates(t *testing.T) {
 	bad4 := `{"name":"x","die_w_um":1000,"die_h_um":1000,"zzz":1,"components":[]}`
 	if _, err := ReadJSON(strings.NewReader(bad4)); err == nil {
 		t.Error("unknown field accepted")
+	}
+}
+
+// TestReadJSONCapsInput: a document past MaxJSONBytes is rejected with a
+// *TooLargeError before the decoder buffers it all, while a document just
+// under the cap still parses.
+func TestReadJSONCapsInput(t *testing.T) {
+	head := `{"name":"`
+	tail := `","die_w_um":1000,"die_h_um":1000,"components":[]}`
+	doc := func(nameLen int) string { return head + strings.Repeat("x", nameLen) + tail }
+
+	_, err := ReadJSON(strings.NewReader(doc(MaxJSONBytes)))
+	var tooLarge *TooLargeError
+	if !errors.As(err, &tooLarge) || tooLarge.Limit != MaxJSONBytes {
+		t.Fatalf("oversized document: err = %v, want *TooLargeError", err)
+	}
+	fp, err := ReadJSON(strings.NewReader(doc(MaxJSONBytes - len(head) - len(tail))))
+	if err != nil {
+		t.Fatalf("document at the cap rejected: %v", err)
+	}
+	if len(fp.Name) != MaxJSONBytes-len(head)-len(tail) {
+		t.Fatalf("name length %d", len(fp.Name))
 	}
 }
 

@@ -85,13 +85,31 @@ func (fp *Floorplan) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
+// MaxJSONBytes bounds the floorplan document ReadJSON accepts, so an
+// untrusted or runaway input cannot grow the decoder without limit. The
+// paper's floorplans take about 4 KB; a 1 MiB document holds thousands of
+// components.
+const MaxJSONBytes = 1 << 20
+
+// TooLargeError reports a floorplan document longer than its Limit.
+type TooLargeError struct{ Limit int64 }
+
+func (e *TooLargeError) Error() string {
+	return fmt.Sprintf("floorplan: JSON document exceeds %d bytes", e.Limit)
+}
+
 // ReadJSON parses a floorplan written by WriteJSON (or authored by hand)
-// and validates it.
+// and validates it. Documents longer than MaxJSONBytes are rejected with a
+// *TooLargeError.
 func ReadJSON(r io.Reader) (*Floorplan, error) {
 	var in jsonFloorplan
-	dec := json.NewDecoder(r)
+	lr := &io.LimitedReader{R: r, N: MaxJSONBytes}
+	dec := json.NewDecoder(lr)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&in); err != nil {
+		if lr.N == 0 {
+			return nil, &TooLargeError{Limit: MaxJSONBytes}
+		}
 		return nil, fmt.Errorf("floorplan: parse: %w", err)
 	}
 	fp := &Floorplan{Name: in.Name, DieW: in.DieWUm * um, DieH: in.DieHUm * um}
@@ -112,6 +130,9 @@ func ReadJSON(r io.Reader) (*Floorplan, error) {
 		case jc.Power != nil:
 			c.Model = power.Model{Name: jc.Power.Name, MaxPowerW: jc.Power.MaxPowerW,
 				DensityWmm2: jc.Power.DensityWmm2, RefFreqHz: jc.Power.RefFreqMHz * 1e6}
+			if math.IsInf(c.Model.RefFreqHz, 0) {
+				return nil, fmt.Errorf("floorplan: component %s reference frequency %g MHz overflows", jc.Name, jc.Power.RefFreqMHz)
+			}
 		default:
 			return nil, fmt.Errorf("floorplan: component %s has neither a model reference nor inline power", jc.Name)
 		}

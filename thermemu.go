@@ -395,16 +395,6 @@ func RunCoEmulation(cfg CoEmulationConfig, onSample func(Sample)) (*CoEmulationR
 	return core.Run(cfg, onSample)
 }
 
-// RunCoEmulationPipelined is RunCoEmulation with a software pipeline of the
-// given depth: window N+1 emulates while window N's statistics are
-// dispatched and solved, trading a sensor latency of depth windows for
-// overlap (see CoEmulationConfig.PipelineDepth for the determinism
-// contract). depth 0 is the serial loop.
-func RunCoEmulationPipelined(cfg CoEmulationConfig, depth int, onSample func(Sample)) (*CoEmulationResult, error) {
-	cfg.PipelineDepth = depth
-	return core.Run(cfg, onSample)
-}
-
 // DialThermalHost connects the device side to a remote thermal server
 // (cmd/thermserver) over TCP.
 func DialThermalHost(addr string) (Transport, error) {
