@@ -1,16 +1,19 @@
 // Command benchgate enforces the benchmark performance contracts on
 // `go test -json` benchmark streams recorded by CI.
 //
-// Closed-loop mode (default) checks BENCH_loop.json:
+// Closed-loop mode (default) checks BENCH_loop.json. Rows are keyed by name
+// and maxprocs, and the contracts hold at every processor count recorded
+// (CI records `-cpu 1,2`):
 //
 //   - BenchmarkClosedLoopPipelinedLink must beat BenchmarkClosedLoopSerialLink
 //     in windows/s: pipelining exists to hide link latency, and that win is
 //     processor-count independent.
 //   - BenchmarkClosedLoopPipelined must beat BenchmarkClosedLoopSerial when
-//     the runner has more than one processor; on a single-CPU runner, where
-//     overlap is physically impossible, it must stay within 10% of serial
-//     (the pipeline's bookkeeping overhead budget).
-//   - The pipelined steady state must not allocate per window.
+//     the run has more than one processor; at one processor, where overlap
+//     is physically impossible, it must stay within 10% of serial (the
+//     pipeline's bookkeeping overhead budget).
+//   - Neither the serial (depth 0) nor the pipelined steady state may
+//     allocate per window: both average under one allocation per window.
 //
 // Emulation-kernel mode (-emu) compares a fresh BENCH_emu.json against the
 // committed baseline: every BenchmarkRunSerial/BenchmarkRunParallel variant
@@ -148,11 +151,16 @@ func parse(path string, result *regexp.Regexp, byProcs bool) (map[string]metrics
 		}
 		key := m[1]
 		if byProcs && mt.maxprocs > 0 {
-			key = fmt.Sprintf("%s (maxprocs %d)", key, int(mt.maxprocs))
+			key = procsKey(key, int(mt.maxprocs))
 		}
 		out[key] = mt
 	}
 	return out, nil
+}
+
+// procsKey is the row key of a benchmark at one processor count.
+func procsKey(name string, procs int) string {
+	return fmt.Sprintf("%s (maxprocs %d)", name, procs)
 }
 
 // checker prints one ok/FAIL line per contract and remembers any failure.
@@ -168,45 +176,66 @@ func (c *checker) check(ok bool, format string, args ...any) {
 }
 
 func gateLoop(path string) int {
-	res, err := parse(path, loopResultLine, false)
+	res, err := parse(path, loopResultLine, true)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		return 2
 	}
-
-	get := func(name string) metrics {
-		m, ok := res[name]
-		if !ok || m.windowsPerS == 0 {
-			fmt.Fprintf(os.Stderr, "benchgate: %s missing from %s\n", name, path)
-			os.Exit(2)
+	procSet := make(map[int]bool)
+	for _, m := range res {
+		if m.maxprocs > 0 {
+			procSet[int(m.maxprocs)] = true
 		}
-		return m
 	}
-	serial := get("BenchmarkClosedLoopSerial")
-	pipe := get("BenchmarkClosedLoopPipelined")
-	serialLink := get("BenchmarkClosedLoopSerialLink")
-	pipeLink := get("BenchmarkClosedLoopPipelinedLink")
+	if len(procSet) == 0 {
+		fmt.Fprintf(os.Stderr, "benchgate: no closed-loop rows with a maxprocs metric in %s\n", path)
+		return 2
+	}
+	procs := make([]int, 0, len(procSet))
+	for p := range procSet {
+		procs = append(procs, p)
+	}
+	sort.Ints(procs)
 
 	var c checker
-	c.check(pipeLink.windowsPerS > serialLink.windowsPerS,
-		"link: pipelined %.1f windows/s vs serial %.1f windows/s",
-		pipeLink.windowsPerS, serialLink.windowsPerS)
+	for _, p := range procs {
+		get := func(name string) metrics {
+			key := procsKey(name, p)
+			m, ok := res[key]
+			if !ok || m.windowsPerS == 0 {
+				fmt.Fprintf(os.Stderr, "benchgate: %s missing from %s\n", key, path)
+				os.Exit(2)
+			}
+			return m
+		}
+		serial := get("BenchmarkClosedLoopSerial")
+		pipe := get("BenchmarkClosedLoopPipelined")
+		serialLink := get("BenchmarkClosedLoopSerialLink")
+		pipeLink := get("BenchmarkClosedLoopPipelinedLink")
 
-	if serial.maxprocs > 1 {
-		c.check(pipe.windowsPerS > serial.windowsPerS,
-			"in-process (%d cpus): pipelined %.1f windows/s vs serial %.1f windows/s",
-			int(serial.maxprocs), pipe.windowsPerS, serial.windowsPerS)
-	} else {
-		c.check(pipe.windowsPerS >= 0.9*serial.windowsPerS,
-			"in-process (1 cpu, parity gate): pipelined %.1f windows/s vs serial %.1f windows/s",
-			pipe.windowsPerS, serial.windowsPerS)
-	}
-
-	if pipe.hasAllocs {
-		c.check(pipe.allocsPerW < 1,
-			"pipelined steady state: %.2f allocs/window", pipe.allocsPerW)
-	} else {
-		c.check(false, "pipelined allocs/window metric missing")
+		c.check(pipeLink.windowsPerS > serialLink.windowsPerS,
+			"link (%d cpus): pipelined %.1f windows/s vs serial %.1f windows/s",
+			p, pipeLink.windowsPerS, serialLink.windowsPerS)
+		if p > 1 {
+			c.check(pipe.windowsPerS > serial.windowsPerS,
+				"in-process (%d cpus): pipelined %.1f windows/s vs serial %.1f windows/s",
+				p, pipe.windowsPerS, serial.windowsPerS)
+		} else {
+			c.check(pipe.windowsPerS >= 0.9*serial.windowsPerS,
+				"in-process (1 cpu, parity gate): pipelined %.1f windows/s vs serial %.1f windows/s",
+				pipe.windowsPerS, serial.windowsPerS)
+		}
+		for _, row := range []struct {
+			name string
+			m    metrics
+		}{{"serial", serial}, {"pipelined", pipe}} {
+			if row.m.hasAllocs {
+				c.check(row.m.allocsPerW < 1,
+					"%s steady state (%d cpus): %.2f allocs/window", row.name, p, row.m.allocsPerW)
+			} else {
+				c.check(false, "%s allocs/window metric missing (%d cpus)", row.name, p)
+			}
+		}
 	}
 	return c.fail
 }

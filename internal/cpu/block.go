@@ -17,6 +17,17 @@ package cpu
 // RestoreState (checkpoint resume restores to a cold cache), and never
 // serialized. Contrast isa.DecodeCache, which is keyed by the instruction
 // word itself and needs none of this.
+//
+// Translation allocates nothing per block. Blocks, their blockOps and the
+// segments of their batched-fetch plans (embedded in the block by value)
+// are carved from small per-core chunks, and a fresh chunk is allocated
+// only when the current one runs out, so a window that translates a few
+// blocks usually touches no heap at all. A flush (capacity, Reset,
+// RestoreState) abandons the current chunks and never rewinds them:
+// StepBlocks can hold a pending batched fetch against the plan of a block
+// that the translate it is waiting on has just flushed, and that plan must
+// stay intact until the pending fetches settle. Abandoned chunks are
+// reclaimed by the garbage collector once nothing points into them.
 
 import (
 	"thermemu/internal/isa"
@@ -34,6 +45,11 @@ const (
 	// blockPageBits is the invalidation granularity of the page index.
 	blockPageBits = 12
 	blockPageSize = 1 << blockPageBits
+	// blockChunk and opChunk size the storage chunks blocks and blockOps
+	// are carved from: small, so the unused tail of a core's last chunk
+	// costs little on many-core platforms.
+	blockChunk = 16
+	opChunk    = 128
 )
 
 // blockOp is one pre-decoded instruction of a translated block: a threaded
@@ -59,9 +75,10 @@ type block struct {
 	valid bool
 	ops   []blockOp
 	fp    *mem.FetchPath
-	// plan is the block's batched-fetch plan (nil when the fetch path
-	// cannot batch).
-	plan *mem.BatchPlan
+	// plan is the block's batched-fetch plan, usable when batch is set
+	// (the fetch path can batch).
+	plan  mem.BatchPlan
+	batch bool
 }
 
 func (b *block) overlaps(addr, n uint32) bool {
@@ -91,6 +108,11 @@ type blockCache struct {
 	pages   map[uint32][]*block
 	fps     []*mem.FetchPath
 	scratch []isa.Instr
+	// blockBuf, opBuf and plans hold the unused tails of the current
+	// storage chunks (see the file comment).
+	blockBuf []block
+	opBuf    []blockOp
+	plans    mem.PlanStore
 	// lo/hi bound every address ever covered by a translated block
 	// (monotone — stale-but-safe after invalidations), so the store hook
 	// rejects non-code stores with two compares.
@@ -147,7 +169,23 @@ func (bc *blockCache) flush() {
 	bc.table = [blockTableSize]blockTabEntry{}
 	bc.blocks = make(map[uint32]*block)
 	bc.pages = make(map[uint32][]*block)
+	// Abandon the storage chunks, never rewind them: a pending batched
+	// fetch may still name the plan of a block discarded here.
+	bc.blockBuf, bc.opBuf, bc.plans = nil, nil, mem.PlanStore{}
 	bc.stats.Flushes++
+}
+
+// carve returns n zeroed elements from the unused tail *buf of the current
+// storage chunk, starting a new chunk of max(n, chunk) elements when the
+// tail is too short. The result's capacity is n, so it can never grow into
+// a later carve.
+func carve[T any](buf *[]T, n, chunk int) []T {
+	if n > len(*buf) {
+		*buf = make([]T, max(n, chunk))
+	}
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
 }
 
 // lookup returns the valid block entered at pc, or nil.
@@ -226,17 +264,16 @@ func (c *Core) translate(pc uint32) *block {
 	if len(bc.blocks) >= blockCacheMax {
 		bc.flush()
 	}
-	b := &block{
-		entry: pc,
-		end:   pc + uint32(len(instrs))*4,
-		valid: true,
-		ops:   make([]blockOp, len(instrs)),
-		fp:    fp,
-	}
+	b := &carve(&bc.blockBuf, 1, blockChunk)[0]
+	b.entry = pc
+	b.end = pc + uint32(len(instrs))*4
+	b.valid = true
+	b.ops = carve(&bc.opBuf, len(instrs), opChunk)
+	b.fp = fp
 	for i, in := range instrs {
 		emitOp(&b.ops[i], in, pc+uint32(i)*4)
 	}
-	b.plan = fp.NewBatchPlan(pc, uint32(len(instrs)))
+	b.batch = fp.InitBatchPlan(&b.plan, pc, uint32(len(instrs)), &bc.plans)
 	bc.blocks[pc] = b
 	for pg := pc &^ (blockPageSize - 1); pg < b.end; pg += blockPageSize {
 		bc.pages[pg] = append(bc.pages[pg], b)
@@ -322,19 +359,19 @@ dispatch:
 		fp := b.fp
 		ops := b.ops
 		batched := false
-		if b.plan != nil {
-			if b.plan == pendPlan && fetched > 0 {
+		if b.batch {
+			if &b.plan == pendPlan && fetched > 0 {
 				// Same plan re-entered with fetches still pending: batched
 				// fetches defer all icache traffic and data accesses go to
 				// the dcache, so nothing can have moved the icache epoch
 				// since Ready proved residency — it is still Ready.
 				batched = true
-			} else if h, ok := fp.Ready(b.plan); ok {
+			} else if h, ok := fp.Ready(&b.plan); ok {
 				if fetched > 0 {
 					pendFp.Settle(pendPlan, fetched)
 					fetched = 0
 				}
-				pendPlan, pendFp, fHit = b.plan, fp, h
+				pendPlan, pendFp, fHit = &b.plan, fp, h
 				batched = true
 			}
 		}

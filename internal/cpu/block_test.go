@@ -341,3 +341,81 @@ func TestBlocksMixedLoopWithLatency(t *testing.T) {
 		t.Errorf("r6: interpreter %d, blocks %d", ref.Reg(6), blk.Reg(6))
 	}
 }
+
+// TestBlocksCapacityFlushWithPendingFetch forces a capacity flush of the
+// block cache inside one StepBlocks call while batched fetches of the hot
+// loop block are still pending: the exit block's translation flushes the
+// cache, and the pending fetches settle against the plan of the block the
+// flush just discarded. That plan must survive the flush (storage chunks
+// are abandoned, never rewound) for the run to stay identical to Step.
+func TestBlocksCapacityFlushWithPendingFetch(t *testing.T) {
+	// The loop block spans two icache lines and the exit block starts in
+	// the second and runs into a third, cold one.
+	src := `
+	loop:
+		addi r3, r3, 1
+		addi r3, r3, 1
+		addi r3, r3, 1
+		addi r3, r3, 1
+		addi r1, r1, -1
+		bne  r1, r0, loop
+		addi r2, r0, 1
+		addi r2, r2, 1
+		addi r2, r2, 1
+		addi r2, r2, 1
+		halt
+	`
+	build := func() (*Core, *mem.Cache) {
+		im, err := asm.Assemble(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl := mem.NewController("ctl0", 0)
+		priv := mem.NewMemory("priv", 64*1024, 3)
+		if err := ctl.AddRange(mem.Range{Name: "priv", Base: 0, Target: priv, Kind: mem.KindPrivate, Cacheable: true}); err != nil {
+			t.Fatal(err)
+		}
+		ic := mem.NewCache(mem.CacheConfig{Name: "ic", SizeBytes: 1024, LineBytes: 16, Assoc: 1, HitLatency: 0})
+		ctl.AttachCaches(ic, mem.NewCache(mem.CacheConfig{Name: "dc", SizeBytes: 512, LineBytes: 16, Assoc: 2, HitLatency: 0}))
+		for _, s := range im.Sections {
+			priv.WriteBytes(s.Addr, s.Data)
+		}
+		c := New(0, Microblaze, ctl)
+		c.Reset(im.Entry)
+		c.SetReg(1, 6)
+		return c, ic
+	}
+
+	blk, blkIC := build()
+	blk.EnableBlocks()
+	// Fill the cache to one below capacity with dead entries away from the
+	// code, so translating the loop block fills it and translating the
+	// exit block (while the loop's fetches are pending) flushes it.
+	for i := 0; i < blockCacheMax-1; i++ {
+		blk.blocks.blocks[0x8000+4*uint32(i)] = &block{}
+	}
+	n, _, _ := blk.StepBlocks(0, 10_000, WakeNever)
+	if !blk.Halted() {
+		t.Fatalf("one StepBlocks call did not run to halt (%d cycles, pc %#x)", n, blk.PC())
+	}
+	if st := blk.BlockStats(); st.Flushes != 1 || st.Translated != 2 {
+		t.Fatalf("want one capacity flush between two translations, got %+v", st)
+	}
+
+	ref, refIC := build()
+	run(t, ref, n)
+	if ref.PC() != blk.PC() {
+		t.Errorf("pc: interpreter %#x, blocks %#x", ref.PC(), blk.PC())
+	}
+	if ref.Stats() != blk.Stats() {
+		t.Errorf("stats diverge:\n interpreter %+v\n blocks      %+v", ref.Stats(), blk.Stats())
+	}
+	if refIC.Stats() != blkIC.Stats() {
+		t.Errorf("icache diverges:\n interpreter %+v\n blocks      %+v", refIC.Stats(), blkIC.Stats())
+	}
+	for _, r := range []uint8{2, 3} {
+		if ref.Reg(r) != blk.Reg(r) {
+			t.Errorf("r%d: interpreter %d, blocks %d", r, ref.Reg(r), blk.Reg(r))
+		}
+	}
+}

@@ -73,11 +73,9 @@ type cacheLine struct {
 // always consistent, so the cache only determines how many cycles an access
 // costs and which refills/write-backs reach the next level.
 type Cache struct {
-	cfg  CacheConfig
-	sets [][]cacheLine
-	// lines is the flat backing array the per-set slices in sets view into;
-	// Access indexes it directly (set*assoc) to keep the hot lookup free of
-	// the double indirection.
+	cfg CacheConfig
+	// lines holds every way of every set, set-major: set s occupies
+	// lines[s*assoc : s*assoc+assoc].
 	lines []cacheLine
 	assoc uint32
 	nSets uint32
@@ -119,13 +117,8 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic("mem: " + err.Error())
 	}
 	nSets := cfg.SizeBytes / (cfg.LineBytes * uint32(cfg.Assoc))
-	sets := make([][]cacheLine, nSets)
-	lines := make([]cacheLine, nSets*uint32(cfg.Assoc))
-	rest := lines
-	for i := range sets {
-		sets[i], rest = rest[:cfg.Assoc], rest[cfg.Assoc:]
-	}
-	return &Cache{cfg: cfg, sets: sets, lines: lines, assoc: uint32(cfg.Assoc), nSets: nSets,
+	return &Cache{cfg: cfg, lines: make([]cacheLine, nSets*uint32(cfg.Assoc)),
+		assoc: uint32(cfg.Assoc), nSets: nSets,
 		lineShift: uint32(bits.TrailingZeros32(cfg.LineBytes)),
 		setShift:  uint32(bits.TrailingZeros32(nSets)),
 		setMask:   nSets - 1,
@@ -163,18 +156,16 @@ func (c *Cache) Flush(now uint64, resolve Resolver) uint64 {
 	c.memoIdx, c.memoIdx2 = -1, -1
 	c.epoch++
 	var total uint64
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			ln := &c.sets[si][wi]
-			if ln.valid && ln.dirty {
-				addr := c.lineAddr(ln.tag, uint32(si))
-				if t, local := resolve(addr); t != nil {
-					total += t.Latency(now+total, local, c.cfg.LineBytes, true)
-				}
-				c.stats.Writebacks++
+	for i := range c.lines {
+		ln := &c.lines[i]
+		if ln.valid && ln.dirty {
+			addr := c.lineAddr(ln.tag, uint32(i)/c.assoc)
+			if t, local := resolve(addr); t != nil {
+				total += t.Latency(now+total, local, c.cfg.LineBytes, true)
 			}
-			*ln = cacheLine{}
+			c.stats.Writebacks++
 		}
+		*ln = cacheLine{}
 	}
 	return total
 }
@@ -182,6 +173,12 @@ func (c *Cache) Flush(now uint64, resolve Resolver) uint64 {
 func (c *Cache) index(addr uint32) (set, tag uint32) {
 	line := addr >> c.lineShift
 	return line & c.setMask, line >> c.setShift
+}
+
+// set returns the ways of one set.
+func (c *Cache) set(set uint32) []cacheLine {
+	base := set * c.assoc
+	return c.lines[base : base+c.assoc]
 }
 
 func (c *Cache) lineAddr(tag, set uint32) uint32 {
@@ -265,7 +262,7 @@ func (c *Cache) Access(addr uint32, write bool) (hit bool, stall uint64) {
 // returns the victim's write-back requirement.
 func (c *Cache) Refill(addr uint32, write bool) (victimAddr uint32, victimDirty bool) {
 	set, tag := c.index(addr)
-	lines := c.sets[set]
+	lines := c.set(set)
 	vi := 0
 	for i := range lines {
 		if !lines[i].valid {
@@ -321,7 +318,7 @@ func (c *Cache) resident(addr uint32) int32 {
 // (used by tests and by atomic-swap invalidation).
 func (c *Cache) Contains(addr uint32) bool {
 	set, tag := c.index(addr)
-	for _, ln := range c.sets[set] {
+	for _, ln := range c.set(set) {
 		if ln.valid && ln.tag == tag {
 			return true
 		}
@@ -335,7 +332,7 @@ func (c *Cache) Invalidate(addr uint32) {
 	c.memoIdx, c.memoIdx2 = -1, -1
 	c.epoch++
 	set, tag := c.index(addr)
-	lines := c.sets[set]
+	lines := c.set(set)
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
 			lines[i] = cacheLine{}

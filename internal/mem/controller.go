@@ -554,6 +554,7 @@ type fetchSeg struct {
 	addr  uint32 // global address of the segment's first instruction
 	first uint32 // index of the segment's first instruction in the block
 	last  uint32 // index of the segment's last instruction in the block
+	line  int32  // flat icache line index found by the last successful Ready
 }
 
 // BatchPlan is the precomputed icache plan of one translated block: its
@@ -562,35 +563,57 @@ type fetchSeg struct {
 // epoch stands still (no refill/invalidate/flush/restore), re-entering the
 // block costs one compare instead of a directory walk, and a whole run of
 // hitting fetches settles in one batch with effects bit-identical to the
-// per-instruction path.
+// per-instruction path. The zero value is an empty plan; InitBatchPlan
+// fills one in place.
 type BatchPlan struct {
 	segs  []fetchSeg
-	lines []int32 // flat-array indices into the icache's line store
 	epoch uint64
 	ok    bool
 }
 
-// NewBatchPlan builds the fetch plan for a straight-line block of n
-// instructions entered at the global address entry, or returns nil when the
-// path cannot batch (uncacheable range or no icache).
-func (fp *FetchPath) NewBatchPlan(entry uint32, n uint32) *BatchPlan {
+// segChunk is the segment count of one PlanStore chunk: a few blocks'
+// worth, so a translator's unused tail stays small.
+const segChunk = 32
+
+// PlanStore carves BatchPlan segment storage from small chunks, so
+// building a plan does not allocate per plan. The zero value is ready to
+// use. Carved storage is never handed out twice, so a plan stays intact
+// for as long as anything references it; resetting a store to its zero
+// value abandons the rest of its current chunk.
+type PlanStore struct{ free []fetchSeg }
+
+func (st *PlanStore) take(n int) []fetchSeg {
+	if n > len(st.free) {
+		st.free = make([]fetchSeg, max(n, segChunk))
+	}
+	segs := st.free[:n:n]
+	st.free = st.free[n:]
+	return segs
+}
+
+// InitBatchPlan fills p with the fetch plan for a straight-line block of n
+// instructions entered at the global address entry, taking its storage
+// from st. It reports false, leaving p empty, when the path cannot batch
+// (uncacheable range or no icache).
+func (fp *FetchPath) InitBatchPlan(p *BatchPlan, entry, n uint32, st *PlanStore) bool {
 	ic := fp.ctrl.icache
 	if !fp.cacheable || ic == nil || n == 0 {
-		return nil
+		return false
 	}
 	lineBytes := uint32(1) << ic.lineShift
-	p := &BatchPlan{epoch: ^uint64(0)}
-	for i := uint32(0); i < n; {
+	lines := (entry+4*n-1)>>ic.lineShift - entry>>ic.lineShift + 1
+	*p = BatchPlan{segs: st.take(int(lines)), epoch: ^uint64(0)}
+	k := 0
+	for i := uint32(0); i < n; k++ {
 		a := entry + 4*i
 		last := i + ((a|(lineBytes-1))+1-a)/4 - 1
 		if last > n-1 {
 			last = n - 1
 		}
-		p.segs = append(p.segs, fetchSeg{addr: a, first: i, last: last})
+		p.segs[k] = fetchSeg{addr: a, first: i, last: last, line: -1}
 		i = last + 1
 	}
-	p.lines = make([]int32, 0, len(p.segs))
-	return p
+	return true
 }
 
 // Ready reports whether every line of the plan is currently resident, so
@@ -612,14 +635,12 @@ func (fp *FetchPath) Ready(p *BatchPlan) (hitLatency uint64, ok bool) {
 		return 0, false
 	}
 	p.epoch = ic.epoch
-	p.lines = p.lines[:0]
 	for i := range p.segs {
-		li := ic.resident(p.segs[i].addr)
-		if li < 0 {
+		s := &p.segs[i]
+		if s.line = ic.resident(s.addr); s.line < 0 {
 			p.ok = false
 			return 0, false
 		}
-		p.lines = append(p.lines, li)
 	}
 	p.ok = true
 	return ic.cfg.HitLatency, true
@@ -654,9 +675,9 @@ func (fp *FetchPath) Settle(p *BatchPlan, n uint32) {
 			if end > n-1 {
 				end = n - 1
 			}
-			ln := &ic.lines[p.lines[i]]
+			ln := &ic.lines[s.line]
 			ln.lru = base + uint64(end) + 1
-			ic.memoLine, ic.memoIdx = s.addr>>ic.lineShift, p.lines[i]
+			ic.memoLine, ic.memoIdx = s.addr>>ic.lineShift, s.line
 		}
 	} else {
 		// k full passes then a final pass of rem fetches (1 <= rem <=
@@ -682,10 +703,10 @@ func (fp *FetchPath) Settle(p *BatchPlan, n uint32) {
 			} else {
 				lastIdx = full - uint64(blockLen) + uint64(s.last)
 			}
-			ln := &ic.lines[p.lines[i]]
+			ln := &ic.lines[s.line]
 			ln.lru = base + lastIdx + 1
 			if s.first <= rem-1 && rem-1 <= s.last {
-				ic.memoLine, ic.memoIdx = s.addr>>ic.lineShift, p.lines[i]
+				ic.memoLine, ic.memoIdx = s.addr>>ic.lineShift, s.line
 			}
 		}
 	}

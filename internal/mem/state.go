@@ -78,10 +78,8 @@ func (c *Cache) SaveState() CacheState {
 		Stats:   c.stats,
 		Enabled: c.enable,
 	}
-	for _, set := range c.sets {
-		for _, ln := range set {
-			s.Lines = append(s.Lines, CacheLineState{Tag: ln.tag, Valid: ln.valid, Dirty: ln.dirty, LRU: ln.lru})
-		}
+	for _, ln := range c.lines {
+		s.Lines = append(s.Lines, CacheLineState{Tag: ln.tag, Valid: ln.valid, Dirty: ln.dirty, LRU: ln.lru})
 	}
 	return s
 }
@@ -93,13 +91,8 @@ func (c *Cache) RestoreState(s CacheState) error {
 	if len(s.Lines) != want {
 		return fmt.Errorf("cache: checkpoint has %d lines, geometry needs %d", len(s.Lines), want)
 	}
-	i := 0
-	for _, set := range c.sets {
-		for w := range set {
-			ln := s.Lines[i]
-			set[w] = cacheLine{tag: ln.Tag, valid: ln.Valid, dirty: ln.Dirty, lru: ln.LRU}
-			i++
-		}
+	for i, ln := range s.Lines {
+		c.lines[i] = cacheLine{tag: ln.Tag, valid: ln.Valid, dirty: ln.Dirty, lru: ln.LRU}
 	}
 	c.stamp = s.Stamp
 	c.stats = s.Stats

@@ -50,21 +50,36 @@ const maxMsgBytes = 16 << 20
 var errPeerStopped = errors.New("sweep: peer stopped")
 
 func sendMsg(ep *etherlink.Endpoint, m *wireMsg) error {
-	b, err := json.Marshal(m)
+	payloads, err := chunks(m)
 	if err != nil {
 		return err
 	}
-	for len(b) > maxChunk {
-		if err := ep.Send(etherlink.MsgSweep, append([]byte{0}, b[:maxChunk]...)); err != nil {
+	for _, p := range payloads {
+		if err := ep.Send(etherlink.MsgSweep, p); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// chunks splits the JSON document of m into MsgSweep payloads: a last-chunk
+// marker byte (1 on the final chunk, 0 before it) followed by at most
+// maxChunk document bytes.
+func chunks(m *wireMsg) ([][]byte, error) {
+	b, err := json.Marshal(m)
+	if err != nil {
+		return nil, err
+	}
+	var out [][]byte
+	for len(b) > maxChunk {
+		out = append(out, append([]byte{0}, b[:maxChunk]...))
 		b = b[maxChunk:]
 	}
-	return ep.Send(etherlink.MsgSweep, append([]byte{1}, b...))
+	return append(out, append([]byte{1}, b...)), nil
 }
 
 func recvMsg(ep *etherlink.Endpoint) (*wireMsg, error) {
-	var doc []byte
+	var a assembler
 	for {
 		f, err := ep.Recv()
 		if err != nil {
@@ -80,22 +95,35 @@ func recvMsg(ep *etherlink.Endpoint) (*wireMsg, error) {
 		default:
 			continue // not ours (e.g. stray acks); the sweep stream is MsgSweep only
 		}
-		if len(f.Payload) == 0 {
-			return nil, fmt.Errorf("sweep: empty protocol frame")
+		if m, err := a.add(f.Payload); m != nil || err != nil {
+			return m, err
 		}
-		if len(doc)+len(f.Payload)-1 > maxMsgBytes {
-			return nil, fmt.Errorf("sweep: protocol message exceeds %d bytes", maxMsgBytes)
-		}
-		doc = append(doc, f.Payload[1:]...)
-		if f.Payload[0] == 0 {
-			continue
-		}
-		var m wireMsg
-		if err := json.Unmarshal(doc, &m); err != nil {
-			return nil, fmt.Errorf("sweep: malformed protocol message: %w", err)
-		}
-		return &m, nil
 	}
+}
+
+// assembler reassembles one protocol message from its MsgSweep payloads,
+// never buffering more than maxMsgBytes of document.
+type assembler struct{ doc []byte }
+
+// add consumes one payload. It returns the decoded message after the final
+// chunk, nothing while more chunks are due, or an error for an empty
+// payload, a document past maxMsgBytes or malformed JSON.
+func (a *assembler) add(payload []byte) (*wireMsg, error) {
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("sweep: empty protocol frame")
+	}
+	if len(a.doc)+len(payload)-1 > maxMsgBytes {
+		return nil, fmt.Errorf("sweep: protocol message exceeds %d bytes", maxMsgBytes)
+	}
+	a.doc = append(a.doc, payload[1:]...)
+	if payload[0] == 0 {
+		return nil, nil
+	}
+	var m wireMsg
+	if err := json.Unmarshal(a.doc, &m); err != nil {
+		return nil, fmt.Errorf("sweep: malformed protocol message: %w", err)
+	}
+	return &m, nil
 }
 
 // newEndpoint wires a transport into the sweep protocol endpoint. The

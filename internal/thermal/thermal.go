@@ -544,14 +544,10 @@ func (m *Model) ConvectedPower() float64 {
 	return q
 }
 
-// parRange runs fn over [0, n), sharded when the model is large enough and
-// configured for it, serially otherwise.
-func (m *Model) parRange(n int, fn func(lo, hi int)) {
-	if m.workers <= 1 || len(m.t) < m.minPar || n < m.workers {
-		fn(0, n)
-		return
-	}
-	parallelFor(m.workers, n, func(_, lo, hi int) { fn(lo, hi) })
+// sharded reports whether per-cell loops run on the worker pool: the model
+// is configured for it and large enough to amortise the handoffs.
+func (m *Model) sharded() bool {
+	return m.workers > 1 && len(m.t) >= m.minPar
 }
 
 // updateConductances refreshes edge conductances using the current cell
@@ -559,40 +555,60 @@ func (m *Model) parRange(n int, fn func(lo, hi int)) {
 // conductance sums used for the stability bound. It also records the
 // temperatures it used, so the solver can skip refreshes while temperatures
 // have barely moved. Only the silicon-touching edge prefix is re-evaluated
-// after construction; copper-copper conductances never change.
+// after construction; copper-copper conductances never change. The serial
+// path calls the three passes directly, so a refresh below the parallel
+// threshold allocates nothing; only the sharded path builds closures.
 func (m *Model) updateConductances() {
-	first := m.kCell[0] == 0 // only true before the initial refresh
-	m.parRange(len(m.t), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i < m.nSi {
-				m.kCell[i] = m.props.SiConductivity(m.t[i])
-			} else {
-				m.kCell[i] = m.props.CuK
-			}
-			m.tAtK[i] = m.t[i]
-		}
-	})
 	ne := m.nVarEdges
-	if first {
+	if m.kCell[0] == 0 { // only true before the initial refresh
 		ne = len(m.edgeA)
 	}
-	m.parRange(ne, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			m.edgeG[e] = m.edgeArea[e] /
-				(m.edgeDa[e]/m.kCell[m.edgeA[e]] + m.edgeDb[e]/m.kCell[m.edgeB[e]])
+	n := len(m.t)
+	if !m.sharded() {
+		m.refreshK(0, n)
+		m.refreshEdges(0, ne)
+		m.refreshSums(0, n)
+		return
+	}
+	parallelFor(m.workers, n, func(_, lo, hi int) { m.refreshK(lo, hi) })
+	parallelFor(m.workers, ne, func(_, lo, hi int) { m.refreshEdges(lo, hi) })
+	parallelFor(m.workers, n, func(_, lo, hi int) { m.refreshSums(lo, hi) })
+}
+
+// refreshK re-evaluates the conductivity of cells [lo, hi) at their current
+// temperatures and records those temperatures.
+func (m *Model) refreshK(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if i < m.nSi {
+			m.kCell[i] = m.props.SiConductivity(m.t[i])
+		} else {
+			m.kCell[i] = m.props.CuK
 		}
-	})
-	m.parRange(len(m.t), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := m.conv[i]
-			for k := m.nbrStart[i]; k < m.nbrStart[i+1]; k++ {
-				g := m.edgeG[m.nbrEdge[k]]
-				m.nbrG[k] = g
-				s += g
-			}
-			m.sumG[i] = s
+		m.tAtK[i] = m.t[i]
+	}
+}
+
+// refreshEdges recomputes the conductance of edges [lo, hi) from the cell
+// conductivities.
+func (m *Model) refreshEdges(lo, hi int) {
+	for e := lo; e < hi; e++ {
+		m.edgeG[e] = m.edgeArea[e] /
+			(m.edgeDa[e]/m.kCell[m.edgeA[e]] + m.edgeDb[e]/m.kCell[m.edgeB[e]])
+	}
+}
+
+// refreshSums copies the edge conductances into the CSR neighbour order of
+// cells [lo, hi) and totals each cell's conductance sum.
+func (m *Model) refreshSums(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		s := m.conv[i]
+		for k := m.nbrStart[i]; k < m.nbrStart[i+1]; k++ {
+			g := m.edgeG[m.nbrEdge[k]]
+			m.nbrG[k] = g
+			s += g
 		}
-	})
+		m.sumG[i] = s
+	}
 }
 
 // conductancesStale reports whether any silicon temperature drifted more
@@ -650,7 +666,7 @@ func (m *Model) substepRange(h float64, lo, hi int) {
 // threshold, sharded on the worker pool above it.
 func (m *Model) substepAll(h float64) {
 	n := len(m.t)
-	if m.workers <= 1 || n < m.minPar {
+	if !m.sharded() {
 		m.substepRange(h, 0, n)
 		return
 	}
