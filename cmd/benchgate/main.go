@@ -16,8 +16,8 @@
 //     allocate per window: both average under one allocation per window.
 //
 // Emulation-kernel mode (-emu) compares a fresh BENCH_emu.json against the
-// committed baseline: every BenchmarkRunSerial/BenchmarkRunParallel variant
-// present in the baseline must still exist and must retain at least -ratio
+// committed baseline: every BenchmarkRunSerial variant present in the
+// baseline must still exist and must retain at least -ratio
 // of its cycles/s (the slack absorbs runner noise). Rows are keyed by name
 // and maxprocs, so a `-cpu 1,2` run keeps one row per processor count.
 // Kernel PRs may only make these numbers go up; their golden digests prove
@@ -30,12 +30,14 @@
 // passes but asks for a baseline refresh, so the floor ratchets upward.
 //
 // Sweep mode (-sweep) gates BenchmarkSweep* rows (from the go test
-// benchmarks or a `cmd/sweep -out` artifact) against a baseline: every
-// baseline row must retain -ratio of its windows/s, and when the canonical
-// scaling rows are present the contracts hold — Workers4 beats Workers1
-// (multi-CPU runners; within 15% on one CPU), Workers8 holds 80% of
+// benchmarks or a `cmd/sweep -out` artifact) against a baseline. Rows are
+// keyed by name and maxprocs (CI records `-cpu 1,2`). Every baseline row
+// must retain -ratio of its windows/s, and at every processor count whose
+// canonical scaling rows are present the contracts hold — Workers4 beats
+// Workers1 (above one CPU; within 15% on one CPU), Workers8 holds 80% of
 // Workers4, and the checkpoint-shared warm-up grid beats the cold one in
-// wall time.
+// wall time. Across processor counts, Workers4 at every count above one
+// must beat Workers4 at one: the sweep is where host parallelism pays.
 //
 // Promote mode (-promote) atomically replaces a baseline with its freshly
 // regenerated BASELINE.new sibling, so refreshes are a rename — a stray
@@ -80,7 +82,7 @@ type metrics struct {
 
 var (
 	loopResultLine  = regexp.MustCompile(`^(BenchmarkClosedLoop\w+?)(?:-\d+)?\s+\d+\s+(.*)$`)
-	emuResultLine   = regexp.MustCompile(`^(BenchmarkRun(?:Serial|Parallel)\S*?)(?:-\d+)?\s+\d+\s+(.*)$`)
+	emuResultLine   = regexp.MustCompile(`^(BenchmarkRunSerial\S*?)(?:-\d+)?\s+\d+\s+(.*)$`)
 	sweepResultLine = regexp.MustCompile(`^(BenchmarkSweep\S*?)(?:-\d+)?\s+\d+\s+(.*)$`)
 )
 
@@ -163,6 +165,30 @@ func procsKey(name string, procs int) string {
 	return fmt.Sprintf("%s (maxprocs %d)", name, procs)
 }
 
+// sortedKeys returns the row keys of res in order, for stable reports.
+func sortedKeys(res map[string]metrics) []string {
+	keys := make([]string, 0, len(res))
+	for k := range res {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// procCounts returns the distinct maxprocs values recorded in res, sorted.
+func procCounts(res map[string]metrics) []int {
+	seen := make(map[int]bool)
+	var procs []int
+	for _, m := range res {
+		if p := int(m.maxprocs); p > 0 && !seen[p] {
+			seen[p] = true
+			procs = append(procs, p)
+		}
+	}
+	sort.Ints(procs)
+	return procs
+}
+
 // checker prints one ok/FAIL line per contract and remembers any failure.
 type checker struct{ fail int }
 
@@ -181,21 +207,11 @@ func gateLoop(path string) int {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		return 2
 	}
-	procSet := make(map[int]bool)
-	for _, m := range res {
-		if m.maxprocs > 0 {
-			procSet[int(m.maxprocs)] = true
-		}
-	}
-	if len(procSet) == 0 {
+	procs := procCounts(res)
+	if len(procs) == 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: no closed-loop rows with a maxprocs metric in %s\n", path)
 		return 2
 	}
-	procs := make([]int, 0, len(procSet))
-	for p := range procSet {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
 
 	var c checker
 	for _, p := range procs {
@@ -256,14 +272,8 @@ func gateEmu(newPath, basePath string, ratio float64) int {
 		return 2
 	}
 
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	var c checker
-	for _, name := range names {
+	for _, name := range sortedKeys(base) {
 		old := base[name]
 		got, ok := fresh[name]
 		if !ok || got.cyclesPerS == 0 {
@@ -276,32 +286,28 @@ func gateEmu(newPath, basePath string, ratio float64) int {
 	}
 	// Variants that exist only in the fresh run are new benchmarks: report
 	// them so the baseline gets refreshed, but do not fail.
-	extra := make([]string, 0)
-	for name := range fresh {
+	for _, name := range sortedKeys(fresh) {
 		if _, ok := base[name]; !ok {
-			extra = append(extra, name)
+			fmt.Printf("new  %s: %.3g cycles/s (not in baseline)\n", name, fresh[name].cyclesPerS)
 		}
-	}
-	sort.Strings(extra)
-	for _, name := range extra {
-		fmt.Printf("new  %s: %.3g cycles/s (not in baseline)\n", name, fresh[name].cyclesPerS)
 	}
 	return c.fail
 }
 
 // gateSweep compares a fresh BenchmarkSweep* run against the committed
-// baseline. Rows are matched by name: throughput rows (windows/s) must
-// retain -ratio of the baseline rate, wall-time-only rows (ns/op) must not
-// grow past 1/-ratio of the baseline. On top of per-row retention the
-// scaling contracts bind whenever their canonical rows exist in the fresh
-// run — they encode *why* the sweep coordinator is worth having.
+// baseline. Rows are matched by name and maxprocs: throughput rows
+// (windows/s) must retain -ratio of the baseline rate, wall-time-only rows
+// (ns/op) must not grow past 1/-ratio of the baseline. On top of per-row
+// retention the scaling contracts bind whenever their canonical rows exist
+// in the fresh run — they encode *why* the sweep coordinator is worth
+// having.
 func gateSweep(newPath, basePath string, ratio float64) int {
-	fresh, err := parse(newPath, sweepResultLine, false)
+	fresh, err := parse(newPath, sweepResultLine, true)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		return 2
 	}
-	base, err := parse(basePath, sweepResultLine, false)
+	base, err := parse(basePath, sweepResultLine, true)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		return 2
@@ -311,14 +317,8 @@ func gateSweep(newPath, basePath string, ratio float64) int {
 		return 2
 	}
 
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	var c checker
-	for _, name := range names {
+	for _, name := range sortedKeys(base) {
 		old := base[name]
 		got, ok := fresh[name]
 		if !ok {
@@ -339,46 +339,62 @@ func gateSweep(newPath, basePath string, ratio float64) int {
 		}
 	}
 
-	// Scaling contracts: aggregate throughput must grow with the worker
-	// pool when the runner has CPUs to back it, and may only pay a bounded
-	// coordination tax when it does not (single-CPU parity gates, like the
-	// closed-loop pipeline's).
-	w1, ok1 := fresh["BenchmarkSweepWorkers1"]
-	w4, ok4 := fresh["BenchmarkSweepWorkers4"]
-	w8, ok8 := fresh["BenchmarkSweepWorkers8"]
-	if ok1 && ok4 {
-		if w1.maxprocs > 1 {
-			c.check(w4.windowsPerS > w1.windowsPerS,
-				"scaling (%d cpus): 4 workers %.1f windows/s vs 1 worker %.1f windows/s",
-				int(w1.maxprocs), w4.windowsPerS, w1.windowsPerS)
-		} else {
-			c.check(w4.windowsPerS >= 0.85*w1.windowsPerS,
-				"scaling (1 cpu, parity gate): 4 workers %.1f windows/s vs 1 worker %.1f windows/s",
-				w4.windowsPerS, w1.windowsPerS)
+	// Scaling contracts at each processor count: aggregate throughput must
+	// grow with the worker pool when the runner has CPUs to back it, and
+	// may only pay a bounded coordination tax when it does not (single-CPU
+	// parity gates, like the closed-loop pipeline's).
+	procs := procCounts(fresh)
+	for _, p := range procs {
+		w1, ok1 := fresh[procsKey("BenchmarkSweepWorkers1", p)]
+		w4, ok4 := fresh[procsKey("BenchmarkSweepWorkers4", p)]
+		w8, ok8 := fresh[procsKey("BenchmarkSweepWorkers8", p)]
+		if ok1 && ok4 {
+			if p > 1 {
+				c.check(w4.windowsPerS > w1.windowsPerS,
+					"scaling (%d cpus): 4 workers %.1f windows/s vs 1 worker %.1f windows/s",
+					p, w4.windowsPerS, w1.windowsPerS)
+			} else {
+				c.check(w4.windowsPerS >= 0.85*w1.windowsPerS,
+					"scaling (1 cpu, parity gate): 4 workers %.1f windows/s vs 1 worker %.1f windows/s",
+					w4.windowsPerS, w1.windowsPerS)
+			}
 		}
-	}
-	if ok4 && ok8 {
-		c.check(w8.windowsPerS >= 0.8*w4.windowsPerS,
-			"saturation: 8 workers %.1f windows/s vs 4 workers %.1f windows/s (floor 80%%)",
-			w8.windowsPerS, w4.windowsPerS)
-	}
-	cold, okC := fresh["BenchmarkSweepWarmupCold"]
-	shared, okS := fresh["BenchmarkSweepWarmupShared"]
-	if okC && okS {
-		c.check(shared.nsPerOp < cold.nsPerOp,
-			"warm-up sharing: shared prefix %.3gs wall vs cold %.3gs wall",
-			shared.nsPerOp/1e9, cold.nsPerOp/1e9)
+		if ok4 && ok8 {
+			c.check(w8.windowsPerS >= 0.8*w4.windowsPerS,
+				"saturation (%d cpus): 8 workers %.1f windows/s vs 4 workers %.1f windows/s (floor 80%%)",
+				p, w8.windowsPerS, w4.windowsPerS)
+		}
+		cold, okC := fresh[procsKey("BenchmarkSweepWarmupCold", p)]
+		shared, okS := fresh[procsKey("BenchmarkSweepWarmupShared", p)]
+		if okC && okS {
+			c.check(shared.nsPerOp < cold.nsPerOp,
+				"warm-up sharing (%d cpus): shared prefix %.3gs wall vs cold %.3gs wall",
+				p, shared.nsPerOp/1e9, cold.nsPerOp/1e9)
+		}
 	}
 
-	extra := make([]string, 0)
-	for name := range fresh {
-		if _, ok := base[name]; !ok {
-			extra = append(extra, name)
+	// Cross-processor contract: the same 4-worker grid must run faster
+	// when the host gives it more CPUs. A multi-CPU row without its
+	// one-CPU reference fails, so the contract cannot be skipped silently.
+	one, okOne := fresh[procsKey("BenchmarkSweepWorkers4", 1)]
+	for _, p := range procs {
+		wN, ok := fresh[procsKey("BenchmarkSweepWorkers4", p)]
+		if p <= 1 || !ok {
+			continue
 		}
+		if !okOne {
+			c.check(false, "host scaling (%d cpus): BenchmarkSweepWorkers4 at maxprocs 1 missing from %s", p, newPath)
+			continue
+		}
+		c.check(wN.windowsPerS > one.windowsPerS,
+			"host scaling: 4 workers at %d cpus %.1f windows/s vs at 1 cpu %.1f windows/s",
+			p, wN.windowsPerS, one.windowsPerS)
 	}
-	sort.Strings(extra)
-	for _, name := range extra {
-		fmt.Printf("new  %s: not in baseline\n", name)
+
+	for _, name := range sortedKeys(fresh) {
+		if _, ok := base[name]; !ok {
+			fmt.Printf("new  %s: not in baseline\n", name)
+		}
 	}
 	return c.fail
 }

@@ -42,7 +42,6 @@ func main() {
 		paperDither = flag.Bool("paper-dither", false, "use the paper's 128x128 images")
 		tmIters     = flag.Int("tm-iters", 0, "Table 3 Matrix-TM iterations")
 		skipTM      = flag.Bool("skip-tm", false, "omit the Matrix-TM row")
-		parallel    = flag.Bool("parallel", false, "step the emulator on concurrent host threads")
 
 		fig6Iters = flag.Int("fig6-iters", 0, "Figure 6 Matrix-TM iterations")
 		fig6Scale = flag.Float64("fig6-timescale", 0, "Figure 6 thermal time compression (1 = paper-faithful)")
@@ -109,7 +108,7 @@ func main() {
 		rows, err := thermemu.Table3(thermemu.Table3Options{
 			MatrixN: *matrixN, MatrixIters: *matrixIters,
 			DitherSize: *ditherSize, PaperDither: *paperDither,
-			TMIters: *tmIters, SkipTM: *skipTM, Parallel: *parallel,
+			TMIters: *tmIters, SkipTM: *skipTM,
 		})
 		if err != nil {
 			fail(err)

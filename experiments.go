@@ -82,12 +82,6 @@ type Table3Options struct {
 	TMTimeScale float64
 	SkipTM      bool // omit the Matrix-TM row (it is the slowest)
 	PaperDither bool // use the paper's full 128x128 images
-	// Parallel steps the emulator side on concurrent host threads, the
-	// software analogue of the FPGA fabric's spatial parallelism; on a
-	// multi-core host this reproduces the paper's near-constant emulator
-	// wall time as cores are added. Cycle-identity between the two kernels
-	// is not checked in this mode.
-	Parallel bool
 }
 
 func (o *Table3Options) fill() {
@@ -132,7 +126,7 @@ func Table3(opts Table3Options) ([]Table3Row, error) {
 		cfg := DefaultPlatform(cores)
 		cfg.CoreKinds = emu.Table3Cores(cores) // 1 PPC405 hard-core + Microblazes
 		return appendRow(&rows, cfg, spec,
-			fmt.Sprintf("Matrix (%d core)", cores), cores, label, opts.Parallel)
+			fmt.Sprintf("Matrix (%d core)", cores), cores, label)
 	}
 	if err := matrix(1, "106 s vs 1.2 s (88x)"); err != nil {
 		return nil, err
@@ -151,13 +145,13 @@ func Table3(opts Table3Options) ([]Table3Row, error) {
 	dbus := DefaultPlatform(4)
 	dbus.CoreKinds = emu.Table3Cores(4)
 	if err := appendRow(&rows, dbus, dspec,
-		"Dithering (4 cores-bus)", 4, "2'35\" vs 0.18 s (861x)", opts.Parallel); err != nil {
+		"Dithering (4 cores-bus)", 4, "2'35\" vs 0.18 s (861x)"); err != nil {
 		return nil, err
 	}
 	dnoc := NoCPlatform(4)
 	dnoc.CoreKinds = emu.Table3Cores(4)
 	if err := appendRow(&rows, dnoc, dspec,
-		"Dithering (4 cores-NoC)", 4, "3'15\" vs 0.17 s (1147x)", opts.Parallel); err != nil {
+		"Dithering (4 cores-NoC)", 4, "3'15\" vs 0.17 s (1147x)"); err != nil {
 		return nil, err
 	}
 
@@ -171,21 +165,16 @@ func Table3(opts Table3Options) ([]Table3Row, error) {
 	return rows, nil
 }
 
-func appendRow(rows *[]Table3Row, cfg PlatformConfig, spec *Workload, name string, cores int, label string, parallel bool) error {
+func appendRow(rows *[]Table3Row, cfg PlatformConfig, spec *Workload, name string, cores int, label string) error {
 	slow, err := RunWorkloadMPARM(cfg, spec)
 	if err != nil {
 		return fmt.Errorf("%s (baseline): %w", name, err)
 	}
-	var fast RunStats
-	if parallel {
-		fast, err = RunWorkloadParallel(cfg, spec, 0)
-	} else {
-		fast, err = RunWorkload(cfg, spec)
-	}
+	fast, err := RunWorkload(cfg, spec)
 	if err != nil {
 		return fmt.Errorf("%s (emulator): %w", name, err)
 	}
-	if !parallel && fast.Cycles != slow.Cycles {
+	if fast.Cycles != slow.Cycles {
 		return fmt.Errorf("%s: kernels disagree on cycles (%d vs %d)", name, fast.Cycles, slow.Cycles)
 	}
 	*rows = append(*rows, newTable3Row(name, cores, label, slow, fast))

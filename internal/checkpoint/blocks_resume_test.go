@@ -30,7 +30,7 @@ func buildBlocksCase(t *testing.T) *emu.Platform {
 // (interp false) or the per-cycle interpreter reference (interp true).
 func stepWindow(p *emu.Platform, interp bool) {
 	if !interp {
-		stepDigestWindow(p, false)
+		stepDigestWindow(p)
 		return
 	}
 	end := p.VPCM.Cycle() + matrixEvery
@@ -64,7 +64,7 @@ func TestResumeBlocksColdCache(t *testing.T) {
 	tr := golden.New()
 	q := buildBlocksCase(t)
 	for q.VPCM.Cycle() < matrixMax && !q.AllHalted() {
-		stepDigestWindow(q, false)
+		stepDigestWindow(q)
 		emu.DigestSnapshot(tr, q.Snapshot())
 		sum, n := tr.State()
 		pts = append(pts, point{checkpoint.FromPlatform(q), sum, n})

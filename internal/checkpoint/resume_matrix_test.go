@@ -1,16 +1,13 @@
 package checkpoint_test
 
 // The differential resume matrix: for the committed golden workloads on
-// both interconnects and both emulation kernels, a run resumed from any
-// window-boundary checkpoint must produce a final golden digest (and record
-// count) bit-identical to the uninterrupted run's. The checkpointed run
-// replays the exact RunDigest/RunParallelDigest window boundaries, so the
-// straight digest is computed through the public API the golden-file suite
-// uses. TestResumeMatrixDigestIdentity also runs under the CI race
-// detector, covering the parallel kernel's restore path.
+// both interconnects, a run resumed from any window-boundary checkpoint
+// must produce a final golden digest (and record count) bit-identical to
+// the uninterrupted run's. The checkpointed run replays the exact RunDigest
+// window boundaries, so the straight digest is computed through the public
+// API the golden-file suite uses.
 
 import (
-	"fmt"
 	"testing"
 
 	"thermemu/internal/checkpoint"
@@ -24,8 +21,7 @@ const (
 	matrixMax   = 2_000_000
 )
 
-// matrixCase is one cell of the workload × interconnect grid (the kernel
-// axis is added by the test).
+// matrixCase is one cell of the workload × interconnect grid.
 type matrixCase struct {
 	name  string
 	cores int
@@ -48,14 +44,13 @@ func matrixCases() []matrixCase {
 	}
 }
 
-func buildCase(t *testing.T, mc matrixCase, parallel bool) *emu.Platform {
+func buildCase(t *testing.T, mc matrixCase) *emu.Platform {
 	t.Helper()
 	cfg := emu.DefaultConfig(mc.cores)
 	if mc.noc {
 		cfg.IC = emu.ICNoC
 		cfg.NoC = emu.Table3NoC(mc.cores)
 	}
-	cfg.Parallel = parallel
 	p := emu.MustNew(cfg)
 	spec, err := mc.spec(mc.cores)
 	if err != nil {
@@ -65,92 +60,78 @@ func buildCase(t *testing.T, mc matrixCase, parallel bool) *emu.Platform {
 	return p
 }
 
-// stepDigestWindow advances one digest window exactly as RunDigest /
-// RunParallelDigest do, so manually-driven traces share their boundaries.
-func stepDigestWindow(p *emu.Platform, parallel bool) {
+// stepDigestWindow advances one digest window exactly as RunDigest does,
+// so manually-driven traces share its boundaries.
+func stepDigestWindow(p *emu.Platform) {
 	n := uint64(matrixEvery)
 	if left := uint64(matrixMax) - p.VPCM.Cycle(); n > left {
 		n = left
 	}
-	if parallel {
-		p.RunParallel(0, p.VPCM.Cycle()+n)
-	} else {
-		p.Step(n)
-	}
+	p.Step(n)
 }
 
 func TestResumeMatrixDigestIdentity(t *testing.T) {
 	for _, mc := range matrixCases() {
-		for _, parallel := range []bool{false, true} {
-			kern := "serial"
-			if parallel {
-				kern = "parallel"
+		mc := mc
+		t.Run(mc.name+"/serial", func(t *testing.T) {
+			t.Parallel()
+			// Uninterrupted run through the public digest API.
+			straight := golden.New()
+			p := buildCase(t, mc)
+			p.RunDigest(matrixMax, matrixEvery, straight)
+
+			// Checkpointed run: same boundaries, a checkpoint plus the
+			// golden accumulator captured at every one.
+			type point struct {
+				ck  *checkpoint.Checkpoint
+				sum uint64
+				n   int
 			}
-			mc, parallel := mc, parallel
-			t.Run(fmt.Sprintf("%s/%s", mc.name, kern), func(t *testing.T) {
-				t.Parallel()
-				// Uninterrupted run through the public digest API.
-				straight := golden.New()
-				p := buildCase(t, mc, parallel)
-				if parallel {
-					p.RunParallelDigest(0, matrixMax, matrixEvery, straight)
-				} else {
-					p.RunDigest(matrixMax, matrixEvery, straight)
-				}
+			var pts []point
+			tr := golden.New()
+			q := buildCase(t, mc)
+			for q.VPCM.Cycle() < matrixMax && !q.AllHalted() {
+				stepDigestWindow(q)
+				emu.DigestSnapshot(tr, q.Snapshot())
+				sum, n := tr.State()
+				pts = append(pts, point{checkpoint.FromPlatform(q), sum, n})
+			}
+			q.DigestInto(tr)
+			if tr.Sum64() != straight.Sum64() || tr.Len() != straight.Len() {
+				t.Fatalf("checkpointed run digest %s/%d != straight %s/%d",
+					tr.Hex(), tr.Len(), straight.Hex(), straight.Len())
+			}
+			if len(pts) < 3 {
+				t.Fatalf("workload too short for the resume matrix: %d windows", len(pts))
+			}
 
-				// Checkpointed run: same boundaries, a checkpoint plus the
-				// golden accumulator captured at every one.
-				type point struct {
-					ck  *checkpoint.Checkpoint
-					sum uint64
-					n   int
+			// Resume from the first, middle and last-but-one boundary,
+			// round-tripping through the binary codec as a process
+			// restart would.
+			for _, wi := range []int{0, len(pts) / 2, len(pts) - 2} {
+				pt := pts[wi]
+				ck, err := checkpoint.Decode(checkpoint.Encode(pt.ck))
+				if err != nil {
+					t.Fatalf("window %d: decode: %v", wi+1, err)
 				}
-				var pts []point
-				tr := golden.New()
-				q := buildCase(t, mc, parallel)
-				for q.VPCM.Cycle() < matrixMax && !q.AllHalted() {
-					stepDigestWindow(q, parallel)
-					emu.DigestSnapshot(tr, q.Snapshot())
-					sum, n := tr.State()
-					pts = append(pts, point{checkpoint.FromPlatform(q), sum, n})
+				r := buildCase(t, mc)
+				if err := ck.Apply(r); err != nil {
+					t.Fatalf("window %d: apply: %v", wi+1, err)
 				}
-				q.DigestInto(tr)
-				if tr.Sum64() != straight.Sum64() || tr.Len() != straight.Len() {
-					t.Fatalf("checkpointed run digest %s/%d != straight %s/%d",
-						tr.Hex(), tr.Len(), straight.Hex(), straight.Len())
+				rtr := golden.New()
+				if err := rtr.Seed(pt.sum, pt.n); err != nil {
+					t.Fatal(err)
 				}
-				if len(pts) < 3 {
-					t.Fatalf("workload too short for the resume matrix: %d windows", len(pts))
+				for r.VPCM.Cycle() < matrixMax && !r.AllHalted() {
+					stepDigestWindow(r)
+					emu.DigestSnapshot(rtr, r.Snapshot())
 				}
-
-				// Resume from the first, middle and last-but-one boundary,
-				// round-tripping through the binary codec as a process
-				// restart would.
-				for _, wi := range []int{0, len(pts) / 2, len(pts) - 2} {
-					pt := pts[wi]
-					ck, err := checkpoint.Decode(checkpoint.Encode(pt.ck))
-					if err != nil {
-						t.Fatalf("window %d: decode: %v", wi+1, err)
-					}
-					r := buildCase(t, mc, parallel)
-					if err := ck.Apply(r); err != nil {
-						t.Fatalf("window %d: apply: %v", wi+1, err)
-					}
-					rtr := golden.New()
-					if err := rtr.Seed(pt.sum, pt.n); err != nil {
-						t.Fatal(err)
-					}
-					for r.VPCM.Cycle() < matrixMax && !r.AllHalted() {
-						stepDigestWindow(r, parallel)
-						emu.DigestSnapshot(rtr, r.Snapshot())
-					}
-					r.DigestInto(rtr)
-					if rtr.Sum64() != straight.Sum64() || rtr.Len() != straight.Len() {
-						t.Errorf("resume from window %d: digest %s/%d, want %s/%d",
-							wi+1, rtr.Hex(), rtr.Len(), straight.Hex(), straight.Len())
-					}
+				r.DigestInto(rtr)
+				if rtr.Sum64() != straight.Sum64() || rtr.Len() != straight.Len() {
+					t.Errorf("resume from window %d: digest %s/%d, want %s/%d",
+						wi+1, rtr.Hex(), rtr.Len(), straight.Hex(), straight.Len())
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -292,15 +292,7 @@ func runLoop(cfg Config, p *emu.Platform, eval *PowerEvaluator,
 		if left := maxCycles - p.VPCM.Cycle(); n > left {
 			n = left
 		}
-		// With a Parallel platform the window is executed by the
-		// deterministic parallel kernel; results are bit-identical to
-		// serial stepping (asserted by the golden conformance suite), so
-		// the whole closed loop — power, temperature, DFS — is unchanged.
-		if cfg.Platform.Parallel {
-			p.RunParallel(0, p.VPCM.Cycle()+n)
-		} else {
-			p.Step(n)
-		}
+		p.Step(n)
 		if err := p.Fault(); err != nil {
 			return finishPartial(err)
 		}

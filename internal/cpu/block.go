@@ -150,13 +150,6 @@ func (c *Core) BlockStats() BlockStats {
 	return c.blocks.stats
 }
 
-// SetIssueHook installs fn, invoked with the issue cycle immediately before
-// every instruction StepBlocks dispatches (nil uninstalls). The parallel
-// kernel uses it to refresh its per-instruction shared-path gate state —
-// the same two writes its runner loop performs before each Step — so gated
-// accesses issued from inside a block park at the correct (cycle, coreID).
-func (c *Core) SetIssueHook(fn func(cycle uint64)) { c.issueHook = fn }
-
 // flushBlocks discards every translated block (derived state: program
 // reloads and checkpoint restores must start cold).
 func (c *Core) flushBlocks() {
@@ -315,7 +308,7 @@ func (bc *blockCache) fetchPath(ctrl *mem.Controller, pc uint32) *mem.FetchPath 
 // sharedBefore orders the core against the rest of the platform: a memory
 // operation issued at or after it whose effective address the controller
 // does not report Private stops the core before any side effect of that
-// instruction (no fetch, no statistics, no issue hook). An access observer
+// instruction (no fetch, no statistics). An access observer
 // sees every instruction, fetches included, and another core's
 // sniffer-control store can switch an attached activity sniffer mid-run,
 // so with either attached the whole window is clamped to sharedBefore.
@@ -326,7 +319,6 @@ func (c *Core) StepBlocks(now, max, sharedBefore uint64) (cycles, steps, skipped
 	}
 	bc := c.blocks
 	ctrl := c.ctrl
-	hook := c.issueHook
 	cyc, end := now, now+max
 	if (c.act != nil || ctrl.Observed()) && sharedBefore < end {
 		end = sharedBefore
@@ -386,9 +378,6 @@ dispatch:
 			x := &ops[i]
 			if cyc >= end || cyc >= sharedBefore && x.mem && !ctrl.Private(c.regs[x.rs1]+uint32(x.imm)) {
 				break dispatch
-			}
-			if hook != nil {
-				hook(cyc)
 			}
 			// Active cycle: same charge order as Step.
 			c.state = Active

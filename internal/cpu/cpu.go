@@ -130,8 +130,7 @@ type Core struct {
 	// tracer, when set, observes every committed instruction.
 	tracer func(pc uint32, word uint32)
 	// dec memoizes instruction decode for the fetch/dispatch hot path.
-	// Decode is pure, so the table never needs invalidation; it is per-core
-	// so the parallel kernel's goroutines do not share it.
+	// Decode is pure, so the table never needs invalidation.
 	dec isa.DecodeCache
 	// act, when attached, mirrors every charged cycle into a count-logging
 	// activity sniffer. It sits in Step/AccrueStall/AccrueIdle — the single
@@ -142,9 +141,6 @@ type Core struct {
 	// StepBlocks (see block.go). Derived state: flushed on Reset and
 	// RestoreState, invalidated by code-range stores, never serialized.
 	blocks *blockCache
-	// issueHook, when set, fires before every block-dispatched instruction
-	// (the parallel kernel's per-instruction gate refresh; see SetIssueHook).
-	issueHook func(cycle uint64)
 }
 
 // New creates a core attached to its memory controller. The VLIW2 preset
@@ -296,8 +292,8 @@ func (c *Core) WakeCycle(now uint64) uint64 {
 
 // AttachActivity mirrors the core's per-mode cycle accounting into a
 // count-logging activity sniffer (nil detaches). Attached at the core
-// rather than a kernel so every stepping path — per-cycle, skip-ahead,
-// parallel chunks — feeds the same counters identically.
+// rather than a kernel so every stepping path — per-cycle or run-ahead —
+// feeds the same counters identically.
 func (c *Core) AttachActivity(a *sniffer.Activity) { c.act = a }
 
 // Step advances the core by one clock cycle at platform cycle now.

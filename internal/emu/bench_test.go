@@ -1,7 +1,7 @@
 package emu_test
 
 // Kernel throughput baseline: emulated cycles per host second for the
-// serial and the deterministic parallel kernel, on the Table 3 matrix
+// emulation kernel, on the Table 3 matrix
 // workload (compute-bound: cores run from private memory, little to skip)
 // and on the MEMBOUND streaming workload (stall-bound: uncached shared
 // loads, the case the skip-ahead kernel accelerates). CI records the output
@@ -11,8 +11,8 @@ package emu_test
 // numbers should only go up). Each row also reports core-cycles/s (emulated
 // cycles × cores per host second) and instr/s (committed instructions per
 // host second), which compare fairly across core counts, and maxprocs, so
-// rows recorded at `-cpu 1,2` stay apart. Both kernels dispatch translated
-// blocks; the serial kernel is the ordered run-ahead loop.
+// rows recorded at `-cpu 1,2` stay apart. The kernel is the ordered
+// run-ahead loop over translated blocks.
 
 import (
 	"fmt"
@@ -42,11 +42,9 @@ func benchSpec(b *testing.B, stall bool, cores int) *workloads.Spec {
 	return spec
 }
 
-func benchPlatform(b *testing.B, spec *workloads.Spec, cores int, parallel bool) *emu.Platform {
+func benchPlatform(b *testing.B, spec *workloads.Spec, cores int) *emu.Platform {
 	b.Helper()
-	cfg := emu.DefaultConfig(cores)
-	cfg.Parallel = parallel
-	p := emu.MustNew(cfg)
+	p := emu.MustNew(emu.DefaultConfig(cores))
 	for i, im := range spec.Programs {
 		if err := p.LoadProgram(i, im); err != nil {
 			b.Fatal(err)
@@ -58,22 +56,14 @@ func benchPlatform(b *testing.B, spec *workloads.Spec, cores int, parallel bool)
 	return p
 }
 
-func benchKernel(b *testing.B, stall bool, cores int, parallel bool) {
+func benchKernel(b *testing.B, stall bool, cores int) {
 	spec := benchSpec(b, stall, cores)
 	var cycles, instrs uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		p := benchPlatform(b, spec, cores, parallel)
+		p := benchPlatform(b, spec, cores)
 		b.StartTimer()
-		var (
-			cyc  uint64
-			done bool
-		)
-		if parallel {
-			cyc, done = p.RunParallel(emu.DefaultChunk, benchMaxCycles)
-		} else {
-			cyc, done = p.Run(benchMaxCycles)
-		}
+		cyc, done := p.Run(benchMaxCycles)
 		if !done {
 			b.Fatalf("workload %s did not finish", spec.Name)
 		}
@@ -90,25 +80,12 @@ func benchKernel(b *testing.B, stall bool, cores int, parallel bool) {
 func BenchmarkRunSerial(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, false)
+			benchKernel(b, false, cores)
 		})
 	}
 	for _, cores := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, false)
-		})
-	}
-}
-
-func BenchmarkRunParallel(b *testing.B) {
-	for _, cores := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, false, cores, true)
-		})
-	}
-	for _, cores := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("stall/cores=%d", cores), func(b *testing.B) {
-			benchKernel(b, true, cores, true)
+			benchKernel(b, true, cores)
 		})
 	}
 }

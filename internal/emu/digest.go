@@ -2,8 +2,8 @@ package emu
 
 // This file wires the golden-trace conformance machinery (internal/golden)
 // into the platform: periodic statistics digests plus a full
-// architectural-state digest, so any two runs — serial vs parallel, across
-// chunk sizes, or across commits via golden files — can be asserted
+// architectural-state digest, so any two runs — run-ahead vs per-cycle,
+// across window sizes, or across commits via golden files — can be asserted
 // bit-identical, and a journaled trace pinpoints the first divergent cycle,
 // core and field when they are not.
 
@@ -149,7 +149,7 @@ func digestMemory(tr *golden.Trace, cy uint64, core int, name string, m *mem.Mem
 	})
 }
 
-// RunDigest is Run with conformance sampling: it executes the serial kernel
+// RunDigest is Run with conformance sampling: it executes the kernel
 // until every core halts or maxCycles elapse, folding a statistics snapshot
 // into tr every `every` cycles (0 uses DefaultChunk) and the full
 // architectural state at the end.
@@ -163,35 +163,6 @@ func (p *Platform) RunDigest(maxCycles, every uint64, tr *golden.Trace) (uint64,
 			n = left
 		}
 		p.Step(n)
-		DigestSnapshot(tr, p.Snapshot())
-	}
-	p.DigestInto(tr)
-	return p.VPCM.Cycle(), p.AllHalted()
-}
-
-// RunParallelDigest is RunParallel with conformance sampling at the same
-// boundaries as RunDigest: snapshots are taken every `every` cycles (0 uses
-// the chunk size) regardless of the chunk size, so serial and parallel
-// digests of the same workload are directly comparable at any chunk size
-// when run with equal `every`.
-func (p *Platform) RunParallelDigest(chunk, maxCycles, every uint64, tr *golden.Trace) (uint64, bool) {
-	if !p.Cfg.Parallel {
-		panic("emu: RunParallelDigest on a platform built without Config.Parallel")
-	}
-	if chunk == 0 {
-		chunk = DefaultChunk
-	}
-	if every == 0 {
-		every = chunk
-	}
-	for p.VPCM.Cycle() < maxCycles && !p.AllHalted() {
-		next := p.VPCM.Cycle() + every
-		if next > maxCycles {
-			next = maxCycles
-		}
-		for p.VPCM.Cycle() < next && !p.AllHalted() {
-			p.advanceChunk(chunk, next)
-		}
 		DigestSnapshot(tr, p.Snapshot())
 	}
 	p.DigestInto(tr)

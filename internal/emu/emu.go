@@ -129,22 +129,6 @@ type Config struct {
 
 	EventLogging bool // attach event-logging sniffers to the controllers
 	EventBufCap  int  // BRAM ring capacity (events)
-
-	// Parallel builds the platform for deterministic multi-threaded
-	// stepping (RunParallel): within each chunk the cores free-run
-	// concurrently on private state, and every shared-resource access
-	// (shared memory, interconnect, barrier, sniffer control) is committed
-	// by a single arbiter in (cycle, coreID) order — exactly the serial
-	// kernel's interleaving. This is the software analogue of the FPGA's
-	// spatial parallelism — on a multi-core host the emulator's wall time
-	// stays nearly flat as emulated cores are added, like the paper's
-	// hardware — and it is deterministic by construction: RunParallel
-	// produces bit-identical architectural state, cycle counts and
-	// statistics to the serial Run, at any chunk size, run after run (the
-	// golden-trace conformance suite asserts this). Serial stepping of a
-	// Parallel-built platform also works and behaves identically.
-	// Incompatible with EventLogging.
-	Parallel bool
 }
 
 // DefaultConfig mirrors the Table 3 exploration platform: N cores with 4 KB
@@ -206,9 +190,6 @@ func (c Config) Validate() error {
 	if c.IC == ICNoC && c.NoC == nil {
 		return fmt.Errorf("emu: NoC interconnect requires a NoCSpec")
 	}
-	if c.Parallel && c.EventLogging {
-		return fmt.Errorf("emu: event logging is not supported in parallel mode")
-	}
 	for _, cc := range []*mem.CacheConfig{c.ICache, c.DCache, c.L2} {
 		if cc != nil {
 			if err := cc.Validate(); err != nil {
@@ -239,8 +220,6 @@ type Platform struct {
 	// the ring (e.g. pump the Ethernet dispatcher) and report success.
 	OnBufferFull func() bool
 
-	sched *scheduler // shared-path arbiter, built only with Config.Parallel
-
 	// Skip-ahead kernel state: per-core wake cycles and idle-span origins
 	// (reused across spans to keep Step/Run allocation-free) plus telemetry.
 	wake     []uint64
@@ -259,9 +238,6 @@ func New(cfg Config) (*Platform, error) {
 		Cfg:  cfg,
 		VPCM: vpcm.New(cfg.PhysHz, cfg.FreqHz),
 		Hub:  sniffer.NewHub(),
-	}
-	if cfg.Parallel {
-		p.sched = newScheduler(cfg.Cores)
 	}
 	cap := cfg.EventBufCap
 	if cap <= 0 {
@@ -320,20 +296,13 @@ func New(cfg Config) (*Platform, error) {
 			p.L2s = append(p.L2s, l2)
 			shared = mem.NewCachedTarget(l2, shared)
 		}
-		var barrier mem.Target = p.Barrier
-		var sniffctl mem.Target = mem.NewRegDevice("sniffctl", 64, 1, p.Hub.CtrlLoad, p.Hub.CtrlStore)
-		if cfg.Parallel {
-			g := p.sched.gates[i]
-			shared = &gated{gate: g, under: shared}
-			barrier = &gated{gate: g, under: barrier}
-			sniffctl = &gated{gate: g, under: sniffctl}
-		}
+		sniffctl := mem.NewRegDevice("sniffctl", 64, 1, p.Hub.CtrlLoad, p.Hub.CtrlStore)
 		if err := ctl.AddRange(mem.Range{Name: "shared", Base: SharedBase, Target: shared,
 			Cacheable: cfg.SharedCacheable, Kind: mem.KindShared}); err != nil {
 			return nil, err
 		}
 		if err := ctl.AddRange(mem.Range{Name: "barrier", Base: BarrierBase,
-			Target: barrier, Kind: mem.KindDevice}); err != nil {
+			Target: p.Barrier, Kind: mem.KindDevice}); err != nil {
 			return nil, err
 		}
 		if err := ctl.AddRange(mem.Range{Name: "sniffctl", Base: SniffBase,
@@ -381,16 +350,6 @@ func New(cfg Config) (*Platform, error) {
 		}
 		core := cpu.New(i, kind, ctl)
 		core.EnableBlocks()
-		if cfg.Parallel {
-			// Block-dispatched instructions must refresh the shared-path
-			// gate exactly like the parallel runner does before each Step,
-			// so gated accesses park at the right (cycle, coreID).
-			g := p.sched.gates[i]
-			core.SetIssueHook(func(cyc uint64) {
-				g.cycle = cyc
-				g.held = false
-			})
-		}
 		p.Cores = append(p.Cores, core)
 		p.Ctrls = append(p.Ctrls, ctl)
 		p.Privs = append(p.Privs, priv)
@@ -432,8 +391,8 @@ func MustNew(cfg Config) *Platform {
 // AttachActivitySniffers attaches one count-logging activity sniffer per
 // core (named activityN, registered with the hub so emulated software can
 // toggle them) and returns the sniffers indexed by core. The attachment
-// point is cpu.Core's accounting choke point, so per-cycle, skip-ahead and
-// parallel stepping all feed the counters identically. Idempotent: repeat
+// point is cpu.Core's accounting choke point, so per-cycle and run-ahead
+// stepping feed the counters identically. Idempotent: repeat
 // calls return the already-attached sniffers.
 func (p *Platform) AttachActivitySniffers() []*sniffer.Activity {
 	if p.acts != nil {
@@ -492,17 +451,14 @@ func (p *Platform) StepOne() {
 // SkipStats is the kernels' telemetry: how much per-cycle work the
 // run-ahead and skip-ahead stepping avoided.
 type SkipStats struct {
-	// EventCycles counts issue cycles executed by the serial kernel and the
-	// single-core parallel fast path. Each issue is its own event there, so
-	// it equals CoreSteps; multi-core parallel chunks keep no per-step
-	// counts. The field stays for the checkpoint format.
+	// EventCycles counts issue cycles executed by the kernel. Each issue is
+	// its own event, so it equals CoreSteps. The field stays for the
+	// checkpoint format.
 	EventCycles uint64
 	// SkippedCycles counts core-cycles settled in bulk — stall/idle spans
-	// charged by accrual instead of per-cycle Step calls. Serial spans and
-	// parallel chunks both contribute.
+	// charged by accrual instead of per-cycle Step calls.
 	SkippedCycles uint64
-	// CoreSteps counts instructions issued (block-dispatched or stepped)
-	// by the serial kernel and the single-core parallel fast path.
+	// CoreSteps counts instructions issued (block-dispatched or stepped).
 	CoreSteps uint64
 }
 
@@ -779,41 +735,5 @@ func (p *Platform) TotalInstructions() uint64 {
 	return n
 }
 
-// DefaultChunk is the default synchronisation quantum of RunParallel.
+// DefaultChunk is RunDigest's default sampling period, in cycles.
 const DefaultChunk = 1024
-
-// RunParallel executes until every core halts or maxCycles elapse, stepping
-// the cores on concurrent goroutines in deterministic epochs of the given
-// chunk size (0 uses DefaultChunk). The platform must have been built with
-// Config.Parallel.
-//
-// Within a chunk the cores free-run on private state with no
-// synchronisation; each shared-resource access parks its core until a
-// single arbiter commits it in (cycle, coreID) order — the serial kernel's
-// exact interleaving (see sched.go). RunParallel is therefore bit-identical
-// to Run: same final cycle, same architectural state, same statistics, at
-// any chunk size, run after run.
-func (p *Platform) RunParallel(chunk uint64, maxCycles uint64) (uint64, bool) {
-	if !p.Cfg.Parallel {
-		panic("emu: RunParallel on a platform built without Config.Parallel")
-	}
-	if chunk == 0 {
-		chunk = DefaultChunk
-	}
-	for p.VPCM.Cycle() < maxCycles && !p.AllHalted() {
-		p.advanceChunk(chunk, maxCycles)
-	}
-	return p.VPCM.Cycle(), p.AllHalted()
-}
-
-// advanceChunk executes one epoch of at most chunk cycles (clamped to limit)
-// and advances the virtual clock. It is the shared inner step of RunParallel
-// and RunParallelDigest.
-func (p *Platform) advanceChunk(chunk, limit uint64) {
-	base := p.VPCM.Cycle()
-	n := chunk
-	if left := limit - base; n > left {
-		n = left
-	}
-	p.VPCM.Advance(p.runChunk(base, n))
-}

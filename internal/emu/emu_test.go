@@ -320,77 +320,6 @@ func TestSnifferHubRegistered(t *testing.T) {
 	}
 }
 
-func TestParallelModeFunctionalEquivalence(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.Parallel = true
-	p := MustNew(cfg)
-	// Each core writes a distinct pattern, uses the barrier, then core 0
-	// sums the per-core words.
-	im := asm.MustAssemble(`
-		li   r1, 0x22000000
-		lw   r2, 0(r1)        ; core id
-		lw   r3, 4(r1)        ; ncores
-		addi r4, r2, 100
-		li   r5, 0x10000000
-		slli r6, r2, 2
-		add  r5, r5, r6
-		sw   r4, 0(r5)
-		li   r7, 0x20000000
-		lw   r8, 0(r7)
-		sw   r0, 0(r7)
-	spin:
-		lw   r9, 0(r7)
-		beq  r9, r8, spin
-		bne  r2, r0, done
-		li   r5, 0x10000000
-		add  r10, r0, r0
-	sum:
-		lw   r11, 0(r5)
-		add  r10, r10, r11
-		addi r5, r5, 4
-		subi r3, r3, 1
-		bne  r3, r0, sum
-		li   r5, 0x10000100
-		sw   r10, 0(r5)
-	done:
-		halt
-	`)
-	for i := 0; i < 4; i++ {
-		if err := p.LoadProgram(i, im); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, done := p.RunParallel(256, 10_000_000); !done {
-		t.Fatal("parallel run did not halt")
-	}
-	if err := p.Fault(); err != nil {
-		t.Fatal(err)
-	}
-	// 100+101+102+103 = 406.
-	if got := p.ReadSharedWord(0x100); got != 406 {
-		t.Errorf("parallel sum = %d, want 406", got)
-	}
-}
-
-func TestParallelModeRejectsEventLogging(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.Parallel = true
-	cfg.EventLogging = true
-	if err := cfg.Validate(); err == nil {
-		t.Error("parallel + event logging accepted")
-	}
-}
-
-func TestRunParallelRequiresParallelConfig(t *testing.T) {
-	p := MustNew(DefaultConfig(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	p.RunParallel(0, 100)
-}
-
 func TestL2CacheReducesSharedStalls(t *testing.T) {
 	prog := asm.MustAssemble(`
 		li   r1, 0x10000000

@@ -1,14 +1,12 @@
 package emu_test
 
-// Differential conformance matrix for the deterministic parallel kernel:
-// every seed workload, on both interconnect families, at 1/2/4 cores, must
-// produce bit-identical golden digests from the serial kernel, from serial
-// stepping of a Parallel-built platform, and from RunParallel at every
-// chunk size — run after run. Failures report the first divergent cycle,
-// core and field via the journaled traces.
+// Shared helpers of the differential conformance tests: the corpus
+// workloads at diff-matrix scale, the platforms they run on, and a
+// journaled digest run whose failures report the first divergent cycle,
+// core and field. The run-ahead kernel must match the per-cycle reference
+// (StepOne) on every one of them.
 
 import (
-	"fmt"
 	"testing"
 
 	"thermemu/internal/emu"
@@ -23,7 +21,7 @@ const (
 )
 
 // diffParams sizes every corpus workload small enough that the whole
-// matrix stays fast under -race even at chunk size 1.
+// matrix stays fast under -race even in single-cycle windows.
 var diffParams = workloads.Params{N: 4, Iters: 4, Size: 8, Words: 16}
 
 // diffSpec builds one registry workload at diff-matrix scale. The kind is
@@ -52,9 +50,8 @@ func diffKinds(cores int) []string {
 	return kinds
 }
 
-func diffConfig(cores int, noc, parallel bool) emu.Config {
+func diffConfig(cores int, noc bool) emu.Config {
 	cfg := emu.DefaultConfig(cores)
-	cfg.Parallel = parallel
 	if noc {
 		cfg.IC = emu.ICNoC
 		cfg.NoC = emu.Table3NoC(cores)
@@ -98,83 +95,30 @@ func digestRun(t *testing.T, cfg emu.Config, s *workloads.Spec,
 	return tr
 }
 
-func TestDifferentialSerialVsParallel(t *testing.T) {
-	for _, ic := range []struct {
-		name string
-		noc  bool
-	}{{"bus", false}, {"noc", true}} {
-		for _, cores := range []int{1, 2, 4} {
-			for _, kind := range diffKinds(cores) {
-				t.Run(fmt.Sprintf("%s/%s/%dc", ic.name, kind, cores), func(t *testing.T) {
-					spec := diffSpec(t, kind, cores)
-					want := digestRun(t, diffConfig(cores, ic.noc, false), spec,
-						func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
-							return p.RunDigest(diffMaxCycles, diffEvery, tr)
-						})
-
-					// Serial stepping of a Parallel-built platform: the
-					// shared-path gates must be transparent.
-					got := digestRun(t, diffConfig(cores, ic.noc, true), spec,
-						func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
-							return p.RunDigest(diffMaxCycles, diffEvery, tr)
-						})
-					if d := golden.Compare(want, got); d != nil {
-						t.Errorf("serial step of parallel platform diverges: %s", d)
-					}
-
-					for _, chunk := range []uint64{1, 64, emu.DefaultChunk} {
-						chunk := chunk
-						got := digestRun(t, diffConfig(cores, ic.noc, true), spec,
-							func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
-								return p.RunParallelDigest(chunk, diffMaxCycles, diffEvery, tr)
-							})
-						if d := golden.Compare(want, got); d != nil {
-							t.Errorf("chunk %d diverges from serial: %s", chunk, d)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestParallelReproducible asserts run-to-run determinism of the parallel
-// kernel itself: two identical parallel runs must produce identical digests
-// (the old kernel resolved contention in host-arrival order and failed
-// this).
-func TestParallelReproducible(t *testing.T) {
-	spec := diffSpec(t, "locks", 4)
-	run := func() *golden.Trace {
-		return digestRun(t, diffConfig(4, false, true), spec,
-			func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
-				return p.RunParallelDigest(64, diffMaxCycles, diffEvery, tr)
-			})
-	}
-	a, b := run(), run()
-	if d := golden.Compare(a, b); d != nil {
-		t.Fatalf("parallel kernel is not reproducible: %s", d)
-	}
-}
-
-// TestParallelL2Differential covers the L2-equipped shared path (cache fill
-// plus write-back inside one granted instruction).
-func TestParallelL2Differential(t *testing.T) {
+// TestRunAheadL2MatchesPerCycle covers the L2-equipped shared path: a
+// cacheable shared range behind a per-core L2, where one instruction's L2
+// fill plus write-back reaches the interconnect. Run-ahead must match the
+// per-cycle sweep in one span and in windows that cut its runs short.
+func TestRunAheadL2MatchesPerCycle(t *testing.T) {
 	spec := diffSpec(t, "dithering", 4)
-	mk := func(parallel bool) emu.Config {
-		cfg := diffConfig(4, false, parallel)
-		cfg.SharedCacheable = true
-		cfg.L2 = &mem.CacheConfig{Name: "l2", SizeBytes: 8 * 1024, LineBytes: 16, Assoc: 2, HitLatency: 1}
-		return cfg
-	}
-	want := digestRun(t, mk(false), spec,
+	cfg := diffConfig(4, false)
+	cfg.SharedCacheable = true
+	cfg.L2 = &mem.CacheConfig{Name: "l2", SizeBytes: 8 * 1024, LineBytes: 16, Assoc: 2, HitLatency: 1}
+	want := digestRun(t, cfg, spec,
 		func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
-			return p.RunDigest(diffMaxCycles, diffEvery, tr)
+			return stepOneDigest(p, diffMaxCycles, diffEvery, tr)
 		})
-	got := digestRun(t, mk(true), spec,
-		func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
-			return p.RunParallelDigest(64, diffMaxCycles, diffEvery, tr)
-		})
-	if d := golden.Compare(want, got); d != nil {
-		t.Fatalf("L2 shared path diverges: %s", d)
+	for _, step := range []uint64{0, 1, 7} {
+		step := step
+		got := digestRun(t, cfg, spec,
+			func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
+				if step == 0 {
+					return p.RunDigest(diffMaxCycles, diffEvery, tr)
+				}
+				return stepWindowDigest(p, diffMaxCycles, diffEvery, step, tr)
+			})
+		if d := golden.Compare(want, got); d != nil {
+			t.Errorf("L2 shared path (step=%d) diverges from per-cycle sweep: %s", step, d)
+		}
 	}
 }

@@ -7,9 +7,6 @@ package emu_test
 // intentional timing-model change with:
 //
 //	go test ./internal/emu/ -run TestGoldenFiles -update
-//
-// Each case is digested twice, by the serial kernel and by the parallel
-// kernel, and both must match the committed file.
 
 import (
 	"flag"
@@ -43,18 +40,12 @@ func goldenCases() []goldenCase {
 		return func() emu.Config {
 			cfg := emu.DefaultConfig(4)
 			cfg.CoreKinds = emu.Table3Cores(4)
-			cfg.Parallel = true
 			if noc {
 				cfg.IC = emu.ICNoC
 				cfg.NoC = emu.Table3NoC(4)
 			}
 			return cfg
 		}
-	}
-	fig6 := func() emu.Config {
-		cfg := emu.Fig6Config()
-		cfg.Parallel = true
-		return cfg
 	}
 	return []goldenCase{
 		{"table3-matrix-bus", "matrix", workloads.Params{N: 8, Iters: 2, PrivKB: 64}, table3(false)},
@@ -66,7 +57,7 @@ func goldenCases() []goldenCase {
 		{"table3-fir-noc", "fir", workloads.Params{N: 8, Words: 64, Iters: 2}, table3(true)},
 		{"table3-histogram-bus", "histogram", workloads.Params{N: 16, Words: 64}, table3(false)},
 		{"table3-pipeline-noc", "pipeline", workloads.Params{Words: 64}, table3(true)},
-		{"fig6-matrixtm-noc", "matrix-tm", workloads.Params{N: 8, Iters: 4, PrivKB: 32}, fig6},
+		{"fig6-matrixtm-noc", "matrix-tm", workloads.Params{N: 8, Iters: 4, PrivKB: 32}, emu.Fig6Config},
 	}
 }
 
@@ -85,7 +76,7 @@ func TestGoldenCorpusCoverage(t *testing.T) {
 	}
 }
 
-func goldenDigest(t *testing.T, gc goldenCase, parallel bool) *golden.Trace {
+func goldenDigest(t *testing.T, gc goldenCase) *golden.Trace {
 	t.Helper()
 	spec, err := gc.spec()
 	if err != nil {
@@ -94,12 +85,7 @@ func goldenDigest(t *testing.T, gc goldenCase, parallel bool) *golden.Trace {
 	p := emu.MustNew(gc.cfg())
 	loadSpec(t, p, spec)
 	tr := golden.New()
-	var done bool
-	if parallel {
-		_, done = p.RunParallelDigest(emu.DefaultChunk, 20_000_000, 1024, tr)
-	} else {
-		_, done = p.RunDigest(20_000_000, 1024, tr)
-	}
+	_, done := p.RunDigest(20_000_000, 1024, tr)
 	if err := p.Fault(); err != nil {
 		t.Fatalf("platform fault: %v", err)
 	}
@@ -118,8 +104,8 @@ func TestGoldenFiles(t *testing.T) {
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			serial := goldenDigest(t, gc, false)
-			line := fmt.Sprintf("%s %d\n", serial.Hex(), serial.Len())
+			tr := goldenDigest(t, gc)
+			line := fmt.Sprintf("%s %d\n", tr.Hex(), tr.Len())
 			path := filepath.Join("testdata", "golden", gc.name+".digest")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -136,11 +122,7 @@ func TestGoldenFiles(t *testing.T) {
 				t.Fatalf("missing golden file (regenerate with -update): %v", err)
 			}
 			if string(want) != line {
-				t.Errorf("serial digest drift:\n  got  %s  want %s", line, want)
-			}
-			par := goldenDigest(t, gc, true)
-			if pline := fmt.Sprintf("%s %d\n", par.Hex(), par.Len()); string(want) != pline {
-				t.Errorf("parallel digest drift:\n  got  %s  want %s", pline, want)
+				t.Errorf("digest drift:\n  got  %s  want %s", line, want)
 			}
 		})
 	}

@@ -74,7 +74,7 @@ func TestSkipAheadMatchesPerCycle(t *testing.T) {
 			for _, kind := range diffKinds(cores) {
 				t.Run(fmt.Sprintf("%s/%s/%dc", ic.name, kind, cores), func(t *testing.T) {
 					spec := diffSpec(t, kind, cores)
-					want := digestRun(t, diffConfig(cores, ic.noc, false), spec,
+					want := digestRun(t, diffConfig(cores, ic.noc), spec,
 						func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
 							return stepOneDigest(p, diffMaxCycles, diffEvery, tr)
 						})
@@ -84,7 +84,7 @@ func TestSkipAheadMatchesPerCycle(t *testing.T) {
 						if step > 0 {
 							name = fmt.Sprintf("step=%d", step)
 						}
-						got := digestRun(t, diffConfig(cores, ic.noc, false), spec,
+						got := digestRun(t, diffConfig(cores, ic.noc), spec,
 							func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
 								if step == 0 {
 									return p.RunDigest(diffMaxCycles, diffEvery, tr)
@@ -109,7 +109,7 @@ func TestEventLogsIdenticalUnderSkipAhead(t *testing.T) {
 	spec := diffSpec(t, "membound", 2)
 	const maxCycles = 200_000
 	run := func(perCycle bool) []sniffer.Event {
-		cfg := diffConfig(2, false, false)
+		cfg := diffConfig(2, false)
 		cfg.EventLogging = true
 		cfg.EventBufCap = 1 << 20
 		p := emu.MustNew(cfg)
@@ -145,7 +145,7 @@ func TestEventLogsIdenticalUnderSkipAhead(t *testing.T) {
 
 // TestActivitySniffersMatchCoreStats checks the sniffer choke point: the
 // per-core activity counters must equal the core's own statistics under the
-// per-cycle sweep, the serial skip-ahead kernel and the parallel kernel.
+// per-cycle sweep and under the run-ahead kernel.
 func TestActivitySniffersMatchCoreStats(t *testing.T) {
 	spec := diffSpec(t, "membound", 2)
 	const maxCycles = 200_000
@@ -163,10 +163,10 @@ func TestActivitySniffersMatchCoreStats(t *testing.T) {
 			}
 		}
 	}
-	for _, mode := range []string{"percycle", "serial", "parallel"} {
+	for _, mode := range []string{"percycle", "serial"} {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
-			p := emu.MustNew(diffConfig(2, false, mode == "parallel"))
+			p := emu.MustNew(diffConfig(2, false))
 			acts := p.AttachActivitySniffers()
 			loadSpec(t, p, spec)
 			var done bool
@@ -178,8 +178,6 @@ func TestActivitySniffersMatchCoreStats(t *testing.T) {
 				done = p.AllHalted()
 			case "serial":
 				_, done = p.Run(maxCycles)
-			case "parallel":
-				_, done = p.RunParallel(64, maxCycles)
 			}
 			if !done {
 				t.Fatalf("workload %s did not finish", spec.Name)

@@ -22,8 +22,9 @@ import (
 // are indexed by core where per-core; Bus and Noc are mutually exclusive,
 // mirroring the platform. Skip is kernel telemetry: it is saved and
 // restored for observability continuity but excluded from EachRecord and
-// DiffStates, because the serial and parallel kernels legitimately count
-// skipped work differently while remaining architecturally bit-identical.
+// DiffStates, because per-cycle stepping (StepOne) and the run-ahead kernel
+// legitimately count skipped work differently while remaining
+// architecturally bit-identical.
 type PlatformState struct {
 	Clock   vpcm.State
 	Cores   []cpu.CoreState

@@ -29,8 +29,8 @@ const DecodeCacheSize = 1 << DecodeCacheBits
 // half of this contract; the cpu/emu self-modifying-code and reload tests
 // pin the address-keyed half.
 //
-// Each core owns one cache; sharing a table across the parallel kernel's
-// goroutines would race.
+// Each core owns one cache, so platforms running on concurrent goroutines
+// (sweep workers) never share a table.
 type DecodeCache struct {
 	words  [DecodeCacheSize]uint32
 	instrs [DecodeCacheSize]Instr

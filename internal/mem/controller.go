@@ -519,8 +519,8 @@ type FetchPath struct {
 
 // FetchPathFor resolves the fetch path covering addr, or nil when the
 // address is unmapped or not backed by a plain Memory (interconnect-routed
-// shared memory, gated parallel-kernel wrappers and devices are excluded on
-// purpose: fetching through them has side effects a block kernel must not
+// shared memory, L2-cached targets and devices are excluded on purpose:
+// fetching through them has side effects a block kernel must not
 // pre-execute or skip).
 func (c *Controller) FetchPathFor(addr uint32) *FetchPath {
 	r := c.rangeFor(addr)

@@ -79,20 +79,10 @@ func TestScenarioConformance(t *testing.T) {
 				t.Fatalf("missing golden file (regenerate with -update): %v", err)
 			}
 			if string(want) != line {
-				t.Errorf("scenario digest drift (%s kernel):\n  got  %s  want %s",
-					kernelName(s), line, want)
+				t.Errorf("scenario digest drift:\n  got  %s  want %s", line, want)
 			}
 		})
 	}
-}
-
-// kernelName names the execution kernel a scenario's platform flags select,
-// so a digest drift report says which kernel produced the mismatch.
-func kernelName(s *Scenario) string {
-	if s.Parallel {
-		return "parallel"
-	}
-	return "serial"
 }
 
 // TestScenarioExamplesRoundTrip holds every committed example to the

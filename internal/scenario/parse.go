@@ -108,7 +108,7 @@ func stripComment(s string) string {
 // kvSections lists the key-value sections and their accepted keys.
 var kvSections = map[string][]string{
 	"scenario": {"name", "digest"},
-	"platform": {"cores", "ic", "freq-mhz", "priv-kb", "shared-kb", "parallel"},
+	"platform": {"cores", "ic", "freq-mhz", "priv-kb", "shared-kb"},
 	"workload": {"name", "n", "iters", "size", "words"},
 	"thermal":  {"floorplan", "cells", "window-ms", "timescale", "pipeline", "workers"},
 	"tm":       {"policy"},
@@ -265,8 +265,6 @@ func (p *parser) assign(qual, val string) error {
 		return parseInt(&s.PrivKB, qual, val)
 	case "platform.shared-kb":
 		return parseInt(&s.SharedKB, qual, val)
-	case "platform.parallel":
-		return parseBool(&s.Parallel, qual, val)
 	case "workload.name":
 		s.Workload = val
 	case "workload.n":

@@ -29,7 +29,6 @@ func (s *Scenario) Render() string {
 	fmt.Fprintf(&b, "freq-mhz = %d\n", s.FreqMHz)
 	fmt.Fprintf(&b, "priv-kb = %d\n", s.PrivKB)
 	fmt.Fprintf(&b, "shared-kb = %d\n", s.SharedKB)
-	fmt.Fprintf(&b, "parallel = %t\n", s.Parallel)
 	if len(s.Programs) == 0 {
 		b.WriteString("\n[workload]\n")
 		fmt.Fprintf(&b, "name = %s\n", s.Workload)

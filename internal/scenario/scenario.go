@@ -84,7 +84,6 @@ type Scenario struct {
 	FreqMHz  int    // 0 = platform default (workloads may force their own)
 	PrivKB   int
 	SharedKB int
-	Parallel bool
 
 	// [workload] — a named corpus workload with its parameters...
 	Workload string
@@ -205,7 +204,6 @@ func (s *Scenario) Platform() (emu.Config, error) {
 			cfg.FreqHz = uint64(b.ForceFreqMHz) * 1e6
 		}
 	}
-	cfg.Parallel = s.Parallel
 	return cfg, nil
 }
 

@@ -22,7 +22,6 @@ ic = noc:ring:4
 freq-mhz = 500
 priv-kb = 32
 shared-kb = 64
-parallel = false
 
 [workload]
 name = fir
@@ -153,7 +152,8 @@ func TestParseErrors(t *testing.T) {
 		{"unknown section", Header + "\n[nope]\n", "unknown section"},
 		{"duplicate section", Header + "\n[platform]\ncores = 2\n[platform]\n", "duplicate section"},
 		{"unknown key", Header + "\n[platform]\nspeed = 9\n", "unknown key"},
-		{"speculate key", Header + "\n[platform]\nparallel = true\nspeculate = true\n", `line 4: unknown key "speculate"`},
+		{"speculate key", Header + "\n[platform]\npriv-kb = 32\nspeculate = true\n", `line 4: unknown key "speculate"`},
+		{"parallel key", Header + "\n[platform]\ncores = 2\nparallel = true\n", `line 4: unknown key "parallel"`},
 		{"blocks key", Header + "\n[platform]\ncores = 2\nblocks = true\n", `line 4: unknown key "blocks"`},
 		{"duplicate key", Header + "\n[platform]\ncores = 2\ncores = 4\n", "duplicate key"},
 		{"key outside section", Header + "\ncores = 4\n", "outside any section"},
@@ -162,7 +162,7 @@ func TestParseErrors(t *testing.T) {
 		{"missing value", Header + "\n[platform]\ncores =\n", "no value"},
 		{"bad int", Header + "\n[platform]\ncores = many\n", "cores"},
 		{"int overflow", Header + "\n[platform]\ncores = 99999999999999\n", "cores"},
-		{"bad bool", Header + "\n[platform]\nparallel = maybe\n", "boolean"},
+		{"bad bool", Header + "\n[scenario]\ndigest = maybe\n", "boolean"},
 		{"bad float", Header + "\n[thermal]\nwindow-ms = soon\n", "window-ms"},
 		{"inf float", Header + "\n[thermal]\nwindow-ms = 1e999\n", "window-ms"},
 		{"unclosed section", Header + "\n[platform\n", "malformed section"},

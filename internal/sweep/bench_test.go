@@ -62,6 +62,7 @@ func benchWarmup(b *testing.B, prefix int) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "maxprocs")
 }
 
 func BenchmarkSweepWarmupCold(b *testing.B)   { benchWarmup(b, 0) }

@@ -160,25 +160,6 @@ func TestHistogramFourCoresBus(t *testing.T) {
 	runToCompletion(t, emu.DefaultConfig(4), s, 5_000_000)
 }
 
-func TestHistogramParallelMode(t *testing.T) {
-	// The contended global lock is exactly what the deterministic parallel
-	// arbiter must serialise correctly.
-	s, err := Histogram(4, 8, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := emu.DefaultConfig(4)
-	cfg.Parallel = true
-	p := emu.MustNew(cfg)
-	load(t, p, s)
-	if _, done := p.RunParallel(64, 5_000_000); !done {
-		t.Fatal("histogram did not finish under the parallel kernel")
-	}
-	if err := s.Verify(p.ReadSharedWord); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHistogramRejectsBadParams(t *testing.T) {
 	for name, build := range map[string]func() (*Spec, error){
 		"zero bins":    func() (*Spec, error) { return Histogram(4, 0, 32) },

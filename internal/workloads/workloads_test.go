@@ -255,25 +255,6 @@ func TestLocksOnNoC(t *testing.T) {
 	runToCompletion(t, cfg, s, 50_000_000)
 }
 
-func TestLocksParallelMode(t *testing.T) {
-	// The hardest correctness test for parallel mode: real host-thread
-	// concurrency over the atomic-swap path must not lose any update.
-	cfg := emu.DefaultConfig(4)
-	cfg.Parallel = true
-	s, err := Locks(4, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := emu.MustNew(cfg)
-	load(t, p, s)
-	if _, done := p.RunParallel(128, 100_000_000); !done {
-		t.Fatalf("did not finish (fault: %v)", p.Fault())
-	}
-	if err := s.Verify(p.ReadSharedWord); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMemBoundSingleCore(t *testing.T) {
 	s, err := MemBound(1, 256, 2)
 	if err != nil {

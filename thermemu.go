@@ -209,6 +209,12 @@ func loadSpec(p *emu.Platform, spec *workloads.Spec) error {
 // RunWorkload executes a workload on the fast emulation kernel and verifies
 // its result.
 func RunWorkload(cfg PlatformConfig, spec *Workload) (RunStats, error) {
+	return runEmulator(cfg, spec, func(p *emu.Platform) (uint64, bool) { return p.Run(1 << 62) })
+}
+
+// runEmulator builds the platform, loads spec, times run to completion and
+// verifies the workload's result.
+func runEmulator(cfg PlatformConfig, spec *Workload, run func(*emu.Platform) (uint64, bool)) (RunStats, error) {
 	p, err := emu.New(cfg)
 	if err != nil {
 		return RunStats{}, err
@@ -217,7 +223,7 @@ func RunWorkload(cfg PlatformConfig, spec *Workload) (RunStats, error) {
 		return RunStats{}, err
 	}
 	start := time.Now()
-	cycles, done := p.Run(1 << 62)
+	cycles, done := run(p)
 	wall := time.Since(start)
 	if err := p.Fault(); err != nil {
 		return RunStats{}, err
@@ -228,39 +234,6 @@ func RunWorkload(cfg PlatformConfig, spec *Workload) (RunStats, error) {
 		}
 	}
 	return newRunStats("emulator/"+spec.Name, p, cycles, wall, done), nil
-}
-
-// RunWorkloadParallel is RunWorkload with the platform built for parallel
-// mode and stepped on concurrent host threads in deterministic epochs of
-// `chunk` cycles (0 = default). This is the software analogue of the FPGA's
-// spatial parallelism: on a multi-core host, wall time stays nearly flat as
-// emulated cores are added. The kernel is deterministic by construction —
-// shared-path accesses commit in (cycle, coreID) order, so cycle counts,
-// statistics and architectural state are bit-identical to the serial
-// RunWorkload, at any chunk size, run after run (assert it with
-// RunWorkloadGolden / RunWorkloadParallelGolden and CompareGolden).
-func RunWorkloadParallel(cfg PlatformConfig, spec *Workload, chunk uint64) (RunStats, error) {
-	cfg.Parallel = true
-	cfg.EventLogging = false
-	p, err := emu.New(cfg)
-	if err != nil {
-		return RunStats{}, err
-	}
-	if err := loadSpec(p, spec); err != nil {
-		return RunStats{}, err
-	}
-	start := time.Now()
-	cycles, done := p.RunParallel(chunk, 1<<62)
-	wall := time.Since(start)
-	if err := p.Fault(); err != nil {
-		return RunStats{}, err
-	}
-	if done && spec.Verify != nil {
-		if err := spec.Verify(p.ReadSharedWord); err != nil {
-			return RunStats{}, err
-		}
-	}
-	return newRunStats("emulator-par/"+spec.Name, p, cycles, wall, done), nil
 }
 
 // NewGoldenTrace returns a streaming digest-only golden trace (constant
@@ -295,55 +268,9 @@ func ReplayHint(d *GoldenDivergence) (uint64, bool) { return checkpoint.HintFrom
 // RunWorkloadGolden is RunWorkload with conformance sampling: a statistics
 // snapshot is folded into tr every `every` cycles plus the platform's full
 // architectural state at the end. Traces from equal (workload, platform,
-// every) runs — serial or parallel, any chunk size — must compare equal.
+// every) runs must compare equal, run after run.
 func RunWorkloadGolden(cfg PlatformConfig, spec *Workload, every uint64, tr *GoldenTrace) (RunStats, error) {
-	p, err := emu.New(cfg)
-	if err != nil {
-		return RunStats{}, err
-	}
-	if err := loadSpec(p, spec); err != nil {
-		return RunStats{}, err
-	}
-	start := time.Now()
-	cycles, done := p.RunDigest(1<<62, every, tr)
-	wall := time.Since(start)
-	if err := p.Fault(); err != nil {
-		return RunStats{}, err
-	}
-	if done && spec.Verify != nil {
-		if err := spec.Verify(p.ReadSharedWord); err != nil {
-			return RunStats{}, err
-		}
-	}
-	return newRunStats("emulator/"+spec.Name, p, cycles, wall, done), nil
-}
-
-// RunWorkloadParallelGolden is RunWorkloadParallel with conformance sampling
-// at the same boundaries as RunWorkloadGolden, so the two traces are directly
-// comparable: equal digests prove the parallel kernel reproduced the serial
-// run bit for bit.
-func RunWorkloadParallelGolden(cfg PlatformConfig, spec *Workload, chunk, every uint64, tr *GoldenTrace) (RunStats, error) {
-	cfg.Parallel = true
-	cfg.EventLogging = false
-	p, err := emu.New(cfg)
-	if err != nil {
-		return RunStats{}, err
-	}
-	if err := loadSpec(p, spec); err != nil {
-		return RunStats{}, err
-	}
-	start := time.Now()
-	cycles, done := p.RunParallelDigest(chunk, 1<<62, every, tr)
-	wall := time.Since(start)
-	if err := p.Fault(); err != nil {
-		return RunStats{}, err
-	}
-	if done && spec.Verify != nil {
-		if err := spec.Verify(p.ReadSharedWord); err != nil {
-			return RunStats{}, err
-		}
-	}
-	return newRunStats("emulator-par/"+spec.Name, p, cycles, wall, done), nil
+	return runEmulator(cfg, spec, func(p *emu.Platform) (uint64, bool) { return p.RunDigest(1<<62, every, tr) })
 }
 
 // RunWorkloadMPARM executes a workload on the signal-level cycle-accurate
