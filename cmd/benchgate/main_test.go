@@ -69,3 +69,29 @@ func TestGateSweepKeysRowsByMaxprocs(t *testing.T) {
 		t.Errorf("gateSweep with the maxprocs-2 rows missing = %d, want 1", got)
 	}
 }
+
+// TestGateSweepParsesBenchmemColumns: rows recorded with -benchmem carry
+// B/op and allocs/op between the other metrics, and the sweep gate must
+// still read windows/s, ns/op and maxprocs from them.
+func TestGateSweepParsesBenchmemColumns(t *testing.T) {
+	rows := strings.ReplaceAll(sweepRows(map[int]float64{1: 1000, 2: 1600}),
+		" ns/op\t", " ns/op\t 5931234 B/op\t   21345 allocs/op\t")
+	if !strings.Contains(rows, "allocs/op") {
+		t.Fatal("fixture has no benchmem columns")
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_sweep.json")
+	if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := parse(path, sweepResultLine, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w4 := res[procsKey("BenchmarkSweepWorkers4", 2)]
+	if w4.windowsPerS != 1600 || w4.nsPerOp != 50000000 || w4.maxprocs != 2 {
+		t.Errorf("Workers4 at 2 cpus parsed as %+v", w4)
+	}
+	if got := gateSweep(path, path, 0.8); got != 0 {
+		t.Errorf("gateSweep on benchmem rows = %d, want 0", got)
+	}
+}

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -75,6 +77,10 @@ type Outcome struct {
 	WarmupGroups  int
 	WarmupWindows int
 	Workers       int
+	// WarmupSends counts the job messages that carried warm-up checkpoint
+	// bytes: a worker is sent a checkpoint only when it does not already
+	// hold it.
+	WarmupSends int
 	// Steals counts speculative re-dispatches of straggling points,
 	// Duplicates the redundant results that produced (each verified
 	// digest-identical), SessionFailures the worker sessions lost to link
@@ -102,10 +108,18 @@ func (o *Outcome) AggregateWindowsPerS() float64 {
 	return float64(o.Windows()) / o.WallS
 }
 
+// warmup is one shared warm-up prefix checkpoint. Its id, a digest of the
+// bytes, is the key a job names and a worker reports holding.
+type warmup struct {
+	id string
+	ck []byte
+}
+
 // pointState tracks one grid point through dispatch.
 type pointState struct {
 	point     Point
 	warmupKey string
+	warmup    *warmup // nil until CutWarmups, and in sweeps without warm-ups
 	done      bool
 	result    *Result
 	// assigned maps session id -> dispatch time for every in-flight copy
@@ -115,12 +129,12 @@ type pointState struct {
 }
 
 // Coordinator owns a sweep's dispatch state. Sessions (one per connected
-// worker) pull points from a FIFO queue; an idle session with an empty
-// queue steals the oldest straggling in-flight point; a dead session's
-// points return to the queue; duplicate results must be digest-identical.
+// worker) pull points from a FIFO queue, preferring points whose warm-up
+// the worker already holds; an idle session with an empty queue steals the
+// oldest straggling in-flight point; a dead session's points return to the
+// queue; duplicate results must be digest-identical.
 type Coordinator struct {
-	opt     Options
-	warmups map[string][]byte
+	opt Options
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -132,12 +146,13 @@ type Coordinator struct {
 	steals      int
 	dups        int
 	sessFails   int
+	warmupSends int
 }
 
 // NewCoordinator builds a coordinator over an expanded grid. Call
 // CutWarmups before serving if the sweep shares warm-up prefixes.
 func NewCoordinator(points []Point, opt Options) *Coordinator {
-	c := &Coordinator{opt: opt, warmups: map[string][]byte{}}
+	c := &Coordinator{opt: opt}
 	c.cond = sync.NewCond(&c.mu)
 	for i := range points {
 		c.st = append(c.st, &pointState{
@@ -170,10 +185,11 @@ func (c *Coordinator) CutWarmups(windows, parallel int) (int, error) {
 		parallel = 1
 	}
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []error
-		sem  = make(chan struct{}, parallel)
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		errs    []error
+		sem     = make(chan struct{}, parallel)
+		warmups = map[string]*warmup{}
 	)
 	for _, g := range groups {
 		wg.Add(1)
@@ -188,12 +204,16 @@ func (c *Coordinator) CutWarmups(windows, parallel int) (int, error) {
 				errs = append(errs, fmt.Errorf("point %s: %w", g.point.Name, err))
 				return
 			}
-			c.warmups[g.key] = ck
+			sum := sha256.Sum256(ck)
+			warmups[g.key] = &warmup{id: hex.EncodeToString(sum[:12]), ck: ck}
 		}(g)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return 0, fmt.Errorf("sweep: warm-up: %w", err)
+	}
+	for _, st := range c.st {
+		st.warmup = warmups[st.warmupKey]
 	}
 	c.opt.logf("sweep: cut %d warm-up prefix checkpoint(s) at window %d", len(groups), windows)
 	return len(groups), nil
@@ -217,10 +237,12 @@ func (c *Coordinator) finished() bool {
 }
 
 // next blocks until a point is available for the session, the grid
-// completes, or the sweep fails. It prefers the re-dispatch/fresh FIFO;
-// with nothing queued it steals the longest-in-flight straggler not
-// already held by this session, once the straggler threshold passes.
-func (c *Coordinator) next(sid int64) (int, bool) {
+// completes, or the sweep fails. It prefers the re-dispatch/fresh FIFO,
+// taking the oldest queued point whose warm-up is the one the worker holds
+// (have) and otherwise the head; with nothing queued it steals the
+// longest-in-flight straggler not already held by this session, once the
+// straggler threshold passes.
+func (c *Coordinator) next(sid int64, have string) (int, bool) {
 	straggler := c.opt.stragglerAfter()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -229,8 +251,15 @@ func (c *Coordinator) next(sid int64) (int, bool) {
 			return 0, false
 		}
 		if len(c.pending) > 0 {
-			idx := c.pending[0]
-			c.pending = c.pending[1:]
+			at := 0
+			for i, idx := range c.pending {
+				if w := c.st[idx].warmup; w != nil && w.id == have {
+					at = i
+					break
+				}
+			}
+			idx := c.pending[at]
+			c.pending = append(c.pending[:at], c.pending[at+1:]...)
 			c.assignLocked(idx, sid)
 			return idx, true
 		}
@@ -262,6 +291,23 @@ func (c *Coordinator) next(sid int64) (int, bool) {
 		}
 		c.cond.Wait()
 	}
+}
+
+// job builds the job message for point idx, carrying the warm-up
+// checkpoint bytes only when the worker does not already hold them.
+func (c *Coordinator) job(idx int, have string) *wireMsg {
+	st := c.st[idx]
+	m := &wireMsg{Type: "job", ID: idx, Name: st.point.Name, Scenario: st.point.Scenario.Render()}
+	if w := st.warmup; w != nil {
+		m.WarmupKey = w.id
+		if w.id != have {
+			m.Warmup = w.ck
+			c.mu.Lock()
+			c.warmupSends++
+			c.mu.Unlock()
+		}
+	}
+	return m
 }
 
 func (c *Coordinator) assignLocked(idx int, sid int64) {
@@ -359,7 +405,7 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 		}
 		switch m.Type {
 		case "ready":
-			idx, ok := c.next(sid)
+			idx, ok := c.next(sid, m.Have)
 			if !ok {
 				err := sendMsg(ep, &wireMsg{Type: "done"})
 				c.release(sid, false)
@@ -368,15 +414,7 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 				}
 				return err
 			}
-			st := c.st[idx]
-			job := &wireMsg{
-				Type:     "job",
-				ID:       idx,
-				Name:     st.point.Name,
-				Scenario: st.point.Scenario.Render(),
-				Warmup:   c.warmups[st.warmupKey],
-			}
-			if err := sendMsg(ep, job); err != nil {
+			if err := sendMsg(ep, c.job(idx, m.Have)); err != nil {
 				return sessErr(err)
 			}
 		case "result":
@@ -437,6 +475,7 @@ func (c *Coordinator) outcome(name string, workers int, wall, warmupWall time.Du
 		WarmupWallS:     warmupWall.Seconds(),
 		WarmupGroups:    warmupGroups,
 		WarmupWindows:   warmupWindows,
+		WarmupSends:     c.warmupSends,
 		Workers:         workers,
 		Steals:          c.steals,
 		Duplicates:      c.dups,

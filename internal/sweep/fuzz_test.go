@@ -2,9 +2,8 @@ package sweep
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"os"
-	"strings"
 	"testing"
 )
 
@@ -60,6 +59,16 @@ func splitFrames(stream []byte) [][]byte {
 	return frames
 }
 
+// encode frames m into copies of its MsgSweep payloads.
+func encode(m *wireMsg) ([][]byte, error) {
+	var out [][]byte
+	err := writeMsg(m, func(p []byte) error {
+		out = append(out, append([]byte(nil), p...))
+		return nil
+	})
+	return out, err
+}
+
 // reassemble feeds payloads to a fresh assembler until it yields a message
 // or an error.
 func reassemble(payloads [][]byte) (*wireMsg, error) {
@@ -72,89 +81,84 @@ func reassemble(payloads [][]byte) (*wireMsg, error) {
 	return nil, nil
 }
 
+// prefixed builds a single final payload whose prefix declares the given
+// version and lengths, followed by data.
+func prefixed(version byte, hdrLen, blobLen uint32, data string) []byte {
+	p := []byte{1, version}
+	p = binary.LittleEndian.AppendUint32(p, hdrLen)
+	p = binary.LittleEndian.AppendUint32(p, blobLen)
+	return append(p, data...)
+}
+
 // FuzzSweepWire holds the protocol receiver to its contract on arbitrary
-// MsgSweep payload streams: chunk reassembly and JSON decode never panic,
-// never buffer more than maxMsgBytes (repeat replays the stream to reach
-// the cap from a small input), and a decoded message re-chunks and
-// reassembles to the same canonical document. The seeds are the payloads
-// of a real job, carrying a warm-up checkpoint, and of its result.
+// MsgSweep payload streams: reassembly and decode never panic, the
+// assembler allocates exactly the length the prefix declares and never
+// more than maxMsgBytes, and a decoded message re-encodes to the same
+// bytes. The seeds are the payloads of a real job, carrying a warm-up
+// checkpoint as its blob, and of its result.
 func FuzzSweepWire(f *testing.F) {
 	s := smallGrid(f)[0].Scenario
 	warmup, err := CutWarmup(s, 2)
 	if err != nil {
 		f.Fatal(err)
 	}
-	job := &wireMsg{Type: "job", ID: 3, Name: s.Name, Scenario: s.Render(), Warmup: warmup}
-	res, err := (&Worker{}).runJob(job)
+	job := &wireMsg{Type: "job", ID: 3, Name: s.Name, Scenario: s.Render(), WarmupKey: "k0", Warmup: warmup}
+	res, err := (&Worker{}).runJob(job, job.Warmup)
 	if err != nil {
 		f.Fatal(err)
 	}
 	reply := &wireMsg{Type: "result", Worker: "w0", ID: job.ID, Name: job.Name, Result: res}
-	for _, m := range []*wireMsg{job, reply, {Type: "ready", Worker: "w0"}, {Type: "done"}} {
-		payloads, err := chunks(m)
+	for _, m := range []*wireMsg{job, reply, {Type: "ready", Worker: "w0", Have: "k0"}, {Type: "done"}} {
+		payloads, err := encode(m)
 		if err != nil {
 			f.Fatal(err)
 		}
 		got, err := reassemble(payloads)
-		if err != nil || got == nil || got.Type != m.Type || got.Name != m.Name || len(got.Warmup) != len(m.Warmup) {
-			f.Fatalf("%s message does not survive the round trip: %+v, %v", m.Type, got, err)
+		if err != nil || got == nil || got.Type != m.Type || got.Name != m.Name || !bytes.Equal(got.Warmup, m.Warmup) {
+			f.Fatalf("%s message does not survive the round trip (got %v, error %v)", m.Type, got != nil, err)
 		}
-		f.Add(frameStream(payloads), uint16(0))
+		f.Add(frameStream(payloads))
 	}
-	f.Add(frameStream([][]byte{{}}), uint16(0))
-	f.Add(frameStream([][]byte{[]byte("\x00{\"type\":"), []byte("\x01\"job\"")}), uint16(0))
-	f.Add(frameStream([][]byte{[]byte("\x01{\"id\":\"x\"}")}), uint16(0))
-	nonFinal := append([]byte{0}, bytes.Repeat([]byte{' '}, maxChunk)...)
-	f.Add(frameStream([][]byte{nonFinal}), uint16(maxMsgBytes/maxChunk+1))
+	f.Add(frameStream([][]byte{{}}))
+	f.Add(frameStream([][]byte{[]byte("\x01{\"type\":\"done\"}")}))
+	f.Add(frameStream([][]byte{prefixed(wireVersion, maxMsgBytes, 1, "")}))
+	f.Add(frameStream([][]byte{prefixed(wireVersion, 15, 2, `{"type":"done"}`)}))
+	f.Add(frameStream([][]byte{prefixed(wireVersion, 15, 0, `{"type":"done"}xx`)}))
+	f.Add(frameStream([][]byte{prefixed(wireVersion, 15, 3, `{"type":"done"}abc`)}))
 
-	f.Fuzz(func(t *testing.T, stream []byte, repeat uint16) {
+	f.Fuzz(func(t *testing.T, stream []byte) {
 		frames := splitFrames(stream)
 		var a assembler
-		fed, calls := 0, 0
-		for r := 0; r <= int(repeat); r++ {
-			for _, p := range frames {
-				// At most 1<<16 payloads per input: enough maximal chunks
-				// to pass the cap, few enough that replayed tiny frames
-				// stay fast.
-				if calls++; calls > 1<<16 {
-					return
+		for _, p := range frames {
+			m, err := a.add(p)
+			if a.started {
+				h, b, _ := readPrefix(frames[0][1:])
+				if cap(a.buf) != h+b || cap(a.buf) > maxMsgBytes {
+					t.Fatalf("assembler allocated %d bytes for a declared %d (cap %d)", cap(a.buf), h+b, maxMsgBytes)
 				}
-				m, err := a.add(p)
-				if len(a.doc) > maxMsgBytes {
-					t.Fatalf("assembler buffers %d bytes, cap %d", len(a.doc), maxMsgBytes)
-				}
-				if len(p) > 0 {
-					fed += len(p) - 1
-				}
-				if err != nil {
-					if strings.Contains(err.Error(), "exceeds") && fed <= maxMsgBytes {
-						t.Fatalf("size-cap error after only %d document bytes", fed)
-					}
-					return
-				}
-				if m == nil {
-					continue
-				}
-				doc, err := json.Marshal(m)
-				if err != nil {
-					t.Fatalf("decoded message does not re-encode: %v", err)
-				}
-				if len(doc) > maxMsgBytes {
-					return // escaping grew it past the cap: not sendable
-				}
-				payloads, err := chunks(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				again, err := reassemble(payloads)
-				if err != nil || again == nil {
-					t.Fatalf("re-chunked message does not reassemble: %v", err)
-				}
-				if redoc, _ := json.Marshal(again); !bytes.Equal(redoc, doc) {
-					t.Fatalf("round trip changed the document:\n  %s\n  %s", doc, redoc)
-				}
+			}
+			if err != nil {
 				return
 			}
+			if m == nil {
+				continue
+			}
+			first, err := encode(m)
+			if err != nil {
+				return // escaping grew the header past the cap: not sendable
+			}
+			again, err := reassemble(first)
+			if err != nil || again == nil {
+				t.Fatalf("re-encoded message does not reassemble: %v", err)
+			}
+			second, err := encode(again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bytes.Join(first, nil), bytes.Join(second, nil)) {
+				t.Fatalf("round trip changed the encoding of a %q message", m.Type)
+			}
+			return
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -190,4 +191,64 @@ func TestSweepTCPParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkParity(t, "tcp", out, ref)
+}
+
+// TestSweepWarmupShipsOnce pins the ship-once protocol on a grid with two
+// warm-up groups queued in alternating order: a single worker is sent each
+// checkpoint exactly once (it is handed the held group's points first), a
+// pool of four at most once per worker per group, and every digest still
+// matches its serial twin fed the same checkpoint.
+func TestSweepWarmupShipsOnce(t *testing.T) {
+	const prefix = 8
+	var points []Point
+	for _, pol := range []string{"none", "threshold-dfs"} {
+		for _, w := range []string{"matrix", "fir"} {
+			s := smallScenario()
+			s.Workload = w
+			s.Policy = pol
+			s.Name = w + "/" + pol
+			if err := s.Lint(); err != nil {
+				t.Fatal(err)
+			}
+			points = append(points, Point{Index: len(points), Name: s.Name, Scenario: s})
+		}
+	}
+	ref := map[string]string{}
+	cks := map[string][]byte{}
+	for _, p := range points {
+		key := p.WarmupKey()
+		if cks[key] == nil {
+			ck, err := CutWarmup(p.Scenario, prefix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cks[key] = ck
+		}
+		r, err := RunPoint(p.Scenario, cks[key])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[p.Name] = r.Digest
+	}
+	if len(cks) != 2 {
+		t.Fatalf("grid has %d warm-up groups, want 2", len(cks))
+	}
+
+	for _, workers := range []int{1, 4} {
+		out, err := RunPoints("ship", points, prefix, Options{Workers: workers, StragglerAfter: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkParity(t, fmt.Sprintf("workers=%d", workers), out, ref)
+		if out.WarmupGroups != len(cks) {
+			t.Errorf("workers=%d: warm-up groups = %d, want %d", workers, out.WarmupGroups, len(cks))
+		}
+		limit := workers * out.WarmupGroups
+		if workers == 1 && out.WarmupSends != out.WarmupGroups {
+			t.Errorf("workers=1: %d checkpoint sends, want one per group (%d)", out.WarmupSends, out.WarmupGroups)
+		}
+		if out.WarmupSends < out.WarmupGroups || out.WarmupSends > limit {
+			t.Errorf("workers=%d: %d checkpoint sends, want %d..%d", workers, out.WarmupSends, out.WarmupGroups, limit)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -80,9 +81,9 @@ func checkParity(t *testing.T, column string, out *Outcome, ref map[string]strin
 	}
 }
 
-// TestWireRoundTrip pushes an oversized protocol message (a fake multi-chunk
-// warm-up checkpoint) through a loopback endpoint pair and checks it
-// reassembles bit-identically.
+// TestWireRoundTrip pushes a multi-chunk job (a fake warm-up checkpoint
+// as its blob) through a loopback endpoint pair and checks it reassembles
+// bit-identically, with the header fields and the raw blob intact.
 func TestWireRoundTrip(t *testing.T) {
 	devTr, coordTr := etherlink.LoopbackPair(256)
 	link := (&Options{}).sweepLink()
@@ -91,11 +92,11 @@ func TestWireRoundTrip(t *testing.T) {
 	defer devTr.Close()
 	defer coordTr.Close()
 
-	warmup := make([]byte, 4*maxChunk+123)
+	warmup := make([]byte, 4*etherlink.MaxPayload+123)
 	for i := range warmup {
 		warmup[i] = byte(i * 31)
 	}
-	sent := &wireMsg{Type: "job", ID: 7, Name: "p7", Scenario: "thermemu-scenario v1\n", Warmup: warmup}
+	sent := &wireMsg{Type: "job", ID: 7, Name: "p7", Scenario: "thermemu-scenario v1\n", WarmupKey: "k7", Warmup: warmup}
 
 	errc := make(chan error, 1)
 	go func() { errc <- sendMsg(worker, sent) }()
@@ -106,11 +107,25 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != "job" || got.ID != 7 || got.Name != "p7" || got.Scenario != sent.Scenario {
-		t.Fatalf("round trip mangled header: %+v", got)
+	if got.Type != "job" || got.ID != 7 || got.Name != "p7" || got.Scenario != sent.Scenario || got.WarmupKey != "k7" {
+		t.Fatalf("round trip mangled header: %s %d %s %q %s", got.Type, got.ID, got.Name, got.Scenario, got.WarmupKey)
 	}
 	if !bytes.Equal(got.Warmup, warmup) {
 		t.Fatalf("round trip mangled the %d-byte warmup payload", len(warmup))
+	}
+	// The blob travels raw: the frames carry it plus a small header, not
+	// its base64 expansion.
+	if n := coord.ReceivedCount(); n != uint64(len(warmup)/etherlink.MaxPayload+1) {
+		t.Errorf("a %d-byte blob took %d frames", len(warmup), n)
+	}
+
+	// A message without a blob decodes with a nil Warmup.
+	go func() { errc <- sendMsg(worker, &wireMsg{Type: "ready", Worker: "w0", Have: "k7"}) }()
+	if got, err = recvMsg(coord); err != nil || got.Have != "k7" || got.Warmup != nil {
+		t.Fatalf("ready round trip = %+v, %v", got, err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
 	}
 
 	// A graceful CtrlStop mid-stream surfaces as errPeerStopped, not a frame.
@@ -123,30 +138,104 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireRejectsOversizedMessage streams non-final chunks past maxMsgBytes
-// and checks the receiver gives up with an error instead of buffering them.
+// TestWireRejectsOversizedMessage checks both size bounds over a real
+// endpoint pair: a prefix declaring more than maxMsgBytes fails on the
+// first frame, and non-final chunks streamed past a declared length fail
+// at the chunk that overruns it rather than being buffered.
 func TestWireRejectsOversizedMessage(t *testing.T) {
-	devTr, coordTr := etherlink.LoopbackPair(256)
-	link := (&Options{}).sweepLink()
-	worker := newEndpoint(devTr, false, link)
-	coord := newEndpoint(coordTr, true, link)
+	for _, tc := range []struct {
+		name   string
+		first  []byte
+		more   int
+		errSub string
+	}{
+		{"declared over the cap", prefixed(wireVersion, maxMsgBytes, 1, ""), 0, "exceeds"},
+		{"chunks past the declared length", prefixed(wireVersion, 15, 4000, `{"type":"job"}`), 4, "runs past"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			devTr, coordTr := etherlink.LoopbackPair(256)
+			link := (&Options{}).sweepLink()
+			worker := newEndpoint(devTr, false, link)
+			coord := newEndpoint(coordTr, true, link)
 
-	chunk := append([]byte{0}, bytes.Repeat([]byte{'x'}, maxChunk)...)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i <= maxMsgBytes/maxChunk; i++ {
-			if worker.Send(etherlink.MsgSweep, chunk) != nil {
-				return // the transports closed under a blocked send
+			tc.first[0] = 0
+			chunk := append([]byte{0}, bytes.Repeat([]byte{'x'}, etherlink.MaxPayload-1)...)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if worker.Send(etherlink.MsgSweep, tc.first) != nil {
+					return
+				}
+				for i := 0; i < tc.more; i++ {
+					if worker.Send(etherlink.MsgSweep, chunk) != nil {
+						return // the transports closed under a blocked send
+					}
+				}
+			}()
+			_, err := recvMsg(coord)
+			devTr.Close()
+			coordTr.Close()
+			<-done
+			if err == nil || !strings.Contains(err.Error(), tc.errSub) {
+				t.Fatalf("recv = %v, want an error containing %q", err, tc.errSub)
 			}
+		})
+	}
+}
+
+// TestAssemblerBounds pins the receiver's allocation contract: it allocates
+// exactly the declared length once, errors on an oversized declaration
+// before allocating anything, rejects a short final chunk, and names both
+// versions when the peer speaks another one.
+func TestAssemblerBounds(t *testing.T) {
+	blob := bytes.Repeat([]byte{0xA5}, 3*etherlink.MaxPayload)
+	payloads, err := encode(&wireMsg{Type: "job", Name: "p", WarmupKey: "k", Warmup: blob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a assembler
+	var declared int
+	for i, p := range payloads {
+		m, err := a.add(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	_, err := recvMsg(coord)
-	devTr.Close()
-	coordTr.Close()
-	<-done
+		if i == 0 {
+			h, b, _ := readPrefix(p[1:])
+			declared = h + b
+		}
+		if cap(a.buf) != declared {
+			t.Fatalf("after chunk %d the assembler holds %d bytes of capacity, declared %d", i, cap(a.buf), declared)
+		}
+		if (m != nil) != (i == len(payloads)-1) {
+			t.Fatalf("chunk %d of %d: message %v", i, len(payloads), m)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = (&assembler{}).add(prefixed(wireVersion, maxMsgBytes/2+1, maxMsgBytes/2, ""))
+	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("recv of an unbounded chunk stream = %v, want the size-cap error", err)
+		t.Fatalf("oversized declaration = %v, want the size-cap error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting an oversized declaration allocated %d bytes", grew)
+	}
+
+	if _, err := (&assembler{}).add(prefixed(wireVersion, 15, 5, `{"type":"done"}`)); err == nil || !strings.Contains(err.Error(), "ends at 15 of its declared 20") {
+		t.Errorf("short final chunk = %v, want the truncation error", err)
+	}
+	for _, tc := range []struct {
+		payload []byte
+		want    string
+	}{
+		{prefixed(3, 15, 0, `{"type":"done"}`), "wire version 3, this side speaks version 2"},
+		{[]byte("\x01{\"type\":\"done\"}"), "wire version 1, this side speaks version 2"},
+	} {
+		if _, err := (&assembler{}).add(tc.payload); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("payload %q = %v, want an error containing %q", tc.payload[:4], err, tc.want)
+		}
 	}
 }
 
@@ -291,5 +380,191 @@ func TestOutcomeBenchFormat(t *testing.T) {
 	}
 	if !strings.Contains(tbl.String(), "aggregate windows/s") {
 		t.Errorf("table missing aggregate line:\n%s", tbl.String())
+	}
+}
+
+// stallTransport is a worker link that stays open but goes silent: once
+// the first frame from the coordinator arrives, everything the worker
+// sends is dropped without an error.
+type stallTransport struct {
+	etherlink.Transport
+	once    sync.Once
+	stalled chan struct{}
+}
+
+func newStallTransport(tr etherlink.Transport) *stallTransport {
+	return &stallTransport{Transport: tr, stalled: make(chan struct{})}
+}
+
+func (s *stallTransport) Recv() ([]byte, error) {
+	b, err := s.Transport.Recv()
+	if err == nil {
+		s.once.Do(func() { close(s.stalled) })
+	}
+	return b, err
+}
+
+func (s *stallTransport) silent() bool {
+	select {
+	case <-s.stalled:
+		return true
+	default:
+		return false
+	}
+}
+
+func (s *stallTransport) Send(b []byte) error {
+	if s.silent() {
+		return nil
+	}
+	return s.Transport.Send(b)
+}
+
+func (s *stallTransport) TrySend(b []byte) (bool, error) {
+	if s.silent() {
+		return true, nil
+	}
+	return s.Transport.TrySend(b)
+}
+
+// TestSweepSilentWorkerRequeues: a worker whose link stays open but stops
+// sending mid-job is declared dead within the session's idle budget
+// (RetryTimeout x (MaxRetries+1)), with no deadline beyond the reliable
+// endpoint's own, and its point is re-queued and finished by a second
+// worker with the serial digest.
+func TestSweepSilentWorkerRequeues(t *testing.T) {
+	points := smallGrid(t)[:1]
+	ref := serialDigests(t, points)
+	link := etherlink.ReliableConfig{RetryTimeout: 10 * time.Millisecond, MaxRetries: 5}
+	budget := time.Duration(link.MaxRetries+1) * link.RetryTimeout
+	c := NewCoordinator(points, Options{StragglerAfter: -1, Link: link})
+
+	devTr, coordTr := etherlink.LoopbackPair(256)
+	silent := newStallTransport(devTr)
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		(&Worker{Name: "silent", Link: c.opt.sweepLink()}).Serve(silent)
+	}()
+	sessDone := make(chan error, 1)
+	go func() { sessDone <- c.ServeSession(coordTr) }()
+
+	var dead time.Duration
+	select {
+	case <-silent.stalled:
+		start := time.Now()
+		select {
+		case err := <-sessDone:
+			dead = time.Since(start)
+			if !errors.Is(err, etherlink.ErrLinkStalled) {
+				t.Fatalf("silent session ended with %v, want %v", err, etherlink.ErrLinkStalled)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("silent session never declared dead")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the worker never received its job")
+	}
+	<-workerDone
+	t.Logf("silent session declared dead %v after the stall (budget %v)", dead, budget)
+	// Timers on a loaded host fire late: allow scheduling slack on top of
+	// the budget, far below the 60 s sweep default.
+	if slack := 250 * time.Millisecond; dead > budget+slack {
+		t.Errorf("silent session declared dead after %v, budget %v (+%v slack)", dead, budget, slack)
+	}
+	c.mu.Lock()
+	requeued, fails := len(c.pending), c.sessFails
+	c.mu.Unlock()
+	if requeued != 1 || fails != 1 {
+		t.Fatalf("after the silent session: %d point(s) queued, %d session failure(s); want 1 and 1", requeued, fails)
+	}
+
+	// The healthy worker computes between messages for longer than the
+	// short budget allows under -race, so its session takes the default.
+	c.opt.Link = etherlink.ReliableConfig{}
+	devTr2, coordTr2 := etherlink.LoopbackPair(256)
+	go (&Worker{Name: "healthy"}).Serve(devTr2)
+	if err := c.ServeSession(coordTr2); err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.outcome("silent", 2, 0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkParity(t, "silent-worker", out, ref)
+}
+
+// TestSweepUnheldWarmupRequeues covers a job naming a warm-up the worker
+// does not hold and carrying no bytes. The coordinator omits the bytes
+// only for the key a worker reports holding; a peer that reports a key it
+// does not hold ends its session, the point is re-queued, and the next
+// worker is sent the checkpoint and finishes with the warmed digest.
+func TestSweepUnheldWarmupRequeues(t *testing.T) {
+	const prefix = 8
+	points := smallGrid(t)[:1]
+	ck, err := CutWarmup(points[0].Scenario, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunPoint(points[0].Scenario, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(points, Options{StragglerAfter: -1})
+	if _, err := c.CutWarmups(prefix, 1); err != nil {
+		t.Fatal(err)
+	}
+	key := c.st[0].warmup.id
+
+	// A peer claiming to hold the key is sent the job without the bytes.
+	link := c.opt.sweepLink()
+	devTr, coordTr := etherlink.LoopbackPair(256)
+	sessDone := make(chan error, 1)
+	go func() { sessDone <- c.ServeSession(coordTr) }()
+	liar := newEndpoint(devTr, false, link)
+	if err := sendMsg(liar, &wireMsg{Type: "ready", Worker: "liar", Have: key}); err != nil {
+		t.Fatal(err)
+	}
+	job, err := recvMsg(liar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Type != "job" || job.WarmupKey != key || job.Warmup != nil {
+		t.Fatalf("job for a worker holding %s = %s with key %q and %d checkpoint bytes, want the key without bytes",
+			key, job.Type, job.WarmupKey, len(job.Warmup))
+	}
+
+	// A real worker handed that job ends its session with an error.
+	wTr, cTr := etherlink.LoopbackPair(256)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- (&Worker{Name: "w"}).Serve(wTr) }()
+	fake := newEndpoint(cTr, true, link)
+	if m, err := recvMsg(fake); err != nil || m.Type != "ready" || m.Have != "" {
+		t.Fatalf("first message = %+v, %v; want ready holding nothing", m, err)
+	}
+	if err := sendMsg(fake, job); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveErr; err == nil || !strings.Contains(err.Error(), "does not hold") {
+		t.Fatalf("Serve on an unheld warm-up key = %v, want the does-not-hold error", err)
+	}
+	cTr.Close()
+
+	// The liar's session dies the same way; the point goes back to the
+	// queue and a fresh worker, holding nothing, gets the bytes.
+	devTr.Close()
+	<-sessDone
+	devTr2, coordTr2 := etherlink.LoopbackPair(256)
+	go (&Worker{Name: "fresh"}).Serve(devTr2)
+	if err := c.ServeSession(coordTr2); err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.outcome("unheld", 2, 0, 0, prefix, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkParity(t, "unheld", out, map[string]string{points[0].Name: want.Digest})
+	if out.SessionFailures != 1 || out.WarmupSends != 1 {
+		t.Errorf("session failures %d, checkpoint sends %d; want 1 and 1", out.SessionFailures, out.WarmupSends)
 	}
 }

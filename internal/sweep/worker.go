@@ -8,11 +8,12 @@ import (
 	"thermemu/internal/scenario"
 )
 
-// Worker executes grid points for a coordinator. It is stateless between
-// jobs: every job carries its full scenario (canonical render) and, when
-// the sweep shares warm-up prefixes, the encoded TMCK checkpoint to resume
-// or fork from — so any worker can run any point, and a re-dispatched
-// point computes the same digest wherever it lands.
+// Worker executes grid points for a coordinator. Every job carries its
+// full scenario (canonical render) and, when the sweep shares warm-up
+// prefixes, the key of the TMCK checkpoint to resume or fork from. The
+// worker holds the last checkpoint it was sent, so the coordinator ships
+// the bytes only when the key changes. Any worker can run any point, and a
+// re-dispatched point computes the same digest wherever it lands.
 type Worker struct {
 	Name string
 	// Link tunes the reliable endpoint (zero fields take the sweep
@@ -37,6 +38,7 @@ func (w *Worker) Serve(tr etherlink.Transport) error {
 		link = (&Options{Link: link}).sweepLink()
 	}
 	ep := newEndpoint(tr, false, link)
+	var held heldWarmup
 	if err := sendMsg(ep, &wireMsg{Type: "ready", Worker: w.Name}); err != nil {
 		return err
 	}
@@ -50,9 +52,13 @@ func (w *Worker) Serve(tr etherlink.Transport) error {
 		}
 		switch m.Type {
 		case "job":
+			warmup, err := held.resolve(m)
+			if err != nil {
+				return fmt.Errorf("sweep: %s: %w", w.Name, err)
+			}
 			w.logf("sweep: %s running %s", w.Name, m.Name)
 			reply := &wireMsg{Type: "result", Worker: w.Name, ID: m.ID, Name: m.Name}
-			res, err := w.runJob(m)
+			res, err := w.runJob(m, warmup)
 			if err != nil {
 				reply.Error = err.Error()
 			} else {
@@ -61,7 +67,7 @@ func (w *Worker) Serve(tr etherlink.Transport) error {
 			if err := sendMsg(ep, reply); err != nil {
 				return err
 			}
-			if err := sendMsg(ep, &wireMsg{Type: "ready", Worker: w.Name}); err != nil {
+			if err := sendMsg(ep, &wireMsg{Type: "ready", Worker: w.Name, Have: held.key}); err != nil {
 				return err
 			}
 		case "done":
@@ -73,12 +79,34 @@ func (w *Worker) Serve(tr etherlink.Transport) error {
 	}
 }
 
-func (w *Worker) runJob(m *wireMsg) (*Result, error) {
+// heldWarmup is the one warm-up checkpoint a worker keeps between jobs.
+type heldWarmup struct {
+	key string
+	ck  []byte
+}
+
+// resolve returns the checkpoint job m resumes from: none for a job without
+// a warm-up key, the job's own bytes (which replace the held checkpoint),
+// or the held checkpoint when the job names its key and carries no bytes.
+func (h *heldWarmup) resolve(m *wireMsg) ([]byte, error) {
+	switch {
+	case m.WarmupKey == "":
+		return m.Warmup, nil
+	case m.Warmup != nil:
+		h.key, h.ck = m.WarmupKey, m.Warmup
+	case m.WarmupKey != h.key:
+		return nil, fmt.Errorf("job %s resumes warm-up %s, which this worker does not hold (it holds %q)",
+			m.Name, m.WarmupKey, h.key)
+	}
+	return h.ck, nil
+}
+
+func (w *Worker) runJob(m *wireMsg, warmup []byte) (*Result, error) {
 	s, err := scenario.Parse(m.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunPoint(s, m.Warmup)
+	res, err := RunPoint(s, warmup)
 	if err != nil {
 		return nil, err
 	}
