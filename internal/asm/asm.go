@@ -27,7 +27,7 @@ package asm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -59,6 +59,12 @@ func (im *Image) End() uint32 {
 	return end
 }
 
+// MaxImageBytes bounds the bytes one source may emit (overwrites
+// included). A .space, .align or emission that would pass it is an *Error,
+// reported before any of its bytes are stored, so no source can make the
+// assembler allocate without limit. The corpus programs emit a few KB.
+const MaxImageBytes = 16 << 20
+
 // Error describes an assembly failure at a specific source line.
 type Error struct {
 	Line int
@@ -67,9 +73,27 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg) }
 
+// pageSize is the granule of the assembler's sparse image: a program and
+// a data block at a far .org occupy a handful of pages.
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+)
+
+// page is one pageSize-aligned span of the image and a mask of the bytes
+// written in it, so later writes to an address still win and unwritten
+// bytes are not part of any section.
+type page struct {
+	data    [pageSize]byte
+	written [pageSize / 64]uint64
+}
+
 type assembler struct {
 	symbols map[string]uint32
-	out     map[uint32]byte // sparse byte image
+	pages   map[uint32]*page // sparse byte image, keyed by addr >> pageBits
+	last    *page            // the page the previous byte went to
+	lastKey uint32
+	emitted uint64 // bytes emitted this pass, bounded by MaxImageBytes
 	pc      uint32
 	entry   uint32
 	haveEnt bool
@@ -83,12 +107,15 @@ func Assemble(src string) (*Image, error) {
 	for pass := 1; pass <= 2; pass++ {
 		a.pass = pass
 		a.pc = 0
+		a.emitted = 0
 		a.haveEnt = false
 		if pass == 2 {
-			a.out = make(map[uint32]byte)
+			a.pages = make(map[uint32]*page)
 		}
-		for i, raw := range strings.Split(src, "\n") {
-			a.line = i + 1
+		rest, more := src, true
+		for a.line = 1; more; a.line++ {
+			var raw string
+			raw, rest, more = strings.Cut(rest, "\n")
 			if err := a.doLine(raw); err != nil {
 				return nil, err
 			}
@@ -144,12 +171,9 @@ func (a *assembler) doLine(raw string) error {
 	if s == "" {
 		return nil
 	}
-	fields := strings.SplitN(s, " ", 2)
-	mnem := strings.ToLower(fields[0])
-	rest := ""
-	if len(fields) == 2 {
-		rest = strings.TrimSpace(fields[1])
-	}
+	mnem, rest, _ := strings.Cut(s, " ")
+	mnem = strings.ToLower(mnem)
+	rest = strings.TrimSpace(rest)
 	if strings.HasPrefix(mnem, ".") {
 		return a.directive(mnem, rest)
 	}
@@ -172,23 +196,24 @@ func isIdent(s string) bool {
 func (a *assembler) directive(name, rest string) error {
 	switch name {
 	case ".equ":
-		parts := splitOperands(rest)
-		if len(parts) != 2 {
+		sym, val, ok := strings.Cut(rest, ",")
+		if !ok || strings.Contains(val, ",") {
 			return a.errf(".equ needs NAME, value")
 		}
-		if !isIdent(parts[0]) {
-			return a.errf("invalid .equ name %q", parts[0])
+		sym = strings.TrimSpace(sym)
+		if !isIdent(sym) {
+			return a.errf("invalid .equ name %q", sym)
 		}
-		v, err := a.eval(parts[1])
+		v, err := a.eval(val)
 		if err != nil {
 			return err
 		}
 		if a.pass == 1 {
-			if _, dup := a.symbols[parts[0]]; dup {
-				return a.errf("duplicate symbol %q", parts[0])
+			if _, dup := a.symbols[sym]; dup {
+				return a.errf("duplicate symbol %q", sym)
 			}
 		}
-		a.symbols[parts[0]] = v
+		a.symbols[sym] = v
 		return nil
 	case ".org":
 		v, err := a.eval(rest)
@@ -197,22 +222,27 @@ func (a *assembler) directive(name, rest string) error {
 		}
 		a.pc = v
 		return nil
-	case ".word":
-		for _, op := range splitOperands(rest) {
-			v, err := a.eval(op)
-			if err != nil {
-				return err
-			}
-			a.emitWord(v)
+	case ".word", ".byte":
+		size := uint64(4)
+		if name == ".byte" {
+			size = 1
 		}
-		return nil
-	case ".byte":
-		for _, op := range splitOperands(rest) {
+		// Every comma separates two operands, so "1," is an error.
+		for more := rest != ""; more; {
+			var op string
+			op, rest, more = strings.Cut(rest, ",")
 			v, err := a.eval(op)
 			if err != nil {
 				return err
 			}
-			a.emitByte(byte(v))
+			if err := a.grow(size); err != nil {
+				return err
+			}
+			if size == 4 {
+				a.emitWord(v)
+			} else {
+				a.emitByte(byte(v))
+			}
 		}
 		return nil
 	case ".space":
@@ -220,10 +250,7 @@ func (a *assembler) directive(name, rest string) error {
 		if err != nil {
 			return err
 		}
-		for i := uint32(0); i < v; i++ {
-			a.emitByte(0)
-		}
-		return nil
+		return a.zeros(v)
 	case ".ascii", ".asciz":
 		str := strings.TrimSpace(rest)
 		if len(str) < 2 || str[0] != '"' || str[len(str)-1] != '"' {
@@ -250,10 +277,16 @@ func (a *assembler) directive(name, rest string) error {
 					return a.errf("unknown escape \\%c", body[i])
 				}
 			}
+			if err := a.grow(1); err != nil {
+				return err
+			}
 			a.emitByte(ch)
 			i++
 		}
 		if name == ".asciz" {
+			if err := a.grow(1); err != nil {
+				return err
+			}
 			a.emitByte(0)
 		}
 		return nil
@@ -265,24 +298,10 @@ func (a *assembler) directive(name, rest string) error {
 		if v == 0 || v&(v-1) != 0 {
 			return a.errf(".align requires a power of two, got %d", v)
 		}
-		for a.pc%v != 0 {
-			a.emitByte(0)
-		}
-		return nil
+		return a.zeros((v - a.pc%v) % v)
 	default:
 		return a.errf("unknown directive %s", name)
 	}
-}
-
-func splitOperands(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
 }
 
 // eval evaluates an expression of the form term (('+'|'-') term)* where a
@@ -347,12 +366,8 @@ func (a *assembler) term(t string) (uint32, error) {
 		}
 		return 0, a.errf("invalid char literal %s", t)
 	}
-	if v, err := strconv.ParseInt(t, 0, 64); err == nil {
-		return uint32(v), nil
-	}
-	if v, err := strconv.ParseUint(t, 0, 64); err == nil {
-		return uint32(v), nil
-	}
+	// An identifier never parses as a number (none starts with a digit),
+	// so symbols skip strconv and the error value it would allocate.
 	if isIdent(t) {
 		if v, ok := a.symbols[t]; ok {
 			return v, nil
@@ -362,12 +377,53 @@ func (a *assembler) term(t string) (uint32, error) {
 		}
 		return 0, a.errf("undefined symbol %q", t)
 	}
+	if v, err := strconv.ParseInt(t, 0, 64); err == nil {
+		return uint32(v), nil
+	}
+	if v, err := strconv.ParseUint(t, 0, 64); err == nil {
+		return uint32(v), nil
+	}
 	return 0, a.errf("cannot parse term %q", t)
+}
+
+// grow accounts n more emitted bytes, refusing to pass MaxImageBytes.
+func (a *assembler) grow(n uint64) error {
+	if a.emitted+n > MaxImageBytes {
+		return a.errf("image would exceed %d bytes (%d emitted, %d more)", MaxImageBytes, a.emitted, n)
+	}
+	a.emitted += n
+	return nil
+}
+
+// zeros emits n zero bytes (.space and .align padding).
+func (a *assembler) zeros(n uint32) error {
+	if err := a.grow(uint64(n)); err != nil {
+		return err
+	}
+	if a.pass == 1 {
+		a.pc += n
+		return nil
+	}
+	for ; n > 0; n-- {
+		a.emitByte(0)
+	}
+	return nil
 }
 
 func (a *assembler) emitByte(b byte) {
 	if a.pass == 2 {
-		a.out[a.pc] = b
+		key := a.pc >> pageBits
+		if a.last == nil || a.lastKey != key {
+			p := a.pages[key]
+			if p == nil {
+				p = new(page)
+				a.pages[key] = p
+			}
+			a.last, a.lastKey = p, key
+		}
+		off := a.pc & (pageSize - 1)
+		a.last.data[off] = b
+		a.last.written[off/64] |= 1 << (off % 64)
 	}
 	a.pc++
 }
@@ -386,6 +442,9 @@ func (a *assembler) emitInstr(in isa.Instr) error {
 	}
 	if a.pc%4 != 0 {
 		return a.errf("instruction at unaligned address 0x%x", a.pc)
+	}
+	if err := a.grow(4); err != nil {
+		return err
 	}
 	if a.pass == 2 {
 		if err := isa.Validate(in); err != nil {
@@ -471,8 +530,15 @@ var memByName = map[string]isa.Opcode{
 	"sw": isa.OpSw, "sb": isa.OpSb, "swap": isa.OpSwap,
 }
 
+// swappedBranchByName maps the pseudo-branches to the branch they become
+// with their register operands swapped.
+var swappedBranchByName = map[string]isa.Opcode{
+	"bgt": isa.OpBlt, "ble": isa.OpBge, "bgtu": isa.OpBltu, "bleu": isa.OpBgeu,
+}
+
 func (a *assembler) instruction(mnem, rest string) error {
-	ops := splitMemAware(rest)
+	var buf [4]string
+	ops := splitMemAware(rest, &buf)
 	n := len(ops)
 	need := func(k int) error {
 		if n != k {
@@ -698,19 +764,20 @@ func (a *assembler) instruction(mnem, rest string) error {
 		if err != nil {
 			return err
 		}
-		op := map[string]isa.Opcode{"bgt": isa.OpBlt, "ble": isa.OpBge, "bgtu": isa.OpBltu, "bleu": isa.OpBgeu}[mnem]
-		return a.emitInstr(isa.Instr{Op: op, Rs1: rs2, Rs2: rs1, Imm: off})
+		return a.emitInstr(isa.Instr{Op: swappedBranchByName[mnem], Rs1: rs2, Rs2: rs1, Imm: off})
 	}
 	return a.errf("unknown mnemonic %q", mnem)
 }
 
-// splitMemAware splits operands on commas that are not inside parentheses.
-func splitMemAware(s string) []string {
+// splitMemAware splits operands on commas that are not inside parentheses,
+// appending them to buf's storage (it grows past four operands only for a
+// malformed line).
+func splitMemAware(s string, buf *[4]string) []string {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil
 	}
-	var out []string
+	out := buf[:0]
 	depth, start := 0, 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -729,21 +796,33 @@ func splitMemAware(s string) []string {
 	return out
 }
 
-// image converts the sparse byte map into contiguous sections.
+// image converts the written bytes of the sparse pages into contiguous
+// sections, in address order. One buffer backs every section, and each is
+// capped at its own length, so appending to one never writes into the next.
 func (a *assembler) image() *Image {
-	addrs := make([]uint32, 0, len(a.out))
-	for addr := range a.out {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	im := &Image{Entry: a.entry, Symbols: a.symbols}
-	var cur *Section
-	for _, addr := range addrs {
-		if cur == nil || addr != cur.Addr+uint32(len(cur.Data)) {
-			im.Sections = append(im.Sections, Section{Addr: addr})
-			cur = &im.Sections[len(im.Sections)-1]
+	keys := make([]uint32, 0, len(a.pages))
+	for k := range a.pages {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	buf := make([]byte, 0, len(keys)*pageSize)
+	start, end := 0, uint64(1)<<33 // no byte ends at 2^33: the first opens a section
+	for _, k := range keys {
+		p := a.pages[k]
+		for off := uint32(0); off < pageSize; off++ {
+			if p.written[off/64]&(1<<(off%64)) == 0 {
+				continue
+			}
+			addr := uint64(k<<pageBits | off)
+			if addr != end {
+				im.Sections = append(im.Sections, Section{Addr: uint32(addr)})
+				start = len(buf)
+			}
+			buf = append(buf, p.data[off])
+			im.Sections[len(im.Sections)-1].Data = buf[start:len(buf):len(buf)]
+			end = addr + 1
 		}
-		cur.Data = append(cur.Data, a.out[addr])
 	}
 	return im
 }

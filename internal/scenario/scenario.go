@@ -35,6 +35,7 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"thermemu/internal/asm"
@@ -137,13 +138,37 @@ func New() *Scenario {
 	}
 }
 
+// MaxFileBytes bounds a scenario or sweep-spec file, as
+// floorplan.MaxJSONBytes bounds a floorplan: the committed examples take
+// about 1 KB, so a larger file is a mistake or hostile input, not a
+// scenario.
+const MaxFileBytes = 1 << 20
+
+// ReadSource reads a scenario or sweep-spec file, refusing one longer than
+// MaxFileBytes without reading past the limit.
+func ReadSource(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	src, err := io.ReadAll(io.LimitReader(f, MaxFileBytes+1))
+	if err != nil {
+		return "", err
+	}
+	if len(src) > MaxFileBytes {
+		return "", fmt.Errorf("%s: file exceeds %d bytes", path, MaxFileBytes)
+	}
+	return string(src), nil
+}
+
 // Load reads, parses and lints a scenario file.
 func Load(path string) (*Scenario, error) {
-	src, err := os.ReadFile(path)
+	src, err := ReadSource(path)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	s, err := Parse(string(src))
+	s, err := Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", path, err)
 	}

@@ -23,7 +23,6 @@ package sweep
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -182,13 +181,14 @@ func splitValues(val string) []string {
 	return out
 }
 
-// LoadSpec reads and parses a sweep spec file.
+// LoadSpec reads and parses a sweep spec file of at most
+// scenario.MaxFileBytes.
 func LoadSpec(path string) (*Spec, error) {
-	src, err := os.ReadFile(path)
+	src, err := scenario.ReadSource(path)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	sp, err := ParseSpec(string(src))
+	sp, err := ParseSpec(src)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %s: %w", path, err)
 	}

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"thermemu/internal/scenario"
 )
 
 const specAll = `thermemu-sweep v1
@@ -168,6 +170,28 @@ func TestWarmupKeyGroupsPolicies(t *testing.T) {
 	for k, group := range keys {
 		if len(group) != 2 {
 			t.Errorf("group %q has %d points, want 2 (the two policies)", k, len(group))
+		}
+	}
+}
+
+// TestLoadSpecCapsFileSize: a spec file longer than scenario.MaxFileBytes
+// is refused; one at the limit parses.
+func TestLoadSpecCapsFileSize(t *testing.T) {
+	dir := t.TempDir()
+	for _, n := range []int{scenario.MaxFileBytes, scenario.MaxFileBytes + 1} {
+		comment := "#" + strings.Repeat("x", 98) + "\n"
+		src := specAll + strings.Repeat(comment, (n-len(specAll))/len(comment))
+		src += strings.Repeat("\n", n-len(src))
+		path := filepath.Join(dir, "big.sweep")
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadSpec(path)
+		if n == scenario.MaxFileBytes && err != nil {
+			t.Errorf("%d-byte spec: %v", n, err)
+		}
+		if n > scenario.MaxFileBytes && (err == nil || !strings.Contains(err.Error(), "exceeds")) {
+			t.Errorf("%d-byte spec: err = %v, want a size error", n, err)
 		}
 	}
 }

@@ -27,7 +27,8 @@ func fuzzRects(data []byte) []Rect {
 // of two outcomes: a validation error, or a model whose Step stays stable
 // (finite temperatures, never below ambient) under power injection. A model
 // that constructs successfully but then produces NaN/Inf or sub-ambient
-// temperatures is a bug in grid validation.
+// temperatures is a bug in grid validation. Either way the result must
+// match the all-pairs oracle bit for bit, error text included.
 func FuzzNewModel(f *testing.F) {
 	// Valid 2x2 grid of 1 mm cells.
 	f.Add([]byte{0, 0, 50, 50, 50, 0, 50, 50, 0, 50, 50, 50, 50, 50, 50, 50})
@@ -66,6 +67,9 @@ func FuzzNewModel(f *testing.F) {
 			cu[i].Y += minY
 		}
 
+		if d := CompareBuilders(si, cu, DefaultOptions()); d != "" {
+			t.Fatalf("NewModel differs from the all-pairs oracle on %+v: %s", si, d)
+		}
 		m, err := NewModel(si, cu, DefaultOptions())
 		if err != nil {
 			return // rejecting bad input is a valid outcome

@@ -25,10 +25,12 @@
 package thermal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 )
 
 // Properties are the material and package constants of Table 2.
@@ -99,10 +101,11 @@ type Rect struct {
 // Area returns the footprint area in m².
 func (r Rect) Area() float64 { return r.W * r.H }
 
-// Overlap returns the overlapping area of two footprints.
+// Overlap returns the overlapping area of two footprints. For finite
+// coordinates the builtin min and max agree with math.Min and math.Max.
 func (r Rect) Overlap(o Rect) float64 {
-	w := math.Min(r.X+r.W, o.X+o.W) - math.Max(r.X, o.X)
-	h := math.Min(r.Y+r.H, o.Y+o.H) - math.Max(r.Y, o.Y)
+	w := min(r.X+r.W, o.X+o.W) - max(r.X, o.X)
+	h := min(r.Y+r.H, o.Y+o.H) - max(r.Y, o.Y)
 	if w <= 0 || h <= 0 {
 		return 0
 	}
@@ -128,6 +131,50 @@ func contact(a, b Rect) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// nearPairs returns every pair i < j of cells whose X extents and Y extents
+// each come within 2·geomEps: a superset of the pairs that overlap or abut,
+// as uint64(i)<<32|j in ascending order, which is the (i, j > i) order of
+// an all-pairs scan. One sort of the cells by X bounds the scan: from each
+// cell it stops at the first cell that starts past its right edge.
+func nearPairs(cells []Rect) []uint64 {
+	const tol = 2 * geomEps
+	order := make([]int32, len(cells))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(cells[a].X, cells[b].X) })
+	pairs := make([]uint64, 0, 4*len(cells))
+	for k, i := range order {
+		a := cells[i]
+		right, top := a.X+a.W+tol, a.Y+a.H+tol
+		for _, j := range order[k+1:] {
+			b := cells[j]
+			if b.X > right {
+				break
+			}
+			if b.Y > top || a.Y > b.Y+b.H+tol {
+				continue
+			}
+			lo, hi := min(i, j), max(i, j)
+			pairs = append(pairs, uint64(lo)<<32|uint64(hi))
+		}
+	}
+	slices.Sort(pairs)
+	return pairs
+}
+
+// checkOverlaps reports the first pair, in (i, j > i) order, of cells that
+// overlap. Only near pairs can.
+func checkOverlaps(name string, cells []Rect, pairs []uint64) error {
+	for _, p := range pairs {
+		a, b := cells[p>>32], cells[uint32(p)]
+		if a.Overlap(b) > geomEps*geomEps {
+			return fmt.Errorf("thermal: overlapping %s cells %v %v", name, a, b)
+		}
+	}
+	return nil
 }
 
 // Options configures mesh construction and the solver.
@@ -219,8 +266,9 @@ type Model struct {
 	time     float64
 	spreader float64 // spreader area, m²
 
-	workers int // shard count for the parallel path
-	minPar  int // serial fallback below this cell count
+	workers    int    // shard count for the parallel path
+	minPar     int    // serial fallback below this cell count
+	shardStale []bool // per-shard drift flags of the last sharded sub-step
 }
 
 // validateGrid rejects rectangles the RC construction cannot give a physical
@@ -263,19 +311,12 @@ func NewModel(siCells, cuCells []Rect, opt Options) (*Model, error) {
 	if err := validateGrid("copper", cuCells); err != nil {
 		return nil, err
 	}
-	for i, a := range siCells {
-		for _, b := range siCells[i+1:] {
-			if a.Overlap(b) > geomEps*geomEps {
-				return nil, fmt.Errorf("thermal: overlapping silicon cells %v %v", a, b)
-			}
-		}
+	siPairs, cuPairs := nearPairs(siCells), nearPairs(cuCells)
+	if err := checkOverlaps("silicon", siCells, siPairs); err != nil {
+		return nil, err
 	}
-	for i, a := range cuCells {
-		for _, b := range cuCells[i+1:] {
-			if a.Overlap(b) > geomEps*geomEps {
-				return nil, fmt.Errorf("thermal: overlapping copper cells %v %v", a, b)
-			}
-		}
+	if err := checkOverlaps("copper", cuCells, cuPairs); err != nil {
+		return nil, err
 	}
 
 	m := &Model{props: opt.Props, nSi2D: len(siCells), nzSi: opt.NzSi,
@@ -298,32 +339,32 @@ func NewModel(siCells, cuCells []Rect, opt Options) (*Model, error) {
 		m.spreader += r.Area()
 	}
 
-	var edges []edgeRec
-	// Lateral edges within each sub-layer.
-	addLateral := func(base int, grid []Rect, thick float64) {
-		for i := 0; i < len(grid); i++ {
-			for j := i + 1; j < len(grid); j++ {
-				if l, ok := contact(grid[i], grid[j]); ok {
-					a, b := base+i, base+j
-					var da, db float64
-					// Half the centre distance along the contact normal.
-					if math.Abs(grid[i].X+grid[i].W-grid[j].X) < geomEps ||
-						math.Abs(grid[j].X+grid[j].W-grid[i].X) < geomEps {
-						da, db = grid[i].W/2, grid[j].W/2
-					} else {
-						da, db = grid[i].H/2, grid[j].H/2
-					}
-					edges = append(edges, edgeRec{a: a, b: b, area: l * thick, da: da, db: db})
+	edges := make([]edgeRec, 0, opt.NzSi*(len(siPairs)+len(siCells))+opt.NzCu*(len(cuPairs)+len(cuCells)))
+	// Lateral edges within each sub-layer. Only near pairs can abut, and
+	// they come in the (i, j > i) order that fixes the edge order.
+	addLateral := func(base int, grid []Rect, pairs []uint64, thick float64) {
+		for _, p := range pairs {
+			i, j := int(p>>32), int(uint32(p))
+			if l, ok := contact(grid[i], grid[j]); ok {
+				a, b := base+i, base+j
+				var da, db float64
+				// Half the centre distance along the contact normal.
+				if math.Abs(grid[i].X+grid[i].W-grid[j].X) < geomEps ||
+					math.Abs(grid[j].X+grid[j].W-grid[i].X) < geomEps {
+					da, db = grid[i].W/2, grid[j].W/2
+				} else {
+					da, db = grid[i].H/2, grid[j].H/2
 				}
+				edges = append(edges, edgeRec{a: a, b: b, area: l * thick, da: da, db: db})
 			}
 		}
 	}
 	for z := 0; z < opt.NzSi; z++ {
-		addLateral(z*len(siCells), siCells, tSi)
+		addLateral(z*len(siCells), siCells, siPairs, tSi)
 	}
 	cuBase := opt.NzSi * len(siCells)
 	for z := 0; z < opt.NzCu; z++ {
-		addLateral(cuBase+z*len(cuCells), cuCells, tCu)
+		addLateral(cuBase+z*len(cuCells), cuCells, cuPairs, tCu)
 	}
 
 	// Vertical edges between consecutive silicon sub-layers.
@@ -454,6 +495,7 @@ func (m *Model) finalize(nCells int, edges []edgeRec, opt Options) {
 	if m.minPar <= 0 {
 		m.minPar = defaultMinParallelCells
 	}
+	m.shardStale = make([]bool, m.workers)
 	m.updateConductances()
 }
 
@@ -613,7 +655,8 @@ func (m *Model) refreshSums(lo, hi int) {
 
 // conductancesStale reports whether any silicon temperature drifted more
 // than tol kelvin since the last conductance refresh (early exit on the
-// first stale cell).
+// first stale cell). Step calls it once on entry; within a Step each
+// sub-step reports the same test for the cells it wrote.
 func (m *Model) conductancesStale(tol float64) bool {
 	t, tAtK := m.t, m.tAtK
 	for i := 0; i < m.nSi; i++ {
@@ -643,12 +686,15 @@ func (m *Model) stableDt() float64 {
 // seconds, reading m.t and writing m.tNext. All flows are evaluated on the
 // state at the start of the sub-step, so the result is independent of cell
 // order and of how the range is sharded. Convection is applied branchlessly
-// (conv is zero away from the top copper sub-layer).
-func (m *Model) substepRange(h float64, lo, hi int) {
-	t, tn := m.t, m.tNext
+// (conv is zero away from the top copper sub-layer). It reports whether any
+// silicon cell it wrote drifted more than siKTolK from the temperature its
+// conductances were evaluated at: conductancesStale's test on the new
+// state, folded into the pass that produces it.
+func (m *Model) substepRange(h float64, lo, hi int) (stale bool) {
+	t, tn, tAtK := m.t, m.tNext, m.tAtK
 	nbrG, nbrCell, nbrStart := m.nbrG, m.nbrCell, m.nbrStart
 	invCap, conv, pw := m.invCap, m.conv, m.pw
-	amb := m.props.AmbientK
+	amb, nSi := m.props.AmbientK, m.nSi
 	for i := lo; i < hi; i++ {
 		ti := t[i]
 		q := -conv[i] * (ti - amb)
@@ -658,21 +704,31 @@ func (m *Model) substepRange(h float64, lo, hi int) {
 		if i < len(pw) {
 			q += pw[i]
 		}
-		tn[i] = ti + h*q*invCap[i]
+		next := ti + h*q*invCap[i]
+		tn[i] = next
+		if i < nSi {
+			if d := next - tAtK[i]; d > siKTolK || d < -siKTolK {
+				stale = true
+			}
+		}
 	}
+	return stale
 }
 
 // substepAll runs one sub-step over every cell — serial below the parallel
-// threshold, sharded on the worker pool above it.
-func (m *Model) substepAll(h float64) {
+// threshold, sharded on the worker pool above it — and reports whether the
+// new state has drifted past siKTolK (the shards OR their flags).
+func (m *Model) substepAll(h float64) bool {
 	n := len(m.t)
 	if !m.sharded() {
-		m.substepRange(h, 0, n)
-		return
+		return m.substepRange(h, 0, n)
 	}
-	parallelFor(m.workers, n, func(_, lo, hi int) {
-		m.substepRange(h, lo, hi)
+	flags := m.shardStale
+	clear(flags)
+	parallelFor(m.workers, n, func(shard, lo, hi int) {
+		flags[shard] = m.substepRange(h, lo, hi)
 	})
+	return slices.Contains(flags, true)
 }
 
 // Step advances the thermal state by dt seconds using forward Euler with
@@ -682,15 +738,16 @@ func (m *Model) substepAll(h float64) {
 // negligible fraction of the cost of per-sub-step re-evaluation.
 func (m *Model) Step(dt float64) {
 	h := m.stableDt()
+	stale := m.conductancesStale(siKTolK)
 	for remaining := dt; remaining > 1e-15; {
-		if m.conductancesStale(siKTolK) {
+		if stale {
 			m.updateConductances()
 			h = m.stableDt()
 		}
 		if h > remaining {
 			h = remaining
 		}
-		m.substepAll(h)
+		stale = m.substepAll(h)
 		m.t, m.tNext = m.tNext, m.t
 		remaining -= h
 	}
