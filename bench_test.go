@@ -122,7 +122,7 @@ func BenchmarkTable3MatrixTM(b *testing.B) {
 	})
 	b.Run("MPARM", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := runMPARMThermal(build()); err != nil {
+			if _, err := core.RunMPARM(build(), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -214,13 +214,8 @@ func BenchmarkKernelAblation(b *testing.B) {
 	}
 	prep := func() *emu.Platform {
 		p := emu.MustNew(emu.DefaultConfig(4))
-		for i, im := range spec.Programs {
-			if err := p.LoadProgram(i, im); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, blk := range spec.Shared {
-			p.WriteShared(blk.Addr, blk.Data)
+		if err := p.LoadWorkload(spec); err != nil {
+			b.Fatal(err)
 		}
 		return p
 	}

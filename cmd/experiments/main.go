@@ -9,7 +9,6 @@
 //	experiments -solver              in-text thermal-solver speed (660 cells)
 //	experiments -steady              steady-state hotspot on 660 cells
 //	experiments -all                 everything
-//	experiments -scenario f.scn      run a declarative scenario, print its digest
 //
 // Workload sizes are scaled so the whole suite runs in minutes; the paper's
 // original sizes can be requested with the scaling flags.
@@ -34,12 +33,10 @@ func main() {
 		resources = flag.Bool("resources", false, "print the FPGA utilisation figures")
 		solver    = flag.Bool("solver", false, "measure thermal-solver speed on 660 cells")
 		steady    = flag.Bool("steady", false, "relax the 660-cell floorplan to steady state")
-		scenPath  = flag.String("scenario", "", "run this declarative scenario file and print its golden digest")
 
 		matrixN     = flag.Int("matrix-n", 0, "Table 3 matrix dimension (0 = default)")
 		matrixIters = flag.Int("matrix-iters", 0, "Table 3 matrix iterations per core")
-		ditherSize  = flag.Int("dither-size", 0, "Table 3 dithering image edge")
-		paperDither = flag.Bool("paper-dither", false, "use the paper's 128x128 images")
+		ditherSize  = flag.Int("dither-size", 0, "Table 3 dithering image edge (paper: 128)")
 		tmIters     = flag.Int("tm-iters", 0, "Table 3 Matrix-TM iterations")
 		skipTM      = flag.Bool("skip-tm", false, "omit the Matrix-TM row")
 
@@ -55,19 +52,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if !(*all || *table1 || *table2 || *table3 || *fig6 || *resources || *solver || *steady || *scenPath != "") {
+	if !(*all || *table1 || *table2 || *table3 || *fig6 || *resources || *solver || *steady) {
 		flag.Usage()
 		os.Exit(2)
 	}
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
-	}
-
-	if *scenPath != "" {
-		if err := runScenario(*scenPath); err != nil {
-			fail(err)
-		}
 	}
 
 	if *all || *table1 {
@@ -106,8 +97,7 @@ func main() {
 	if *all || *table3 {
 		fmt.Println("Table 3: timing comparison, MPARM-class baseline vs emulation kernel")
 		rows, err := thermemu.Table3(thermemu.Table3Options{
-			MatrixN: *matrixN, MatrixIters: *matrixIters,
-			DitherSize: *ditherSize, PaperDither: *paperDither,
+			MatrixN: *matrixN, MatrixIters: *matrixIters, DitherSize: *ditherSize,
 			TMIters: *tmIters, SkipTM: *skipTM,
 		})
 		if err != nil {
@@ -119,37 +109,6 @@ func main() {
 		fmt.Println()
 	}
 	runFig6(all, fig6, fig6Iters, fig6Scale, fig6Pipe, out, fail)
-}
-
-// runScenario executes one declarative scenario end to end with a golden
-// digest attached, so a scenario-driven run can be checked bit for bit
-// against its flag-driven twin (or a committed conformance digest).
-func runScenario(path string) error {
-	s, err := thermemu.LoadScenario(path)
-	if err != nil {
-		return err
-	}
-	cfg, err := s.CoEmulation()
-	if err != nil {
-		return err
-	}
-	cfg.Golden = thermemu.NewGoldenTrace()
-	res, err := thermemu.RunCoEmulation(cfg, nil)
-	if err != nil {
-		return err
-	}
-	name := s.Name
-	if name == "" {
-		name = path
-	}
-	fmt.Printf("scenario %s: workload %s on %d cores over %s\n", name, cfg.Workload.Name, s.Cores, s.IC)
-	fmt.Printf("  cycles %d, %d samples, max temp %.2f K, %d DFS events\n",
-		res.Cycles, len(res.Samples), res.MaxTempK, res.DFSEvents)
-	fmt.Printf("  golden digest %s over %d records\n", cfg.Golden.Hex(), cfg.Golden.Len())
-	if !res.Done {
-		fmt.Println("  note: run stopped before the workload halted")
-	}
-	return nil
 }
 
 func runFig6(all, fig6 *bool, fig6Iters *int, fig6Scale *float64, fig6Pipe *int, out *string, fail func(error)) {

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"os"
 
-	"thermemu"
 	"thermemu/internal/emu"
 	"thermemu/internal/mparm"
+	"thermemu/internal/scenario"
 	"thermemu/internal/workloads"
 )
 
@@ -25,7 +25,7 @@ func main() {
 		iters    = flag.Int("iters", 2, "repetition count (sustained-load iterations)")
 		size     = flag.Int("size", 32, "dithering image edge")
 		words    = flag.Int("words", 64, "stream length (membound, fir, histogram) / pipeline items")
-		ic       = flag.String("ic", "opb", "interconnect: opb | plb | custom | noc")
+		ic       = flag.String("ic", "opb", "interconnect: opb | plb | custom | noc (the Table 3 switch pair, noc:pair) | noc:mesh:WxH | noc:ring:N")
 	)
 	flag.Parse()
 	if err := run(*cores, *workload, *n, *iters, *size, *words, *ic); err != nil {
@@ -34,38 +34,29 @@ func main() {
 	}
 }
 
+// run builds the platform and workload as a scenario with these fields
+// would, so the baseline runs what cmd/thermemu runs for the same flags.
 func run(cores int, workload string, n, iters, size, words int, ic string) error {
-	cfg := thermemu.DefaultPlatform(cores)
-	switch ic {
-	case "opb":
-	case "plb":
-		cfg.IC = emu.ICBusPLB
-	case "custom":
-		cfg.IC = emu.ICBusCustom
-	case "noc":
-		cfg.IC = emu.ICNoC
-		cfg.NoC = emu.Table3NoC(cores)
-	default:
-		return fmt.Errorf("unknown interconnect %q", ic)
+	s := scenario.New()
+	s.Cores, s.Workload, s.N, s.Iters, s.Size, s.Words = cores, workload, n, iters, size, words
+	s.IC = ic
+	if ic == "noc" {
+		s.IC = "noc:pair"
 	}
-	spec, err := workloads.Build(workload, workloads.Params{
-		Cores: cores, PrivKB: cfg.PrivKB, N: n, Iters: iters, Size: size, Words: words,
-	})
+	cfg, err := s.Platform()
 	if err != nil {
 		return err
 	}
-
+	spec, err := s.Spec()
+	if err != nil {
+		return err
+	}
 	p, err := emu.New(cfg)
 	if err != nil {
 		return err
 	}
-	for i, im := range spec.Programs {
-		if err := p.LoadProgram(i, im); err != nil {
-			return err
-		}
-	}
-	for _, b := range spec.Shared {
-		p.WriteShared(b.Addr, b.Data)
+	if err := p.LoadWorkload(spec); err != nil {
+		return err
 	}
 	k := mparm.New(p)
 	cycles, done := k.Run(1 << 62)

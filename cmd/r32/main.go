@@ -21,6 +21,7 @@ import (
 	"thermemu/internal/asm"
 	"thermemu/internal/emu"
 	"thermemu/internal/isa"
+	"thermemu/internal/scenario"
 )
 
 func main() {
@@ -49,12 +50,13 @@ func usage() {
 	os.Exit(2)
 }
 
+// assembleFile assembles one source file of at most scenario.MaxFileBytes.
 func assembleFile(path string) (*asm.Image, error) {
-	src, err := os.ReadFile(path)
+	src, err := scenario.ReadSource(path)
 	if err != nil {
 		return nil, err
 	}
-	return asm.Assemble(string(src))
+	return asm.Assemble(src)
 }
 
 func cmdAsm(args []string) error {

@@ -67,13 +67,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for c, im := range spec.Programs {
-			if err := p.LoadProgram(c, im); err != nil {
-				log.Fatal(err)
-			}
-		}
-		for _, b := range spec.Shared {
-			p.WriteShared(b.Addr, b.Data)
+		if err := p.LoadWorkload(spec); err != nil {
+			log.Fatal(err)
 		}
 		rs, err := thermemu.RunWorkload(v.cfg, spec)
 		if err != nil {

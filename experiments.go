@@ -9,10 +9,9 @@ import (
 	"thermemu/internal/core"
 	"thermemu/internal/emu"
 	"thermemu/internal/fpga"
-	"thermemu/internal/mparm"
+	"thermemu/internal/golden"
 	"thermemu/internal/power"
 	"thermemu/internal/thermal"
-	"thermemu/internal/tm"
 )
 
 // This file is the experiment harness: one entry point per table and figure
@@ -72,17 +71,23 @@ func (r Table3Row) String() string {
 
 // Table3Options scales the Table 3 workloads. The defaults keep the full
 // table under a couple of minutes of wall time; the paper's original sizes
-// (e.g. 100 K Matrix-TM iterations) can be requested explicitly.
+// (e.g. 128×128 dithering images, 100 K Matrix-TM iterations) can be
+// requested explicitly.
 type Table3Options struct {
-	MatrixN     int // matrix dimension (default 16)
-	MatrixIters int // multiplications per core (default 4)
-	DitherSize  int // image edge (default 64; paper uses 128)
-	TMIters     int // Matrix-TM iterations (default 12)
-	TMWindowPs  uint64
-	TMTimeScale float64
+	MatrixN     int  // matrix dimension (default 12)
+	MatrixIters int  // multiplications per core (default 2)
+	DitherSize  int  // image edge (default 32; paper uses 128)
+	TMIters     int  // Matrix-TM iterations (default 8)
 	SkipTM      bool // omit the Matrix-TM row (it is the slowest)
-	PaperDither bool // use the paper's full 128x128 images
 }
+
+// The Matrix-TM row samples every 1 ms of virtual time, which keeps it
+// tractable on the signal-level kernel, and compresses the thermal axis
+// 200× so the short run still heats up and throttles.
+const (
+	table3TMWindowPs  = 1_000_000_000
+	table3TMTimeScale = 200
+)
 
 func (o *Table3Options) fill() {
 	if o.MatrixN == 0 {
@@ -94,17 +99,8 @@ func (o *Table3Options) fill() {
 	if o.DitherSize == 0 {
 		o.DitherSize = 32
 	}
-	if o.PaperDither {
-		o.DitherSize = 128
-	}
 	if o.TMIters == 0 {
 		o.TMIters = 8
-	}
-	if o.TMWindowPs == 0 {
-		o.TMWindowPs = 1_000_000_000 // 1 ms keeps the TM row tractable
-	}
-	if o.TMTimeScale == 0 {
-		o.TMTimeScale = 200
 	}
 }
 
@@ -193,136 +189,66 @@ func newTable3Row(name string, cores int, label string, slow, fast RunStats) Tab
 }
 
 // matrixTMRow runs the Matrix-TM workload with the full thermal loop on
-// both kernels: co-emulation for the framework, and the same window loop
-// around the signal-level kernel for the baseline (MPARM with its SW
-// thermal library, the paper's 2-day configuration).
+// both kernels: core.Run for the framework, and core.RunMPARM — the same
+// window loop around the signal-level kernel — for the baseline (MPARM with
+// its SW thermal library, the paper's 2-day configuration). Each side gets
+// its own config, so neither sees the other's thermal state, and both
+// walls are the loop's own Result.Wall, set-up excluded. The row fails
+// unless both sides emulate the same cycles and golden digest.
 func matrixTMRow(opts Table3Options) (Table3Row, error) {
-	build := func() (core.Config, error) {
+	const name = "Matrix-TM (4 cores-NoC)"
+	side := func(run func(core.Config, func(Sample)) (*core.Result, error)) (*core.Result, string, error) {
 		cfg, err := core.Fig6Config(opts.TMIters, true)
 		if err != nil {
-			return cfg, err
+			return nil, "", err
 		}
-		cfg.WindowPs = opts.TMWindowPs
-		cfg.ThermalTimeScale = opts.TMTimeScale
-		return cfg, nil
-	}
-
-	// Baseline: signal kernel + thermal window loop.
-	cfg, err := build()
-	if err != nil {
-		return Table3Row{}, err
-	}
-	slowWall, cycles, err := runMPARMThermal(cfg)
-	if err != nil {
-		return Table3Row{}, err
-	}
-
-	// Framework: the closed-loop co-emulator.
-	cfg, err = build()
-	if err != nil {
-		return Table3Row{}, err
-	}
-	start := time.Now()
-	res, err := core.Run(cfg, nil)
-	if err != nil {
-		return Table3Row{}, err
-	}
-	fastWall := time.Since(start)
-	if !res.Done {
-		return Table3Row{}, fmt.Errorf("matrix-tm: emulator run incomplete")
-	}
-	return Table3Row{
-		Name: "Matrix-TM (4 cores-NoC)", Cores: 4, Cycles: cycles,
-		MPARMWall: slowWall, EmuWall: fastWall,
-		Speedup:    slowWall.Seconds() / fastWall.Seconds(),
-		EmuMHz:     float64(res.Cycles) / fastWall.Seconds() / 1e6,
-		MPARMkHz:   float64(cycles) / slowWall.Seconds() / 1e3,
-		PaperLabel: "2 days vs 5'02\" (1612x)",
-	}, nil
-}
-
-// runMPARMThermal mirrors core.Run's window loop around the signal-level
-// kernel, stepping the same thermal host and policy.
-func runMPARMThermal(cfg core.Config) (time.Duration, uint64, error) {
-	p, err := emu.New(cfg.Platform)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i, im := range cfg.Workload.Programs {
-		if err := p.LoadProgram(i, im); err != nil {
-			return 0, 0, err
-		}
-	}
-	for _, b := range cfg.Workload.Shared {
-		p.WriteShared(b.Addr, b.Data)
-	}
-	k := mparm.New(p)
-	eval := core.NewPowerEvaluator(cfg.Host.FP)
-	powers := make([]float64, cfg.Host.NumComponents())
-	tscale := cfg.ThermalTimeScale
-	if tscale <= 0 {
-		tscale = 1
-	}
-	start := time.Now()
-	prev := p.Snapshot()
-	for !p.AllHalted() {
-		period := uint64(1e12) / p.VPCM.Frequency()
-		n := cfg.WindowPs / period
-		if n == 0 {
-			n = 1
-		}
-		k.Step(n)
-		if err := p.Fault(); err != nil {
-			return 0, 0, err
-		}
-		snap := p.Snapshot()
-		if _, err := eval.Powers(prev, snap, powers); err != nil {
-			return 0, 0, err
-		}
-		dt := float64(snap.TimePs-prev.TimePs) * 1e-12 * tscale
-		prev = snap
-		cellTemps, err := cfg.Host.StepWindow(powers, dt)
+		cfg.WindowPs = table3TMWindowPs
+		cfg.ThermalTimeScale = table3TMTimeScale
+		cfg.Golden = golden.New()
+		res, err := run(cfg, nil)
 		if err != nil {
-			return 0, 0, err
+			return nil, "", err
 		}
-		if cfg.Policy != nil {
-			compTemps := cfg.Host.ComponentTemps(cellTemps)
-			sensors := make([]tm.Sensor, len(compTemps))
-			for i := range compTemps {
-				sensors[i] = tm.Sensor{Name: cfg.Host.FP.Components[i].Name, TempK: compTemps[i]}
-			}
-			if a := cfg.Policy.Update(sensors); a.SetFreqHz != 0 {
-				p.VPCM.SetFrequency(a.SetFreqHz)
-			}
+		if !res.Done {
+			return nil, "", fmt.Errorf("run incomplete")
 		}
+		return res, cfg.Golden.Hex(), nil
 	}
-	wall := time.Since(start)
-	if err := k.VerifyObserved(); err != nil {
-		return 0, 0, err
+	slow, slowDigest, err := side(core.RunMPARM)
+	if err != nil {
+		return Table3Row{}, fmt.Errorf("%s (baseline): %w", name, err)
 	}
-	// The baseline host mutated cfg.Host's thermal state; reset it so the
-	// caller can rebuild or reuse cleanly.
-	cfg.Host.Model.Reset()
-	return wall, p.VPCM.Cycle(), nil
+	fast, fastDigest, err := side(core.Run)
+	if err != nil {
+		return Table3Row{}, fmt.Errorf("%s (emulator): %w", name, err)
+	}
+	if fast.Cycles != slow.Cycles {
+		return Table3Row{}, fmt.Errorf("%s: kernels disagree on cycles (%d vs %d)", name, fast.Cycles, slow.Cycles)
+	}
+	if fastDigest != slowDigest {
+		return Table3Row{}, fmt.Errorf("%s: kernels disagree on the golden digest (%s vs %s)", name, fastDigest, slowDigest)
+	}
+	return newTable3Row(name, 4, "2 days vs 5'02\" (1612x)",
+		RunStats{Cycles: slow.Cycles, Wall: slow.Wall},
+		RunStats{Cycles: fast.Cycles, Wall: fast.Wall}), nil
 }
 
 // Fig6Options scales the Figure 6 reproduction.
 type Fig6Options struct {
 	Iters     int     // Matrix-TM iterations (paper: 100000)
-	WindowPs  uint64  // sampling window (paper: 10 ms)
 	TimeScale float64 // thermal time compression (1 = paper-faithful)
-	MaxCycles uint64  // optional hard bound
 	// PipelineDepth overlaps emulation with the thermal solve; DFS actions
 	// land this many windows later than at depth 0 (0 = synchronous solve).
 	PipelineDepth int
 }
 
+// fig6WindowPs is the Figure 6 sampling window: 0.5 ms of virtual time per
+// sample (the paper samples every 10 ms).
+const fig6WindowPs = 500_000_000
+
 func (o *Fig6Options) fill() {
 	if o.Iters == 0 {
 		o.Iters = 400
-	}
-	if o.WindowPs == 0 {
-		o.WindowPs = 500_000_000 // 0.5 ms virtual per sample
 	}
 	if o.TimeScale == 0 {
 		o.TimeScale = 240
@@ -349,9 +275,8 @@ func Fig6Series(opts Fig6Options) (*Fig6Data, error) {
 		if err != nil {
 			return cfg, err
 		}
-		cfg.WindowPs = opts.WindowPs
+		cfg.WindowPs = fig6WindowPs
 		cfg.ThermalTimeScale = opts.TimeScale
-		cfg.MaxCycles = opts.MaxCycles
 		cfg.PipelineDepth = opts.PipelineDepth
 		return cfg, nil
 	}

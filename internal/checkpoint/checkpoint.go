@@ -14,6 +14,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"thermemu/internal/emu"
@@ -220,10 +221,21 @@ func Decode(data []byte) (*Checkpoint, error) {
 	return c, nil
 }
 
+// MaxBytes bounds an encoded checkpoint. ReadFile refuses a longer file
+// without reading past the limit, WriteFile refuses to write one, and a
+// sweep protocol message, which carries at most one checkpoint, is capped
+// at the same size. The checkpoints of the example and benchmark grids are
+// under 100 kB.
+const MaxBytes = 16 << 20
+
 // WriteFile encodes the checkpoint to path atomically (temp file + rename).
 func (c *Checkpoint) WriteFile(path string) error {
+	data := Encode(c)
+	if len(data) > MaxBytes {
+		return fmt.Errorf("checkpoint: %d-byte encoding exceeds %d bytes", len(data), MaxBytes)
+	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, Encode(c), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -231,9 +243,17 @@ func (c *Checkpoint) WriteFile(path string) error {
 
 // ReadFile reads and decodes a checkpoint file.
 func ReadFile(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
+	}
+	defer f.Close()
+	data, err := io.ReadAll(io.LimitReader(f, MaxBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > MaxBytes {
+		return nil, fmt.Errorf("checkpoint: %s: file exceeds %d bytes", path, MaxBytes)
 	}
 	return Decode(data)
 }

@@ -2,7 +2,9 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"thermemu/internal/checkpoint"
@@ -17,13 +19,8 @@ const maxCycles = 5_000_000
 
 func loadSpec(t *testing.T, p *emu.Platform, s *workloads.Spec) {
 	t.Helper()
-	for i, im := range s.Programs {
-		if err := p.LoadProgram(i, im); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, b := range s.Shared {
-		p.WriteShared(b.Addr, b.Data)
+	if err := p.LoadWorkload(s); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -175,6 +172,29 @@ func TestWriteReadFile(t *testing.T) {
 	}
 	if dec.StateDigest != ck.StateDigest || dec.Window != ck.Window {
 		t.Fatalf("file round-trip drift: %+v", dec)
+	}
+}
+
+// TestReadFileCapsSize: a file one byte over MaxBytes is refused on its
+// size before any decoding, while one of exactly MaxBytes reaches the
+// decoder (and fails there, being zeros).
+func TestReadFileCapsSize(t *testing.T) {
+	dir := t.TempDir()
+	for _, size := range []int64{checkpoint.MaxBytes, checkpoint.MaxBytes + 1} {
+		path := filepath.Join(dir, "sparse.tmck")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(size); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		_, err = checkpoint.ReadFile(path)
+		capped := err != nil && strings.Contains(err.Error(), "exceeds")
+		if want := size > checkpoint.MaxBytes; err == nil || capped != want {
+			t.Errorf("%d-byte file: err = %v, want size refusal %v", size, err, want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"thermemu/internal/emu"
 	"thermemu/internal/etherlink"
 	"thermemu/internal/golden"
+	"thermemu/internal/mparm"
 	"thermemu/internal/power"
 	"thermemu/internal/thermal"
 	"thermemu/internal/tm"
@@ -187,6 +188,34 @@ func Fig6Config(iters int, withTM bool) (Config, error) {
 // Run executes the co-emulation loop. onSample, when non-nil, receives
 // every sample as it is produced (e.g. for CSV streaming).
 func Run(cfg Config, onSample func(Sample)) (*Result, error) {
+	return run(cfg, onSample, func(p *emu.Platform) (func(uint64), func() error) {
+		return p.Step, nil
+	})
+}
+
+// RunMPARM executes the same closed loop with the signal-level MPARM-class
+// kernel (package mparm) stepping the platform instead of the fast kernel:
+// the Table 3 baseline with its SW thermal library. Windows, feedback,
+// checkpoints and the golden digest follow Run's rules, so both kernels give
+// the same digest for the same Config. After the loop the statistics the
+// kernel recovered from signal traffic are checked against the platform's
+// own counters. Resume is refused: those statistics count from the kernel's
+// construction, so a resumed platform's counters could never match them.
+func RunMPARM(cfg Config, onSample func(Sample)) (*Result, error) {
+	if cfg.Resume != nil {
+		return nil, fmt.Errorf("core: the MPARM baseline cannot resume a checkpoint (its signal-recovered statistics start at zero)")
+	}
+	return run(cfg, onSample, func(p *emu.Platform) (func(uint64), func() error) {
+		k := mparm.New(p)
+		return k.Step, k.VerifyObserved
+	})
+}
+
+// run builds and loads the platform, restores any checkpoint, wires the
+// link, and runs the loop with the step function kernel binds to the
+// platform. A non-nil verify runs after a loop that ended without error.
+func run(cfg Config, onSample func(Sample),
+	kernel func(*emu.Platform) (step func(uint64), verify func() error)) (*Result, error) {
 	if cfg.Workload == nil || cfg.Host == nil {
 		return nil, fmt.Errorf("core: workload and host are required")
 	}
@@ -206,17 +235,8 @@ func Run(cfg Config, onSample func(Sample)) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(cfg.Workload.Programs) != len(p.Cores) {
-		return nil, fmt.Errorf("core: workload has %d programs for %d cores",
-			len(cfg.Workload.Programs), len(p.Cores))
-	}
-	for i, im := range cfg.Workload.Programs {
-		if err := p.LoadProgram(i, im); err != nil {
-			return nil, err
-		}
-	}
-	for _, b := range cfg.Workload.Shared {
-		p.WriteShared(b.Addr, b.Data)
+	if err := p.LoadWorkload(cfg.Workload); err != nil {
+		return nil, err
 	}
 
 	eval := NewPowerEvaluator(cfg.Host.FP)
@@ -258,7 +278,12 @@ func Run(cfg Config, onSample func(Sample)) (*Result, error) {
 		}
 	}
 
-	return runLoop(cfg, p, eval, disp, onSample, ck, resumedMax)
+	step, verify := kernel(p)
+	res, err := runLoop(cfg, p, step, eval, disp, onSample, ck, resumedMax)
+	if err == nil && verify != nil {
+		err = verify()
+	}
+	return res, err
 }
 
 // FreqHistory exposes the VPCM DFS trace of a finished platform run; the

@@ -167,9 +167,11 @@ func (st *stage) stop() {
 	}
 }
 
-// runLoop executes the co-emulation loop at the configured pipeline depth.
-// The platform is already built and loaded; disp is nil in in-process mode.
-func runLoop(cfg Config, p *emu.Platform, eval *PowerEvaluator,
+// runLoop executes the co-emulation loop at the configured pipeline depth,
+// advancing the platform by each window's cycle count with step (the fast
+// kernel's Platform.Step or the MPARM baseline's Kernel.Step). The platform
+// is already built and loaded; disp is nil in in-process mode.
+func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluator,
 	disp *etherlink.Dispatcher, onSample func(Sample), ck *ckptRuntime, resumedMax float64) (*Result, error) {
 
 	maxCycles := cfg.MaxCycles
@@ -292,7 +294,7 @@ func runLoop(cfg Config, p *emu.Platform, eval *PowerEvaluator,
 		if left := maxCycles - p.VPCM.Cycle(); n > left {
 			n = left
 		}
-		p.Step(n)
+		step(n)
 		if err := p.Fault(); err != nil {
 			return finishPartial(err)
 		}

@@ -45,13 +45,8 @@ func benchSpec(b *testing.B, stall bool, cores int) *workloads.Spec {
 func benchPlatform(b *testing.B, spec *workloads.Spec, cores int) *emu.Platform {
 	b.Helper()
 	p := emu.MustNew(emu.DefaultConfig(cores))
-	for i, im := range spec.Programs {
-		if err := p.LoadProgram(i, im); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, blk := range spec.Shared {
-		p.WriteShared(blk.Addr, blk.Data)
+	if err := p.LoadWorkload(spec); err != nil {
+		b.Fatal(err)
 	}
 	return p
 }

@@ -22,6 +22,7 @@ import (
 	"thermemu/internal/noc"
 	"thermemu/internal/sniffer"
 	"thermemu/internal/vpcm"
+	"thermemu/internal/workloads"
 )
 
 // Address-map constants of the emulated platform. The memory controller
@@ -424,6 +425,24 @@ func (p *Platform) LoadProgram(core int, im *asm.Image) error {
 		p.Privs[core].WriteBytes(s.Addr, s.Data)
 	}
 	p.Cores[core].Reset(im.Entry)
+	return nil
+}
+
+// LoadWorkload loads one program per core and writes the workload's
+// initial shared-memory blocks.
+func (p *Platform) LoadWorkload(spec *workloads.Spec) error {
+	if len(spec.Programs) != len(p.Cores) {
+		return fmt.Errorf("emu: workload %s has %d programs for %d cores",
+			spec.Name, len(spec.Programs), len(p.Cores))
+	}
+	for i, im := range spec.Programs {
+		if err := p.LoadProgram(i, im); err != nil {
+			return err
+		}
+	}
+	for _, b := range spec.Shared {
+		p.WriteShared(b.Addr, b.Data)
+	}
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"thermemu/internal/cpu"
 	"thermemu/internal/mem"
 	"thermemu/internal/sniffer"
+	"thermemu/internal/workloads"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -241,6 +242,26 @@ func TestLoadProgramBounds(t *testing.T) {
 	}
 	if err := p.LoadProgram(5, asm.MustAssemble("halt")); err == nil {
 		t.Error("bad core index accepted")
+	}
+}
+
+func TestLoadWorkload(t *testing.T) {
+	halt := asm.MustAssemble("halt")
+	spec := &workloads.Spec{Name: "pair", Programs: []*asm.Image{halt, halt},
+		Shared: []workloads.SharedBlock{{Addr: 8, Data: []byte{1, 2, 3, 4}}}}
+	if err := MustNew(DefaultConfig(3)).LoadWorkload(spec); err == nil ||
+		!strings.Contains(err.Error(), "2 programs for 3 cores") {
+		t.Errorf("program/core mismatch: err = %v", err)
+	}
+	p := MustNew(DefaultConfig(2))
+	if err := p.LoadWorkload(spec); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.ReadSharedWord(8); got != 0x04030201 {
+		t.Errorf("shared word = %#x, want 0x04030201", got)
+	}
+	if _, done := p.Run(1000); !done {
+		t.Error("loaded programs did not halt")
 	}
 }
 

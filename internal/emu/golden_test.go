@@ -61,13 +61,8 @@ func diffConfig(cores int, noc bool) emu.Config {
 
 func loadSpec(t *testing.T, p *emu.Platform, s *workloads.Spec) {
 	t.Helper()
-	for i, im := range s.Programs {
-		if err := p.LoadProgram(i, im); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, b := range s.Shared {
-		p.WriteShared(b.Addr, b.Data)
+	if err := p.LoadWorkload(s); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -138,14 +138,14 @@ func New() *Scenario {
 	}
 }
 
-// MaxFileBytes bounds a scenario or sweep-spec file, as
-// floorplan.MaxJSONBytes bounds a floorplan: the committed examples take
-// about 1 KB, so a larger file is a mistake or hostile input, not a
-// scenario.
+// MaxFileBytes bounds a scenario, sweep-spec or R32 assembly source file,
+// as floorplan.MaxJSONBytes bounds a floorplan: the committed examples take
+// about 1 KB and the largest workload program a few KB, so a larger file is
+// a mistake or hostile input, not a scenario.
 const MaxFileBytes = 1 << 20
 
-// ReadSource reads a scenario or sweep-spec file, refusing one longer than
-// MaxFileBytes without reading past the limit.
+// ReadSource reads a scenario, sweep-spec or assembly source file, refusing
+// one longer than MaxFileBytes without reading past the limit.
 func ReadSource(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {

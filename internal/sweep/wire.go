@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"thermemu/internal/checkpoint"
 	"thermemu/internal/etherlink"
 )
 
@@ -71,10 +72,9 @@ const prefixLen = 9
 // maxMsgBytes bounds the declared header plus blob length of one protocol
 // message. The receiver checks it against the prefix before allocating,
 // and then allocates exactly the declared length once, so a peer can make
-// it buffer no more than this. The largest real message, a job carrying
-// its warm-up checkpoint, is under 100 kB for the example and benchmark
-// grids.
-const maxMsgBytes = 16 << 20
+// it buffer no more than this. The largest real message is a job carrying
+// its warm-up checkpoint, so the bound is the checkpoint's own.
+const maxMsgBytes = checkpoint.MaxBytes
 
 // errPeerStopped reports a graceful CtrlStop from the peer (e.g. a
 // supervisor shutting down) observed mid-conversation.

@@ -1,16 +1,17 @@
-package workloads
+package workloads_test
 
 import (
 	"strings"
 	"testing"
 
 	"thermemu/internal/emu"
+	"thermemu/internal/workloads"
 )
 
 // --- registry ---
 
 func TestRegistryNamesSortedAndComplete(t *testing.T) {
-	names := Names()
+	names := workloads.Names()
 	for _, want := range []string{"dithering", "fir", "histogram", "locks", "matrix", "matrix-tm", "membound", "pipeline"} {
 		found := false
 		for _, n := range names {
@@ -27,27 +28,27 @@ func TestRegistryNamesSortedAndComplete(t *testing.T) {
 			t.Errorf("Names() not sorted: %q before %q", names[i-1], names[i])
 		}
 	}
-	if help := NamesHelp(); !strings.Contains(help, " | ") || !strings.Contains(help, "fir") {
+	if help := workloads.NamesHelp(); !strings.Contains(help, " | ") || !strings.Contains(help, "fir") {
 		t.Errorf("NamesHelp() = %q", help)
 	}
 }
 
 func TestRegistryBuildUnknownListsCorpus(t *testing.T) {
-	_, err := Build("fibonacci", Params{Cores: 4})
+	_, err := workloads.Build("fibonacci", workloads.Params{Cores: 4})
 	if err == nil {
 		t.Fatal("Build accepted an unknown workload")
 	}
-	if !strings.Contains(err.Error(), "fibonacci") || !strings.Contains(err.Error(), NamesHelp()) {
+	if !strings.Contains(err.Error(), "fibonacci") || !strings.Contains(err.Error(), workloads.NamesHelp()) {
 		t.Errorf("error %q should name the workload and list the corpus", err)
 	}
 }
 
 func TestRegistryMinCores(t *testing.T) {
-	if _, err := Build("pipeline", Params{Cores: 1}); err == nil ||
+	if _, err := workloads.Build("pipeline", workloads.Params{Cores: 1}); err == nil ||
 		!strings.Contains(err.Error(), "at least 2") {
 		t.Errorf("pipeline at 1 core: %v", err)
 	}
-	if _, err := Build("pipeline", Params{Cores: 2}); err != nil {
+	if _, err := workloads.Build("pipeline", workloads.Params{Cores: 2}); err != nil {
 		t.Errorf("pipeline at 2 cores: %v", err)
 	}
 }
@@ -55,9 +56,9 @@ func TestRegistryMinCores(t *testing.T) {
 func TestRegistryDefaults(t *testing.T) {
 	// A caller that knows only the core count can build everything the
 	// registry offers (pipeline aside, which needs 2).
-	for _, name := range Names() {
+	for _, name := range workloads.Names() {
 		cores := 2
-		s, err := Build(name, Params{Cores: cores})
+		s, err := workloads.Build(name, workloads.Params{Cores: cores})
 		if err != nil {
 			t.Errorf("Build(%q) with bare params: %v", name, err)
 			continue
@@ -74,13 +75,13 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 			t.Error("duplicate Register did not panic")
 		}
 	}()
-	Register(Builder{Name: "matrix", Build: func(Params) (*Spec, error) { return nil, nil }})
+	workloads.Register(workloads.Builder{Name: "matrix", Build: func(workloads.Params) (*workloads.Spec, error) { return nil, nil }})
 }
 
 // --- fir ---
 
 func TestFIRFourCoresBus(t *testing.T) {
-	s, err := FIR(4, 4, 16, 2)
+	s, err := workloads.FIR(4, 4, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestFIRFourCoresBus(t *testing.T) {
 }
 
 func TestFIRSingleCoreNoC(t *testing.T) {
-	s, err := FIR(1, 4, 8, 1)
+	s, err := workloads.FIR(1, 4, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +100,12 @@ func TestFIRSingleCoreNoC(t *testing.T) {
 }
 
 func TestFIRRejectsBadParams(t *testing.T) {
-	for name, build := range map[string]func() (*Spec, error){
-		"zero words":     func() (*Spec, error) { return FIR(4, 4, 0, 1) },
-		"uneven split":   func() (*Spec, error) { return FIR(4, 4, 30, 1) },
-		"taps overrun":   func() (*Spec, error) { return FIR(1, 4096, 4096, 1) },
-		"stream overrun": func() (*Spec, error) { return FIR(4, 4, 16384, 1) },
-		"negative iters": func() (*Spec, error) { return FIR(4, 4, 16, -1) },
+	for name, build := range map[string]func() (*workloads.Spec, error){
+		"zero words":     func() (*workloads.Spec, error) { return workloads.FIR(4, 4, 0, 1) },
+		"uneven split":   func() (*workloads.Spec, error) { return workloads.FIR(4, 4, 30, 1) },
+		"taps overrun":   func() (*workloads.Spec, error) { return workloads.FIR(1, 4096, 4096, 1) },
+		"stream overrun": func() (*workloads.Spec, error) { return workloads.FIR(4, 4, 16384, 1) },
+		"negative iters": func() (*workloads.Spec, error) { return workloads.FIR(4, 4, 16, -1) },
 	} {
 		if _, err := build(); err == nil {
 			t.Errorf("FIR accepted %s", name)
@@ -113,15 +114,15 @@ func TestFIRRejectsBadParams(t *testing.T) {
 }
 
 func TestFIRVerifierMessages(t *testing.T) {
-	s, err := FIR(2, 4, 8, 1)
+	s, err := workloads.FIR(2, 4, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, sums := FIRRef(2, 4, 8)
+	y, sums := workloads.FIRRef(2, 4, 8)
 	good := func(off uint32) uint32 {
 		switch {
-		case off >= FIROutBase:
-			return y[(off-FIROutBase)/4]
+		case off >= workloads.FIROutBase:
+			return y[(off-workloads.FIROutBase)/4]
 		case off < uint32(4*len(sums)):
 			return sums[off/4]
 		}
@@ -131,7 +132,7 @@ func TestFIRVerifierMessages(t *testing.T) {
 		t.Fatalf("verifier rejected the reference memory: %v", err)
 	}
 	badOut := func(off uint32) uint32 {
-		if off == FIROutBase+4*3 {
+		if off == workloads.FIROutBase+4*3 {
 			return good(off) + 1
 		}
 		return good(off)
@@ -140,7 +141,7 @@ func TestFIRVerifierMessages(t *testing.T) {
 		t.Errorf("corrupt output sample: %v", err)
 	}
 	badSum := func(off uint32) uint32 {
-		if off == ChecksumBase+4 {
+		if off == workloads.ChecksumBase+4 {
 			return good(off) ^ 0xFF
 		}
 		return good(off)
@@ -153,7 +154,7 @@ func TestFIRVerifierMessages(t *testing.T) {
 // --- histogram ---
 
 func TestHistogramFourCoresBus(t *testing.T) {
-	s, err := Histogram(4, 8, 32)
+	s, err := workloads.Histogram(4, 8, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +162,10 @@ func TestHistogramFourCoresBus(t *testing.T) {
 }
 
 func TestHistogramRejectsBadParams(t *testing.T) {
-	for name, build := range map[string]func() (*Spec, error){
-		"zero bins":    func() (*Spec, error) { return Histogram(4, 0, 32) },
-		"bins overrun": func() (*Spec, error) { return Histogram(4, 4096, 4096) },
-		"uneven split": func() (*Spec, error) { return Histogram(4, 8, 30) },
+	for name, build := range map[string]func() (*workloads.Spec, error){
+		"zero bins":    func() (*workloads.Spec, error) { return workloads.Histogram(4, 0, 32) },
+		"bins overrun": func() (*workloads.Spec, error) { return workloads.Histogram(4, 4096, 4096) },
+		"uneven split": func() (*workloads.Spec, error) { return workloads.Histogram(4, 8, 30) },
 	} {
 		if _, err := build(); err == nil {
 			t.Errorf("Histogram accepted %s", name)
@@ -173,14 +174,14 @@ func TestHistogramRejectsBadParams(t *testing.T) {
 }
 
 func TestHistogramVerifierMessages(t *testing.T) {
-	s, err := Histogram(2, 4, 16)
+	s, err := workloads.Histogram(2, 4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := HistogramRef(4, 16)
+	want := workloads.HistogramRef(4, 16)
 	good := func(off uint32) uint32 {
-		if off >= HistBase && off < HistBase+uint32(4*len(want)) {
-			return want[(off-HistBase)/4]
+		if off >= workloads.HistBase && off < workloads.HistBase+uint32(4*len(want)) {
+			return want[(off-workloads.HistBase)/4]
 		}
 		return 0
 	}
@@ -188,7 +189,7 @@ func TestHistogramVerifierMessages(t *testing.T) {
 		t.Fatalf("verifier rejected the reference memory: %v", err)
 	}
 	lost := func(off uint32) uint32 {
-		if off == HistBase+4*2 && good(off) > 0 {
+		if off == workloads.HistBase+4*2 && good(off) > 0 {
 			return good(off) - 1
 		}
 		return good(off)
@@ -197,7 +198,7 @@ func TestHistogramVerifierMessages(t *testing.T) {
 		t.Errorf("lost update: %v", err)
 	}
 	held := func(off uint32) uint32 {
-		if off == HistLockAddr {
+		if off == workloads.HistLockAddr {
 			return 1
 		}
 		return good(off)
@@ -210,7 +211,7 @@ func TestHistogramVerifierMessages(t *testing.T) {
 // --- pipeline ---
 
 func TestPipelineTwoCoresBus(t *testing.T) {
-	s, err := Pipeline(2, 16)
+	s, err := workloads.Pipeline(2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestPipelineTwoCoresBus(t *testing.T) {
 }
 
 func TestPipelineFourCoresNoC(t *testing.T) {
-	s, err := Pipeline(4, 16)
+	s, err := workloads.Pipeline(4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,24 +230,24 @@ func TestPipelineFourCoresNoC(t *testing.T) {
 }
 
 func TestPipelineRejectsBadParams(t *testing.T) {
-	if _, err := Pipeline(1, 16); err == nil || !strings.Contains(err.Error(), "at least 2") {
+	if _, err := workloads.Pipeline(1, 16); err == nil || !strings.Contains(err.Error(), "at least 2") {
 		t.Errorf("single-core pipeline: %v", err)
 	}
-	if _, err := Pipeline(4, 0); err == nil {
+	if _, err := workloads.Pipeline(4, 0); err == nil {
 		t.Error("Pipeline accepted zero items")
 	}
 }
 
 func TestPipelineVerifierMessages(t *testing.T) {
 	const cores, items = 3, 8
-	s, err := Pipeline(cores, items)
+	s, err := workloads.Pipeline(cores, items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := func(off uint32) uint32 {
 		switch {
-		case off == PipeOutAddr:
-			return PipelineRef(cores, items)
+		case off == workloads.PipeOutAddr:
+			return workloads.PipelineRef(cores, items)
 		case off < uint32(4*cores):
 			return items
 		}
@@ -256,7 +257,7 @@ func TestPipelineVerifierMessages(t *testing.T) {
 		t.Fatalf("verifier rejected the reference memory: %v", err)
 	}
 	wrongSum := func(off uint32) uint32 {
-		if off == PipeOutAddr {
+		if off == workloads.PipeOutAddr {
 			return good(off) + 1
 		}
 		return good(off)
@@ -265,7 +266,7 @@ func TestPipelineVerifierMessages(t *testing.T) {
 		t.Errorf("wrong accumulator: %v", err)
 	}
 	shortStage := func(off uint32) uint32 {
-		if off == ChecksumBase+4 {
+		if off == workloads.ChecksumBase+4 {
 			return items - 1
 		}
 		return good(off)
@@ -274,7 +275,7 @@ func TestPipelineVerifierMessages(t *testing.T) {
 		t.Errorf("short stage: %v", err)
 	}
 	stranded := func(off uint32) uint32 {
-		if off == PipeBase+8 {
+		if off == workloads.PipeBase+8 {
 			return 1
 		}
 		return good(off)
@@ -289,8 +290,8 @@ func TestPipelineVerifierMessages(t *testing.T) {
 func TestSpecSharedBlocksStayDisjoint(t *testing.T) {
 	// Every corpus workload's preloaded shared blocks must be disjoint —
 	// the scenario linter's overlap check relies on it.
-	for _, name := range Names() {
-		s, err := Build(name, Params{Cores: 4, N: 8, Iters: 2, Size: 16, Words: 32})
+	for _, name := range workloads.Names() {
+		s, err := workloads.Build(name, workloads.Params{Cores: 4, N: 8, Iters: 2, Size: 16, Words: 32})
 		if err != nil {
 			t.Errorf("Build(%q): %v", name, err)
 			continue

@@ -1,30 +1,23 @@
-package workloads
+package workloads_test
 
 import (
 	"strings"
 	"testing"
 
 	"thermemu/internal/emu"
+	"thermemu/internal/workloads"
 )
 
 // load installs a workload spec onto a platform.
-func load(t *testing.T, p *emu.Platform, s *Spec) {
+func load(t *testing.T, p *emu.Platform, s *workloads.Spec) {
 	t.Helper()
-	if len(s.Programs) != len(p.Cores) {
-		t.Fatalf("spec has %d programs for %d cores", len(s.Programs), len(p.Cores))
-	}
-	for i, im := range s.Programs {
-		if err := p.LoadProgram(i, im); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, b := range s.Shared {
-		p.WriteShared(b.Addr, b.Data)
+	if err := p.LoadWorkload(s); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // runToCompletion executes and verifies a workload.
-func runToCompletion(t *testing.T, cfg emu.Config, s *Spec, maxCycles uint64) *emu.Platform {
+func runToCompletion(t *testing.T, cfg emu.Config, s *workloads.Spec, maxCycles uint64) *emu.Platform {
 	t.Helper()
 	p := emu.MustNew(cfg)
 	load(t, p, s)
@@ -42,7 +35,7 @@ func runToCompletion(t *testing.T, cfg emu.Config, s *Spec, maxCycles uint64) *e
 }
 
 func TestMatrixSingleCore(t *testing.T) {
-	s, err := Matrix(1, 8, 1, 64)
+	s, err := workloads.Matrix(1, 8, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +43,7 @@ func TestMatrixSingleCore(t *testing.T) {
 }
 
 func TestMatrixFourCores(t *testing.T) {
-	s, err := Matrix(4, 8, 2, 64)
+	s, err := workloads.Matrix(4, 8, 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +64,7 @@ func TestMatrixEightCoresOnNoC(t *testing.T) {
 	cfg := emu.DefaultConfig(8)
 	cfg.IC = emu.ICNoC
 	cfg.NoC = emu.Table3NoC(8)
-	s, err := Matrix(8, 8, 1, 64)
+	s, err := workloads.Matrix(8, 8, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,26 +76,26 @@ func TestMatrixEightCoresOnNoC(t *testing.T) {
 
 func TestMatrixChecksumsDifferPerCore(t *testing.T) {
 	// The initial pattern depends on the core id, so checksums differ.
-	if MatrixChecksum(0, 8) == MatrixChecksum(1, 8) {
+	if workloads.MatrixChecksum(0, 8) == workloads.MatrixChecksum(1, 8) {
 		t.Error("core 0 and 1 produced identical checksums")
 	}
 	// But the checksum is deterministic.
-	if MatrixChecksum(2, 8) != MatrixChecksum(2, 8) {
+	if workloads.MatrixChecksum(2, 8) != workloads.MatrixChecksum(2, 8) {
 		t.Error("checksum not deterministic")
 	}
 }
 
 func TestMatrixRejectsOversizedMatrices(t *testing.T) {
-	if _, err := Matrix(1, 128, 1, 32); err == nil {
+	if _, err := workloads.Matrix(1, 128, 1, 32); err == nil {
 		t.Error("128x128 matrices in 32 KB accepted")
 	}
-	if _, err := Matrix(0, 8, 1, 64); err == nil {
+	if _, err := workloads.Matrix(0, 8, 1, 64); err == nil {
 		t.Error("zero cores accepted")
 	}
 }
 
 func TestMatrixTMName(t *testing.T) {
-	s, err := MatrixTM(4, 8, 100, 64)
+	s, err := workloads.MatrixTM(4, 8, 100, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +105,7 @@ func TestMatrixTMName(t *testing.T) {
 }
 
 func TestDitheringSingleCore(t *testing.T) {
-	s, err := Dithering(1, 16)
+	s, err := workloads.Dithering(1, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +113,7 @@ func TestDitheringSingleCore(t *testing.T) {
 }
 
 func TestDitheringFourCoresBus(t *testing.T) {
-	s, err := Dithering(4, 32)
+	s, err := workloads.Dithering(4, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +128,7 @@ func TestDitheringFourCoresNoC(t *testing.T) {
 	cfg := emu.DefaultConfig(4)
 	cfg.IC = emu.ICNoC
 	cfg.NoC = emu.Table3NoC(4)
-	s, err := Dithering(4, 32)
+	s, err := workloads.Dithering(4, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +136,15 @@ func TestDitheringFourCoresNoC(t *testing.T) {
 }
 
 func TestDitheringRejectsUnevenSplit(t *testing.T) {
-	if _, err := Dithering(3, 16); err == nil {
+	if _, err := workloads.Dithering(3, 16); err == nil {
 		t.Error("16 rows across 3 cores accepted")
 	}
 }
 
 func TestDitherRefActuallyDithers(t *testing.T) {
-	imgs := DitherImages(16)
+	imgs := workloads.DitherImages(16)
 	ref := append([]uint32(nil), imgs[0]...)
-	DitherRef(imgs[0], 16, 1)
+	workloads.DitherRef(imgs[0], 16, 1)
 	// Every pixel is now 0 or 255.
 	changed := false
 	for i, px := range imgs[0] {
@@ -179,15 +172,15 @@ func TestDitherRefActuallyDithers(t *testing.T) {
 
 func TestDitherSegmentIndependence(t *testing.T) {
 	// Dithering with 4 segments equals dithering each quarter separately.
-	whole := DitherImages(16)[0]
-	DitherRef(whole, 16, 4)
-	parts := DitherImages(16)[0]
+	whole := workloads.DitherImages(16)[0]
+	workloads.DitherRef(whole, 16, 4)
+	parts := workloads.DitherImages(16)[0]
 	for c := 0; c < 4; c++ {
 		seg := append([]uint32(nil), parts...)
 		_ = seg
 	}
-	again := DitherImages(16)[0]
-	DitherRef(again, 16, 4)
+	again := workloads.DitherImages(16)[0]
+	workloads.DitherRef(again, 16, 4)
 	for i := range whole {
 		if whole[i] != again[i] {
 			t.Fatal("reference not deterministic")
@@ -196,7 +189,7 @@ func TestDitherSegmentIndependence(t *testing.T) {
 }
 
 func TestCacheActivityDuringMatrix(t *testing.T) {
-	s, err := Matrix(2, 8, 1, 64)
+	s, err := workloads.Matrix(2, 8, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +212,7 @@ func TestCacheActivityDuringMatrix(t *testing.T) {
 func TestUncachedConfigurationStillCorrect(t *testing.T) {
 	cfg := emu.DefaultConfig(2)
 	cfg.ICache, cfg.DCache = nil, nil
-	s, err := Matrix(2, 4, 1, 64)
+	s, err := workloads.Matrix(2, 4, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +220,7 @@ func TestUncachedConfigurationStillCorrect(t *testing.T) {
 }
 
 func TestLocksSingleCore(t *testing.T) {
-	s, err := Locks(1, 50)
+	s, err := workloads.Locks(1, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +228,7 @@ func TestLocksSingleCore(t *testing.T) {
 }
 
 func TestLocksFourCoresMutualExclusion(t *testing.T) {
-	s, err := Locks(4, 40)
+	s, err := workloads.Locks(4, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +241,7 @@ func TestLocksOnNoC(t *testing.T) {
 	cfg := emu.DefaultConfig(4)
 	cfg.IC = emu.ICNoC
 	cfg.NoC = emu.Table3NoC(4)
-	s, err := Locks(4, 25)
+	s, err := workloads.Locks(4, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +249,7 @@ func TestLocksOnNoC(t *testing.T) {
 }
 
 func TestMemBoundSingleCore(t *testing.T) {
-	s, err := MemBound(1, 256, 2)
+	s, err := workloads.MemBound(1, 256, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +264,7 @@ func TestMemBoundSingleCore(t *testing.T) {
 }
 
 func TestMemBoundFourCoresBus(t *testing.T) {
-	s, err := MemBound(4, 256, 2)
+	s, err := workloads.MemBound(4, 256, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +278,7 @@ func TestMemBoundOnNoC(t *testing.T) {
 	cfg := emu.DefaultConfig(4)
 	cfg.IC = emu.ICNoC
 	cfg.NoC = emu.Table3NoC(4)
-	s, err := MemBound(4, 128, 2)
+	s, err := workloads.MemBound(4, 128, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,22 +286,22 @@ func TestMemBoundOnNoC(t *testing.T) {
 }
 
 func TestMemBoundRejectsBadParams(t *testing.T) {
-	if _, err := MemBound(0, 64, 1); err == nil {
+	if _, err := workloads.MemBound(0, 64, 1); err == nil {
 		t.Error("zero cores accepted")
 	}
-	if _, err := MemBound(1, 0, 1); err == nil {
+	if _, err := workloads.MemBound(1, 0, 1); err == nil {
 		t.Error("zero words accepted")
 	}
-	if _, err := MemBound(1, 64, 0); err == nil {
+	if _, err := workloads.MemBound(1, 64, 0); err == nil {
 		t.Error("zero iters accepted")
 	}
 }
 
 func TestLocksRejectsBadParams(t *testing.T) {
-	if _, err := Locks(0, 10); err == nil {
+	if _, err := workloads.Locks(0, 10); err == nil {
 		t.Error("zero cores accepted")
 	}
-	if _, err := Locks(2, 0); err == nil {
+	if _, err := workloads.Locks(2, 0); err == nil {
 		t.Error("zero iters accepted")
 	}
 }

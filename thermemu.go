@@ -190,40 +190,29 @@ func (r RunStats) String() string {
 		r.Name, r.Cycles, r.Instructions, r.Wall.Round(time.Microsecond), r.VirtualS, r.SlowdownVsRT)
 }
 
-func loadSpec(p *emu.Platform, spec *workloads.Spec) error {
-	if len(spec.Programs) != len(p.Cores) {
-		return fmt.Errorf("thermemu: workload %s has %d programs for %d cores",
-			spec.Name, len(spec.Programs), len(p.Cores))
-	}
-	for i, im := range spec.Programs {
-		if err := p.LoadProgram(i, im); err != nil {
-			return err
-		}
-	}
-	for _, b := range spec.Shared {
-		p.WriteShared(b.Addr, b.Data)
-	}
-	return nil
-}
-
 // RunWorkload executes a workload on the fast emulation kernel and verifies
 // its result.
 func RunWorkload(cfg PlatformConfig, spec *Workload) (RunStats, error) {
-	return runEmulator(cfg, spec, func(p *emu.Platform) (uint64, bool) { return p.Run(1 << 62) })
+	return runEmulator(cfg, spec, "emulator/", func(p *emu.Platform) (func() (uint64, bool), func() error) {
+		return func() (uint64, bool) { return p.Run(1 << 62) }, nil
+	})
 }
 
-// runEmulator builds the platform, loads spec, times run to completion and
-// verifies the workload's result.
-func runEmulator(cfg PlatformConfig, spec *Workload, run func(*emu.Platform) (uint64, bool)) (RunStats, error) {
+// runEmulator builds the platform, loads spec and binds the kernel to it.
+// It times the kernel's run to completion, then verifies the workload's
+// result and, when the kernel gives one, runs its own check.
+func runEmulator(cfg PlatformConfig, spec *Workload, kind string,
+	kernel func(*emu.Platform) (run func() (uint64, bool), check func() error)) (RunStats, error) {
 	p, err := emu.New(cfg)
 	if err != nil {
 		return RunStats{}, err
 	}
-	if err := loadSpec(p, spec); err != nil {
+	if err := p.LoadWorkload(spec); err != nil {
 		return RunStats{}, err
 	}
+	run, check := kernel(p)
 	start := time.Now()
-	cycles, done := run(p)
+	cycles, done := run()
 	wall := time.Since(start)
 	if err := p.Fault(); err != nil {
 		return RunStats{}, err
@@ -233,7 +222,12 @@ func runEmulator(cfg PlatformConfig, spec *Workload, run func(*emu.Platform) (ui
 			return RunStats{}, err
 		}
 	}
-	return newRunStats("emulator/"+spec.Name, p, cycles, wall, done), nil
+	if check != nil {
+		if err := check(); err != nil {
+			return RunStats{}, err
+		}
+	}
+	return newRunStats(kind+spec.Name, p, cycles, wall, done), nil
 }
 
 // NewGoldenTrace returns a streaming digest-only golden trace (constant
@@ -270,36 +264,19 @@ func ReplayHint(d *GoldenDivergence) (uint64, bool) { return checkpoint.HintFrom
 // architectural state at the end. Traces from equal (workload, platform,
 // every) runs must compare equal, run after run.
 func RunWorkloadGolden(cfg PlatformConfig, spec *Workload, every uint64, tr *GoldenTrace) (RunStats, error) {
-	return runEmulator(cfg, spec, func(p *emu.Platform) (uint64, bool) { return p.RunDigest(1<<62, every, tr) })
+	return runEmulator(cfg, spec, "emulator/", func(p *emu.Platform) (func() (uint64, bool), func() error) {
+		return func() (uint64, bool) { return p.RunDigest(1<<62, every, tr) }, nil
+	})
 }
 
 // RunWorkloadMPARM executes a workload on the signal-level cycle-accurate
 // baseline kernel (the MPARM stand-in) and verifies both the result and the
 // statistics recovered from the signal traffic.
 func RunWorkloadMPARM(cfg PlatformConfig, spec *Workload) (RunStats, error) {
-	p, err := emu.New(cfg)
-	if err != nil {
-		return RunStats{}, err
-	}
-	if err := loadSpec(p, spec); err != nil {
-		return RunStats{}, err
-	}
-	k := mparm.New(p)
-	start := time.Now()
-	cycles, done := k.Run(1 << 62)
-	wall := time.Since(start)
-	if err := p.Fault(); err != nil {
-		return RunStats{}, err
-	}
-	if done && spec.Verify != nil {
-		if err := spec.Verify(p.ReadSharedWord); err != nil {
-			return RunStats{}, err
-		}
-	}
-	if err := k.VerifyObserved(); err != nil {
-		return RunStats{}, err
-	}
-	return newRunStats("mparm/"+spec.Name, p, cycles, wall, done), nil
+	return runEmulator(cfg, spec, "mparm/", func(p *emu.Platform) (func() (uint64, bool), func() error) {
+		k := mparm.New(p)
+		return func() (uint64, bool) { return k.Run(1 << 62) }, k.VerifyObserved
+	})
 }
 
 func newRunStats(name string, p *emu.Platform, cycles uint64, wall time.Duration, done bool) RunStats {
