@@ -99,18 +99,16 @@ func writeHex(w *os.File, im *asm.Image) error {
 	return bw.Flush()
 }
 
+// readHex parses a hex image of at most scenario.MaxFileBytes.
 func readHex(path string) (entry uint32, words map[uint32]uint32, err error) {
-	f, err := os.Open(path)
+	src, err := scenario.ReadSource(path)
 	if err != nil {
 		return 0, nil, err
 	}
-	defer f.Close()
 	words = map[uint32]uint32{}
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
+	for i, text := range strings.Split(src, "\n") {
+		line := i + 1
+		text = strings.TrimSpace(text)
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
@@ -126,7 +124,7 @@ func readHex(path string) (entry uint32, words map[uint32]uint32, err error) {
 		}
 		words[addr] = word
 	}
-	return entry, words, sc.Err()
+	return entry, words, nil
 }
 
 func cmdDis(args []string) error {

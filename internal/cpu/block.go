@@ -1,12 +1,15 @@
 package cpu
 
-// This file implements threaded-code basic-block dispatch: straight-line
+// This file implements opcode-switched basic-block dispatch: straight-line
 // R32 blocks are discovered at first execution (isa.ScanBlock), pre-decoded
-// into arrays of blockOp records whose run fields point at shared op
-// functions, and executed whole. Per instruction this removes the Step call
-// overhead, the address-range binary search, the functional fetch load, the
-// decode-memo lookup and the two-level exec switch; per *window* it removes
-// the serial event kernel's per-cycle scan. Everything observable — stats,
+// into arrays of blockOp records, and executed whole by one loop whose
+// switch on each record's op code compiles to a jump table — no call per
+// instruction, so the loop state stays in registers. Per instruction this
+// removes the Step call overhead, the address-range binary search, the
+// functional fetch load, the decode-memo lookup and the two-level exec
+// switch; a load that hits the data cache is one controller call
+// (mem.Controller.ReadWordHit). Per *window* it removes the serial event
+// kernel's per-cycle scan. Everything observable — stats,
 // stall accounting, activity-sniffer counters, memory-controller counters,
 // fault semantics, pc on fault — is bit-identical to Step, which the golden
 // differential matrix enforces.
@@ -52,18 +55,18 @@ const (
 	opChunk    = 128
 )
 
-// blockOp is one pre-decoded instruction of a translated block: a threaded
-// dispatch target plus the flattened fields it needs. run executes the
-// operation (registers, memory, pc, branch/load/store counters), returning
-// the data-stall cycles; on a memory fault it sets c.fault and leaves pc at
-// the faulting instruction, exactly like Core.exec.
+// blockOp is one pre-decoded instruction of a translated block: an op code
+// that selects its StepBlocks switch case, plus the flattened fields that
+// case needs. Executing it updates registers, memory, pc and the
+// branch/load/store counters and yields the data-stall cycles; on a memory
+// fault it sets c.fault and leaves pc at the faulting instruction, exactly
+// like Core.exec.
 type blockOp struct {
-	run  func(c *Core, x *blockOp, now uint64) uint64
+	op   uint8 // an x* op code
 	rd   uint8
 	rs1  uint8
 	rs2  uint8
 	imm  int32
-	mem  bool   // a load, store or swap: subject to StepBlocks' sharedBefore bound
 	pc   uint32 // fetch address of this instruction
 	next uint32 // pc+4, or the taken target for jal/branches
 }
@@ -376,15 +379,37 @@ dispatch:
 		}
 		for i := range ops {
 			x := &ops[i]
-			if cyc >= end || cyc >= sharedBefore && x.mem && !ctrl.Private(c.regs[x.rs1]+uint32(x.imm)) {
+			if cyc >= end {
 				break dispatch
 			}
-			// Active cycle: same charge order as Step.
+			// A memory op issued at or after sharedBefore must prove it is
+			// private before any side effect. A load that hits the dcache
+			// completes here in one call, and with privateOnly set its
+			// success is that proof. The effects it moves ahead of this
+			// instruction's fetch touch only the dcache and counters the
+			// fetch adds to, so the order is unobservable.
+			var (
+				addr   uint32
+				lv     uint32
+				dstall uint64
+				hit    bool
+			)
+			if x.op >= xLw {
+				addr = c.regs[x.rs1] + uint32(x.imm)
+				if x.op == xLw {
+					lv, dstall, hit = ctrl.ReadWordHit(addr, cyc >= sharedBefore)
+				}
+				if !hit && cyc >= sharedBefore && !ctrl.Private(addr) {
+					break dispatch
+				}
+			}
+			// Active cycle: same charge order as Step. c.pc already names
+			// this instruction: a block is entered at c.pc and only its
+			// last op can transfer control.
 			c.state = Active
 			if c.act != nil {
 				c.act.Accrue(sniffer.ModeActive, 1)
 			}
-			c.pc = x.pc // keep the Step invariant: pc is the issuing instruction
 			var fstall uint64
 			if batched {
 				fetched++
@@ -392,26 +417,118 @@ dispatch:
 			} else {
 				fstall = fp.Fetch(cyc, x.pc)
 			}
-			dstall := x.run(c, x, cyc)
-			cyc++
-			if c.fault != nil {
-				// Faulting Step: cycle charged (the faulting issue is an
-				// active cycle), no commit, stall untouched (the fetch
-				// preceding the fault did happen).
-				c.stats.ActiveCycles++
-				break dispatch
+			r := &c.regs
+			npc := x.next
+			switch x.op {
+			case xNop:
+			case xAdd:
+				r[x.rd] = r[x.rs1] + r[x.rs2]
+			case xSub:
+				r[x.rd] = r[x.rs1] - r[x.rs2]
+			case xAnd:
+				r[x.rd] = r[x.rs1] & r[x.rs2]
+			case xOr:
+				r[x.rd] = r[x.rs1] | r[x.rs2]
+			case xXor:
+				r[x.rd] = r[x.rs1] ^ r[x.rs2]
+			case xNor:
+				r[x.rd] = ^(r[x.rs1] | r[x.rs2])
+			case xSll:
+				r[x.rd] = r[x.rs1] << (r[x.rs2] & 31)
+			case xSrl:
+				r[x.rd] = r[x.rs1] >> (r[x.rs2] & 31)
+			case xSra:
+				r[x.rd] = uint32(int32(r[x.rs1]) >> (r[x.rs2] & 31))
+			case xSlt:
+				r[x.rd] = b2u(int32(r[x.rs1]) < int32(r[x.rs2]))
+			case xSltu:
+				r[x.rd] = b2u(r[x.rs1] < r[x.rs2])
+			case xMul:
+				r[x.rd] = r[x.rs1] * r[x.rs2]
+			case xDiv, xDivu, xRem, xRemu:
+				// The edge cases (zero divisor, overflow) live in aluR.
+				r[x.rd], _ = aluR(isa.Funct(x.op-xAdd), r[x.rs1], r[x.rs2])
+			case xAddi:
+				r[x.rd] = r[x.rs1] + uint32(x.imm)
+			case xAndi:
+				r[x.rd] = r[x.rs1] & uint32(x.imm)
+			case xOri:
+				r[x.rd] = r[x.rs1] | uint32(x.imm)
+			case xXori:
+				r[x.rd] = r[x.rs1] ^ uint32(x.imm)
+			case xSlti:
+				r[x.rd] = b2u(int32(r[x.rs1]) < x.imm)
+			case xSltiu:
+				r[x.rd] = b2u(r[x.rs1] < uint32(x.imm))
+			case xSlli:
+				r[x.rd] = r[x.rs1] << (uint32(x.imm) & 31)
+			case xSrli:
+				r[x.rd] = r[x.rs1] >> (uint32(x.imm) & 31)
+			case xSrai:
+				r[x.rd] = uint32(int32(r[x.rs1]) >> (uint32(x.imm) & 31))
+			case xLui:
+				r[x.rd] = uint32(x.imm) << 16
+			case xBeq:
+				npc = branch(c, x, r[x.rs1] == r[x.rs2])
+			case xBne:
+				npc = branch(c, x, r[x.rs1] != r[x.rs2])
+			case xBlt:
+				npc = branch(c, x, int32(r[x.rs1]) < int32(r[x.rs2]))
+			case xBge:
+				npc = branch(c, x, int32(r[x.rs1]) >= int32(r[x.rs2]))
+			case xBltu:
+				npc = branch(c, x, r[x.rs1] < r[x.rs2])
+			case xBgeu:
+				npc = branch(c, x, r[x.rs1] >= r[x.rs2])
+			case xJal:
+				r[isa.LinkReg] = x.pc + 4
+				c.stats.Branches++
+				c.stats.Taken++
+			case xJalr:
+				npc = (r[x.rs1] + uint32(x.imm)) &^ 3
+				setReg(c, x.rd, x.pc+4)
+				c.stats.Branches++
+				c.stats.Taken++
+			case xHalt:
+				c.halt = true // exec advances pc past HALT before stopping
+			case xLw:
+				if hit {
+					c.stats.Loads++
+					setReg(c, x.rd, lv)
+					break
+				}
+				fallthrough
+			case xLb, xLbu, xSw, xSb, xSwap:
+				// Everything but a dcache-hit load runs the interpreter's
+				// memory op, which recomputes addr from the same registers.
+				op := isa.OpSwap
+				if x.op != xSwap {
+					op = isa.OpLw + isa.Opcode(x.op-xLw)
+				}
+				var err error
+				if dstall, err = c.memOp(cyc, isa.Instr{Op: op, Rd: x.rd, Rs1: x.rs1, Imm: x.imm}); err != nil {
+					// Faulting Step: cycle charged (the faulting issue is an
+					// active cycle), no commit, pc left at the faulting
+					// instruction, stall untouched (the fetch preceding the
+					// fault did happen).
+					c.fault = err
+					c.stats.ActiveCycles++
+					cyc++
+					break dispatch
+				}
+			default:
+				panic("cpu: block op without a dispatch case")
 			}
+			cyc++
+			c.pc = npc
 			c.stall = fstall + dstall
 			issued++
-			if c.halt {
+			if x.op == xHalt {
 				break dispatch
 			}
 			if c.stall > 0 {
 				// Settle the stall span in bulk, clipped to the window.
-				span := c.stall
-				if left := end - cyc; span > left {
-					span = left
-				}
+				span := min(c.stall, end-cyc)
 				c.AccrueStall(span)
 				skipped += span
 				cyc += span
@@ -419,11 +536,12 @@ dispatch:
 					break dispatch
 				}
 			}
-			if !b.valid {
-				// Self-modified underfoot by this very instruction: the
-				// commit above is complete, so resume at c.pc with a fresh
-				// translation — the next instruction executes new code, the
-				// same cycle the interpreter would run it.
+			if x.op >= xSw && !b.valid {
+				// Self-modified underfoot by this very store (sw, sb and
+				// swap are the last op codes, and only a store invalidates):
+				// the commit above is complete, so resume at c.pc with a
+				// fresh translation — the next instruction executes new
+				// code, the same cycle the interpreter would run it.
 				break
 			}
 		}
@@ -441,128 +559,114 @@ dispatch:
 
 // emitOp fills one blockOp from a decoded instruction at address pc. The
 // instruction is executable (ScanBlock guarantees it), so the undefined
-// opcode/funct arms of the interpreter are unreachable here.
+// opcode/funct arms of the interpreter are unreachable here. An ALU op or
+// lui that writes r0 has no effect at all and becomes xNop, so the ALU
+// cases of StepBlocks write their destination without an r0 test.
 func emitOp(x *blockOp, in isa.Instr, pc uint32) {
 	x.rd, x.rs1, x.rs2, x.imm = in.Rd, in.Rs1, in.Rs2, in.Imm
 	x.pc = pc
 	x.next = pc + 4
 	switch {
 	case in.Op == isa.OpRType:
-		x.run = rtypeOps[in.Funct]
+		x.op = xAdd + uint8(in.Funct)
 	case in.Op == isa.OpHalt:
-		x.run = opHalt
+		x.op = xHalt
 	case in.Op == isa.OpLui:
-		x.run = opLui
+		x.op = xLui
 	case in.Op == isa.OpJal:
 		x.next = uint32(int64(pc+4) + int64(in.Imm)*4)
-		x.run = opJal
+		x.op = xJal
 	case in.Op == isa.OpJalr:
-		x.run = opJalr
+		x.op = xJalr
 	case in.Op.IsBranch():
 		x.next = uint32(int64(pc+4) + int64(in.Imm)*4) // taken target
-		x.run = branchOps[in.Op-isa.OpBeq]
+		x.op = xBeq + uint8(in.Op-isa.OpBeq)
+	case in.Op == isa.OpSwap:
+		x.op = xSwap
 	case in.Op.IsMem():
-		x.run = memOps[in.Op]
-		x.mem = true
+		x.op = xLw + uint8(in.Op-isa.OpLw)
 	default:
-		x.run = aluIOps[in.Op]
+		x.op = xAddi + uint8(in.Op-isa.OpAddi)
+	}
+	if x.op <= xLui && x.rd == 0 {
+		x.op = xNop
 	}
 }
 
+// Block op codes, one per StepBlocks switch case. Each group follows the
+// order of its isa opcodes or functs, so emitOp maps a group with one add.
+// The zero value is invalid, so an op emitOp never filled is caught. The
+// ALU ops (those a write to r0 turns into xNop) come first and the memory
+// ops last, so either group is told apart with one compare.
+const (
+	xInvalid uint8 = iota
+	xNop
+	// R-type, in isa.Funct order.
+	xAdd
+	xSub
+	xAnd
+	xOr
+	xXor
+	xNor
+	xSll
+	xSrl
+	xSra
+	xSlt
+	xSltu
+	xMul
+	xDiv
+	xDivu
+	xRem
+	xRemu
+	// Immediate ALU ops, in isa.Opcode order from OpAddi.
+	xAddi
+	xAndi
+	xOri
+	xXori
+	xSlti
+	xSltiu
+	xSlli
+	xSrli
+	xSrai
+	xLui
+	// Conditional branches, in isa.Opcode order from OpBeq.
+	xBeq
+	xBne
+	xBlt
+	xBge
+	xBltu
+	xBgeu
+	xJal
+	xJalr
+	xHalt
+	// Memory ops, in isa.Opcode order from OpLw (OpSwap, which follows
+	// OpHalt there, is mapped on its own).
+	xLw
+	xLb
+	xLbu
+	xSw
+	xSb
+	xSwap
+	numBlockOps
+)
+
 // setReg mirrors Core.SetReg without the method-call overhead on the
-// threaded hot path.
+// dispatch hot path.
 func setReg(c *Core, r uint8, v uint32) {
 	if r != 0 {
 		c.regs[r] = v
 	}
 }
 
-// R-type ALU ops (one function per funct; edge-case semantics mirror aluR).
-var rtypeOps = [...]func(*Core, *blockOp, uint64) uint64{
-	isa.FnAdd: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]+c.regs[x.rs2])
-		c.pc = x.next
-		return 0
-	},
-	isa.FnSub: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]-c.regs[x.rs2])
-		c.pc = x.next
-		return 0
-	},
-	isa.FnAnd: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]&c.regs[x.rs2])
-		c.pc = x.next
-		return 0
-	},
-	isa.FnOr: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]|c.regs[x.rs2])
-		c.pc = x.next
-		return 0
-	},
-	isa.FnXor: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]^c.regs[x.rs2])
-		c.pc = x.next
-		return 0
-	},
-	isa.FnNor: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, ^(c.regs[x.rs1] | c.regs[x.rs2]))
-		c.pc = x.next
-		return 0
-	},
-	isa.FnSll: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]<<(c.regs[x.rs2]&31))
-		c.pc = x.next
-		return 0
-	},
-	isa.FnSrl: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]>>(c.regs[x.rs2]&31))
-		c.pc = x.next
-		return 0
-	},
-	isa.FnSra: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, uint32(int32(c.regs[x.rs1])>>(c.regs[x.rs2]&31)))
-		c.pc = x.next
-		return 0
-	},
-	isa.FnSlt: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, b2u(int32(c.regs[x.rs1]) < int32(c.regs[x.rs2])))
-		c.pc = x.next
-		return 0
-	},
-	isa.FnSltu: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, b2u(c.regs[x.rs1] < c.regs[x.rs2]))
-		c.pc = x.next
-		return 0
-	},
-	isa.FnMul: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]*c.regs[x.rs2])
-		c.pc = x.next
-		return 0
-	},
-	isa.FnDiv: func(c *Core, x *blockOp, _ uint64) uint64 {
-		v, _ := aluR(isa.FnDiv, c.regs[x.rs1], c.regs[x.rs2])
-		setReg(c, x.rd, v)
-		c.pc = x.next
-		return 0
-	},
-	isa.FnDivu: func(c *Core, x *blockOp, _ uint64) uint64 {
-		v, _ := aluR(isa.FnDivu, c.regs[x.rs1], c.regs[x.rs2])
-		setReg(c, x.rd, v)
-		c.pc = x.next
-		return 0
-	},
-	isa.FnRem: func(c *Core, x *blockOp, _ uint64) uint64 {
-		v, _ := aluR(isa.FnRem, c.regs[x.rs1], c.regs[x.rs2])
-		setReg(c, x.rd, v)
-		c.pc = x.next
-		return 0
-	},
-	isa.FnRemu: func(c *Core, x *blockOp, _ uint64) uint64 {
-		v, _ := aluR(isa.FnRemu, c.regs[x.rs1], c.regs[x.rs2])
-		setReg(c, x.rd, v)
-		c.pc = x.next
-		return 0
-	},
+// branch counts a conditional branch and returns its successor: the taken
+// target x.next, or the fall-through.
+func branch(c *Core, x *blockOp, take bool) uint32 {
+	c.stats.Branches++
+	if take {
+		c.stats.Taken++
+		return x.next
+	}
+	return x.pc + 4
 }
 
 func b2u(b bool) uint32 {
@@ -570,177 +674,4 @@ func b2u(b bool) uint32 {
 		return 1
 	}
 	return 0
-}
-
-// Immediate ALU ops, indexed by opcode (only the aluI opcodes are filled).
-var aluIOps = [isa.OpSwap + 1]func(*Core, *blockOp, uint64) uint64{
-	isa.OpAddi: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]+uint32(x.imm))
-		c.pc = x.next
-		return 0
-	},
-	isa.OpAndi: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]&uint32(x.imm))
-		c.pc = x.next
-		return 0
-	},
-	isa.OpOri: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]|uint32(x.imm))
-		c.pc = x.next
-		return 0
-	},
-	isa.OpXori: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]^uint32(x.imm))
-		c.pc = x.next
-		return 0
-	},
-	isa.OpSlti: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, b2u(int32(c.regs[x.rs1]) < x.imm))
-		c.pc = x.next
-		return 0
-	},
-	isa.OpSltiu: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, b2u(c.regs[x.rs1] < uint32(x.imm)))
-		c.pc = x.next
-		return 0
-	},
-	isa.OpSlli: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]<<(uint32(x.imm)&31))
-		c.pc = x.next
-		return 0
-	},
-	isa.OpSrli: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, c.regs[x.rs1]>>(uint32(x.imm)&31))
-		c.pc = x.next
-		return 0
-	},
-	isa.OpSrai: func(c *Core, x *blockOp, _ uint64) uint64 {
-		setReg(c, x.rd, uint32(int32(c.regs[x.rs1])>>(uint32(x.imm)&31)))
-		c.pc = x.next
-		return 0
-	},
-}
-
-func opLui(c *Core, x *blockOp, _ uint64) uint64 {
-	setReg(c, x.rd, uint32(x.imm)<<16)
-	c.pc = x.next
-	return 0
-}
-
-func opHalt(c *Core, x *blockOp, _ uint64) uint64 {
-	c.halt = true
-	c.pc = x.next // exec advances pc past HALT before stopping
-	return 0
-}
-
-func opJal(c *Core, x *blockOp, _ uint64) uint64 {
-	setReg(c, isa.LinkReg, x.pc+4)
-	c.pc = x.next // pre-computed target
-	c.stats.Branches++
-	c.stats.Taken++
-	return 0
-}
-
-func opJalr(c *Core, x *blockOp, _ uint64) uint64 {
-	t := (c.regs[x.rs1] + uint32(x.imm)) &^ 3
-	setReg(c, x.rd, x.pc+4)
-	c.pc = t
-	c.stats.Branches++
-	c.stats.Taken++
-	return 0
-}
-
-// Conditional branches, indexed by op - OpBeq. x.next is the taken target.
-var branchOps = [...]func(*Core, *blockOp, uint64) uint64{
-	func(c *Core, x *blockOp, _ uint64) uint64 { return branch(c, x, c.regs[x.rs1] == c.regs[x.rs2]) },
-	func(c *Core, x *blockOp, _ uint64) uint64 { return branch(c, x, c.regs[x.rs1] != c.regs[x.rs2]) },
-	func(c *Core, x *blockOp, _ uint64) uint64 {
-		return branch(c, x, int32(c.regs[x.rs1]) < int32(c.regs[x.rs2]))
-	},
-	func(c *Core, x *blockOp, _ uint64) uint64 {
-		return branch(c, x, int32(c.regs[x.rs1]) >= int32(c.regs[x.rs2]))
-	},
-	func(c *Core, x *blockOp, _ uint64) uint64 { return branch(c, x, c.regs[x.rs1] < c.regs[x.rs2]) },
-	func(c *Core, x *blockOp, _ uint64) uint64 { return branch(c, x, c.regs[x.rs1] >= c.regs[x.rs2]) },
-}
-
-func branch(c *Core, x *blockOp, take bool) uint64 {
-	c.stats.Branches++
-	if take {
-		c.stats.Taken++
-		c.pc = x.next
-	} else {
-		c.pc = x.pc + 4
-	}
-	return 0
-}
-
-// Memory ops, indexed by opcode. Stats bumps precede the access and faults
-// leave pc at the instruction, mirroring Core.memOp/exec exactly.
-var memOps = [isa.OpSwap + 1]func(*Core, *blockOp, uint64) uint64{
-	isa.OpLw: func(c *Core, x *blockOp, now uint64) uint64 {
-		c.stats.Loads++
-		v, stall, err := c.ctrl.ReadWord(now, c.regs[x.rs1]+uint32(x.imm))
-		if err != nil {
-			c.fault = err
-			return 0
-		}
-		setReg(c, x.rd, v)
-		c.pc = x.next
-		return stall
-	},
-	isa.OpLb: func(c *Core, x *blockOp, now uint64) uint64 {
-		c.stats.Loads++
-		v, stall, err := c.ctrl.LoadByte(now, c.regs[x.rs1]+uint32(x.imm))
-		if err != nil {
-			c.fault = err
-			return 0
-		}
-		setReg(c, x.rd, uint32(int32(int8(v))))
-		c.pc = x.next
-		return stall
-	},
-	isa.OpLbu: func(c *Core, x *blockOp, now uint64) uint64 {
-		c.stats.Loads++
-		v, stall, err := c.ctrl.LoadByte(now, c.regs[x.rs1]+uint32(x.imm))
-		if err != nil {
-			c.fault = err
-			return 0
-		}
-		setReg(c, x.rd, uint32(v))
-		c.pc = x.next
-		return stall
-	},
-	isa.OpSw: func(c *Core, x *blockOp, now uint64) uint64 {
-		c.stats.Stores++
-		stall, err := c.ctrl.WriteWord(now, c.regs[x.rs1]+uint32(x.imm), c.regs[x.rd])
-		if err != nil {
-			c.fault = err
-			return 0
-		}
-		c.pc = x.next
-		return stall
-	},
-	isa.OpSb: func(c *Core, x *blockOp, now uint64) uint64 {
-		c.stats.Stores++
-		stall, err := c.ctrl.StoreByte(now, c.regs[x.rs1]+uint32(x.imm), byte(c.regs[x.rd]))
-		if err != nil {
-			c.fault = err
-			return 0
-		}
-		c.pc = x.next
-		return stall
-	},
-	isa.OpSwap: func(c *Core, x *blockOp, now uint64) uint64 {
-		c.stats.Loads++
-		c.stats.Stores++
-		old, stall, err := c.ctrl.Swap(now, c.regs[x.rs1]+uint32(x.imm), c.regs[x.rd])
-		if err != nil {
-			c.fault = err
-			return 0
-		}
-		setReg(c, x.rd, old)
-		c.pc = x.next
-		return stall
-	},
 }

@@ -1,9 +1,14 @@
 package cpu
 
 import (
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"thermemu/internal/asm"
+	"thermemu/internal/isa"
 	"thermemu/internal/mem"
 )
 
@@ -29,15 +34,24 @@ func runWithBlocks(t *testing.T, c *Core, maxCycles uint64) {
 }
 
 // checkAgainstInterpreter runs src once through the plain interpreter and
-// once through block dispatch and requires identical architectural and
-// statistical outcomes.
+// once through block dispatch on buildCore's uncached core and requires
+// identical architectural and statistical outcomes.
 func checkAgainstInterpreter(t *testing.T, src string, maxCycles uint64) *Core {
 	t.Helper()
-	ref, _ := buildCore(t, src)
+	return checkBuiltAgainstInterpreter(t, buildCore, src, maxCycles)
+}
+
+// checkBuiltAgainstInterpreter is checkAgainstInterpreter on cores from
+// build. Besides registers, pc and core counters it compares the memory
+// controller's, both caches' and the memory's counters and the first 64 KiB
+// of memory.
+func checkBuiltAgainstInterpreter(t *testing.T, build func(*testing.T, string) (*Core, *mem.Memory), src string, maxCycles uint64) *Core {
+	t.Helper()
+	ref, refMem := build(t, src)
 	run(t, ref, maxCycles)
-	blk, _ := buildCore(t, src)
+	blk, blkMem := build(t, src)
 	runWithBlocks(t, blk, maxCycles)
-	for r := uint8(1); r < 32; r++ {
+	for r := uint8(0); r < 32; r++ {
 		if ref.Reg(r) != blk.Reg(r) {
 			t.Errorf("r%d: interpreter %#x, blocks %#x", r, ref.Reg(r), blk.Reg(r))
 		}
@@ -48,81 +62,251 @@ func checkAgainstInterpreter(t *testing.T, src string, maxCycles uint64) *Core {
 	if ref.Stats() != blk.Stats() {
 		t.Errorf("stats diverge:\n interpreter %+v\n blocks      %+v", ref.Stats(), blk.Stats())
 	}
+	rc, bc := ref.Controller(), blk.Controller()
+	if rc.Stats() != bc.Stats() {
+		t.Errorf("controller stats diverge:\n interpreter %+v\n blocks      %+v", rc.Stats(), bc.Stats())
+	}
+	for _, c := range []struct {
+		name     string
+		ref, blk *mem.Cache
+	}{{"icache", rc.ICache(), bc.ICache()}, {"dcache", rc.DCache(), bc.DCache()}} {
+		if c.ref != nil && c.ref.Stats() != c.blk.Stats() {
+			t.Errorf("%s stats diverge:\n interpreter %+v\n blocks      %+v", c.name, c.ref.Stats(), c.blk.Stats())
+		}
+	}
+	if refMem.Stats() != blkMem.Stats() {
+		t.Errorf("memory stats diverge: interpreter %+v, blocks %+v", refMem.Stats(), blkMem.Stats())
+	}
+	for a := uint32(0); a < 64*1024; a += 4 {
+		if rw, bw := refMem.PeekWord(a), blkMem.PeekWord(a); rw != bw {
+			t.Fatalf("memory at %#x: interpreter %#x, blocks %#x", a, rw, bw)
+		}
+	}
 	return blk
 }
 
-// TestBlocksAllOps pushes every R32 opcode and funct through block dispatch
-// and requires register/stat identity with the interpreter: ALU R-type
-// (including the div/rem edge-case family), every immediate op, lui,
-// jal/jalr, all six branches both taken and not taken, and the full memory
-// op set including byte accesses and atomic swap.
-func TestBlocksAllOps(t *testing.T) {
-	src := `
+// buildCachedCore is buildCore behind a direct-mapped icache and a 2-way
+// dcache, over a memory with latency 3, so misses stall and the dcache
+// hit path of block loads is taken.
+func buildCachedCore(t *testing.T, src string) (*Core, *mem.Memory) {
+	t.Helper()
+	im, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := mem.NewController("ctl0", 0)
+	priv := mem.NewMemory("priv", 64*1024, 3) // latency: real stall spans
+	if err := ctl.AddRange(mem.Range{Name: "priv", Base: 0, Target: priv, Kind: mem.KindPrivate, Cacheable: true}); err != nil {
+		t.Fatal(err)
+	}
+	ic := mem.NewCache(mem.CacheConfig{Name: "ic", SizeBytes: 1024, LineBytes: 16, Assoc: 1, HitLatency: 0})
+	dc := mem.NewCache(mem.CacheConfig{Name: "dc", SizeBytes: 512, LineBytes: 16, Assoc: 2, HitLatency: 0})
+	ctl.AttachCaches(ic, dc)
+	for _, s := range im.Sections {
+		priv.WriteBytes(s.Addr, s.Data)
+	}
+	c := New(0, Microblaze, ctl)
+	c.Reset(im.Entry)
+	return c, priv
+}
+
+// allOpsSource generates a program that executes every R32 opcode and
+// funct, each ALU op also with r0 as its destination: every R-type funct on
+// four operand pairs (covering the div/rem zero-divisor and overflow
+// cases), every immediate op on three sources and immediates, lui, all six
+// branches both taken and not taken, jal, jalr with and without a link
+// register, and the full memory op set including byte accesses, loads into
+// r0 and atomic swap. Every ALU result is stored, so a wrong value shows in
+// memory even when a later op overwrites its register.
+func allOpsSource() string {
+	var b strings.Builder
+	b.WriteString(`
+		li   r9, 0x4000   ; result area
 		addi r1, r0, 7
 		addi r2, r0, -3
-		add  r3, r1, r2
-		sub  r4, r1, r2
-		and  r5, r1, r2
-		or   r6, r1, r2
-		xor  r7, r1, r2
-		nor  r8, r1, r2
-		addi r9, r0, 4
-		sll  r10, r1, r9
-		srl  r11, r2, r9
-		sra  r12, r2, r9
-		slt  r13, r2, r1
-		sltu r14, r2, r1
-		mul  r15, r1, r2
-		div  r16, r1, r2
-		divu r17, r1, r9
-		rem  r18, r1, r2
-		remu r19, r1, r9
-		div  r20, r1, r0      ; divide by zero edge case
-		rem  r21, r1, r0
-		andi r22, r1, 5
-		ori  r23, r1, 8
-		xori r24, r1, 3
-		slti r25, r2, 0
-		sltiu r26, r1, 100
-		slli r27, r1, 2
-		srli r28, r2, 2
-		srai r29, r2, 2
-		lui  r30, 0x1234
-		jal  sub1             ; taken jump, links r31
-	back:
-		beq  r1, r1, t1       ; taken
-	t1:
-		bne  r1, r1, bad      ; not taken
-		blt  r2, r1, t2       ; taken
-	t2:
-		bge  r1, r2, t3       ; taken
-	t3:
-		bltu r2, r1, bad      ; not taken (unsigned: -3 is huge)
-		bgeu r2, r1, t4       ; taken
-	t4:
-		li   r9, 0x800
-		sw   r3, 0(r9)
-		lw   r10, 0(r9)
-		sb   r1, 5(r9)
-		lb   r11, 5(r9)
-		lbu  r12, 5(r9)
-		addi r13, r0, 42
-		swap r13, 8(r9)       ; old value (0) into r13
-		lw   r14, 8(r9)       ; 42
-		halt
-	bad:
-		addi r28, r0, 999
-		halt
-	sub1:
-		addi r2, r2, 0        ; keep r2
-		jalr r0, r31, 0       ; return
-	`
-	blk := checkAgainstInterpreter(t, src, 10_000)
-	if got := blk.Reg(14); got != 42 {
-		t.Errorf("swap/lw chain: r14 = %d, want 42", got)
+		lui  r3, 0x8000   ; INT_MIN
+		addi r4, r0, -1
+		addi r5, r0, 0
+`)
+	slot := 0
+	emit := func(format string, args ...any) {
+		fmt.Fprintf(&b, "\t"+format+"\n", args...)
 	}
-	if !blk.BlocksEnabled() {
-		t.Error("BlocksEnabled() = false after EnableBlocks")
+	store := func(format string, args ...any) {
+		emit(format, args...)
+		emit("sw r10, %d(r9)", 4*slot)
+		slot++
+	}
+	for fn := isa.Funct(0); fn.Valid(); fn++ {
+		for _, p := range [][2]string{{"r1", "r2"}, {"r2", "r1"}, {"r1", "r5"}, {"r3", "r4"}} {
+			store("%s r10, %s, %s", fn, p[0], p[1])
+		}
+		emit("%s r0, r1, r2", fn)
+	}
+	for op := isa.OpAddi; op <= isa.OpSrai; op++ {
+		imms := []int{5, -5, 0x7fff}
+		if op.ZeroExtImm() {
+			imms = []int{5, 33, 0xffff}
+		}
+		for _, src := range []string{"r1", "r2", "r3"} {
+			for _, imm := range imms {
+				store("%s r10, %s, %d", op, src, imm)
+			}
+		}
+		emit("%s r0, r1, 5", op)
+	}
+	store("lui r10, 0x1234")
+	emit("lui r0, 0x1234")
+	label := 0
+	for op := isa.OpBeq; op <= isa.OpBgeu; op++ {
+		for _, p := range [][2]string{{"r1", "r2"}, {"r2", "r1"}, {"r1", "r1"}} {
+			emit("%s %s, %s, b%d", op, p[0], p[1], label)
+			emit("addi r11, r11, 1") // counts the not-taken branches
+			fmt.Fprintf(&b, "b%d:\n", label)
+			label++
+		}
+	}
+	b.WriteString(`
+		jal  link         ; links r31
+		jal  nolink
+		sw   r2, 0x400(r9)
+		lw   r12, 0x400(r9)
+		lw   r0, 0x400(r9)
+		sb   r2, 0x405(r9)
+		sb   r0, 0x406(r9)
+		lb   r13, 0x405(r9)
+		lbu  r14, 0x405(r9)
+		lb   r0, 0x405(r9)
+		lbu  r0, 0x405(r9)
+		addi r15, r0, 42
+		swap r15, 0x408(r9)   ; old value (0) into r15
+		lw   r16, 0x408(r9)   ; 42
+		sw   r1, 0x40c(r9)
+		swap r0, 0x40c(r9)    ; stores r0, drops the old value
+		lw   r17, 0x40c(r9)   ; 0
+		halt
+	link:
+		jalr r18, r31, 0      ; return, linking r18
+	nolink:
+		jalr r0, r31, 0       ; return
+`)
+	return b.String()
+}
+
+// TestBlocksAllOps pushes every R32 opcode and funct, writes to r0
+// included, through block dispatch on an uncached core and on a cached one
+// with memory latency, and requires register, counter and memory identity
+// with the interpreter. It first checks that the program really covers
+// every executable opcode and funct.
+func TestBlocksAllOps(t *testing.T) {
+	src := allOpsSource()
+	im, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[isa.Opcode]bool{}
+	fns := map[isa.Funct]bool{}
+	r0 := map[string]bool{} // ops with r0 as destination
+	for _, s := range im.Sections {
+		for i := 0; i+4 <= len(s.Data); i += 4 {
+			in := isa.Decode(binary.LittleEndian.Uint32(s.Data[i:]))
+			ops[in.Op] = true
+			name := in.Op.String()
+			if in.Op == isa.OpRType {
+				fns[in.Funct] = true
+				name = in.Funct.String()
+			}
+			if in.Rd == 0 && !in.Op.IsBranch() && in.Op != isa.OpJal && in.Op != isa.OpHalt {
+				r0[name] = true
+			}
+		}
+	}
+	for op := isa.Opcode(0); op.Valid(); op++ {
+		if !ops[op] {
+			t.Errorf("program never executes %s", op)
+		}
+	}
+	for fn := isa.Funct(0); fn.Valid(); fn++ {
+		if !fns[fn] || !r0[fn.String()] {
+			t.Errorf("program never executes %s, or never with destination r0", fn)
+		}
+	}
+	for op := isa.OpAddi; op <= isa.OpLui; op++ {
+		if !r0[op.String()] {
+			t.Errorf("program never executes %s with destination r0", op)
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T, string) (*Core, *mem.Memory)
+	}{{"uncached", buildCore}, {"cached", buildCachedCore}} {
+		t.Run(tc.name, func(t *testing.T) {
+			blk := checkBuiltAgainstInterpreter(t, tc.build, src, 100_000)
+			if got := blk.Reg(16); got != 42 {
+				t.Errorf("swap/lw chain: r16 = %d, want 42", got)
+			}
+			if got := blk.Reg(11); got != 9 {
+				t.Errorf("not-taken branches: r11 = %d, want 9", got)
+			}
+			if !blk.BlocksEnabled() {
+				t.Error("BlocksEnabled() = false after EnableBlocks")
+			}
+		})
+	}
+}
+
+// TestEmitOpCoversEveryOp checks the translation table behind the
+// StepBlocks switch: every executable opcode and funct gets a valid block
+// op of its own, an ALU op or lui writing r0 (and nothing else) becomes
+// xNop, and every block op is emitted for some instruction, so no switch
+// case is dead. TestBlocksAllOps then runs each of them through the switch,
+// whose default case panics.
+func TestEmitOpCoversEveryOp(t *testing.T) {
+	var ins []isa.Instr
+	for op := isa.Opcode(0); op.Valid(); op++ {
+		if op == isa.OpRType {
+			for fn := isa.Funct(0); fn.Valid(); fn++ {
+				ins = append(ins, isa.Instr{Op: op, Funct: fn})
+			}
+			continue
+		}
+		ins = append(ins, isa.Instr{Op: op})
+	}
+	owner := map[uint8]isa.Instr{}
+	for _, in := range ins {
+		for _, rd := range []uint8{0, 7} {
+			in.Rd = rd
+			var x blockOp
+			emitOp(&x, in, 0x100)
+			name := in.Op.String()
+			if in.Op == isa.OpRType {
+				name = in.Funct.String()
+			}
+			if x.op == xInvalid || x.op >= numBlockOps {
+				t.Errorf("%s rd=r%d: block op %d is not a dispatch case", name, rd, x.op)
+				continue
+			}
+			alu := in.Op == isa.OpRType || in.Op >= isa.OpAddi && in.Op <= isa.OpLui
+			if (x.op == xNop) != (alu && rd == 0) {
+				t.Errorf("%s rd=r%d: block op %d, xNop only for an ALU op writing r0", name, rd, x.op)
+			}
+			if x.op == xNop {
+				continue
+			}
+			if prev, ok := owner[x.op]; ok && prev != (isa.Instr{Op: in.Op, Funct: in.Funct}) {
+				t.Errorf("%s and %v share block op %d", name, prev, x.op)
+			}
+			owner[x.op] = isa.Instr{Op: in.Op, Funct: in.Funct}
+		}
+	}
+	for op := xNop + 1; op < numBlockOps; op++ {
+		if _, ok := owner[op]; !ok {
+			t.Errorf("block op %d is emitted for no instruction", op)
+		}
+	}
+	if got := unsafe.Sizeof(blockOp{}); got > 16 {
+		t.Errorf("blockOp is %d bytes, want at most 16", got)
 	}
 }
 
@@ -310,36 +494,7 @@ func TestBlocksMixedLoopWithLatency(t *testing.T) {
 		bne  r2, r0, loop
 		halt
 	`
-	build := func() *Core {
-		im, err := asm.Assemble(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctl := mem.NewController("ctl0", 0)
-		priv := mem.NewMemory("priv", 64*1024, 3) // latency: real stall spans
-		if err := ctl.AddRange(mem.Range{Name: "priv", Base: 0, Target: priv, Kind: mem.KindPrivate, Cacheable: true}); err != nil {
-			t.Fatal(err)
-		}
-		ic := mem.NewCache(mem.CacheConfig{Name: "ic", SizeBytes: 1024, LineBytes: 16, Assoc: 1, HitLatency: 0})
-		dc := mem.NewCache(mem.CacheConfig{Name: "dc", SizeBytes: 512, LineBytes: 16, Assoc: 2, HitLatency: 0})
-		ctl.AttachCaches(ic, dc)
-		for _, s := range im.Sections {
-			priv.WriteBytes(s.Addr, s.Data)
-		}
-		c := New(0, Microblaze, ctl)
-		c.Reset(im.Entry)
-		return c
-	}
-	ref := build()
-	run(t, ref, 100_000)
-	blk := build()
-	runWithBlocks(t, blk, 100_000)
-	if ref.Stats() != blk.Stats() {
-		t.Errorf("stats diverge:\n interpreter %+v\n blocks      %+v", ref.Stats(), blk.Stats())
-	}
-	if ref.Reg(6) != blk.Reg(6) {
-		t.Errorf("r6: interpreter %d, blocks %d", ref.Reg(6), blk.Reg(6))
-	}
+	checkBuiltAgainstInterpreter(t, buildCachedCore, src, 100_000)
 }
 
 // TestBlocksCapacityFlushWithPendingFetch forces a capacity flush of the
@@ -366,24 +521,9 @@ func TestBlocksCapacityFlushWithPendingFetch(t *testing.T) {
 		halt
 	`
 	build := func() (*Core, *mem.Cache) {
-		im, err := asm.Assemble(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctl := mem.NewController("ctl0", 0)
-		priv := mem.NewMemory("priv", 64*1024, 3)
-		if err := ctl.AddRange(mem.Range{Name: "priv", Base: 0, Target: priv, Kind: mem.KindPrivate, Cacheable: true}); err != nil {
-			t.Fatal(err)
-		}
-		ic := mem.NewCache(mem.CacheConfig{Name: "ic", SizeBytes: 1024, LineBytes: 16, Assoc: 1, HitLatency: 0})
-		ctl.AttachCaches(ic, mem.NewCache(mem.CacheConfig{Name: "dc", SizeBytes: 512, LineBytes: 16, Assoc: 2, HitLatency: 0}))
-		for _, s := range im.Sections {
-			priv.WriteBytes(s.Addr, s.Data)
-		}
-		c := New(0, Microblaze, ctl)
-		c.Reset(im.Entry)
+		c, _ := buildCachedCore(t, src)
 		c.SetReg(1, 6)
-		return c, ic
+		return c, c.Controller().ICache()
 	}
 
 	blk, blkIC := build()

@@ -382,6 +382,32 @@ func TestEndpointSequenceNumbers(t *testing.T) {
 	}
 }
 
+// TestEndpointRoundTripAllocs pins the copy-free frame path: one endpoint
+// round trip over the loopback allocates the marshalled frame and the
+// received Frame header, and copies the frame bytes nowhere else — neither
+// the transport nor Unmarshal copies them.
+func TestEndpointRoundTripAllocs(t *testing.T) {
+	dev, host := LoopbackPair(1)
+	e := NewEndpoint(dev, DeviceMAC, HostMAC)
+	h := NewEndpoint(host, HostMAC, DeviceMAC)
+	payload := TempsFromKelvin(1, []float64{300, 301, 302, 303}).MarshalPayload()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.Send(MsgTemp, payload); err != nil {
+			t.Fatal(err)
+		}
+		f, err := h.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(f.Payload) != string(payload) {
+			t.Fatal("payload changed in transit")
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("endpoint round trip: %.1f allocs, want at most 2 (frame and Frame)", allocs)
+	}
+}
+
 func TestEventsPayloadRoundTrip(t *testing.T) {
 	in := &Events{Entries: []sniffer.Event{
 		{Cycle: 1, Source: 2, Kind: sniffer.EvMemWrite, Addr: 0x1000, Info: 42},

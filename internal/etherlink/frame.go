@@ -130,7 +130,8 @@ func (f *Frame) Marshal() ([]byte, error) {
 	return b, nil
 }
 
-// Unmarshal parses and verifies a serialised frame.
+// Unmarshal parses and verifies a serialised frame. The frame's Payload
+// aliases b: frames are immutable once marshalled (see Transport).
 func Unmarshal(b []byte) (*Frame, error) {
 	if len(b) < headerLen+crcLen {
 		return nil, ErrTooShort
@@ -153,7 +154,7 @@ func Unmarshal(b []byte) (*Frame, error) {
 	copy(f.Dst[:], b[0:6])
 	copy(f.Src[:], b[6:12])
 	if plen > 0 {
-		f.Payload = append([]byte(nil), b[headerLen:headerLen+plen]...)
+		f.Payload = b[headerLen : headerLen+plen : headerLen+plen]
 	}
 	return f, nil
 }

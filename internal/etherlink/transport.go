@@ -17,6 +17,13 @@ import (
 // SetRecvDeadline bounds the next Recv calls (the zero time clears the
 // bound); an expired deadline surfaces as ErrRecvTimeout, which is the only
 // Recv error a caller may retry without reconnecting.
+//
+// Frames are immutable once marshalled. Send and TrySend may keep the frame
+// after they return (a queued frame is delivered or written later), so the
+// caller must not modify it afterwards. Recv hands its frame over: the
+// transport never touches it again. A received frame may share memory with
+// other received frames (a resend or a duplicate of the same send), so
+// receivers only read it.
 type Transport interface {
 	Send(frame []byte) error
 	TrySend(frame []byte) (bool, error)
@@ -66,9 +73,8 @@ func (l *loopback) Send(frame []byte) error {
 		return ErrClosed
 	default:
 	}
-	f := append([]byte(nil), frame...)
 	select {
-	case l.out <- f:
+	case l.out <- frame:
 		return nil
 	case <-l.done:
 		return ErrClosed
@@ -81,9 +87,8 @@ func (l *loopback) TrySend(frame []byte) (bool, error) {
 		return false, ErrClosed
 	default:
 	}
-	f := append([]byte(nil), frame...)
 	select {
-	case l.out <- f:
+	case l.out <- frame:
 		return true, nil
 	default:
 		return false, nil
@@ -267,9 +272,8 @@ func (t *tcpTransport) Send(frame []byte) error {
 	if err := t.sendErr(); err != nil {
 		return fmt.Errorf("etherlink: send after writer death: %w", err)
 	}
-	f := append([]byte(nil), frame...)
 	select {
-	case t.sendCh <- f:
+	case t.sendCh <- frame:
 		// The enqueue may have raced the writer's death; a frame parked
 		// behind a dead writer would otherwise be dropped silently.
 		select {
@@ -296,9 +300,8 @@ func (t *tcpTransport) TrySend(frame []byte) (bool, error) {
 		return false, t.deadErr()
 	default:
 	}
-	f := append([]byte(nil), frame...)
 	select {
-	case t.sendCh <- f:
+	case t.sendCh <- frame:
 		select {
 		case <-t.writerDone:
 			return false, t.deadErr()

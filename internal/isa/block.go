@@ -1,7 +1,7 @@
 package isa
 
 // This file defines the straight-line basic-block discovery used by the
-// cpu package's threaded-code block dispatch. Discovery is a pure function
+// cpu package's opcode-switched block dispatch. Discovery is a pure function
 // of the instruction words, so it lives here next to Decode and is fuzzed
 // against it (FuzzBlockDiscovery).
 

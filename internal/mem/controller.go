@@ -384,6 +384,61 @@ func (c *Controller) ReadWord(now uint64, addr uint32) (uint32, uint64, error) {
 	return v, stall, nil
 }
 
+// ReadWordHit is the block-dispatch load. When the aligned word load at
+// addr hits the data cache in a cacheable, non-device range and no observer
+// is attached, it completes the load with every effect ReadWord has (cache
+// statistics, LRU stamp and memo lines, controller statistics, the backing
+// target's read count) and reports ok. Otherwise it reports !ok and changes
+// nothing but the range memo, leaving the load to ReadWord. With
+// privateOnly set it also refuses non-private ranges, so a successful call
+// proves what Private would: the load touched only this core's own state
+// (a hit refills nothing, so it cannot write back another range's line).
+func (c *Controller) ReadWordHit(addr uint32, privateOnly bool) (v uint32, stall uint64, ok bool) {
+	d := c.dcache
+	if addr%4 != 0 || d == nil || !d.enable || c.observer != nil {
+		return 0, 0, false
+	}
+	r := c.last
+	if r == nil || addr < r.Base || uint64(addr) >= r.end {
+		if r = c.rangeFor(addr); r == nil {
+			return 0, 0, false
+		}
+	}
+	if !r.Cacheable || r.Kind == KindDevice || privateOnly && r.Kind != KindPrivate {
+		return 0, 0, false
+	}
+	// The lookup of a hitting Cache.Access: memo 1, then memo 2 or the set
+	// walk, either of which promotes the line to memo 1.
+	line := addr >> d.lineShift
+	mi := d.memoIdx
+	switch {
+	case mi >= 0 && line == d.memoLine:
+	case d.memoIdx2 >= 0 && line == d.memoLine2:
+		mi = d.memoIdx2
+		d.memoLine2, d.memoIdx2 = d.memoLine, d.memoIdx
+		d.memoLine, d.memoIdx = line, mi
+	default:
+		if mi = d.resident(addr); mi < 0 {
+			return 0, 0, false
+		}
+		d.memoLine2, d.memoIdx2 = d.memoLine, d.memoIdx
+		d.memoLine, d.memoIdx = line, mi
+	}
+	d.stats.Reads++
+	d.stats.Hits++
+	d.stamp++
+	d.lines[mi].lru = d.stamp
+	stall = d.cfg.HitLatency
+	v = r.Target.LoadWord(addr - r.Base)
+	c.stats.StallCycles += stall
+	if r.Kind == KindPrivate {
+		c.stats.PrivateReads++
+	} else {
+		c.stats.SharedReads++
+	}
+	return v, stall, true
+}
+
 // WriteWord performs a 32-bit data store.
 func (c *Controller) WriteWord(now uint64, addr uint32, v uint32) (uint64, error) {
 	// Hot path: the store twin of ReadWord's memo-hit path (write-back

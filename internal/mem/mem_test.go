@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -619,4 +620,117 @@ func TestWriteThroughCache(t *testing.T) {
 	if priv.LoadWord(0x40) != 9 {
 		t.Error("store-hit data lost")
 	}
+}
+
+// loadState is everything a data load can change in a controller, its data
+// cache and the backing memories, deep-copied so states compare with
+// reflect.DeepEqual. The range memo (Controller.last) is left out: it only
+// speeds up address resolution.
+type loadState struct {
+	Ctrl         CtrlStats
+	Cache        CacheStats
+	Lines        []cacheLine
+	Stamp, Epoch uint64
+	Memo         [4]int64
+	Priv, Shared MemStats
+}
+
+func snapLoad(c *Controller, priv, shared *Memory) loadState {
+	d := c.dcache
+	return loadState{Ctrl: c.stats, Cache: d.stats,
+		Lines: append([]cacheLine(nil), d.lines...), Stamp: d.stamp, Epoch: d.epoch,
+		Memo: [4]int64{int64(d.memoLine), int64(d.memoIdx), int64(d.memoLine2), int64(d.memoIdx2)},
+		Priv: priv.Stats(), Shared: shared.Stats()}
+}
+
+// TestReadWordHitMatchesReadWord pins the block-dispatch load: a hit
+// through memo 1, memo 2 or the set walk leaves controller, cache and
+// memory state identical to ReadWord's, and every load it refuses — a
+// miss, an unaligned or unmapped address, an uncacheable range, an attached
+// observer, a shared range when only private ones may complete, a disabled
+// cache — changes nothing.
+func TestReadWordHitMatchesReadWord(t *testing.T) {
+	build := func() (*Controller, *Memory, *Memory) {
+		ctl := NewController("ctl0", 0)
+		priv := NewMemory("priv", 64*1024, 2)
+		shared := NewMemory("shared", 64*1024, 10)
+		raw := NewMemory("raw", 4096, 1)
+		for _, r := range []Range{
+			{Name: "priv", Base: 0, Target: priv, Cacheable: true, Kind: KindPrivate},
+			{Name: "shared", Base: 0x1000_0000, Target: shared, Cacheable: true, Kind: KindShared},
+			{Name: "raw", Base: 0x2000_0000, Target: raw, Kind: KindPrivate},
+		} {
+			if err := ctl.AddRange(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctl.AttachCaches(nil, NewCache(CacheConfig{Name: "d", SizeBytes: 512, LineBytes: 16, Assoc: 2, HitLatency: 1}))
+		for a := uint32(0); a < 0x400; a += 4 {
+			priv.StoreWord(a, a*7+1)
+		}
+		shared.StoreWord(0x40, 99)
+		priv.ResetStats()
+		shared.ResetStats()
+		return ctl, priv, shared
+	}
+	hit, hp, hs := build() // loads through ReadWordHit
+	ref, rp, rs := build() // the same loads through ReadWord
+	cyc := uint64(0)
+	for _, addr := range []uint32{0x354, 0x1000_0040, 0x100, 0x200} {
+		for _, c := range []*Controller{hit, ref} {
+			if _, _, err := c.ReadWord(cyc, addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cyc++
+	}
+	d := hit.dcache
+	for _, tc := range []struct {
+		name        string
+		addr        uint32
+		privateOnly bool
+		path        func() bool // which lookup the hit takes
+	}{
+		{"memo-1", 0x204, true, func() bool { return d.memoLine == 0x204>>d.lineShift }},
+		{"memo-2", 0x108, true, func() bool { return d.memoLine2 == 0x108>>d.lineShift }},
+		{"set-walk", 0x358, true, func() bool {
+			l := uint32(0x358) >> d.lineShift
+			return d.memoLine != l && d.memoLine2 != l && d.resident(0x358) >= 0
+		}},
+		{"shared", 0x1000_0040, false, func() bool { return d.resident(0x1000_0040) >= 0 }},
+	} {
+		if !tc.path() {
+			t.Fatalf("%s: the cache is not set up for this path", tc.name)
+		}
+		v, stall, ok := hit.ReadWordHit(tc.addr, tc.privateOnly)
+		rv, rstall, err := ref.ReadWord(cyc, tc.addr)
+		cyc++
+		if err != nil || !ok || v != rv || stall != rstall {
+			t.Fatalf("%s: ReadWordHit = %d, %d, %v; ReadWord = %d, %d, %v", tc.name, v, stall, ok, rv, rstall, err)
+		}
+		if got, want := snapLoad(hit, hp, hs), snapLoad(ref, rp, rs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: state diverges from ReadWord:\n hit  %+v\n read %+v", tc.name, got, want)
+		}
+	}
+
+	refuse := func(name string, addr uint32, privateOnly bool) {
+		t.Helper()
+		before := snapLoad(hit, hp, hs)
+		if _, _, ok := hit.ReadWordHit(addr, privateOnly); ok {
+			t.Errorf("%s: ReadWordHit completed the load", name)
+		}
+		if after := snapLoad(hit, hp, hs); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: refused load changed state:\n before %+v\n after  %+v", name, before, after)
+		}
+	}
+	refuse("miss", 0x800, false)
+	refuse("unaligned", 0x102, false)
+	refuse("unmapped", 0x5000_0000, false)
+	refuse("uncacheable", 0x2000_0000, false)
+	refuse("shared, private only", 0x1000_0040, true)
+	hit.SetObserver(func(Access) {})
+	refuse("observer", 0x204, false)
+	hit.SetObserver(nil)
+	d.SetEnabled(false)
+	refuse("disabled", 0x204, false)
 }
