@@ -6,16 +6,21 @@
 //	r32 dis  prog.hex                    disassemble an image
 //	r32 run [-trace] [-max N] prog.s     execute on a single-core platform
 //
-// The hex image format is line-oriented: "ADDR: WORD" in hexadecimal, plus
-// an "entry: ADDR" header — trivially diffable and easy to post-process.
+// The hex image format is line-oriented: "ADDR: WORD" in hexadecimal,
+// "ADDR: byte BB" for the trailing bytes of a section whose length is not
+// a multiple of 4, plus an "entry: ADDR" header — trivially diffable and
+// easy to post-process.
 package main
 
 import (
 	"bufio"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"thermemu/internal/asm"
@@ -79,52 +84,118 @@ func cmdAsm(args []string) error {
 		defer f.Close()
 		w = f
 	}
-	return writeHex(w, im)
+	return toHex(im).write(w)
 }
 
-func writeHex(w *os.File, im *asm.Image) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "entry: %08x\n", im.Entry)
+// hexImage is a parsed hex image: the entry point, and the words and the
+// trailing bytes of word-misaligned section ends, by address.
+type hexImage struct {
+	entry uint32
+	words map[uint32]uint32
+	bytes map[uint32]byte
+}
+
+// toHex lists an assembled image's sections as words, with a section's
+// trailing bytes (a length that is not a multiple of 4) as bytes.
+func toHex(im *asm.Image) *hexImage {
+	h := &hexImage{entry: im.Entry, words: map[uint32]uint32{}, bytes: map[uint32]byte{}}
 	for _, s := range im.Sections {
 		for i := 0; i+4 <= len(s.Data); i += 4 {
-			word := uint32(s.Data[i]) | uint32(s.Data[i+1])<<8 |
-				uint32(s.Data[i+2])<<16 | uint32(s.Data[i+3])<<24
-			fmt.Fprintf(bw, "%08x: %08x\n", s.Addr+uint32(i), word)
+			h.words[s.Addr+uint32(i)] = binary.LittleEndian.Uint32(s.Data[i:])
 		}
-		// Trailing bytes (non-word-multiple sections).
 		for i := len(s.Data) &^ 3; i < len(s.Data); i++ {
-			fmt.Fprintf(bw, "%08x: byte %02x\n", s.Addr+uint32(i), s.Data[i])
+			h.bytes[s.Addr+uint32(i)] = s.Data[i]
+		}
+	}
+	return h
+}
+
+// addrs returns every address the image lists, words and bytes, in order.
+func (h *hexImage) addrs() []uint32 {
+	addrs := make([]uint32, 0, len(h.words)+len(h.bytes))
+	for a := range h.words {
+		addrs = append(addrs, a)
+	}
+	for a := range h.bytes {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	return addrs
+}
+
+// write emits the image format: an "entry: ADDR" header, then one
+// "ADDR: WORD" or "ADDR: byte BB" line per address, in address order.
+func (h *hexImage) write(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "entry: %08x\n", h.entry)
+	for _, a := range h.addrs() {
+		if b, ok := h.bytes[a]; ok {
+			fmt.Fprintf(bw, "%08x: byte %02x\n", a, b)
+		} else {
+			fmt.Fprintf(bw, "%08x: %08x\n", a, h.words[a])
 		}
 	}
 	return bw.Flush()
 }
 
-// readHex parses a hex image of at most scenario.MaxFileBytes.
-func readHex(path string) (entry uint32, words map[uint32]uint32, err error) {
+// readHex reads and parses a hex image of at most scenario.MaxFileBytes.
+func readHex(path string) (*hexImage, error) {
 	src, err := scenario.ReadSource(path)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	words = map[uint32]uint32{}
+	return parseHex(src)
+}
+
+// parseHex parses the image format write emits. Blank lines and lines
+// starting with # are skipped; any other line must be exactly an entry, a
+// word or a byte line, with nothing after its last field. A later line
+// for the same address replaces an earlier one.
+func parseHex(src string) (*hexImage, error) {
+	h := &hexImage{words: map[uint32]uint32{}, bytes: map[uint32]byte{}}
 	for i, text := range strings.Split(src, "\n") {
-		line := i + 1
 		text = strings.TrimSpace(text)
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		if strings.HasPrefix(text, "entry:") {
-			if _, err := fmt.Sscanf(text, "entry: %x", &entry); err != nil {
-				return 0, nil, fmt.Errorf("line %d: bad entry: %v", line, err)
+		f := strings.Fields(text)
+		var err error
+		switch {
+		case f[0] == "entry:" && len(f) == 2:
+			h.entry, err = parseHexField(f[1], 32)
+		case len(f) == 2 && strings.HasSuffix(f[0], ":"):
+			var addr, word uint32
+			if addr, err = parseHexField(strings.TrimSuffix(f[0], ":"), 32); err == nil {
+				if word, err = parseHexField(f[1], 32); err == nil {
+					delete(h.bytes, addr)
+					h.words[addr] = word
+				}
 			}
-			continue
+		case len(f) == 3 && strings.HasSuffix(f[0], ":") && f[1] == "byte":
+			var addr, b uint32
+			if addr, err = parseHexField(strings.TrimSuffix(f[0], ":"), 32); err == nil {
+				if b, err = parseHexField(f[2], 8); err == nil {
+					delete(h.words, addr)
+					h.bytes[addr] = byte(b)
+				}
+			}
+		default:
+			err = fmt.Errorf("want \"entry: ADDR\", \"ADDR: WORD\" or \"ADDR: byte BB\", got %q", text)
 		}
-		var addr, word uint32
-		if _, err := fmt.Sscanf(text, "%x: %x", &addr, &word); err != nil {
-			return 0, nil, fmt.Errorf("line %d: %v", line, err)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %v", i+1, err)
 		}
-		words[addr] = word
 	}
-	return entry, words, nil
+	return h, nil
+}
+
+// parseHexField parses one hexadecimal field of at most bits bits.
+func parseHexField(s string, bits int) (uint32, error) {
+	v, err := strconv.ParseUint(s, 16, bits)
+	if err != nil {
+		return 0, fmt.Errorf("bad hex field %q", s)
+	}
+	return uint32(v), nil
 }
 
 func cmdDis(args []string) error {
@@ -133,26 +204,31 @@ func cmdDis(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("dis: need exactly one hex image")
 	}
-	entry, words, err := readHex(fs.Arg(0))
+	h, err := readHex(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	addrs := make([]uint32, 0, len(words))
-	for a := range words {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	fmt.Printf("entry: %08x\n", entry)
-	for _, a := range addrs {
-		w := words[a]
-		in := isa.Decode(w)
-		if isa.Validate(in) == nil {
-			fmt.Printf("%08x: %08x  %s\n", a, w, in)
+	return disassemble(os.Stdout, h)
+}
+
+// disassemble lists the image: each word with its instruction (or as
+// .word when it does not decode to one), each byte as .byte.
+func disassemble(w io.Writer, h *hexImage) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "entry: %08x\n", h.entry)
+	for _, a := range h.addrs() {
+		if b, ok := h.bytes[a]; ok {
+			fmt.Fprintf(bw, "%08x: %02x        .byte 0x%02x\n", a, b, b)
+			continue
+		}
+		word := h.words[a]
+		if in := isa.Decode(word); isa.Validate(in) == nil {
+			fmt.Fprintf(bw, "%08x: %08x  %s\n", a, word, in)
 		} else {
-			fmt.Printf("%08x: %08x  .word 0x%08x\n", a, w, w)
+			fmt.Fprintf(bw, "%08x: %08x  .word 0x%08x\n", a, word, word)
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 func cmdRun(args []string) error {

@@ -2,9 +2,11 @@ package cpu
 
 // This file implements opcode-switched basic-block dispatch: straight-line
 // R32 blocks are discovered at first execution (isa.ScanBlock), pre-decoded
-// into arrays of blockOp records, and executed whole by one loop whose
-// switch on each record's op code compiles to a jump table — no call per
-// instruction, so the loop state stays in registers. Per instruction this
+// into arrays of blockOp records, and run by a small executor (execOps)
+// whose switch on each record's op code compiles to a jump table — no call
+// per instruction, so the loop state stays in registers — while StepBlocks
+// settles cycles, fetches and stalls once per stretch of ops the executor
+// runs. Per instruction this
 // removes the Step call overhead, the address-range binary search, the
 // functional fetch load, the decode-memo lookup and the two-level exec
 // switch; a load that hits the data cache is one controller call
@@ -56,11 +58,11 @@ const (
 )
 
 // blockOp is one pre-decoded instruction of a translated block: an op code
-// that selects its StepBlocks switch case, plus the flattened fields that
-// case needs. Executing it updates registers, memory, pc and the
-// branch/load/store counters and yields the data-stall cycles; on a memory
-// fault it sets c.fault and leaves pc at the faulting instruction, exactly
-// like Core.exec.
+// that selects its case in the executor (execOps) or in StepBlocks's
+// per-op path, plus the flattened fields that case needs. Executing it
+// updates registers, memory, pc and the branch/load/store counters and
+// yields the data-stall cycles; on a memory fault it sets c.fault and
+// leaves pc at the faulting instruction, exactly like Core.exec.
 type blockOp struct {
 	op   uint8 // an x* op code
 	rd   uint8
@@ -82,6 +84,13 @@ type block struct {
 	// (the fetch path can batch).
 	plan  mem.BatchPlan
 	batch bool
+	// headStops is the head hint: the executor would stop at ops[0],
+	// because the head is halt or a memory op other than a lw that
+	// completed without stalling on the block's last entry. StepBlocks
+	// then starts the block in its per-op path, and the executor does
+	// not repeat it on its back-edge. Derived state like the block
+	// itself: never checkpointed, and gone with the block on a flush.
+	headStops bool
 }
 
 func (b *block) overlaps(addr, n uint32) bool {
@@ -315,6 +324,12 @@ func (bc *blockCache) fetchPath(ctrl *mem.Controller, pc uint32) *mem.FetchPath 
 // sees every instruction, fetches included, and another core's
 // sniffer-control store can switch an attached activity sniffer mid-run,
 // so with either attached the whole window is clamped to sharedBefore.
+//
+// Ops run through the executor (execOps) wherever it can complete them, and
+// the bookkeeping those ops share — cycles, issued instructions, batched
+// fetches, pc, state and stall — is settled once per stretch it returns.
+// The per-op path below handles only the ops the executor stops at: halt,
+// and memory ops other than a lw that completes as a dcache hit.
 func (c *Core) StepBlocks(now, max, sharedBefore uint64) (cycles, steps, skipped uint64) {
 	if c.blocks == nil || max == 0 || c.tracer != nil || c.issueWidth > 1 ||
 		c.halt || c.fault != nil || c.stall > 0 {
@@ -377,153 +392,93 @@ dispatch:
 			fetched = 0
 			pendPlan = nil
 		}
-		for i := range ops {
-			x := &ops[i]
+		// The executor may run a stretch of several ops per call only when
+		// nothing has to be charged between them: batched fetches that hit
+		// with zero latency and no activity sniffer to accrue each cycle.
+		// Otherwise it runs one op per call and that op's fetch is charged
+		// below.
+		stretch := batched && fHit == 0 && c.act == nil
+		// stops is set when the executor is known to stop at ops[i]: the
+		// block's head hint, or the op a stretch just stopped at.
+		stops := b.headStops
+		for i := 0; i < len(ops); {
 			if cyc >= end {
 				break dispatch
 			}
-			// A memory op issued at or after sharedBefore must prove it is
-			// private before any side effect. A load that hits the dcache
-			// completes here in one call, and with privateOnly set its
-			// success is that proof. The effects it moves ahead of this
-			// instruction's fetch touch only the dcache and counters the
-			// fetch adds to, so the order is unobservable.
+			x := &ops[i]
 			var (
-				addr   uint32
-				lv     uint32
+				j, n   int
+				npc    uint32
 				dstall uint64
-				hit    bool
 			)
-			if x.op >= xLw {
-				addr = c.regs[x.rs1] + uint32(x.imm)
-				if x.op == xLw {
-					lv, dstall, hit = ctrl.ReadWordHit(addr, cyc >= sharedBefore)
+			lim := 1
+			if !stops {
+				if stretch {
+					lim = int(min(end-cyc, stretchMax))
 				}
-				if !hit && cyc >= sharedBefore && !ctrl.Private(addr) {
+				j, n, npc, dstall = c.execOps(b, i, lim, cyc, sharedBefore)
+			}
+			stops = n > 0 && n < lim && dstall == 0
+			// The per-op path takes x when the executor ran nothing: x is
+			// halt or a memory op it did not complete. A memory op issued
+			// at or after sharedBefore must prove it is private before any
+			// side effect.
+			perOp := n == 0
+			if perOp {
+				if x.op >= xLw && cyc >= sharedBefore && !ctrl.Private(c.regs[x.rs1]+uint32(x.imm)) {
 					break dispatch
 				}
+				j, n, npc = i+1, 1, x.next
 			}
 			// Active cycle: same charge order as Step. c.pc already names
-			// this instruction: a block is entered at c.pc and only its
-			// last op can transfer control.
+			// x: a block is entered at c.pc and only its last op can
+			// transfer control. With a sniffer attached n is at most 1.
 			c.state = Active
 			if c.act != nil {
 				c.act.Accrue(sniffer.ModeActive, 1)
 			}
 			var fstall uint64
 			if batched {
-				fetched++
+				fetched += uint32(n)
 				fstall = fHit
 			} else {
 				fstall = fp.Fetch(cyc, x.pc)
 			}
-			r := &c.regs
-			npc := x.next
-			switch x.op {
-			case xNop:
-			case xAdd:
-				r[x.rd] = r[x.rs1] + r[x.rs2]
-			case xSub:
-				r[x.rd] = r[x.rs1] - r[x.rs2]
-			case xAnd:
-				r[x.rd] = r[x.rs1] & r[x.rs2]
-			case xOr:
-				r[x.rd] = r[x.rs1] | r[x.rs2]
-			case xXor:
-				r[x.rd] = r[x.rs1] ^ r[x.rs2]
-			case xNor:
-				r[x.rd] = ^(r[x.rs1] | r[x.rs2])
-			case xSll:
-				r[x.rd] = r[x.rs1] << (r[x.rs2] & 31)
-			case xSrl:
-				r[x.rd] = r[x.rs1] >> (r[x.rs2] & 31)
-			case xSra:
-				r[x.rd] = uint32(int32(r[x.rs1]) >> (r[x.rs2] & 31))
-			case xSlt:
-				r[x.rd] = b2u(int32(r[x.rs1]) < int32(r[x.rs2]))
-			case xSltu:
-				r[x.rd] = b2u(r[x.rs1] < r[x.rs2])
-			case xMul:
-				r[x.rd] = r[x.rs1] * r[x.rs2]
-			case xDiv, xDivu, xRem, xRemu:
-				// The edge cases (zero divisor, overflow) live in aluR.
-				r[x.rd], _ = aluR(isa.Funct(x.op-xAdd), r[x.rs1], r[x.rs2])
-			case xAddi:
-				r[x.rd] = r[x.rs1] + uint32(x.imm)
-			case xAndi:
-				r[x.rd] = r[x.rs1] & uint32(x.imm)
-			case xOri:
-				r[x.rd] = r[x.rs1] | uint32(x.imm)
-			case xXori:
-				r[x.rd] = r[x.rs1] ^ uint32(x.imm)
-			case xSlti:
-				r[x.rd] = b2u(int32(r[x.rs1]) < x.imm)
-			case xSltiu:
-				r[x.rd] = b2u(r[x.rs1] < uint32(x.imm))
-			case xSlli:
-				r[x.rd] = r[x.rs1] << (uint32(x.imm) & 31)
-			case xSrli:
-				r[x.rd] = r[x.rs1] >> (uint32(x.imm) & 31)
-			case xSrai:
-				r[x.rd] = uint32(int32(r[x.rs1]) >> (uint32(x.imm) & 31))
-			case xLui:
-				r[x.rd] = uint32(x.imm) << 16
-			case xBeq:
-				npc = branch(c, x, r[x.rs1] == r[x.rs2])
-			case xBne:
-				npc = branch(c, x, r[x.rs1] != r[x.rs2])
-			case xBlt:
-				npc = branch(c, x, int32(r[x.rs1]) < int32(r[x.rs2]))
-			case xBge:
-				npc = branch(c, x, int32(r[x.rs1]) >= int32(r[x.rs2]))
-			case xBltu:
-				npc = branch(c, x, r[x.rs1] < r[x.rs2])
-			case xBgeu:
-				npc = branch(c, x, r[x.rs1] >= r[x.rs2])
-			case xJal:
-				r[isa.LinkReg] = x.pc + 4
-				c.stats.Branches++
-				c.stats.Taken++
-			case xJalr:
-				npc = (r[x.rs1] + uint32(x.imm)) &^ 3
-				setReg(c, x.rd, x.pc+4)
-				c.stats.Branches++
-				c.stats.Taken++
-			case xHalt:
-				c.halt = true // exec advances pc past HALT before stopping
-			case xLw:
-				if hit {
-					c.stats.Loads++
-					setReg(c, x.rd, lv)
-					break
+			if perOp {
+				if x.op == xHalt {
+					c.halt = true // exec advances pc past HALT before stopping
+				} else {
+					// The interpreter's memory op recomputes the address
+					// from the same registers.
+					op := isa.OpSwap
+					if x.op != xSwap {
+						op = isa.OpLw + isa.Opcode(x.op-xLw)
+					}
+					var err error
+					if dstall, err = c.memOp(cyc, isa.Instr{Op: op, Rd: x.rd, Rs1: x.rs1, Imm: x.imm}); err != nil {
+						// Faulting Step: cycle charged (the faulting issue is
+						// an active cycle), no commit, pc left at the
+						// faulting instruction, stall untouched (the fetch
+						// preceding the fault did happen).
+						c.fault = err
+						c.stats.ActiveCycles++
+						cyc++
+						break dispatch
+					}
 				}
-				fallthrough
-			case xLb, xLbu, xSw, xSb, xSwap:
-				// Everything but a dcache-hit load runs the interpreter's
-				// memory op, which recomputes addr from the same registers.
-				op := isa.OpSwap
-				if x.op != xSwap {
-					op = isa.OpLw + isa.Opcode(x.op-xLw)
+				if i == 0 {
+					// The head hint: skip the executor at this block's next
+					// entry unless its head is a lw that completed without
+					// stalling here, which the executor would have run.
+					b.headStops = x.op != xLw || dstall > 0
 				}
-				var err error
-				if dstall, err = c.memOp(cyc, isa.Instr{Op: op, Rd: x.rd, Rs1: x.rs1, Imm: x.imm}); err != nil {
-					// Faulting Step: cycle charged (the faulting issue is an
-					// active cycle), no commit, pc left at the faulting
-					// instruction, stall untouched (the fetch preceding the
-					// fault did happen).
-					c.fault = err
-					c.stats.ActiveCycles++
-					cyc++
-					break dispatch
-				}
-			default:
-				panic("cpu: block op without a dispatch case")
 			}
-			cyc++
+			cyc += uint64(n)
+			issued += uint64(n)
+			i = j
 			c.pc = npc
 			c.stall = fstall + dstall
-			issued++
-			if x.op == xHalt {
+			if c.halt {
 				break dispatch
 			}
 			if c.stall > 0 {
@@ -544,6 +499,13 @@ dispatch:
 				// code, the same cycle the interpreter would run it.
 				break
 			}
+			if i == len(ops) && c.pc == b.entry && stretch {
+				// A back-edge the executor did not repeat because of the
+				// head hint: run the block again without a new lookup. Its
+				// plan is still Ready, as on any re-entry with fetches
+				// pending.
+				i, stops = 0, b.headStops
+			}
 		}
 		// Fell off the end (straight-line exit, taken control transfer, or
 		// invalidation): c.pc already points at the successor; pending
@@ -557,11 +519,142 @@ dispatch:
 	return cyc - now, issued, skipped
 }
 
+// stretchMax caps the ops one executor call may run, so the cycles left
+// in a window convert to an int and a run's fetches to a uint32 count.
+const stretchMax = 1 << 20
+
+// execOps is the block executor. It runs b's ops in order from b.ops[i],
+// the first at platform cycle cyc and each next one a cycle later, until it
+// has run lim of them or the block transfers control; a taken back-edge to
+// the block's own entry runs the block again while ops remain to run and
+// the head hint does not say it would stop at once. It returns the index
+// of the next op to run (len(b.ops) once the block's last op has run), how
+// many ops it ran, the pc after the last of them and that op's data-stall
+// cycles.
+//
+// It runs ALU ops, control transfers and lw ops that complete as dcache
+// hits (for one issued at or after sharedBefore, only in a private range),
+// and stops before halt and before any other memory op. It also stops
+// after a lw whose hit has a latency, so a nonzero stall only ever comes
+// from the last op it ran. It charges no cycle, fetch or issue: the caller
+// settles those once for the whole run, and passes lim = 1 when each op's
+// fetch must be charged on its own.
+func (c *Core) execOps(b *block, i, lim int, cyc, sharedBefore uint64) (j, n int, npc uint32, dstall uint64) {
+	ops := b.ops
+	r := &c.regs
+	for n < lim {
+		x := &ops[i]
+		switch x.op {
+		case xNop:
+		case xAdd:
+			r[x.rd] = r[x.rs1] + r[x.rs2]
+		case xSub:
+			r[x.rd] = r[x.rs1] - r[x.rs2]
+		case xAnd:
+			r[x.rd] = r[x.rs1] & r[x.rs2]
+		case xOr:
+			r[x.rd] = r[x.rs1] | r[x.rs2]
+		case xXor:
+			r[x.rd] = r[x.rs1] ^ r[x.rs2]
+		case xNor:
+			r[x.rd] = ^(r[x.rs1] | r[x.rs2])
+		case xSll:
+			r[x.rd] = r[x.rs1] << (r[x.rs2] & 31)
+		case xSrl:
+			r[x.rd] = r[x.rs1] >> (r[x.rs2] & 31)
+		case xSra:
+			r[x.rd] = uint32(int32(r[x.rs1]) >> (r[x.rs2] & 31))
+		case xSlt:
+			r[x.rd] = b2u(int32(r[x.rs1]) < int32(r[x.rs2]))
+		case xSltu:
+			r[x.rd] = b2u(r[x.rs1] < r[x.rs2])
+		case xMul:
+			r[x.rd] = r[x.rs1] * r[x.rs2]
+		case xDiv, xDivu, xRem, xRemu:
+			// The edge cases (zero divisor, overflow) live in aluR.
+			r[x.rd], _ = aluR(isa.Funct(x.op-xAdd), r[x.rs1], r[x.rs2])
+		case xAddi:
+			r[x.rd] = r[x.rs1] + uint32(x.imm)
+		case xAndi:
+			r[x.rd] = r[x.rs1] & uint32(x.imm)
+		case xOri:
+			r[x.rd] = r[x.rs1] | uint32(x.imm)
+		case xXori:
+			r[x.rd] = r[x.rs1] ^ uint32(x.imm)
+		case xSlti:
+			r[x.rd] = b2u(int32(r[x.rs1]) < x.imm)
+		case xSltiu:
+			r[x.rd] = b2u(r[x.rs1] < uint32(x.imm))
+		case xSlli:
+			r[x.rd] = r[x.rs1] << (uint32(x.imm) & 31)
+		case xSrli:
+			r[x.rd] = r[x.rs1] >> (uint32(x.imm) & 31)
+		case xSrai:
+			r[x.rd] = uint32(int32(r[x.rs1]) >> (uint32(x.imm) & 31))
+		case xLui:
+			r[x.rd] = uint32(x.imm) << 16
+		case xBeq:
+			npc = branch(c, x, r[x.rs1] == r[x.rs2])
+		case xBne:
+			npc = branch(c, x, r[x.rs1] != r[x.rs2])
+		case xBlt:
+			npc = branch(c, x, int32(r[x.rs1]) < int32(r[x.rs2]))
+		case xBge:
+			npc = branch(c, x, int32(r[x.rs1]) >= int32(r[x.rs2]))
+		case xBltu:
+			npc = branch(c, x, r[x.rs1] < r[x.rs2])
+		case xBgeu:
+			npc = branch(c, x, r[x.rs1] >= r[x.rs2])
+		case xJal:
+			r[isa.LinkReg] = x.pc + 4
+			c.stats.Branches++
+			c.stats.Taken++
+			npc = x.next
+		case xJalr:
+			npc = (r[x.rs1] + uint32(x.imm)) &^ 3
+			setReg(c, x.rd, x.pc+4)
+			c.stats.Branches++
+			c.stats.Taken++
+		case xLw:
+			// With privateOnly set a hit is also the privacy proof. The
+			// effects it moves ahead of this op's fetch touch only the
+			// dcache and counters the fetch adds to, so the order is
+			// unobservable.
+			v, stall, ok := c.ctrl.ReadWordHit(r[x.rs1]+uint32(x.imm), cyc+uint64(n) >= sharedBefore)
+			if !ok {
+				return i, n, x.pc, 0
+			}
+			c.stats.Loads++
+			setReg(c, x.rd, v)
+			if stall > 0 {
+				return i + 1, n + 1, x.next, stall
+			}
+		case xHalt, xLb, xLbu, xSw, xSb, xSwap:
+			return i, n, x.pc, 0
+		default:
+			panic("cpu: block op without an executor case")
+		}
+		n++
+		if i++; i < len(ops) {
+			continue
+		}
+		// The block's last op: only it can transfer control.
+		if x.op < xBeq || x.op > xJalr {
+			return i, n, x.next, 0
+		}
+		if npc != b.entry || n == lim || b.headStops {
+			return i, n, npc, 0
+		}
+		i = 0
+	}
+	return i, n, ops[i].pc, 0
+}
+
 // emitOp fills one blockOp from a decoded instruction at address pc. The
 // instruction is executable (ScanBlock guarantees it), so the undefined
 // opcode/funct arms of the interpreter are unreachable here. An ALU op or
 // lui that writes r0 has no effect at all and becomes xNop, so the ALU
-// cases of StepBlocks write their destination without an r0 test.
+// cases of the executor write their destination without an r0 test.
 func emitOp(x *blockOp, in isa.Instr, pc uint32) {
 	x.rd, x.rs1, x.rs2, x.imm = in.Rd, in.Rs1, in.Rs2, in.Imm
 	x.pc = pc
@@ -593,8 +686,10 @@ func emitOp(x *blockOp, in isa.Instr, pc uint32) {
 	}
 }
 
-// Block op codes, one per StepBlocks switch case. Each group follows the
-// order of its isa opcodes or functs, so emitOp maps a group with one add.
+// Block op codes, each with its case in the executor's switch (halt and
+// the memory ops other than lw stop it, for StepBlocks's per-op path).
+// Each group follows the order of its isa opcodes or functs, so emitOp
+// maps a group with one add.
 // The zero value is invalid, so an op emitOp never filled is caught. The
 // ALU ops (those a write to r0 turns into xNop) come first and the memory
 // ops last, so either group is told apart with one compare.

@@ -42,15 +42,22 @@ func checkAgainstInterpreter(t *testing.T, src string, maxCycles uint64) *Core {
 }
 
 // checkBuiltAgainstInterpreter is checkAgainstInterpreter on cores from
-// build. Besides registers, pc and core counters it compares the memory
-// controller's, both caches' and the memory's counters and the first 64 KiB
-// of memory.
+// build.
 func checkBuiltAgainstInterpreter(t *testing.T, build func(*testing.T, string) (*Core, *mem.Memory), src string, maxCycles uint64) *Core {
 	t.Helper()
 	ref, refMem := build(t, src)
 	run(t, ref, maxCycles)
 	blk, blkMem := build(t, src)
 	runWithBlocks(t, blk, maxCycles)
+	compareCores(t, ref, refMem, blk, blkMem)
+	return blk
+}
+
+// compareCores requires blk to match the interpreter-driven ref: registers,
+// pc, core counters, the memory controller's, both caches' and the
+// memory's counters, and the first 64 KiB of memory.
+func compareCores(t *testing.T, ref *Core, refMem *mem.Memory, blk *Core, blkMem *mem.Memory) {
+	t.Helper()
 	for r := uint8(0); r < 32; r++ {
 		if ref.Reg(r) != blk.Reg(r) {
 			t.Errorf("r%d: interpreter %#x, blocks %#x", r, ref.Reg(r), blk.Reg(r))
@@ -58,6 +65,9 @@ func checkBuiltAgainstInterpreter(t *testing.T, build func(*testing.T, string) (
 	}
 	if ref.PC() != blk.PC() {
 		t.Errorf("pc: interpreter %#x, blocks %#x", ref.PC(), blk.PC())
+	}
+	if ref.StallRemaining() != blk.StallRemaining() || ref.State() != blk.State() {
+		t.Errorf("stall/state: interpreter %d/%v, blocks %d/%v", ref.StallRemaining(), ref.State(), blk.StallRemaining(), blk.State())
 	}
 	if ref.Stats() != blk.Stats() {
 		t.Errorf("stats diverge:\n interpreter %+v\n blocks      %+v", ref.Stats(), blk.Stats())
@@ -82,32 +92,45 @@ func checkBuiltAgainstInterpreter(t *testing.T, build func(*testing.T, string) (
 			t.Fatalf("memory at %#x: interpreter %#x, blocks %#x", a, rw, bw)
 		}
 	}
-	return blk
 }
 
 // buildCachedCore is buildCore behind a direct-mapped icache and a 2-way
 // dcache, over a memory with latency 3, so misses stall and the dcache
-// hit path of block loads is taken.
+// hit path of block loads is taken. Both caches hit with zero latency.
 func buildCachedCore(t *testing.T, src string) (*Core, *mem.Memory) {
+	t.Helper()
+	return buildCachedCoreHit(t, src, 0)
+}
+
+// buildCachedCoreHit is buildCachedCore with a dcache hit latency of hit
+// cycles (the icache still hits with zero latency, so block fetches batch
+// and the executor meets the latency on its loads).
+func buildCachedCoreHit(t *testing.T, src string, hit uint64) (*Core, *mem.Memory) {
 	t.Helper()
 	im, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, priv := newCachedCore(t, 0, hit)
+	load(c, priv, im)
+	return c, priv
+}
+
+// newCachedCore is buildCachedCore's core before any program is loaded,
+// with the given icache and dcache hit latencies. The shared range is
+// cacheable, so a private miss may have to write back a shared line.
+func newCachedCore(t *testing.T, icHit, dcHit uint64) (*Core, *mem.Memory) {
+	t.Helper()
 	ctl := mem.NewController("ctl0", 0)
 	priv := mem.NewMemory("priv", 64*1024, 3) // latency: real stall spans
 	if err := ctl.AddRange(mem.Range{Name: "priv", Base: 0, Target: priv, Kind: mem.KindPrivate, Cacheable: true}); err != nil {
 		t.Fatal(err)
 	}
-	ic := mem.NewCache(mem.CacheConfig{Name: "ic", SizeBytes: 1024, LineBytes: 16, Assoc: 1, HitLatency: 0})
-	dc := mem.NewCache(mem.CacheConfig{Name: "dc", SizeBytes: 512, LineBytes: 16, Assoc: 2, HitLatency: 0})
+	addSharedRange(t, ctl, true)
+	ic := mem.NewCache(mem.CacheConfig{Name: "ic", SizeBytes: 1024, LineBytes: 16, Assoc: 1, HitLatency: icHit})
+	dc := mem.NewCache(mem.CacheConfig{Name: "dc", SizeBytes: 512, LineBytes: 16, Assoc: 2, HitLatency: dcHit})
 	ctl.AttachCaches(ic, dc)
-	for _, s := range im.Sections {
-		priv.WriteBytes(s.Addr, s.Data)
-	}
-	c := New(0, Microblaze, ctl)
-	c.Reset(im.Entry)
-	return c, priv
+	return New(0, Microblaze, ctl), priv
 }
 
 // allOpsSource generates a program that executes every R32 opcode and
@@ -257,7 +280,7 @@ func TestBlocksAllOps(t *testing.T) {
 }
 
 // TestEmitOpCoversEveryOp checks the translation table behind the
-// StepBlocks switch: every executable opcode and funct gets a valid block
+// executor switch: every executable opcode and funct gets a valid block
 // op of its own, an ALU op or lui writing r0 (and nothing else) becomes
 // xNop, and every block op is emitted for some instruction, so no switch
 // case is dead. TestBlocksAllOps then runs each of them through the switch,
@@ -557,5 +580,130 @@ func TestBlocksCapacityFlushWithPendingFetch(t *testing.T) {
 		if ref.Reg(r) != blk.Reg(r) {
 			t.Errorf("r%d: interpreter %d, blocks %d", r, ref.Reg(r), blk.Reg(r))
 		}
+	}
+}
+
+// clipSource is the program of TestBlocksClipAtEveryOp. Its loop block
+// mixes ALU ops with a leading load, a dcache-hit load, a shared load, a
+// load that misses on every pass, a store and a closing branch. The
+// leading load alternates between two lines of one dcache set, so on the
+// cached cores it misses on the first two passes and hits on the last two.
+const clipSource = `
+	li   r9, 0x4000        ; leading-load base, toggled with 0x4100
+	li   r10, 0x10030      ; shared word
+	li   r11, 0x6080       ; missing-load cursor, a new line every pass
+	addi r12, r0, 0x100
+	addi r5, r0, 4         ; passes
+	lw   r3, 0x44(r9)      ; warm the hit line
+	beq  r0, r0, loop
+loop:
+	lw   r1, 0(r9)
+	addi r2, r1, 3
+	lw   r3, 0x44(r9)
+	add  r4, r2, r3
+	lw   r6, 0(r10)
+	xor  r9, r9, r12
+	lw   r7, 0(r11)
+	addi r11, r11, 0x200
+	sw   r4, 8(r9)
+	sub  r8, r4, r7
+	addi r5, r5, -1
+	bne  r5, r0, loop
+	halt
+`
+
+// TestBlocksClipAtEveryOp enters the loop block of clipSource with
+// StepBlocks at every window length from 1 to the block length and at
+// every sharedBefore offset inside the block, on an uncached core, a
+// cached one with zero-latency hits and a cached one whose dcache hits
+// take 3 cycles. After the clipped call (or the Step fallback when it runs
+// nothing) and again after running on to the halt, the core must match
+// one driven by Step alone. Every stop of the executor is on that path:
+// the window clip, a missing or non-private load, the store, the
+// per-instruction fetch regime (uncached) and a hit latency. On the
+// zero-latency core the block's head hint must end clear, because the
+// leading load hit on the last pass.
+func TestBlocksClipAtEveryOp(t *testing.T) {
+	im, err := asm.Assemble(clipSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := im.Symbols["loop"]
+	const blockLen = 12
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T, string) (*Core, *mem.Memory)
+	}{
+		{"uncached", buildCore},
+		{"cached", buildCachedCore},
+		{"cached-hit3", func(t *testing.T, src string) (*Core, *mem.Memory) {
+			return buildCachedCoreHit(t, src, 3)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// start builds a core and steps it to its issue of the given
+			// pass of the loop, returning the cycle it issues on.
+			start := func(pass int) (*Core, *mem.Memory, uint64) {
+				c, m := tc.build(t, clipSource)
+				now := uint64(0)
+				for ; ; now++ {
+					if c.PC() == entry && c.StallRemaining() == 0 {
+						if pass--; pass == 0 {
+							return c, m, now
+						}
+					}
+					if now > 1000 || c.Halted() {
+						t.Fatalf("core never reached the loop (pc %#x)", c.PC())
+					}
+					c.Step(now)
+				}
+			}
+			// Pass 1 runs the block cold; from pass 2 its icache lines are
+			// resident, so its fetches batch and the executor runs
+			// stretches of ops.
+			for _, pass := range []int{1, 2} {
+				for max := uint64(1); max <= blockLen; max++ {
+					for sb := uint64(0); sb <= blockLen; sb++ {
+						ref, refMem, now := start(pass)
+						blk, blkMem, _ := start(pass)
+						blk.EnableBlocks()
+						n, _, _ := blk.StepBlocks(now, max, now+sb)
+						if n == 0 {
+							blk.Step(now)
+							n = 1
+						}
+						if n > max {
+							t.Fatalf("pass %d, max %d, sharedBefore +%d: StepBlocks ran %d cycles", pass, max, sb, n)
+						}
+						for k := uint64(0); k < n; k++ {
+							ref.Step(now + k)
+						}
+						compareCores(t, ref, refMem, blk, blkMem)
+						for at := now + n; !ref.Halted(); at++ {
+							ref.Step(at)
+						}
+						for at := now + n; !blk.Halted(); {
+							if k, _, _ := blk.StepBlocks(at, 1000, at+sb); k > 0 {
+								at += k
+								continue
+							}
+							blk.Step(at)
+							at++
+						}
+						compareCores(t, ref, refMem, blk, blkMem)
+						if t.Failed() {
+							t.Fatalf("diverged at pass %d, max %d, sharedBefore +%d", pass, max, sb)
+						}
+						b := blk.blocks.lookup(entry)
+						if b == nil || len(b.ops) != blockLen {
+							t.Fatalf("loop block missing or not %d ops long", blockLen)
+						}
+						if tc.name == "cached" && b.headStops {
+							t.Fatalf("pass %d, max %d, sharedBefore +%d: head hint still set after a hitting leading load", pass, max, sb)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -20,17 +20,43 @@ func buildCore(t *testing.T, src string) (*Core, *mem.Memory) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	core, priv := newUncachedCore(t)
+	load(core, priv, im)
+	return core, priv
+}
+
+// newUncachedCore is buildCore's core before any program is loaded: 64 KiB
+// of private memory with latency 0 at address 0, and no caches.
+func newUncachedCore(t *testing.T) (*Core, *mem.Memory) {
+	t.Helper()
 	ctl := mem.NewController("ctl0", 0)
 	priv := mem.NewMemory("priv", 64*1024, 0)
 	if err := ctl.AddRange(mem.Range{Name: "priv", Base: 0, Target: priv, Kind: mem.KindPrivate}); err != nil {
 		t.Fatal(err)
 	}
+	addSharedRange(t, ctl, false)
+	return New(0, Microblaze, ctl), priv
+}
+
+// load writes the image into priv and resets the core to its entry.
+func load(c *Core, priv *mem.Memory, im *asm.Image) {
 	for _, s := range im.Sections {
 		priv.WriteBytes(s.Addr, s.Data)
 	}
-	core := New(0, Microblaze, ctl)
-	core.Reset(im.Entry)
-	return core, priv
+	c.Reset(im.Entry)
+}
+
+// sharedBase is where the test cores map a small shared memory, so block
+// tests can issue loads the sharedBefore bound stops.
+const sharedBase = 0x10000
+
+// addSharedRange maps 4 KiB of shared memory with latency 2 at sharedBase.
+func addSharedRange(t *testing.T, ctl *mem.Controller, cacheable bool) {
+	t.Helper()
+	shared := mem.NewMemory("shared", 4096, 2)
+	if err := ctl.AddRange(mem.Range{Name: "shared", Base: sharedBase, Target: shared, Kind: mem.KindShared, Cacheable: cacheable}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // run steps the core until it halts or maxCycles elapse.
