@@ -338,6 +338,9 @@ func run(s *scenario.Scenario, o options) error {
 	if s.Pipeline > 0 {
 		fmt.Printf("pipeline:       depth %d (sensor latency %d windows), thermal lag %.3f ms frozen\n",
 			s.Pipeline, s.Pipeline, float64(res.ThermalLagPs)*1e-9)
+	} else if res.Cycles > 0 {
+		fmt.Printf("overlap:        %d cycles (%.1f%%) emulated during the thermal solve\n",
+			res.OverlapCycles, 100*float64(res.OverlapCycles)/float64(res.Cycles))
 	}
 	if s.Digest {
 		// The digest pins the whole run: identical flags must reproduce it

@@ -54,10 +54,9 @@ func TestCheckpointConfigValidation(t *testing.T) {
 	}
 }
 
-type uncheckpointablePolicy struct{}
+type uncheckpointablePolicy struct{ tm.NullPolicy }
 
-func (uncheckpointablePolicy) Name() string                 { return "uncheckpointable" }
-func (uncheckpointablePolicy) Update([]tm.Sensor) tm.Action { return tm.Action{} }
+func (uncheckpointablePolicy) Name() string { return "uncheckpointable" }
 
 // ckptConfig is testConfig with a finer sampling window (10k cycles at
 // 500 MHz), so even the short test workloads span enough windows for the

@@ -64,17 +64,29 @@ type Config struct {
 	Golden *golden.Trace
 	// PipelineDepth is the sensor latency of the closed loop in windows:
 	// the feedback (DFS action, component temperatures) of window N takes
-	// effect before window N+PipelineDepth+1 emulates. At 0 each window is
-	// solved synchronously and its feedback applied right after it. Above
-	// 0 the thermal solve runs on its own goroutine behind a bounded
-	// hand-off queue of that depth, so window N+1 emulates while window N
-	// is dispatched and solved; when the queue fills, the virtual clock
-	// freezes under the vpcm.ThermalLagSource attribution instead of
-	// corrupting windows. Window boundaries depend only on emulated state,
-	// so runs are bit-reproducible at every depth and — with TM feedback
-	// off — digest-identical across depths. Depths above 0 are incompatible
-	// with Platform.EventLogging (the event ring drains inline with the
-	// synchronous solve).
+	// effect at the boundary where window N+PipelineDepth+1 begins. The
+	// thermal solve always runs on its own goroutine.
+	//
+	// At 0 each window's feedback applies at the very next boundary, so
+	// the results are those of emulating, solving and applying strictly in
+	// turn. The loop still overlaps: while window N solves it emulates the
+	// first cycles of window N+1 that every verdict agrees on — the window's
+	// cycle count at the lower of the current frequency and the policy's
+	// FloorHz (the whole window with no policy). A verdict that changes
+	// the frequency re-times those cycles from the boundary on
+	// (vpcm.SetFrequencyAt), which is exact because the platform never
+	// reads its frequency. Nothing overlaps in transport mode, with event
+	// logging, on a window that cuts a checkpoint, or for a policy whose
+	// FloorHz is 0; Result.OverlapCycles counts the cycles that did.
+	//
+	// Above 0 window N+1 emulates while window N is dispatched and solved,
+	// behind a bounded hand-off queue of that depth; when the queue fills,
+	// the virtual clock freezes under the vpcm.ThermalLagSource attribution
+	// instead of corrupting windows. Window boundaries depend only on
+	// emulated state, so runs are bit-reproducible at every depth and —
+	// with TM feedback off — digest-identical across depths. Depths above 0
+	// are incompatible with Platform.EventLogging (the event ring drains
+	// through the link at each window boundary).
 	PipelineDepth int
 	// DiscardSamples skips accumulating Result.Samples so week-long
 	// monitoring runs keep a flat memory profile; onSample still observes
@@ -149,10 +161,15 @@ type Result struct {
 	Partial bool
 	// ThermalLagPs is the physical time the virtual clock spent frozen
 	// because the thermal solve (or the link carrying it) lagged the
-	// pipelined emulation (vpcm.ThermalLagSource). Always 0 at depth 0,
-	// where the solve is synchronous and link stalls freeze the clock under
+	// pipelined emulation (vpcm.ThermalLagSource). Always 0 at depth 0:
+	// there the loop waits for each verdict at the boundary it applies at,
+	// as a synchronous solve would, and link stalls freeze the clock under
 	// the dispatcher's own sources.
 	ThermalLagPs uint64
+	// OverlapCycles counts the depth-0 cycles emulated while the previous
+	// window's thermal solve ran (see Config.PipelineDepth). It is 0 at
+	// depth > 0, where whole windows overlap instead.
+	OverlapCycles uint64
 }
 
 // DefaultWindowPs is the paper's 10 ms sampling period.
@@ -251,9 +268,12 @@ func run(cfg Config, onSample func(Sample),
 	}
 	var disp *etherlink.Dispatcher
 	if cfg.Transport != nil {
+		// The dispatcher runs on the solver stage. At depth 0 the emulating
+		// stage waits meanwhile (a transport-mode run never overlaps), so
+		// the dispatcher may freeze the VPCM itself.
 		var frz etherlink.Freezer = p.VPCM
 		if cfg.PipelineDepth > 0 {
-			// The dispatcher runs on the solver stage, concurrent with the
+			// Above depth 0 the dispatcher runs concurrently with the
 			// emulating stage that advances the VPCM: it must account frozen
 			// time (mutex-guarded) but may not toggle the freeze flag the
 			// emulator polls. The emulating stage raises its own

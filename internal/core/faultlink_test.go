@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,5 +106,86 @@ func linkFaultsAtDepth(t *testing.T, depth int) {
 	}
 	if clean.Link.Retries != 0 || clean.Link.SeqGaps != 0 {
 		t.Errorf("clean run recorded recovery work: %+v", clean.Link)
+	}
+}
+
+// dropOnce drops the first frame sent through it that match accepts, and
+// passes every other frame.
+type dropOnce struct {
+	etherlink.Transport
+	match   func(*etherlink.Frame) bool
+	dropped atomic.Bool
+}
+
+func (d *dropOnce) drop(b []byte) bool {
+	f, err := etherlink.Unmarshal(b)
+	return err == nil && d.match(f) && d.dropped.CompareAndSwap(false, true)
+}
+
+func (d *dropOnce) Send(b []byte) error {
+	if d.drop(b) {
+		return nil
+	}
+	return d.Transport.Send(b)
+}
+
+func (d *dropOnce) TrySend(b []byte) (bool, error) {
+	if d.drop(b) {
+		return true, nil
+	}
+	return d.Transport.TrySend(b)
+}
+
+func isStopFrame(f *etherlink.Frame) bool {
+	if f.Type != etherlink.MsgCtrl {
+		return false
+	}
+	c, err := etherlink.UnmarshalCtrl(f.Payload)
+	return err == nil && c.Op == etherlink.CtrlStop
+}
+
+// TestCtrlStopSurvivesLoss drops exactly the device's CtrlStop, or exactly
+// the host's echo of it, and requires both sides to end cleanly well
+// inside the retry budget: the host's re-solicit brings a resent stop, and
+// the device's re-solicit brings a resent echo from the lingering host.
+func TestCtrlStopSurvivesLoss(t *testing.T) {
+	for _, side := range []string{"device-stop", "host-echo"} {
+		t.Run(side, func(t *testing.T) {
+			link := etherlink.ReliableConfig{RetryTimeout: 20 * time.Millisecond, MaxRetries: 25}
+			cfg := testConfig(t, 2, nil)
+			devTr, hostTr := etherlink.LoopbackPair(8)
+			drop := &dropOnce{match: isStopFrame}
+			cfg.Transport = devTr
+			if side == "device-stop" {
+				drop.Transport = devTr
+				cfg.Transport = drop
+			} else {
+				drop.Transport = hostTr
+				hostTr = drop
+			}
+			cfg.Link = link
+			host, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			serveErr := make(chan error, 1)
+			go func() {
+				serveErr <- host.ServeWith(hostTr, ServeOptions{
+					RetryTimeout: link.RetryTimeout, MaxRetries: link.MaxRetries})
+			}()
+			res, err := Run(cfg, nil)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if err := <-serveErr; err != nil {
+				t.Fatalf("host serve: %v", err)
+			}
+			if !drop.dropped.Load() {
+				t.Fatal("no stop frame was dropped")
+			}
+			if !res.Done {
+				t.Fatal("run incomplete")
+			}
+		})
 	}
 }

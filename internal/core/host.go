@@ -146,8 +146,9 @@ type ServeOptions struct {
 
 // Serve runs the host side of the Ethernet protocol on a transport: it
 // answers every statistics frame with a temperature frame until a CtrlStop
-// arrives or the transport closes. This is what cmd/thermserver runs on a
-// TCP listener.
+// arrives or the transport closes. It acknowledges the stop before it
+// returns (etherlink.Endpoint.AcceptStop). This is what cmd/thermserver
+// runs on a TCP listener.
 func (h *ThermalHost) Serve(tr etherlink.Transport) error {
 	return h.ServeWith(tr, ServeOptions{})
 }
@@ -221,6 +222,7 @@ func (h *ThermalHost) ServeWith(tr etherlink.Transport, opt ServeOptions) error 
 				}
 				h.Model.Reset()
 			case etherlink.CtrlStop:
+				ep.AcceptStop()
 				return nil
 			}
 		case etherlink.MsgEvents:

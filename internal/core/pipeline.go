@@ -5,7 +5,7 @@ package core
 // PC integrates temperatures concurrently, and the VPCM freezes the virtual
 // clock only when the link or the solver genuinely falls behind (Section
 // 4.2, Table 3). The loop is split into two stages connected by a bounded
-// hand-off queue of PipelineDepth windows:
+// hand-off queue; the solve stage always runs on its own goroutine:
 //
 //	emulate stage (this goroutine)       solve stage
 //	┌──────────────────────────┐  work   ┌───────────────────────────┐
@@ -14,29 +14,44 @@ package core
 //	│ apply delayed feedback   │ ◄────── │ sensors, TM policy        │
 //	└──────────────────────────┘  done   └───────────────────────────┘
 //
-// Depth 0 is the synchronous case: the solve stage runs on the calling
-// goroutine, so each window is solved and its feedback applied before the
-// next one emulates. Depth > 0 runs the solve stage on its own goroutine.
-//
 // Determinism contract: the feedback of window N (DFS action and component
-// temperatures for leakage) is applied at the fixed window boundary before
-// window N+depth+1 emulates — a sensor latency of `depth` windows. Window
+// temperatures for leakage) is applied at the fixed window boundary where
+// window N+depth+1 begins — a sensor latency of `depth` windows. Window
 // boundaries therefore depend only on emulated state, never on host timing:
 // runs are bit-reproducible run to run at every depth, and with TM feedback
 // off (no DFS, no leakage) every depth is digest-identical to depth 0.
-// Backpressure — the solver lagging so far that the queue fills — only
-// freezes *physical* time via vpcm.ThermalLagSource, mirroring the Ethernet
-// congestion freeze.
+//
+// Depth 0 applies each window's feedback at the very next boundary, yet
+// still overlaps. A verdict changes only the virtual frequency, which the
+// emulated platform never reads: the VPCM maps cycles to picoseconds, and
+// memory suppression counts physical cycles. The first cycles of window
+// N+1 — as many as the window holds at the lower of the current frequency
+// and the policy's FloorHz — are therefore the same under every verdict
+// window N can return, so the emulate stage runs them while window N
+// solves. It then applies the verdict at the boundary, re-timing those
+// cycles with vpcm.SetFrequencyAt if the frequency changed, and finishes
+// the window at the verdict's frequency. The result is identical to
+// emulating, solving and applying strictly in turn. Nothing overlaps in
+// transport mode (the dispatcher freezes the VPCM from the solve stage),
+// with event logging, on a window that cuts a checkpoint (the checkpoint
+// needs the platform at the boundary), or for a policy whose FloorHz is 0.
+//
+// Above depth 0, backpressure — the solver lagging so far that the queue
+// fills — only freezes *physical* time via vpcm.ThermalLagSource,
+// mirroring the Ethernet congestion freeze.
 //
 // Buffer ownership: window jobs form a ring indexed by window number. A job
 // is written by the emulate stage (snapshot, powers), handed off, written by
 // the solve stage (temps, sensors, policy verdict), handed back, and read at
 // the feedback boundary; the ring slot is reused only after that. Channel
 // hand-off provides the happens-before edges, so no other synchronisation
-// is needed, and the steady-state loop allocates nothing.
+// is needed, and the steady-state loop allocates nothing. During the solve
+// the emulate stage touches only the platform and the VPCM, and the solve
+// stage only the thermal host and the policy.
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"thermemu/internal/emu"
@@ -88,27 +103,26 @@ func thermalLagPs(v *vpcm.VPCM) uint64 {
 
 // stage is the solve stage as the emulate stage sees it: submit hands a
 // window off, next returns the oldest submitted window once solved, stop
-// tears the stage down. At depth 0 (work == nil) submit solves in place.
+// tears the stage down. The solve always runs on the stage's goroutine.
 type stage struct {
 	v          *vpcm.VPCM
 	sv         *solver
-	ready      *window // depth 0: the window solved by the last submit
+	lag        bool // waits freeze virtual time (depth > 0)
 	work, done chan *window
 	stopped    bool
 }
 
 func newStage(cfg Config, disp *etherlink.Dispatcher, v *vpcm.VPCM) *stage {
+	depth := cfg.PipelineDepth
 	st := &stage{v: v, sv: &solver{host: cfg.Host, policy: cfg.Policy, sensor: cfg.Sensor,
-		disp: disp, maxBatch: 1}}
-	if depth := cfg.PipelineDepth; depth > 0 {
-		if disp != nil {
-			st.sv.maxBatch = min(etherlink.MaxStatsBatch(cfg.Host.NumComponents()),
-				etherlink.MaxTempsBatch(len(cfg.Host.SiCells)), depth)
-		}
-		st.work = make(chan *window, depth)
-		st.done = make(chan *window, depth+1)
-		go st.sv.run(st.work, st.done)
+		disp: disp, maxBatch: 1}, lag: depth > 0}
+	if disp != nil && depth > 0 {
+		st.sv.maxBatch = min(etherlink.MaxStatsBatch(cfg.Host.NumComponents()),
+			etherlink.MaxTempsBatch(len(cfg.Host.SiCells)), depth)
 	}
+	st.work = make(chan *window, max(depth, 1))
+	st.done = make(chan *window, depth+1)
+	go st.sv.run(st.work, st.done)
 	return st
 }
 
@@ -116,11 +130,6 @@ func newStage(cfg Config, disp *etherlink.Dispatcher, v *vpcm.VPCM) *stage {
 // means the solver is a full pipeline behind: the wait freezes virtual
 // time.
 func (st *stage) submit(w *window) {
-	if st.work == nil {
-		st.sv.solve([]*window{w})
-		st.ready = w
-		return
-	}
 	select {
 	case st.work <- w:
 	default:
@@ -130,11 +139,12 @@ func (st *stage) submit(w *window) {
 
 // next returns the oldest solved window (ok is false if the solve stage
 // exited). At depth > 0 an empty done queue means the solver is behind:
-// virtual time freezes for the wait.
+// virtual time freezes for the wait. At depth 0 the wait is the window
+// boundary's own synchronous solve, which virtual time does not see.
 func (st *stage) next() (w *window, ok bool) {
-	if st.work == nil {
-		w, st.ready = st.ready, nil
-		return w, w != nil
+	if !st.lag {
+		w, ok = <-st.done
+		return w, ok
 	}
 	select {
 	case w, ok = <-st.done:
@@ -158,13 +168,19 @@ func (st *stage) lagFrozen(wait func()) {
 // stop closes the work queue and waits for the solver goroutine to exit,
 // discarding windows it still returns. Safe to call more than once.
 func (st *stage) stop() {
-	if st.work == nil || st.stopped {
+	if st.stopped {
 		return
 	}
 	st.stopped = true
 	close(st.work)
 	for range st.done {
 	}
+}
+
+// windowCycles is the cycle count of one sampling window at hz (at least
+// one cycle).
+func windowCycles(windowPs, hz uint64) uint64 {
+	return max(windowPs/(uint64(1e12)/hz), 1)
 }
 
 // runLoop executes the co-emulation loop at the configured pipeline depth,
@@ -184,6 +200,15 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 	}
 	depth := uint64(cfg.PipelineDepth)
 	ncomp := cfg.Host.NumComponents()
+	// floorHz bounds every frequency a verdict can set; 0 (unknown) turns
+	// the depth-0 overlap off. The overlap also needs the platform to be
+	// alone with the VPCM while the solve runs: no link (the dispatcher
+	// freezes the clock from the solve stage) and no event logging.
+	floorHz := uint64(math.MaxUint64)
+	if cfg.Policy != nil {
+		floorHz = cfg.Policy.FloorHz()
+	}
+	overlap := depth == 0 && disp == nil && !cfg.Platform.EventLogging && floorHz != 0
 	// Window k reuses the ring slot of window k-len(jobs), whose feedback
 	// the boundary rule applied before window k-1 ended, while window k-1's
 	// snapshot stays the power baseline: depth+1 slots, and at least two.
@@ -210,12 +235,17 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 	var (
 		seq     uint64 // windows emulated and handed off
 		applied uint64 // window feedbacks consumed
+		// The window boundary: where the last handed-off window ended and
+		// the next one begins, even when some of its cycles already ran.
+		// Feedback applies here.
+		bCycle, bTimePs = p.VPCM.Cycle(), p.VPCM.TimePs()
+		spanned         bool // the next window's first cycles ran during the solve
 	)
 
 	// applyNext commits the oldest in-flight window's feedback at the
-	// current window boundary: DFS programs the VPCM, component
-	// temperatures feed the next power evaluation (leakage), and the sample
-	// is emitted.
+	// current window boundary: DFS programs the VPCM (re-timing any cycles
+	// already run past the boundary), component temperatures feed the next
+	// power evaluation (leakage), and the sample is emitted.
 	applyNext := func() error {
 		w, ok := st.next()
 		if !ok {
@@ -225,7 +255,7 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 			return w.err
 		}
 		if w.setFreqHz != 0 {
-			p.VPCM.SetFrequency(w.setFreqHz)
+			p.VPCM.SetFrequencyAt(bCycle, bTimePs, w.setFreqHz)
 		}
 		lagTemps = append(lagTemps[:0], w.compTemps...)
 		eval.SetComponentTemps(lagTemps)
@@ -283,18 +313,17 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		return res, err
 	}
 
-	for !p.AllHalted() && p.VPCM.Cycle() < maxCycles {
-		// One sampling window at the current virtual frequency.
+	for spanned || (!p.AllHalted() && p.VPCM.Cycle() < maxCycles) {
+		// One sampling window at the current virtual frequency, from the
+		// boundary on. Its first cycles may already have run while the
+		// previous window solved.
 		job := jobs[seq%uint64(len(jobs))]
-		period := uint64(1e12) / p.VPCM.Frequency()
-		n := cfg.WindowPs / period
-		if n == 0 {
-			n = 1
+		end := bCycle + min(windowCycles(cfg.WindowPs, p.VPCM.Frequency()), maxCycles-bCycle)
+		if end < p.VPCM.Cycle() {
+			return finishPartial(fmt.Errorf("core: policy %s set %d Hz, below its FloorHz %d, after %d cycles of the window ran",
+				cfg.Policy.Name(), p.VPCM.Frequency(), floorHz, p.VPCM.Cycle()-bCycle))
 		}
-		if left := maxCycles - p.VPCM.Cycle(); n > left {
-			n = left
-		}
-		step(n)
+		step(end - p.VPCM.Cycle())
 		if err := p.Fault(); err != nil {
 			return finishPartial(err)
 		}
@@ -315,6 +344,7 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		prev = &job.snap
 		seq++
 		st.submit(job)
+		bCycle, bTimePs = p.VPCM.Cycle(), p.VPCM.TimePs()
 
 		// Feedback boundary: before window seq+1 emulates, window
 		// seq-depth's feedback must be in effect (seq-applied is the
@@ -326,6 +356,16 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		keep := depth
 		if cut {
 			keep = 0
+		}
+		// At depth 0 the next window's first cycles run while this one
+		// solves: as many as the window holds at the lowest frequency the
+		// verdict can leave in effect, so every verdict agrees on them. A
+		// checkpoint cut needs the platform at the boundary, so it waits.
+		spanned = overlap && !cut && !p.AllHalted() && bCycle < maxCycles
+		if spanned {
+			n := min(windowCycles(cfg.WindowPs, min(p.VPCM.Frequency(), floorHz)), maxCycles-bCycle)
+			step(n)
+			res.OverlapCycles += p.VPCM.Cycle() - bCycle
 		}
 		for seq-applied > keep {
 			if err := applyNext(); err != nil {
@@ -349,7 +389,7 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 	st.stop()
 
 	if disp != nil {
-		if err := disp.SendCtrl(etherlink.CtrlStop, p.VPCM.Cycle()); err != nil {
+		if err := disp.Stop(p.VPCM.Cycle()); err != nil {
 			return finishPartial(err)
 		}
 		res.Congestion = disp.Stats()
@@ -543,7 +583,7 @@ func (sv *solver) finish(w *window) {
 		}
 		action := sv.policy.Update(w.sensors)
 		w.setFreqHz = action.SetFreqHz
-		if th, ok := sv.policy.(*tm.ThresholdDFS); ok {
+		if th, ok := sv.policy.(interface{ Throttled() bool }); ok {
 			w.throttled = th.Throttled()
 		}
 	}

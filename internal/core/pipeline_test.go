@@ -209,7 +209,10 @@ func TestPipelinedTMReproducible(t *testing.T) {
 // slowPolicy stalls the solve stage without ever acting, so the emulated
 // timeline stays identical to a policy-free run while the solver is
 // reliably slower than the emulator.
-type slowPolicy struct{ delay time.Duration }
+type slowPolicy struct {
+	tm.NullPolicy
+	delay time.Duration
+}
 
 func (s *slowPolicy) Name() string { return "slow-null" }
 func (s *slowPolicy) Update([]tm.Sensor) tm.Action {

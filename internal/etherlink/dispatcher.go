@@ -205,6 +205,27 @@ func (d *Dispatcher) SendCtrl(op CtrlOp, arg uint64) error {
 	return d.ep.Send(MsgCtrl, (&Ctrl{Op: op, Arg: arg}).MarshalPayload())
 }
 
+// Stop ends the session: it sends CtrlStop with the final cycle and waits
+// for the host's echo (Endpoint.AcceptStop), so a lost stop frame is resent
+// when the host re-solicits it instead of leaving the host to exhaust its
+// retry budget. The wait is bounded by the endpoint's retry budget. A final
+// best-effort MsgAck releases the host from lingering for a lost echo.
+func (d *Dispatcher) Stop(cycle uint64) error {
+	if err := d.SendCtrl(CtrlStop, cycle); err != nil {
+		return err
+	}
+	for {
+		f, err := d.ep.Recv()
+		if err != nil {
+			return err
+		}
+		if isCtrlStop(f) {
+			d.ep.sendAck()
+			return nil
+		}
+	}
+}
+
 // RecvTemps blocks until the next temperature message arrives, handling
 // interleaved control frames via the provided callback (which may be nil).
 func (d *Dispatcher) RecvTemps(onCtrl func(*Ctrl)) (*Temps, error) {

@@ -196,6 +196,15 @@ func (e *Endpoint) sendNack(seq uint32) {
 	}
 }
 
+// sendAck best-effort tells the peer that its last frame arrived. Like a
+// NACK it rides outside the sequence space and is never buffered.
+func (e *Endpoint) sendAck() {
+	f := &Frame{Dst: e.Remote, Src: e.Local, Type: MsgAck, Seq: e.expect}
+	if b, err := f.Marshal(); err == nil {
+		e.Tr.TrySend(b)
+	}
+}
+
 // resendFrom retransmits every buffered frame with sequence >= from. A
 // request beyond the buffered horizon is unhealable and returns
 // ErrResendWindow; a request for frames not yet sent is a stale NACK and is
@@ -226,6 +235,41 @@ func (e *Endpoint) resendFrom(from uint32) error {
 		e.stats.Resent.Add(1)
 	}
 	return nil
+}
+
+// AcceptStop answers the peer's CtrlStop, the last frame of a session: it
+// echoes the stop as the acknowledgement the peer waits for, then — in
+// reliable mode — lingers to resend the echo if the peer re-solicits it.
+// The linger ends on the peer's final MsgAck, on any link error (the peer
+// hung up), or when no frame arrives for four retry timeouts — the peer
+// re-solicits once per retry timeout, so three of its solicits in a row may
+// be lost — and it answers at most MaxRetries frames. The session is complete once the stop has
+// arrived, so a failure to deliver the echo is not an error.
+func (e *Endpoint) AcceptStop() {
+	if e.Send(MsgCtrl, (&Ctrl{Op: CtrlStop}).MarshalPayload()) != nil || e.rel == nil {
+		return
+	}
+	defer e.Tr.SetRecvDeadline(time.Time{})
+	for range e.rel.MaxRetries {
+		e.Tr.SetRecvDeadline(time.Now().Add(4 * e.rel.RetryTimeout))
+		b, err := e.Tr.Recv()
+		if err != nil {
+			return
+		}
+		f, err := Unmarshal(b)
+		if err != nil || f.Dst != e.Local {
+			continue
+		}
+		switch f.Type {
+		case MsgAck:
+			return
+		case MsgNack:
+			e.stats.NacksRecv.Add(1)
+			if e.resendFrom(f.Seq) != nil {
+				return
+			}
+		}
+	}
 }
 
 // isCtrlStop reports whether the frame is a terminal CtrlStop, which is

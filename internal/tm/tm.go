@@ -33,6 +33,11 @@ type Action struct {
 type Policy interface {
 	Name() string
 	Update(sensors []Sensor) Action
+	// FloorHz is the lowest frequency Update may ever request: 0 means
+	// unknown, and math.MaxUint64 means Update never requests one. The
+	// closed loop emulates the cycles every possible verdict agrees on
+	// while the thermal solve that produces the verdict runs.
+	FloorHz() uint64
 }
 
 // NullPolicy performs no thermal management (the "without TM" curves of
@@ -44,6 +49,9 @@ func (NullPolicy) Name() string { return "none" }
 
 // Update implements Policy.
 func (NullPolicy) Update([]Sensor) Action { return Action{} }
+
+// FloorHz implements Policy: the null policy never scales.
+func (NullPolicy) FloorHz() uint64 { return math.MaxUint64 }
 
 // ThresholdDFS is the paper's dual-state policy: when any sensor exceeds
 // HighK the platform drops to LowFreqHz; once every sensor is back below
@@ -72,6 +80,18 @@ func (p *ThresholdDFS) Name() string {
 
 // Throttled reports whether the policy currently holds the low frequency.
 func (p *ThresholdDFS) Throttled() bool { return p.throttled }
+
+// FloorHz implements Policy: Update only ever requests one of the two
+// frequencies, and a zero one reads as "keep".
+func (p *ThresholdDFS) FloorHz() uint64 {
+	lo := uint64(math.MaxUint64)
+	for _, hz := range [...]uint64{p.LowFreqHz, p.HighFreqHz} {
+		if hz != 0 && hz < lo {
+			lo = hz
+		}
+	}
+	return lo
+}
 
 // Update implements Policy.
 func (p *ThresholdDFS) Update(sensors []Sensor) Action {
@@ -118,6 +138,16 @@ func NewProportionalDFS() *ProportionalDFS {
 
 // Name implements Policy.
 func (p *ProportionalDFS) Name() string { return "proportional-dfs" }
+
+// FloorHz implements Policy: the lowest level is MinFreqHz. With a zero
+// minimum (the lowest level reads as "keep") or a band whose maximum lies
+// below its minimum (Update's arithmetic wraps) the floor is unknown.
+func (p *ProportionalDFS) FloorHz() uint64 {
+	if p.MinFreqHz == 0 || p.MaxFreqHz < p.MinFreqHz {
+		return 0
+	}
+	return p.MinFreqHz
+}
 
 // Update implements Policy.
 func (p *ProportionalDFS) Update(sensors []Sensor) Action {

@@ -1,6 +1,7 @@
 package tm
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -165,5 +166,40 @@ func TestQuantisedSensorsStillDriveThresholds(t *testing.T) {
 	}
 	if a := p.Update(sensors(s.Read(350.6))); a.SetFreqHz != 100e6 {
 		t.Error("reading of 351 K did not trip the threshold")
+	}
+}
+
+// FloorHz bounds every frequency the DFS policies request, over a sweep of
+// sensor readings across and beyond their bands.
+func TestFloorHzBoundsEveryRequest(t *testing.T) {
+	for _, p := range []Policy{NewThresholdDFS(), NewProportionalDFS(),
+		&ProportionalDFS{HighK: 360, LowK: 330, MaxFreqHz: 400e6, MinFreqHz: 150e6, Steps: 7}} {
+		floor, seen := p.FloorHz(), uint64(0)
+		if floor == 0 {
+			t.Fatalf("%s: unknown floor", p.Name())
+		}
+		for _, k := range []float64{300, 335, 341, 345, 349, 351, 356, 362, 380, 345, 338, 320, 300} {
+			for step := 0.0; step < 1; step += 0.25 {
+				hz := p.Update(sensors(k+step, 300)).SetFreqHz
+				if hz != 0 && hz < floor {
+					t.Fatalf("%s: requested %d Hz below its floor %d", p.Name(), hz, floor)
+				}
+				if hz != 0 && (seen == 0 || hz < seen) {
+					seen = hz
+				}
+			}
+		}
+		if seen != floor {
+			t.Errorf("%s: lowest request %d Hz, floor %d: the floor is not tight", p.Name(), seen, floor)
+		}
+	}
+	if (NullPolicy{}).FloorHz() != math.MaxUint64 {
+		t.Error("the null policy reports a floor")
+	}
+	for _, p := range []*ProportionalDFS{{MinFreqHz: 0, MaxFreqHz: 500e6, Steps: 5},
+		{MinFreqHz: 500e6, MaxFreqHz: 100e6, Steps: 5}} {
+		if p.FloorHz() != 0 {
+			t.Errorf("%+v: floor %d, want 0 (unknown)", p, p.FloorHz())
+		}
 	}
 }

@@ -80,8 +80,13 @@ func (v *VPCM) RestoreState(s State) error {
 	if len(s.History) == 0 {
 		return fmt.Errorf("vpcm: checkpoint has empty frequency history")
 	}
-	if last := s.History[len(s.History)-1].Hz; last != s.VirtHz {
-		return fmt.Errorf("vpcm: history ends at %d Hz but virtual clock is %d Hz", last, s.VirtHz)
+	last := s.History[len(s.History)-1]
+	if last.Hz != s.VirtHz {
+		return fmt.Errorf("vpcm: history ends at %d Hz but virtual clock is %d Hz", last.Hz, s.VirtHz)
+	}
+	if last.Cycle > s.Cycle || last.TimePs > s.TimePs {
+		return fmt.Errorf("vpcm: history's last change (cycle %d, %d ps) is past the clock (cycle %d, %d ps)",
+			last.Cycle, last.TimePs, s.Cycle, s.TimePs)
 	}
 	v.virtHz = s.VirtHz
 	v.cycle = s.Cycle

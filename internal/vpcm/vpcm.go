@@ -87,15 +87,32 @@ func (v *VPCM) PhysHz() uint64 { return v.physHz }
 func (v *VPCM) Frequency() uint64 { return v.virtHz }
 
 // SetFrequency performs dynamic frequency scaling on the virtual clock.
-func (v *VPCM) SetFrequency(hz uint64) {
+func (v *VPCM) SetFrequency(hz uint64) { v.SetFrequencyAt(v.cycle, v.timePs, hz) }
+
+// SetFrequencyAt performs dynamic frequency scaling as of an earlier point
+// of the clock: the change is recorded at (cycle, timePs), and the cycles
+// issued since are re-timed at hz. The platform never reads the virtual
+// frequency while it steps — Advance maps cycles to picoseconds, and
+// suppression counts physical cycles — so cycles may run before the
+// frequency they ran at is known. The point must be one the clock passed
+// at the current frequency: at or after the last change, at or before the
+// current cycle, and at the time the current frequency gives it.
+func (v *VPCM) SetFrequencyAt(cycle, timePs, hz uint64) {
 	if hz == 0 {
 		panic("vpcm: cannot scale to 0 Hz")
+	}
+	ran := v.cycle - cycle
+	if cycle > v.cycle || cycle < v.history[len(v.history)-1].Cycle ||
+		timePs+ran*(picosPerSec/v.virtHz) != v.timePs {
+		panic(fmt.Sprintf("vpcm: (cycle %d, %d ps) is not a point of the current %d Hz segment",
+			cycle, timePs, v.virtHz))
 	}
 	if hz == v.virtHz {
 		return
 	}
 	v.virtHz = hz
-	v.history = append(v.history, FreqChange{Cycle: v.cycle, TimePs: v.timePs, Hz: hz})
+	v.timePs = timePs + ran*(picosPerSec/hz)
+	v.history = append(v.history, FreqChange{Cycle: cycle, TimePs: timePs, Hz: hz})
 }
 
 // History returns every frequency change, oldest first (the initial

@@ -1,6 +1,7 @@
 package vpcm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -191,5 +192,79 @@ func TestStringSummary(t *testing.T) {
 	v := New(100e6, 500e6)
 	if s := v.String(); !strings.Contains(s, "500000000") {
 		t.Errorf("String() = %q", s)
+	}
+}
+
+// Property: running cycles first and setting the frequency afterwards at
+// the point they started from (SetFrequencyAt) equals setting it first
+// (SetFrequency) in time, history and emulation wall time, over any mix of
+// advances, suppression and changes.
+func TestSetFrequencyAtMatchesSetFrequencyQuick(t *testing.T) {
+	freqs := []uint64{100e6, 200e6, 250e6, 500e6}
+	f := func(steps []uint16) bool {
+		early, late := New(100e6, 500e6), New(100e6, 500e6)
+		for i := 0; i+1 < len(steps); i += 2 {
+			hz := freqs[int(steps[i])%len(freqs)]
+			split := uint64(steps[i] % 7)
+			rest := uint64(steps[i+1])
+			early.SetFrequency(hz)
+			early.Advance(split)
+			early.AddSuppression("ddr", split)
+			early.Advance(rest)
+
+			cycle, timePs := late.Cycle(), late.TimePs()
+			late.Advance(split)
+			late.AddSuppression("ddr", split)
+			late.SetFrequencyAt(cycle, timePs, hz)
+			late.Advance(rest)
+			if early.TimePs() != late.TimePs() || early.Cycle() != late.Cycle() {
+				return false
+			}
+		}
+		return reflect.DeepEqual(early.History(), late.History()) &&
+			early.EmulationWallPs() == late.EmulationWallPs()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// SetFrequencyAt refuses a point the clock did not pass at the current
+// frequency: before the last change, in the future, or at the wrong time.
+func TestSetFrequencyAtRejectsForeignPoints(t *testing.T) {
+	for name, bad := range map[string]func(v *VPCM){
+		"before last change": func(v *VPCM) { v.SetFrequencyAt(50, 100_000, 200e6) },
+		"future cycle":       func(v *VPCM) { v.SetFrequencyAt(500, 1_200_000, 200e6) },
+		"wrong time":         func(v *VPCM) { v.SetFrequencyAt(150, 1, 200e6) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			v := New(100e6, 500e6)
+			v.Advance(100)
+			v.SetFrequency(100e6)
+			v.Advance(100)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("accepted")
+				}
+			}()
+			bad(v)
+		})
+	}
+}
+
+// RestoreState accepts a saved clock and refuses one whose last frequency
+// change lies past the clock, which SetFrequencyAt could not re-time from.
+func TestRestoreStateRejectsHistoryPastClock(t *testing.T) {
+	v := New(100e6, 500e6)
+	v.Advance(100)
+	v.SetFrequency(100e6)
+	v.Advance(100)
+	s := v.SaveState()
+	if err := New(100e6, 500e6).RestoreState(s); err != nil {
+		t.Fatalf("saved state refused: %v", err)
+	}
+	s.History[len(s.History)-1].Cycle = s.Cycle + 1
+	if err := New(100e6, 500e6).RestoreState(s); err == nil {
+		t.Fatal("history past the clock accepted")
 	}
 }
