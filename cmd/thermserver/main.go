@@ -59,12 +59,12 @@ type serverStats struct {
 
 // metricsSnapshot is the /metrics JSON document.
 type metricsSnapshot struct {
-	UptimeS     float64                `json:"uptime_s"`
-	Accepted    uint64                 `json:"connections_accepted"`
-	Active      int64                  `json:"connections_active"`
-	RunsOK      uint64                 `json:"runs_ok"`
-	RunsFailed  uint64                 `json:"runs_failed"`
-	Link        etherlink.LinkSnapshot `json:"link"`
+	UptimeS    float64                `json:"uptime_s"`
+	Accepted   uint64                 `json:"connections_accepted"`
+	Active     int64                  `json:"connections_active"`
+	RunsOK     uint64                 `json:"runs_ok"`
+	RunsFailed uint64                 `json:"runs_failed"`
+	Link       etherlink.LinkSnapshot `json:"link"`
 }
 
 func (s *serverStats) snapshot() metricsSnapshot {

@@ -8,17 +8,15 @@ import (
 
 // TestSteadyStateWindowAllocs pins the zero-allocation window contract at
 // both loop depths: on the CI reference loop (benchLoopConfig, samples
-// discarded) the windows after warm-up make fewer than one heap allocation
-// each on average. This is the tier-1 guard of the allocs/window rows
-// cmd/benchgate gates in BENCH_loop.json.
+// discarded) the windows of the last part of the run, past block
+// translation warm-up, make fewer than one heap allocation each on
+// average. This is the tier-1 guard of the allocs/window rows
+// cmd/benchgate gates in BENCH_loop.json, over the same windows.
 func TestSteadyStateWindowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const (
-		from = 8  // first window of the probe, past translation warm-up
-		to   = 40 // last window of the probe
-	)
+	const from, to = probeFrom, probeTo
 	for _, depth := range []int{0, 1} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
 			cfg := benchLoopConfig(t)

@@ -19,11 +19,13 @@ import (
 // which the solve stage costs about as much as a window of emulation — the
 // regime the pipelined loop is built for.
 //
-// The threshold-DFS policy may drop the clock to 20 MHz, so depth 0 can
-// emulate only the first fifth of each window (its length at 20 MHz) while
-// the previous window solves; depth 1 hides the whole solve. The die peaks
-// near 327 K and never reaches the policy's 350 K threshold, so both
-// depths run the same 117 windows.
+// The threshold-DFS policy may drop the clock to 30 MHz. A window holds
+// 10,000 cycles at 100 MHz and 3,000 at 30 MHz, not a whole number of
+// 3,000-cycle floor spans, so depth 0 cannot run ahead past a window
+// boundary: it emulates only the first 3,000 cycles of each window while
+// the previous window solves, and depth 1 hides the whole solve. The die
+// peaks near 327 K and never reaches the policy's 350 K threshold, so
+// both depths run the same 117 windows.
 func benchLoopConfig(b testing.TB) Config {
 	b.Helper()
 	pcfg := emu.DefaultConfig(4)
@@ -43,7 +45,7 @@ func benchLoopConfig(b testing.TB) Config {
 		Host:             host,
 		WindowPs:         100_000_000, // 0.1 ms virtual per window
 		ThermalTimeScale: 5000,        // 0.1 ms window ≈ 0.5 s thermal transient
-		Policy:           &tm.ThresholdDFS{HighK: 350, LowK: 340, HighFreqHz: 100e6, LowFreqHz: 20e6},
+		Policy:           &tm.ThresholdDFS{HighK: 350, LowK: 340, HighFreqHz: 100e6, LowFreqHz: 30e6},
 		DiscardSamples:   true,
 	}
 }
@@ -65,16 +67,20 @@ func (d delayTransport) Recv() ([]byte, error) {
 	return f, err
 }
 
+// Steady-state allocation probe of the reference loop: windows
+// probeFrom..probeTo of its 117, past block-translation warm-up.
+const (
+	probeFrom = 60
+	probeTo   = 110
+)
+
 // benchClosedLoop runs full workloads at the given pipeline depth and
 // reports windows/s plus the measured steady-state allocations per window
-// (sampled between two onSample callbacks well past warm-up, so platform
-// and pipeline construction are excluded). linkDelay > 0 routes the stats
-// over a loopback transport whose replies each cost that latency.
+// (sampled between two onSample callbacks in the last part of the run, so
+// platform and pipeline construction and block translation are excluded).
+// linkDelay > 0 routes the stats over a loopback transport whose replies
+// each cost that latency.
 func benchClosedLoop(b *testing.B, depth int, linkDelay time.Duration) {
-	const (
-		warmupWindow = 8  // first window of the steady-state probe
-		probeWindows = 32 // windows between the two MemStats samples
-	)
 	var (
 		totalWindows uint64
 		steadyAllocs float64
@@ -104,9 +110,9 @@ func benchClosedLoop(b *testing.B, depth int, linkDelay time.Duration) {
 		res, err := Run(cfg, func(Sample) {
 			windows++
 			switch windows {
-			case warmupWindow:
+			case probeFrom:
 				runtime.ReadMemStats(&m0)
-			case warmupWindow + probeWindows:
+			case probeTo:
 				runtime.ReadMemStats(&m1)
 			}
 		})
@@ -122,9 +128,9 @@ func benchClosedLoop(b *testing.B, depth int, linkDelay time.Duration) {
 			b.Fatal("bench workload incomplete")
 		}
 		totalWindows += uint64(windows)
-		if windows >= warmupWindow+probeWindows && !steadySeen {
+		if windows >= probeTo && !steadySeen {
 			steadySeen = true
-			steadyAllocs = float64(m1.Mallocs-m0.Mallocs) / probeWindows
+			steadyAllocs = float64(m1.Mallocs-m0.Mallocs) / (probeTo - probeFrom)
 		}
 	}
 	b.ReportMetric(float64(totalWindows)/b.Elapsed().Seconds(), "windows/s")
@@ -136,7 +142,7 @@ func benchClosedLoop(b *testing.B, depth int, linkDelay time.Duration) {
 
 // BenchmarkClosedLoopSerial is the in-process depth-0 baseline: each
 // window's feedback applies before the next window completes, so only the
-// verdict-independent fifth of each window overlaps the solve.
+// verdict-independent first 3,000 cycles of each window overlap the solve.
 func BenchmarkClosedLoopSerial(b *testing.B) { benchClosedLoop(b, 0, 0) }
 
 // BenchmarkClosedLoopPipelined overlaps all of window N+1's emulation with

@@ -69,15 +69,18 @@ type Config struct {
 	//
 	// At 0 each window's feedback applies at the very next boundary, so
 	// the results are those of emulating, solving and applying strictly in
-	// turn. The loop still overlaps: while window N solves it emulates the
-	// first cycles of window N+1 that every verdict agrees on — the window's
-	// cycle count at the lower of the current frequency and the policy's
-	// FloorHz (the whole window with no policy). A verdict that changes
-	// the frequency re-times those cycles from the boundary on
-	// (vpcm.SetFrequencyAt), which is exact because the platform never
-	// reads its frequency. Nothing overlaps in transport mode, with event
-	// logging, on a window that cuts a checkpoint, or for a policy whose
-	// FloorHz is 0; Result.OverlapCycles counts the cycles that did.
+	// turn. The loop still overlaps, because the platform never reads its
+	// frequency: a verdict that changes it re-times the cycles run past
+	// its boundary (vpcm.SetFrequencyAt). When the window's cycle count at
+	// every frequency the policy may set (tm.Policy.Levels) is a multiple
+	// of its count at the lowest, the floor span, the loop runs ahead past
+	// unresolved boundaries, up to a ring of snapshots (always with no
+	// policy); otherwise it emulates only the next window's first floor
+	// span while a window solves. Nothing overlaps in transport mode, with
+	// event logging, or for a policy whose levels are unknown, nothing runs
+	// ahead of a window that cuts a checkpoint, and a verdict outside the
+	// levels aborts the run; Result.OverlapCycles counts the cycles that
+	// overlapped.
 	//
 	// Above 0 window N+1 emulates while window N is dispatched and solved,
 	// behind a bounded hand-off queue of that depth; when the queue fills,
@@ -166,9 +169,11 @@ type Result struct {
 	// as a synchronous solve would, and link stalls freeze the clock under
 	// the dispatcher's own sources.
 	ThermalLagPs uint64
-	// OverlapCycles counts the depth-0 cycles emulated while the previous
-	// window's thermal solve ran (see Config.PipelineDepth). It is 0 at
-	// depth > 0, where whole windows overlap instead.
+	// OverlapCycles counts the depth-0 cycles emulated while a window's
+	// verdict was outstanding (see Config.PipelineDepth). Beyond the first
+	// floor span of each window it depends on how far the emulation ran
+	// ahead of the solve, that is on host timing; samples and digests never
+	// do. It is 0 at depth > 0, where whole windows overlap instead.
 	OverlapCycles uint64
 }
 

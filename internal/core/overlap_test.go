@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"thermemu/internal/asm"
 	"thermemu/internal/checkpoint"
@@ -16,20 +18,35 @@ import (
 	"thermemu/internal/vpcm"
 )
 
-// The depth-0 loop emulates the first cycles of window N+1 while window N
-// solves. These tests compare each overlapped run with the same run whose
-// policy hides its floor, which turns the overlap off: everything the run
-// reports must be identical.
+// The depth-0 loop emulates on while window N solves: past unresolved
+// window boundaries when every window is a whole number of floor spans
+// (run-ahead), else the first floor span of window N+1. These tests
+// compare each overlapped run with the same run whose policy hides its
+// levels, which turns the overlap off: everything the run reports must be
+// identical.
 
-// noFloor passes a policy through but reports an unknown floor, which
+// noLevels passes a policy through but reports unknown levels, which
 // turns the depth-0 overlap off.
-type noFloor struct{ tm.Policy }
+type noLevels struct{ tm.Policy }
 
-func (noFloor) FloorHz() uint64 { return 0 }
+func (noLevels) Levels() ([]uint64, bool) { return nil, false }
 
-func (n noFloor) Throttled() bool {
+func (n noLevels) Throttled() bool {
 	th, ok := n.Policy.(interface{ Throttled() bool })
 	return ok && th.Throttled()
+}
+
+func (n noLevels) CheckpointState() tm.PolicyState {
+	if c, ok := n.Policy.(tm.Checkpointable); ok {
+		return c.CheckpointState()
+	}
+	return tm.PolicyState{}
+}
+
+func (n noLevels) RestoreCheckpoint(s tm.PolicyState) {
+	if c, ok := n.Policy.(tm.Checkpointable); ok {
+		c.RestoreCheckpoint(s)
+	}
 }
 
 // flipPolicy switches between two frequencies on every window, so every
@@ -46,10 +63,57 @@ func (f *flipPolicy) Update([]tm.Sensor) tm.Action {
 	return tm.Action{SetFreqHz: f.hz[f.n%2]}
 }
 
-func (f *flipPolicy) FloorHz() uint64 { return min(f.hz[0], f.hz[1]) }
+func (f *flipPolicy) CheckpointState() tm.PolicyState { return tm.PolicyState{Switches: f.n} }
+
+func (f *flipPolicy) RestoreCheckpoint(s tm.PolicyState) { f.n = s.Switches }
+
+func (f *flipPolicy) Levels() ([]uint64, bool) { return f.hz[:], true }
 
 // newFlip flips between 200 MHz and the 500 MHz testConfig starts at.
+// The windows (5,000 and 2,000 cycles in spanConfig) are not whole
+// multiples of one span, so the loop overlaps one floor span per window.
 func newFlip() *flipPolicy { return &flipPolicy{hz: [2]uint64{500e6, 200e6}} }
+
+// newFlip100 flips between 100 MHz and 500 MHz: 1,000 and 5,000 cycles in
+// spanConfig, so the loop runs ahead on a 1,000-cycle lattice.
+func newFlip100() *flipPolicy { return &flipPolicy{hz: [2]uint64{500e6, 100e6}} }
+
+// stallPolicy wraps a policy with a solve that returns only once the
+// emulate stage has stopped stepping for stallQuiet: slower than any
+// run-ahead the loop can make, so the loop always runs as far ahead as it
+// may, whatever the host's speed.
+type stallPolicy struct {
+	tm.Policy
+	steps atomic.Uint64 // step calls the emulate stage has made
+}
+
+// stallQuiet is far longer than one chunk of the spanConfig loops takes
+// to emulate, even under the race detector.
+const stallQuiet = 25 * time.Millisecond
+
+func stall(p tm.Policy) *stallPolicy { return &stallPolicy{Policy: p} }
+
+func (s *stallPolicy) stepped() { s.steps.Add(1) }
+
+func (s *stallPolicy) Update(sensors []tm.Sensor) tm.Action {
+	for last := s.steps.Load(); ; {
+		time.Sleep(stallQuiet)
+		now := s.steps.Load()
+		if now == last {
+			break
+		}
+		last = now
+	}
+	return s.Policy.Update(sensors)
+}
+
+func (s *stallPolicy) CheckpointState() tm.PolicyState {
+	return noLevels{s.Policy}.CheckpointState()
+}
+
+func (s *stallPolicy) RestoreCheckpoint(st tm.PolicyState) {
+	noLevels{s.Policy}.RestoreCheckpoint(st)
+}
 
 // spanConfig is testConfig with 10 µs windows: 5,000 cycles at 500 MHz, of
 // which a 200 MHz floor lets the first 2,000 run during the previous solve.
@@ -61,20 +125,71 @@ func spanConfig(t *testing.T, iters int, policy tm.Policy) Config {
 
 // overlapRun is one run's full observable outcome.
 type overlapRun struct {
-	res  *Result
-	err  error
-	tr   *golden.Trace
-	hist []vpcm.FreqChange
+	res   *Result
+	err   error
+	tr    *golden.Trace
+	hist  []vpcm.FreqChange
+	ckpts [][]byte      // every checkpoint cut, encoded
+	seen  []sampleState // the platform as each sample was emitted
+}
+
+// sampleState is where the platform stood when a window committed.
+type sampleState struct {
+	end, at         uint64 // the window's end cycle, the platform's cycle
+	halted, faulted bool
+}
+
+// ahead counts the later windows whose ends the platform had already
+// stepped past when sample i was emitted: boundaries run past while their
+// verdicts were outstanding.
+func (o overlapRun) ahead(i int) int {
+	n := 0
+	for _, later := range o.seen[i+1:] {
+		if later.end <= o.seen[i].at {
+			n++
+		}
+	}
+	return n
+}
+
+// maxAhead is the largest ahead over the run's samples.
+func (o overlapRun) maxAhead() int {
+	best := 0
+	for i := range o.seen {
+		best = max(best, o.ahead(i))
+	}
+	return best
 }
 
 // runObserved runs cfg through the fast kernel with a journaling golden
-// trace and keeps the VPCM's frequency history.
+// trace and keeps the VPCM's frequency history, the encoded checkpoints
+// and the platform's state at each sample.
 func runObserved(cfg Config) overlapRun {
 	o := overlapRun{tr: golden.NewJournal()}
 	cfg.Golden = o.tr
+	if sink := cfg.CheckpointSink; sink != nil {
+		cfg.CheckpointSink = func(c *checkpoint.Checkpoint) error {
+			o.ckpts = append(o.ckpts, checkpoint.Encode(c))
+			return sink(c)
+		}
+	}
 	var plat *emu.Platform
-	o.res, o.err = run(cfg, nil, func(p *emu.Platform) (func(uint64), func() error) {
+	// The sample callback runs on the emulate stage, which owns the
+	// platform.
+	onSample := func(s Sample) {
+		o.seen = append(o.seen, sampleState{end: s.Cycle, at: plat.VPCM.Cycle(),
+			halted: plat.AllHalted(), faulted: plat.Fault() != nil})
+	}
+	pol := cfg.Policy
+	if n, ok := pol.(noLevels); ok {
+		pol = n.Policy
+	}
+	sp, _ := pol.(*stallPolicy)
+	o.res, o.err = run(cfg, onSample, func(p *emu.Platform) (func(uint64), func() error) {
 		plat = p
+		if sp != nil {
+			return func(n uint64) { p.Step(n); sp.stepped() }, nil
+		}
 		return p.Step, nil
 	})
 	if plat != nil {
@@ -91,7 +206,7 @@ func requireOverlapExact(t *testing.T, mk func() Config) overlapRun {
 	t.Helper()
 	on := runObserved(mk())
 	cfg := mk()
-	cfg.Policy = noFloor{cfg.Policy}
+	cfg.Policy = noLevels{cfg.Policy}
 	off := runObserved(cfg)
 
 	if on.res == nil || off.res == nil {
@@ -130,6 +245,14 @@ func requireOverlapExact(t *testing.T, mk func() Config) overlapRun {
 	if d := golden.Compare(on.tr, off.tr); d != nil {
 		t.Fatalf("digests differ: %v", d)
 	}
+	if len(on.ckpts) != len(off.ckpts) {
+		t.Fatalf("checkpoint counts differ: overlapped %d, serial %d", len(on.ckpts), len(off.ckpts))
+	}
+	for i := range on.ckpts {
+		if !reflect.DeepEqual(on.ckpts[i], off.ckpts[i]) {
+			t.Fatalf("checkpoint %d differs", i)
+		}
+	}
 	return on
 }
 
@@ -152,12 +275,20 @@ func TestOverlapMatchesSerialFig6(t *testing.T) {
 	t.Logf("%d of %d cycles overlapped, %d DFS events", on.res.OverlapCycles, on.res.Cycles, on.res.DFSEvents)
 }
 
-// TestOverlapMatchesSerialFlippingPolicy re-times every span: each verdict
+// TestOverlapMatchesSerialFlippingPolicy re-times every span, one floor
+// span per window (500/200 MHz) or a run-ahead (500/100 MHz): each verdict
 // changes the frequency.
 func TestOverlapMatchesSerialFlippingPolicy(t *testing.T) {
-	on := requireOverlapExact(t, func() Config { return spanConfig(t, 8, newFlip()) })
-	if on.res.DFSEvents < len(on.res.Samples)-1 {
-		t.Fatalf("%d DFS events over %d windows", on.res.DFSEvents, len(on.res.Samples))
+	for name, mk := range map[string]func() *flipPolicy{
+		"floor-span": newFlip,
+		"run-ahead":  newFlip100,
+	} {
+		t.Run(name, func(t *testing.T) {
+			on := requireOverlapExact(t, func() Config { return spanConfig(t, 8, mk()) })
+			if on.res.DFSEvents < len(on.res.Samples)-1 {
+				t.Fatalf("%d DFS events over %d windows", on.res.DFSEvents, len(on.res.Samples))
+			}
+		})
 	}
 }
 
@@ -272,5 +403,144 @@ func TestOverlapIneligible(t *testing.T) {
 				t.Fatalf("overlapped %d cycles", res.OverlapCycles)
 			}
 		})
+	}
+}
+
+// TestOverlapRunAheadSlowSolve: with a slow solve the loop runs ahead as
+// far as its ring allows, past three and more unresolved boundaries, and
+// every verdict (500/100 MHz, flipping each window) re-times the cycles
+// and snapshots run past its boundary.
+func TestOverlapRunAheadSlowSolve(t *testing.T) {
+	on := requireOverlapExact(t, func() Config { return spanConfig(t, 4, stall(newFlip100())) })
+	if got := on.maxAhead(); got < 3 {
+		t.Fatalf("the loop ran at most %d boundaries ahead of a verdict, want >= 3", got)
+	}
+	t.Logf("%d windows, up to %d boundaries ahead, %d of %d cycles overlapped",
+		len(on.res.Samples), on.maxAhead(), on.res.OverlapCycles, on.res.Cycles)
+}
+
+// TestOverlapProportionalKeepsFloorSpan: the proportional policy's 300 MHz
+// window is 30,003 cycles at the fig6 window (the period rounds down to
+// 3,333 ps), not a multiple of the 10,000-cycle floor span, so the loop
+// overlaps exactly the first floor span of each window and no more.
+func TestOverlapProportionalKeepsFloorSpan(t *testing.T) {
+	const span = 10_000 // the 0.1 ms window at the 100 MHz floor
+	on := requireOverlapExact(t, func() Config {
+		cfg, err := Fig6Config(30, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Policy = tm.NewProportionalDFS()
+		cfg.WindowPs = 100_000_000
+		cfg.ThermalTimeScale = 4000
+		return cfg
+	})
+	s := on.res.Samples
+	var want uint64
+	offLattice := false
+	for i := 1; i < len(s); i++ {
+		want += min(span, s[i].Cycle-s[i-1].Cycle)
+		offLattice = offLattice || windowCycles(100_000_000, s[i].FreqHz)%span != 0
+	}
+	if !offLattice || on.res.DFSEvents == 0 {
+		t.Fatalf("%d DFS events, a window off the lattice: %v; want both", on.res.DFSEvents, offLattice)
+	}
+	if on.res.OverlapCycles != want {
+		t.Fatalf("overlapped %d cycles, want one floor span per window: %d", on.res.OverlapCycles, want)
+	}
+	if got := on.maxAhead(); got > 1 {
+		t.Fatalf("the loop ran %d boundaries ahead of a verdict, past its floor span", got)
+	}
+}
+
+// TestOverlapRunAheadMaxCycles caps the run at 14,500 cycles, inside the
+// fifth window (500 MHz from 12,000), which a slow solve lets the loop
+// reach while two windows are unresolved.
+func TestOverlapRunAheadMaxCycles(t *testing.T) {
+	const cap = 14_500
+	on := requireOverlapExact(t, func() Config {
+		cfg := spanConfig(t, 4, stall(newFlip100()))
+		cfg.MaxCycles = cap
+		return cfg
+	})
+	if on.res.Cycles != cap {
+		t.Fatalf("ran %d cycles, want %d", on.res.Cycles, cap)
+	}
+	for i, st := range on.seen {
+		if st.at == cap && on.ahead(i) >= 2 {
+			return
+		}
+	}
+	t.Fatal("the loop never reached MaxCycles two windows ahead of a verdict")
+}
+
+// TestOverlapRunAheadHalt: with a slow solve and no frequency levels the
+// loop runs whole windows ahead, so the cores halt while several windows
+// are unresolved.
+func TestOverlapRunAheadHalt(t *testing.T) {
+	on := requireOverlapExact(t, func() Config {
+		return spanConfig(t, 3, stall(tm.NullPolicy{}))
+	})
+	if !on.res.Done {
+		t.Fatal("the run did not finish")
+	}
+	for i, st := range on.seen {
+		if st.halted && on.ahead(i) >= 2 {
+			return
+		}
+	}
+	t.Fatal("the cores never halted two windows ahead of a verdict")
+}
+
+// TestOverlapRunAheadFault faults core 0 about 80,000 cycles in while the
+// loop runs whole windows ahead of a slow solve: the windows that end
+// before the fault still commit, after the fault was seen, and the
+// Partial result is the serial one.
+func TestOverlapRunAheadFault(t *testing.T) {
+	faulty := asm.MustAssemble(`
+		li   r1, 40000
+	loop:
+		subi r1, r1, 1
+		bne  r1, r0, loop
+		li   r2, 0x70000000
+		lw   r3, 0(r2)
+		halt
+	`)
+	on := requireOverlapExact(t, func() Config {
+		cfg := spanConfig(t, 20, stall(tm.NullPolicy{}))
+		spec := *cfg.Workload
+		spec.Programs = append([]*asm.Image{faulty}, spec.Programs[1:]...)
+		spec.Verify = nil
+		cfg.Workload = &spec
+		return cfg
+	})
+	if on.err == nil || !on.res.Partial {
+		t.Fatalf("err %v, partial %v: want the fault's partial result", on.err, on.res.Partial)
+	}
+	after := 0
+	for _, st := range on.seen {
+		if st.faulted {
+			after++
+		}
+	}
+	if after < 2 {
+		t.Fatalf("%d windows committed after the fault was seen, want >= 2", after)
+	}
+}
+
+// TestOverlapRunAheadCheckpointCadence cuts a checkpoint every fourth
+// window of a slow flipping run: the loop runs ahead between cuts but
+// never past a cut window's boundary, so every checkpoint is the serial
+// run's, byte for byte.
+func TestOverlapRunAheadCheckpointCadence(t *testing.T) {
+	on := requireOverlapExact(t, func() Config {
+		cfg := spanConfig(t, 16, stall(newFlip100()))
+		cfg.CheckpointEvery = 4
+		cfg.CheckpointSink = func(*checkpoint.Checkpoint) error { return nil }
+		return cfg
+	})
+	t.Logf("%d windows, %d checkpoints, up to %d boundaries ahead", len(on.seen), len(on.ckpts), on.maxAhead())
+	if len(on.ckpts) < 3 || on.maxAhead() < 1 {
+		t.Fatalf("%d checkpoints, up to %d boundaries ahead; want >= 3 and >= 1", len(on.ckpts), on.maxAhead())
 	}
 }

@@ -24,17 +24,40 @@ package core
 // Depth 0 applies each window's feedback at the very next boundary, yet
 // still overlaps. A verdict changes only the virtual frequency, which the
 // emulated platform never reads: the VPCM maps cycles to picoseconds, and
-// memory suppression counts physical cycles. The first cycles of window
-// N+1 — as many as the window holds at the lower of the current frequency
-// and the policy's FloorHz — are therefore the same under every verdict
-// window N can return, so the emulate stage runs them while window N
-// solves. It then applies the verdict at the boundary, re-timing those
-// cycles with vpcm.SetFrequencyAt if the frequency changed, and finishes
-// the window at the verdict's frequency. The result is identical to
-// emulating, solving and applying strictly in turn. Nothing overlaps in
-// transport mode (the dispatcher freezes the VPCM from the solve stage),
-// with event logging, on a window that cuts a checkpoint (the checkpoint
-// needs the platform at the boundary), or for a policy whose FloorHz is 0.
+// memory suppression counts physical cycles. So the emulate stage steps on
+// while window N solves, and every verdict window N can return agrees on
+// the cycles it runs; only their timing and where window N+1 ends depend
+// on it. Two cases:
+//
+//   - Lattice run-ahead. When the window's cycle count at the current
+//     frequency and at every one of the policy's tm.Policy.Levels is a
+//     multiple of the count Q at the lowest of them (the floor span), every
+//     window boundary falls on a multiple of Q from the loop's start. The
+//     emulate stage then steps past unresolved boundaries in chunks of at
+//     most pollCycles that never cross a multiple of Q, snapshotting each
+//     lattice point into a ring of at most aheadCap slots, polls the solve
+//     stage between chunks and blocks only when the ring is full. Each
+//     verdict resolves in order on this goroutine: it is applied at its
+//     boundary with vpcm.SetFrequencyAt (re-timing the cycles run since),
+//     the ring's snapshots are re-timed the same way, and the snapshot at
+//     the next window's now-known end is digested, turned into powers with
+//     the just-applied temperatures, and handed off. The threshold policy (50,000 = 5 × 10,000 cycles on Figure 6)
+//     and a run with no policy qualify.
+//   - Floor span. Otherwise the emulate stage runs only the first cycles of
+//     window N+1 — as many as the window holds at the lower of the current
+//     frequency and tm.FloorHz — and waits for the verdict there.
+//
+// Either way the result is identical to emulating, solving and applying
+// strictly in turn; only Result.OverlapCycles, the cycles emulated while a
+// verdict was outstanding, depends on host timing. A verdict outside the
+// policy's Levels aborts the run. Run-ahead stops at MaxCycles, at a halt
+// and at a core fault; windows that end before the fault still resolve,
+// solve and commit before the partial result, as in serial order. It never
+// steps past the earliest end of a window that cuts a checkpoint, and
+// nothing runs ahead of a cut window's boundary (the checkpoint needs the
+// platform there). Nothing overlaps in transport mode (the dispatcher
+// freezes the VPCM from the solve stage), with event logging, or for a
+// policy whose levels are unknown.
 //
 // Above depth 0, backpressure — the solver lagging so far that the queue
 // fills — only freezes *physical* time via vpcm.ThermalLagSource,
@@ -46,12 +69,12 @@ package core
 // the feedback boundary; the ring slot is reused only after that. Channel
 // hand-off provides the happens-before edges, so no other synchronisation
 // is needed, and the steady-state loop allocates nothing. During the solve
-// the emulate stage touches only the platform and the VPCM, and the solve
-// stage only the thermal host and the policy.
+// the emulate stage touches only the platform, the VPCM and the run-ahead
+// ring, and the solve stage only the thermal host and the policy.
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"time"
 
 	"thermemu/internal/emu"
@@ -109,6 +132,7 @@ type stage struct {
 	sv         *solver
 	lag        bool // waits freeze virtual time (depth > 0)
 	work, done chan *window
+	held       *window // a solved window poll received before next asked
 	stopped    bool
 }
 
@@ -137,11 +161,30 @@ func (st *stage) submit(w *window) {
 	}
 }
 
+// poll reports, without blocking, whether the oldest submitted window has
+// come back solved; next then returns it.
+func (st *stage) poll() bool {
+	if st.held == nil {
+		select {
+		case w, ok := <-st.done:
+			if ok {
+				st.held = w
+			}
+		default:
+		}
+	}
+	return st.held != nil
+}
+
 // next returns the oldest solved window (ok is false if the solve stage
 // exited). At depth > 0 an empty done queue means the solver is behind:
 // virtual time freezes for the wait. At depth 0 the wait is the window
 // boundary's own synchronous solve, which virtual time does not see.
 func (st *stage) next() (w *window, ok bool) {
+	if w = st.held; w != nil {
+		st.held = nil
+		return w, true
+	}
 	if !st.lag {
 		w, ok = <-st.done
 		return w, ok
@@ -183,6 +226,79 @@ func windowCycles(windowPs, hz uint64) uint64 {
 	return max(windowPs/(uint64(1e12)/hz), 1)
 }
 
+// latticeSpan returns the floor span Q — the window's cycle count at the
+// lowest of hz and levels — when the window's cycle count at hz and at
+// every level is a multiple of Q, and 0 otherwise.
+func latticeSpan(windowPs, hz uint64, levels []uint64) uint64 {
+	q := windowCycles(windowPs, hz)
+	for _, l := range levels {
+		q = min(q, windowCycles(windowPs, l))
+	}
+	if windowCycles(windowPs, hz)%q != 0 {
+		return 0
+	}
+	for _, l := range levels {
+		if windowCycles(windowPs, l)%q != 0 {
+			return 0
+		}
+	}
+	return q
+}
+
+// aheadCap bounds the run-ahead ring: the depth-0 loop steps at most this
+// many lattice points past the boundary of an unresolved verdict.
+const aheadCap = 8
+
+// pollCycles bounds one run-ahead step, so the emulate stage notices a
+// verdict and hands the next window to the solve stage within this many
+// cycles of its arrival rather than a whole floor span later. On the
+// Figure 6 loop (10,000-cycle floor span) core.Run took 104–113 ms a run
+// against 117–134 ms with whole-span steps (2-vCPU Xeon host).
+const pollCycles = 2500
+
+// aheadRing holds the snapshots of the lattice points (and of a final
+// halt or MaxCycles point) the emulate stage has stepped past the current
+// window boundary, oldest first. Slot buffers
+// are allocated on first use and then circulate with the window jobs'
+// snapshots, so the steady-state loop allocates nothing.
+type aheadRing struct {
+	buf     [aheadCap]emu.Snapshot
+	head, n int
+}
+
+func (r *aheadRing) full() bool { return r.n == aheadCap }
+
+// push returns the slot for the next held point's snapshot.
+func (r *aheadRing) push() *emu.Snapshot {
+	s := &r.buf[(r.head+r.n)%aheadCap]
+	r.n++
+	return s
+}
+
+// take drops every snapshot up to cycle end and swaps the one at end, if
+// any, into dst.
+func (r *aheadRing) take(end uint64, dst *emu.Snapshot) (found bool) {
+	for r.n > 0 && r.buf[r.head].Cycle <= end {
+		if s := &r.buf[r.head]; s.Cycle == end {
+			*s, *dst = *dst, *s
+			found = true
+		}
+		r.head = (r.head + 1) % aheadCap
+		r.n--
+	}
+	return found
+}
+
+// retime re-times the held snapshots, all past the boundary (cycle,
+// timePs), at hz — as vpcm.SetFrequencyAt re-times the clock.
+func (r *aheadRing) retime(cycle, timePs, hz uint64) {
+	for i := 0; i < r.n; i++ {
+		s := &r.buf[(r.head+i)%aheadCap]
+		s.TimePs = timePs + (s.Cycle-cycle)*(uint64(1e12)/hz)
+		s.FreqHz = hz
+	}
+}
+
 // runLoop executes the co-emulation loop at the configured pipeline depth,
 // advancing the platform by each window's cycle count with step (the fast
 // kernel's Platform.Step or the MPARM baseline's Kernel.Step). The platform
@@ -200,15 +316,26 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 	}
 	depth := uint64(cfg.PipelineDepth)
 	ncomp := cfg.Host.NumComponents()
-	// floorHz bounds every frequency a verdict can set; 0 (unknown) turns
+	// levels are every frequency a verdict can set; unknown levels turn
 	// the depth-0 overlap off. The overlap also needs the platform to be
 	// alone with the VPCM while the solve runs: no link (the dispatcher
 	// freezes the clock from the solve stage) and no event logging.
-	floorHz := uint64(math.MaxUint64)
+	var levels []uint64
+	known := true
 	if cfg.Policy != nil {
-		floorHz = cfg.Policy.FloorHz()
+		levels, known = cfg.Policy.Levels()
 	}
-	overlap := depth == 0 && disp == nil && !cfg.Platform.EventLogging && floorHz != 0
+	overlap := depth == 0 && disp == nil && !cfg.Platform.EventLogging && known
+	// lattice is the floor span when every window is a whole number of
+	// them (run-ahead), else 0 (a floor span per window). The frequency is
+	// always the starting one or a level, since other verdicts abort.
+	var lattice, floorHz uint64
+	if overlap {
+		lattice = latticeSpan(cfg.WindowPs, p.VPCM.Frequency(), levels)
+		if lattice == 0 {
+			floorHz = tm.FloorHz(cfg.Policy)
+		}
+	}
 	// Window k reuses the ring slot of window k-len(jobs), whose feedback
 	// the boundary rule applied before window k-1 ended, while window k-1's
 	// snapshot stays the power baseline: depth+1 slots, and at least two.
@@ -236,16 +363,26 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		seq     uint64 // windows emulated and handed off
 		applied uint64 // window feedbacks consumed
 		// The window boundary: where the last handed-off window ended and
-		// the next one begins, even when some of its cycles already ran.
+		// the next one begins, even when cycles past it already ran.
 		// Feedback applies here.
 		bCycle, bTimePs = p.VPCM.Cycle(), p.VPCM.TimePs()
-		spanned         bool // the next window's first cycles ran during the solve
+		// origin is the lattice's first point: every window boundary lies a
+		// whole number of floor spans past it.
+		origin = bCycle
+		// ahead holds the snapshots of the lattice points stepped past the
+		// boundary while a verdict was outstanding.
+		ahead aheadRing
+		// faultAt is the cycle at which a core fault was first seen, 0
+		// before: a window ending at or past it contains the fault (no step
+		// crosses a lattice point, where windows end).
+		faultAt uint64
 	)
 
 	// applyNext commits the oldest in-flight window's feedback at the
 	// current window boundary: DFS programs the VPCM (re-timing any cycles
-	// already run past the boundary), component temperatures feed the next
-	// power evaluation (leakage), and the sample is emitted.
+	// already run past the boundary, and their snapshots), component
+	// temperatures feed the next power evaluation (leakage), and the
+	// sample is emitted.
 	applyNext := func() error {
 		w, ok := st.next()
 		if !ok {
@@ -255,7 +392,12 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 			return w.err
 		}
 		if w.setFreqHz != 0 {
+			if known && !slices.Contains(levels, w.setFreqHz) {
+				return fmt.Errorf("core: policy %s set %d Hz, outside its Levels %v",
+					cfg.Policy.Name(), w.setFreqHz, levels)
+			}
 			p.VPCM.SetFrequencyAt(bCycle, bTimePs, w.setFreqHz)
+			ahead.retime(bCycle, bTimePs, w.setFreqHz)
 		}
 		lagTemps = append(lagTemps[:0], w.compTemps...)
 		eval.SetComponentTemps(lagTemps)
@@ -313,21 +455,70 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		return res, err
 	}
 
-	for spanned || (!p.AllHalted() && p.VPCM.Cycle() < maxCycles) {
+	// runAhead steps past the boundary while the verdict of the window
+	// just handed off is outstanding, in chunks that never cross a lattice
+	// point (or one floor span), until the verdict is in, the ring is full,
+	// or the run halts, faults or reaches MaxCycles. It never passes the
+	// earliest end of a window that will cut a checkpoint.
+	runAhead := func() {
+		q, stop, onLattice := lattice, maxCycles, lattice != 0
+		if !onLattice {
+			q = windowCycles(cfg.WindowPs, min(p.VPCM.Frequency(), floorHz))
+			stop = min(stop, bCycle+q)
+		}
+		if m := ck.windowsToCut(seq - applied); m > 0 {
+			stop = min(stop, bCycle+m*q)
+		}
+		for !ahead.full() && faultAt == 0 && !p.AllHalted() && p.VPCM.Cycle() < stop {
+			// The chunk ends at the next lattice point (or at stop); on the
+			// lattice it is stepped pollCycles at a time, polling between,
+			// while the floor span runs whole: its window cannot end sooner.
+			c := p.VPCM.Cycle()
+			end, n := stop, stop-c
+			if onLattice {
+				end = min(end, c+q-(c-origin)%q)
+				n = min(end-c, pollCycles)
+			}
+			step(n)
+			res.OverlapCycles += p.VPCM.Cycle() - c
+			if p.VPCM.Cycle() == end || p.AllHalted() {
+				p.SnapshotInto(ahead.push())
+			}
+			if p.Fault() != nil {
+				faultAt = p.VPCM.Cycle()
+			}
+			if onLattice && st.poll() {
+				return
+			}
+		}
+	}
+
+	// A window remains while the platform ran past the boundary, or it can
+	// still run.
+	for p.VPCM.Cycle() > bCycle || (!p.AllHalted() && p.VPCM.Cycle() < maxCycles) {
 		// One sampling window at the current virtual frequency, from the
-		// boundary on. Its first cycles may already have run while the
-		// previous window solved.
+		// boundary on. Its cycles may already have run while earlier
+		// windows solved; then the ring holds its end.
 		job := jobs[seq%uint64(len(jobs))]
 		end := bCycle + min(windowCycles(cfg.WindowPs, p.VPCM.Frequency()), maxCycles-bCycle)
-		if end < p.VPCM.Cycle() {
-			return finishPartial(fmt.Errorf("core: policy %s set %d Hz, below its FloorHz %d, after %d cycles of the window ran",
-				cfg.Policy.Name(), p.VPCM.Frequency(), floorHz, p.VPCM.Cycle()-bCycle))
+		if p.AllHalted() {
+			end = min(end, p.VPCM.Cycle())
 		}
-		step(end - p.VPCM.Cycle())
-		if err := p.Fault(); err != nil {
-			return finishPartial(err)
+		if end <= p.VPCM.Cycle() {
+			if !ahead.take(end, &job.snap) {
+				return finishPartial(fmt.Errorf("core: window end at cycle %d is not a run-ahead lattice point", end))
+			}
+		} else {
+			ahead.take(end, &job.snap) // every held point lies before end: drop them
+			step(end - p.VPCM.Cycle())
+			p.SnapshotInto(&job.snap)
+			if faultAt == 0 && p.Fault() != nil {
+				faultAt = p.VPCM.Cycle()
+			}
 		}
-		p.SnapshotInto(&job.snap)
+		if faultAt != 0 && job.snap.Cycle >= faultAt {
+			return finishPartial(p.Fault())
+		}
 		emu.DigestSnapshot(cfg.Golden, job.snap)
 		if disp != nil && cfg.Platform.EventLogging {
 			// Depth 0 only (Run rejects event logging in a pipeline): the
@@ -344,7 +535,7 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		prev = &job.snap
 		seq++
 		st.submit(job)
-		bCycle, bTimePs = p.VPCM.Cycle(), p.VPCM.TimePs()
+		bCycle, bTimePs = job.snap.Cycle, job.snap.TimePs
 
 		// Feedback boundary: before window seq+1 emulates, window
 		// seq-depth's feedback must be in effect (seq-applied is the
@@ -357,15 +548,10 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		if cut {
 			keep = 0
 		}
-		// At depth 0 the next window's first cycles run while this one
-		// solves: as many as the window holds at the lowest frequency the
-		// verdict can leave in effect, so every verdict agrees on them. A
+		// At depth 0 the emulation runs on while this window solves. A
 		// checkpoint cut needs the platform at the boundary, so it waits.
-		spanned = overlap && !cut && !p.AllHalted() && bCycle < maxCycles
-		if spanned {
-			n := min(windowCycles(cfg.WindowPs, min(p.VPCM.Frequency(), floorHz)), maxCycles-bCycle)
-			step(n)
-			res.OverlapCycles += p.VPCM.Cycle() - bCycle
+		if overlap && !cut {
+			runAhead()
 		}
 		for seq-applied > keep {
 			if err := applyNext(); err != nil {

@@ -14,6 +14,7 @@ package emu
 
 import (
 	"fmt"
+	"slices"
 
 	"thermemu/internal/asm"
 	"thermemu/internal/bus"
@@ -667,19 +668,20 @@ func (p *Platform) Snapshot() Snapshot {
 }
 
 // SnapshotInto captures the current statistics into s, reusing its slices
-// and Bus/Noc allocations. After the first call on a given buffer it
-// allocates nothing, which is what the pipelined co-emulation loop needs on
-// its per-window hot path.
+// and Bus/Noc allocations. The first call on a given buffer sizes each
+// slice once; later calls allocate nothing, which is what the pipelined
+// co-emulation loop needs on its per-window hot path.
 func (p *Platform) SnapshotInto(s *Snapshot) {
 	s.Cycle = p.VPCM.Cycle()
 	s.TimePs = p.VPCM.TimePs()
 	s.FreqHz = p.VPCM.Frequency()
 	s.Shared = p.Shared.Stats()
-	s.Cores = s.Cores[:0]
-	s.ICaches = s.ICaches[:0]
-	s.DCaches = s.DCaches[:0]
-	s.L2s = s.L2s[:0]
-	s.Ctrls = s.Ctrls[:0]
+	n := len(p.Cores)
+	s.Cores = slices.Grow(s.Cores[:0], n)
+	s.ICaches = slices.Grow(s.ICaches[:0], n)
+	s.DCaches = slices.Grow(s.DCaches[:0], n)
+	s.L2s = slices.Grow(s.L2s[:0], len(p.L2s))
+	s.Ctrls = slices.Grow(s.Ctrls[:0], n)
 	for i, c := range p.Cores {
 		s.Cores = append(s.Cores, c.Stats())
 		if ic := p.Ctrls[i].ICache(); ic != nil {

@@ -9,7 +9,7 @@ import "testing"
 // and the disassembler to agree.
 func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	// One seed per format family.
-	f.Add(uint32(0))                       // R-type add r0,r0,r0
+	f.Add(uint32(0)) // R-type add r0,r0,r0
 	f.Add(Encode(Instr{Op: OpRType, Funct: FnMul, Rd: 3, Rs1: 4, Rs2: 5}))
 	f.Add(Encode(Instr{Op: OpAddi, Rd: 1, Rs1: 2, Imm: -7}))
 	f.Add(Encode(Instr{Op: OpLui, Rd: 9, Imm: 0x1000}))

@@ -14,6 +14,7 @@ package tm
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Sensor is one temperature sensor reading, attached to a floorplan
@@ -33,11 +34,28 @@ type Action struct {
 type Policy interface {
 	Name() string
 	Update(sensors []Sensor) Action
-	// FloorHz is the lowest frequency Update may ever request: 0 means
-	// unknown, and math.MaxUint64 means Update never requests one. The
-	// closed loop emulates the cycles every possible verdict agrees on
-	// while the thermal solve that produces the verdict runs.
-	FloorHz() uint64
+	// Levels reports every frequency Update may ever request, and whether
+	// that set is known (known false turns the closed loop's depth-0
+	// overlap off). A policy that never requests a frequency reports no
+	// levels, known. The closed loop emulates the cycles every possible
+	// verdict agrees on while the thermal solve that produces the verdict
+	// runs, and aborts on a verdict outside the levels.
+	Levels() (hz []uint64, known bool)
+}
+
+// FloorHz is the lowest frequency p may request: the minimum of its
+// Levels, 0 when they are unknown, and math.MaxUint64 when it requests
+// none.
+func FloorHz(p Policy) uint64 {
+	levels, known := p.Levels()
+	if !known {
+		return 0
+	}
+	lo := uint64(math.MaxUint64)
+	for _, hz := range levels {
+		lo = min(lo, hz)
+	}
+	return lo
 }
 
 // NullPolicy performs no thermal management (the "without TM" curves of
@@ -50,8 +68,8 @@ func (NullPolicy) Name() string { return "none" }
 // Update implements Policy.
 func (NullPolicy) Update([]Sensor) Action { return Action{} }
 
-// FloorHz implements Policy: the null policy never scales.
-func (NullPolicy) FloorHz() uint64 { return math.MaxUint64 }
+// Levels implements Policy: the null policy never scales.
+func (NullPolicy) Levels() ([]uint64, bool) { return nil, true }
 
 // ThresholdDFS is the paper's dual-state policy: when any sensor exceeds
 // HighK the platform drops to LowFreqHz; once every sensor is back below
@@ -81,16 +99,16 @@ func (p *ThresholdDFS) Name() string {
 // Throttled reports whether the policy currently holds the low frequency.
 func (p *ThresholdDFS) Throttled() bool { return p.throttled }
 
-// FloorHz implements Policy: Update only ever requests one of the two
+// Levels implements Policy: Update only ever requests one of the two
 // frequencies, and a zero one reads as "keep".
-func (p *ThresholdDFS) FloorHz() uint64 {
-	lo := uint64(math.MaxUint64)
+func (p *ThresholdDFS) Levels() ([]uint64, bool) {
+	var levels []uint64
 	for _, hz := range [...]uint64{p.LowFreqHz, p.HighFreqHz} {
-		if hz != 0 && hz < lo {
-			lo = hz
+		if hz != 0 && !slices.Contains(levels, hz) {
+			levels = append(levels, hz)
 		}
 	}
-	return lo
+	return levels, true
 }
 
 // Update implements Policy.
@@ -139,14 +157,24 @@ func NewProportionalDFS() *ProportionalDFS {
 // Name implements Policy.
 func (p *ProportionalDFS) Name() string { return "proportional-dfs" }
 
-// FloorHz implements Policy: the lowest level is MinFreqHz. With a zero
-// minimum (the lowest level reads as "keep") or a band whose maximum lies
-// below its minimum (Update's arithmetic wraps) the floor is unknown.
-func (p *ProportionalDFS) FloorHz() uint64 {
-	if p.MinFreqHz == 0 || p.MaxFreqHz < p.MinFreqHz {
-		return 0
+// Levels implements Policy: the Steps quantised frequencies from
+// MinFreqHz to MaxFreqHz, computed as Update computes them. With a zero
+// minimum (the lowest level reads as "keep"), a band whose maximum lies
+// below its minimum (Update's arithmetic wraps) or fewer than two steps
+// the levels are unknown.
+func (p *ProportionalDFS) Levels() ([]uint64, bool) {
+	if p.MinFreqHz == 0 || p.MaxFreqHz < p.MinFreqHz || p.Steps < 2 {
+		return nil, false
 	}
-	return p.MinFreqHz
+	steps := uint64(p.Steps - 1)
+	var levels []uint64
+	for level := uint64(0); level <= steps; level++ {
+		hz := p.MinFreqHz + level*(p.MaxFreqHz-p.MinFreqHz)/steps
+		if !slices.Contains(levels, hz) {
+			levels = append(levels, hz)
+		}
+	}
+	return levels, true
 }
 
 // Update implements Policy.

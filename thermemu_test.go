@@ -122,12 +122,14 @@ func TestTable3SmallRun(t *testing.T) {
 		}
 	}
 	// The baseline simulates in the 100 kHz class; the emulator in the
-	// MHz class (the paper's framing of the two approaches).
+	// MHz class (the paper's framing of the two approaches). The race
+	// detector slows the emulator out of that class, so a -race build
+	// skips the wall-clock floor.
 	for _, r := range rows {
 		if r.MPARMkHz > 2000 {
 			t.Errorf("%s: baseline at %.0f kHz is implausibly fast for a CA simulator", r.Name, r.MPARMkHz)
 		}
-		if r.EmuMHz < 0.5 {
+		if r.EmuMHz < 0.5 && !raceEnabled {
 			t.Errorf("%s: emulator at %.2f MHz is below the MHz class", r.Name, r.EmuMHz)
 		}
 	}
@@ -194,8 +196,9 @@ func TestSolverPerfBeatsRealTimeClaim(t *testing.T) {
 	}
 	// The paper's claim is 2 s simulated in 1.65 s (1.2x). Requiring 0.5x
 	// leaves ample headroom for slow CI machines while still catching a
-	// performance collapse.
-	if r.RealTimeX < 0.5 {
+	// performance collapse. The race detector's instrumentation alone
+	// costs more than that headroom, so a -race build checks the rest.
+	if r.RealTimeX < 0.5 && !raceEnabled {
 		t.Errorf("solver at %.2fx real time; the framework needs ~1x to close the loop", r.RealTimeX)
 	}
 	if !strings.Contains(r.String(), "660") && !strings.Contains(r.String(), "669") {
