@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"thermemu/internal/cpu"
 	"thermemu/internal/emu"
@@ -290,6 +292,43 @@ func TestHostServeComponentMismatch(t *testing.T) {
 	}
 	if err := <-done; err == nil {
 		t.Error("component mismatch not rejected")
+	}
+}
+
+// TestHostRejectsUnboundedWindow: a statistics frame whose window spans
+// 2^64 ps ends the session with an error at once instead of holding the
+// host in a months-long solve, and the in-process entry point rejects
+// negative and non-finite spans the same way.
+func TestHostRejectsUnboundedWindow(t *testing.T) {
+	devTr, hostTr := etherlink.LoopbackPair(4)
+	host, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dt := range []float64{-1e-3, math.NaN(), math.Inf(1), MaxWindowThermalS + 1} {
+		if _, err := host.StepWindow(make([]float64, host.NumComponents()), dt); err == nil {
+			t.Errorf("StepWindow accepted a %g s span", dt)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- host.Serve(hostTr) }()
+	ep := etherlink.NewEndpoint(devTr, etherlink.DeviceMAC, etherlink.HostMAC)
+	ep.EnableReliability(etherlink.ReliableConfig{})
+	start := etherlink.Ctrl{Op: etherlink.CtrlStart, Arg: uint64(host.NumComponents())}
+	if err := ep.Send(etherlink.MsgCtrl, start.MarshalPayload()); err != nil {
+		t.Fatal(err)
+	}
+	s := etherlink.Stats{Cycle: 1, WindowPs: math.MaxUint64, PowerUW: make([]uint32, host.NumComponents())}
+	if err := ep.Send(etherlink.MsgStats, s.MarshalPayload()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "thermal time") {
+			t.Fatalf("Serve returned %v, want the window-span error", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Serve still solving a 2^64 ps window after a second")
 	}
 }
 

@@ -73,13 +73,25 @@ func (h *ThermalHost) StepWindow(compPowerW []float64, dt float64) ([]float64, e
 	return h.StepWindowInto(compPowerW, dt, nil)
 }
 
+// MaxWindowThermalS caps the thermal time one window may integrate, in
+// seconds (the window's virtual duration times ThermalTimeScale). The
+// committed configurations integrate at most a few seconds per window; a
+// span far past this is a corrupt or hostile frame, whose solve would
+// otherwise hold the host for hours (a WindowPs near 2^64 ps is 213 days).
+const MaxWindowThermalS = 60
+
 // StepWindowInto is StepWindow with a caller-owned temperature buffer: the
 // result reuses tempsOut's backing array when its capacity suffices, so a
-// loop that hands the same buffer back every window allocates nothing.
+// loop that hands the same buffer back every window allocates nothing. A
+// span dt that is negative, not finite or above MaxWindowThermalS is an
+// error.
 func (h *ThermalHost) StepWindowInto(compPowerW []float64, dt float64, tempsOut []float64) ([]float64, error) {
 	if len(compPowerW) != len(h.FP.Components) {
 		return nil, fmt.Errorf("core: power vector has %d entries, floorplan has %d components",
 			len(compPowerW), len(h.FP.Components))
+	}
+	if !(dt >= 0 && dt <= MaxWindowThermalS) {
+		return nil, fmt.Errorf("core: window spans %g s of thermal time, want 0 to %d s", dt, MaxWindowThermalS)
 	}
 	h.pm.CellPowers(compPowerW, h.cellPw)
 	if err := h.Model.SetPowers(h.cellPw); err != nil {

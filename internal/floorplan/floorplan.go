@@ -55,7 +55,8 @@ func (fp *Floorplan) Validate() error {
 		return fmt.Errorf("floorplan %s: non-positive die", fp.Name)
 	}
 	const eps = 1e-12
-	for i, c := range fp.Components {
+	for i := range fp.Components {
+		c := &fp.Components[i]
 		r := c.Rect
 		if r.W <= 0 || r.H <= 0 {
 			return fmt.Errorf("floorplan %s: component %s has empty rect", fp.Name, c.Name)
@@ -63,8 +64,8 @@ func (fp *Floorplan) Validate() error {
 		if r.X < -eps || r.Y < -eps || r.X+r.W > fp.DieW+eps || r.Y+r.H > fp.DieH+eps {
 			return fmt.Errorf("floorplan %s: component %s outside die", fp.Name, c.Name)
 		}
-		for _, o := range fp.Components[i+1:] {
-			if r.Overlap(o.Rect) > 1e-15 {
+		for j := i + 1; j < len(fp.Components); j++ {
+			if o := &fp.Components[j]; r.Overlap(o.Rect) > 1e-15 {
 				return fmt.Errorf("floorplan %s: %s overlaps %s", fp.Name, c.Name, o.Name)
 			}
 		}
@@ -223,11 +224,13 @@ func FourARM11() *Floorplan {
 }
 
 // maxDensityIn returns the highest component power density (W/m²)
-// overlapping the cell.
+// overlapping the cell. The loops over components index them in place:
+// a Component carries its power model by value, too large to copy per
+// cell.
 func (fp *Floorplan) maxDensityIn(cell thermal.Rect) float64 {
 	var d float64
-	for _, c := range fp.Components {
-		if c.Rect.Overlap(cell) > 0 {
+	for i := range fp.Components {
+		if c := &fp.Components[i]; c.Rect.Overlap(cell) > 0 {
 			if v := c.Model.DensityWmm2 * 1e6; v > d {
 				d = v
 			}
@@ -315,9 +318,10 @@ type mapEntry struct {
 func NewPowerMap(fp *Floorplan, cells []thermal.Rect) *PowerMap {
 	pm := &PowerMap{nCells: len(cells), entries: make([][]mapEntry, len(cells))}
 	for ci, cell := range cells {
-		for ki, comp := range fp.Components {
-			if ov := comp.Rect.Overlap(cell); ov > 0 {
-				pm.entries[ci] = append(pm.entries[ci], mapEntry{ki, ov / comp.Rect.Area()})
+		for ki := range fp.Components {
+			r := fp.Components[ki].Rect
+			if ov := r.Overlap(cell); ov > 0 {
+				pm.entries[ci] = append(pm.entries[ci], mapEntry{ki, ov / r.Area()})
 			}
 		}
 	}

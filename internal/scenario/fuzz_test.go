@@ -24,6 +24,7 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add("thermemu-scenario v9\n")
 	f.Add(Header + "\n[platform\ncores")
 	f.Add(Header + "\n[scenario]\nname = a # b\n")
+	f.Add(Header + "\n[thermal]\nwindow-ms = 10\ntimescale = 10000\n") // parses; Lint rejects the 100 s span
 	f.Fuzz(func(t *testing.T, src string) {
 		s1, err := Parse(src)
 		if err != nil {

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"sort"
 
+	"thermemu/internal/core"
 	"thermemu/internal/workloads"
 )
 
 // Lint validates a scenario without running it. It collects every problem
 // it can find — unknown workload/policy/floorplan/interconnect names,
-// non-positive platform or thermal parameters, programs that overrun
+// non-positive platform or thermal parameters, a window whose thermal span
+// exceeds core.MaxWindowThermalS, programs that overrun
 // private memory, shared-memory blocks that overlap each other or fall
 // outside shared memory, program counts that disagree with the core count,
 // unparsable fault specs — and returns them joined, so a broken file
@@ -48,6 +50,9 @@ func (s *Scenario) Lint() error {
 	}
 	if !(s.Timescale > 0) {
 		fail("thermal: timescale must be positive, got %v", s.Timescale)
+	}
+	if span := s.WindowMs * 1e-3 * s.Timescale; span > core.MaxWindowThermalS {
+		fail("thermal: window-ms × timescale spans %g s of thermal time per window, above the %d s cap", span, core.MaxWindowThermalS)
 	}
 	if s.Pipeline < 0 {
 		fail("thermal: pipeline must be non-negative, got %d", s.Pipeline)

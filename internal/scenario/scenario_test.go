@@ -268,6 +268,7 @@ func TestLintCatches(t *testing.T) {
 		{"no cells", func(s *Scenario) { s.Cells = 0 }, "cells"},
 		{"zero window", func(s *Scenario) { s.WindowMs = 0 }, "window-ms"},
 		{"zero timescale", func(s *Scenario) { s.Timescale = 0 }, "timescale"},
+		{"thermal span over cap", func(s *Scenario) { s.WindowMs, s.Timescale = 10, 10000 }, "cap"},
 		{"negative pipeline", func(s *Scenario) { s.Pipeline = -1 }, "pipeline"},
 		{"negative workers", func(s *Scenario) { s.Workers = -2 }, "workers"},
 		{"bad policy", func(s *Scenario) { s.Policy = "cryo" }, "policy"},

@@ -437,15 +437,16 @@ func (c *Coordinator) failedErr() error {
 }
 
 // wake periodically broadcasts so sessions waiting in next re-evaluate the
-// straggler threshold; it stops when stop is closed.
+// straggler threshold, every quarter threshold between 1 ms and 1 s, so a
+// straggler is stolen within 1.25 thresholds; it stops when stop is closed.
 func (c *Coordinator) wake(stop <-chan struct{}) {
 	straggler := c.opt.stragglerAfter()
 	if straggler < 0 {
 		return
 	}
 	interval := straggler / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
+	if interval < time.Millisecond {
+		interval = time.Millisecond
 	}
 	if interval > time.Second {
 		interval = time.Second

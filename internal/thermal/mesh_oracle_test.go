@@ -136,7 +136,8 @@ func newModelAllPairs(siCells, cuCells []Rect, opt Options) (*Model, error) {
 
 // CompareBuilders builds one mesh with NewModel and with the all-pairs
 // oracle and describes the first difference: in the error text, the edge
-// list, the CSR incidence index, capacitances or convection paths. It
+// list, the CSR incidence index, the kernel layout, capacitances or
+// convection paths. It
 // returns "" when the two models are bit-identical.
 func CompareBuilders(si, cu []Rect, opt Options) string {
 	got, gotErr := NewModel(si, cu, opt)
@@ -159,6 +160,9 @@ func CompareBuilders(si, cu []Rect, opt Options) string {
 		{"nbrStart", got.nbrStart, want.nbrStart},
 		{"nbrCell", got.nbrCell, want.nbrCell},
 		{"nbrEdge", got.nbrEdge, want.nbrEdge},
+		{"perm", got.perm, want.perm},
+		{"ell.idx", got.ell.idx, want.ell.idx},
+		{"ell.rows", got.ell.rows, want.ell.rows},
 	} {
 		if d := firstDiff(c.got, c.want, func(a, b int32) bool { return a == b }); d != "" {
 			return c.name + ": " + d
@@ -172,7 +176,9 @@ func CompareBuilders(si, cu []Rect, opt Options) string {
 		{"edgeDa", got.edgeDa, want.edgeDa},
 		{"edgeDb", got.edgeDb, want.edgeDb},
 		{"edgeG", got.edgeG, want.edgeG},
-		{"nbrG", got.nbrG, want.nbrG},
+		{"ell.g", got.ell.g, want.ell.g},
+		{"ell.negConv", got.ell.negConv, want.ell.negConv},
+		{"ell.invCap", got.ell.invCap, want.ell.invCap},
 		{"capC", got.capC, want.capC},
 		{"convG", got.convG, want.convG},
 	} {

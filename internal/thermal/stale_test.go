@@ -8,10 +8,12 @@ import (
 
 // stepScanning is Step with the drift test as its own pass over the
 // silicon cells before every sub-step: the reference the folded test in
-// substepRange must reproduce.
+// the kernel bodies must reproduce.
 func (m *Model) stepScanning(dt float64) {
 	h := m.stableDt()
+	m.scatterIn()
 	for remaining := dt; remaining > 1e-15; {
+		m.gatherOut()
 		if m.conductancesStale(siKTolK) {
 			m.updateConductances()
 			h = m.stableDt()
@@ -20,9 +22,9 @@ func (m *Model) stepScanning(dt float64) {
 			h = remaining
 		}
 		m.substepAll(h)
-		m.t, m.tNext = m.tNext, m.t
 		remaining -= h
 	}
+	m.gatherOut()
 	m.time += dt
 }
 

@@ -26,8 +26,8 @@ func (m *Model) SaveState() ModelState {
 
 // RestoreState rewinds the model to a saved state. The conductance tables
 // are rebuilt by evaluating the conductance law at TAtK — by definition the
-// temperatures of the last refresh — which reproduces kCell/edgeG/nbrG/sumG
-// bit-identically without storing them.
+// temperatures of the last refresh — which reproduces kCell/edgeG/sumG and
+// the kernel conductances bit-identically without storing them.
 func (m *Model) RestoreState(s ModelState) error {
 	if len(s.T) != len(m.t) || len(s.TAtK) != len(m.tAtK) || len(s.Pw) != len(m.pw) {
 		return fmt.Errorf("thermal: checkpoint has %d/%d/%d cells, model has %d/%d/%d",

@@ -17,11 +17,15 @@
 // cell-to-spreader area ratio. Every cell interacts only with its
 // neighbours, so cost is linear in the number of cells.
 //
-// The solver keeps the network in a flat CSR-style layout (edge endpoint and
-// conductance arrays plus a per-cell incidence index) and can shard its cell
-// loops over a persistent worker pool; see Options.Workers. The sharded path
-// computes exactly the same per-cell arithmetic as the serial one, so both
-// produce bit-identical trajectories.
+// The network is kept as flat edge arrays with a per-cell CSR incidence
+// index, which conductance refreshes, the stability bound and the
+// steady-state relaxation walk. The transient sub-step runs on a sliced-ELL
+// copy of that index (ell.go): cells sorted by neighbour count, four to a
+// slice, so one AVX2 instruction stream advances four cells at once where
+// the CPU has AVX2, and a pure-Go body runs the same slices elsewhere. Both
+// bodies compute each cell's scalar operation sequence, and the solver can
+// shard the slices over a persistent worker pool (see Options.Workers), so
+// every body and shard count produces bit-identical trajectories.
 package thermal
 
 import (
@@ -239,29 +243,31 @@ type Model struct {
 	nVarEdges      int
 
 	// CSR incidence: cell i's edges are nbrEdge[nbrStart[i]:nbrStart[i+1]]
-	// with the far endpoint in nbrCell and the edge conductance mirrored
-	// into nbrG (so the sub-step loop streams conductances sequentially
-	// instead of gathering through nbrEdge). Each cell's flow is
-	// accumulated from this index alone, which is what makes sharded
-	// sub-steps race-free: shard workers only read t and only write their
-	// own cells.
+	// with the far endpoint in nbrCell. Each cell's flow is accumulated
+	// from this index alone, which is what makes sharded passes race-free:
+	// shard workers only read t and only write their own cells.
 	nbrStart []int32
 	nbrCell  []int32
 	nbrEdge  []int32
-	nbrG     []float64
+
+	// The sub-step kernel's sliced-ELL layout (ell.go): perm maps kernel
+	// slots to cells and pos cells to slots. body is the kernel body the
+	// model runs.
+	ell  ellKernel
+	perm []int32
+	pos  []int32
+	body substepBody
 
 	convIdx []int     // top-copper cells with a convection path
 	convG   []float64 // conductance paired with convIdx
 	conv    []float64 // dense per-cell convection conductance (hot loop)
 
-	capC   []float64 // per-cell thermal capacitance, J/K
-	invCap []float64
-	t      []float64 // temperatures, K (current state)
-	tNext  []float64 // next-sub-step buffer, swapped with t
-	pw     []float64 // injected power, W (bottom silicon cells)
-	sumG   []float64 // per-cell total conductance (for stability)
-	kCell  []float64 // per-cell conductivity at the last refresh
-	tAtK   []float64 // temperatures the conductances were evaluated at
+	capC  []float64 // per-cell thermal capacitance, J/K
+	t     []float64 // temperatures, K (current state, cell order)
+	pw    []float64 // injected power, W (bottom silicon cells)
+	sumG  []float64 // per-cell total conductance (for stability)
+	kCell []float64 // per-cell conductivity at the last refresh
+	tAtK  []float64 // temperatures the conductances were evaluated at
 
 	time     float64
 	spreader float64 // spreader area, m²
@@ -414,39 +420,35 @@ func NewModel(siCells, cuCells []Rect, opt Options) (*Model, error) {
 	return m, nil
 }
 
-// finalize flattens the construction-time edge list into the CSR layout and
-// sizes the solver state.
+// finalize flattens the construction-time edge list into the CSR layout,
+// lays out the sub-step kernel and sizes the solver state.
 func (m *Model) finalize(nCells int, edges []edgeRec, opt Options) {
-	// Partition: temperature-dependent (silicon-touching) edges first, so
-	// refreshes touch a dense prefix.
-	ordered := make([]edgeRec, 0, len(edges))
-	for _, e := range edges {
-		if e.a < m.nSi || e.b < m.nSi {
-			ordered = append(ordered, e)
-		}
-	}
-	m.nVarEdges = len(ordered)
-	for _, e := range edges {
-		if !(e.a < m.nSi || e.b < m.nSi) {
-			ordered = append(ordered, e)
-		}
-	}
-
-	ne := len(ordered)
+	ne := len(edges)
 	m.edgeA = make([]int32, ne)
 	m.edgeB = make([]int32, ne)
 	m.edgeArea = make([]float64, ne)
 	m.edgeDa = make([]float64, ne)
 	m.edgeDb = make([]float64, ne)
 	m.edgeG = make([]float64, ne)
-	for i, e := range ordered {
-		m.edgeA[i], m.edgeB[i] = int32(e.a), int32(e.b)
-		m.edgeArea[i], m.edgeDa[i], m.edgeDb[i] = e.area, e.da, e.db
+	// Partition: temperature-dependent (silicon-touching) edges first, so
+	// refreshes touch a dense prefix; each part keeps construction order.
+	i := 0
+	for _, varying := range [2]bool{true, false} {
+		for _, e := range edges {
+			if (e.a < m.nSi || e.b < m.nSi) == varying {
+				m.edgeA[i], m.edgeB[i] = int32(e.a), int32(e.b)
+				m.edgeArea[i], m.edgeDa[i], m.edgeDb[i] = e.area, e.da, e.db
+				i++
+			}
+		}
+		if varying {
+			m.nVarEdges = i
+		}
 	}
 
 	// CSR incidence index.
 	deg := make([]int32, nCells+1)
-	for i := range ordered {
+	for i := range m.edgeA {
 		deg[m.edgeA[i]+1]++
 		deg[m.edgeB[i]+1]++
 	}
@@ -457,8 +459,7 @@ func (m *Model) finalize(nCells int, edges []edgeRec, opt Options) {
 	fill := make([]int32, nCells)
 	m.nbrCell = make([]int32, 2*ne)
 	m.nbrEdge = make([]int32, 2*ne)
-	m.nbrG = make([]float64, 2*ne)
-	for i := range ordered {
+	for i := range m.edgeA {
 		a, b := m.edgeA[i], m.edgeB[i]
 		pa := m.nbrStart[a] + fill[a]
 		m.nbrCell[pa], m.nbrEdge[pa] = b, int32(i)
@@ -472,13 +473,13 @@ func (m *Model) finalize(nCells int, edges []edgeRec, opt Options) {
 	for k, ci := range m.convIdx {
 		m.conv[ci] = m.convG[k]
 	}
-	m.invCap = make([]float64, nCells)
-	for i, c := range m.capC {
-		m.invCap[i] = 1 / c
+	m.buildELL()
+	m.body = avx2Body
+	if m.body == nil {
+		m.body = (*ellKernel).substepGo
 	}
 
 	m.t = make([]float64, nCells)
-	m.tNext = make([]float64, nCells)
 	for i := range m.t {
 		m.t[i] = m.props.AmbientK
 	}
@@ -618,11 +619,13 @@ func (m *Model) updateConductances() {
 }
 
 // refreshK re-evaluates the conductivity of cells [lo, hi) at their current
-// temperatures and records those temperatures.
+// temperatures and records those temperatures, in cell order and, for the
+// kernel's drift test, in slot order.
 func (m *Model) refreshK(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if i < m.nSi {
 			m.kCell[i] = m.props.SiConductivity(m.t[i])
+			m.ell.tAtK[m.pos[i]] = m.t[i]
 		} else {
 			m.kCell[i] = m.props.CuK
 		}
@@ -639,14 +642,16 @@ func (m *Model) refreshEdges(lo, hi int) {
 	}
 }
 
-// refreshSums copies the edge conductances into the CSR neighbour order of
-// cells [lo, hi) and totals each cell's conductance sum.
+// refreshSums copies the edge conductances of cells [lo, hi) into their
+// kernel entries and totals each cell's conductance sum.
 func (m *Model) refreshSums(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		s := m.conv[i]
+		r := m.ellEntry(i)
 		for k := m.nbrStart[i]; k < m.nbrStart[i+1]; k++ {
 			g := m.edgeG[m.nbrEdge[k]]
-			m.nbrG[k] = g
+			m.ell.g[r] = g
+			r += ellLanes
 			s += g
 		}
 		m.sumG[i] = s
@@ -682,65 +687,44 @@ func (m *Model) stableDt() float64 {
 	return 0.5 * min
 }
 
-// substepRange advances cells [lo, hi) by one explicit-Euler sub-step of h
-// seconds, reading m.t and writing m.tNext. All flows are evaluated on the
-// state at the start of the sub-step, so the result is independent of cell
-// order and of how the range is sharded. Convection is applied branchlessly
-// (conv is zero away from the top copper sub-layer). It reports whether any
-// silicon cell it wrote drifted more than siKTolK from the temperature its
-// conductances were evaluated at: conductancesStale's test on the new
-// state, folded into the pass that produces it.
-func (m *Model) substepRange(h float64, lo, hi int) (stale bool) {
-	t, tn, tAtK := m.t, m.tNext, m.tAtK
-	nbrG, nbrCell, nbrStart := m.nbrG, m.nbrCell, m.nbrStart
-	invCap, conv, pw := m.invCap, m.conv, m.pw
-	amb, nSi := m.props.AmbientK, m.nSi
-	for i := lo; i < hi; i++ {
-		ti := t[i]
-		q := -conv[i] * (ti - amb)
-		for k, e := int(nbrStart[i]), int(nbrStart[i+1]); k < e; k++ {
-			q += nbrG[k] * (t[nbrCell[k]] - ti)
-		}
-		if i < len(pw) {
-			q += pw[i]
-		}
-		next := ti + h*q*invCap[i]
-		tn[i] = next
-		if i < nSi {
-			if d := next - tAtK[i]; d > siKTolK || d < -siKTolK {
-				stale = true
-			}
-		}
-	}
-	return stale
-}
-
-// substepAll runs one sub-step over every cell — serial below the parallel
-// threshold, sharded on the worker pool above it — and reports whether the
-// new state has drifted past siKTolK (the shards OR their flags).
-func (m *Model) substepAll(h float64) bool {
-	n := len(m.t)
+// substepAll runs one sub-step of h seconds over every kernel slice —
+// serial below the parallel threshold, sharded over slice ranges on the
+// worker pool above it — and swaps the kernel's temperature buffers. It
+// reports whether any silicon cell drifted more than siKTolK from the
+// temperature its conductances were evaluated at (the shards OR their
+// flags): conductancesStale's test on the new state, folded into the pass
+// that produces it.
+func (m *Model) substepAll(h float64) (stale bool) {
+	k := &m.ell
+	nSlices := len(k.rows) - 1
 	if !m.sharded() {
-		return m.substepRange(h, 0, n)
+		stale = m.body(k, h, 0, nSlices)
+	} else {
+		flags := m.shardStale
+		clear(flags)
+		parallelFor(m.workers, nSlices, func(shard, lo, hi int) {
+			flags[shard] = m.body(k, h, lo, hi)
+		})
+		stale = slices.Contains(flags, true)
 	}
-	flags := m.shardStale
-	clear(flags)
-	parallelFor(m.workers, n, func(shard, lo, hi int) {
-		flags[shard] = m.substepRange(h, lo, hi)
-	})
-	return slices.Contains(flags, true)
+	k.t, k.tn = k.tn, k.t
+	return stale
 }
 
 // Step advances the thermal state by dt seconds using forward Euler with
 // stability-limited sub-stepping; the silicon conductances are refreshed
 // whenever any silicon temperature has drifted more than 0.25 K since they
 // were last evaluated, so the non-linear law tracks the trajectory at a
-// negligible fraction of the cost of per-sub-step re-evaluation.
+// negligible fraction of the cost of per-sub-step re-evaluation. The
+// sub-steps run in the kernel's slot order; temperatures are scattered in
+// on entry and gathered back before a refresh and on return.
 func (m *Model) Step(dt float64) {
 	h := m.stableDt()
 	stale := m.conductancesStale(siKTolK)
+	m.scatterIn()
 	for remaining := dt; remaining > 1e-15; {
 		if stale {
+			m.gatherOut()
 			m.updateConductances()
 			h = m.stableDt()
 		}
@@ -748,9 +732,9 @@ func (m *Model) Step(dt float64) {
 			h = remaining
 		}
 		stale = m.substepAll(h)
-		m.t, m.tNext = m.tNext, m.t
 		remaining -= h
 	}
+	m.gatherOut()
 	m.time += dt
 }
 
