@@ -14,7 +14,6 @@ import (
 	"io"
 	"testing"
 
-	"thermemu/internal/asm"
 	"thermemu/internal/bus"
 	"thermemu/internal/core"
 	"thermemu/internal/cpu"
@@ -439,60 +438,4 @@ func BenchmarkArbitrationAblation(b *testing.B) {
 	b.Run("RoundRobin", func(b *testing.B) { run(b, bus.RoundRobin) })
 	b.Run("FixedPriority", func(b *testing.B) { run(b, bus.FixedPriority) })
 	b.Run("TDMA", func(b *testing.B) { run(b, bus.TDMA) })
-}
-
-// BenchmarkL2Ablation measures the platform cycle rate of a shared-traffic
-// loop with and without a per-core L2.
-func BenchmarkL2Ablation(b *testing.B) {
-	prog := asm.MustAssemble(`
-		li   r1, 0x10000000
-	loop:
-		lw   r2, 0(r1)
-		lw   r3, 4(r1)
-		sw   r2, 8(r1)
-		b    loop
-	`)
-	run := func(b *testing.B, withL2 bool) {
-		cfg := emu.DefaultConfig(2)
-		if withL2 {
-			cfg.L2 = &mem.CacheConfig{Name: "l2", SizeBytes: 8192, LineBytes: 32, Assoc: 2, HitLatency: 2}
-		}
-		p := emu.MustNew(cfg)
-		for i := 0; i < 2; i++ {
-			if err := p.LoadProgram(i, prog); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.StepOne()
-		}
-		b.ReportMetric(float64(p.TotalInstructions())/float64(b.N), "instr/cycle")
-	}
-	b.Run("NoL2", func(b *testing.B) { run(b, false) })
-	b.Run("WithL2", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkDualIssueAblation compares single- and dual-issue cores on the
-// matrix kernel.
-func BenchmarkDualIssueAblation(b *testing.B) {
-	spec, err := workloads.Matrix(1, 12, 1_000_000, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, kind cpu.Kind) {
-		cfg := emu.DefaultConfig(1)
-		cfg.CoreKind = kind
-		p := emu.MustNew(cfg)
-		if err := p.LoadProgram(0, spec.Programs[0]); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.StepOne()
-		}
-		b.ReportMetric(float64(p.TotalInstructions())/float64(b.N), "instr/cycle")
-	}
-	b.Run("SingleIssue", func(b *testing.B) { run(b, cpu.Microblaze) })
-	b.Run("DualIssueVLIW", func(b *testing.B) { run(b, cpu.VLIW2) })
 }

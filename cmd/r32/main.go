@@ -235,7 +235,6 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	trace := fs.Bool("trace", false, "print every committed instruction")
 	maxCycles := fs.Uint64("max", 10_000_000, "cycle budget")
-	dual := fs.Bool("vliw", false, "run on the dual-issue VLIW core")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("run: need exactly one source file")
@@ -252,9 +251,6 @@ func cmdRun(args []string) error {
 	if err := p.LoadProgram(0, im); err != nil {
 		return err
 	}
-	if *dual {
-		p.Cores[0].SetIssueWidth(2)
-	}
 	if *trace {
 		p.Cores[0].SetTracer(func(pc, word uint32) {
 			fmt.Printf("%08x: %s\n", pc, isa.Decode(word))
@@ -267,8 +263,8 @@ func cmdRun(args []string) error {
 	fmt.Printf("-- halted=%v after %d cycles, %d instructions\n",
 		done, cycles, p.TotalInstructions())
 	st := p.Cores[0].Stats()
-	fmt.Printf("-- active %d, stall %d, idle %d, loads %d, stores %d, paired %d\n",
-		st.ActiveCycles, st.StallCycles, st.IdleCycles, st.Loads, st.Stores, st.Paired)
+	fmt.Printf("-- active %d, stall %d, idle %d, loads %d, stores %d\n",
+		st.ActiveCycles, st.StallCycles, st.IdleCycles, st.Loads, st.Stores)
 	// Non-zero registers.
 	for r := uint8(1); r < isa.NumRegs; r++ {
 		if v := p.Cores[0].Reg(r); v != 0 {

@@ -160,6 +160,25 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsRetiredFields pins the words the format keeps for
+// removed features (core 0's dual-issue pair counter, the L2 and
+// scratchpad counts): written as 0, and any other value is refused.
+func TestDecodeRejectsRetiredFields(t *testing.T) {
+	ck := fullCheckpoint(t, buildRun(t))
+	valid := checkpoint.Encode(ck)
+	for _, field := range []string{"paired", "l2", "scratch"} {
+		if got := checkpoint.WithRetiredField(ck, field, 0); !bytes.Equal(got, valid) {
+			t.Fatalf("%s: patching in 0 changed the encoding", field)
+		}
+		for _, v := range []uint64{1, 0xffffffff} {
+			_, err := checkpoint.Decode(checkpoint.WithRetiredField(ck, field, v))
+			if err == nil || !strings.Contains(err.Error(), "only 0 is supported") {
+				t.Errorf("%s = %d: decode error %v, want the retired-field refusal", field, v, err)
+			}
+		}
+	}
+}
+
 func TestWriteReadFile(t *testing.T) {
 	ck := fullCheckpoint(t, buildRun(t))
 	path := filepath.Join(t.TempDir(), "win3.tmck")

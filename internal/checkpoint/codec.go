@@ -60,6 +60,15 @@ func (r *reader) fail(format string, args ...any) {
 	}
 }
 
+// retired checks a word the format keeps for a removed feature, so that
+// the encoding and its pinned checksums stay unchanged: only zero, what the
+// encoder writes there, is accepted.
+func (r *reader) retired(what string, v uint64) {
+	if r.err == nil && v != 0 {
+		r.fail("%s is %d, only 0 is supported", what, v)
+	}
+}
+
 func (r *reader) remaining() int { return len(r.b) - r.off }
 
 // need reports whether n more bytes are available, failing otherwise.

@@ -11,7 +11,8 @@ import (
 // FuzzCheckpointRoundTrip feeds arbitrary bytes to the strict decoder. The
 // contract under fuzz: never panic, and any input that decodes cleanly must
 // re-encode to the identical bytes (the codec is canonical). Seeds include
-// a real encoded checkpoint so the fuzzer starts inside the format.
+// a real encoded checkpoint so the fuzzer starts inside the format, and one
+// that only the retired-field check refuses.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	small := &checkpoint.Checkpoint{Platform: &emu.PlatformState{}}
 	f.Add(checkpoint.Encode(small))
@@ -19,6 +20,8 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	p := emu.MustNew(emu.DefaultConfig(1))
 	p.Step(100)
 	f.Add(checkpoint.Encode(checkpoint.FromPlatform(p)))
+	// A stream that is valid but for a non-zero retired L2 count.
+	f.Add(checkpoint.WithRetiredField(checkpoint.FromPlatform(p), "l2", 1))
 
 	f.Add([]byte{})
 	f.Add([]byte{0x54, 0x4d, 0x43, 0x4b}) // bare magic

@@ -80,7 +80,7 @@ func encodeCore(w *writer, c *cpu.CoreState) {
 	w.u64(c.Stats.Stores)
 	w.u64(c.Stats.Branches)
 	w.u64(c.Stats.Taken)
-	w.u64(c.Stats.Paired)
+	w.u64(0) // retired dual-issue pair counter
 }
 
 func decodeCore(r *reader) cpu.CoreState {
@@ -102,7 +102,7 @@ func decodeCore(r *reader) cpu.CoreState {
 	c.Stats.Stores = r.u64()
 	c.Stats.Branches = r.u64()
 	c.Stats.Taken = r.u64()
-	c.Stats.Paired = r.u64()
+	r.retired("dual-issue pair counter", r.u64())
 	return c
 }
 
@@ -240,10 +240,7 @@ func encodePlatform(w *writer, s *emu.PlatformState) {
 	for i := range s.DCaches {
 		encodeCache(w, &s.DCaches[i])
 	}
-	w.u32(uint32(len(s.L2s)))
-	for i := range s.L2s {
-		encodeCache(w, &s.L2s[i])
-	}
+	w.u32(0) // retired per-core L2 count
 	w.u32(uint32(len(s.Ctrls)))
 	for i := range s.Ctrls {
 		encodeCtrl(w, &s.Ctrls[i])
@@ -252,10 +249,7 @@ func encodePlatform(w *writer, s *emu.PlatformState) {
 	for i := range s.Privs {
 		encodeMemory(w, &s.Privs[i])
 	}
-	w.u32(uint32(len(s.Scratch)))
-	for i := range s.Scratch {
-		encodeMemory(w, &s.Scratch[i])
-	}
+	w.u32(0) // retired per-core scratchpad count
 	encodeMemory(w, &s.Shared)
 	w.i64(int64(s.Barrier.Arrivals))
 	w.u32(s.Barrier.Gen)
@@ -323,18 +317,14 @@ func decodePlatform(r *reader) *emu.PlatformState {
 	for i, n := 0, r.count(59); i < n && r.err == nil; i++ {
 		s.DCaches = append(s.DCaches, decodeCache(r))
 	}
-	for i, n := 0, r.count(59); i < n && r.err == nil; i++ {
-		s.L2s = append(s.L2s, decodeCache(r))
-	}
+	r.retired("L2 count", uint64(r.u32()))
 	for i, n := 0, r.count(56); i < n && r.err == nil; i++ {
 		s.Ctrls = append(s.Ctrls, decodeCtrl(r))
 	}
 	for i, n := 0, r.count(20); i < n && r.err == nil; i++ {
 		s.Privs = append(s.Privs, decodeMemory(r))
 	}
-	for i, n := 0, r.count(20); i < n && r.err == nil; i++ {
-		s.Scratch = append(s.Scratch, decodeMemory(r))
-	}
+	r.retired("scratchpad count", uint64(r.u32()))
 	s.Shared = decodeMemory(r)
 	s.Barrier.Arrivals = int(r.i64())
 	s.Barrier.Gen = r.u32()

@@ -312,8 +312,8 @@ func (bc *blockCache) fetchPath(ctrl *mem.Controller, pc uint32) *mem.FetchPath 
 // cycles starting at platform cycle now, returning the cycles consumed, the
 // instructions issued and the stall cycles settled in bulk. A zero cycle
 // count means block dispatch cannot run from the current state (disabled,
-// tracing, dual-issue, stalled, halted, an undispatchable pc, or a first
-// instruction the sharedBefore bound stops) and the caller must fall back
+// tracing, stalled, halted, an undispatchable pc, or a first instruction
+// the sharedBefore bound stops) and the caller must fall back
 // to Step. Every observable effect over the consumed cycles is
 // bit-identical to that many Step calls.
 //
@@ -331,7 +331,7 @@ func (bc *blockCache) fetchPath(ctrl *mem.Controller, pc uint32) *mem.FetchPath 
 // The per-op path below handles only the ops the executor stops at: halt,
 // and memory ops other than a lw that completes as a dcache hit.
 func (c *Core) StepBlocks(now, max, sharedBefore uint64) (cycles, steps, skipped uint64) {
-	if c.blocks == nil || max == 0 || c.tracer != nil || c.issueWidth > 1 ||
+	if c.blocks == nil || max == 0 || c.tracer != nil ||
 		c.halt || c.fault != nil || c.stall > 0 {
 		return 0, 0, 0
 	}

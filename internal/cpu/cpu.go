@@ -31,7 +31,6 @@ const (
 	PPC405                 // hard-core
 	ARM7                   // low-power core of floorplan (a)
 	ARM11                  // high-performance core of floorplan (b)
-	VLIW2                  // dual-issue VLIW-class core (TC4SOC-style)
 )
 
 // String returns the preset name.
@@ -45,8 +44,6 @@ func (k Kind) String() string {
 		return "arm7"
 	case ARM11:
 		return "arm11"
-	case VLIW2:
-		return "vliw2"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -94,9 +91,6 @@ type Stats struct {
 	Stores       uint64
 	Branches     uint64
 	Taken        uint64
-	// Paired counts cycles where a dual-issue core committed two
-	// instructions (always 0 for single-issue cores).
-	Paired uint64
 }
 
 // Cycles returns the total cycles the core has been clocked.
@@ -124,9 +118,6 @@ type Core struct {
 	fault error
 	state State
 	stats Stats
-	// issueWidth is the maximum instructions issued per cycle (1 or 2:
-	// the dual-issue mode models the VLIW-class cores of Section 3.1).
-	issueWidth int
 	// tracer, when set, observes every committed instruction.
 	tracer func(pc uint32, word uint32)
 	// dec memoizes instruction decode for the fetch/dispatch hot path.
@@ -143,36 +134,16 @@ type Core struct {
 	blocks *blockCache
 }
 
-// New creates a core attached to its memory controller. The VLIW2 preset
-// issues up to two instructions per cycle; every other preset is
-// single-issue.
+// New creates a core attached to its memory controller.
 func New(id int, kind Kind, ctrl *mem.Controller) *Core {
-	width := 1
-	if kind == VLIW2 {
-		width = 2
-	}
 	return &Core{id: id, name: fmt.Sprintf("%s%d", kind, id), kind: kind,
-		ctrl: ctrl, state: Active, issueWidth: width}
+		ctrl: ctrl, state: Active}
 }
 
 // SetTracer installs a per-committed-instruction observer (nil disables).
 // Tracing is intended for debugging custom workloads; it sees the pc and
-// raw instruction word of every commit, including the second slot of
-// dual-issue bundles.
+// raw instruction word of every commit.
 func (c *Core) SetTracer(fn func(pc uint32, word uint32)) { c.tracer = fn }
-
-// IssueWidth returns the core's maximum instructions per cycle.
-func (c *Core) IssueWidth() int { return c.issueWidth }
-
-// SetIssueWidth overrides the issue width (1 or 2).
-func (c *Core) SetIssueWidth(w int) {
-	if w < 1 {
-		w = 1
-	} else if w > 2 {
-		w = 2
-	}
-	c.issueWidth = w
-}
 
 // ID returns the core index within the platform.
 func (c *Core) ID() int { return c.id }
@@ -325,113 +296,16 @@ func (c *Core) Step(now uint64) {
 		c.fault = err
 		return
 	}
-	i1 := c.dec.Decode(w)
-	// Dual issue: if the first operation does not end the bundle, peek the
-	// next word and issue it in the same cycle when no structural or data
-	// hazard exists between the pair.
-	if c.issueWidth > 1 && !endsBundle(i1) {
-		w2, f2, err := c.ctrl.Fetch(now, c.pc+4)
-		if err == nil {
-			i2 := c.dec.Decode(w2)
-			if pairable(i1, i2) {
-				if c.tracer != nil {
-					c.tracer(c.pc, w)
-					c.tracer(c.pc+4, w2)
-				}
-				d1, err := c.exec(now, i1)
-				if err != nil {
-					c.fault = err
-					return
-				}
-				d2, err := c.exec(now, i2)
-				if err != nil {
-					c.fault = err
-					return
-				}
-				c.stall = fstall + f2 + d1 + d2
-				c.stats.Instructions += 2
-				c.stats.Paired++
-				return
-			}
-		}
-		// Unpairable or second fetch faulted: fall through to single issue
-		// (a real fetch unit would not commit the speculative fetch).
-	}
 	if c.tracer != nil {
 		c.tracer(c.pc, w)
 	}
-	dstall, err := c.exec(now, i1)
+	dstall, err := c.exec(now, c.dec.Decode(w))
 	if err != nil {
 		c.fault = err
 		return
 	}
 	c.stall = fstall + dstall
 	c.stats.Instructions++
-}
-
-// endsBundle reports whether the instruction must be the last of an issue
-// bundle (control transfers and halt redirect the fetch stream).
-func endsBundle(in isa.Instr) bool {
-	switch {
-	case in.Op == isa.OpJal, in.Op == isa.OpJalr, in.Op == isa.OpHalt:
-		return true
-	case in.Op.IsBranch():
-		return true
-	}
-	return false
-}
-
-// writesReg returns the destination register an instruction writes, or
-// (0, false) if it writes none.
-func writesReg(in isa.Instr) (uint8, bool) {
-	switch {
-	case in.Op == isa.OpRType, in.Op == isa.OpLui, in.Op == isa.OpJalr,
-		in.Op.IsLoad(), in.Op == isa.OpSwap:
-		return in.Rd, in.Rd != 0
-	case in.Op == isa.OpJal:
-		return isa.LinkReg, true
-	case in.Op.IsBranch(), in.Op.IsStore(), in.Op == isa.OpHalt:
-		return 0, false
-	default: // ALU immediates
-		return in.Rd, in.Rd != 0
-	}
-}
-
-// readsRegs lists the registers an instruction reads.
-func readsRegs(in isa.Instr) [3]uint8 {
-	switch {
-	case in.Op == isa.OpRType:
-		return [3]uint8{in.Rs1, in.Rs2, 0}
-	case in.Op.IsBranch():
-		return [3]uint8{in.Rs1, in.Rs2, 0}
-	case in.Op.IsStore(), in.Op == isa.OpSwap:
-		return [3]uint8{in.Rs1, in.Rd, 0} // stores read the data register
-	case in.Op == isa.OpLui, in.Op == isa.OpHalt, in.Op == isa.OpJal:
-		return [3]uint8{0, 0, 0}
-	default:
-		return [3]uint8{in.Rs1, 0, 0}
-	}
-}
-
-// pairable reports whether i2 can issue in the same cycle as i1: at most
-// one memory operation per bundle, no read-after-write on i1's result and
-// no write-after-write collision.
-func pairable(i1, i2 isa.Instr) bool {
-	if i1.Op.IsMem() && i2.Op.IsMem() {
-		return false // one memory port
-	}
-	rd1, writes1 := writesReg(i1)
-	if writes1 {
-		for _, r := range readsRegs(i2) {
-			if r == rd1 {
-				return false // RAW
-			}
-		}
-		if rd2, writes2 := writesReg(i2); writes2 && rd2 == rd1 {
-			return false // WAW
-		}
-	}
-	return true
 }
 
 // exec executes one decoded instruction, returning extra stall cycles.

@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -408,159 +407,5 @@ func TestResetClearsState(t *testing.T) {
 	core.Reset(0)
 	if core.Reg(1) != 0 || core.Halted() || core.PC() != 0 || core.Stats().Instructions != 0 {
 		t.Error("reset did not clear state")
-	}
-}
-
-// buildKindCore is buildCore with a selectable core preset.
-func buildKindCore(t *testing.T, kind Kind, src string) *Core {
-	t.Helper()
-	im, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl := mem.NewController("ctl0", 0)
-	priv := mem.NewMemory("priv", 64*1024, 0)
-	if err := ctl.AddRange(mem.Range{Name: "priv", Base: 0, Target: priv, Kind: mem.KindPrivate}); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range im.Sections {
-		priv.WriteBytes(s.Addr, s.Data)
-	}
-	core := New(0, kind, ctl)
-	core.Reset(im.Entry)
-	return core
-}
-
-func TestDualIssuePairsIndependentOps(t *testing.T) {
-	src := `
-		addi r1, r0, 1
-		addi r2, r0, 2
-		addi r3, r0, 3
-		addi r4, r0, 4
-		halt
-	`
-	single := buildKindCore(t, Microblaze, src)
-	dual := buildKindCore(t, VLIW2, src)
-	run(t, single, 100)
-	run(t, dual, 100)
-	for r := uint8(1); r <= 4; r++ {
-		if single.Reg(r) != dual.Reg(r) {
-			t.Errorf("r%d differs: %d vs %d", r, single.Reg(r), dual.Reg(r))
-		}
-	}
-	if dual.Stats().Paired == 0 {
-		t.Error("dual-issue core never paired")
-	}
-	if dual.Stats().ActiveCycles >= single.Stats().ActiveCycles {
-		t.Errorf("dual issue not faster: %d vs %d active cycles",
-			dual.Stats().ActiveCycles, single.Stats().ActiveCycles)
-	}
-	if dual.Stats().Instructions != single.Stats().Instructions {
-		t.Errorf("instruction counts differ: %d vs %d",
-			dual.Stats().Instructions, single.Stats().Instructions)
-	}
-}
-
-func TestDualIssueHazardsBlockPairing(t *testing.T) {
-	// Every instruction depends on the previous one: nothing can pair.
-	dual := buildKindCore(t, VLIW2, `
-		addi r1, r0, 1
-		addi r1, r1, 1
-		addi r1, r1, 1
-		addi r1, r1, 1
-		halt
-	`)
-	run(t, dual, 100)
-	// The dependent addis can never pair with each other; the only legal
-	// bundle is the final addi together with halt.
-	if dual.Stats().Paired != 1 {
-		t.Errorf("RAW chain paired %d times, want 1 (addi+halt)", dual.Stats().Paired)
-	}
-	if dual.Reg(1) != 4 {
-		t.Errorf("r1 = %d, want 4", dual.Reg(1))
-	}
-}
-
-func TestDualIssueMemoryPortLimit(t *testing.T) {
-	dual := buildKindCore(t, VLIW2, `
-		li  r1, 0x1000
-		sw  r1, 0(r1)
-		lw  r2, 0(r1)     ; depends on memory, also mem-after-mem
-		halt
-	`)
-	run(t, dual, 100)
-	if dual.Reg(2) != 0x1000 {
-		t.Errorf("r2 = %#x", dual.Reg(2))
-	}
-}
-
-func TestDualIssueBranchSecondSlot(t *testing.T) {
-	// An independent branch may fill the second slot; its target must be
-	// computed from its own address.
-	dual := buildKindCore(t, VLIW2, `
-		addi r1, r0, 5
-		beq  r0, r0, skip  ; pairs with the addi above
-		addi r1, r0, 99    ; must be skipped
-	skip:
-		halt
-	`)
-	run(t, dual, 100)
-	if dual.Reg(1) != 5 {
-		t.Errorf("r1 = %d; branch in slot 2 mis-targeted", dual.Reg(1))
-	}
-	if dual.Stats().Paired == 0 {
-		t.Error("addi+beq did not pair")
-	}
-}
-
-// Differential property: random straight-line ALU programs produce the same
-// architectural state on single- and dual-issue cores.
-func TestDualIssueDifferentialQuick(t *testing.T) {
-	ops := []string{"add", "sub", "and", "or", "xor", "sll", "srl", "mul"}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		src := ""
-		for i := 0; i < 3; i++ {
-			src += "\taddi r" + itoa(i+1) + ", r0, " + itoa(r.Intn(1000)) + "\n"
-		}
-		for i := 0; i < 40; i++ {
-			op := ops[r.Intn(len(ops))]
-			rd := 1 + r.Intn(10)
-			rs1 := 1 + r.Intn(10)
-			rs2 := 1 + r.Intn(10)
-			src += "\t" + op + " r" + itoa(rd) + ", r" + itoa(rs1) + ", r" + itoa(rs2) + "\n"
-		}
-		src += "\thalt\n"
-		single := buildKindCore(t, Microblaze, src)
-		dual := buildKindCore(t, VLIW2, src)
-		run(t, single, 10000)
-		run(t, dual, 10000)
-		for reg := uint8(0); reg < 11; reg++ {
-			if single.Reg(reg) != dual.Reg(reg) {
-				t.Logf("seed %d: r%d = %d vs %d", seed, reg, single.Reg(reg), dual.Reg(reg))
-				return false
-			}
-		}
-		return dual.Stats().Instructions == single.Stats().Instructions
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func itoa(v int) string { return fmt.Sprintf("%d", v) }
-
-func TestSetIssueWidthClamps(t *testing.T) {
-	c := buildKindCore(t, Microblaze, "halt")
-	c.SetIssueWidth(0)
-	if c.IssueWidth() != 1 {
-		t.Error("width 0 not clamped")
-	}
-	c.SetIssueWidth(7)
-	if c.IssueWidth() != 2 {
-		t.Error("width 7 not clamped")
-	}
-	if New(0, VLIW2, nil).IssueWidth() != 2 {
-		t.Error("VLIW2 preset not dual issue")
 	}
 }

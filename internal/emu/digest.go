@@ -35,16 +35,15 @@ func DigestSnapshot(tr *golden.Trace, s Snapshot) {
 		tr.Record(cy, i, "stores", c.Stores)
 		tr.Record(cy, i, "branches", c.Branches)
 		tr.Record(cy, i, "taken", c.Taken)
-		tr.Record(cy, i, "paired", c.Paired)
+		// The record of a since-removed dual-issue counter stays, at 0,
+		// so the committed golden digests do not move.
+		tr.Record(cy, i, "paired", 0)
 	}
 	for i := range s.ICaches {
 		digestCache(tr, cy, i, &icacheFields, s.ICaches[i])
 	}
 	for i := range s.DCaches {
 		digestCache(tr, cy, i, &dcacheFields, s.DCaches[i])
-	}
-	for i := range s.L2s {
-		digestCache(tr, cy, i, &l2Fields, s.L2s[i])
 	}
 	for i := range s.Ctrls {
 		c := s.Ctrls[i]
@@ -90,8 +89,6 @@ var (
 		"icache_misses", "icache_evictions", "icache_writebacks"}
 	dcacheFields = cacheFields{"dcache_reads", "dcache_writes", "dcache_hits",
 		"dcache_misses", "dcache_evictions", "dcache_writebacks"}
-	l2Fields = cacheFields{"l2_reads", "l2_writes", "l2_hits",
-		"l2_misses", "l2_evictions", "l2_writebacks"}
 )
 
 func digestCache(tr *golden.Trace, cy uint64, core int, f *cacheFields, c mem.CacheStats) {

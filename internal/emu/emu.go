@@ -31,7 +31,6 @@ import (
 // memory-mapped so emulated software can toggle sniffers (Section 4.1).
 const (
 	PrivBase    = 0x0000_0000
-	ScratchBase = 0x0800_0000
 	SharedBase  = 0x1000_0000
 	BarrierBase = 0x2000_0000
 	SniffBase   = 0x2100_0000
@@ -108,13 +107,6 @@ type Config struct {
 
 	ICache *mem.CacheConfig // nil = uncached fetch path
 	DCache *mem.CacheConfig // nil = uncached data path
-	// L2 interposes a per-core second cache level on the shared-memory
-	// path (between the L1s and the interconnect), per the paper's
-	// "additional cache levels ... added in few minutes".
-	L2 *mem.CacheConfig
-	// ScratchKB adds a per-core software-managed scratchpad at
-	// ScratchBase (0 = none).
-	ScratchKB int
 
 	PrivKB          int
 	PrivLatency     uint64
@@ -192,7 +184,7 @@ func (c Config) Validate() error {
 	if c.IC == ICNoC && c.NoC == nil {
 		return fmt.Errorf("emu: NoC interconnect requires a NoCSpec")
 	}
-	for _, cc := range []*mem.CacheConfig{c.ICache, c.DCache, c.L2} {
+	for _, cc := range []*mem.CacheConfig{c.ICache, c.DCache} {
 		if cc != nil {
 			if err := cc.Validate(); err != nil {
 				return fmt.Errorf("emu: %w", err)
@@ -213,7 +205,6 @@ type Platform struct {
 	Bus     *bus.Bus     // nil for NoC platforms
 	Net     *noc.Network // nil for bus platforms
 	Barrier *mem.Barrier
-	L2s     []*mem.Cache // per-core L2, when configured
 	Hub     *sniffer.Hub
 	Ring    *sniffer.Ring
 	Events  []*sniffer.EventSniffer // per controller, when EventLogging
@@ -290,14 +281,7 @@ func New(cfg Config) (*Platform, error) {
 			Cacheable: true, Kind: mem.KindPrivate}); err != nil {
 			return nil, err
 		}
-		var shared mem.Target = &mem.Routed{Under: p.Shared, IC: ic, Initiator: i}
-		if cfg.L2 != nil {
-			l2cfg := *cfg.L2
-			l2cfg.Name = fmt.Sprintf("l2_%d", i)
-			l2 := mem.NewCache(l2cfg)
-			p.L2s = append(p.L2s, l2)
-			shared = mem.NewCachedTarget(l2, shared)
-		}
+		shared := &mem.Routed{Under: p.Shared, IC: ic, Initiator: i}
 		sniffctl := mem.NewRegDevice("sniffctl", 64, 1, p.Hub.CtrlLoad, p.Hub.CtrlStore)
 		if err := ctl.AddRange(mem.Range{Name: "shared", Base: SharedBase, Target: shared,
 			Cacheable: cfg.SharedCacheable, Kind: mem.KindShared}); err != nil {
@@ -310,13 +294,6 @@ func New(cfg Config) (*Platform, error) {
 		if err := ctl.AddRange(mem.Range{Name: "sniffctl", Base: SniffBase,
 			Target: sniffctl, Kind: mem.KindDevice}); err != nil {
 			return nil, err
-		}
-		if cfg.ScratchKB > 0 {
-			spm := mem.Scratchpad(fmt.Sprintf("scratch%d", i), uint32(cfg.ScratchKB)*1024)
-			if err := ctl.AddRange(mem.Range{Name: "scratch", Base: ScratchBase,
-				Target: spm, Kind: mem.KindPrivate}); err != nil {
-				return nil, err
-			}
 		}
 		coreID := uint32(i)
 		info := mem.NewRegDevice("info", 4, 1, func(reg uint32) uint32 {
@@ -513,8 +490,7 @@ func (p *Platform) Run(maxCycles uint64) (uint64, bool) {
 // core can observe that work. It stops before its first non-private access
 // (shared memory, interconnect, barrier, sniffer control, devices) at or
 // after sharedBefore; when dispatch cannot start at all (an undispatchable
-// pc, a dual-issue core, a tracer, or a non-private access tied with a
-// higher-ID core) the front core executes one interpreter Step instead.
+// pc, a tracer, or a non-private access tied with a higher-ID core) the front core executes one interpreter Step instead.
 // Either way every non-private access commits at the global front of the
 // (cycle, coreID) order, which is exactly StepOne's interleaving: no
 // access another core could observe is ever reordered, and the rest is
@@ -653,7 +629,6 @@ type Snapshot struct {
 	Cores   []cpu.Stats
 	ICaches []mem.CacheStats
 	DCaches []mem.CacheStats
-	L2s     []mem.CacheStats
 	Ctrls   []mem.CtrlStats
 	Shared  mem.MemStats
 	Bus     *bus.Stats
@@ -680,7 +655,6 @@ func (p *Platform) SnapshotInto(s *Snapshot) {
 	s.Cores = slices.Grow(s.Cores[:0], n)
 	s.ICaches = slices.Grow(s.ICaches[:0], n)
 	s.DCaches = slices.Grow(s.DCaches[:0], n)
-	s.L2s = slices.Grow(s.L2s[:0], len(p.L2s))
 	s.Ctrls = slices.Grow(s.Ctrls[:0], n)
 	for i, c := range p.Cores {
 		s.Cores = append(s.Cores, c.Stats())
@@ -695,9 +669,6 @@ func (p *Platform) SnapshotInto(s *Snapshot) {
 			s.DCaches = append(s.DCaches, mem.CacheStats{})
 		}
 		s.Ctrls = append(s.Ctrls, p.Ctrls[i].Stats())
-		if i < len(p.L2s) {
-			s.L2s = append(s.L2s, p.L2s[i].Stats())
-		}
 	}
 	if p.Bus != nil {
 		if s.Bus == nil {
@@ -727,7 +698,6 @@ func (s *Snapshot) CopyInto(dst *Snapshot) {
 	dst.Cores = append(dst.Cores[:0], s.Cores...)
 	dst.ICaches = append(dst.ICaches[:0], s.ICaches...)
 	dst.DCaches = append(dst.DCaches[:0], s.DCaches...)
-	dst.L2s = append(dst.L2s[:0], s.L2s...)
 	dst.Ctrls = append(dst.Ctrls[:0], s.Ctrls...)
 	if s.Bus != nil {
 		if dst.Bus == nil {

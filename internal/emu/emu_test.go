@@ -341,79 +341,8 @@ func TestSnifferHubRegistered(t *testing.T) {
 	}
 }
 
-func TestL2CacheReducesSharedStalls(t *testing.T) {
-	prog := asm.MustAssemble(`
-		li   r1, 0x10000000
-		addi r2, r0, 200
-	loop:
-		lw   r3, 0(r1)       ; repeatedly read the same shared line
-		lw   r4, 4(r1)
-		subi r2, r2, 1
-		bne  r2, r0, loop
-		halt
-	`)
-	run := func(withL2 bool) uint64 {
-		cfg := DefaultConfig(1)
-		if withL2 {
-			cfg.L2 = &mem.CacheConfig{Name: "l2", SizeBytes: 16 * 1024, LineBytes: 32, Assoc: 4, HitLatency: 2}
-		}
-		p := MustNew(cfg)
-		if err := p.LoadProgram(0, prog); err != nil {
-			t.Fatal(err)
-		}
-		cycles, done := p.Run(10_000_000)
-		if !done {
-			t.Fatal("did not halt")
-		}
-		if withL2 {
-			if len(p.L2s) != 1 {
-				t.Fatal("L2 not instantiated")
-			}
-			st := p.L2s[0].Stats()
-			if st.Hits == 0 {
-				t.Error("L2 never hit")
-			}
-			if snap := p.Snapshot(); len(snap.L2s) != 1 {
-				t.Error("snapshot missing L2 stats")
-			}
-		}
-		return cycles
-	}
-	without := run(false)
-	with := run(true)
-	if with >= without {
-		t.Errorf("L2 did not speed up shared re-reads: %d vs %d cycles", with, without)
-	}
-}
-
-func TestScratchpadRange(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.ScratchKB = 4
-	p := MustNew(cfg)
-	im := asm.MustAssemble(`
-		li   r1, 0x08000000
-		addi r2, r0, 99
-		sw   r2, 0(r1)
-		lw   r3, 0(r1)
-		li   r4, 0x10000000
-		sw   r3, 0(r4)
-		halt
-	`)
-	if err := p.LoadProgram(0, im); err != nil {
-		t.Fatal(err)
-	}
-	if _, done := p.Run(10000); !done {
-		t.Fatalf("did not halt (fault: %v)", p.Fault())
-	}
-	if got := p.ReadSharedWord(0); got != 99 {
-		t.Errorf("scratchpad round trip = %d", got)
-	}
-}
-
 func TestReportContents(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.L2 = &mem.CacheConfig{Name: "l2", SizeBytes: 8192, LineBytes: 32, Assoc: 2, HitLatency: 2}
-	p := MustNew(cfg)
+	p := MustNew(DefaultConfig(2))
 	im := asm.MustAssemble(`
 		li   r1, 0x10000000
 		addi r2, r0, 20
@@ -432,7 +361,7 @@ func TestReportContents(t *testing.T) {
 	p.Run(1_000_000)
 	rep := p.Report()
 	for _, want := range []string{"processing cores:", "IPC", "memory subsystem:",
-		"icache0", "dcache1", "l2_0", "memctl0", "shared memory:", "interconnect:",
+		"icache0", "dcache1", "memctl0", "shared memory:", "interconnect:",
 		"opb bus:", "virtual platform clock:"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
@@ -452,10 +381,7 @@ func TestHeterogeneousCores(t *testing.T) {
 			t.Errorf("core %d = %v, want microblaze", i, p.Cores[i].Kind())
 		}
 	}
-	// Mixed issue widths run the same binary correctly.
-	cfg.CoreKinds = []cpu.Kind{cpu.VLIW2, cpu.Microblaze}
-	cfg.Cores = 2
-	p = MustNew(cfg)
+	// The mixed cores run the same binary correctly.
 	im := asm.MustAssemble(`
 		li  r1, 0x10000000
 		li  r2, 0x22000000
@@ -466,7 +392,7 @@ func TestHeterogeneousCores(t *testing.T) {
 		sw  r5, 0(r1)
 		halt
 	`)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 4; i++ {
 		if err := p.LoadProgram(i, im); err != nil {
 			t.Fatal(err)
 		}
@@ -474,15 +400,9 @@ func TestHeterogeneousCores(t *testing.T) {
 	if _, done := p.Run(10000); !done {
 		t.Fatal("did not halt")
 	}
-	for i := uint32(0); i < 2; i++ {
+	for i := uint32(0); i < 4; i++ {
 		if got := p.ReadSharedWord(4 * i); got != 7 {
 			t.Errorf("core %d result = %d", i, got)
 		}
-	}
-	if p.Cores[0].Stats().Paired == 0 {
-		t.Error("VLIW core never paired")
-	}
-	if p.Cores[1].Stats().Paired != 0 {
-		t.Error("scalar core paired")
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"thermemu/internal/emu"
 	"thermemu/internal/golden"
-	"thermemu/internal/mem"
 	"thermemu/internal/workloads"
 )
 
@@ -90,15 +89,14 @@ func digestRun(t *testing.T, cfg emu.Config, s *workloads.Spec,
 	return tr
 }
 
-// TestRunAheadL2MatchesPerCycle covers the L2-equipped shared path: a
-// cacheable shared range behind a per-core L2, where one instruction's L2
-// fill plus write-back reaches the interconnect. Run-ahead must match the
-// per-cycle sweep in one span and in windows that cut its runs short.
-func TestRunAheadL2MatchesPerCycle(t *testing.T) {
+// TestRunAheadCacheableSharedMatchesPerCycle covers a cacheable shared
+// range, where one instruction's dcache fill plus write-back reaches the
+// interconnect. Run-ahead must match the per-cycle sweep in one span and in
+// windows that cut its runs short.
+func TestRunAheadCacheableSharedMatchesPerCycle(t *testing.T) {
 	spec := diffSpec(t, "dithering", 4)
 	cfg := diffConfig(4, false)
 	cfg.SharedCacheable = true
-	cfg.L2 = &mem.CacheConfig{Name: "l2", SizeBytes: 8 * 1024, LineBytes: 16, Assoc: 2, HitLatency: 1}
 	want := digestRun(t, cfg, spec,
 		func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
 			return stepOneDigest(p, diffMaxCycles, diffEvery, tr)
@@ -113,7 +111,7 @@ func TestRunAheadL2MatchesPerCycle(t *testing.T) {
 				return stepWindowDigest(p, diffMaxCycles, diffEvery, step, tr)
 			})
 		if d := golden.Compare(want, got); d != nil {
-			t.Errorf("L2 shared path (step=%d) diverges from per-cycle sweep: %s", step, d)
+			t.Errorf("cacheable shared path (step=%d) diverges from per-cycle sweep: %s", step, d)
 		}
 	}
 }

@@ -16,8 +16,8 @@ func (p *Platform) Report() string {
 		len(p.Cores), p.Cfg.CoreKind, p.VPCM.Frequency()/1e6, p.Cfg.IC, cyc, p.VPCM.Time())
 
 	fmt.Fprintf(&b, "\nprocessing cores:\n")
-	fmt.Fprintf(&b, "  %-6s %12s %6s %7s %7s %7s %10s %10s %8s\n",
-		"core", "instr", "IPC", "active", "stall", "idle", "loads", "stores", "paired")
+	fmt.Fprintf(&b, "  %-6s %12s %6s %7s %7s %7s %10s %10s\n",
+		"core", "instr", "IPC", "active", "stall", "idle", "loads", "stores")
 	for i, c := range p.Cores {
 		st := c.Stats()
 		total := st.Cycles()
@@ -31,9 +31,9 @@ func (p *Platform) Report() string {
 		if total > 0 {
 			ipc = float64(st.Instructions) / float64(total)
 		}
-		fmt.Fprintf(&b, "  %-6d %12d %6.3f %6.1f%% %6.1f%% %6.1f%% %10d %10d %8d\n",
+		fmt.Fprintf(&b, "  %-6d %12d %6.3f %6.1f%% %6.1f%% %6.1f%% %10d %10d\n",
 			i, st.Instructions, ipc, pct(st.ActiveCycles), pct(st.StallCycles),
-			pct(st.IdleCycles), st.Loads, st.Stores, st.Paired)
+			pct(st.IdleCycles), st.Loads, st.Stores)
 	}
 
 	fmt.Fprintf(&b, "\nmemory subsystem:\n")
@@ -49,11 +49,6 @@ func (p *Platform) Report() string {
 			fmt.Fprintf(&b, "  dcache%-4d %12d %8.1f%% %12d %12d\n",
 				i, s.Accesses(), 100*(1-s.MissRate()), s.Evictions, s.Writebacks)
 		}
-	}
-	for i, l2 := range p.L2s {
-		s := l2.Stats()
-		fmt.Fprintf(&b, "  l2_%-7d %12d %8.1f%% %12d %12d\n",
-			i, s.Accesses(), 100*(1-s.MissRate()), s.Evictions, s.Writebacks)
 	}
 	fmt.Fprintf(&b, "  %-10s %12s %12s %12s %12s\n", "controller", "fetches", "private r/w", "shared r/w", "stall cyc")
 	for i, ctl := range p.Ctrls {

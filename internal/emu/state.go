@@ -30,10 +30,8 @@ type PlatformState struct {
 	Cores   []cpu.CoreState
 	ICaches []mem.CacheState
 	DCaches []mem.CacheState
-	L2s     []mem.CacheState
 	Ctrls   []mem.CtrlStats
 	Privs   []mem.MemoryState
-	Scratch []mem.MemoryState // per core, only when Config.ScratchKB > 0
 	Shared  mem.MemoryState
 	Barrier mem.BarrierState
 	Bus     *bus.State
@@ -43,19 +41,6 @@ type PlatformState struct {
 	Acts       []sniffer.ActivityState // per core, when activity sniffers attached
 	Events     []sniffer.EventCounters // per core, when Config.EventLogging
 	RingEvents []sniffer.Event         // buffered BRAM events, when Config.EventLogging
-}
-
-// scratchMem returns core i's scratchpad memory, or nil when the platform
-// has none.
-func (p *Platform) scratchMem(i int) *mem.Memory {
-	for _, r := range p.Ctrls[i].Ranges() {
-		if r.Name == "scratch" {
-			if m, ok := r.Target.(*mem.Memory); ok {
-				return m
-			}
-		}
-	}
-	return nil
 }
 
 // SaveState captures the full platform state. The platform must be
@@ -79,12 +64,6 @@ func (p *Platform) SaveState() *PlatformState {
 			s.DCaches = append(s.DCaches, dc.SaveState())
 		}
 		s.Privs = append(s.Privs, p.Privs[i].SaveState())
-		if spm := p.scratchMem(i); spm != nil {
-			s.Scratch = append(s.Scratch, spm.SaveState())
-		}
-	}
-	for _, l2 := range p.L2s {
-		s.L2s = append(s.L2s, l2.SaveState())
 	}
 	if p.Bus != nil {
 		b := p.Bus.SaveState()
@@ -131,8 +110,6 @@ func (p *Platform) RestoreState(s *PlatformState) error {
 		return fmt.Errorf("emu: checkpoint has %d icaches, platform has %d", len(s.ICaches), nic)
 	case len(s.DCaches) != ndc:
 		return fmt.Errorf("emu: checkpoint has %d dcaches, platform has %d", len(s.DCaches), ndc)
-	case len(s.L2s) != len(p.L2s):
-		return fmt.Errorf("emu: checkpoint has %d L2s, platform has %d", len(s.L2s), len(p.L2s))
 	case len(s.Ctrls) != len(p.Ctrls):
 		return fmt.Errorf("emu: checkpoint has %d controllers, platform has %d", len(s.Ctrls), len(p.Ctrls))
 	case len(s.Privs) != len(p.Privs):
@@ -143,13 +120,6 @@ func (p *Platform) RestoreState(s *PlatformState) error {
 		return fmt.Errorf("emu: checkpoint and platform disagree on NoC interconnect")
 	case len(s.Events) != len(p.Events):
 		return fmt.Errorf("emu: checkpoint has %d event sniffers, platform has %d", len(s.Events), len(p.Events))
-	}
-	nspm := 0
-	if p.Cfg.ScratchKB > 0 {
-		nspm = len(p.Cores)
-	}
-	if len(s.Scratch) != nspm {
-		return fmt.Errorf("emu: checkpoint has %d scratchpads, platform has %d", len(s.Scratch), nspm)
 	}
 	if len(s.Acts) > 0 && p.acts == nil {
 		p.AttachActivitySniffers()
@@ -167,11 +137,6 @@ func (p *Platform) RestoreState(s *PlatformState) error {
 		if err := p.Privs[i].RestoreState(s.Privs[i]); err != nil {
 			return err
 		}
-		if i < len(s.Scratch) {
-			if err := p.scratchMem(i).RestoreState(s.Scratch[i]); err != nil {
-				return err
-			}
-		}
 	}
 	ic, dc := 0, 0
 	for _, ctl := range p.Ctrls {
@@ -186,11 +151,6 @@ func (p *Platform) RestoreState(s *PlatformState) error {
 				return err
 			}
 			dc++
-		}
-	}
-	for i, l2 := range p.L2s {
-		if err := l2.RestoreState(s.L2s[i]); err != nil {
-			return err
 		}
 	}
 	if err := p.Shared.RestoreState(s.Shared); err != nil {
@@ -263,7 +223,6 @@ func (s *PlatformState) EachRecord(fn func(core int, field string, value uint64)
 		fn(i, "stores", c.Stats.Stores)
 		fn(i, "branches", c.Stats.Branches)
 		fn(i, "taken", c.Stats.Taken)
-		fn(i, "paired", c.Stats.Paired)
 	}
 	eachCache := func(name string, idx int, cs *mem.CacheState) {
 		fn(idx, name+"_stamp", cs.Stamp)
@@ -291,9 +250,6 @@ func (s *PlatformState) EachRecord(fn func(core int, field string, value uint64)
 	for i := range s.DCaches {
 		eachCache("dcache", i, &s.DCaches[i])
 	}
-	for i := range s.L2s {
-		eachCache("l2", i, &s.L2s[i])
-	}
 	for i := range s.Ctrls {
 		c := &s.Ctrls[i]
 		fn(i, "ctrl_fetches", c.Fetches)
@@ -313,9 +269,6 @@ func (s *PlatformState) EachRecord(fn func(core int, field string, value uint64)
 	}
 	for i := range s.Privs {
 		eachMem("priv", i, &s.Privs[i])
-	}
-	for i := range s.Scratch {
-		eachMem("scratch", i, &s.Scratch[i])
 	}
 	eachMem("shared", -1, &s.Shared)
 	fn(-1, "barrier_gen", uint64(s.Barrier.Gen))

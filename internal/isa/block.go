@@ -46,7 +46,7 @@ func (e BlockEnd) String() string {
 }
 
 // IsControl reports whether op redirects the fetch stream: conditional
-// branches, JAL, JALR and HALT all end an issue bundle and a basic block.
+// branches, JAL, JALR and HALT all end a basic block.
 func (op Opcode) IsControl() bool {
 	return op.IsBranch() || op == OpJal || op == OpJalr || op == OpHalt
 }

@@ -15,11 +15,6 @@ type CacheConfig struct {
 	LineBytes  uint32
 	Assoc      int
 	HitLatency uint64
-	// WriteThrough selects a write-through, no-write-allocate policy
-	// instead of the default write-back, write-allocate one: every store
-	// is forwarded to the next level (no dirty lines, no write-backs),
-	// and a store miss does not install the line.
-	WriteThrough bool
 }
 
 // Validate checks the configuration for structural consistency.
@@ -206,7 +201,7 @@ func (c *Cache) Access(addr uint32, write bool) (hit bool, stall uint64) {
 		ln := &c.lines[mi]
 		c.stats.Hits++
 		ln.lru = c.stamp
-		if write && !c.cfg.WriteThrough {
+		if write {
 			ln.dirty = true
 		}
 		return true, c.cfg.HitLatency
@@ -217,7 +212,7 @@ func (c *Cache) Access(addr uint32, write bool) (hit bool, stall uint64) {
 		ln := &c.lines[mi]
 		c.stats.Hits++
 		ln.lru = c.stamp
-		if write && !c.cfg.WriteThrough {
+		if write {
 			ln.dirty = true
 		}
 		return true, c.cfg.HitLatency
@@ -230,7 +225,7 @@ func (c *Cache) Access(addr uint32, write bool) (hit bool, stall uint64) {
 		if ln.valid && ln.tag == tag {
 			c.stats.Hits++
 			ln.lru = c.stamp
-			if write && !c.cfg.WriteThrough {
+			if write {
 				ln.dirty = true
 			}
 			c.memoLine2, c.memoIdx2 = c.memoLine, c.memoIdx
@@ -246,7 +241,7 @@ func (c *Cache) Access(addr uint32, write bool) (hit bool, stall uint64) {
 		if lines[i].valid && lines[i].tag == tag {
 			c.stats.Hits++
 			lines[i].lru = c.stamp
-			if write && !c.cfg.WriteThrough {
+			if write {
 				lines[i].dirty = true
 			}
 			c.memoLine2, c.memoIdx2 = c.memoLine, c.memoIdx
@@ -282,8 +277,7 @@ func (c *Cache) Refill(addr uint32, write bool) (victimAddr uint32, victimDirty 
 		}
 	}
 	c.stamp++
-	dirty := write && !c.cfg.WriteThrough
-	*v = cacheLine{tag: tag, valid: true, dirty: dirty, lru: c.stamp}
+	*v = cacheLine{tag: tag, valid: true, dirty: write, lru: c.stamp}
 	// The refilled slot just changed residents: any memo pointing at it is
 	// stale. Demote memo1 only if it survives the eviction.
 	ni := int32(set*c.assoc + uint32(vi))

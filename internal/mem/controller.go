@@ -154,7 +154,7 @@ func (c *Controller) Private(addr uint32) bool {
 
 func (c *Controller) updateSpills() {
 	c.spills = false
-	if c.dcache == nil || c.dcache.cfg.WriteThrough {
+	if c.dcache == nil {
 		return
 	}
 	for _, r := range c.ranges {
@@ -280,21 +280,10 @@ func (c *Controller) account(a Access) {
 // timedAccess charges one reference of the given size through the cache (if
 // cacheable) or directly, and returns the stall cycles.
 func (c *Controller) timedAccess(cache *Cache, now uint64, r *Range, addr uint32, bytes uint32, write bool) uint64 {
-	local := addr - r.Base
 	if r.Kind == KindDevice || !r.Cacheable || cache == nil || !cache.Enabled() {
-		return r.Target.Latency(now, local, bytes, write)
+		return r.Target.Latency(now, addr-r.Base, bytes, write)
 	}
-	hit, stall := cache.Access(addr, write)
-	if write && cache.Config().WriteThrough {
-		// Write-through: the store always reaches the next level; a store
-		// miss does not allocate.
-		through := r.Target.Latency(now, local, bytes, true)
-		if hit {
-			return stall + through
-		}
-		return through
-	}
-	if hit {
+	if hit, stall := cache.Access(addr, write); hit {
 		return stall
 	}
 	return c.refillMiss(cache, now, r, addr, write)
@@ -441,11 +430,10 @@ func (c *Controller) ReadWordHit(addr uint32, privateOnly bool) (v uint32, stall
 
 // WriteWord performs a 32-bit data store.
 func (c *Controller) WriteWord(now uint64, addr uint32, v uint32) (uint64, error) {
-	// Hot path: the store twin of ReadWord's memo-hit path (write-back
-	// caches only — write-through stores always reach the next level).
+	// Hot path: the store twin of ReadWord's memo-hit path.
 	if r := c.last; r != nil && addr%4 == 0 &&
 		addr >= r.Base && uint64(addr) < r.end && r.Cacheable && r.Kind != KindDevice {
-		if d := c.dcache; d != nil && d.enable && !d.cfg.WriteThrough {
+		if d := c.dcache; d != nil && d.enable {
 			line := addr >> d.lineShift
 			mi := d.memoIdx
 			if mi < 0 || line != d.memoLine {
@@ -574,9 +562,8 @@ type FetchPath struct {
 
 // FetchPathFor resolves the fetch path covering addr, or nil when the
 // address is unmapped or not backed by a plain Memory (interconnect-routed
-// shared memory, L2-cached targets and devices are excluded on purpose:
-// fetching through them has side effects a block kernel must not
-// pre-execute or skip).
+// shared memory and devices are excluded on purpose: fetching through them
+// has side effects a block kernel must not pre-execute or skip).
 func (c *Controller) FetchPathFor(addr uint32) *FetchPath {
 	r := c.rangeFor(addr)
 	if r == nil {

@@ -508,120 +508,6 @@ func (f fakeIC) Transaction(initiator int, now uint64, bytes uint32, write bool,
 }
 func (f fakeIC) Name() string { return "fake" }
 
-func TestCachedTargetTiming(t *testing.T) {
-	under := NewMemory("l3", 64*1024, 10)
-	l2 := NewCache(CacheConfig{Name: "l2", SizeBytes: 1024, LineBytes: 32, Assoc: 2, HitLatency: 2})
-	ct := NewCachedTarget(l2, under)
-	// Cold miss: hit latency + 8-word refill burst (10 + 7).
-	if got := ct.Latency(0, 0, 4, false); got != 2+17 {
-		t.Errorf("cold miss latency = %d, want 19", got)
-	}
-	// Hit in the same line.
-	if got := ct.Latency(1, 16, 4, false); got != 2 {
-		t.Errorf("hit latency = %d, want 2", got)
-	}
-	// A burst spanning two lines: one hit + one miss.
-	if got := ct.Latency(2, 28, 8, false); got != 2+2+17 {
-		t.Errorf("spanning burst latency = %d, want 21", got)
-	}
-	if l2.Stats().Misses != 2 || l2.Stats().Hits != 2 {
-		t.Errorf("l2 stats = %+v", l2.Stats())
-	}
-	// Functional passthrough.
-	ct.StoreWord(0x40, 77)
-	if under.LoadWord(0x40) != 77 || ct.LoadWord(0x40) != 77 {
-		t.Error("data plane broken")
-	}
-	if ct.Size() != under.Size() {
-		t.Error("size passthrough")
-	}
-	if ct.Cache() != l2 {
-		t.Error("cache accessor")
-	}
-}
-
-func TestCachedTargetDirtyWriteback(t *testing.T) {
-	under := NewMemory("l3", 64*1024, 10)
-	l2 := NewCache(CacheConfig{Name: "l2", SizeBytes: 64, LineBytes: 32, Assoc: 1, HitLatency: 0})
-	ct := NewCachedTarget(l2, under)
-	ct.Latency(0, 0, 4, true)          // dirty line 0
-	got := ct.Latency(1, 64, 4, false) // conflict: write back + refill
-	wb := under.Latency(0, 0, 32, true)
-	rf := under.Latency(0, 64, 32, false)
-	if got != wb+rf {
-		t.Errorf("dirty eviction latency = %d, want %d", got, wb+rf)
-	}
-	if l2.Stats().Writebacks != 1 {
-		t.Errorf("writebacks = %d", l2.Stats().Writebacks)
-	}
-}
-
-func TestCachedTargetDisabledBypasses(t *testing.T) {
-	under := NewMemory("l3", 4096, 10)
-	l2 := NewCache(CacheConfig{Name: "l2", SizeBytes: 64, LineBytes: 32, Assoc: 1, HitLatency: 0})
-	ct := NewCachedTarget(l2, under)
-	l2.SetEnabled(false)
-	if got := ct.Latency(0, 0, 4, false); got != 10 {
-		t.Errorf("bypass latency = %d, want raw 10", got)
-	}
-	if l2.Stats().Accesses() != 0 {
-		t.Error("disabled cache saw traffic")
-	}
-}
-
-func TestScratchpad(t *testing.T) {
-	spm := Scratchpad("spm0", 4096)
-	if spm.Latency(0, 0, 4, false) != 0 {
-		t.Error("scratchpad should be single-cycle (zero extra stall)")
-	}
-	spm.StoreWord(0, 42)
-	if spm.LoadWord(0) != 42 {
-		t.Error("scratchpad data")
-	}
-}
-
-func TestWriteThroughCache(t *testing.T) {
-	ctl, priv, _ := buildController(t, true)
-	wt := NewCache(CacheConfig{Name: "wt", SizeBytes: 64, LineBytes: 16, Assoc: 1,
-		HitLatency: 1, WriteThrough: true})
-	ctl.AttachCaches(nil, wt)
-	// Store miss: pays the through-write only, does not allocate.
-	stall, err := ctl.WriteWord(0, 0x40, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := priv.Latency(0, 0x40, 4, true); stall != want {
-		t.Errorf("WT store-miss stall = %d, want %d", stall, want)
-	}
-	if wt.Contains(0x40) {
-		t.Error("write-through cache allocated on a store miss")
-	}
-	// Data is immediately in the backing store.
-	if priv.LoadWord(0x40) != 5 {
-		t.Error("store did not reach memory")
-	}
-	// Load miss installs the line; a store hit then pays hit + through and
-	// leaves the line clean.
-	if _, _, err := ctl.ReadWord(1, 0x40); err != nil {
-		t.Fatal(err)
-	}
-	if !wt.Contains(0x40) {
-		t.Fatal("load miss did not allocate")
-	}
-	stall, _ = ctl.WriteWord(2, 0x40, 9)
-	if want := 1 + priv.Latency(0, 0x40, 4, true); stall != want {
-		t.Errorf("WT store-hit stall = %d, want %d", stall, want)
-	}
-	// Eviction never writes back.
-	ctl.ReadWord(3, 0x40+64) // conflicting line
-	if wt.Stats().Writebacks != 0 {
-		t.Errorf("write-through cache wrote back %d lines", wt.Stats().Writebacks)
-	}
-	if priv.LoadWord(0x40) != 9 {
-		t.Error("store-hit data lost")
-	}
-}
-
 // loadState is everything a data load can change in a controller, its data
 // cache and the backing memories, deep-copied so states compare with
 // reflect.DeepEqual. The range memo (Controller.last) is left out: it only
