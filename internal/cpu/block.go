@@ -10,8 +10,11 @@ package cpu
 // removes the Step call overhead, the address-range binary search, the
 // functional fetch load, the decode-memo lookup and the two-level exec
 // switch; a load that hits the data cache is one controller call
-// (mem.Controller.ReadWordHit). Per *window* it removes the serial event
-// kernel's per-cycle scan. Everything observable — stats,
+// (mem.Controller.ReadWordHit). Inside the controller's hit window (the
+// last cacheable, Memory-backed range a data access resolved, cleared by
+// SetObserver, AttachCaches and AddRange) that call is one range compare,
+// one cache probe and one 32-bit read. Per *window* it removes the serial
+// event kernel's per-cycle scan. Everything observable — stats,
 // stall accounting, activity-sniffer counters, memory-controller counters,
 // fault semantics, pc on fault — is bit-identical to Step, which the golden
 // differential matrix enforces.
@@ -541,77 +544,79 @@ const stretchMax = 1 << 20
 // fetch must be charged on its own.
 func (c *Core) execOps(b *block, i, lim int, cyc, sharedBefore uint64) (j, n int, npc uint32, dstall uint64) {
 	ops := b.ops
+	// Register fields are 5 bits wide; indexing with &31 tells the
+	// compiler so, and it drops the bounds check of every register access.
 	r := &c.regs
 	for n < lim {
 		x := &ops[i]
 		switch x.op {
 		case xNop:
 		case xAdd:
-			r[x.rd] = r[x.rs1] + r[x.rs2]
+			r[x.rd&31] = r[x.rs1&31] + r[x.rs2&31]
 		case xSub:
-			r[x.rd] = r[x.rs1] - r[x.rs2]
+			r[x.rd&31] = r[x.rs1&31] - r[x.rs2&31]
 		case xAnd:
-			r[x.rd] = r[x.rs1] & r[x.rs2]
+			r[x.rd&31] = r[x.rs1&31] & r[x.rs2&31]
 		case xOr:
-			r[x.rd] = r[x.rs1] | r[x.rs2]
+			r[x.rd&31] = r[x.rs1&31] | r[x.rs2&31]
 		case xXor:
-			r[x.rd] = r[x.rs1] ^ r[x.rs2]
+			r[x.rd&31] = r[x.rs1&31] ^ r[x.rs2&31]
 		case xNor:
-			r[x.rd] = ^(r[x.rs1] | r[x.rs2])
+			r[x.rd&31] = ^(r[x.rs1&31] | r[x.rs2&31])
 		case xSll:
-			r[x.rd] = r[x.rs1] << (r[x.rs2] & 31)
+			r[x.rd&31] = r[x.rs1&31] << (r[x.rs2&31] & 31)
 		case xSrl:
-			r[x.rd] = r[x.rs1] >> (r[x.rs2] & 31)
+			r[x.rd&31] = r[x.rs1&31] >> (r[x.rs2&31] & 31)
 		case xSra:
-			r[x.rd] = uint32(int32(r[x.rs1]) >> (r[x.rs2] & 31))
+			r[x.rd&31] = uint32(int32(r[x.rs1&31]) >> (r[x.rs2&31] & 31))
 		case xSlt:
-			r[x.rd] = b2u(int32(r[x.rs1]) < int32(r[x.rs2]))
+			r[x.rd&31] = b2u(int32(r[x.rs1&31]) < int32(r[x.rs2&31]))
 		case xSltu:
-			r[x.rd] = b2u(r[x.rs1] < r[x.rs2])
+			r[x.rd&31] = b2u(r[x.rs1&31] < r[x.rs2&31])
 		case xMul:
-			r[x.rd] = r[x.rs1] * r[x.rs2]
+			r[x.rd&31] = r[x.rs1&31] * r[x.rs2&31]
 		case xDiv, xDivu, xRem, xRemu:
 			// The edge cases (zero divisor, overflow) live in aluR.
-			r[x.rd], _ = aluR(isa.Funct(x.op-xAdd), r[x.rs1], r[x.rs2])
+			r[x.rd&31], _ = aluR(isa.Funct(x.op-xAdd), r[x.rs1&31], r[x.rs2&31])
 		case xAddi:
-			r[x.rd] = r[x.rs1] + uint32(x.imm)
+			r[x.rd&31] = r[x.rs1&31] + uint32(x.imm)
 		case xAndi:
-			r[x.rd] = r[x.rs1] & uint32(x.imm)
+			r[x.rd&31] = r[x.rs1&31] & uint32(x.imm)
 		case xOri:
-			r[x.rd] = r[x.rs1] | uint32(x.imm)
+			r[x.rd&31] = r[x.rs1&31] | uint32(x.imm)
 		case xXori:
-			r[x.rd] = r[x.rs1] ^ uint32(x.imm)
+			r[x.rd&31] = r[x.rs1&31] ^ uint32(x.imm)
 		case xSlti:
-			r[x.rd] = b2u(int32(r[x.rs1]) < x.imm)
+			r[x.rd&31] = b2u(int32(r[x.rs1&31]) < x.imm)
 		case xSltiu:
-			r[x.rd] = b2u(r[x.rs1] < uint32(x.imm))
+			r[x.rd&31] = b2u(r[x.rs1&31] < uint32(x.imm))
 		case xSlli:
-			r[x.rd] = r[x.rs1] << (uint32(x.imm) & 31)
+			r[x.rd&31] = r[x.rs1&31] << (uint32(x.imm) & 31)
 		case xSrli:
-			r[x.rd] = r[x.rs1] >> (uint32(x.imm) & 31)
+			r[x.rd&31] = r[x.rs1&31] >> (uint32(x.imm) & 31)
 		case xSrai:
-			r[x.rd] = uint32(int32(r[x.rs1]) >> (uint32(x.imm) & 31))
+			r[x.rd&31] = uint32(int32(r[x.rs1&31]) >> (uint32(x.imm) & 31))
 		case xLui:
-			r[x.rd] = uint32(x.imm) << 16
+			r[x.rd&31] = uint32(x.imm) << 16
 		case xBeq:
-			npc = branch(c, x, r[x.rs1] == r[x.rs2])
+			npc = branch(c, x, r[x.rs1&31] == r[x.rs2&31])
 		case xBne:
-			npc = branch(c, x, r[x.rs1] != r[x.rs2])
+			npc = branch(c, x, r[x.rs1&31] != r[x.rs2&31])
 		case xBlt:
-			npc = branch(c, x, int32(r[x.rs1]) < int32(r[x.rs2]))
+			npc = branch(c, x, int32(r[x.rs1&31]) < int32(r[x.rs2&31]))
 		case xBge:
-			npc = branch(c, x, int32(r[x.rs1]) >= int32(r[x.rs2]))
+			npc = branch(c, x, int32(r[x.rs1&31]) >= int32(r[x.rs2&31]))
 		case xBltu:
-			npc = branch(c, x, r[x.rs1] < r[x.rs2])
+			npc = branch(c, x, r[x.rs1&31] < r[x.rs2&31])
 		case xBgeu:
-			npc = branch(c, x, r[x.rs1] >= r[x.rs2])
+			npc = branch(c, x, r[x.rs1&31] >= r[x.rs2&31])
 		case xJal:
 			r[isa.LinkReg] = x.pc + 4
 			c.stats.Branches++
 			c.stats.Taken++
 			npc = x.next
 		case xJalr:
-			npc = (r[x.rs1] + uint32(x.imm)) &^ 3
+			npc = (r[x.rs1&31] + uint32(x.imm)) &^ 3
 			setReg(c, x.rd, x.pc+4)
 			c.stats.Branches++
 			c.stats.Taken++
@@ -620,7 +625,7 @@ func (c *Core) execOps(b *block, i, lim int, cyc, sharedBefore uint64) (j, n int
 			// effects it moves ahead of this op's fetch touch only the
 			// dcache and counters the fetch adds to, so the order is
 			// unobservable.
-			v, stall, ok := c.ctrl.ReadWordHit(r[x.rs1]+uint32(x.imm), cyc+uint64(n) >= sharedBefore)
+			v, stall, ok := c.ctrl.ReadWordHit(r[x.rs1&31]+uint32(x.imm), cyc+uint64(n) >= sharedBefore)
 			if !ok {
 				return i, n, x.pc, 0
 			}
@@ -749,7 +754,7 @@ const (
 // dispatch hot path.
 func setReg(c *Core, r uint8, v uint32) {
 	if r != 0 {
-		c.regs[r] = v
+		c.regs[r&31] = v
 	}
 }
 

@@ -190,67 +190,54 @@ func (c *Cache) Enabled() bool { return c.enable }
 // by the caller against the backing store; Access only accounts timing and
 // directory state.
 func (c *Cache) Access(addr uint32, write bool) (hit bool, stall uint64) {
-	if write {
-		c.stats.Writes++
-	} else {
-		c.stats.Reads++
-	}
-	c.stamp++
-	line := addr >> c.lineShift
-	if mi := c.memoIdx; mi >= 0 && line == c.memoLine {
-		ln := &c.lines[mi]
-		c.stats.Hits++
-		ln.lru = c.stamp
+	mi := c.probe(addr)
+	if mi < 0 {
+		c.stamp++
 		if write {
-			ln.dirty = true
-		}
-		return true, c.cfg.HitLatency
-	}
-	if mi := c.memoIdx2; mi >= 0 && line == c.memoLine2 {
-		c.memoLine2, c.memoIdx2 = c.memoLine, c.memoIdx
-		c.memoLine, c.memoIdx = line, mi
-		ln := &c.lines[mi]
-		c.stats.Hits++
-		ln.lru = c.stamp
-		if write {
-			ln.dirty = true
-		}
-		return true, c.cfg.HitLatency
-	}
-	set, tag := line&c.setMask, line>>c.setShift
-	if c.assoc == 1 {
-		// Direct-mapped fast path (the default icache shape): one candidate
-		// line, indexed straight off the flat array.
-		ln := &c.lines[set]
-		if ln.valid && ln.tag == tag {
-			c.stats.Hits++
-			ln.lru = c.stamp
-			if write {
-				ln.dirty = true
-			}
-			c.memoLine2, c.memoIdx2 = c.memoLine, c.memoIdx
-			c.memoLine, c.memoIdx = line, int32(set)
-			return true, c.cfg.HitLatency
+			c.stats.Writes++
+		} else {
+			c.stats.Reads++
 		}
 		c.stats.Misses++
 		return false, 0
 	}
-	base := set * c.assoc
-	lines := c.lines[base : base+c.assoc]
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			c.stats.Hits++
-			lines[i].lru = c.stamp
-			if write {
-				lines[i].dirty = true
-			}
-			c.memoLine2, c.memoIdx2 = c.memoLine, c.memoIdx
-			c.memoLine, c.memoIdx = line, int32(base+uint32(i))
-			return true, c.cfg.HitLatency
+	c.touch(mi, write)
+	return true, c.cfg.HitLatency
+}
+
+// probe is the lookup of a hit: memo 1, then memo 2 or the set walk,
+// either of which promotes the line to memo 1. It returns the flat index
+// of the resident line holding addr, or -1 on a miss, which changes
+// nothing. It touches no statistics and no LRU state.
+func (c *Cache) probe(addr uint32) int32 {
+	line := addr >> c.lineShift
+	mi := c.memoIdx
+	if mi >= 0 && line == c.memoLine {
+		return mi
+	}
+	if mi = c.memoIdx2; mi < 0 || line != c.memoLine2 {
+		if mi = c.resident(addr); mi < 0 {
+			return -1
 		}
 	}
-	c.stats.Misses++
-	return false, 0
+	c.memoLine2, c.memoIdx2 = c.memoLine, c.memoIdx
+	c.memoLine, c.memoIdx = line, mi
+	return mi
+}
+
+// touch charges a hit on line mi: the next LRU stamp, the read or write
+// and hit counters and, for a write, the line's dirty bit.
+func (c *Cache) touch(mi int32, write bool) {
+	c.stamp++
+	ln := &c.lines[mi]
+	ln.lru = c.stamp
+	c.stats.Hits++
+	if write {
+		c.stats.Writes++
+		ln.dirty = true
+	} else {
+		c.stats.Reads++
+	}
 }
 
 // Refill installs the line containing addr, evicting the LRU way. It
@@ -310,27 +297,14 @@ func (c *Cache) resident(addr uint32) int32 {
 
 // Contains reports whether the line holding addr is currently resident
 // (used by tests and by atomic-swap invalidation).
-func (c *Cache) Contains(addr uint32) bool {
-	set, tag := c.index(addr)
-	for _, ln := range c.set(set) {
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(addr uint32) bool { return c.resident(addr) >= 0 }
 
 // Invalidate drops the line containing addr if resident, without write-back
 // (used by atomic operations that bypass the cache).
 func (c *Cache) Invalidate(addr uint32) {
 	c.memoIdx, c.memoIdx2 = -1, -1
 	c.epoch++
-	set, tag := c.index(addr)
-	lines := c.set(set)
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			lines[i] = cacheLine{}
-			return
-		}
+	if i := c.resident(addr); i >= 0 {
+		c.lines[i] = cacheLine{}
 	}
 }

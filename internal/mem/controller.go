@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -42,6 +44,12 @@ type Range struct {
 	// end caches Base+Target.Size() (exclusive, 33-bit safe) so the
 	// per-access bound check costs no interface call. AddRange fills it in.
 	end uint64
+	// hitMem is the Memory a data-cache hit in this range reads and writes
+	// when that hit needs no routing decision: the range is cacheable, not a
+	// device, and its target is a Memory or a Memory behind an interconnect
+	// (a hit does not reach the interconnect). nil otherwise. AddRange
+	// fills it in.
+	hitMem *Memory
 }
 
 // Access describes one memory reference, delivered to the controller's
@@ -95,6 +103,42 @@ type Controller struct {
 	// range is not private: a private miss may then evict a dirty line of
 	// that range and write it back over the interconnect. See Private.
 	spills bool
+	// win is the hit window. See hitWindow.
+	win hitWindow
+}
+
+// hitWindow is the last range a data access resolved whose dcache hits a
+// controller serves without routing: one with a hitMem, on a controller
+// with a data cache and no observer. A word access inside it costs one
+// range-and-alignment compare (and, for a private-only load, the priv bit),
+// the cache probe and one 32-bit read or write of the memory's page. The
+// cache's enable bit is tested per access, because Cache.SetEnabled does
+// not know its controller; the page is looked up through the memory's own
+// memo, because Memory.RestoreState replaces the pages. Everything else the
+// window assumes is fixed until SetObserver, AttachCaches or AddRange,
+// which clear it.
+type hitWindow struct {
+	base  uint32
+	words uint32 // words in the range, rounded up; 0 when there is no window
+	priv  bool   // the range is private
+	mem   *Memory
+}
+
+// holds reports whether addr is an aligned address inside the window:
+// rotating its offset right by two moves a misaligned offset's low bits to
+// the top, past any word count.
+func (w *hitWindow) holds(addr uint32) bool {
+	return bits.RotateLeft32(addr-w.base, -2) < w.words
+}
+
+// openWindow moves the hit window onto r, which has a hitMem. It leaves the
+// window closed while an observer is attached or there is no data cache.
+func (c *Controller) openWindow(r *Range) {
+	c.win = hitWindow{}
+	if c.observer == nil && c.dcache != nil {
+		c.win = hitWindow{base: r.Base, words: uint32((r.end - uint64(r.Base) + 3) / 4),
+			priv: r.Kind == KindPrivate, mem: r.hitMem}
+	}
 }
 
 // NewController creates a memory controller for core coreID.
@@ -124,11 +168,15 @@ func (c *Controller) DCache() *Cache { return c.dcache }
 // be nil for an uncached configuration.
 func (c *Controller) AttachCaches(icache, dcache *Cache) {
 	c.icache, c.dcache = icache, dcache
+	c.win = hitWindow{}
 	c.updateSpills()
 }
 
 // SetObserver installs the access observer (event-logging sniffer hook).
-func (c *Controller) SetObserver(o Observer) { c.observer = o }
+func (c *Controller) SetObserver(o Observer) {
+	c.observer = o
+	c.win = hitWindow{}
+}
 
 // Observed reports whether an access observer is installed. Every access,
 // instruction fetches included, is then visible outside the core.
@@ -199,8 +247,17 @@ func (c *Controller) AddRange(r Range) error {
 	for i := range c.ranges {
 		e := &c.ranges[i]
 		e.end = uint64(e.Base) + uint64(e.Target.Size())
+		e.hitMem = nil
+		if e.Cacheable && e.Kind != KindDevice {
+			t := e.Target
+			if rt, ok := t.(*Routed); ok {
+				t = rt.Under
+			}
+			e.hitMem, _ = t.(*Memory)
+		}
 	}
 	c.last = nil // the sort may have moved the memoised entry
+	c.win = hitWindow{}
 	c.updateSpills()
 	return nil
 }
@@ -322,42 +379,9 @@ func (c *Controller) Fetch(now uint64, addr uint32) (uint32, uint64, error) {
 
 // ReadWord performs a 32-bit data load.
 func (c *Controller) ReadWord(now uint64, addr uint32) (uint32, uint64, error) {
-	// Hot path: an aligned load inside the memoised range hitting the
-	// dcache's memoised line — the inner-loop shape of compute-bound code.
-	// Every effect (cache stamp/LRU/stats, controller stats, functional
-	// load, observer) is identical to the general path below, straight-lined.
-	if r := c.last; r != nil && addr%4 == 0 &&
-		addr >= r.Base && uint64(addr) < r.end && r.Cacheable && r.Kind != KindDevice {
-		if d := c.dcache; d != nil && d.enable {
-			line := addr >> d.lineShift
-			mi := d.memoIdx
-			if mi < 0 || line != d.memoLine {
-				if m2 := d.memoIdx2; m2 >= 0 && line == d.memoLine2 {
-					d.memoLine2, d.memoIdx2 = d.memoLine, d.memoIdx
-					d.memoLine, d.memoIdx = line, m2
-					mi = m2
-				} else {
-					mi = -1
-				}
-			}
-			if mi >= 0 {
-				d.stats.Reads++
-				d.stats.Hits++
-				d.stamp++
-				d.lines[mi].lru = d.stamp
-				stall := d.cfg.HitLatency
-				v := r.Target.LoadWord(addr - r.Base)
-				c.stats.StallCycles += stall
-				if r.Kind == KindPrivate {
-					c.stats.PrivateReads++
-				} else {
-					c.stats.SharedReads++
-				}
-				if c.observer != nil {
-					c.observer(Access{Cycle: now, Core: c.coreID, Addr: addr, Kind: r.Kind, Stall: stall})
-				}
-				return v, stall, nil
-			}
+	if c.win.holds(addr) {
+		if v, stall, ok := c.ReadWordHit(addr, false); ok {
+			return v, stall, nil
 		}
 	}
 	if addr%4 != 0 {
@@ -366,6 +390,9 @@ func (c *Controller) ReadWord(now uint64, addr uint32) (uint32, uint64, error) {
 	r := c.rangeFor(addr)
 	if r == nil {
 		return 0, 0, c.fault(addr, "load from unmapped address")
+	}
+	if r.hitMem != nil {
+		c.openWindow(r)
 	}
 	stall := c.timedAccess(c.dcache, now, r, addr, 4, false)
 	v := r.Target.LoadWord(addr - r.Base)
@@ -377,97 +404,70 @@ func (c *Controller) ReadWord(now uint64, addr uint32) (uint32, uint64, error) {
 // addr hits the data cache in a cacheable, non-device range and no observer
 // is attached, it completes the load with every effect ReadWord has (cache
 // statistics, LRU stamp and memo lines, controller statistics, the backing
-// target's read count) and reports ok. Otherwise it reports !ok and changes
-// nothing but the range memo, leaving the load to ReadWord. With
-// privateOnly set it also refuses non-private ranges, so a successful call
-// proves what Private would: the load touched only this core's own state
-// (a hit refills nothing, so it cannot write back another range's line).
+// memory's read count) and reports ok. Otherwise it reports !ok and changes
+// nothing but the range memo and the hit window, leaving the load to
+// ReadWord. With privateOnly set it also refuses non-private ranges, so a
+// successful call proves what Private would: the load touched only this
+// core's own state (a hit refills nothing, so it cannot write back another
+// range's line).
 func (c *Controller) ReadWordHit(addr uint32, privateOnly bool) (v uint32, stall uint64, ok bool) {
+	if !c.win.holds(addr) || privateOnly && !c.win.priv {
+		// Outside the window. The refusals stay inline, so a load the
+		// window cannot serve costs a few compares and no call.
+		r := c.last
+		if r == nil || addr < r.Base || uint64(addr) >= r.end {
+			if r = c.rangeFor(addr); r == nil {
+				return 0, 0, false
+			}
+		}
+		if r.hitMem == nil || addr%4 != 0 || privateOnly && r.Kind != KindPrivate ||
+			c.observer != nil || c.dcache == nil {
+			return 0, 0, false
+		}
+		c.openWindow(r)
+	}
 	d := c.dcache
-	if addr%4 != 0 || d == nil || !d.enable || c.observer != nil {
+	if !d.enable {
 		return 0, 0, false
 	}
-	r := c.last
-	if r == nil || addr < r.Base || uint64(addr) >= r.end {
-		if r = c.rangeFor(addr); r == nil {
-			return 0, 0, false
-		}
-	}
-	if !r.Cacheable || r.Kind == KindDevice || privateOnly && r.Kind != KindPrivate {
+	mi := d.probe(addr)
+	if mi < 0 {
 		return 0, 0, false
 	}
-	// The lookup of a hitting Cache.Access: memo 1, then memo 2 or the set
-	// walk, either of which promotes the line to memo 1.
-	line := addr >> d.lineShift
-	mi := d.memoIdx
-	switch {
-	case mi >= 0 && line == d.memoLine:
-	case d.memoIdx2 >= 0 && line == d.memoLine2:
-		mi = d.memoIdx2
-		d.memoLine2, d.memoIdx2 = d.memoLine, d.memoIdx
-		d.memoLine, d.memoIdx = line, mi
-	default:
-		if mi = d.resident(addr); mi < 0 {
-			return 0, 0, false
-		}
-		d.memoLine2, d.memoIdx2 = d.memoLine, d.memoIdx
-		d.memoLine, d.memoIdx = line, mi
-	}
-	d.stats.Reads++
-	d.stats.Hits++
-	d.stamp++
-	d.lines[mi].lru = d.stamp
+	d.touch(mi, false)
 	stall = d.cfg.HitLatency
-	v = r.Target.LoadWord(addr - r.Base)
 	c.stats.StallCycles += stall
-	if r.Kind == KindPrivate {
+	if c.win.priv {
 		c.stats.PrivateReads++
 	} else {
 		c.stats.SharedReads++
 	}
-	return v, stall, true
+	m, off := c.win.mem, addr-c.win.base
+	m.stats.Reads++
+	return binary.LittleEndian.Uint32(m.alignedPage(off)[off&(pageSize-4):]), stall, true
 }
 
 // WriteWord performs a 32-bit data store.
 func (c *Controller) WriteWord(now uint64, addr uint32, v uint32) (uint64, error) {
-	// Hot path: the store twin of ReadWord's memo-hit path.
-	if r := c.last; r != nil && addr%4 == 0 &&
-		addr >= r.Base && uint64(addr) < r.end && r.Cacheable && r.Kind != KindDevice {
-		if d := c.dcache; d != nil && d.enable {
-			line := addr >> d.lineShift
-			mi := d.memoIdx
-			if mi < 0 || line != d.memoLine {
-				if m2 := d.memoIdx2; m2 >= 0 && line == d.memoLine2 {
-					d.memoLine2, d.memoIdx2 = d.memoLine, d.memoIdx
-					d.memoLine, d.memoIdx = line, m2
-					mi = m2
-				} else {
-					mi = -1
-				}
+	if c.win.holds(addr) && c.dcache.enable {
+		if mi := c.dcache.probe(addr); mi >= 0 {
+			// The store twin of ReadWordHit's hit.
+			d := c.dcache
+			d.touch(mi, true)
+			stall := d.cfg.HitLatency
+			c.stats.StallCycles += stall
+			if c.win.priv {
+				c.stats.PrivateWrits++
+			} else {
+				c.stats.SharedWrits++
 			}
-			if mi >= 0 {
-				d.stats.Writes++
-				d.stats.Hits++
-				d.stamp++
-				ln := &d.lines[mi]
-				ln.lru = d.stamp
-				ln.dirty = true
-				stall := d.cfg.HitLatency
-				r.Target.StoreWord(addr-r.Base, v)
-				if c.codeWrite != nil {
-					c.codeWrite(addr, 4)
-				}
-				c.stats.StallCycles += stall
-				if r.Kind == KindPrivate {
-					c.stats.PrivateWrits++
-				} else {
-					c.stats.SharedWrits++
-				}
-				if c.observer != nil {
-					c.observer(Access{Cycle: now, Core: c.coreID, Addr: addr, Kind: r.Kind, Write: true, Stall: stall})
-				}
-				return stall, nil
+			m, off := c.win.mem, addr-c.win.base
+			m.stats.Writes++
+			binary.LittleEndian.PutUint32(m.alignedPage(off)[off&(pageSize-4):], v)
+			if c.codeWrite != nil {
+				c.codeWrite(addr, 4)
 			}
+			return stall, nil
 		}
 	}
 	if addr%4 != 0 {
@@ -476,6 +476,9 @@ func (c *Controller) WriteWord(now uint64, addr uint32, v uint32) (uint64, error
 	r := c.rangeFor(addr)
 	if r == nil {
 		return 0, c.fault(addr, "store to unmapped address")
+	}
+	if r.hitMem != nil {
+		c.openWindow(r)
 	}
 	stall := c.timedAccess(c.dcache, now, r, addr, 4, true)
 	r.Target.StoreWord(addr-r.Base, v)

@@ -14,6 +14,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -141,25 +142,29 @@ func (m *Memory) Latency(now uint64, addr uint32, bytes uint32, write bool) uint
 func (m *Memory) LoadWord(addr uint32) uint32 {
 	m.stats.Reads++
 	p := m.page(addr)
-	o := addr % pageSize
-	if o+4 <= pageSize {
-		return uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24
+	if o := addr % pageSize; o <= pageSize-4 {
+		return binary.LittleEndian.Uint32(p[o:])
 	}
 	// Word straddles a page boundary (cannot happen for aligned accesses).
-	var v uint32
-	for i := uint32(0); i < 4; i++ {
-		v |= uint32(m.loadByteRaw(addr+i)) << (8 * i)
+	return m.straddleWord(addr)
+}
+
+// alignedPage returns the page holding the aligned address addr, below
+// Size, through the page memo, so a hit on the memoised page is one
+// compare. Index it with addr&(pageSize-4).
+func (m *Memory) alignedPage(addr uint32) *[pageSize]byte {
+	if p := m.lastPage; p != nil && addr/pageSize == m.lastIdx {
+		return p
 	}
-	return v
+	return m.page(addr)
 }
 
 // StoreWord implements Target.
 func (m *Memory) StoreWord(addr uint32, v uint32) {
 	m.stats.Writes++
 	p := m.page(addr)
-	o := addr % pageSize
-	if o+4 <= pageSize {
-		p[o], p[o+1], p[o+2], p[o+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+	if o := addr % pageSize; o <= pageSize-4 {
+		binary.LittleEndian.PutUint32(p[o:], v)
 		return
 	}
 	for i := uint32(0); i < 4; i++ {
@@ -179,10 +184,15 @@ func (m *Memory) PeekWord(addr uint32) uint32 {
 	if p == nil {
 		return 0
 	}
-	o := addr % pageSize
-	if o+4 <= pageSize {
-		return uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24
+	if o := addr % pageSize; o <= pageSize-4 {
+		return binary.LittleEndian.Uint32(p[o:])
 	}
+	return m.straddleWord(addr)
+}
+
+// straddleWord assembles the word at addr byte by byte, for a word that
+// crosses a page boundary.
+func (m *Memory) straddleWord(addr uint32) uint32 {
 	var v uint32
 	for i := uint32(0); i < 4; i++ {
 		v |= uint32(m.loadByteRaw(addr+i)) << (8 * i)
