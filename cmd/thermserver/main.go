@@ -38,10 +38,9 @@ func main() {
 		once    = flag.Bool("once", false, "serve a single connection, then exit")
 		metrics = flag.String("metrics", "", "HTTP metrics listen address (empty = disabled)")
 		idle    = flag.Duration("idle", 30*time.Second, "drop a connection silent for this long")
-		plain   = flag.Bool("plain-link", false, "disable the NACK/resend reliability protocol")
 	)
 	flag.Parse()
-	if err := run(*listen, *plan, *cells, *workers, *once, *metrics, *idle, *plain); err != nil {
+	if err := run(*listen, *plan, *cells, *workers, *once, *metrics, *idle); err != nil {
 		fmt.Fprintln(os.Stderr, "thermserver:", err)
 		os.Exit(1)
 	}
@@ -79,7 +78,7 @@ func (s *serverStats) snapshot() metricsSnapshot {
 }
 
 func run(listen, plan string, cells, workers int, once bool, metricsAddr string,
-	idle time.Duration, plain bool) error {
+	idle time.Duration) error {
 	var fp *thermemu.Floorplan
 	switch plan {
 	case "arm7":
@@ -137,12 +136,12 @@ func run(listen, plan string, cells, workers int, once bool, metricsAddr string,
 		}
 		tr := etherlink.NewTCP(conn, 64)
 		defer tr.Close()
-		sopt := core.ServeOptions{Stats: &stats.link, Plain: plain}
+		sopt := core.ServeOptions{Stats: &stats.link}
 		if idle > 0 {
-			// The reliable recv loop's retry budget doubles as the idle
-			// timeout: retries × timeout ≈ idle.
-			sopt.RetryTimeout = 250 * time.Millisecond
-			sopt.MaxRetries = int(idle / sopt.RetryTimeout)
+			// The recv loop's retry budget doubles as the idle timeout:
+			// retries × timeout ≈ idle.
+			sopt.Link.RetryTimeout = 250 * time.Millisecond
+			sopt.Link.MaxRetries = int(idle / sopt.Link.RetryTimeout)
 		}
 		if err := host.ServeWith(tr, sopt); err != nil {
 			stats.RunsFailed.Add(1)

@@ -153,7 +153,8 @@ func BenchmarkClosedLoopPipelined(b *testing.B) { benchClosedLoop(b, 1, 0) }
 
 // BenchmarkClosedLoopSerialLink sends every window over a loopback link
 // whose reply costs 300 µs, the way a real Ethernet RTT does: the depth-0
-// loop stalls for it once per window.
+// loop emulates the next window's first 3,000 cycles while a reply is in
+// flight, then stalls for the rest of it once per window.
 func BenchmarkClosedLoopSerialLink(b *testing.B) { benchClosedLoop(b, 0, 300*time.Microsecond) }
 
 // BenchmarkClosedLoopPipelinedLink is the same link with a depth-4

@@ -43,11 +43,10 @@ type Config struct {
 	// ThermalHost.Serve. DrainPhysCycles models the congestion penalty.
 	Transport       etherlink.Transport
 	DrainPhysCycles uint64
-	// Link tunes the NACK/resend-window reliability protocol of the
-	// dispatcher endpoint (zero values take the etherlink defaults);
-	// LinkPlain disables it entirely.
-	Link      etherlink.ReliableConfig
-	LinkPlain bool
+	// Link tunes the NACK/resend-window protocol every link endpoint runs
+	// (zero values take the etherlink defaults); the peer tunes its own
+	// with ServeOptions.Link.
+	Link etherlink.ReliableConfig
 	// MaxCycles bounds the run (0 = until the workload halts, with a large
 	// safety cap).
 	MaxCycles uint64
@@ -76,11 +75,11 @@ type Config struct {
 	// of its count at the lowest, the floor span, the loop runs ahead past
 	// unresolved boundaries, up to a ring of snapshots (always with no
 	// policy); otherwise it emulates only the next window's first floor
-	// span while a window solves. Nothing overlaps in transport mode, with
-	// event logging, or for a policy whose levels are unknown, nothing runs
-	// ahead of a window that cuts a checkpoint, and a verdict outside the
-	// levels aborts the run; Result.OverlapCycles counts the cycles that
-	// overlapped.
+	// span while a window solves. This holds over the link as in process.
+	// Nothing overlaps with event logging or for a policy whose levels are
+	// unknown, nothing runs ahead of a window that cuts a checkpoint, and a
+	// verdict outside the levels aborts the run; Result.OverlapCycles
+	// counts the cycles that overlapped.
 	//
 	// Above 0 window N+1 emulates while window N is dispatched and solved,
 	// behind a bounded hand-off queue of that depth; when the queue fills,
@@ -166,14 +165,16 @@ type Result struct {
 	// because the thermal solve (or the link carrying it) lagged the
 	// pipelined emulation (vpcm.ThermalLagSource). Always 0 at depth 0:
 	// there the loop waits for each verdict at the boundary it applies at,
-	// as a synchronous solve would, and link stalls freeze the clock under
-	// the dispatcher's own sources.
+	// as a synchronous solve would. At every depth the dispatcher accounts
+	// its own link stalls under etherlink.FreezeSource and
+	// etherlink.ResendFreezeSource.
 	ThermalLagPs uint64
 	// OverlapCycles counts the depth-0 cycles emulated while a window's
-	// verdict was outstanding (see Config.PipelineDepth). Beyond the first
-	// floor span of each window it depends on how far the emulation ran
-	// ahead of the solve, that is on host timing; samples and digests never
-	// do. It is 0 at depth > 0, where whole windows overlap instead.
+	// verdict was outstanding (see Config.PipelineDepth), in process or over
+	// the link. Beyond the first floor span of each window it depends on
+	// how far the emulation ran ahead of the solve, that is on host timing;
+	// samples and digests never do. It is 0 at depth > 0, where whole
+	// windows overlap instead.
 	OverlapCycles uint64
 }
 
@@ -273,22 +274,11 @@ func run(cfg Config, onSample func(Sample),
 	}
 	var disp *etherlink.Dispatcher
 	if cfg.Transport != nil {
-		// The dispatcher runs on the solver stage. At depth 0 the emulating
-		// stage waits meanwhile (a transport-mode run never overlaps), so
-		// the dispatcher may freeze the VPCM itself.
-		var frz etherlink.Freezer = p.VPCM
-		if cfg.PipelineDepth > 0 {
-			// Above depth 0 the dispatcher runs concurrently with the
-			// emulating stage that advances the VPCM: it must account frozen
-			// time (mutex-guarded) but may not toggle the freeze flag the
-			// emulator polls. The emulating stage raises its own
-			// thermal-lag freeze when the hand-off queue fills.
-			frz = asyncFreezer{p.VPCM}
-		}
-		disp = etherlink.NewDispatcher(cfg.Transport, frz, cfg.DrainPhysCycles)
-		if !cfg.LinkPlain {
-			disp.EnableReliability(cfg.Link)
-		}
+		// The dispatcher runs on the solve stage, concurrently with the
+		// emulating stage that advances the VPCM; it only accounts frozen
+		// time, which the VPCM guards for exactly that.
+		disp = etherlink.NewDispatcher(cfg.Transport, p.VPCM, cfg.DrainPhysCycles)
+		disp.EnableReliability(cfg.Link)
 		if err := disp.SendCtrl(etherlink.CtrlStart, uint64(cfg.Host.NumComponents())); err != nil {
 			return nil, err
 		}

@@ -286,7 +286,7 @@ func TestHostServeComponentMismatch(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- host.Serve(hostTr) }()
-	ep := etherlink.NewEndpoint(devTr, etherlink.DeviceMAC, etherlink.HostMAC)
+	ep := etherlink.NewEndpoint(devTr, etherlink.DeviceMAC, etherlink.HostMAC, etherlink.ReliableConfig{})
 	if err := ep.Send(etherlink.MsgCtrl, (&etherlink.Ctrl{Op: etherlink.CtrlStart, Arg: 3}).MarshalPayload()); err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +312,7 @@ func TestHostRejectsUnboundedWindow(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- host.Serve(hostTr) }()
-	ep := etherlink.NewEndpoint(devTr, etherlink.DeviceMAC, etherlink.HostMAC)
-	ep.EnableReliability(etherlink.ReliableConfig{})
+	ep := etherlink.NewEndpoint(devTr, etherlink.DeviceMAC, etherlink.HostMAC, etherlink.ReliableConfig{})
 	start := etherlink.Ctrl{Op: etherlink.CtrlStart, Arg: uint64(host.NumComponents())}
 	if err := ep.Send(etherlink.MsgCtrl, start.MarshalPayload()); err != nil {
 		t.Fatal(err)

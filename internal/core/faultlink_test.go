@@ -51,10 +51,7 @@ func linkFaultsAtDepth(t *testing.T, depth int) {
 		}
 		serveErr := make(chan error, 1)
 		go func() {
-			serveErr <- hostPlan.ServeWith(hostTr, ServeOptions{
-				RetryTimeout: 20 * time.Millisecond,
-				MaxRetries:   500,
-			})
+			serveErr <- hostPlan.ServeWith(hostTr, ServeOptions{Link: cfg.Link})
 		}()
 		res, err := Run(cfg, nil)
 		if err != nil {
@@ -170,8 +167,7 @@ func TestCtrlStopSurvivesLoss(t *testing.T) {
 			}
 			serveErr := make(chan error, 1)
 			go func() {
-				serveErr <- host.ServeWith(hostTr, ServeOptions{
-					RetryTimeout: link.RetryTimeout, MaxRetries: link.MaxRetries})
+				serveErr <- host.ServeWith(hostTr, ServeOptions{Link: link})
 			}()
 			res, err := Run(cfg, nil)
 			if err != nil {

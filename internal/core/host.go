@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"thermemu/internal/etherlink"
 	"thermemu/internal/floorplan"
@@ -144,16 +143,11 @@ type ServeOptions struct {
 	// Stats, when non-nil, aggregates link metrics for this session (a
 	// server shares one LinkStats across every connection it accepts).
 	Stats *etherlink.LinkStats
-	// Plain disables the NACK/resend-window reliability protocol; by
-	// default the host heals link loss like the device does.
-	Plain bool
-	// Window overrides the resend-window depth (frames).
-	Window int
-	// RetryTimeout is how long the host waits for the device before
-	// re-soliciting; with MaxRetries it forms the idle timeout after which
+	// Link tunes the host endpoint's NACK/resend-window protocol, as
+	// Config.Link does the device's (zero values take the etherlink
+	// defaults). RetryTimeout × MaxRetries is the idle timeout after which
 	// a silent connection is dropped with etherlink.ErrLinkStalled.
-	RetryTimeout time.Duration
-	MaxRetries   int
+	Link etherlink.ReliableConfig
 }
 
 // Serve runs the host side of the Ethernet protocol on a transport: it
@@ -167,16 +161,9 @@ func (h *ThermalHost) Serve(tr etherlink.Transport) error {
 
 // ServeWith is Serve with explicit link options.
 func (h *ThermalHost) ServeWith(tr etherlink.Transport, opt ServeOptions) error {
-	ep := etherlink.NewEndpoint(tr, etherlink.HostMAC, etherlink.DeviceMAC)
+	ep := etherlink.NewEndpoint(tr, etherlink.HostMAC, etherlink.DeviceMAC, opt.Link)
 	if opt.Stats != nil {
 		ep.SetLinkStats(opt.Stats)
-	}
-	if !opt.Plain {
-		ep.EnableReliability(etherlink.ReliableConfig{
-			Window:       opt.Window,
-			RetryTimeout: opt.RetryTimeout,
-			MaxRetries:   opt.MaxRetries,
-		})
 	}
 	// Session-lifetime scratch buffers: the per-window serve path reuses
 	// them so a long run does not allocate per frame.

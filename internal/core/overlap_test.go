@@ -348,37 +348,19 @@ func TestOverlapMatchesSerialFaultInSpan(t *testing.T) {
 	}
 }
 
-// TestOverlapIneligible pins where a run that overlaps must not: over a
-// link, with event logging, on checkpoint-cut windows and above depth 0.
+// TestOverlapIneligible pins where a run that overlaps must not: with
+// event logging, on checkpoint-cut windows and above depth 0.
 func TestOverlapIneligible(t *testing.T) {
-	cases := map[string]func(*testing.T, *Config) func(){
-		"transport": func(t *testing.T, cfg *Config) func() {
-			devTr, hostTr := etherlink.LoopbackPair(8)
-			cfg.Transport = devTr
-			host, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			serveErr := make(chan error, 1)
-			go func() { serveErr <- host.Serve(hostTr) }()
-			return func() {
-				if err := <-serveErr; err != nil {
-					t.Errorf("host serve: %v", err)
-				}
-			}
-		},
-		"event-logging": func(t *testing.T, cfg *Config) func() {
+	cases := map[string]func(*testing.T, *Config){
+		"event-logging": func(t *testing.T, cfg *Config) {
 			cfg.Platform.EventLogging = true
-			return nil
 		},
-		"checkpoint-every-window": func(t *testing.T, cfg *Config) func() {
+		"checkpoint-every-window": func(t *testing.T, cfg *Config) {
 			cfg.CheckpointEvery = 1
 			cfg.CheckpointSink = func(*checkpoint.Checkpoint) error { return nil }
-			return nil
 		},
-		"depth1": func(t *testing.T, cfg *Config) func() {
+		"depth1": func(t *testing.T, cfg *Config) {
 			cfg.PipelineDepth = 1
-			return nil
 		},
 	}
 	res, err := Run(spanConfig(t, 2, tm.NewThresholdDFS()), nil)
@@ -391,17 +373,63 @@ func TestOverlapIneligible(t *testing.T) {
 	for name, setup := range cases {
 		t.Run(name, func(t *testing.T) {
 			cfg := spanConfig(t, 2, tm.NewThresholdDFS())
-			wait := setup(t, &cfg)
+			setup(t, &cfg)
 			res, err := Run(cfg, nil)
-			if wait != nil {
-				wait()
-			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.OverlapCycles != 0 {
 				t.Fatalf("overlapped %d cycles", res.OverlapCycles)
 			}
+		})
+	}
+}
+
+// TestOverlapOverLinkMatchesSerial: depth 0 overlaps over the link as it
+// does in process. The dispatcher on the solve stage only accounts frozen
+// time, so the emulate stage runs ahead of a slow solve while statistics
+// and temperatures cross a loopback link, clean or dropping 1.5% of the
+// frames each way, and everything the run reports matches the run with the
+// policy's levels hidden. A 1 ms solve is slow enough for the emulate stage
+// to fill its run-ahead ring on every window, and the die heats through the
+// DFS thresholds, so verdicts re-time cycles run while frames were in
+// flight. The lossy link's seed drops frames in both runs.
+func TestOverlapOverLinkMatchesSerial(t *testing.T) {
+	for name, drop := range map[string]float64{"clean": 0, "lossy": 0.015} {
+		t.Run(name, func(t *testing.T) {
+			var faults []*etherlink.FaultTransport // one per run
+			on := requireOverlapExact(t, func() Config {
+				cfg := spanConfig(t, 40, &slowPolicy{tm.NewThresholdDFS(), time.Millisecond})
+				cfg.ThermalTimeScale = 8000 // the die crosses the DFS thresholds
+				cfg.Link = etherlink.ReliableConfig{RetryTimeout: 20 * time.Millisecond, MaxRetries: 500}
+				devTr, hostTr := etherlink.LoopbackPair(8)
+				cfg.Transport = devTr
+				if drop > 0 {
+					fc := etherlink.FaultConfig{Drop: drop}
+					ft := etherlink.NewFaultTransport(devTr, 1, fc, fc)
+					faults = append(faults, ft)
+					cfg.Transport = ft
+				}
+				host, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				serveErr := make(chan error, 1)
+				go func() { serveErr <- host.ServeWith(hostTr, ServeOptions{Link: cfg.Link}) }()
+				t.Cleanup(func() {
+					if err := <-serveErr; err != nil {
+						t.Errorf("host serve: %v", err)
+					}
+				})
+				return cfg
+			})
+			for _, ft := range faults {
+				if send, recv := ft.Counts(); send.Dropped+recv.Dropped == 0 {
+					t.Fatalf("the lossy link dropped nothing: %+v, %+v", send, recv)
+				}
+			}
+			t.Logf("%d windows, %d DFS events, up to %d boundaries ahead, %d of %d cycles overlapped; %s",
+				len(on.res.Samples), on.res.DFSEvents, on.maxAhead(), on.res.OverlapCycles, on.res.Cycles, on.res.Link)
 		})
 	}
 }

@@ -4,8 +4,11 @@ package core
 // overlap. On the FPGA the emulator keeps running at speed while the host
 // PC integrates temperatures concurrently, and the VPCM freezes the virtual
 // clock only when the link or the solver genuinely falls behind (Section
-// 4.2, Table 3). The loop is split into two stages connected by a bounded
-// hand-off queue; the solve stage always runs on its own goroutine:
+// 4.2, Table 3). Here a freeze is accounting: the goroutine that waits is
+// the one that would advance the clock, and it adds the wait to the VPCM
+// as frozen time under a named source. The loop is split into two stages
+// connected by a bounded hand-off queue; the solve stage always runs on its
+// own goroutine:
 //
 //	emulate stage (this goroutine)       solve stage
 //	┌──────────────────────────┐  work   ┌───────────────────────────┐
@@ -55,8 +58,10 @@ package core
 // solve and commit before the partial result, as in serial order. It never
 // steps past the earliest end of a window that cuts a checkpoint, and
 // nothing runs ahead of a cut window's boundary (the checkpoint needs the
-// platform there). Nothing overlaps in transport mode (the dispatcher
-// freezes the VPCM from the solve stage), with event logging, or for a
+// platform there). The link changes none of this: the dispatcher on the
+// solve stage only accounts its congestion and resend stalls as frozen
+// time, which the VPCM guards for a concurrent Advance. Nothing overlaps
+// with event logging, whose ring drains at the window boundary, or for a
 // policy whose levels are unknown.
 //
 // Above depth 0, backpressure — the solver lagging so far that the queue
@@ -82,21 +87,6 @@ import (
 	"thermemu/internal/tm"
 	"thermemu/internal/vpcm"
 )
-
-// asyncFreezer adapts the VPCM for link backpressure accounting raised from
-// the solve stage: frozen time lands in the (mutex-guarded) per-source
-// totals, but the freeze flag itself — which the emulate stage polls
-// unsynchronised on every Advance — is never toggled. The emulate stage
-// raises its own thermal-lag freeze when the hand-off queue fills, which is
-// when link stalls actually reach the virtual clock.
-type asyncFreezer struct{ v *vpcm.VPCM }
-
-func (a asyncFreezer) RequestFreeze(string)            {}
-func (a asyncFreezer) ReleaseFreeze(string)            {}
-func (a asyncFreezer) AddFrozenTime(physCycles uint64) { a.v.AddFrozenTime(physCycles) }
-func (a asyncFreezer) AddFrozenTimeSource(source string, physCycles uint64) {
-	a.v.AddFrozenTimeSource(source, physCycles)
-}
 
 // window is one in-flight sampling window.
 type window struct {
@@ -197,13 +187,12 @@ func (st *stage) next() (w *window, ok bool) {
 	return w, ok
 }
 
-// lagFrozen runs a blocking hand-off with the virtual clock frozen under
-// vpcm.ThermalLagSource, and accounts the physical time it took.
+// lagFrozen runs a blocking hand-off and accounts the physical time it
+// took as frozen under vpcm.ThermalLagSource: the emulate stage, which
+// alone advances the clock, is the goroutine that waits.
 func (st *stage) lagFrozen(wait func()) {
 	t0 := time.Now()
-	st.v.RequestFreeze(vpcm.ThermalLagSource)
 	wait()
-	st.v.ReleaseFreeze(vpcm.ThermalLagSource)
 	phys := uint64(time.Since(t0).Seconds() * float64(st.v.PhysHz()))
 	st.v.AddFrozenTimeSource(vpcm.ThermalLagSource, phys)
 }
@@ -317,15 +306,17 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 	depth := uint64(cfg.PipelineDepth)
 	ncomp := cfg.Host.NumComponents()
 	// levels are every frequency a verdict can set; unknown levels turn
-	// the depth-0 overlap off. The overlap also needs the platform to be
-	// alone with the VPCM while the solve runs: no link (the dispatcher
-	// freezes the clock from the solve stage) and no event logging.
+	// the depth-0 overlap off. So does event logging: the BRAM ring drains
+	// at each window boundary, which needs the platform there, and a full
+	// ring is pumped from the emulate stage (Platform.OnBufferFull) through
+	// the dispatcher the solve stage is using, which is not safe for
+	// concurrent sends.
 	var levels []uint64
 	known := true
 	if cfg.Policy != nil {
 		levels, known = cfg.Policy.Levels()
 	}
-	overlap := depth == 0 && disp == nil && !cfg.Platform.EventLogging && known
+	overlap := depth == 0 && !cfg.Platform.EventLogging && known
 	// lattice is the floor span when every window is a whole number of
 	// them (run-ahead), else 0 (a floor span per window). The frequency is
 	// always the starting one or a level, since other verdicts abort.

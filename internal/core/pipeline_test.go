@@ -206,18 +206,17 @@ func TestPipelinedTMReproducible(t *testing.T) {
 	}
 }
 
-// slowPolicy stalls the solve stage without ever acting, so the emulated
-// timeline stays identical to a policy-free run while the solver is
-// reliably slower than the emulator.
+// slowPolicy wraps a policy with a solve that takes at least delay. Around
+// tm.NullPolicy it never acts, so the emulated timeline stays identical to
+// a policy-free run while the solver is reliably slower than the emulator.
 type slowPolicy struct {
-	tm.NullPolicy
+	tm.Policy
 	delay time.Duration
 }
 
-func (s *slowPolicy) Name() string { return "slow-null" }
-func (s *slowPolicy) Update([]tm.Sensor) tm.Action {
+func (s *slowPolicy) Update(sensors []tm.Sensor) tm.Action {
 	time.Sleep(s.delay)
-	return tm.Action{}
+	return s.Policy.Update(sensors)
 }
 
 // TestPipelinedBackpressureFreezesVirtualTime forces the solve stage to lag
@@ -228,7 +227,7 @@ func (s *slowPolicy) Update([]tm.Sensor) tm.Action {
 func TestPipelinedBackpressureFreezesVirtualTime(t *testing.T) {
 	_, serialTr := runWithJournal(t, testConfig(t, 3, nil))
 
-	cfg := testConfig(t, 3, &slowPolicy{delay: 2 * time.Millisecond})
+	cfg := testConfig(t, 3, &slowPolicy{tm.NullPolicy{}, 2 * time.Millisecond})
 	cfg.PipelineDepth = 1
 	pipe, pipeTr := runWithJournal(t, cfg)
 
@@ -241,15 +240,19 @@ func TestPipelinedBackpressureFreezesVirtualTime(t *testing.T) {
 	t.Logf("thermal lag: %.3f ms frozen", float64(pipe.ThermalLagPs)*1e-9)
 }
 
-// TestPipelinedPartialResultOnLinkCut severs the link mid-run (no
-// reliability layer, no redial) and checks the error path reports the last
-// *committed* window instead of metrics from a half-stepped platform.
+// TestPipelinedPartialResultOnLinkCut severs the link mid-run (no redial;
+// the reliability layer cannot heal a cut) and checks the error path
+// reports the last *committed* window instead of metrics from a
+// half-stepped platform.
 func TestPipelinedPartialResultOnLinkCut(t *testing.T) {
 	for _, depth := range []int{0, 2} {
 		cfg := testConfig(t, 40, nil)
 		cfg.WindowPs = 2_000_000 // 2 µs: many windows, so the cut lands mid-run
 		cfg.PipelineDepth = depth
-		cfg.LinkPlain = true
+		// A short retry budget on both sides: the cut surfaces as an error
+		// at once, and the host gives up on the dead link quickly.
+		link := etherlink.ReliableConfig{RetryTimeout: 10 * time.Millisecond, MaxRetries: 5}
+		cfg.Link = link
 		devTr, hostTr := etherlink.LoopbackPair(8)
 		cfg.Transport = etherlink.NewFaultTransport(devTr, 99,
 			etherlink.FaultConfig{CutAfter: 12}, etherlink.FaultConfig{})
@@ -260,7 +263,7 @@ func TestPipelinedPartialResultOnLinkCut(t *testing.T) {
 			t.Fatal(err)
 		}
 		serveErr := make(chan error, 1)
-		go func() { serveErr <- hostPlan.ServeWith(hostTr, ServeOptions{Plain: true}) }()
+		go func() { serveErr <- hostPlan.ServeWith(hostTr, ServeOptions{Link: link}) }()
 
 		res, err := Run(cfg, nil)
 		if err == nil {
@@ -379,9 +382,9 @@ func TestHostBatchMatchesSingles(t *testing.T) {
 			t.Fatalf("test vector has %d powers, floorplan has %d components", want, got)
 		}
 		serveErr := make(chan error, 1)
-		go func() { serveErr <- host.ServeWith(hostTr, ServeOptions{Plain: true}) }()
+		go func() { serveErr <- host.Serve(hostTr) }()
 
-		ep := etherlink.NewEndpoint(devTr, etherlink.DeviceMAC, etherlink.HostMAC)
+		ep := etherlink.NewEndpoint(devTr, etherlink.DeviceMAC, etherlink.HostMAC, etherlink.ReliableConfig{})
 		start := &etherlink.Ctrl{Op: etherlink.CtrlStart, Arg: uint64(host.NumComponents())}
 		if err := ep.Send(etherlink.MsgCtrl, start.MarshalPayload()); err != nil {
 			t.Fatal(err)
@@ -427,6 +430,9 @@ func TestHostBatchMatchesSingles(t *testing.T) {
 		if err := ep.Send(etherlink.MsgCtrl, stop.MarshalPayload()); err != nil {
 			t.Fatal(err)
 		}
+		// Hanging up ends the host's wait for an acknowledgement of its
+		// echo.
+		devTr.Close()
 		if err := <-serveErr; err != nil {
 			t.Fatalf("host serve: %v", err)
 		}

@@ -8,18 +8,12 @@ import (
 )
 
 // Freezer is the VPCM surface the dispatcher uses when the Ethernet link
-// congests: the virtual clock is stopped while the link drains so that no
-// statistics are lost and the emulated timing is unaffected (Section 4.2).
+// congests or heals loss (Section 4.2). The emulation waits in the
+// dispatcher's own send or receive call while the link drains, so no
+// statistics are lost and no virtual time passes; the dispatcher accounts
+// each stall as frozen physical time under a named source. It may be
+// called while another goroutine advances the clock.
 type Freezer interface {
-	RequestFreeze(source string)
-	ReleaseFreeze(source string)
-	AddFrozenTime(physCycles uint64)
-}
-
-// FreezeAccounter is optionally implemented by Freezers that attribute
-// frozen time to a named source (the VPCM does); the dispatcher uses it to
-// separate congestion freezes from retransmission freezes.
-type FreezeAccounter interface {
 	AddFrozenTimeSource(source string, physCycles uint64)
 }
 
@@ -43,8 +37,8 @@ type DispatcherStats struct {
 }
 
 // Dispatcher is the device-side Ethernet engine: it serialises statistics
-// messages from the sampler onto the transport, and freezes the virtual
-// platform clock through the VPCM whenever the link cannot accept a frame
+// messages from the sampler onto the transport, and accounts frozen
+// virtual-clock time to the VPCM whenever the link cannot accept a frame
 // immediately. Its counters are atomic, so Stats() may be read while the
 // loop runs.
 type Dispatcher struct {
@@ -72,20 +66,25 @@ type Dispatcher struct {
 	eventBuf   []sniffer.Event
 }
 
-// NewDispatcher creates a dispatcher over the transport. drainPhysCycles is
-// charged to the VPCM per congestion event.
+// NewDispatcher creates a dispatcher over the transport, with the default
+// reliability tuning. drainPhysCycles is charged to the VPCM (which may be
+// nil) per congestion event and per retransmission stall.
 func NewDispatcher(tr Transport, vpcm Freezer, drainPhysCycles uint64) *Dispatcher {
-	return &Dispatcher{
-		ep:              NewEndpoint(tr, DeviceMAC, HostMAC),
-		vpcm:            vpcm,
-		drainPhysCycles: drainPhysCycles,
-	}
+	d := &Dispatcher{vpcm: vpcm, drainPhysCycles: drainPhysCycles}
+	d.ep = NewEndpoint(tr, DeviceMAC, HostMAC, d.hooked(ReliableConfig{}))
+	return d
 }
 
-// EnableReliability turns on the endpoint's NACK/resend-window protocol and
-// hooks retransmission stalls into the VPCM freeze accounting, preserving
-// the freeze-don't-drop guarantee over a faulty link.
-func (d *Dispatcher) EnableReliability(cfg ReliableConfig) {
+// EnableReliability re-tunes the endpoint's NACK/resend-window protocol
+// (zero fields take the DefaultReliability values) before any traffic.
+// Retransmission stalls stay hooked into the VPCM freeze accounting,
+// preserving the freeze-don't-drop guarantee over a faulty link.
+func (d *Dispatcher) EnableReliability(cfg ReliableConfig) { d.ep.rel = d.hooked(cfg) }
+
+// hooked fills cfg's defaults and wraps its OnRetry so every re-solicit is
+// counted and accounted as a resend freeze.
+func (d *Dispatcher) hooked(cfg ReliableConfig) ReliableConfig {
+	cfg.fillDefaults()
 	inner := cfg.OnRetry
 	cfg.OnRetry = func(attempt int) {
 		d.retries.Add(1)
@@ -94,20 +93,14 @@ func (d *Dispatcher) EnableReliability(cfg ReliableConfig) {
 			inner(attempt)
 		}
 	}
-	d.ep.EnableReliability(cfg)
+	return cfg
 }
 
 // accountFreeze charges one drain period to the VPCM under the given
 // source and mirrors it in the dispatcher/link counters.
 func (d *Dispatcher) accountFreeze(source string) {
 	if d.vpcm != nil {
-		d.vpcm.RequestFreeze(source)
-		if fa, ok := d.vpcm.(FreezeAccounter); ok {
-			fa.AddFrozenTimeSource(source, d.drainPhysCycles)
-		} else {
-			d.vpcm.AddFrozenTime(d.drainPhysCycles)
-		}
-		d.vpcm.ReleaseFreeze(source)
+		d.vpcm.AddFrozenTimeSource(source, d.drainPhysCycles)
 	}
 	d.frozenPhys.Add(d.drainPhysCycles)
 	d.ep.stats.FrozenPhys.Add(d.drainPhysCycles)
@@ -133,9 +126,10 @@ func (d *Dispatcher) Link() *LinkStats { return d.ep.LinkStats() }
 // Endpoint exposes the underlying typed endpoint (e.g. for control traffic).
 func (d *Dispatcher) Endpoint() *Endpoint { return d.ep }
 
-// sendBackpressured transmits a marshalled frame, freezing the virtual
-// clock while the congested FIFO drains (Section 4.2): statistics are never
-// dropped, emulated time is never skewed.
+// sendBackpressured transmits a marshalled frame. When the FIFO is full
+// it waits for the link to drain and accounts the wait as frozen time
+// (Section 4.2): statistics are never dropped, emulated time is never
+// skewed.
 func (d *Dispatcher) sendBackpressured(b []byte) error {
 	ok, err := d.ep.Tr.TrySend(b)
 	if err != nil {
@@ -144,20 +138,8 @@ func (d *Dispatcher) sendBackpressured(b []byte) error {
 	if !ok {
 		d.congestions.Add(1)
 		d.ep.stats.Congestions.Add(1)
-		if d.vpcm != nil {
-			d.vpcm.RequestFreeze(FreezeSource)
-		}
 		err = d.ep.Tr.Send(b)
-		if d.vpcm != nil {
-			if fa, ok := d.vpcm.(FreezeAccounter); ok {
-				fa.AddFrozenTimeSource(FreezeSource, d.drainPhysCycles)
-			} else {
-				d.vpcm.AddFrozenTime(d.drainPhysCycles)
-			}
-			d.vpcm.ReleaseFreeze(FreezeSource)
-		}
-		d.frozenPhys.Add(d.drainPhysCycles)
-		d.ep.stats.FrozenPhys.Add(d.drainPhysCycles)
+		d.accountFreeze(FreezeSource)
 		if err != nil {
 			return err
 		}
@@ -166,8 +148,8 @@ func (d *Dispatcher) sendBackpressured(b []byte) error {
 	return nil
 }
 
-// SendStats transmits one statistics window. On congestion the virtual
-// clock is frozen until the transport accepts the frame.
+// SendStats transmits one statistics window. On congestion it waits, with
+// the virtual clock frozen, until the transport accepts the frame.
 func (d *Dispatcher) SendStats(s *Stats) error {
 	d.payloadBuf = s.AppendPayload(d.payloadBuf[:0])
 	b, err := d.ep.nextFrame(MsgStats, d.payloadBuf)

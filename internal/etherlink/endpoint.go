@@ -10,9 +10,6 @@ import (
 
 // Errors of the sequencing/reliability layer.
 var (
-	// ErrSeqGap marks a frame that arrived ahead of the expected sequence
-	// number on a non-reliable endpoint (frames were lost in between).
-	ErrSeqGap = errors.New("etherlink: sequence gap")
 	// ErrLinkStalled marks a reliable Recv that exhausted its retry budget
 	// without making progress: the peer is gone or the link is dead.
 	ErrLinkStalled = errors.New("etherlink: link stalled")
@@ -79,10 +76,10 @@ type winEntry struct {
 
 // Endpoint is a typed wrapper over a Transport: it stamps addresses and
 // sequence numbers on the way out, and validates destination MAC, CRC and
-// sequence contiguity on the way in. With EnableReliability it additionally
-// heals loss, duplication, reordering and corruption through a NACK/
-// resend-window handshake, so the dispatcher's freeze-don't-drop guarantee
-// holds over a faulty link.
+// sequence contiguity on the way in. It heals loss, duplication, reordering
+// and corruption through a NACK/resend-window handshake, so the
+// dispatcher's freeze-don't-drop guarantee holds over a faulty link. Both
+// peers run the same protocol.
 //
 // Counters are atomic: Stats()/SentCount()/ReceivedCount() may be read
 // concurrently with the protocol loop.
@@ -97,15 +94,17 @@ type Endpoint struct {
 	expect   uint32 // next expected peer sequence number (Recv loop only)
 	stats    *LinkStats
 
-	rel *ReliableConfig // nil = plain (validate, but surface gaps as errors)
+	rel ReliableConfig
 
 	sendMu sync.Mutex
 	window []winEntry // resend ring, oldest first
 }
 
-// NewEndpoint builds an endpoint with the given addresses.
-func NewEndpoint(tr Transport, local, remote MAC) *Endpoint {
-	return &Endpoint{Tr: tr, Local: local, Remote: remote, stats: &LinkStats{}}
+// NewEndpoint builds an endpoint with the given addresses and loss-recovery
+// tuning. Zero-valued config fields take the DefaultReliability values.
+func NewEndpoint(tr Transport, local, remote MAC, cfg ReliableConfig) *Endpoint {
+	cfg.fillDefaults()
+	return &Endpoint{Tr: tr, Local: local, Remote: remote, stats: &LinkStats{}, rel: cfg}
 }
 
 // SetLinkStats shares a metrics aggregate (e.g. one per server) with the
@@ -119,14 +118,6 @@ func (e *Endpoint) SetLinkStats(s *LinkStats) {
 // LinkStats returns the endpoint's metrics aggregate.
 func (e *Endpoint) LinkStats() *LinkStats { return e.stats }
 
-// EnableReliability switches the endpoint to the NACK/resend-window
-// protocol. Zero-valued config fields take the DefaultReliability values.
-// Both peers must enable it for loss healing to converge.
-func (e *Endpoint) EnableReliability(cfg ReliableConfig) {
-	cfg.fillDefaults()
-	e.rel = &cfg
-}
-
 // NextSeq returns the sequence number the next sent frame will carry.
 func (e *Endpoint) NextSeq() uint32 { return e.seq.Load() }
 
@@ -136,7 +127,7 @@ func (e *Endpoint) SentCount() uint64     { return e.sent.Load() }
 func (e *Endpoint) ReceivedCount() uint64 { return e.received.Load() }
 
 // nextFrame marshals a typed frame stamped with the next sequence number
-// and, in reliable mode, records it in the resend window.
+// and records it in the resend window.
 func (e *Endpoint) nextFrame(typ MsgType, payload []byte) ([]byte, error) {
 	e.sendMu.Lock()
 	defer e.sendMu.Unlock()
@@ -147,12 +138,10 @@ func (e *Endpoint) nextFrame(typ MsgType, payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	e.seq.Add(1)
-	if e.rel != nil {
-		if len(e.window) >= e.rel.Window {
-			e.window = e.window[1:]
-		}
-		e.window = append(e.window, winEntry{seq: seq, frame: b})
+	if len(e.window) >= e.rel.Window {
+		e.window = e.window[1:]
 	}
+	e.window = append(e.window, winEntry{seq: seq, frame: b})
 	return b, nil
 }
 
@@ -238,15 +227,15 @@ func (e *Endpoint) resendFrom(from uint32) error {
 }
 
 // AcceptStop answers the peer's CtrlStop, the last frame of a session: it
-// echoes the stop as the acknowledgement the peer waits for, then — in
-// reliable mode — lingers to resend the echo if the peer re-solicits it.
+// echoes the stop as the acknowledgement the peer waits for, then lingers
+// to resend the echo if the peer re-solicits it.
 // The linger ends on the peer's final MsgAck, on any link error (the peer
 // hung up), or when no frame arrives for four retry timeouts — the peer
 // re-solicits once per retry timeout, so three of its solicits in a row may
 // be lost — and it answers at most MaxRetries frames. The session is complete once the stop has
 // arrived, so a failure to deliver the echo is not an error.
 func (e *Endpoint) AcceptStop() {
-	if e.Send(MsgCtrl, (&Ctrl{Op: CtrlStop}).MarshalPayload()) != nil || e.rel == nil {
+	if e.Send(MsgCtrl, (&Ctrl{Op: CtrlStop}).MarshalPayload()) != nil {
 		return
 	}
 	defer e.Tr.SetRecvDeadline(time.Time{})
@@ -282,55 +271,10 @@ func isCtrlStop(f *Frame) bool {
 	return err == nil && c.Op == CtrlStop
 }
 
-// Recv receives the next in-order frame. In reliable mode it transparently
-// heals gaps, duplicates and corruption via the NACK protocol, returning
-// ErrLinkStalled when the retry budget runs out. In plain mode a sequence
-// gap is surfaced as an ErrSeqGap-wrapped error.
+// Recv receives the next in-order frame. It transparently heals gaps,
+// duplicates and corruption via the NACK protocol, returning
+// ErrLinkStalled when the retry budget runs out.
 func (e *Endpoint) Recv() (*Frame, error) {
-	if e.rel == nil {
-		return e.recvPlain()
-	}
-	return e.recvReliable()
-}
-
-func (e *Endpoint) recvPlain() (*Frame, error) {
-	for {
-		b, err := e.Tr.Recv()
-		if err != nil {
-			return nil, err
-		}
-		f, err := Unmarshal(b)
-		if err != nil {
-			if errors.Is(err, ErrBadCRC) {
-				e.stats.CRCErrors.Add(1)
-			}
-			return nil, err
-		}
-		if f.Dst != e.Local {
-			// Not ours: real MAC endpoints drop silently.
-			e.stats.DstMismatch.Add(1)
-			continue
-		}
-		switch {
-		case f.Type == MsgNack || f.Type == MsgAck:
-			// Out-of-band frames carry no data sequence number.
-		case isCtrlStop(f):
-			// Terminal; accept at any sequence position.
-		case f.Seq == e.expect:
-			e.expect++
-		case seqBefore(f.Seq, e.expect):
-			e.stats.DupFrames.Add(1)
-			return nil, fmt.Errorf("%w: duplicate seq %d, expected %d", ErrSeqGap, f.Seq, e.expect)
-		default:
-			e.stats.SeqGaps.Add(1)
-			return nil, fmt.Errorf("%w: got seq %d, expected %d", ErrSeqGap, f.Seq, e.expect)
-		}
-		e.noteRecv(len(b))
-		return f, nil
-	}
-}
-
-func (e *Endpoint) recvReliable() (*Frame, error) {
 	retries := 0 // consecutive timeouts without any frame
 	recov := 0   // in-protocol recoveries this call
 	for {

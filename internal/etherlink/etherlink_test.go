@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -173,6 +174,49 @@ func TestLoopbackTransport(t *testing.T) {
 	}
 }
 
+// TestLoopbackRecvDeadlineConcurrent: receivers sharing one loopback end,
+// each waiting under a deadline, get every frame exactly once and time out
+// cleanly in between; the end's reused timer never serves two waits (a
+// receiver whose expiry another one consumed would wait forever).
+func TestLoopbackRecvDeadlineConcurrent(t *testing.T) {
+	const frames = 300
+	dev, host := LoopbackPair(4)
+	var got atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for got.Load() < frames {
+				host.SetRecvDeadline(time.Now().Add(time.Millisecond))
+				_, err := host.Recv()
+				switch {
+				case err == nil:
+					got.Add(1)
+				case !errors.Is(err, ErrRecvTimeout):
+					t.Errorf("recv: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < frames; i++ {
+		if err := dev.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("receivers still waiting 10 s after %d of %d frames", got.Load(), frames)
+	}
+	if n := got.Load(); n != frames {
+		t.Fatalf("received %d frames, sent %d", n, frames)
+	}
+}
+
 func TestLoopbackCongestion(t *testing.T) {
 	dev, _ := LoopbackPair(2)
 	for i := 0; i < 2; i++ {
@@ -201,35 +245,25 @@ func TestLoopbackClose(t *testing.T) {
 	}
 }
 
+// fakeFreezer records the frozen physical cycles the dispatcher accounts,
+// per source.
 type fakeFreezer struct {
-	mu       sync.Mutex
-	frozen   map[string]bool
-	events   int
-	frozenCy uint64
+	mu    sync.Mutex
+	bySrc map[string]uint64
 }
 
-func newFakeFreezer() *fakeFreezer { return &fakeFreezer{frozen: map[string]bool{}} }
-
-func (f *fakeFreezer) RequestFreeze(s string) {
+func (f *fakeFreezer) AddFrozenTimeSource(source string, c uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.frozen[s] = true
-	f.events++
-}
-func (f *fakeFreezer) ReleaseFreeze(s string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.frozen, s)
-}
-func (f *fakeFreezer) AddFrozenTime(c uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.frozenCy += c
+	if f.bySrc == nil {
+		f.bySrc = map[string]uint64{}
+	}
+	f.bySrc[source] += c
 }
 
 func TestDispatcherCongestionFreezesClock(t *testing.T) {
 	dev, host := LoopbackPair(1)
-	fz := newFakeFreezer()
+	fz := &fakeFreezer{}
 	d := NewDispatcher(dev, fz, 500)
 	// Slow consumer that drains one frame after a delay.
 	go func() {
@@ -251,22 +285,39 @@ func TestDispatcherCongestionFreezesClock(t *testing.T) {
 	if st.Congestions == 0 {
 		t.Error("no congestion recorded")
 	}
-	if fz.events == 0 || fz.frozenCy != 500*st.Congestions {
-		t.Errorf("freezer events=%d frozen=%d", fz.events, fz.frozenCy)
-	}
 	fz.mu.Lock()
-	stillFrozen := len(fz.frozen) > 0
-	fz.mu.Unlock()
-	if stillFrozen {
-		t.Error("clock left frozen after congestion resolved")
+	defer fz.mu.Unlock()
+	if len(fz.bySrc) != 1 || fz.bySrc[FreezeSource] != 500*st.Congestions {
+		t.Errorf("frozen cycles by source = %v, want %s: %d", fz.bySrc, FreezeSource, 500*st.Congestions)
 	}
 	dev.Close()
+}
+
+// TestDispatcherResendStallsFreezeClock: every re-solicit of a silent peer
+// is accounted as a resend freeze, also after EnableReliability re-tunes
+// the endpoint, and the exhausted budget surfaces as ErrLinkStalled.
+func TestDispatcherResendStallsFreezeClock(t *testing.T) {
+	dev, _ := LoopbackPair(8)
+	fz := &fakeFreezer{}
+	d := NewDispatcher(dev, fz, 300)
+	d.EnableReliability(ReliableConfig{RetryTimeout: time.Millisecond, MaxRetries: 3})
+	if _, err := d.RecvTemps(nil); !errors.Is(err, ErrLinkStalled) {
+		t.Fatalf("recv from a silent peer: %v, want ErrLinkStalled", err)
+	}
+	if st := d.Stats(); st.Retries != 3 || st.FrozenPhys != 3*300 {
+		t.Errorf("stats = %+v, want 3 retries and %d frozen cycles", st, 3*300)
+	}
+	fz.mu.Lock()
+	defer fz.mu.Unlock()
+	if len(fz.bySrc) != 1 || fz.bySrc[ResendFreezeSource] != 3*300 {
+		t.Errorf("frozen cycles by source = %v, want %s: %d", fz.bySrc, ResendFreezeSource, 3*300)
+	}
 }
 
 func TestDispatcherTempsAndCtrl(t *testing.T) {
 	dev, hostTr := LoopbackPair(8)
 	d := NewDispatcher(dev, nil, 0)
-	host := NewEndpoint(hostTr, HostMAC, DeviceMAC)
+	host := NewEndpoint(hostTr, HostMAC, DeviceMAC, ReliableConfig{})
 	// Host sends a ctrl then a temps frame.
 	if err := host.Send(MsgCtrl, (&Ctrl{Op: CtrlStart, Arg: 5}).MarshalPayload()); err != nil {
 		t.Fatal(err)
@@ -308,7 +359,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 			res <- result{nil, err}
 			return
 		}
-		host := NewEndpoint(NewTCP(conn, 16), HostMAC, DeviceMAC)
+		host := NewEndpoint(NewTCP(conn, 16), HostMAC, DeviceMAC, ReliableConfig{})
 		f, err := host.Recv()
 		if err != nil {
 			res <- result{nil, err}
@@ -358,8 +409,8 @@ func TestMACString(t *testing.T) {
 
 func TestEndpointSequenceNumbers(t *testing.T) {
 	dev, host := LoopbackPair(8)
-	e := NewEndpoint(dev, DeviceMAC, HostMAC)
-	h := NewEndpoint(host, HostMAC, DeviceMAC)
+	e := NewEndpoint(dev, DeviceMAC, HostMAC, ReliableConfig{})
+	h := NewEndpoint(host, HostMAC, DeviceMAC, ReliableConfig{})
 	for i := uint32(0); i < 3; i++ {
 		if e.NextSeq() != i {
 			t.Errorf("next seq = %d, want %d", e.NextSeq(), i)
@@ -385,11 +436,13 @@ func TestEndpointSequenceNumbers(t *testing.T) {
 // TestEndpointRoundTripAllocs pins the copy-free frame path: one endpoint
 // round trip over the loopback allocates the marshalled frame and the
 // received Frame header, and copies the frame bytes nowhere else — neither
-// the transport nor Unmarshal copies them.
+// the transport nor Unmarshal copies them. The resend window keeps the
+// frame without a copy, and the receive deadline reuses the loopback's
+// timer.
 func TestEndpointRoundTripAllocs(t *testing.T) {
 	dev, host := LoopbackPair(1)
-	e := NewEndpoint(dev, DeviceMAC, HostMAC)
-	h := NewEndpoint(host, HostMAC, DeviceMAC)
+	e := NewEndpoint(dev, DeviceMAC, HostMAC, ReliableConfig{})
+	h := NewEndpoint(host, HostMAC, DeviceMAC, ReliableConfig{})
 	payload := TempsFromKelvin(1, []float64{300, 301, 302, 303}).MarshalPayload()
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := e.Send(MsgTemp, payload); err != nil {
@@ -452,7 +505,7 @@ func TestDispatcherPumpEvents(t *testing.T) {
 	}
 	resCh := make(chan res, 1)
 	go func() {
-		ep := NewEndpoint(host, HostMAC, DeviceMAC)
+		ep := NewEndpoint(host, HostMAC, DeviceMAC, ReliableConfig{})
 		var r res
 		for r.events < 200 {
 			f, err := ep.Recv()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -105,12 +106,13 @@ func runReliableExchange(t *testing.T, devTr, hostTr Transport, rounds int) {
 	t.Helper()
 	rel := ReliableConfig{Window: 64, RetryTimeout: 15 * time.Millisecond, MaxRetries: 400}
 
-	dev := NewEndpoint(devTr, DeviceMAC, HostMAC)
-	dev.EnableReliability(rel)
-	host := NewEndpoint(hostTr, HostMAC, DeviceMAC)
-	host.EnableReliability(rel)
+	dev := NewEndpoint(devTr, DeviceMAC, HostMAC, rel)
+	host := NewEndpoint(hostTr, HostMAC, DeviceMAC, rel)
 
-	// Host: echo every stats window back as a temps frame.
+	// Host: echo every stats window back as a temps frame. Once the test
+	// tears the link down, a send may report the close even for a frame
+	// already delivered (the transport's writer exited under it).
+	var tornDown atomic.Bool
 	hostDone := make(chan struct{})
 	go func() {
 		defer close(hostDone)
@@ -129,7 +131,9 @@ func runReliableExchange(t *testing.T, devTr, hostTr Transport, rounds int) {
 			}
 			reply := &Temps{TimePs: s.Cycle, MilliK: []uint32{300_000}}
 			if err := host.Send(MsgTemp, reply.MarshalPayload()); err != nil {
-				t.Errorf("host send: %v", err)
+				if !tornDown.Load() {
+					t.Errorf("host send: %v", err)
+				}
 				return
 			}
 		}
@@ -172,6 +176,7 @@ func runReliableExchange(t *testing.T, devTr, hostTr Transport, rounds int) {
 			for _, typed := range []error{ErrLinkStalled, ErrResendWindow, ErrLinkCut, ErrClosed} {
 				if errors.Is(err, typed) {
 					t.Logf("exchange ended with typed error: %v", err)
+					tornDown.Store(true)
 					devTr.Close()
 					hostTr.Close()
 					<-hostDone
@@ -184,6 +189,7 @@ func runReliableExchange(t *testing.T, devTr, hostTr Transport, rounds int) {
 		t.Fatal("fault matrix exchange hung")
 	}
 
+	tornDown.Store(true)
 	devTr.Close()
 	hostTr.Close()
 	select {

@@ -53,6 +53,10 @@ type loopback struct {
 
 	mu       sync.Mutex
 	deadline time.Time
+	// timer is reused by every Recv with a deadline, so a receive costs no
+	// allocation. A Recv takes it out while it waits; a concurrent Recv
+	// that finds it gone builds its own.
+	timer *time.Timer
 }
 
 // LoopbackPair creates two connected in-process transports whose link can
@@ -104,14 +108,36 @@ func (l *loopback) SetRecvDeadline(t time.Time) error {
 
 func (l *loopback) Recv() ([]byte, error) {
 	l.mu.Lock()
-	deadline := l.deadline
-	l.mu.Unlock()
-	var expired <-chan time.Time
-	if !deadline.IsZero() {
-		timer := time.NewTimer(time.Until(deadline))
-		defer timer.Stop()
-		expired = timer.C
+	deadline, timer := l.deadline, l.timer
+	if deadline.IsZero() {
+		l.mu.Unlock()
+		return l.recv(nil)
 	}
+	l.timer = nil
+	l.mu.Unlock()
+	if timer == nil {
+		timer = time.NewTimer(time.Until(deadline))
+	} else {
+		timer.Reset(time.Until(deadline))
+	}
+	f, err := l.recv(timer.C)
+	// Stop and drain, so the next Reset starts from a clean channel under
+	// either timer semantics (Go 1.23 changed them).
+	if !timer.Stop() {
+		select {
+		case <-timer.C:
+		default:
+		}
+	}
+	l.mu.Lock()
+	l.timer = timer
+	l.mu.Unlock()
+	return f, err
+}
+
+// recv waits for a frame, the transport's close or expired, whichever
+// comes first.
+func (l *loopback) recv(expired <-chan time.Time) ([]byte, error) {
 	select {
 	case f := <-l.in:
 		return f, nil

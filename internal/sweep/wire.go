@@ -220,7 +220,5 @@ func newEndpoint(tr etherlink.Transport, coordinator bool, link etherlink.Reliab
 	if coordinator {
 		local, remote = etherlink.HostMAC, etherlink.DeviceMAC
 	}
-	ep := etherlink.NewEndpoint(tr, local, remote)
-	ep.EnableReliability(link)
-	return ep
+	return etherlink.NewEndpoint(tr, local, remote, link)
 }

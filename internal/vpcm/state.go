@@ -20,9 +20,7 @@ type SourcePs struct {
 
 // State is the complete checkpointable clock state. Maps are flattened to
 // slices sorted by source name so two saves of the same clock are
-// structurally identical. Held freezes are deliberately absent: checkpoints
-// are taken at window boundaries where the loop is quiescent and no source
-// holds the virtual clock frozen.
+// structurally identical.
 type State struct {
 	PhysHz      uint64
 	VirtHz      uint64
@@ -92,7 +90,6 @@ func (v *VPCM) RestoreState(s State) error {
 	v.cycle = s.Cycle
 	v.timePs = s.TimePs
 	v.history = append([]FreqChange(nil), s.History...)
-	v.frozen = make(map[string]bool)
 	v.suppMu.Lock()
 	v.wallPs = s.WallPs
 	v.suppress = make(map[string]uint64, len(s.Suppression))

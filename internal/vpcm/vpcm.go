@@ -13,8 +13,12 @@
 //     thermal-management actions such as dynamic frequency scaling (DFS).
 //
 // It also freezes the virtual clock when the Ethernet connection to the
-// host saturates while downloading statistics. The combination lets the
-// framework emulate, say, a 500 MHz MPSoC on 100 MHz FPGA hardware: with a
+// host saturates while downloading statistics. Here the emulator is blocked
+// by the send or receive call itself while the link drains, so a freeze is
+// accounting: the frozen physical time is added to the clock under a named
+// source (AddFrozenTimeSource), and no flag stops Advance.
+//
+// The combination lets the framework emulate, say, a 500 MHz MPSoC on 100 MHz FPGA hardware: with a
 // 10 ms statistics sampling period and a 5× virtual/physical ratio, the
 // framework samples every 50 ms of real execution but the thermal library
 // analyses it as 10 ms of emulated time.
@@ -51,7 +55,6 @@ type VPCM struct {
 	virtHz uint64
 	cycle  uint64 // virtual platform cycles issued
 	timePs uint64 // virtual time elapsed
-	frozen map[string]bool
 	// suppMu guards the suppression state: memory controllers may raise
 	// suppression concurrently when the platform runs in parallel mode.
 	suppMu    sync.Mutex
@@ -74,8 +77,7 @@ func New(physHz, virtHz uint64) *VPCM {
 	if physHz == 0 || virtHz == 0 {
 		panic("vpcm: frequencies must be positive")
 	}
-	v := &VPCM{physHz: physHz, virtHz: virtHz,
-		frozen: make(map[string]bool), suppress: make(map[string]uint64)}
+	v := &VPCM{physHz: physHz, virtHz: virtHz, suppress: make(map[string]uint64)}
 	v.history = append(v.history, FreqChange{Cycle: 0, TimePs: 0, Hz: virtHz})
 	return v
 }
@@ -155,11 +157,10 @@ func (v *VPCM) EmulationWallPs() uint64 {
 }
 
 // Advance clocks the virtual platform by n cycles at the current virtual
-// frequency. The caller must not advance while frozen.
+// frequency. A freeze never blocks it: whoever waits on the link or the
+// solver is the goroutine that would advance, and it accounts the wait
+// with AddFrozenTimeSource.
 func (v *VPCM) Advance(n uint64) {
-	if v.FrozenBy() != "" {
-		panic("vpcm: advance while virtual clock is frozen by " + v.FrozenBy())
-	}
 	v.cycle += n
 	v.timePs += n * (picosPerSec / v.virtHz)
 	v.wallPs += n * (picosPerSec / v.physHz)
@@ -206,40 +207,19 @@ func (v *VPCM) SuppressionBySource() []struct {
 	return out
 }
 
-// RequestFreeze stops the virtual clock on behalf of a source (e.g. the
-// Ethernet dispatcher on congestion). Freezes nest per source.
-func (v *VPCM) RequestFreeze(source string) { v.frozen[source] = true }
-
-// ReleaseFreeze resumes the virtual clock for a source.
-func (v *VPCM) ReleaseFreeze(source string) { delete(v.frozen, source) }
-
-// FrozenBy returns the name of one freezing source, or "" when running.
-func (v *VPCM) FrozenBy() string {
-	for s := range v.frozen {
-		return s
-	}
-	return ""
-}
-
-// AddFrozenTime accounts physical time spent with the virtual clock frozen
-// (reported by whoever held the freeze, in physical cycles).
-func (v *VPCM) AddFrozenTime(physCycles uint64) {
-	v.AddFrozenTimeSource("", physCycles)
-}
-
-// AddFrozenTimeSource is AddFrozenTime with the frozen period attributed to
-// a named source (e.g. "ethernet" for congestion, "ethernet-resend" for
-// link-loss recovery), so observability can split the stall budget.
+// AddFrozenTimeSource accounts physical time spent with the virtual clock
+// frozen, in physical cycles, attributed to a named source (e.g. "ethernet"
+// for congestion, "ethernet-resend" for link-loss recovery), so
+// observability can split the stall budget. It is safe to call while
+// another goroutine advances the clock.
 func (v *VPCM) AddFrozenTimeSource(source string, physCycles uint64) {
 	ps := physCycles * (picosPerSec / v.physHz)
 	v.freezeMu.Lock()
 	v.frozenPs += ps
-	if source != "" {
-		if v.frozenBySrc == nil {
-			v.frozenBySrc = make(map[string]uint64)
-		}
-		v.frozenBySrc[source] += ps
+	if v.frozenBySrc == nil {
+		v.frozenBySrc = make(map[string]uint64)
 	}
+	v.frozenBySrc[source] += ps
 	v.freezeMu.Unlock()
 }
 
