@@ -322,14 +322,15 @@ func BenchmarkGridAblation(b *testing.B) {
 }
 
 // BenchmarkEtherlinkFrame measures the MAC frame codec round trip for a
-// 28-cell statistics payload.
+// one-window, 28-component statistics payload.
 func BenchmarkEtherlinkFrame(b *testing.B) {
-	s := &etherlink.Stats{Cycle: 12345, WindowPs: 10_000_000_000, PowerUW: make([]uint32, 28)}
+	s := etherlink.Stats{Cycle: 12345, WindowPs: 10_000_000_000, PowerUW: make([]uint32, 28)}
 	for i := range s.PowerUW {
 		s.PowerUW[i] = uint32(i) * 1000
 	}
+	sb := &etherlink.StatsBatch{Windows: []etherlink.Stats{s}}
 	f := &etherlink.Frame{Dst: etherlink.HostMAC, Src: etherlink.DeviceMAC,
-		Type: etherlink.MsgStats, Payload: s.MarshalPayload()}
+		Type: etherlink.MsgStatsBatch, Payload: sb.MarshalPayload()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf, err := f.Marshal()
@@ -340,7 +341,7 @@ func BenchmarkEtherlinkFrame(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := etherlink.UnmarshalStats(g.Payload); err != nil {
+		if err := etherlink.UnmarshalStatsBatchInto(sb, g.Payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,12 +359,13 @@ func BenchmarkEtherlinkLoopback(b *testing.B) {
 	go func() { done <- host.Serve(hostTr) }()
 	d := etherlink.NewDispatcher(dev, nil, 0)
 	s := &etherlink.Stats{Cycle: 1, WindowPs: 1_000_000, PowerUW: make([]uint32, host.NumComponents())}
+	var temps etherlink.Temps
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := d.SendStats(s); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.RecvTemps(nil); err != nil {
+		if err := d.RecvTempsInto(&temps, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

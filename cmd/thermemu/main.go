@@ -348,9 +348,9 @@ func run(s *scenario.Scenario, o options) error {
 		fmt.Printf("golden digest:  %s over %d records\n", cfg.Golden.Hex(), cfg.Golden.Len())
 	}
 	if o.host != "" {
-		fmt.Printf("link stats:     %d stats frames, %d temps frames, %d congestions, %d retries\n",
-			res.Congestion.StatsSent, res.Congestion.TempsRecv, res.Congestion.Congestions,
-			res.Congestion.Retries)
+		fmt.Printf("link stats:     %d windows sent, %d answered, in %d frames out and %d in; %d congestions, %d retries\n",
+			res.Link.WindowsSent, res.Link.WindowsAnswered, res.Link.FramesSent, res.Link.FramesRecv,
+			res.Link.Congestions, res.Link.Retries)
 		fmt.Printf("link layer:     %s\n", res.Link)
 	}
 	if !res.Done {

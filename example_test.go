@@ -57,7 +57,7 @@ func Example_remoteThermalHost() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d frames exchanged\n", out.Congestion.StatsSent+out.Congestion.TempsRecv)
+	fmt.Printf("%d windows in %d frames exchanged\n", out.Link.WindowsSent, out.Link.FramesSent+out.Link.FramesRecv)
 }
 
 // Example_table3 regenerates the paper's Table 3 comparison at reduced

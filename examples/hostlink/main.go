@@ -76,8 +76,9 @@ func main() {
 	}
 
 	fmt.Printf("device finished: %d cycles, %d sampling windows\n", res.Cycles, len(res.Samples))
-	fmt.Printf("link traffic:    %d stats frames out, %d temps frames in, %d congestion freezes\n",
-		res.Congestion.StatsSent, res.Congestion.TempsRecv, res.Congestion.Congestions)
+	fmt.Printf("link traffic:    %d windows out, %d answered, in %d frames out and %d in; %d congestion freezes\n",
+		res.Link.WindowsSent, res.Link.WindowsAnswered, res.Link.FramesSent, res.Link.FramesRecv,
+		res.Link.Congestions)
 	fmt.Printf("thermal result:  max %.2f K, %d DFS events driven by remote readings\n",
 		res.MaxTempK, res.DFSEvents)
 }

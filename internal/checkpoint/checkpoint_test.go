@@ -179,6 +179,26 @@ func TestDecodeRejectsRetiredFields(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsEventCyclesMismatch pins the retired event-cycle word:
+// it is written as the core-step count, which it always equalled, and a
+// crafted stream holding any other value is refused.
+func TestDecodeRejectsEventCyclesMismatch(t *testing.T) {
+	ck := fullCheckpoint(t, buildRun(t))
+	steps := ck.Platform.Skip.CoreSteps
+	if steps == 0 {
+		t.Fatal("run issued no instructions")
+	}
+	if got := checkpoint.WithEventCycles(ck, steps); !bytes.Equal(got, checkpoint.Encode(ck)) {
+		t.Fatal("patching in the core-step count changed the encoding")
+	}
+	for _, v := range []uint64{0, steps - 1, steps + 1} {
+		_, err := checkpoint.Decode(checkpoint.WithEventCycles(ck, v))
+		if err == nil || !strings.Contains(err.Error(), "event-cycle counter") {
+			t.Errorf("event cycles %d of %d steps: decode error %v, want the event-cycle refusal", v, steps, err)
+		}
+	}
+}
+
 func TestWriteReadFile(t *testing.T) {
 	ck := fullCheckpoint(t, buildRun(t))
 	path := filepath.Join(t.TempDir(), "win3.tmck")

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"thermemu/internal/mem"
@@ -53,6 +54,25 @@ func WithRetiredField(c *Checkpoint, field string, v uint64) []byte {
 		panic("checkpoint: unknown retired field " + field)
 	}
 	binary.LittleEndian.PutUint32(data[body+len(w.buf):], uint32(v))
+	return resum(data)
+}
+
+// WithEventCycles returns Encode(c) with the retired event-cycle word set
+// to v and the trailing checksum recomputed. The word sits just before the
+// skipped-cycle and core-step counters and is encoded as the core-step
+// count, so the three words are found as one run; c's run must be unique
+// in the stream.
+func WithEventCycles(c *Checkpoint, v uint64) []byte {
+	data := Encode(c)
+	sk := c.Platform.Skip
+	run := binary.LittleEndian.AppendUint64(nil, sk.CoreSteps)
+	run = binary.LittleEndian.AppendUint64(run, sk.SkippedCycles)
+	run = binary.LittleEndian.AppendUint64(run, sk.CoreSteps)
+	at := bytes.Index(data, run)
+	if at < 0 || bytes.LastIndex(data, run) != at {
+		panic("checkpoint: skip counters not found exactly once")
+	}
+	binary.LittleEndian.PutUint64(data[at:], v)
 	return resum(data)
 }
 

@@ -278,7 +278,7 @@ func encodePlatform(w *writer, s *emu.PlatformState) {
 		w.u64(s.Noc.Stats.HopsTraveled)
 		w.u64(s.Noc.Stats.Transitions)
 	}
-	w.u64(s.Skip.EventCycles)
+	w.u64(s.Skip.CoreSteps) // retired event-cycle counter, which equalled CoreSteps
 	w.u64(s.Skip.SkippedCycles)
 	w.u64(s.Skip.CoreSteps)
 	w.u32(uint32(len(s.Acts)))
@@ -355,9 +355,12 @@ func decodePlatform(r *reader) *emu.PlatformState {
 		n.Stats.Transitions = r.u64()
 		s.Noc = n
 	}
-	s.Skip.EventCycles = r.u64()
+	eventCycles := r.u64()
 	s.Skip.SkippedCycles = r.u64()
 	s.Skip.CoreSteps = r.u64()
+	if r.err == nil && eventCycles != s.Skip.CoreSteps {
+		r.fail("event-cycle counter is %d, only the core-step count %d is supported", eventCycles, s.Skip.CoreSteps)
+	}
 	for i, n := 0, r.count(25); i < n && r.err == nil; i++ {
 		var a sniffer.ActivityState
 		for j := range a.Counts {

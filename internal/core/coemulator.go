@@ -29,9 +29,6 @@ type Config struct {
 	WindowPs uint64
 	// Policy is the run-time thermal-management policy (nil = none).
 	Policy tm.Policy
-	// Sensor models the physical temperature sensors feeding the VPCM
-	// (quantisation/offset); the zero value is an ideal sensor.
-	Sensor tm.SensorModel
 	// Leakage, when non-nil, adds temperature-dependent static power
 	// (future-node exploration; the paper ignores leakage at 130 nm).
 	Leakage *power.LeakageModel
@@ -140,17 +137,17 @@ type Sample struct {
 
 // Result summarises a finished co-emulation.
 type Result struct {
-	Samples    []Sample
-	Cycles     uint64
-	VirtualS   float64
-	Wall       time.Duration
-	Done       bool
-	DFSEvents  int
-	MaxTempK   float64
-	FinalSnap  emu.Snapshot
-	Congestion etherlink.DispatcherStats
-	// Link is the link-layer metrics snapshot of a transport-mode run
-	// (frames, bytes, retries, gaps, CRC errors, latency histogram).
+	Samples   []Sample
+	Cycles    uint64
+	VirtualS  float64
+	Wall      time.Duration
+	Done      bool
+	DFSEvents int
+	MaxTempK  float64
+	FinalSnap emu.Snapshot
+	// Link is the link metrics snapshot of a transport-mode run: frames,
+	// bytes, windows sent and answered, events, congestions, frozen time,
+	// retries, gaps, CRC errors and the latency histogram.
 	Link etherlink.LinkSnapshot
 	// Report is the platform's detailed statistics report at run end. It is
 	// empty on a partial result: a half-stepped platform's counters are not

@@ -295,6 +295,34 @@ func TestHostServeComponentMismatch(t *testing.T) {
 	}
 }
 
+// TestHostRefusesRetiredMessages: a frame with a retired single-window
+// message code (1 or 2), as an older build sends, ends the session with an
+// error naming the code instead of leaving that peer to stall.
+func TestHostRefusesRetiredMessages(t *testing.T) {
+	for _, code := range []etherlink.MsgType{1, 2} {
+		devTr, hostTr := etherlink.LoopbackPair(4)
+		host, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- host.Serve(hostTr) }()
+		ep := etherlink.NewEndpoint(devTr, etherlink.DeviceMAC, etherlink.HostMAC, etherlink.ReliableConfig{})
+		if err := ep.Send(code, make([]byte, 18+4*host.NumComponents())); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), code.String()) {
+				t.Errorf("code %d: Serve returned %v, want a refusal naming %v", code, err, code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("code %d: Serve still running 5 s after a retired message", code)
+		}
+		devTr.Close()
+	}
+}
+
 // TestHostRejectsUnboundedWindow: a statistics frame whose window spans
 // 2^64 ps ends the session with an error at once instead of holding the
 // host in a months-long solve, and the in-process entry point rejects
@@ -317,8 +345,9 @@ func TestHostRejectsUnboundedWindow(t *testing.T) {
 	if err := ep.Send(etherlink.MsgCtrl, start.MarshalPayload()); err != nil {
 		t.Fatal(err)
 	}
-	s := etherlink.Stats{Cycle: 1, WindowPs: math.MaxUint64, PowerUW: make([]uint32, host.NumComponents())}
-	if err := ep.Send(etherlink.MsgStats, s.MarshalPayload()); err != nil {
+	sb := etherlink.StatsBatch{Windows: []etherlink.Stats{
+		{Cycle: 1, WindowPs: math.MaxUint64, PowerUW: make([]uint32, host.NumComponents())}}}
+	if err := ep.Send(etherlink.MsgStatsBatch, sb.MarshalPayload()); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -378,9 +407,9 @@ func TestEventStreamingOverEthernet(t *testing.T) {
 	if hostPlan.EventsReceived == 0 {
 		t.Fatal("host received no logged events")
 	}
-	if res.Congestion.EventsSent != hostPlan.EventsReceived {
+	if res.Link.EventsSent != hostPlan.EventsReceived {
 		t.Errorf("device sent %d events, host received %d",
-			res.Congestion.EventsSent, hostPlan.EventsReceived)
+			res.Link.EventsSent, hostPlan.EventsReceived)
 	}
 	// The first batch carries real platform activity: monotone cycles and
 	// fetch/memory kinds.

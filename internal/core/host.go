@@ -151,10 +151,11 @@ type ServeOptions struct {
 }
 
 // Serve runs the host side of the Ethernet protocol on a transport: it
-// answers every statistics frame with a temperature frame until a CtrlStop
-// arrives or the transport closes. It acknowledges the stop before it
-// returns (etherlink.Endpoint.AcceptStop). This is what cmd/thermserver
-// runs on a TCP listener.
+// answers every statistics message with a temperature message for the same
+// windows until a CtrlStop arrives or the transport closes, and ends the
+// session with an error on any other message type. It acknowledges the
+// stop before it returns (etherlink.Endpoint.AcceptStop). This is what
+// cmd/thermserver runs on a TCP listener.
 func (h *ThermalHost) Serve(tr etherlink.Transport) error {
 	return h.ServeWith(tr, ServeOptions{})
 }
@@ -170,38 +171,10 @@ func (h *ThermalHost) ServeWith(tr etherlink.Transport, opt ServeOptions) error 
 	var (
 		pwBuf      []float64
 		tempsBuf   []float64
-		milliKBuf  []uint32
 		payloadBuf []byte
 		batch      etherlink.StatsBatch
 		reply      etherlink.TempsBatch
 	)
-	// stepStats solves one statistics window and quantises the resulting
-	// cell temperatures into milliK (reusing its capacity).
-	stepStats := func(s *etherlink.Stats, milliK []uint32) (uint64, []uint32, error) {
-		if cap(pwBuf) < len(s.PowerUW) {
-			pwBuf = make([]float64, len(s.PowerUW))
-		}
-		pwBuf = pwBuf[:len(s.PowerUW)]
-		for i, uw := range s.PowerUW {
-			pwBuf[i] = float64(uw) * 1e-6
-		}
-		temps, err := h.StepWindowInto(pwBuf, float64(s.WindowPs)*1e-12, tempsBuf)
-		if err != nil {
-			return 0, milliK, err
-		}
-		tempsBuf = temps
-		if cap(milliK) < len(temps) {
-			milliK = make([]uint32, len(temps))
-		}
-		milliK = milliK[:len(temps)]
-		for i, k := range temps {
-			if k < 0 {
-				k = 0
-			}
-			milliK[i] = uint32(k*1000 + 0.5)
-		}
-		return uint64(h.Model.Time() * 1e12), milliK, nil
-	}
 	for {
 		f, err := ep.Recv()
 		if err != nil {
@@ -233,21 +206,6 @@ func (h *ThermalHost) ServeWith(tr etherlink.Transport, opt ServeOptions) error 
 			if h.OnEvents != nil {
 				h.OnEvents(evs.Entries)
 			}
-		case etherlink.MsgStats:
-			s, err := etherlink.UnmarshalStats(f.Payload)
-			if err != nil {
-				return err
-			}
-			timePs, milliK, err := stepStats(s, milliKBuf)
-			milliKBuf = milliK
-			if err != nil {
-				return err
-			}
-			t := etherlink.Temps{TimePs: timePs, MilliK: milliK}
-			payloadBuf = t.AppendPayload(payloadBuf[:0])
-			if err := ep.Send(etherlink.MsgTemp, payloadBuf); err != nil {
-				return err
-			}
 		case etherlink.MsgStatsBatch:
 			if err := etherlink.UnmarshalStatsBatchInto(&batch, f.Payload); err != nil {
 				return err
@@ -257,20 +215,36 @@ func (h *ThermalHost) ServeWith(tr etherlink.Transport, opt ServeOptions) error 
 					make([]etherlink.Temps, len(batch.Windows)-cap(reply.Windows))...)
 			}
 			reply.Windows = reply.Windows[:len(batch.Windows)]
-			// Windows are solved strictly in order, so batching changes
-			// only the framing, never the thermal trajectory.
+			// Windows are solved strictly in order, so the framing never
+			// changes the thermal trajectory.
 			for i := range batch.Windows {
-				timePs, milliK, err := stepStats(&batch.Windows[i], reply.Windows[i].MilliK)
-				reply.Windows[i].TimePs = timePs
-				reply.Windows[i].MilliK = milliK
-				if err != nil {
+				s, t := &batch.Windows[i], &reply.Windows[i]
+				if cap(pwBuf) < len(s.PowerUW) {
+					pwBuf = make([]float64, len(s.PowerUW))
+				}
+				pwBuf = pwBuf[:len(s.PowerUW)]
+				for j, uw := range s.PowerUW {
+					pwBuf[j] = float64(uw) * 1e-6
+				}
+				if tempsBuf, err = h.StepWindowInto(pwBuf, float64(s.WindowPs)*1e-12, tempsBuf); err != nil {
 					return err
 				}
+				if cap(t.MilliK) < len(tempsBuf) {
+					t.MilliK = make([]uint32, len(tempsBuf))
+				}
+				t.MilliK = t.MilliK[:len(tempsBuf)]
+				for j, k := range tempsBuf {
+					t.MilliK[j] = uint32(max(k, 0)*1000 + 0.5)
+				}
+				t.TimePs = uint64(h.Model.Time() * 1e12)
 			}
 			payloadBuf = reply.AppendPayload(payloadBuf[:0])
 			if err := ep.Send(etherlink.MsgTempBatch, payloadBuf); err != nil {
 				return err
 			}
+		default:
+			// Includes the retired single-window codes of older builds.
+			return fmt.Errorf("core: device sent a %v frame, which the host does not serve", f.Type)
 		}
 	}
 }

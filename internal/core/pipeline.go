@@ -128,7 +128,7 @@ type stage struct {
 
 func newStage(cfg Config, disp *etherlink.Dispatcher, v *vpcm.VPCM) *stage {
 	depth := cfg.PipelineDepth
-	st := &stage{v: v, sv: &solver{host: cfg.Host, policy: cfg.Policy, sensor: cfg.Sensor,
+	st := &stage{v: v, sv: &solver{host: cfg.Host, policy: cfg.Policy,
 		disp: disp, maxBatch: 1}, lag: depth > 0}
 	if disp != nil && depth > 0 {
 		st.sv.maxBatch = min(etherlink.MaxStatsBatch(cfg.Host.NumComponents()),
@@ -440,7 +440,6 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		res.DFSEvents = p.VPCM.DFSEvents()
 		res.ThermalLagPs = thermalLagPs(p.VPCM)
 		if disp != nil {
-			res.Congestion = disp.Stats()
 			res.Link = disp.Link().Snapshot()
 		}
 		return res, err
@@ -569,7 +568,6 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		if err := disp.Stop(p.VPCM.Cycle()); err != nil {
 			return finishPartial(err)
 		}
-		res.Congestion = disp.Stats()
 		res.Link = disp.Link().Snapshot()
 	}
 	p.DigestInto(cfg.Golden)
@@ -598,21 +596,20 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 type solver struct {
 	host     *ThermalHost
 	policy   tm.Policy
-	sensor   tm.SensorModel
 	disp     *etherlink.Dispatcher
 	maxBatch int
 
 	pend   []*window
 	batch  etherlink.StatsBatch
 	treply etherlink.TempsBatch
-	temps  etherlink.Temps
 }
 
-// run is the pipelined solve stage's goroutine. In transport mode, windows
-// that queued up while the link was busy are shipped as one MsgStatsBatch
-// frame, as many as the statistics and the temperature reply both fit one
-// frame. After a failure every subsequent window is bounced with the same
-// error so the emulate stage observes it at the next boundary.
+// run is the pipelined solve stage's goroutine. In transport mode, every
+// window goes out in a MsgStatsBatch message together with the windows
+// that queued up behind it while the link was busy, as many as the depth
+// allows and the statistics and the temperature reply both fit one frame.
+// After a failure every subsequent window is bounced with the same error
+// so the emulate stage observes it at the next boundary.
 func (sv *solver) run(work <-chan *window, done chan<- *window) {
 	defer close(done)
 	var failed error
@@ -660,36 +657,16 @@ func (sv *solver) solve(pend []*window) error {
 		return nil
 	}
 
+	batch := &sv.batch
+	batch.Windows = batch.Windows[:0]
 	for _, w := range pend {
 		w.powerUW = w.powerUW[:0]
 		for _, pw := range w.powers {
 			w.powerUW = append(w.powerUW, uint32(pw*1e6+0.5))
 		}
-	}
-	if len(pend) == 1 {
-		w := pend[0]
-		if err := disp.SendStats(&etherlink.Stats{
+		batch.Windows = append(batch.Windows, etherlink.Stats{
 			Cycle: w.snap.Cycle, WindowPs: w.windowPs, PowerUW: w.powerUW,
-		}); err != nil {
-			return failFrom(pend, w, err)
-		}
-		if err := disp.RecvTempsInto(&sv.temps, nil); err != nil {
-			return failFrom(pend, w, err)
-		}
-		w.cellTemps = kelvinInto(w.cellTemps, sv.temps.MilliK)
-		sv.finish(w)
-		return nil
-	}
-
-	batch := &sv.batch
-	if cap(batch.Windows) < len(pend) {
-		batch.Windows = make([]etherlink.Stats, len(pend))
-	}
-	batch.Windows = batch.Windows[:len(pend)]
-	for i, w := range pend {
-		batch.Windows[i] = etherlink.Stats{
-			Cycle: w.snap.Cycle, WindowPs: w.windowPs, PowerUW: w.powerUW,
-		}
+		})
 	}
 	if err := disp.SendStatsBatch(batch); err != nil {
 		return failFrom(pend, pend[0], err)
@@ -699,7 +676,7 @@ func (sv *solver) solve(pend []*window) error {
 	}
 	if len(sv.treply.Windows) != len(pend) {
 		return failFrom(pend, pend[0], fmt.Errorf(
-			"core: host answered %d temperature windows for a %d-window batch",
+			"core: host answered %d temperature windows for a %d-window message",
 			len(sv.treply.Windows), len(pend)))
 	}
 	for i, w := range pend {
@@ -755,7 +732,7 @@ func (sv *solver) finish(w *window) {
 		for i, t := range w.compTemps {
 			w.sensors = append(w.sensors, tm.Sensor{
 				Name:  sv.host.FP.Components[i].Name,
-				TempK: sv.sensor.Read(t),
+				TempK: t,
 			})
 		}
 		action := sv.policy.Update(w.sensors)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -354,9 +355,10 @@ func TestPipelinedDiscardSamples(t *testing.T) {
 }
 
 // TestHostBatchMatchesSingles drives the host protocol directly: the same
-// two statistics windows sent once as two MsgStats frames and once as one
-// MsgStatsBatch frame must produce bit-identical temperature replies —
-// batching changes the framing, never the thermal trajectory.
+// two statistics windows sent once as two one-window messages and once as
+// one two-window message must produce bit-identical temperature replies —
+// the number of windows per message changes the framing, never the thermal
+// trajectory.
 func TestHostBatchMatchesSingles(t *testing.T) {
 	ncomp := len(floorplan.FourARM11().Components)
 	mkPowers := func(base uint32) []uint32 {
@@ -371,7 +373,7 @@ func TestHostBatchMatchesSingles(t *testing.T) {
 		{Cycle: 100_000, WindowPs: 200_000_000_000, PowerUW: mkPowers(250_000)},
 	}
 
-	session := func(batched bool) []etherlink.Temps {
+	session := func(perMessage int) []etherlink.Temps {
 		t.Helper()
 		devTr, hostTr := etherlink.LoopbackPair(8)
 		host, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
@@ -390,8 +392,8 @@ func TestHostBatchMatchesSingles(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out []etherlink.Temps
-		if batched {
-			sb := &etherlink.StatsBatch{Windows: stats}
+		for i := 0; i < len(stats); i += perMessage {
+			sb := &etherlink.StatsBatch{Windows: stats[i : i+perMessage]}
 			if err := ep.Send(etherlink.MsgStatsBatch, sb.MarshalPayload()); err != nil {
 				t.Fatal(err)
 			}
@@ -400,31 +402,16 @@ func TestHostBatchMatchesSingles(t *testing.T) {
 				t.Fatal(err)
 			}
 			if f.Type != etherlink.MsgTempBatch {
-				t.Fatalf("batch answered with %v", f.Type)
+				t.Fatalf("statistics answered with %v", f.Type)
 			}
 			tb, err := etherlink.UnmarshalTempsBatch(f.Payload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = tb.Windows
-		} else {
-			for i := range stats {
-				if err := ep.Send(etherlink.MsgStats, stats[i].MarshalPayload()); err != nil {
-					t.Fatal(err)
-				}
-				f, err := ep.Recv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if f.Type != etherlink.MsgTemp {
-					t.Fatalf("stats answered with %v", f.Type)
-				}
-				tp, err := etherlink.UnmarshalTemps(f.Payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, *tp)
+			if len(tb.Windows) != perMessage {
+				t.Fatalf("a %d-window message answered with %d windows", perMessage, len(tb.Windows))
 			}
+			out = append(out, tb.Windows...)
 		}
 		stop := &etherlink.Ctrl{Op: etherlink.CtrlStop}
 		if err := ep.Send(etherlink.MsgCtrl, stop.MarshalPayload()); err != nil {
@@ -439,8 +426,8 @@ func TestHostBatchMatchesSingles(t *testing.T) {
 		return out
 	}
 
-	singles := session(false)
-	batch := session(true)
+	singles := session(1)
+	batch := session(2)
 	if len(batch) != len(singles) {
 		t.Fatalf("batch answered %d windows, singles %d", len(batch), len(singles))
 	}
@@ -455,6 +442,97 @@ func TestHostBatchMatchesSingles(t *testing.T) {
 					i, j, singles[i].MilliK[j], batch[i].MilliK[j])
 			}
 		}
+	}
+}
+
+// wireRecorder counts the message types of the frames sent through it.
+type wireRecorder struct {
+	etherlink.Transport
+	mu    *sync.Mutex
+	types map[etherlink.MsgType]int
+}
+
+func (w wireRecorder) note(b []byte) {
+	f, err := etherlink.Unmarshal(b)
+	if err != nil {
+		return
+	}
+	w.mu.Lock()
+	w.types[f.Type]++
+	w.mu.Unlock()
+}
+
+func (w wireRecorder) Send(b []byte) error {
+	w.note(b)
+	return w.Transport.Send(b)
+}
+
+func (w wireRecorder) TrySend(b []byte) (bool, error) {
+	ok, err := w.Transport.TrySend(b)
+	if ok {
+		w.note(b)
+	}
+	return ok, err
+}
+
+// TestDepth0LinkWireMessages records every frame both ends of a clean
+// depth-0 loopback run send: only the window pair, MsgCtrl and MsgAck go
+// on the wire, one window per statistics message and temperature message,
+// and the link counters agree with what the wire carried.
+func TestDepth0LinkWireMessages(t *testing.T) {
+	var mu sync.Mutex
+	types := map[etherlink.MsgType]int{}
+	devTr, hostTr := etherlink.LoopbackPair(4)
+	cfg := testConfig(t, 3, nil)
+	cfg.WindowPs = 2_000_000 // several windows
+	cfg.Transport = wireRecorder{devTr, &mu, types}
+	// A long retry timeout keeps idle re-solicits (MsgNack) off a clean run.
+	cfg.Link = etherlink.ReliableConfig{RetryTimeout: 10 * time.Second}
+	hostPlan, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() {
+		serveErr <- hostPlan.ServeWith(wireRecorder{hostTr, &mu, types}, ServeOptions{Link: cfg.Link})
+	}()
+	res, err := Run(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("host serve: %v", err)
+	}
+	n := len(res.Samples)
+	if !res.Done || n == 0 {
+		t.Fatal("run incomplete")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for typ, c := range types {
+		switch typ {
+		case etherlink.MsgStatsBatch, etherlink.MsgTempBatch, etherlink.MsgCtrl, etherlink.MsgAck:
+		default:
+			t.Errorf("%d %v frames on the wire", c, typ)
+		}
+	}
+	if types[etherlink.MsgStatsBatch] != n || types[etherlink.MsgTempBatch] != n {
+		t.Errorf("%d windows went out in %d statistics and %d temperature messages, want one each per window",
+			n, types[etherlink.MsgStatsBatch], types[etherlink.MsgTempBatch])
+	}
+	// Start, stop and the stop's echo; the device acknowledges the echo.
+	if types[etherlink.MsgCtrl] != 3 || types[etherlink.MsgAck] != 1 {
+		t.Errorf("%d ctrl and %d ack frames, want 3 and 1", types[etherlink.MsgCtrl], types[etherlink.MsgAck])
+	}
+	l := res.Link
+	if l.WindowsSent != uint64(n) || l.WindowsAnswered != uint64(n) {
+		t.Errorf("link counted %d windows sent and %d answered, want %d", l.WindowsSent, l.WindowsAnswered, n)
+	}
+	// The device's sequenced frames are start, its statistics and stop;
+	// it receives the temperatures and the echo. The final ack rides
+	// outside the sequence space and is not counted.
+	if l.FramesSent != uint64(n+2) || l.FramesRecv != uint64(n+1) {
+		t.Errorf("link counted %d frames out and %d in, want %d and %d", l.FramesSent, l.FramesRecv, n+2, n+1)
 	}
 }
 

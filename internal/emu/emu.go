@@ -448,10 +448,6 @@ func (p *Platform) StepOne() {
 // SkipStats is the kernels' telemetry: how much per-cycle work the
 // run-ahead and skip-ahead stepping avoided.
 type SkipStats struct {
-	// EventCycles counts issue cycles executed by the kernel. Each issue is
-	// its own event, so it equals CoreSteps. The field stays for the
-	// checkpoint format.
-	EventCycles uint64
 	// SkippedCycles counts core-cycles settled in bulk — stall/idle spans
 	// charged by accrual instead of per-cycle Step calls.
 	SkippedCycles uint64
@@ -561,7 +557,6 @@ func (p *Platform) stepSpan(limit uint64) {
 			n, steps = 1, 1
 		}
 		p.skip.CoreSteps += steps
-		p.skip.EventCycles += steps
 		p.skip.SkippedCycles += skipped
 		if c.Halted() {
 			live--

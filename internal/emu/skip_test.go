@@ -214,8 +214,8 @@ func TestSkipStatsTelemetry(t *testing.T) {
 	if sk.CoreSteps != st.ActiveCycles {
 		t.Errorf("executed %d steps, core active %d cycles", sk.CoreSteps, st.ActiveCycles)
 	}
-	if sk.EventCycles >= cycles {
-		t.Errorf("event cycles %d not below total %d — no skipping happened", sk.EventCycles, cycles)
+	if sk.CoreSteps >= cycles {
+		t.Errorf("core steps %d not below total %d — no skipping happened", sk.CoreSteps, cycles)
 	}
 	// The books must balance: every cycle is either swept or skipped.
 	if got := st.Cycles(); got != cycles {

@@ -169,9 +169,18 @@ func TestMaxStatsBatchFitsFrame(t *testing.T) {
 	}
 }
 
-// TestBatchMsgTypesNamed keeps the wire enum and its debug names in sync.
+// TestBatchMsgTypesNamed keeps the wire enum and its debug names in sync,
+// and pins the codes: the statistics and temperature messages keep 7 and
+// 8, and the retired single-window codes 1 and 2 name no message.
 func TestBatchMsgTypesNamed(t *testing.T) {
 	if MsgStatsBatch.String() != "stats-batch" || MsgTempBatch.String() != "temp-batch" {
 		t.Errorf("batch message names: %q, %q", MsgStatsBatch.String(), MsgTempBatch.String())
+	}
+	if MsgCtrl != 3 || MsgStatsBatch != 7 || MsgTempBatch != 8 || MsgSweep != 9 {
+		t.Errorf("wire codes moved: ctrl %d, stats %d, temps %d, sweep %d",
+			MsgCtrl, MsgStatsBatch, MsgTempBatch, MsgSweep)
+	}
+	if MsgType(1).String() != "msg(1)" || MsgType(2).String() != "msg(2)" {
+		t.Errorf("retired codes named: %q, %q", MsgType(1), MsgType(2))
 	}
 }

@@ -1,6 +1,7 @@
 package etherlink
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -25,22 +26,11 @@ const (
 	ResendFreezeSource = "ethernet-resend"
 )
 
-// DispatcherStats counts dispatcher activity.
-type DispatcherStats struct {
-	StatsSent   uint64
-	EventsSent  uint64
-	TempsRecv   uint64
-	CtrlRecv    uint64
-	Congestions uint64
-	FrozenPhys  uint64 // physical cycles spent frozen on congestion/resend
-	Retries     uint64 // recv stalls healed by the reliable protocol
-}
-
 // Dispatcher is the device-side Ethernet engine: it serialises statistics
 // messages from the sampler onto the transport, and accounts frozen
 // virtual-clock time to the VPCM whenever the link cannot accept a frame
-// immediately. Its counters are atomic, so Stats() may be read while the
-// loop runs.
+// immediately. It counts its traffic in its endpoint's LinkStats (Link),
+// which may be read while the loop runs.
 type Dispatcher struct {
 	ep   *Endpoint
 	vpcm Freezer
@@ -49,28 +39,25 @@ type Dispatcher struct {
 	// line rate).
 	drainPhysCycles uint64
 
-	statsSent   atomic.Uint64
-	eventsSent  atomic.Uint64
-	tempsRecv   atomic.Uint64
-	ctrlRecv    atomic.Uint64
-	congestions atomic.Uint64
-	frozenPhys  atomic.Uint64
-	retries     atomic.Uint64
-
 	lastSendNs atomic.Int64 // wall clock of the last stats send, for RTT
 
 	// payloadBuf and eventBuf are scratch buffers reused across sends so
-	// the per-window hot path does not allocate payloads. The dispatcher is
-	// not safe for concurrent sends, so plain fields suffice.
+	// the per-window hot path does not allocate payloads, and one and
+	// oneReply are the one-slot messages behind SendStats and
+	// RecvTempsInto. The dispatcher is not safe for concurrent sends, so
+	// plain fields suffice.
 	payloadBuf []byte
 	eventBuf   []sniffer.Event
+	one        StatsBatch
+	oneReply   TempsBatch
 }
 
 // NewDispatcher creates a dispatcher over the transport, with the default
 // reliability tuning. drainPhysCycles is charged to the VPCM (which may be
 // nil) per congestion event and per retransmission stall.
 func NewDispatcher(tr Transport, vpcm Freezer, drainPhysCycles uint64) *Dispatcher {
-	d := &Dispatcher{vpcm: vpcm, drainPhysCycles: drainPhysCycles}
+	d := &Dispatcher{vpcm: vpcm, drainPhysCycles: drainPhysCycles,
+		one: StatsBatch{Windows: make([]Stats, 1)}, oneReply: TempsBatch{Windows: make([]Temps, 1)}}
 	d.ep = NewEndpoint(tr, DeviceMAC, HostMAC, d.hooked(ReliableConfig{}))
 	return d
 }
@@ -81,13 +68,12 @@ func NewDispatcher(tr Transport, vpcm Freezer, drainPhysCycles uint64) *Dispatch
 // preserving the freeze-don't-drop guarantee over a faulty link.
 func (d *Dispatcher) EnableReliability(cfg ReliableConfig) { d.ep.rel = d.hooked(cfg) }
 
-// hooked fills cfg's defaults and wraps its OnRetry so every re-solicit is
-// counted and accounted as a resend freeze.
+// hooked fills cfg's defaults and wraps its OnRetry so every re-solicit
+// (already counted in LinkStats.Retries) is accounted as a resend freeze.
 func (d *Dispatcher) hooked(cfg ReliableConfig) ReliableConfig {
 	cfg.fillDefaults()
 	inner := cfg.OnRetry
 	cfg.OnRetry = func(attempt int) {
-		d.retries.Add(1)
 		d.accountFreeze(ResendFreezeSource)
 		if inner != nil {
 			inner(attempt)
@@ -97,34 +83,18 @@ func (d *Dispatcher) hooked(cfg ReliableConfig) ReliableConfig {
 }
 
 // accountFreeze charges one drain period to the VPCM under the given
-// source and mirrors it in the dispatcher/link counters.
+// source and mirrors it in the link counters.
 func (d *Dispatcher) accountFreeze(source string) {
 	if d.vpcm != nil {
 		d.vpcm.AddFrozenTimeSource(source, d.drainPhysCycles)
 	}
-	d.frozenPhys.Add(d.drainPhysCycles)
 	d.ep.stats.FrozenPhys.Add(d.drainPhysCycles)
 }
 
-// Stats returns a snapshot of the dispatcher counters.
-func (d *Dispatcher) Stats() DispatcherStats {
-	return DispatcherStats{
-		StatsSent:   d.statsSent.Load(),
-		EventsSent:  d.eventsSent.Load(),
-		TempsRecv:   d.tempsRecv.Load(),
-		CtrlRecv:    d.ctrlRecv.Load(),
-		Congestions: d.congestions.Load(),
-		FrozenPhys:  d.frozenPhys.Load(),
-		Retries:     d.retries.Load(),
-	}
-}
-
-// Link returns the link-layer metrics aggregate of the dispatcher's
-// endpoint (frames, bytes, gaps, CRC errors, retries, latency histogram).
+// Link returns the link metrics of the dispatcher's endpoint: frames,
+// bytes, windows sent and answered, events, congestions, frozen time,
+// retries, gaps, CRC errors and the round-trip latency histogram.
 func (d *Dispatcher) Link() *LinkStats { return d.ep.LinkStats() }
-
-// Endpoint exposes the underlying typed endpoint (e.g. for control traffic).
-func (d *Dispatcher) Endpoint() *Endpoint { return d.ep }
 
 // sendBackpressured transmits a marshalled frame. When the FIFO is full
 // it waits for the link to drain and accounts the wait as frozen time
@@ -136,7 +106,6 @@ func (d *Dispatcher) sendBackpressured(b []byte) error {
 		return err
 	}
 	if !ok {
-		d.congestions.Add(1)
 		d.ep.stats.Congestions.Add(1)
 		err = d.ep.Tr.Send(b)
 		d.accountFreeze(FreezeSource)
@@ -148,26 +117,18 @@ func (d *Dispatcher) sendBackpressured(b []byte) error {
 	return nil
 }
 
-// SendStats transmits one statistics window. On congestion it waits, with
-// the virtual clock frozen, until the transport accepts the frame.
+// SendStats transmits one statistics window as a one-window
+// MsgStatsBatch, without allocating; RecvTempsInto receives its answer.
 func (d *Dispatcher) SendStats(s *Stats) error {
-	d.payloadBuf = s.AppendPayload(d.payloadBuf[:0])
-	b, err := d.ep.nextFrame(MsgStats, d.payloadBuf)
-	if err != nil {
-		return err
-	}
-	if err := d.sendBackpressured(b); err != nil {
-		return err
-	}
-	d.statsSent.Add(1)
-	d.lastSendNs.Store(time.Now().UnixNano())
-	return nil
+	d.one.Windows[0] = *s
+	return d.SendStatsBatch(&d.one)
 }
 
-// SendStatsBatch transmits several queued statistics windows in one
-// MsgStatsBatch frame (the pipelined loop's catch-up path). The host solves
-// the windows in order and answers with a single MsgTempBatch. The batch
-// must fit one frame: len(ws) <= MaxStatsBatch(components).
+// SendStatsBatch transmits 1..N queued statistics windows in one
+// MsgStatsBatch frame. On congestion it waits, with the virtual clock
+// frozen, until the transport accepts the frame. The host solves the
+// windows in order and answers with one MsgTempBatch. The message must
+// fit one frame: len(sb.Windows) <= MaxStatsBatch(components).
 func (d *Dispatcher) SendStatsBatch(sb *StatsBatch) error {
 	d.payloadBuf = sb.AppendPayload(d.payloadBuf[:0])
 	b, err := d.ep.nextFrame(MsgStatsBatch, d.payloadBuf)
@@ -177,7 +138,7 @@ func (d *Dispatcher) SendStatsBatch(sb *StatsBatch) error {
 	if err := d.sendBackpressured(b); err != nil {
 		return err
 	}
-	d.statsSent.Add(uint64(len(sb.Windows)))
+	d.ep.stats.WindowsSent.Add(uint64(len(sb.Windows)))
 	d.lastSendNs.Store(time.Now().UnixNano())
 	return nil
 }
@@ -208,48 +169,25 @@ func (d *Dispatcher) Stop(cycle uint64) error {
 	}
 }
 
-// RecvTemps blocks until the next temperature message arrives, handling
-// interleaved control frames via the provided callback (which may be nil).
-func (d *Dispatcher) RecvTemps(onCtrl func(*Ctrl)) (*Temps, error) {
-	t := &Temps{}
-	if err := d.RecvTempsInto(t, onCtrl); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// RecvTempsInto is RecvTemps into a caller-owned message, reusing its
-// MilliK backing array when its capacity suffices.
+// RecvTempsInto receives the answer to SendStats into a caller-owned
+// window, reusing its MilliK backing array when its capacity suffices. A
+// temperature message that does not hold exactly one window is an error.
 func (d *Dispatcher) RecvTempsInto(dst *Temps, onCtrl func(*Ctrl)) error {
-	for {
-		f, err := d.ep.Recv()
-		if err != nil {
-			return err
-		}
-		switch f.Type {
-		case MsgTemp:
-			d.tempsRecv.Add(1)
-			if t0 := d.lastSendNs.Swap(0); t0 != 0 {
-				d.ep.stats.ObserveLatency(time.Duration(time.Now().UnixNano() - t0))
-			}
-			return UnmarshalTempsInto(dst, f.Payload)
-		case MsgCtrl:
-			d.ctrlRecv.Add(1)
-			if onCtrl != nil {
-				c, err := UnmarshalCtrl(f.Payload)
-				if err != nil {
-					return err
-				}
-				onCtrl(c)
-			}
-		default:
-			// Unknown frames are ignored, as real MAC endpoints do.
-		}
+	d.oneReply.Windows = d.oneReply.Windows[:1]
+	d.oneReply.Windows[0].MilliK = dst.MilliK
+	if err := d.RecvTempsBatchInto(&d.oneReply, onCtrl); err != nil {
+		return err
 	}
+	if n := len(d.oneReply.Windows); n != 1 {
+		return fmt.Errorf("etherlink: temperature message holds %d windows, want 1", n)
+	}
+	*dst = d.oneReply.Windows[0]
+	return nil
 }
 
 // RecvTempsBatchInto blocks until the next MsgTempBatch arrives (the answer
-// to SendStatsBatch), handling interleaved control frames like RecvTemps.
+// to SendStatsBatch), handing interleaved control frames to onCtrl (which
+// may be nil).
 func (d *Dispatcher) RecvTempsBatchInto(dst *TempsBatch, onCtrl func(*Ctrl)) error {
 	for {
 		f, err := d.ep.Recv()
@@ -264,10 +202,9 @@ func (d *Dispatcher) RecvTempsBatchInto(dst *TempsBatch, onCtrl func(*Ctrl)) err
 			if err := UnmarshalTempsBatchInto(dst, f.Payload); err != nil {
 				return err
 			}
-			d.tempsRecv.Add(uint64(len(dst.Windows)))
+			d.ep.stats.WindowsAnswered.Add(uint64(len(dst.Windows)))
 			return nil
 		case MsgCtrl:
-			d.ctrlRecv.Add(1)
 			if onCtrl != nil {
 				c, err := UnmarshalCtrl(f.Payload)
 				if err != nil {
@@ -282,10 +219,10 @@ func (d *Dispatcher) RecvTempsBatchInto(dst *TempsBatch, onCtrl func(*Ctrl)) err
 }
 
 // PumpEvents drains the BRAM ring into MsgEvents frames, freezing the
-// virtual clock on congestion like SendStats does. It returns the number of
-// events shipped. This is the paper's event-logging path: exhaustive logs
-// streamed to the host while count-logging statistics ride the MsgStats
-// frames.
+// virtual clock on congestion like SendStatsBatch does. It returns the
+// number of events shipped. This is the paper's event-logging path:
+// exhaustive logs streamed to the host while count-logging statistics ride
+// the MsgStatsBatch frames.
 func (d *Dispatcher) PumpEvents(ring *sniffer.Ring) (int, error) {
 	total := 0
 	if d.eventBuf == nil {
@@ -305,7 +242,7 @@ func (d *Dispatcher) PumpEvents(ring *sniffer.Ring) (int, error) {
 		if err := d.sendBackpressured(b); err != nil {
 			return total, err
 		}
-		d.eventsSent.Add(uint64(n))
+		d.ep.stats.EventsSent.Add(uint64(n))
 		total += n
 	}
 	return total, nil

@@ -81,18 +81,16 @@ type winEntry struct {
 // dispatcher's freeze-don't-drop guarantee holds over a faulty link. Both
 // peers run the same protocol.
 //
-// Counters are atomic: Stats()/SentCount()/ReceivedCount() may be read
-// concurrently with the protocol loop.
+// Its counters live in a LinkStats, which may be read concurrently with
+// the protocol loop.
 type Endpoint struct {
 	Tr     Transport
 	Local  MAC
 	Remote MAC
 
-	seq      atomic.Uint32 // next sequence number to stamp
-	sent     atomic.Uint64
-	received atomic.Uint64
-	expect   uint32 // next expected peer sequence number (Recv loop only)
-	stats    *LinkStats
+	seq    atomic.Uint32 // next sequence number to stamp
+	expect uint32        // next expected peer sequence number (Recv loop only)
+	stats  *LinkStats
 
 	rel ReliableConfig
 
@@ -121,11 +119,6 @@ func (e *Endpoint) LinkStats() *LinkStats { return e.stats }
 // NextSeq returns the sequence number the next sent frame will carry.
 func (e *Endpoint) NextSeq() uint32 { return e.seq.Load() }
 
-// SentCount and ReceivedCount report delivered traffic (frames accepted by
-// the transport / frames handed to the caller).
-func (e *Endpoint) SentCount() uint64     { return e.sent.Load() }
-func (e *Endpoint) ReceivedCount() uint64 { return e.received.Load() }
-
 // nextFrame marshals a typed frame stamped with the next sequence number
 // and records it in the resend window.
 func (e *Endpoint) nextFrame(typ MsgType, payload []byte) ([]byte, error) {
@@ -147,13 +140,12 @@ func (e *Endpoint) nextFrame(typ MsgType, payload []byte) ([]byte, error) {
 
 // noteSent accounts one frame accepted by the transport.
 func (e *Endpoint) noteSent(n int) {
-	e.sent.Add(1)
 	e.stats.FramesSent.Add(1)
 	e.stats.BytesSent.Add(uint64(n))
 }
 
+// noteRecv accounts one in-order frame handed to the caller.
 func (e *Endpoint) noteRecv(n int) {
-	e.received.Add(1)
 	e.stats.FramesRecv.Add(1)
 	e.stats.BytesRecv.Add(uint64(n))
 }

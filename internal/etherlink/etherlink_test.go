@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,7 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	f := &Frame{Dst: HostMAC, Src: DeviceMAC, Type: MsgStats, Seq: 42,
+	f := &Frame{Dst: HostMAC, Src: DeviceMAC, Type: MsgStatsBatch, Seq: 42,
 		Payload: []byte{1, 2, 3, 4, 5}}
 	b, err := f.Marshal()
 	if err != nil {
@@ -38,7 +39,7 @@ func TestFrameRoundTripQuick(t *testing.T) {
 		if len(payload) > MaxPayload {
 			payload = payload[:MaxPayload]
 		}
-		in := &Frame{Dst: HostMAC, Src: DeviceMAC, Type: MsgTemp, Seq: seq, Payload: payload}
+		in := &Frame{Dst: HostMAC, Src: DeviceMAC, Type: MsgTempBatch, Seq: seq, Payload: payload}
 		b, err := in.Marshal()
 		if err != nil {
 			return false
@@ -63,7 +64,7 @@ func TestFrameRoundTripQuick(t *testing.T) {
 }
 
 func TestFrameCorruptionDetected(t *testing.T) {
-	f := &Frame{Dst: HostMAC, Src: DeviceMAC, Type: MsgStats, Seq: 7,
+	f := &Frame{Dst: HostMAC, Src: DeviceMAC, Type: MsgStatsBatch, Seq: 7,
 		Payload: []byte("statistics")}
 	b, _ := f.Marshal()
 	r := rand.New(rand.NewSource(1))
@@ -97,45 +98,47 @@ func TestFrameErrors(t *testing.T) {
 	}
 }
 
+// TestStatsPayloadRoundTrip pins the common statistics message, one
+// window long.
 func TestStatsPayloadRoundTrip(t *testing.T) {
-	s := &Stats{Cycle: 123456789, WindowPs: 10_000_000_000, PowerUW: []uint32{100, 0, 55_000, 1 << 30}}
-	got, err := UnmarshalStats(s.MarshalPayload())
+	s := Stats{Cycle: 123456789, WindowPs: 10_000_000_000, PowerUW: []uint32{100, 0, 55_000, 1 << 30}}
+	payload := (&StatsBatch{Windows: []Stats{s}}).MarshalPayload()
+	if len(payload) != 2+statsEntryBytes(len(s.PowerUW)) {
+		t.Fatalf("one-window payload is %d bytes, want %d", len(payload), 2+statsEntryBytes(len(s.PowerUW)))
+	}
+	got, err := UnmarshalStatsBatch(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cycle != s.Cycle || got.WindowPs != s.WindowPs || len(got.PowerUW) != 4 {
-		t.Errorf("got %+v", got)
+	if len(got.Windows) != 1 {
+		t.Fatalf("decoded %d windows, want 1", len(got.Windows))
+	}
+	w := got.Windows[0]
+	if w.Cycle != s.Cycle || w.WindowPs != s.WindowPs || len(w.PowerUW) != 4 {
+		t.Errorf("got %+v", w)
 	}
 	for i := range s.PowerUW {
-		if got.PowerUW[i] != s.PowerUW[i] {
-			t.Errorf("power %d: %d != %d", i, got.PowerUW[i], s.PowerUW[i])
+		if w.PowerUW[i] != s.PowerUW[i] {
+			t.Errorf("power %d: %d != %d", i, w.PowerUW[i], s.PowerUW[i])
 		}
-	}
-	if _, err := UnmarshalStats([]byte{1}); err == nil {
-		t.Error("short stats accepted")
-	}
-	if _, err := UnmarshalStats(make([]byte, 19)); err == nil {
-		t.Error("inconsistent stats length accepted")
 	}
 }
 
+// TestTempsPayloadRoundTrip pins the common temperature message, one
+// window long, and its kelvin view.
 func TestTempsPayloadRoundTrip(t *testing.T) {
-	src := []float64{300.0, 350.125, 340.9996}
-	tm := TempsFromKelvin(42_000, src)
-	got, err := UnmarshalTemps(tm.MarshalPayload())
+	in := Temps{TimePs: 42_000, MilliK: []uint32{300_000, 350_125, 341_000}}
+	got, err := UnmarshalTempsBatch((&TempsBatch{Windows: []Temps{in}}).MarshalPayload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.TimePs != 42_000 {
-		t.Errorf("time = %d", got.TimePs)
+	if len(got.Windows) != 1 || got.Windows[0].TimePs != 42_000 {
+		t.Fatalf("got %+v", got.Windows)
 	}
-	for i, want := range src {
-		if d := got.Kelvin(i) - want; d > 0.001 || d < -0.001 {
-			t.Errorf("cell %d: %.4f K, want %.4f K", i, got.Kelvin(i), want)
+	for i, want := range []float64{300, 350.125, 341} {
+		if k := got.Windows[0].Kelvin(i); k != want {
+			t.Errorf("cell %d: %.4f K, want %.4f K", i, k, want)
 		}
-	}
-	if _, err := UnmarshalTemps([]byte{0}); err == nil {
-		t.Error("short temps accepted")
 	}
 }
 
@@ -281,9 +284,12 @@ func TestDispatcherCongestionFreezesClock(t *testing.T) {
 	if err := d.SendStats(s); err != nil { // congested: must freeze+block
 		t.Fatal(err)
 	}
-	st := d.Stats()
+	st := d.Link().Snapshot()
 	if st.Congestions == 0 {
 		t.Error("no congestion recorded")
+	}
+	if st.WindowsSent != 2 || st.FrozenPhys != 500*st.Congestions {
+		t.Errorf("link stats = %+v, want 2 windows sent and %d frozen cycles", st, 500*st.Congestions)
 	}
 	fz.mu.Lock()
 	defer fz.mu.Unlock()
@@ -301,10 +307,10 @@ func TestDispatcherResendStallsFreezeClock(t *testing.T) {
 	fz := &fakeFreezer{}
 	d := NewDispatcher(dev, fz, 300)
 	d.EnableReliability(ReliableConfig{RetryTimeout: time.Millisecond, MaxRetries: 3})
-	if _, err := d.RecvTemps(nil); !errors.Is(err, ErrLinkStalled) {
+	if err := d.RecvTempsInto(&Temps{}, nil); !errors.Is(err, ErrLinkStalled) {
 		t.Fatalf("recv from a silent peer: %v, want ErrLinkStalled", err)
 	}
-	if st := d.Stats(); st.Retries != 3 || st.FrozenPhys != 3*300 {
+	if st := d.Link().Snapshot(); st.Retries != 3 || st.FrozenPhys != 3*300 {
 		t.Errorf("stats = %+v, want 3 retries and %d frozen cycles", st, 3*300)
 	}
 	fz.mu.Lock()
@@ -314,6 +320,9 @@ func TestDispatcherResendStallsFreezeClock(t *testing.T) {
 	}
 }
 
+// TestDispatcherTempsAndCtrl: the one-window receive hands interleaved
+// control frames to its callback, counts the answered window, and refuses
+// a temperature message that does not hold exactly one window.
 func TestDispatcherTempsAndCtrl(t *testing.T) {
 	dev, hostTr := LoopbackPair(8)
 	d := NewDispatcher(dev, nil, 0)
@@ -322,23 +331,65 @@ func TestDispatcherTempsAndCtrl(t *testing.T) {
 	if err := host.Send(MsgCtrl, (&Ctrl{Op: CtrlStart, Arg: 5}).MarshalPayload()); err != nil {
 		t.Fatal(err)
 	}
-	if err := host.Send(MsgTemp, TempsFromKelvin(10, []float64{301, 302}).MarshalPayload()); err != nil {
+	one := &TempsBatch{Windows: []Temps{{TimePs: 10, MilliK: []uint32{301_000, 302_000}}}}
+	if err := host.Send(MsgTempBatch, one.MarshalPayload()); err != nil {
 		t.Fatal(err)
 	}
 	var gotCtrl *Ctrl
-	tm, err := d.RecvTemps(func(c *Ctrl) { gotCtrl = c })
-	if err != nil {
+	var tm Temps
+	if err := d.RecvTempsInto(&tm, func(c *Ctrl) { gotCtrl = c }); err != nil {
 		t.Fatal(err)
 	}
 	if gotCtrl == nil || gotCtrl.Op != CtrlStart || gotCtrl.Arg != 5 {
 		t.Errorf("ctrl = %+v", gotCtrl)
 	}
-	if len(tm.MilliK) != 2 || tm.Kelvin(1) != 302 {
+	if tm.TimePs != 10 || len(tm.MilliK) != 2 || tm.Kelvin(1) != 302 {
 		t.Errorf("temps = %+v", tm)
 	}
-	st := d.Stats()
-	if st.TempsRecv != 1 || st.CtrlRecv != 1 {
-		t.Errorf("stats = %+v", st)
+	if st := d.Link().Snapshot(); st.WindowsAnswered != 1 || st.FramesRecv != 2 {
+		t.Errorf("link stats = %+v, want 1 window answered in 2 frames", st)
+	}
+
+	two := &TempsBatch{Windows: []Temps{{TimePs: 1}, {TimePs: 2}}}
+	if err := host.Send(MsgTempBatch, two.MarshalPayload()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RecvTempsInto(&tm, nil); err == nil || !strings.Contains(err.Error(), "holds 2 windows") {
+		t.Errorf("two-window answer to a one-window receive: %v", err)
+	}
+}
+
+// TestDispatcherOneWindowAllocs pins the one-window forms that replay the
+// serial loop: a SendStats/RecvTempsInto round trip against a scripted host
+// allocates only the two marshalled frames and the two received Frame
+// headers, as the batch path does.
+func TestDispatcherOneWindowAllocs(t *testing.T) {
+	dev, hostTr := LoopbackPair(4)
+	d := NewDispatcher(dev, nil, 0)
+	host := NewEndpoint(hostTr, HostMAC, DeviceMAC, ReliableConfig{})
+	s := &Stats{Cycle: 1, WindowPs: 2, PowerUW: []uint32{3, 4, 5}}
+	reply := (&TempsBatch{Windows: []Temps{{TimePs: 6, MilliK: []uint32{300_000, 301_000}}}}).MarshalPayload()
+	var tm Temps
+	roundTrip := func() {
+		if err := d.SendStats(s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := host.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if err := host.Send(MsgTempBatch, reply); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RecvTempsInto(&tm, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // sizes the scratch buffers
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 4 {
+		t.Errorf("one-window round trip: %.1f allocs, want at most 4 (two frames, two Frame headers)", allocs)
+	}
+	if tm.TimePs != 6 || tm.Kelvin(1) != 301 {
+		t.Errorf("temps = %+v", tm)
 	}
 }
 
@@ -365,14 +416,15 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 			res <- result{nil, err}
 			return
 		}
-		s, err := UnmarshalStats(f.Payload)
+		sb, err := UnmarshalStatsBatch(f.Payload)
 		if err != nil {
 			res <- result{nil, err}
 			return
 		}
 		// Answer with temperatures.
-		err = host.Send(MsgTemp, TempsFromKelvin(77, []float64{315.5}).MarshalPayload())
-		res <- result{s, err}
+		reply := &TempsBatch{Windows: []Temps{{TimePs: 77, MilliK: []uint32{315_500}}}}
+		err = host.Send(MsgTempBatch, reply.MarshalPayload())
+		res <- result{&sb.Windows[0], err}
 	}()
 
 	tr, err := Dial(l.Addr().String(), 16)
@@ -385,8 +437,8 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	if err := d.SendStats(want); err != nil {
 		t.Fatal(err)
 	}
-	tm, err := d.RecvTemps(nil)
-	if err != nil {
+	var tm Temps
+	if err := d.RecvTempsInto(&tm, nil); err != nil {
 		t.Fatal(err)
 	}
 	if tm.Kelvin(0) != 315.5 {
@@ -428,8 +480,8 @@ func TestEndpointSequenceNumbers(t *testing.T) {
 			t.Errorf("recv seq = %d, want %d", f.Seq, i)
 		}
 	}
-	if e.SentCount() != 3 || h.ReceivedCount() != 3 {
-		t.Errorf("counters: sent=%d recv=%d", e.SentCount(), h.ReceivedCount())
+	if sent, recv := e.LinkStats().FramesSent.Load(), h.LinkStats().FramesRecv.Load(); sent != 3 || recv != 3 {
+		t.Errorf("counters: sent=%d recv=%d", sent, recv)
 	}
 }
 
@@ -443,9 +495,9 @@ func TestEndpointRoundTripAllocs(t *testing.T) {
 	dev, host := LoopbackPair(1)
 	e := NewEndpoint(dev, DeviceMAC, HostMAC, ReliableConfig{})
 	h := NewEndpoint(host, HostMAC, DeviceMAC, ReliableConfig{})
-	payload := TempsFromKelvin(1, []float64{300, 301, 302, 303}).MarshalPayload()
+	payload := (&TempsBatch{Windows: []Temps{{TimePs: 1, MilliK: []uint32{300_000, 301_000, 302_000, 303_000}}}}).MarshalPayload()
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := e.Send(MsgTemp, payload); err != nil {
+		if err := e.Send(MsgTempBatch, payload); err != nil {
 			t.Fatal(err)
 		}
 		f, err := h.Recv()
@@ -540,7 +592,7 @@ func TestDispatcherPumpEvents(t *testing.T) {
 	if r.events != 200 || r.frames < 3 {
 		t.Errorf("host saw %d events in %d frames", r.events, r.frames)
 	}
-	if d.Stats().EventsSent != 200 {
-		t.Errorf("dispatcher counted %d events", d.Stats().EventsSent)
+	if n := d.Link().EventsSent.Load(); n != 200 {
+		t.Errorf("dispatcher counted %d events", n)
 	}
 }

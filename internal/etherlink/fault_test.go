@@ -121,16 +121,16 @@ func runReliableExchange(t *testing.T, devTr, hostTr Transport, rounds int) {
 			if err != nil {
 				return // link torn down at the end of the exchange
 			}
-			if f.Type != MsgStats {
+			if f.Type != MsgStatsBatch {
 				continue
 			}
-			s, err := UnmarshalStats(f.Payload)
-			if err != nil {
+			sb, err := UnmarshalStatsBatch(f.Payload)
+			if err != nil || len(sb.Windows) != 1 {
 				t.Errorf("host: corrupt stats slipped through CRC: %v", err)
 				return
 			}
-			reply := &Temps{TimePs: s.Cycle, MilliK: []uint32{300_000}}
-			if err := host.Send(MsgTemp, reply.MarshalPayload()); err != nil {
+			reply := &TempsBatch{Windows: []Temps{{TimePs: sb.Windows[0].Cycle, MilliK: []uint32{300_000}}}}
+			if err := host.Send(MsgTempBatch, reply.MarshalPayload()); err != nil {
 				if !tornDown.Load() {
 					t.Errorf("host send: %v", err)
 				}
@@ -142,8 +142,8 @@ func runReliableExchange(t *testing.T, devTr, hostTr Transport, rounds int) {
 	devErr := make(chan error, 1)
 	go func() {
 		for i := 0; i < rounds; i++ {
-			s := &Stats{Cycle: uint64(i), WindowPs: 1000, PowerUW: []uint32{100, 200}}
-			if err := dev.Send(MsgStats, s.MarshalPayload()); err != nil {
+			sb := &StatsBatch{Windows: []Stats{{Cycle: uint64(i), WindowPs: 1000, PowerUW: []uint32{100, 200}}}}
+			if err := dev.Send(MsgStatsBatch, sb.MarshalPayload()); err != nil {
 				devErr <- err
 				return
 			}
@@ -152,17 +152,17 @@ func runReliableExchange(t *testing.T, devTr, hostTr Transport, rounds int) {
 				devErr <- err
 				return
 			}
-			if f.Type != MsgTemp {
+			if f.Type != MsgTempBatch {
 				devErr <- errors.New("device: out-of-band frame delivered as data")
 				return
 			}
-			tp, err := UnmarshalTemps(f.Payload)
+			tb, err := UnmarshalTempsBatch(f.Payload)
 			if err != nil {
 				devErr <- err
 				return
 			}
-			if tp.TimePs != uint64(i) {
-				t.Errorf("round %d: reply for window %d (loss silently diverged the loop)", i, tp.TimePs)
+			if len(tb.Windows) != 1 || tb.Windows[0].TimePs != uint64(i) {
+				t.Errorf("round %d: reply %+v (loss silently diverged the loop)", i, tb.Windows)
 			}
 		}
 		devErr <- nil

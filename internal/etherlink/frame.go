@@ -5,10 +5,11 @@
 // temperatures are fed back the same way.
 //
 // The package provides the raw frame format (MAC header, custom payload,
-// CRC32), typed payload codecs for the statistics, temperature and control
-// messages, two transports (an in-process loopback and TCP via net.Conn),
-// and the device-side Ethernet dispatcher that drains the BRAM statistics
-// buffer and applies back-pressure to the VPCM when the link saturates.
+// CRC32), typed payload codecs for the statistics, temperature, event and
+// control messages, two transports (an in-process loopback and TCP via
+// net.Conn), and the device-side Ethernet dispatcher that drains the BRAM
+// statistics buffer and applies back-pressure to the VPCM when the link
+// saturates.
 package etherlink
 
 import (
@@ -41,20 +42,19 @@ func (m MAC) String() string {
 // MsgType identifies the payload carried by a frame.
 type MsgType uint8
 
-// Message types.
+// Message types. Codes 1 and 2 carried the single-window statistics and
+// temperature messages of older builds; they are retired, not reused, so a
+// host refuses such a peer's frames instead of misreading them.
 const (
-	MsgStats  MsgType = iota + 1 // device -> host: per-component power statistics
-	MsgTemp                      // host -> device: per-cell temperatures
-	MsgCtrl                      // either direction: control operations
+	MsgCtrl   MsgType = iota + 3 // either direction: control operations
 	MsgAck                       // acknowledgement carrying the peer's last seq
 	MsgEvents                    // device -> host: exhaustive event log batch
 	MsgNack                      // either direction: resend request from Seq onward
-	// Batched variants let the pipelined co-emulation loop ship several
-	// queued sampling windows in one frame when the solver lags the
-	// emulator; the host steps them in order and answers with one
-	// MsgTempBatch. Solve order — and therefore temperature — is identical
-	// to per-window framing; only the frame count differs.
-	MsgStatsBatch // device -> host: several statistics windows
+	// The statistics and temperature messages each carry 1..N consecutive
+	// sampling windows. The host steps them in order and answers each
+	// MsgStatsBatch with one MsgTempBatch, so the framing never changes
+	// the thermal trajectory.
+	MsgStatsBatch // device -> host: per-component power statistics
 	MsgTempBatch  // host -> device: per-cell temperatures for each window
 	// MsgSweep carries the design-space sweep coordinator protocol: JSON
 	// job/result messages chunked to fit the MTU (see internal/sweep).
@@ -64,10 +64,6 @@ const (
 // String returns the message type name.
 func (t MsgType) String() string {
 	switch t {
-	case MsgStats:
-		return "stats"
-	case MsgTemp:
-		return "temp"
 	case MsgCtrl:
 		return "ctrl"
 	case MsgAck:

@@ -6,7 +6,7 @@ import "testing"
 // never panic, and every frame it accepts must re-marshal to the identical
 // wire image (the codec is canonical).
 func FuzzUnmarshal(f *testing.F) {
-	ok, _ := (&Frame{Dst: HostMAC, Src: DeviceMAC, Type: MsgStats, Seq: 9,
+	ok, _ := (&Frame{Dst: HostMAC, Src: DeviceMAC, Type: MsgStatsBatch, Seq: 9,
 		Payload: []byte{1, 2, 3}}).Marshal()
 	f.Add(ok)
 	f.Add([]byte{})
@@ -26,24 +26,11 @@ func FuzzUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalStats checks the stats payload parser on arbitrary bytes.
-func FuzzUnmarshalStats(f *testing.F) {
-	f.Add((&Stats{Cycle: 1, WindowPs: 2, PowerUW: []uint32{3}}).MarshalPayload())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := UnmarshalStats(data)
-		if err != nil {
-			return
-		}
-		if string(s.MarshalPayload()) != string(data) {
-			t.Fatal("stats payload not canonical")
-		}
-	})
-}
-
-// FuzzUnmarshalBatches checks the batched stats and temperature payload
+// FuzzUnmarshalBatches checks the statistics and temperature payload
 // parsers on arbitrary bytes: decoding never panics, and every accepted
 // payload re-encodes to exactly the bytes it came from. The first input
-// byte picks the parser, so one corpus covers both.
+// byte picks the parser, so one corpus covers both. The seeds hold one- and
+// two-window messages in each direction; one window is the common case.
 func FuzzUnmarshalBatches(f *testing.F) {
 	stats := (&StatsBatch{Windows: []Stats{
 		{Cycle: 1, WindowPs: 2, PowerUW: []uint32{3, 4}},
@@ -53,8 +40,12 @@ func FuzzUnmarshalBatches(f *testing.F) {
 		{TimePs: 7, MilliK: []uint32{300000, 301000}},
 		{TimePs: 8, MilliK: []uint32{302000}},
 	}}).MarshalPayload()
+	oneStats := (&StatsBatch{Windows: []Stats{{Cycle: 9, WindowPs: 10, PowerUW: []uint32{11, 12, 13}}}}).MarshalPayload()
+	oneTemps := (&TempsBatch{Windows: []Temps{{TimePs: 14, MilliK: []uint32{303000}}}}).MarshalPayload()
 	f.Add(append([]byte{0}, stats...))
 	f.Add(append([]byte{1}, temps...))
+	f.Add(append([]byte{0}, oneStats...))
+	f.Add(append([]byte{1}, oneTemps...))
 	f.Add([]byte{0, 0xff, 0xff})
 	f.Add([]byte{1})
 	f.Fuzz(func(t *testing.T, data []byte) {

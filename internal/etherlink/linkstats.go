@@ -34,6 +34,12 @@ type LinkStats struct {
 	FrozenPhys  atomic.Uint64 // physical cycles spent frozen on the link
 	Reconnects  atomic.Uint64 // supervisor redials after a link fault
 
+	// Dispatcher traffic: sampling windows shipped in statistics messages
+	// and answered by temperature messages, and logged events shipped.
+	WindowsSent     atomic.Uint64
+	WindowsAnswered atomic.Uint64
+	EventsSent      atomic.Uint64
+
 	latBuckets [len(latencyBoundsUs) + 1]atomic.Uint64
 	latCount   atomic.Uint64
 	latSumUs   atomic.Uint64
@@ -88,6 +94,10 @@ type LinkSnapshot struct {
 	FrozenPhys  uint64 `json:"frozen_phys_cycles"`
 	Reconnects  uint64 `json:"reconnects"`
 
+	WindowsSent     uint64 `json:"windows_sent"`
+	WindowsAnswered uint64 `json:"windows_answered"`
+	EventsSent      uint64 `json:"events_sent"`
+
 	LatencyCount  uint64          `json:"latency_count"`
 	LatencyMeanUs float64         `json:"latency_mean_us"`
 	LatencyMaxUs  uint64          `json:"latency_max_us"`
@@ -112,6 +122,10 @@ func (s *LinkStats) Snapshot() LinkSnapshot {
 		Congestions: s.Congestions.Load(),
 		FrozenPhys:  s.FrozenPhys.Load(),
 		Reconnects:  s.Reconnects.Load(),
+
+		WindowsSent:     s.WindowsSent.Load(),
+		WindowsAnswered: s.WindowsAnswered.Load(),
+		EventsSent:      s.EventsSent.Load(),
 
 		LatencyCount: s.latCount.Load(),
 		LatencyMaxUs: s.latMaxUs.Load(),

@@ -7,142 +7,30 @@ import (
 	"thermemu/internal/sniffer"
 )
 
-// Stats is the device-to-host statistics message: the power computed for
-// each floorplan component over one sampling window, plus the emulated
-// cycle and virtual-time position of the window.
+// Stats is one sampling window of a statistics message: the power computed
+// for each floorplan component over the window, plus the emulated cycle and
+// virtual-time position of the window.
 type Stats struct {
 	Cycle    uint64   // virtual platform cycle at the end of the window
 	WindowPs uint64   // virtual duration of the window
 	PowerUW  []uint32 // per-component power in microwatts
 }
 
-// MarshalPayload serialises the statistics payload.
-func (s *Stats) MarshalPayload() []byte {
-	return s.AppendPayload(nil)
-}
-
-// AppendPayload serialises the statistics payload onto b (reusing its
-// capacity) and returns the extended slice.
-func (s *Stats) AppendPayload(b []byte) []byte {
-	off := len(b)
-	n := 8 + 8 + 2 + 4*len(s.PowerUW)
-	if cap(b) < off+n {
-		nb := make([]byte, off+n, off+n)
-		copy(nb, b)
-		b = nb
-	} else {
-		b = b[:off+n]
-	}
-	binary.LittleEndian.PutUint64(b[off:], s.Cycle)
-	binary.LittleEndian.PutUint64(b[off+8:], s.WindowPs)
-	binary.LittleEndian.PutUint16(b[off+16:], uint16(len(s.PowerUW)))
-	for i, p := range s.PowerUW {
-		binary.LittleEndian.PutUint32(b[off+18+4*i:], p)
-	}
-	return b
-}
-
-// UnmarshalStats parses a statistics payload.
-func UnmarshalStats(b []byte) (*Stats, error) {
-	if len(b) < 18 {
-		return nil, fmt.Errorf("etherlink: stats payload too short (%d bytes)", len(b))
-	}
-	n := int(binary.LittleEndian.Uint16(b[16:18]))
-	if len(b) != 18+4*n {
-		return nil, fmt.Errorf("etherlink: stats payload length %d, want %d entries", len(b), n)
-	}
-	s := &Stats{
-		Cycle:    binary.LittleEndian.Uint64(b[0:8]),
-		WindowPs: binary.LittleEndian.Uint64(b[8:16]),
-		PowerUW:  make([]uint32, n),
-	}
-	for i := range s.PowerUW {
-		s.PowerUW[i] = binary.LittleEndian.Uint32(b[18+4*i:])
-	}
-	return s, nil
-}
-
-// Temps is the host-to-device temperature message: the new temperature of
+// Temps is one window of a temperature message: the new temperature of
 // every thermal cell, fed back to the emulated temperature sensors.
 type Temps struct {
 	TimePs uint64   // virtual time the temperatures correspond to
 	MilliK []uint32 // per-cell temperature in millikelvin
 }
 
-// MarshalPayload serialises the temperature payload.
-func (t *Temps) MarshalPayload() []byte {
-	return t.AppendPayload(nil)
-}
-
-// AppendPayload serialises the temperature payload onto b (reusing its
-// capacity) and returns the extended slice.
-func (t *Temps) AppendPayload(b []byte) []byte {
-	off := len(b)
-	n := 8 + 2 + 4*len(t.MilliK)
-	if cap(b) < off+n {
-		nb := make([]byte, off+n)
-		copy(nb, b)
-		b = nb
-	} else {
-		b = b[:off+n]
-	}
-	binary.LittleEndian.PutUint64(b[off:], t.TimePs)
-	binary.LittleEndian.PutUint16(b[off+8:], uint16(len(t.MilliK)))
-	for i, v := range t.MilliK {
-		binary.LittleEndian.PutUint32(b[off+10+4*i:], v)
-	}
-	return b
-}
-
-// UnmarshalTemps parses a temperature payload.
-func UnmarshalTemps(b []byte) (*Temps, error) {
-	t := &Temps{}
-	if err := UnmarshalTempsInto(t, b); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// UnmarshalTempsInto parses a temperature payload into dst, reusing its
-// MilliK backing array when its capacity suffices.
-func UnmarshalTempsInto(dst *Temps, b []byte) error {
-	if len(b) < 10 {
-		return fmt.Errorf("etherlink: temps payload too short (%d bytes)", len(b))
-	}
-	n := int(binary.LittleEndian.Uint16(b[8:10]))
-	if len(b) != 10+4*n {
-		return fmt.Errorf("etherlink: temps payload length %d, want %d entries", len(b), n)
-	}
-	dst.TimePs = binary.LittleEndian.Uint64(b[0:8])
-	if cap(dst.MilliK) < n {
-		dst.MilliK = make([]uint32, n)
-	}
-	dst.MilliK = dst.MilliK[:n]
-	for i := range dst.MilliK {
-		dst.MilliK[i] = binary.LittleEndian.Uint32(b[10+4*i:])
-	}
-	return nil
-}
-
 // Kelvin returns cell i's temperature in kelvin.
 func (t *Temps) Kelvin(i int) float64 { return float64(t.MilliK[i]) / 1000 }
 
-// TempsFromKelvin builds a Temps message from float temperatures.
-func TempsFromKelvin(timePs uint64, kelvin []float64) *Temps {
-	t := &Temps{TimePs: timePs, MilliK: make([]uint32, len(kelvin))}
-	for i, k := range kelvin {
-		if k < 0 {
-			k = 0
-		}
-		t.MilliK[i] = uint32(k*1000 + 0.5)
-	}
-	return t
-}
-
-// StatsBatch is the batched device-to-host statistics message: several
-// consecutive sampling windows in one frame. The pipelined loop batches
-// whatever windows are queued when the link becomes free; the host solves
-// them in order, so results are bit-identical to per-window framing.
+// StatsBatch is the device-to-host statistics message: 1..N consecutive
+// sampling windows in one MsgStatsBatch frame. The loop ships whatever
+// windows are queued when the link becomes free (one at depth 0); the host
+// solves them in order, so the thermal trajectory never depends on how the
+// windows were framed.
 type StatsBatch struct {
 	Windows []Stats
 }
@@ -235,7 +123,7 @@ func UnmarshalStatsBatch(b []byte) (*StatsBatch, error) {
 	return sb, nil
 }
 
-// TempsBatch is the batched host-to-device temperature message answering a
+// TempsBatch is the host-to-device temperature message answering a
 // StatsBatch: one Temps entry per solved window, in order.
 type TempsBatch struct {
 	Windows []Temps
@@ -245,10 +133,8 @@ type TempsBatch struct {
 func tempsEntryBytes(cells int) int { return 8 + 2 + 4*cells }
 
 // MaxTempsBatch returns how many temperature windows of the given cell
-// count fit one MAC frame as a TempsBatch reply. 0 means not even one
-// window's reply fits (see TempsTooLargeError). A one-window reply travels
-// as a plain Temps payload, which is 2 bytes smaller, so a result of 1 is
-// always deliverable.
+// count fit one MAC frame as a TempsBatch reply. 0 means not even a
+// one-window reply fits (see TempsTooLargeError).
 func MaxTempsBatch(cells int) int {
 	return (MaxPayload - 2) / tempsEntryBytes(cells)
 }
@@ -261,7 +147,7 @@ type TempsTooLargeError struct {
 
 func (e *TempsTooLargeError) Error() string {
 	return fmt.Sprintf("etherlink: a %d-cell temperature reply needs %d payload bytes, over the %d-byte frame limit",
-		e.Cells, tempsEntryBytes(e.Cells), MaxPayload)
+		e.Cells, 2+tempsEntryBytes(e.Cells), MaxPayload)
 }
 
 // AppendPayload serialises the batch onto b (reusing its capacity) and

@@ -115,7 +115,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	// The blob travels raw: the frames carry it plus a small header, not
 	// its base64 expansion.
-	if n := coord.ReceivedCount(); n != uint64(len(warmup)/etherlink.MaxPayload+1) {
+	if n := coord.LinkStats().FramesRecv.Load(); n != uint64(len(warmup)/etherlink.MaxPayload+1) {
 		t.Errorf("a %d-byte blob took %d frames", len(warmup), n)
 	}
 
