@@ -339,7 +339,7 @@ func run(s *scenario.Scenario, o options) error {
 		fmt.Printf("pipeline:       depth %d (sensor latency %d windows), thermal lag %.3f ms frozen\n",
 			s.Pipeline, s.Pipeline, float64(res.ThermalLagPs)*1e-9)
 	} else if res.Cycles > 0 {
-		fmt.Printf("overlap:        %d cycles (%.1f%%) emulated while a verdict was outstanding (host-timing dependent)\n",
+		fmt.Printf("overlap:        %d cycles (%.1f%%) emulated while a verdict was outstanding\n",
 			res.OverlapCycles, 100*float64(res.OverlapCycles)/float64(res.Cycles))
 	}
 	if s.Digest {

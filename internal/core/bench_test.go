@@ -20,10 +20,9 @@ import (
 // regime the pipelined loop is built for.
 //
 // The threshold-DFS policy may drop the clock to 30 MHz. A window holds
-// 10,000 cycles at 100 MHz and 3,000 at 30 MHz, not a whole number of
-// 3,000-cycle floor spans, so depth 0 cannot run ahead past a window
-// boundary: it emulates only the first 3,000 cycles of each window while
-// the previous window solves, and depth 1 hides the whole solve. The die
+// 10,000 cycles at 100 MHz and 3,000 at 30 MHz, its floor span, so depth 0
+// emulates the first 3,000 cycles of each window while the previous window
+// solves, and depth 1 hides the whole solve. The die
 // peaks near 327 K and never reaches the policy's 350 K threshold, so
 // both depths run the same 117 windows.
 func benchLoopConfig(b testing.TB) Config {

@@ -114,16 +114,6 @@ func (ck *ckptRuntime) pending(inflight uint64) bool {
 		inflight > 0 && (ck.windows+inflight)%ck.every == 0
 }
 
-// windowsToCut returns how many windows, counted from the one after the
-// in-flight ones and including the cutting one, emulate before the next
-// checkpoint cut; 0 when no checkpoint is due.
-func (ck *ckptRuntime) windowsToCut(inflight uint64) uint64 {
-	if ck == nil || ck.cfg.CheckpointSink == nil || ck.broken {
-		return 0
-	}
-	return ck.every - (ck.windows+inflight)%ck.every
-}
-
 // capture builds the checkpoint of the current platform + loop state.
 func (ck *ckptRuntime) capture(partial bool, maxTempK float64) *checkpoint.Checkpoint {
 	c := checkpoint.FromPlatform(ck.p)
@@ -159,8 +149,8 @@ func (ck *ckptRuntime) write(partial bool, maxTempK float64) error {
 // loadable snapshot for postmortem replay. The original error is always
 // preserved; a sink failure is reported alongside it. The snapshot is taken
 // at the platform's current (post-abort) state with Partial set — the
-// aborted window's emulation, and any a depth-0 loop ran ahead past it, is
-// kept; its thermal solve is lost.
+// aborted window's emulation, and the floor span a depth-0 loop ran past
+// it, is kept; its thermal solve is lost.
 func (ck *ckptRuntime) flushPartial(err error, maxTempK float64) error {
 	if ck == nil || ck.cfg.CheckpointSink == nil || ck.broken {
 		return err

@@ -66,17 +66,14 @@ type Config struct {
 	// At 0 each window's feedback applies at the very next boundary, so
 	// the results are those of emulating, solving and applying strictly in
 	// turn. The loop still overlaps, because the platform never reads its
-	// frequency: a verdict that changes it re-times the cycles run past
-	// its boundary (vpcm.SetFrequencyAt). When the window's cycle count at
-	// every frequency the policy may set (tm.Policy.Levels) is a multiple
-	// of its count at the lowest, the floor span, the loop runs ahead past
-	// unresolved boundaries, up to a ring of snapshots (always with no
-	// policy); otherwise it emulates only the next window's first floor
-	// span while a window solves. This holds over the link as in process.
-	// Nothing overlaps with event logging or for a policy whose levels are
-	// unknown, nothing runs ahead of a window that cuts a checkpoint, and a
-	// verdict outside the levels aborts the run; Result.OverlapCycles
-	// counts the cycles that overlapped.
+	// frequency: while a window solves it emulates the next window's floor
+	// span, the window's cycle count at the lower of the current frequency
+	// and the policy's tm.Policy.FloorHz (the whole window with no policy),
+	// and the verdict then re-times those cycles (vpcm.SetFrequencyAt).
+	// This holds over the link as in process. Nothing overlaps with event
+	// logging, for a policy whose floor is unknown or on a window that cuts
+	// a checkpoint, and a verdict below the floor aborts the run;
+	// Result.OverlapCycles counts the cycles that overlapped.
 	//
 	// Above 0 window N+1 emulates while window N is dispatched and solved,
 	// behind a bounded hand-off queue of that depth; when the queue fills,
@@ -168,10 +165,9 @@ type Result struct {
 	ThermalLagPs uint64
 	// OverlapCycles counts the depth-0 cycles emulated while a window's
 	// verdict was outstanding (see Config.PipelineDepth), in process or over
-	// the link. Beyond the first floor span of each window it depends on
-	// how far the emulation ran ahead of the solve, that is on host timing;
-	// samples and digests never do. It is 0 at depth > 0, where whole
-	// windows overlap instead.
+	// the link: one floor span per window, cut short by a halt or
+	// MaxCycles. Like the samples and digests it never depends on host
+	// timing. It is 0 at depth > 0, where whole windows overlap instead.
 	OverlapCycles uint64
 }
 

@@ -27,42 +27,26 @@ package core
 // Depth 0 applies each window's feedback at the very next boundary, yet
 // still overlaps. A verdict changes only the virtual frequency, which the
 // emulated platform never reads: the VPCM maps cycles to picoseconds, and
-// memory suppression counts physical cycles. So the emulate stage steps on
-// while window N solves, and every verdict window N can return agrees on
-// the cycles it runs; only their timing and where window N+1 ends depend
-// on it. Two cases:
+// memory suppression counts physical cycles. So while window N solves, the
+// emulate stage runs the part of window N+1 that every verdict agrees on:
+// its floor span, the window's cycle count at the lower of the current
+// frequency and the policy's tm.Policy.FloorHz, stopped early by MaxCycles
+// or a halt. No verdict at or above the floor makes window N+1 shorter, so
+// the span never passes its end. The verdict is then applied at the
+// boundary with vpcm.SetFrequencyAt, which re-times the cycles run since,
+// and window N+1 is finished, or snapshotted in place when the span was the
+// whole of it (always so with no policy).
 //
-//   - Lattice run-ahead. When the window's cycle count at the current
-//     frequency and at every one of the policy's tm.Policy.Levels is a
-//     multiple of the count Q at the lowest of them (the floor span), every
-//     window boundary falls on a multiple of Q from the loop's start. The
-//     emulate stage then steps past unresolved boundaries in chunks of at
-//     most pollCycles that never cross a multiple of Q, snapshotting each
-//     lattice point into a ring of at most aheadCap slots, polls the solve
-//     stage between chunks and blocks only when the ring is full. Each
-//     verdict resolves in order on this goroutine: it is applied at its
-//     boundary with vpcm.SetFrequencyAt (re-timing the cycles run since),
-//     the ring's snapshots are re-timed the same way, and the snapshot at
-//     the next window's now-known end is digested, turned into powers with
-//     the just-applied temperatures, and handed off. The threshold policy (50,000 = 5 × 10,000 cycles on Figure 6)
-//     and a run with no policy qualify.
-//   - Floor span. Otherwise the emulate stage runs only the first cycles of
-//     window N+1 — as many as the window holds at the lower of the current
-//     frequency and tm.FloorHz — and waits for the verdict there.
-//
-// Either way the result is identical to emulating, solving and applying
-// strictly in turn; only Result.OverlapCycles, the cycles emulated while a
-// verdict was outstanding, depends on host timing. A verdict outside the
-// policy's Levels aborts the run. Run-ahead stops at MaxCycles, at a halt
-// and at a core fault; windows that end before the fault still resolve,
-// solve and commit before the partial result, as in serial order. It never
-// steps past the earliest end of a window that cuts a checkpoint, and
-// nothing runs ahead of a cut window's boundary (the checkpoint needs the
-// platform there). The link changes none of this: the dispatcher on the
-// solve stage only accounts its congestion and resend stalls as frozen
-// time, which the VPCM guards for a concurrent Advance. Nothing overlaps
-// with event logging, whose ring drains at the window boundary, or for a
-// policy whose levels are unknown.
+// The result is identical to emulating, solving and applying strictly in
+// turn, and so is Result.OverlapCycles, the cycles emulated while a verdict
+// was outstanding: it never depends on host timing. A verdict below the
+// floor aborts the run, and a core fault is checked at the window end, as
+// in serial order. A window that cuts a checkpoint overlaps nothing (the
+// checkpoint needs the platform at its boundary). The link changes none of
+// this: the dispatcher on the solve stage only accounts its congestion and
+// resend stalls as frozen time, which the VPCM guards for a concurrent
+// Advance. Nothing overlaps with event logging, whose ring drains at the
+// window boundary, or for a policy whose floor is unknown.
 //
 // Above depth 0, backpressure — the solver lagging so far that the queue
 // fills — only freezes *physical* time via vpcm.ThermalLagSource,
@@ -74,12 +58,12 @@ package core
 // the feedback boundary; the ring slot is reused only after that. Channel
 // hand-off provides the happens-before edges, so no other synchronisation
 // is needed, and the steady-state loop allocates nothing. During the solve
-// the emulate stage touches only the platform, the VPCM and the run-ahead
-// ring, and the solve stage only the thermal host and the policy.
+// the emulate stage touches only the platform and the VPCM, and the solve
+// stage only the thermal host and the policy.
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"time"
 
 	"thermemu/internal/emu"
@@ -122,7 +106,6 @@ type stage struct {
 	sv         *solver
 	lag        bool // waits freeze virtual time (depth > 0)
 	work, done chan *window
-	held       *window // a solved window poll received before next asked
 	stopped    bool
 }
 
@@ -151,30 +134,11 @@ func (st *stage) submit(w *window) {
 	}
 }
 
-// poll reports, without blocking, whether the oldest submitted window has
-// come back solved; next then returns it.
-func (st *stage) poll() bool {
-	if st.held == nil {
-		select {
-		case w, ok := <-st.done:
-			if ok {
-				st.held = w
-			}
-		default:
-		}
-	}
-	return st.held != nil
-}
-
 // next returns the oldest solved window (ok is false if the solve stage
 // exited). At depth > 0 an empty done queue means the solver is behind:
 // virtual time freezes for the wait. At depth 0 the wait is the window
 // boundary's own synchronous solve, which virtual time does not see.
 func (st *stage) next() (w *window, ok bool) {
-	if w = st.held; w != nil {
-		st.held = nil
-		return w, true
-	}
 	if !st.lag {
 		w, ok = <-st.done
 		return w, ok
@@ -215,79 +179,6 @@ func windowCycles(windowPs, hz uint64) uint64 {
 	return max(windowPs/(uint64(1e12)/hz), 1)
 }
 
-// latticeSpan returns the floor span Q — the window's cycle count at the
-// lowest of hz and levels — when the window's cycle count at hz and at
-// every level is a multiple of Q, and 0 otherwise.
-func latticeSpan(windowPs, hz uint64, levels []uint64) uint64 {
-	q := windowCycles(windowPs, hz)
-	for _, l := range levels {
-		q = min(q, windowCycles(windowPs, l))
-	}
-	if windowCycles(windowPs, hz)%q != 0 {
-		return 0
-	}
-	for _, l := range levels {
-		if windowCycles(windowPs, l)%q != 0 {
-			return 0
-		}
-	}
-	return q
-}
-
-// aheadCap bounds the run-ahead ring: the depth-0 loop steps at most this
-// many lattice points past the boundary of an unresolved verdict.
-const aheadCap = 8
-
-// pollCycles bounds one run-ahead step, so the emulate stage notices a
-// verdict and hands the next window to the solve stage within this many
-// cycles of its arrival rather than a whole floor span later. On the
-// Figure 6 loop (10,000-cycle floor span) core.Run took 104–113 ms a run
-// against 117–134 ms with whole-span steps (2-vCPU Xeon host).
-const pollCycles = 2500
-
-// aheadRing holds the snapshots of the lattice points (and of a final
-// halt or MaxCycles point) the emulate stage has stepped past the current
-// window boundary, oldest first. Slot buffers
-// are allocated on first use and then circulate with the window jobs'
-// snapshots, so the steady-state loop allocates nothing.
-type aheadRing struct {
-	buf     [aheadCap]emu.Snapshot
-	head, n int
-}
-
-func (r *aheadRing) full() bool { return r.n == aheadCap }
-
-// push returns the slot for the next held point's snapshot.
-func (r *aheadRing) push() *emu.Snapshot {
-	s := &r.buf[(r.head+r.n)%aheadCap]
-	r.n++
-	return s
-}
-
-// take drops every snapshot up to cycle end and swaps the one at end, if
-// any, into dst.
-func (r *aheadRing) take(end uint64, dst *emu.Snapshot) (found bool) {
-	for r.n > 0 && r.buf[r.head].Cycle <= end {
-		if s := &r.buf[r.head]; s.Cycle == end {
-			*s, *dst = *dst, *s
-			found = true
-		}
-		r.head = (r.head + 1) % aheadCap
-		r.n--
-	}
-	return found
-}
-
-// retime re-times the held snapshots, all past the boundary (cycle,
-// timePs), at hz — as vpcm.SetFrequencyAt re-times the clock.
-func (r *aheadRing) retime(cycle, timePs, hz uint64) {
-	for i := 0; i < r.n; i++ {
-		s := &r.buf[(r.head+i)%aheadCap]
-		s.TimePs = timePs + (s.Cycle-cycle)*(uint64(1e12)/hz)
-		s.FreqHz = hz
-	}
-}
-
 // runLoop executes the co-emulation loop at the configured pipeline depth,
 // advancing the platform by each window's cycle count with step (the fast
 // kernel's Platform.Step or the MPARM baseline's Kernel.Step). The platform
@@ -305,28 +196,17 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 	}
 	depth := uint64(cfg.PipelineDepth)
 	ncomp := cfg.Host.NumComponents()
-	// levels are every frequency a verdict can set; unknown levels turn
-	// the depth-0 overlap off. So does event logging: the BRAM ring drains
-	// at each window boundary, which needs the platform there, and a full
-	// ring is pumped from the emulate stage (Platform.OnBufferFull) through
-	// the dispatcher the solve stage is using, which is not safe for
-	// concurrent sends.
-	var levels []uint64
-	known := true
+	// floorHz is the lowest frequency a verdict can set; with no policy
+	// none is set. An unknown floor (0) turns the depth-0 overlap off. So
+	// does event logging: the BRAM ring drains at each window boundary,
+	// which needs the platform there, and a full ring is pumped from the
+	// emulate stage (Platform.OnBufferFull) through the dispatcher the solve
+	// stage is using, which is not safe for concurrent sends.
+	floorHz := uint64(math.MaxUint64)
 	if cfg.Policy != nil {
-		levels, known = cfg.Policy.Levels()
+		floorHz = cfg.Policy.FloorHz()
 	}
-	overlap := depth == 0 && !cfg.Platform.EventLogging && known
-	// lattice is the floor span when every window is a whole number of
-	// them (run-ahead), else 0 (a floor span per window). The frequency is
-	// always the starting one or a level, since other verdicts abort.
-	var lattice, floorHz uint64
-	if overlap {
-		lattice = latticeSpan(cfg.WindowPs, p.VPCM.Frequency(), levels)
-		if lattice == 0 {
-			floorHz = tm.FloorHz(cfg.Policy)
-		}
-	}
+	overlap := depth == 0 && !cfg.Platform.EventLogging && floorHz != 0
 	// Window k reuses the ring slot of window k-len(jobs), whose feedback
 	// the boundary rule applied before window k-1 ended, while window k-1's
 	// snapshot stays the power baseline: depth+1 slots, and at least two.
@@ -354,26 +234,15 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		seq     uint64 // windows emulated and handed off
 		applied uint64 // window feedbacks consumed
 		// The window boundary: where the last handed-off window ended and
-		// the next one begins, even when cycles past it already ran.
+		// the next one begins, even when its floor span already ran.
 		// Feedback applies here.
 		bCycle, bTimePs = p.VPCM.Cycle(), p.VPCM.TimePs()
-		// origin is the lattice's first point: every window boundary lies a
-		// whole number of floor spans past it.
-		origin = bCycle
-		// ahead holds the snapshots of the lattice points stepped past the
-		// boundary while a verdict was outstanding.
-		ahead aheadRing
-		// faultAt is the cycle at which a core fault was first seen, 0
-		// before: a window ending at or past it contains the fault (no step
-		// crosses a lattice point, where windows end).
-		faultAt uint64
 	)
 
 	// applyNext commits the oldest in-flight window's feedback at the
 	// current window boundary: DFS programs the VPCM (re-timing any cycles
-	// already run past the boundary, and their snapshots), component
-	// temperatures feed the next power evaluation (leakage), and the
-	// sample is emitted.
+	// already run past the boundary), component temperatures feed the next
+	// power evaluation (leakage), and the sample is emitted.
 	applyNext := func() error {
 		w, ok := st.next()
 		if !ok {
@@ -383,12 +252,11 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 			return w.err
 		}
 		if w.setFreqHz != 0 {
-			if known && !slices.Contains(levels, w.setFreqHz) {
-				return fmt.Errorf("core: policy %s set %d Hz, outside its Levels %v",
-					cfg.Policy.Name(), w.setFreqHz, levels)
+			if w.setFreqHz < floorHz {
+				return fmt.Errorf("core: policy %s set %d Hz, below its floor %d Hz",
+					cfg.Policy.Name(), w.setFreqHz, floorHz)
 			}
 			p.VPCM.SetFrequencyAt(bCycle, bTimePs, w.setFreqHz)
-			ahead.retime(bCycle, bTimePs, w.setFreqHz)
 		}
 		lagTemps = append(lagTemps[:0], w.compTemps...)
 		eval.SetComponentTemps(lagTemps)
@@ -445,69 +313,23 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		return res, err
 	}
 
-	// runAhead steps past the boundary while the verdict of the window
-	// just handed off is outstanding, in chunks that never cross a lattice
-	// point (or one floor span), until the verdict is in, the ring is full,
-	// or the run halts, faults or reaches MaxCycles. It never passes the
-	// earliest end of a window that will cut a checkpoint.
-	runAhead := func() {
-		q, stop, onLattice := lattice, maxCycles, lattice != 0
-		if !onLattice {
-			q = windowCycles(cfg.WindowPs, min(p.VPCM.Frequency(), floorHz))
-			stop = min(stop, bCycle+q)
-		}
-		if m := ck.windowsToCut(seq - applied); m > 0 {
-			stop = min(stop, bCycle+m*q)
-		}
-		for !ahead.full() && faultAt == 0 && !p.AllHalted() && p.VPCM.Cycle() < stop {
-			// The chunk ends at the next lattice point (or at stop); on the
-			// lattice it is stepped pollCycles at a time, polling between,
-			// while the floor span runs whole: its window cannot end sooner.
-			c := p.VPCM.Cycle()
-			end, n := stop, stop-c
-			if onLattice {
-				end = min(end, c+q-(c-origin)%q)
-				n = min(end-c, pollCycles)
-			}
-			step(n)
-			res.OverlapCycles += p.VPCM.Cycle() - c
-			if p.VPCM.Cycle() == end || p.AllHalted() {
-				p.SnapshotInto(ahead.push())
-			}
-			if p.Fault() != nil {
-				faultAt = p.VPCM.Cycle()
-			}
-			if onLattice && st.poll() {
-				return
-			}
-		}
-	}
-
-	// A window remains while the platform ran past the boundary, or it can
-	// still run.
+	// A window remains while its floor span already ran, or the platform
+	// can still run.
 	for p.VPCM.Cycle() > bCycle || (!p.AllHalted() && p.VPCM.Cycle() < maxCycles) {
 		// One sampling window at the current virtual frequency, from the
-		// boundary on. Its cycles may already have run while earlier
-		// windows solved; then the ring holds its end.
+		// boundary on. Its floor span may already have run while the
+		// previous window solved; it never runs past the window's end.
 		job := jobs[seq%uint64(len(jobs))]
 		end := bCycle + min(windowCycles(cfg.WindowPs, p.VPCM.Frequency()), maxCycles-bCycle)
 		if p.AllHalted() {
 			end = min(end, p.VPCM.Cycle())
 		}
-		if end <= p.VPCM.Cycle() {
-			if !ahead.take(end, &job.snap) {
-				return finishPartial(fmt.Errorf("core: window end at cycle %d is not a run-ahead lattice point", end))
-			}
-		} else {
-			ahead.take(end, &job.snap) // every held point lies before end: drop them
+		if end > p.VPCM.Cycle() {
 			step(end - p.VPCM.Cycle())
-			p.SnapshotInto(&job.snap)
-			if faultAt == 0 && p.Fault() != nil {
-				faultAt = p.VPCM.Cycle()
-			}
 		}
-		if faultAt != 0 && job.snap.Cycle >= faultAt {
-			return finishPartial(p.Fault())
+		p.SnapshotInto(&job.snap)
+		if err := p.Fault(); err != nil {
+			return finishPartial(err)
 		}
 		emu.DigestSnapshot(cfg.Golden, job.snap)
 		if disp != nil && cfg.Platform.EventLogging {
@@ -538,10 +360,12 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 		if cut {
 			keep = 0
 		}
-		// At depth 0 the emulation runs on while this window solves. A
-		// checkpoint cut needs the platform at the boundary, so it waits.
-		if overlap && !cut {
-			runAhead()
+		// At depth 0 the next window's floor span runs while this window
+		// solves: every verdict agrees on those cycles. A checkpoint cut
+		// needs the platform at the boundary, so it waits.
+		if overlap && !cut && !p.AllHalted() && bCycle < maxCycles {
+			step(min(windowCycles(cfg.WindowPs, min(p.VPCM.Frequency(), floorHz)), maxCycles-bCycle))
+			res.OverlapCycles += p.VPCM.Cycle() - bCycle
 		}
 		for seq-applied > keep {
 			if err := applyNext(); err != nil {

@@ -221,24 +221,30 @@ func (s *slowPolicy) Update(sensors []tm.Sensor) tm.Action {
 }
 
 // TestPipelinedBackpressureFreezesVirtualTime forces the solve stage to lag
-// (a policy that sleeps every window) and checks the producer reacts the
-// way Section 4.2 prescribes for a congested link: virtual time freezes —
-// accounted to vpcm.ThermalLagSource — and the emulated windows stay exact,
-// so the golden digest still matches a serial run with no policy at all.
+// and checks the producer reacts the way Section 4.2 prescribes for a
+// congested link: virtual time freezes — accounted to
+// vpcm.ThermalLagSource — and the emulated windows stay exact, so the
+// golden digest still matches a serial run with no policy at all. The
+// solve returns only once the emulate stage has stopped stepping
+// (stallPolicy), and at depth 1 the emulate stage stops only in the
+// lag-accounted submit or next wait, whatever the host's speed. Each of
+// the run's windows is one more chance for that wait.
 func TestPipelinedBackpressureFreezesVirtualTime(t *testing.T) {
-	_, serialTr := runWithJournal(t, testConfig(t, 3, nil))
+	_, serialTr := runWithJournal(t, spanConfig(t, 3, nil))
 
-	cfg := testConfig(t, 3, &slowPolicy{tm.NullPolicy{}, 2 * time.Millisecond})
+	cfg := spanConfig(t, 3, stall(tm.NullPolicy{}))
 	cfg.PipelineDepth = 1
-	pipe, pipeTr := runWithJournal(t, cfg)
-
-	if pipe.ThermalLagPs == 0 {
+	pipe := runObserved(cfg)
+	if pipe.err != nil || !pipe.res.Done {
+		t.Fatalf("err %v, done %v", pipe.err, pipe.res != nil && pipe.res.Done)
+	}
+	if pipe.res.ThermalLagPs == 0 {
 		t.Fatal("slow solver accrued no thermal-lag frozen time")
 	}
-	if d := golden.Compare(serialTr, pipeTr); d != nil {
+	if d := golden.Compare(serialTr, pipe.tr); d != nil {
 		t.Fatalf("backpressure corrupted the emulated windows: %v", d)
 	}
-	t.Logf("thermal lag: %.3f ms frozen", float64(pipe.ThermalLagPs)*1e-9)
+	t.Logf("%d windows, thermal lag: %.3f ms frozen", len(pipe.res.Samples), float64(pipe.res.ThermalLagPs)*1e-9)
 }
 
 // TestPipelinedPartialResultOnLinkCut severs the link mid-run (no redial;

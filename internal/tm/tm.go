@@ -14,7 +14,6 @@ package tm
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Sensor is one temperature sensor reading, attached to a floorplan
@@ -34,28 +33,12 @@ type Action struct {
 type Policy interface {
 	Name() string
 	Update(sensors []Sensor) Action
-	// Levels reports every frequency Update may ever request, and whether
-	// that set is known (known false turns the closed loop's depth-0
-	// overlap off). A policy that never requests a frequency reports no
-	// levels, known. The closed loop emulates the cycles every possible
-	// verdict agrees on while the thermal solve that produces the verdict
-	// runs, and aborts on a verdict outside the levels.
-	Levels() (hz []uint64, known bool)
-}
-
-// FloorHz is the lowest frequency p may request: the minimum of its
-// Levels, 0 when they are unknown, and math.MaxUint64 when it requests
-// none.
-func FloorHz(p Policy) uint64 {
-	levels, known := p.Levels()
-	if !known {
-		return 0
-	}
-	lo := uint64(math.MaxUint64)
-	for _, hz := range levels {
-		lo = min(lo, hz)
-	}
-	return lo
+	// FloorHz is the lowest frequency Update may ever request: 0 when it
+	// is unknown, which turns the closed loop's depth-0 overlap off, and
+	// math.MaxUint64 for a policy that never requests one. While a window
+	// solves, the closed loop emulates the cycles every verdict at or above
+	// the floor agrees on, and it aborts on a verdict below the floor.
+	FloorHz() uint64
 }
 
 // NullPolicy performs no thermal management (the "without TM" curves of
@@ -68,8 +51,8 @@ func (NullPolicy) Name() string { return "none" }
 // Update implements Policy.
 func (NullPolicy) Update([]Sensor) Action { return Action{} }
 
-// Levels implements Policy: the null policy never scales.
-func (NullPolicy) Levels() ([]uint64, bool) { return nil, true }
+// FloorHz implements Policy: the null policy never scales.
+func (NullPolicy) FloorHz() uint64 { return math.MaxUint64 }
 
 // ThresholdDFS is the paper's dual-state policy: when any sensor exceeds
 // HighK the platform drops to LowFreqHz; once every sensor is back below
@@ -99,16 +82,16 @@ func (p *ThresholdDFS) Name() string {
 // Throttled reports whether the policy currently holds the low frequency.
 func (p *ThresholdDFS) Throttled() bool { return p.throttled }
 
-// Levels implements Policy: Update only ever requests one of the two
+// FloorHz implements Policy: Update only ever requests one of the two
 // frequencies, and a zero one reads as "keep".
-func (p *ThresholdDFS) Levels() ([]uint64, bool) {
-	var levels []uint64
+func (p *ThresholdDFS) FloorHz() uint64 {
+	floor := uint64(math.MaxUint64)
 	for _, hz := range [...]uint64{p.LowFreqHz, p.HighFreqHz} {
-		if hz != 0 && !slices.Contains(levels, hz) {
-			levels = append(levels, hz)
+		if hz != 0 {
+			floor = min(floor, hz)
 		}
 	}
-	return levels, true
+	return floor
 }
 
 // Update implements Policy.
@@ -157,24 +140,15 @@ func NewProportionalDFS() *ProportionalDFS {
 // Name implements Policy.
 func (p *ProportionalDFS) Name() string { return "proportional-dfs" }
 
-// Levels implements Policy: the Steps quantised frequencies from
-// MinFreqHz to MaxFreqHz, computed as Update computes them. With a zero
-// minimum (the lowest level reads as "keep"), a band whose maximum lies
-// below its minimum (Update's arithmetic wraps) or fewer than two steps
-// the levels are unknown.
-func (p *ProportionalDFS) Levels() ([]uint64, bool) {
+// FloorHz implements Policy: Update requests Steps quantised frequencies
+// from MinFreqHz up. With a zero minimum (the lowest level reads as
+// "keep"), a band whose maximum lies below its minimum (Update's
+// arithmetic wraps) or fewer than two steps the floor is unknown.
+func (p *ProportionalDFS) FloorHz() uint64 {
 	if p.MinFreqHz == 0 || p.MaxFreqHz < p.MinFreqHz || p.Steps < 2 {
-		return nil, false
+		return 0
 	}
-	steps := uint64(p.Steps - 1)
-	var levels []uint64
-	for level := uint64(0); level <= steps; level++ {
-		hz := p.MinFreqHz + level*(p.MaxFreqHz-p.MinFreqHz)/steps
-		if !slices.Contains(levels, hz) {
-			levels = append(levels, hz)
-		}
-	}
-	return levels, true
+	return p.MinFreqHz
 }
 
 // Update implements Policy.

@@ -1,8 +1,6 @@
 package tm
 
 import (
-	"math"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -170,43 +168,33 @@ func TestQuantisedSensorsStillDriveThresholds(t *testing.T) {
 	}
 }
 
-// Levels holds every frequency the DFS policies request, over a sweep of
-// sensor readings across and beyond their bands, and the sweep requests
-// every level; FloorHz, their minimum, bounds every request.
+// FloorHz bounds every frequency the DFS policies request over a sweep of
+// sensor readings across and beyond their bands, and the sweep reaches it;
+// the ill-formed proportional bands read an unknown floor.
 func TestFloorHzBoundsEveryRequest(t *testing.T) {
 	for _, p := range []Policy{NewThresholdDFS(), NewProportionalDFS(),
 		&ProportionalDFS{HighK: 360, LowK: 330, MaxFreqHz: 400e6, MinFreqHz: 150e6, Steps: 7}} {
-		levels, known := p.Levels()
-		floor, seen := FloorHz(p), map[uint64]bool{}
-		if !known || floor == 0 {
-			t.Fatalf("%s: unknown levels", p.Name())
+		floor, reached := p.FloorHz(), false
+		if floor == 0 {
+			t.Fatalf("%s: unknown floor", p.Name())
 		}
 		for _, k := range []float64{300, 335, 341, 345, 347, 349, 351, 356, 362, 380, 345, 338, 320, 300} {
 			for step := 0.0; step < 1; step += 0.25 {
 				hz := p.Update(sensors(k+step, 300)).SetFreqHz
-				if hz == 0 {
-					continue
+				if hz != 0 && hz < floor {
+					t.Fatalf("%s: requested %d Hz, below its floor %d Hz", p.Name(), hz, floor)
 				}
-				if hz < floor || !slices.Contains(levels, hz) {
-					t.Fatalf("%s: requested %d Hz outside its levels %v (floor %d)", p.Name(), hz, levels, floor)
-				}
-				seen[hz] = true
+				reached = reached || hz == floor
 			}
 		}
-		if len(seen) != len(levels) || !seen[floor] {
-			t.Errorf("%s: requested %v of the levels %v: the levels are not tight", p.Name(), seen, levels)
+		if !reached {
+			t.Errorf("%s: never requested its floor %d Hz", p.Name(), floor)
 		}
-	}
-	if levels, known := (NullPolicy{}).Levels(); !known || len(levels) != 0 || FloorHz(NullPolicy{}) != math.MaxUint64 {
-		t.Errorf("the null policy reports levels %v (known %v)", levels, known)
-	}
-	if levels, _ := (&ThresholdDFS{HighFreqHz: 100e6, LowFreqHz: 100e6}).Levels(); len(levels) != 1 {
-		t.Errorf("one frequency twice reads as levels %v", levels)
 	}
 	for _, p := range []*ProportionalDFS{{MinFreqHz: 0, MaxFreqHz: 500e6, Steps: 5},
 		{MinFreqHz: 500e6, MaxFreqHz: 100e6, Steps: 5}, {MinFreqHz: 100e6, MaxFreqHz: 500e6, Steps: 1}} {
-		if _, known := p.Levels(); known || FloorHz(p) != 0 {
-			t.Errorf("%+v: floor %d, want 0 (unknown)", p, FloorHz(p))
+		if floor := p.FloorHz(); floor != 0 {
+			t.Errorf("%+v: floor %d, want 0 (unknown)", p, floor)
 		}
 	}
 }
