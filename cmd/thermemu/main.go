@@ -46,7 +46,6 @@ type options struct {
 	ckptEvery                   int
 	resume, fork                string
 	host                        string
-	redial                      bool
 	report                      bool
 	csv, vcd, json              string
 	cpuProf, memProf, execTrace string
@@ -103,7 +102,6 @@ func parseArgs(args []string) (*scenario.Scenario, options, error) {
 	fs.StringVar(&o.host, "host", "", "remote thermal server address (empty = in-process)")
 	fs.StringVar(&f.Fault, "fault", f.Fault, "inject link faults, e.g. drop=0.01,dup=0.005,reorder=0.01,corrupt=0.001,delay=2ms,cut=500 (applied to both directions)")
 	fs.Int64Var(&f.FaultSeed, "fault-seed", f.FaultSeed, "PRNG seed for -fault")
-	fs.BoolVar(&o.redial, "redial", false, "supervise the host connection: reconnect with capped exponential backoff on link faults")
 	fs.BoolVar(&o.report, "report", false, "print the detailed platform statistics report")
 	fs.BoolVar(&f.Digest, "digest", f.Digest, "accumulate and print the run's golden conformance digest")
 	fs.StringVar(&o.ckptDir, "checkpoint", "", "write window-boundary checkpoints (win-NNNNNN.tmck) into this directory")
@@ -271,28 +269,12 @@ func run(s *scenario.Scenario, o options) error {
 		if err != nil {
 			return err
 		}
-		wrap := func(tr thermemu.Transport) thermemu.Transport {
-			if fcfg.Zero() {
-				return tr
-			}
-			return etherlink.NewFaultTransport(tr, s.FaultSeed, fcfg, fcfg)
-		}
-		var tr thermemu.Transport
-		if o.redial {
-			tr, err = etherlink.DialSupervised(etherlink.SupervisorConfig{
-				Addr:         o.host,
-				GracefulStop: true,
-				Wrap:         wrap,
-				Logf:         func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
-			})
-		} else {
-			tr, err = thermemu.DialThermalHost(o.host)
-			if err == nil {
-				tr = wrap(tr)
-			}
-		}
+		tr, err := thermemu.DialThermalHost(o.host)
 		if err != nil {
 			return err
+		}
+		if !fcfg.Zero() {
+			tr = etherlink.NewFaultTransport(tr, s.FaultSeed, fcfg, fcfg)
 		}
 		defer tr.Close()
 		cfg.Transport = tr

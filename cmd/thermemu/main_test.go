@@ -90,11 +90,11 @@ func TestParseArgsOverridesInlinePrograms(t *testing.T) {
 // TestParseArgsRunControl: run-control flags land in the options, not the
 // scenario; a bad scenario path and a bad flag are told apart.
 func TestParseArgsRunControl(t *testing.T) {
-	_, o, err := parseArgs([]string{"-checkpoint", "ck", "-checkpoint-every", "3", "-host", "h:1", "-redial", "-json", "r.json"})
+	_, o, err := parseArgs([]string{"-checkpoint", "ck", "-checkpoint-every", "3", "-host", "h:1", "-json", "r.json"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.ckptDir != "ck" || o.ckptEvery != 3 || o.host != "h:1" || !o.redial || o.json != "r.json" {
+	if o.ckptDir != "ck" || o.ckptEvery != 3 || o.host != "h:1" || o.json != "r.json" {
 		t.Fatalf("run-control options not parsed: %+v", o)
 	}
 	if _, _, err := parseArgs([]string{"-scenario", "does-not-exist.scn"}); err == nil || errors.Is(err, errUsage) {

@@ -37,6 +37,13 @@ const (
 	InfoBase    = 0x2200_0000
 )
 
+// MaxPrivKB and MaxSharedKB bound the memory sizes to the address space
+// between a memory's base and the next range's: 256 MiB each.
+const (
+	MaxPrivKB   = (SharedBase - PrivBase) / 1024
+	MaxSharedKB = (BarrierBase - SharedBase) / 1024
+)
+
 // ICKind selects the interconnect family.
 type ICKind int
 
@@ -180,6 +187,12 @@ func (c Config) Validate() error {
 	}
 	if c.PrivKB <= 0 || c.SharedKB <= 0 {
 		return fmt.Errorf("emu: memory sizes must be positive")
+	}
+	if c.PrivKB > MaxPrivKB {
+		return fmt.Errorf("emu: private memory of %d KB overruns the shared range (max %d KB)", c.PrivKB, MaxPrivKB)
+	}
+	if c.SharedKB > MaxSharedKB {
+		return fmt.Errorf("emu: shared memory of %d KB overruns the barrier range (max %d KB)", c.SharedKB, MaxSharedKB)
 	}
 	if c.IC == ICNoC && c.NoC == nil {
 		return fmt.Errorf("emu: NoC interconnect requires a NoCSpec")

@@ -28,6 +28,19 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("NoC without spec accepted")
 	}
 	bad = DefaultConfig(2)
+	bad.PrivKB = MaxPrivKB + 1
+	if err := bad.Validate(); err == nil {
+		t.Error("private memory past the shared range accepted")
+	}
+	bad = DefaultConfig(2)
+	bad.SharedKB = 4194305 // 4 GiB + 1 KiB: wraps to 1 KiB in 32 bits
+	if err := bad.Validate(); err == nil {
+		t.Error("shared memory past the barrier range accepted")
+	}
+	if _, err := New(bad); err == nil {
+		t.Error("New built a platform whose shared memory size wraps")
+	}
+	bad = DefaultConfig(2)
 	bad.ICache = &mem.CacheConfig{Name: "x", SizeBytes: 100, LineBytes: 16, Assoc: 1}
 	if err := bad.Validate(); err == nil {
 		t.Error("invalid cache accepted")

@@ -12,6 +12,17 @@ var benchSink uint32
 // Matrix workload puts its 16x16 A and B: back to back in one page. It
 // reports ns/load.
 func BenchmarkReadWordHit(b *testing.B) {
+	benchReadWordHit(b, 0x1000, 0x1000+4*16*16)
+}
+
+// BenchmarkReadWordHitSplitPage is BenchmarkReadWordHit with the two
+// matrices a page apart, at 0x1000 and 0x2000, as the Matrix workload lays
+// them out from n = 32: every load alternates between two pages.
+func BenchmarkReadWordHitSplitPage(b *testing.B) {
+	benchReadWordHit(b, 0x1000, 0x2000)
+}
+
+func benchReadWordHit(b *testing.B, rowBase, colBase uint32) {
 	const n = 16 // words per matrix row
 	ctl := NewController("ctl0", 0)
 	m := NewMemory("priv", 64*1024, 1)
@@ -19,7 +30,6 @@ func BenchmarkReadWordHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctl.AttachCaches(nil, NewCache(CacheConfig{Name: "dcache", SizeBytes: 4096, LineBytes: 16, Assoc: 2}))
-	const rowBase, colBase = 0x1000, 0x1000 + 4*n*n
 	for k := uint32(0); k < n*n; k++ {
 		m.StoreWord(rowBase+4*k, k)
 		m.StoreWord(colBase+4*k, 3*k)

@@ -83,20 +83,6 @@ type Cache struct {
 	stamp     uint64
 	stats     CacheStats
 	enable    bool
-	// memoLine/memoIdx memoise the resident line of the previous access,
-	// with a second entry behind it: emulated reference streams are
-	// line-local (sequential instruction fetch especially), and data
-	// streams often alternate between exactly two lines (a row-walk and a
-	// column-walk in the same loop body), which a one-entry memo thrashes
-	// on. The memos hold indices into the flat lines array rather than
-	// pointers so repointing them on every access is barrier-free; -1 means
-	// empty. They are repointed by Refill and dropped whenever the
-	// directory could change under them — Invalidate, Flush, SetEnabled
-	// and RestoreState all clear both.
-	memoLine  uint32
-	memoIdx   int32
-	memoLine2 uint32
-	memoIdx2  int32
 	// epoch counts directory shape changes (refill, invalidate, flush,
 	// enable toggle, restore): any event that can change which lines are
 	// resident. Batched-fetch plans record the epoch they were validated at
@@ -117,8 +103,6 @@ func NewCache(cfg CacheConfig) *Cache {
 		lineShift: uint32(bits.TrailingZeros32(cfg.LineBytes)),
 		setShift:  uint32(bits.TrailingZeros32(nSets)),
 		setMask:   nSets - 1,
-		memoIdx:   -1,
-		memoIdx2:  -1,
 		enable:    true}
 }
 
@@ -136,7 +120,6 @@ func (c *Cache) ResetStats() { c.stats = CacheStats{} }
 // at run time).
 func (c *Cache) SetEnabled(on bool) {
 	c.enable = on
-	c.memoIdx, c.memoIdx2 = -1, -1
 	c.epoch++
 }
 
@@ -148,7 +131,6 @@ type Resolver func(addr uint32) (Target, uint32)
 // the target resolved for each victim line, starting at cycle now. It
 // returns the total cycles spent.
 func (c *Cache) Flush(now uint64, resolve Resolver) uint64 {
-	c.memoIdx, c.memoIdx2 = -1, -1
 	c.epoch++
 	var total uint64
 	for i := range c.lines {
@@ -190,7 +172,7 @@ func (c *Cache) Enabled() bool { return c.enable }
 // by the caller against the backing store; Access only accounts timing and
 // directory state.
 func (c *Cache) Access(addr uint32, write bool) (hit bool, stall uint64) {
-	mi := c.probe(addr)
+	mi := c.resident(addr)
 	if mi < 0 {
 		c.stamp++
 		if write {
@@ -203,26 +185,6 @@ func (c *Cache) Access(addr uint32, write bool) (hit bool, stall uint64) {
 	}
 	c.touch(mi, write)
 	return true, c.cfg.HitLatency
-}
-
-// probe is the lookup of a hit: memo 1, then memo 2 or the set walk,
-// either of which promotes the line to memo 1. It returns the flat index
-// of the resident line holding addr, or -1 on a miss, which changes
-// nothing. It touches no statistics and no LRU state.
-func (c *Cache) probe(addr uint32) int32 {
-	line := addr >> c.lineShift
-	mi := c.memoIdx
-	if mi >= 0 && line == c.memoLine {
-		return mi
-	}
-	if mi = c.memoIdx2; mi < 0 || line != c.memoLine2 {
-		if mi = c.resident(addr); mi < 0 {
-			return -1
-		}
-	}
-	c.memoLine2, c.memoIdx2 = c.memoLine, c.memoIdx
-	c.memoLine, c.memoIdx = line, mi
-	return mi
 }
 
 // touch charges a hit on line mi: the next LRU stamp, the read or write
@@ -265,23 +227,13 @@ func (c *Cache) Refill(addr uint32, write bool) (victimAddr uint32, victimDirty 
 	}
 	c.stamp++
 	*v = cacheLine{tag: tag, valid: true, dirty: write, lru: c.stamp}
-	// The refilled slot just changed residents: any memo pointing at it is
-	// stale. Demote memo1 only if it survives the eviction.
-	ni := int32(set*c.assoc + uint32(vi))
-	if c.memoIdx2 == ni {
-		c.memoIdx2 = -1
-	}
-	if c.memoIdx != ni {
-		c.memoLine2, c.memoIdx2 = c.memoLine, c.memoIdx
-	}
-	c.memoLine, c.memoIdx = addr>>c.lineShift, ni
 	c.epoch++
 	return victimAddr, victimDirty
 }
 
 // resident returns the flat-array index of the valid line holding addr, or
-// -1, without touching statistics, LRU state or the memo (pure directory
-// probe for batched fetch planning).
+// -1, without touching statistics or LRU state: the one lookup of every
+// hit, and the pure directory probe of batched fetch planning.
 func (c *Cache) resident(addr uint32) int32 {
 	line := addr >> c.lineShift
 	set, tag := line&c.setMask, line>>c.setShift
@@ -302,7 +254,6 @@ func (c *Cache) Contains(addr uint32) bool { return c.resident(addr) >= 0 }
 // Invalidate drops the line containing addr if resident, without write-back
 // (used by atomic operations that bypass the cache).
 func (c *Cache) Invalidate(addr uint32) {
-	c.memoIdx, c.memoIdx2 = -1, -1
 	c.epoch++
 	if i := c.resident(addr); i >= 0 {
 		c.lines[i] = cacheLine{}

@@ -111,12 +111,12 @@ type Controller struct {
 // controller serves without routing: one with a hitMem, on a controller
 // with a data cache and no observer. A word access inside it costs one
 // range-and-alignment compare (and, for a private-only load, the priv bit),
-// the cache probe and one 32-bit read or write of the memory's page. The
-// cache's enable bit is tested per access, because Cache.SetEnabled does
-// not know its controller; the page is looked up through the memory's own
-// memo, because Memory.RestoreState replaces the pages. Everything else the
-// window assumes is fixed until SetObserver, AttachCaches or AddRange,
-// which clear it.
+// one set walk of the cache directory and one 32-bit read or write of the
+// memory's page. The cache's enable bit is tested per access, because
+// Cache.SetEnabled does not know its controller; the page is loaded from
+// the memory's page table on every access, because Memory.RestoreState
+// replaces the table. Everything else the window assumes is fixed until
+// SetObserver, AttachCaches or AddRange, which clear it.
 type hitWindow struct {
 	base  uint32
 	words uint32 // words in the range, rounded up; 0 when there is no window
@@ -403,7 +403,7 @@ func (c *Controller) ReadWord(now uint64, addr uint32) (uint32, uint64, error) {
 // ReadWordHit is the block-dispatch load. When the aligned word load at
 // addr hits the data cache in a cacheable, non-device range and no observer
 // is attached, it completes the load with every effect ReadWord has (cache
-// statistics, LRU stamp and memo lines, controller statistics, the backing
+// statistics and LRU stamp, controller statistics, the backing
 // memory's read count) and reports ok. Otherwise it reports !ok and changes
 // nothing but the range memo and the hit window, leaving the load to
 // ReadWord. With privateOnly set it also refuses non-private ranges, so a
@@ -430,7 +430,7 @@ func (c *Controller) ReadWordHit(addr uint32, privateOnly bool) (v uint32, stall
 	if !d.enable {
 		return 0, 0, false
 	}
-	mi := d.probe(addr)
+	mi := d.resident(addr)
 	if mi < 0 {
 		return 0, 0, false
 	}
@@ -450,7 +450,7 @@ func (c *Controller) ReadWordHit(addr uint32, privateOnly bool) (v uint32, stall
 // WriteWord performs a 32-bit data store.
 func (c *Controller) WriteWord(now uint64, addr uint32, v uint32) (uint64, error) {
 	if c.win.holds(addr) && c.dcache.enable {
-		if mi := c.dcache.probe(addr); mi >= 0 {
+		if mi := c.dcache.resident(addr); mi >= 0 {
 			// The store twin of ReadWordHit's hit.
 			d := c.dcache
 			d.touch(mi, true)
@@ -720,15 +720,12 @@ func (fp *FetchPath) Settle(p *BatchPlan, n uint32) {
 			if end > n-1 {
 				end = n - 1
 			}
-			ln := &ic.lines[s.line]
-			ln.lru = base + uint64(end) + 1
-			ic.memoLine, ic.memoIdx = s.addr>>ic.lineShift, s.line
+			ic.lines[s.line].lru = base + uint64(end) + 1
 		}
 	} else {
 		// k full passes then a final pass of rem fetches (1 <= rem <=
 		// blockLen): a seg reached by the final pass was last fetched there,
-		// any other seg in the last full pass. The memo ends on the line of
-		// the very last fetch, exactly as repeated Access calls leave it.
+		// any other seg in the last full pass.
 		k := uint64(n / blockLen)
 		rem := n % blockLen
 		if rem == 0 {
@@ -748,11 +745,7 @@ func (fp *FetchPath) Settle(p *BatchPlan, n uint32) {
 			} else {
 				lastIdx = full - uint64(blockLen) + uint64(s.last)
 			}
-			ln := &ic.lines[s.line]
-			ln.lru = base + lastIdx + 1
-			if s.first <= rem-1 && rem-1 <= s.last {
-				ic.memoLine, ic.memoIdx = s.addr>>ic.lineShift, s.line
-			}
+			ic.lines[s.line].lru = base + lastIdx + 1
 		}
 	}
 	c.stats.Fetches += uint64(n)

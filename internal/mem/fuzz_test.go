@@ -108,7 +108,6 @@ type cacheView struct {
 	Stats             CacheStats
 	Lines             []cacheLine
 	Stamp, Epoch      uint64
-	Memo              [4]int64
 	Enabled, Attached bool
 }
 
@@ -122,9 +121,7 @@ func (g *dataRig) state() rigState {
 	}
 	for i, d := range g.caches {
 		s.Caches[i] = cacheView{Stats: d.stats, Lines: append([]cacheLine(nil), d.lines...),
-			Stamp: d.stamp, Epoch: d.epoch,
-			Memo:    [4]int64{int64(d.memoLine), int64(d.memoIdx), int64(d.memoLine2), int64(d.memoIdx2)},
-			Enabled: d.enable, Attached: g.ctl.dcache == d}
+			Stamp: d.stamp, Epoch: d.epoch, Enabled: d.enable, Attached: g.ctl.dcache == d}
 	}
 	for _, m := range g.mems {
 		s.Mems = append(s.Mems, m.Stats())
@@ -255,7 +252,7 @@ func dataSeed(hitLatency byte, ops ...[4]byte) []byte {
 // through rangeFor, timedAccess and account, and after each op of a
 // stream that also swaps observers, caches and saved state underneath,
 // both sides must agree on every result, every counter, every cache line
-// and memo, and what the observer and code-write hook saw. ReadWordHit
+// and what the observer and code-write hook saw. ReadWordHit
 // must complete exactly the loads the twin's state says are servable
 // hits, and change nothing when it refuses.
 func FuzzDataPath(f *testing.F) {
@@ -272,7 +269,7 @@ func FuzzDataPath(f *testing.F) {
 		mis  = 0x2e // flags byte: misaligned by 2
 	)
 	// TestReadWordHitMatchesReadWord's cases: warm a private and a shared
-	// line, hit through memo 1, memo 2 and the set walk, then refuse a
+	// line, hit three private lines and the shared one, then refuse a
 	// miss, an unaligned, unmapped or uncacheable load, a shared load when
 	// only private ones may complete, and any load with an observer
 	// attached or the cache disabled.

@@ -86,6 +86,50 @@ func TestMemoryWriteReadBytes(t *testing.T) {
 	}
 }
 
+// TestMemoryRestoreState: a saved memory restores to the same pages in
+// ascending order, and a state whose pages are misaligned, out of range,
+// short or not strictly ascending is rejected without touching the memory.
+func TestMemoryRestoreState(t *testing.T) {
+	m := NewMemory("ram", 4*pageSize, 1)
+	m.StoreWord(3*pageSize+8, 7)
+	m.StoreWord(pageSize, 5)
+	m.StoreWord(2*pageSize, 0) // touched but zero: not saved
+	saved := m.SaveState()
+	var addrs []uint32
+	for _, p := range saved.Pages {
+		addrs = append(addrs, p.Addr)
+	}
+	if !reflect.DeepEqual(addrs, []uint32{pageSize, 3 * pageSize}) {
+		t.Fatalf("saved pages at %#x, want 0x1000 and 0x3000", addrs)
+	}
+	fresh := NewMemory("ram", 4*pageSize, 1)
+	if err := fresh.RestoreState(saved); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.SaveState(), saved) || fresh.PeekWord(3*pageSize+8) != 7 {
+		t.Fatal("restored memory differs from the saved one")
+	}
+
+	page := func(addr uint32, n int) PageState { return PageState{Addr: addr, Data: make([]byte, n)} }
+	for _, tc := range []struct {
+		name  string
+		pages []PageState
+	}{
+		{"misaligned", []PageState{page(pageSize+4, pageSize)}},
+		{"beyond size", []PageState{page(4*pageSize, pageSize)}},
+		{"short page", []PageState{page(pageSize, pageSize-1)}},
+		{"repeated", []PageState{page(pageSize, pageSize), page(pageSize, pageSize)}},
+		{"descending", []PageState{page(pageSize, pageSize), page(pageSize, pageSize), page(0, pageSize)}},
+	} {
+		if err := fresh.RestoreState(MemoryState{Pages: tc.pages}); err == nil {
+			t.Errorf("%s: RestoreState accepted %d pages", tc.name, len(tc.pages))
+		}
+		if !reflect.DeepEqual(fresh.SaveState(), saved) {
+			t.Fatalf("%s: a rejected state changed the memory", tc.name)
+		}
+	}
+}
+
 func TestMemoryOutOfRangePanics(t *testing.T) {
 	m := NewMemory("ram", 16, 1)
 	defer func() {
@@ -517,7 +561,6 @@ type loadState struct {
 	Cache        CacheStats
 	Lines        []cacheLine
 	Stamp, Epoch uint64
-	Memo         [4]int64
 	Priv, Shared MemStats
 }
 
@@ -525,12 +568,11 @@ func snapLoad(c *Controller, priv, shared *Memory) loadState {
 	d := c.dcache
 	return loadState{Ctrl: c.stats, Cache: d.stats,
 		Lines: append([]cacheLine(nil), d.lines...), Stamp: d.stamp, Epoch: d.epoch,
-		Memo: [4]int64{int64(d.memoLine), int64(d.memoIdx), int64(d.memoLine2), int64(d.memoIdx2)},
 		Priv: priv.Stats(), Shared: shared.Stats()}
 }
 
-// TestReadWordHitMatchesReadWord pins the block-dispatch load: a hit
-// through memo 1, memo 2 or the set walk leaves controller, cache and
+// TestReadWordHitMatchesReadWord pins the block-dispatch load: a hit in
+// either way of a set, private or shared, leaves controller, cache and
 // memory state identical to ReadWord's, and every load it refuses — a
 // miss, an unaligned or unmapped address, an uncacheable range, an attached
 // observer, a shared range when only private ones may complete, a disabled
@@ -575,18 +617,14 @@ func TestReadWordHitMatchesReadWord(t *testing.T) {
 		name        string
 		addr        uint32
 		privateOnly bool
-		path        func() bool // which lookup the hit takes
 	}{
-		{"memo-1", 0x204, true, func() bool { return d.memoLine == 0x204>>d.lineShift }},
-		{"memo-2", 0x108, true, func() bool { return d.memoLine2 == 0x108>>d.lineShift }},
-		{"set-walk", 0x358, true, func() bool {
-			l := uint32(0x358) >> d.lineShift
-			return d.memoLine != l && d.memoLine2 != l && d.resident(0x358) >= 0
-		}},
-		{"shared", 0x1000_0040, false, func() bool { return d.resident(0x1000_0040) >= 0 }},
+		{"way-1", 0x204, true},     // 0x200's line, the second refill into set 0
+		{"way-0", 0x108, true},     // 0x100's line, the first refill into set 0
+		{"other-set", 0x358, true}, // 0x354's line, alone in set 5
+		{"shared", 0x1000_0040, false},
 	} {
-		if !tc.path() {
-			t.Fatalf("%s: the cache is not set up for this path", tc.name)
+		if d.resident(tc.addr) < 0 {
+			t.Fatalf("%s: %#x is not resident", tc.name, tc.addr)
 		}
 		v, stall, ok := hit.ReadWordHit(tc.addr, tc.privateOnly)
 		rv, rstall, err := ref.ReadWord(cyc, tc.addr)

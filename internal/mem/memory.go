@@ -16,7 +16,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Target is a memory-mapped component: the functional data plane plus the
@@ -55,8 +54,9 @@ type MemStats struct {
 const pageSize = 1 << 12
 
 // Memory is a RAM model with configurable size and user-defined latency.
-// Storage is sparse (page-granular), so large address spaces cost nothing
-// until touched.
+// Storage is a flat page table with one slot per page of the memory, and a
+// page is allocated when it is first touched, so an untouched page costs
+// one pointer.
 type Memory struct {
 	name    string
 	size    uint32
@@ -67,22 +67,16 @@ type Memory struct {
 	// sink, emulating the VPCM clock-freeze mechanism.
 	physLatency uint64
 	sink        SuppressionSink
-	pages       map[uint32]*[pageSize]byte
-	// lastIdx/lastPage memoise the page of the previous access: emulated
-	// reference streams are page-local, so the memo replaces the map lookup
-	// on the hot path. Pages are never freed or replaced once allocated, so
-	// the pointer stays valid until RestoreState swaps the whole map (which
-	// clears the memo).
-	lastIdx  uint32
-	lastPage *[pageSize]byte
-	stats    MemStats
+	// pages holds one slot per page, nil until the page is first touched.
+	pages []*[pageSize]byte
+	stats MemStats
 }
 
 // NewMemory creates a memory of the given size (bytes) and user-defined
 // access latency in cycles.
 func NewMemory(name string, size uint32, latency uint64) *Memory {
 	return &Memory{name: name, size: size, latency: latency, physLatency: latency,
-		pages: make(map[uint32]*[pageSize]byte)}
+		pages: make([]*[pageSize]byte, (uint64(size)+pageSize-1)/pageSize)}
 }
 
 // SetPhysicalLatency declares the latency of the physical device that backs
@@ -109,16 +103,11 @@ func (m *Memory) page(addr uint32) *[pageSize]byte {
 	if addr >= m.size {
 		panic(fmt.Sprintf("mem: %s: address 0x%x beyond size 0x%x", m.name, addr, m.size))
 	}
-	idx := addr / pageSize
-	if p := m.lastPage; p != nil && idx == m.lastIdx {
-		return p
-	}
-	p := m.pages[idx]
+	p := m.pages[addr/pageSize]
 	if p == nil {
 		p = new([pageSize]byte)
-		m.pages[idx] = p
+		m.pages[addr/pageSize] = p
 	}
-	m.lastIdx, m.lastPage = idx, p
 	return p
 }
 
@@ -150,10 +139,10 @@ func (m *Memory) LoadWord(addr uint32) uint32 {
 }
 
 // alignedPage returns the page holding the aligned address addr, below
-// Size, through the page memo, so a hit on the memoised page is one
-// compare. Index it with addr&(pageSize-4).
+// Size: one table load for a touched page. Index it with
+// addr&(pageSize-4).
 func (m *Memory) alignedPage(addr uint32) *[pageSize]byte {
-	if p := m.lastPage; p != nil && addr/pageSize == m.lastIdx {
+	if p := m.pages[addr/pageSize]; p != nil {
 		return p
 	}
 	return m.page(addr)
@@ -284,13 +273,10 @@ func (r *Routed) Size() uint32 { return r.Under.Size() }
 // (and any digest built over it) depends only on the architectural contents
 // of the memory, not on its allocation history.
 func (m *Memory) EachPage(fn func(addr uint32, page []byte)) {
-	idxs := make([]uint32, 0, len(m.pages))
-	for idx := range m.pages {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		p := m.pages[idx]
+	for idx, p := range m.pages {
+		if p == nil {
+			continue
+		}
 		zero := true
 		for _, b := range p {
 			if b != 0 {
@@ -301,6 +287,6 @@ func (m *Memory) EachPage(fn func(addr uint32, page []byte)) {
 		if zero {
 			continue
 		}
-		fn(idx*pageSize, p[:])
+		fn(uint32(idx)*pageSize, p[:])
 	}
 }

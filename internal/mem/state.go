@@ -32,13 +32,16 @@ func (m *Memory) SaveState() MemoryState {
 // RestoreState replaces the memory contents and counters with the saved
 // state. Pages absent from the state are cleared.
 func (m *Memory) RestoreState(s MemoryState) error {
-	pages := make(map[uint32]*[pageSize]byte, len(s.Pages))
-	for _, p := range s.Pages {
+	pages := make([]*[pageSize]byte, len(m.pages))
+	for i, p := range s.Pages {
 		if p.Addr%pageSize != 0 {
 			return fmt.Errorf("mem %s: page address %#x not page-aligned", m.name, p.Addr)
 		}
 		if p.Addr >= m.size {
 			return fmt.Errorf("mem %s: page address %#x beyond size %d", m.name, p.Addr, m.size)
+		}
+		if i > 0 && p.Addr <= s.Pages[i-1].Addr {
+			return fmt.Errorf("mem %s: page address %#x follows %#x, want ascending", m.name, p.Addr, s.Pages[i-1].Addr)
 		}
 		if len(p.Data) != pageSize {
 			return fmt.Errorf("mem %s: page %#x has %d bytes, want %d", m.name, p.Addr, len(p.Data), pageSize)
@@ -48,7 +51,6 @@ func (m *Memory) RestoreState(s MemoryState) error {
 		pages[p.Addr/pageSize] = &buf
 	}
 	m.pages = pages
-	m.lastPage = nil // the memoised page belongs to the replaced map
 	m.stats = s.Stats
 	return nil
 }
@@ -97,7 +99,6 @@ func (c *Cache) RestoreState(s CacheState) error {
 	c.stamp = s.Stamp
 	c.stats = s.Stats
 	c.enable = s.Enabled
-	c.memoIdx, c.memoIdx2 = -1, -1 // the memos may point at lines the checkpoint replaced
 	c.epoch++
 	return nil
 }

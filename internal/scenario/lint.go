@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"thermemu/internal/core"
+	"thermemu/internal/emu"
 	"thermemu/internal/workloads"
 )
 
@@ -32,11 +33,14 @@ func (s *Scenario) Lint() error {
 	if s.FreqMHz < 0 {
 		fail("platform: freq-mhz must be non-negative, got %d", s.FreqMHz)
 	}
-	if s.PrivKB < 1 {
-		fail("platform: priv-kb must be at least 1, got %d", s.PrivKB)
+	sizesOK := true
+	if s.PrivKB < 1 || s.PrivKB > emu.MaxPrivKB {
+		fail("platform: priv-kb must be between 1 and %d, got %d", emu.MaxPrivKB, s.PrivKB)
+		sizesOK = false
 	}
-	if s.SharedKB < 1 {
-		fail("platform: shared-kb must be at least 1, got %d", s.SharedKB)
+	if s.SharedKB < 1 || s.SharedKB > emu.MaxSharedKB {
+		fail("platform: shared-kb must be between 1 and %d, got %d", emu.MaxSharedKB, s.SharedKB)
+		sizesOK = false
 	}
 
 	if _, ok := floorplans[s.Floorplan]; !ok {
@@ -79,7 +83,7 @@ func (s *Scenario) Lint() error {
 
 	// The deep checks need a buildable workload; skip them if the shallow
 	// checks already doomed the platform parameters the build depends on.
-	if s.Cores >= 1 && s.PrivKB >= 1 && s.SharedKB >= 1 {
+	if s.Cores >= 1 && sizesOK {
 		if err := s.lintWorkload(fail); err != nil {
 			errs = append(errs, err)
 		}

@@ -263,6 +263,8 @@ func TestLintCatches(t *testing.T) {
 		{"negative freq", func(s *Scenario) { s.FreqMHz = -1 }, "freq-mhz"},
 		{"no priv", func(s *Scenario) { s.PrivKB = 0 }, "priv-kb"},
 		{"no shared", func(s *Scenario) { s.SharedKB = 0 }, "shared-kb"},
+		{"priv past shared range", func(s *Scenario) { s.PrivKB = 262145 }, "priv-kb"},
+		{"shared wraps", func(s *Scenario) { s.SharedKB = 4194305 }, "shared-kb"},
 		{"bad workload", func(s *Scenario) { s.Workload = "fibonacci" }, "unknown workload"},
 		{"bad floorplan", func(s *Scenario) { s.Floorplan = "x86" }, "floorplan"},
 		{"no cells", func(s *Scenario) { s.Cells = 0 }, "cells"},

@@ -75,8 +75,6 @@ type (
 	LinkFaultConfig = etherlink.FaultConfig
 	// LinkReliability tunes the NACK/resend-window loss-recovery protocol.
 	LinkReliability = etherlink.ReliableConfig
-	// LinkSupervisorConfig tunes the device-side reconnecting transport.
-	LinkSupervisorConfig = etherlink.SupervisorConfig
 	// ServeOptions tunes one ThermalHost.Serve session (shared metrics,
 	// idle budget, reliability).
 	ServeOptions = core.ServeOptions
@@ -309,14 +307,6 @@ func DialThermalHost(addr string) (Transport, error) {
 // whose FIFO holds depth frames per direction.
 func LoopbackLink(depth int) (device, host Transport) {
 	return etherlink.LoopbackPair(depth)
-}
-
-// DialThermalHostSupervised is DialThermalHost with a connection
-// supervisor: link faults trigger reconnection with capped exponential
-// backoff plus jitter, and Close emits a graceful CtrlStop.
-func DialThermalHostSupervised(cfg LinkSupervisorConfig) (Transport, error) {
-	cfg.GracefulStop = true
-	return etherlink.DialSupervised(cfg)
 }
 
 // WithLinkFaults wraps a transport with seeded per-direction fault
