@@ -20,7 +20,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -129,23 +128,30 @@ func run(specPath string, workers int, outPath string, straggler time.Duration,
 }
 
 // runWorker serves sweep jobs as a worker process. Each session dials the
-// coordinator through the connection supervisor (capped exponential
-// backoff); a session lost mid-grid starts over with a fresh endpoint when
+// coordinator afresh, retrying a refused dial with capped exponential
+// backoff; a session lost mid-grid starts over on a new connection when
 // -redial is set — the coordinator re-queues whatever the death stranded.
 func runWorker(addr, name string, redial bool, logf func(string, ...any)) error {
+	const (
+		dialAttempts   = 8
+		initialBackoff = 100 * time.Millisecond
+		maxBackoff     = 5 * time.Second
+	)
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	w := &sweep.Worker{Name: name, Logf: logf}
-	for attempt := 0; ; attempt++ {
-		tr, err := etherlink.DialSupervised(etherlink.SupervisorConfig{
-			Addr:         addr,
-			GracefulStop: true,
-			Logf:         logf,
-		})
+	for session := 0; ; session++ {
+		tr, err := etherlink.Dial(addr, 64)
+		for backoff, attempt := initialBackoff, 1; err != nil && attempt < dialAttempts; attempt++ {
+			logf("sweep: %s: %v (attempt %d/%d); retrying in %v", name, err, attempt, dialAttempts, backoff)
+			time.Sleep(backoff)
+			backoff = min(2*backoff, maxBackoff)
+			tr, err = etherlink.Dial(addr, 64)
+		}
 		if err != nil {
-			if errors.Is(err, etherlink.ErrLinkDown) && attempt > 0 {
+			if session > 0 {
 				// The grid is most likely finished and the coordinator gone.
 				logf("sweep: %s: coordinator gone, exiting", name)
 				return nil

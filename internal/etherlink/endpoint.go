@@ -18,12 +18,6 @@ var (
 	ErrResendWindow = errors.New("etherlink: resend window overrun")
 )
 
-// ctrlStopSeq is the out-of-band sequence number a connection supervisor
-// stamps on the graceful CtrlStop it emits at shutdown (it has no view of
-// the endpoint's sequence space). CtrlStop is accepted regardless of
-// sequence position — it is terminal, ordering no longer matters.
-const ctrlStopSeq = ^uint32(0)
-
 // seqBefore reports whether a precedes b in wraparound-safe order.
 func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
 
@@ -253,8 +247,7 @@ func (e *Endpoint) AcceptStop() {
 	}
 }
 
-// isCtrlStop reports whether the frame is a terminal CtrlStop, which is
-// honoured regardless of its sequence position.
+// isCtrlStop reports whether the frame is a terminal CtrlStop.
 func isCtrlStop(f *Frame) bool {
 	if f.Type != MsgCtrl {
 		return false
@@ -320,9 +313,6 @@ func (e *Endpoint) Recv() (*Frame, error) {
 		switch {
 		case f.Seq == e.expect:
 			e.expect++
-			e.noteRecv(len(b))
-			return f, nil
-		case isCtrlStop(f):
 			e.noteRecv(len(b))
 			return f, nil
 		case seqBefore(f.Seq, e.expect):

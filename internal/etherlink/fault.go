@@ -92,6 +92,7 @@ type FaultCounts struct {
 
 type faultLeg struct {
 	cfg    FaultConfig
+	rng    *rand.Rand
 	counts FaultCounts
 	held   []byte   // reorder hold-back slot
 	ready  [][]byte // frames queued for delivery (recv side only)
@@ -105,19 +106,22 @@ type FaultTransport struct {
 	inner Transport
 
 	mu   sync.Mutex
-	rng  *rand.Rand
 	send faultLeg
 	recv faultLeg
 }
 
+// recvSeedMix separates the recv leg's PRNG stream from the send leg's.
+const recvSeedMix = 0x9e3779b97f4a7c15
+
 // NewFaultTransport wraps inner with the given per-direction impairments.
-// The PRNG is seeded, so a given (seed, traffic) pair replays identically.
+// Each leg draws from its own PRNG seeded from seed, so the faults a leg
+// injects depend only on the seed and that leg's own frame sequence, never
+// on how the two directions' goroutines interleave.
 func NewFaultTransport(inner Transport, seed int64, send, recv FaultConfig) *FaultTransport {
 	return &FaultTransport{
 		inner: inner,
-		rng:   rand.New(rand.NewSource(seed)),
-		send:  faultLeg{cfg: send},
-		recv:  faultLeg{cfg: recv},
+		send:  faultLeg{cfg: send, rng: rand.New(rand.NewSource(seed))},
+		recv:  faultLeg{cfg: recv, rng: rand.New(rand.NewSource(int64(uint64(seed) ^ recvSeedMix)))},
 	}
 }
 
@@ -129,10 +133,10 @@ func (ft *FaultTransport) Counts() (send, recv FaultCounts) {
 }
 
 // corrupt flips one random bit of a copy of the frame.
-func (ft *FaultTransport) corrupt(b []byte) []byte {
+func (leg *faultLeg) corrupt(b []byte) []byte {
 	c := append([]byte(nil), b...)
 	if len(c) > 0 {
-		c[ft.rng.Intn(len(c))] ^= 1 << uint(ft.rng.Intn(8))
+		c[leg.rng.Intn(len(c))] ^= 1 << uint(leg.rng.Intn(8))
 	}
 	return c
 }
@@ -152,32 +156,32 @@ func (ft *FaultTransport) sendPlan(frame []byte) (out [][]byte, delay time.Durat
 		leg.counts.Cut = true
 		return nil, 0, true
 	}
-	if ft.rng.Float64() < leg.cfg.Drop {
+	if leg.rng.Float64() < leg.cfg.Drop {
 		leg.counts.Dropped++
 		return nil, 0, false
 	}
 	f := frame
-	if ft.rng.Float64() < leg.cfg.Corrupt {
+	if leg.rng.Float64() < leg.cfg.Corrupt {
 		leg.counts.Corrupted++
-		f = ft.corrupt(f)
+		f = leg.corrupt(f)
 	}
 	if leg.held != nil {
 		// A previous frame is being held back: this one overtakes it.
 		out = append(out, f, leg.held)
 		leg.held = nil
 		leg.counts.Reordered++
-	} else if ft.rng.Float64() < leg.cfg.Reorder {
+	} else if leg.rng.Float64() < leg.cfg.Reorder {
 		leg.held = append([]byte(nil), f...)
 	} else {
 		out = append(out, f)
 	}
-	if len(out) > 0 && ft.rng.Float64() < leg.cfg.Dup {
+	if len(out) > 0 && leg.rng.Float64() < leg.cfg.Dup {
 		leg.counts.Duplicated++
 		out = append(out, out[0])
 	}
 	if leg.cfg.Delay > 0 {
 		leg.counts.Delayed++
-		delay = time.Duration(ft.rng.Int63n(int64(leg.cfg.Delay) + 1))
+		delay = time.Duration(leg.rng.Int63n(int64(leg.cfg.Delay) + 1))
 	}
 	return out, delay, false
 }
@@ -251,33 +255,33 @@ func (ft *FaultTransport) Recv() ([]byte, error) {
 			ft.inner.Close()
 			return nil, ErrLinkCut
 		}
-		if ft.rng.Float64() < leg.cfg.Drop {
+		if leg.rng.Float64() < leg.cfg.Drop {
 			leg.counts.Dropped++
 			ft.mu.Unlock()
 			continue
 		}
-		if ft.rng.Float64() < leg.cfg.Corrupt {
+		if leg.rng.Float64() < leg.cfg.Corrupt {
 			leg.counts.Corrupted++
-			b = ft.corrupt(b)
+			b = leg.corrupt(b)
 		}
 		if leg.held != nil {
 			// Deliver the newcomer first, then the held frame: swapped.
 			leg.ready = append(leg.ready, leg.held)
 			leg.held = nil
 			leg.counts.Reordered++
-		} else if ft.rng.Float64() < leg.cfg.Reorder {
+		} else if leg.rng.Float64() < leg.cfg.Reorder {
 			leg.held = b
 			ft.mu.Unlock()
 			continue
 		}
-		if ft.rng.Float64() < leg.cfg.Dup {
+		if leg.rng.Float64() < leg.cfg.Dup {
 			leg.counts.Duplicated++
 			leg.ready = append(leg.ready, append([]byte(nil), b...))
 		}
 		var delay time.Duration
 		if leg.cfg.Delay > 0 {
 			leg.counts.Delayed++
-			delay = time.Duration(ft.rng.Int63n(int64(leg.cfg.Delay) + 1))
+			delay = time.Duration(leg.rng.Int63n(int64(leg.cfg.Delay) + 1))
 		}
 		ft.mu.Unlock()
 		if delay > 0 {

@@ -63,6 +63,32 @@ func TestFaultTransportDeterminism(t *testing.T) {
 	}
 }
 
+// TestFaultLegsDrawIndependently pins one PRNG stream per leg: the faults
+// the send leg injects on a fixed frame sequence are the same whether or
+// not recv-leg traffic draws between its frames.
+func TestFaultLegsDrawIndependently(t *testing.T) {
+	cfg := FaultConfig{Drop: 0.2, Dup: 0.2, Reorder: 0.2, Corrupt: 0.2}
+	run := func(recvTraffic bool) FaultCounts {
+		dev, host := LoopbackPair(1024)
+		defer host.Close()
+		ft := NewFaultTransport(dev, 42, cfg, cfg)
+		for i := 0; i < 100; i++ {
+			ft.Send([]byte{byte(i), 1, 2, 3})
+			if recvTraffic {
+				host.Send([]byte{byte(i), 4, 5, 6})
+				ft.SetRecvDeadline(time.Now().Add(time.Millisecond))
+				ft.Recv()
+			}
+		}
+		send, _ := ft.Counts()
+		return send
+	}
+	quiet, busy := run(false), run(true)
+	if quiet != busy {
+		t.Fatalf("send-leg faults moved with recv traffic:\nalone     %+v\nalongside %+v", quiet, busy)
+	}
+}
+
 // TestFaultTransportCut verifies the mid-stream disconnect: after CutAfter
 // frames the link returns the typed ErrLinkCut.
 func TestFaultTransportCut(t *testing.T) {
@@ -231,116 +257,4 @@ func TestReliableLinkCutSurfacesTypedError(t *testing.T) {
 	dev, host := LoopbackPair(64)
 	ft := NewFaultTransport(dev, 3, FaultConfig{CutAfter: 40}, FaultConfig{})
 	runReliableExchange(t, ft, host, 500)
-}
-
-// TestSupervisorReconnect drops the first connection server-side and checks
-// the supervisor redials, retries the failed Recv transparently, and counts
-// the reconnect.
-func TestSupervisorReconnect(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	serverDone := make(chan error, 1)
-	stopFrame := make(chan []byte, 1)
-	go func() {
-		// First connection: drop it immediately (a flaky host).
-		c1, err := ln.Accept()
-		if err != nil {
-			serverDone <- err
-			return
-		}
-		c1.Close()
-		// Second connection: deliver one frame, then collect the device's
-		// graceful-stop frame.
-		c2, err := ln.Accept()
-		if err != nil {
-			serverDone <- err
-			return
-		}
-		tr := NewTCP(c2, 4)
-		defer tr.Close()
-		if err := tr.Send([]byte("hello-again")); err != nil {
-			serverDone <- err
-			return
-		}
-		tr.SetRecvDeadline(time.Now().Add(5 * time.Second))
-		b, err := tr.Recv()
-		if err != nil {
-			serverDone <- err
-			return
-		}
-		stopFrame <- b
-		serverDone <- nil
-	}()
-
-	sup, err := DialSupervised(SupervisorConfig{
-		Addr:           ln.Addr().String(),
-		InitialBackoff: 5 * time.Millisecond,
-		MaxBackoff:     50 * time.Millisecond,
-		GracefulStop:   true,
-		Logf:           t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The first connection is already dead server-side: Recv fails, the
-	// supervisor redials and retries, and the retry sees the frame.
-	b, err := sup.Recv()
-	if err != nil {
-		t.Fatalf("recv across reconnect: %v", err)
-	}
-	if string(b) != "hello-again" {
-		t.Fatalf("recv across reconnect delivered %q", b)
-	}
-	if got := sup.Stats().Reconnects.Load(); got == 0 {
-		t.Error("reconnect not counted")
-	}
-
-	if err := sup.Close(); err != nil {
-		t.Errorf("close: %v", err)
-	}
-	select {
-	case b := <-stopFrame:
-		f, err := Unmarshal(b)
-		if err != nil {
-			t.Fatalf("graceful-stop frame: %v", err)
-		}
-		if !isCtrlStop(f) || f.Seq != ctrlStopSeq {
-			t.Errorf("graceful stop sent %v seq %d, want CtrlStop seq %d", f.Type, f.Seq, ctrlStopSeq)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("graceful CtrlStop never arrived")
-	}
-	if err := <-serverDone; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	// A closed supervisor refuses further traffic.
-	if err := sup.Send([]byte("x")); !errors.Is(err, ErrClosed) {
-		t.Errorf("send after close: %v", err)
-	}
-}
-
-// TestSupervisorDialFailure verifies the backoff loop gives up with the
-// typed ErrLinkDown when nothing listens.
-func TestSupervisorDialFailure(t *testing.T) {
-	// Grab a port and close it so the address is known-dead.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	_, err = DialSupervised(SupervisorConfig{
-		Addr:           addr,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     2 * time.Millisecond,
-		MaxAttempts:    3,
-	})
-	if !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("dial dead address: %v, want ErrLinkDown", err)
-	}
 }

@@ -32,7 +32,6 @@ type LinkStats struct {
 
 	Congestions atomic.Uint64 // TrySend rejections that froze the virtual clock
 	FrozenPhys  atomic.Uint64 // physical cycles spent frozen on the link
-	Reconnects  atomic.Uint64 // supervisor redials after a link fault
 
 	// Dispatcher traffic: sampling windows shipped in statistics messages
 	// and answered by temperature messages, and logged events shipped.
@@ -92,7 +91,6 @@ type LinkSnapshot struct {
 	Resent      uint64 `json:"resent"`
 	Congestions uint64 `json:"congestions"`
 	FrozenPhys  uint64 `json:"frozen_phys_cycles"`
-	Reconnects  uint64 `json:"reconnects"`
 
 	WindowsSent     uint64 `json:"windows_sent"`
 	WindowsAnswered uint64 `json:"windows_answered"`
@@ -121,7 +119,6 @@ func (s *LinkStats) Snapshot() LinkSnapshot {
 		Resent:      s.Resent.Load(),
 		Congestions: s.Congestions.Load(),
 		FrozenPhys:  s.FrozenPhys.Load(),
-		Reconnects:  s.Reconnects.Load(),
 
 		WindowsSent:     s.WindowsSent.Load(),
 		WindowsAnswered: s.WindowsAnswered.Load(),
@@ -150,9 +147,9 @@ func (s *LinkStats) Snapshot() LinkSnapshot {
 // String formats the snapshot as a compact human-readable summary.
 func (sn LinkSnapshot) String() string {
 	return fmt.Sprintf(
-		"tx %d frames/%d B, rx %d frames/%d B; retries %d, gaps %d, crc %d, dups %d, nacks %d/%d, resent %d, congestions %d, reconnects %d; rtt mean %.0f us max %d us (%d obs)",
+		"tx %d frames/%d B, rx %d frames/%d B; retries %d, gaps %d, crc %d, dups %d, nacks %d/%d, resent %d, congestions %d; rtt mean %.0f us max %d us (%d obs)",
 		sn.FramesSent, sn.BytesSent, sn.FramesRecv, sn.BytesRecv,
 		sn.Retries, sn.SeqGaps, sn.CRCErrors, sn.DupFrames,
-		sn.NacksSent, sn.NacksRecv, sn.Resent, sn.Congestions, sn.Reconnects,
+		sn.NacksSent, sn.NacksRecv, sn.Resent, sn.Congestions,
 		sn.LatencyMeanUs, sn.LatencyMaxUs, sn.LatencyCount)
 }

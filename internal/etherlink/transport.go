@@ -165,22 +165,11 @@ func (l *loopback) Close() error {
 	return nil
 }
 
-// TCPOptions tunes a TCP transport.
-type TCPOptions struct {
-	// WriteTimeout bounds each frame write; 0 means no bound. A write that
-	// exceeds it kills the writer goroutine and fails subsequent sends.
-	WriteTimeout time.Duration
-	// ReadTimeout is the default Recv bound applied when the caller has not
-	// set an explicit deadline; 0 means block forever.
-	ReadTimeout time.Duration
-}
-
 // tcpTransport carries frames over a net.Conn, length-prefixed with a
 // 32-bit little-endian size. A writer goroutine provides the non-blocking
 // TrySend queue.
 type tcpTransport struct {
 	conn   net.Conn
-	opts   TCPOptions
 	sendCh chan []byte
 	done   chan struct{}
 	// writerDone is closed when the writer goroutine exits — on a write
@@ -188,10 +177,19 @@ type tcpTransport struct {
 	// racing the writer's death fails instead of parking on a channel
 	// nobody drains.
 	writerDone chan struct{}
-	once       sync.Once
-	wg         sync.WaitGroup
-	writeMu    sync.Mutex
-	werr       error
+	// closed, set under sendMu, refuses every send that starts after
+	// Close; sending counts the enqueues already in progress, and Close
+	// closes done only once they have finished. So every frame a send
+	// queued is in the queue before the writer's final flush, which
+	// delivers it or leaves it for Close to count as stranded. closing
+	// releases a send that waits for room in the queue.
+	sendMu  sync.Mutex
+	closed  bool
+	sending sync.WaitGroup
+	closing chan struct{}
+	wg      sync.WaitGroup
+	writeMu sync.Mutex
+	werr    error
 
 	recvMu   sync.Mutex
 	deadline time.Time
@@ -200,17 +198,12 @@ type tcpTransport struct {
 // NewTCP wraps an established connection (either side) into a Transport.
 // queueDepth bounds the send queue, modelling the device FIFO.
 func NewTCP(conn net.Conn, queueDepth int) Transport {
-	return NewTCPWith(conn, queueDepth, TCPOptions{})
-}
-
-// NewTCPWith is NewTCP with explicit read/write deadline options.
-func NewTCPWith(conn net.Conn, queueDepth int, opts TCPOptions) Transport {
 	t := &tcpTransport{
 		conn:       conn,
-		opts:       opts,
 		sendCh:     make(chan []byte, queueDepth),
 		done:       make(chan struct{}),
 		writerDone: make(chan struct{}),
+		closing:    make(chan struct{}),
 	}
 	t.wg.Add(1)
 	go t.writer()
@@ -219,16 +212,11 @@ func NewTCPWith(conn net.Conn, queueDepth int, opts TCPOptions) Transport {
 
 // Dial connects to a host-side listener and returns the device transport.
 func Dial(addr string, queueDepth int) (Transport, error) {
-	return DialWith(addr, queueDepth, TCPOptions{})
-}
-
-// DialWith is Dial with explicit read/write deadline options.
-func DialWith(addr string, queueDepth int, opts TCPOptions) (Transport, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("etherlink: dial %s: %w", addr, err)
 	}
-	return NewTCPWith(conn, queueDepth, opts), nil
+	return NewTCP(conn, queueDepth), nil
 }
 
 func (t *tcpTransport) writer() {
@@ -259,9 +247,6 @@ func (t *tcpTransport) writer() {
 }
 
 func (t *tcpTransport) writeFrame(f []byte) error {
-	if t.opts.WriteTimeout > 0 {
-		t.conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	}
 	// One write per frame: the length prefix and payload never straddle a
 	// writer-side gap the reader's deadline could expire inside.
 	buf := make([]byte, 4+len(f))
@@ -285,57 +270,56 @@ func (t *tcpTransport) sendErr() error {
 	return t.werr
 }
 
-// deadErr reports why the writer is gone: the stored write error, or
-// ErrClosed after a clean shutdown.
+// deadErr reports the write error that killed the writer. While a send is
+// in progress done stays open, so a write error is the only way the
+// writer can have exited.
 func (t *tcpTransport) deadErr() error {
-	if err := t.sendErr(); err != nil {
-		return fmt.Errorf("etherlink: send after writer death: %w", err)
-	}
-	return ErrClosed
+	return fmt.Errorf("etherlink: send after writer death: %w", t.sendErr())
 }
 
 func (t *tcpTransport) Send(frame []byte) error {
-	if err := t.sendErr(); err != nil {
-		return fmt.Errorf("etherlink: send after writer death: %w", err)
-	}
-	select {
-	case t.sendCh <- frame:
-		// The enqueue may have raced the writer's death; a frame parked
-		// behind a dead writer would otherwise be dropped silently.
-		select {
-		case <-t.writerDone:
-			return t.deadErr()
-		default:
-			return nil
-		}
-	case <-t.writerDone:
-		return t.deadErr()
-	case <-t.done:
-		return ErrClosed
-	}
+	_, err := t.enqueue(frame, true)
+	return err
 }
 
 func (t *tcpTransport) TrySend(frame []byte) (bool, error) {
-	if err := t.sendErr(); err != nil {
-		return false, fmt.Errorf("etherlink: send after writer death: %w", err)
-	}
-	select {
-	case <-t.done:
+	return t.enqueue(frame, false)
+}
+
+// enqueue hands frame to the writer, waiting for room in the queue when
+// block is set.
+func (t *tcpTransport) enqueue(frame []byte, block bool) (bool, error) {
+	t.sendMu.Lock()
+	if t.closed {
+		t.sendMu.Unlock()
 		return false, ErrClosed
+	}
+	t.sending.Add(1)
+	t.sendMu.Unlock()
+	defer t.sending.Done()
+	select {
 	case <-t.writerDone:
 		return false, t.deadErr()
-	default:
-	}
-	select {
 	case t.sendCh <- frame:
+	default:
+		if !block {
+			return false, nil
+		}
 		select {
 		case <-t.writerDone:
 			return false, t.deadErr()
-		default:
-			return true, nil
+		case <-t.closing:
+			return false, ErrClosed
+		case t.sendCh <- frame:
 		}
+	}
+	// The enqueue may have raced the writer's death; a frame parked
+	// behind a dead writer would otherwise be dropped silently.
+	select {
+	case <-t.writerDone:
+		return false, t.deadErr()
 	default:
-		return false, nil
+		return true, nil
 	}
 }
 
@@ -360,9 +344,6 @@ func (t *tcpTransport) Recv() ([]byte, error) {
 	t.recvMu.Lock()
 	deadline := t.deadline
 	t.recvMu.Unlock()
-	if deadline.IsZero() && t.opts.ReadTimeout > 0 {
-		deadline = time.Now().Add(t.opts.ReadTimeout)
-	}
 	t.conn.SetReadDeadline(deadline)
 	var hdr [4]byte
 	if n, err := io.ReadFull(t.conn, hdr[:]); err != nil {
@@ -395,19 +376,26 @@ func (t *tcpTransport) Recv() ([]byte, error) {
 	return f, nil
 }
 
+// closeGrace bounds Close's flush of the queued frames.
+const closeGrace = time.Second
+
 // Close shuts the transport down: the writer flushes what it can, and any
 // frames stranded in the queue (the writer died on a write error first) are
 // reported, wrapped around the write error that killed it.
 func (t *tcpTransport) Close() error {
-	t.once.Do(func() { close(t.done) })
 	// Bound the writer's flush: a peer that stopped draining would block
 	// the final writes forever, wedging Close behind the wg.Wait. The
 	// deadline also unblocks a write already in flight.
-	grace := t.opts.WriteTimeout
-	if grace <= 0 {
-		grace = time.Second
+	t.conn.SetWriteDeadline(time.Now().Add(closeGrace))
+	t.sendMu.Lock()
+	first := !t.closed
+	t.closed = true
+	t.sendMu.Unlock()
+	if first {
+		close(t.closing)
+		t.sending.Wait()
+		close(t.done)
 	}
-	t.conn.SetWriteDeadline(time.Now().Add(grace))
 	t.wg.Wait()
 	cerr := t.conn.Close()
 	stranded := 0

@@ -1,9 +1,12 @@
 package etherlink
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -101,6 +104,80 @@ func TestCloseReportsStrandedFrames(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "undelivered") {
 			t.Errorf("Close error does not report stranded frames: %v", err)
+		}
+	}
+}
+
+// TestTCPSendCloseRace races many Sends against Close, over 20 fresh
+// transports per run. A Send that returned nil queued its frame before the
+// shutdown, so the Close flush must deliver it; a Send that got ErrClosed
+// queued nothing, so its frame must never reach the peer.
+func TestTCPSendCloseRace(t *testing.T) {
+	for range 20 {
+		raceSendClose(t)
+	}
+}
+
+func raceSendClose(t *testing.T) {
+	const senders = 8
+	c1, c2 := net.Pipe()
+	tr, peer := NewTCP(c1, 4), NewTCP(c2, 4)
+	defer peer.Close()
+
+	got := map[uint32]bool{}
+	recvDone := make(chan struct{})
+	go func() {
+		defer close(recvDone)
+		for {
+			f, err := peer.Recv()
+			if err != nil {
+				return
+			}
+			got[binary.LittleEndian.Uint32(f)] = true
+		}
+	}()
+
+	var (
+		wg       sync.WaitGroup
+		accepted [senders][]uint32
+		refused  [senders][]uint32
+	)
+	for s := range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint32(0); ; i++ {
+				id := uint32(s)<<24 | i
+				err := tr.Send(binary.LittleEndian.AppendUint32(nil, id))
+				switch {
+				case err == nil:
+					accepted[s] = append(accepted[s], id)
+				case errors.Is(err, ErrClosed):
+					refused[s] = append(refused[s], id)
+					return
+				default:
+					t.Errorf("sender %d: %v", s, err)
+					return
+				}
+			}
+		}()
+	}
+	time.Sleep(time.Duration(rand.Intn(2000)) * time.Microsecond)
+	if err := tr.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+	wg.Wait()
+	<-recvDone
+	for s := range senders {
+		for _, id := range accepted[s] {
+			if !got[id] {
+				t.Errorf("frame %#x: Send returned nil, but it never reached the peer", id)
+			}
+		}
+		for _, id := range refused[s] {
+			if got[id] {
+				t.Errorf("frame %#x: Send returned ErrClosed, but it reached the peer", id)
+			}
 		}
 	}
 }

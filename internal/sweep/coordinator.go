@@ -390,14 +390,15 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 	}()
 	ep := newEndpoint(tr, true, c.opt.sweepLink())
 	sessErr := func(err error) error {
-		// A clean stop or a link death after completion is a normal exit.
-		clean := errors.Is(err, errPeerStopped) || c.finished()
+		// A link death after completion is a normal exit.
+		clean := c.finished()
 		c.release(sid, !clean)
 		if clean {
 			return nil
 		}
 		return err
 	}
+	held := -1 // the point of the job sent and not yet answered
 	for {
 		m, err := recvMsg(ep)
 		if err != nil {
@@ -405,6 +406,10 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 		}
 		switch m.Type {
 		case "ready":
+			if held >= 0 {
+				return sessErr(fmt.Errorf("sweep: worker %s sent ready while it holds point %s",
+					m.Worker, c.st[held].point.Name))
+			}
 			idx, ok := c.next(sid, m.Have)
 			if !ok {
 				err := sendMsg(ep, &wireMsg{Type: "done"})
@@ -417,7 +422,9 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 			if err := sendMsg(ep, c.job(idx, m.Have)); err != nil {
 				return sessErr(err)
 			}
+			held = idx
 		case "result":
+			held = -1
 			if err := c.complete(sid, m); err != nil {
 				c.fail(err)
 				return err

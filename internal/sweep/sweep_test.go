@@ -127,15 +127,6 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-
-	// A graceful CtrlStop mid-stream surfaces as errPeerStopped, not a frame.
-	stop := &etherlink.Ctrl{Op: etherlink.CtrlStop}
-	if err := worker.Send(etherlink.MsgCtrl, stop.MarshalPayload()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := recvMsg(coord); !errors.Is(err, errPeerStopped) {
-		t.Fatalf("recv after CtrlStop = %v, want errPeerStopped", err)
-	}
 }
 
 // TestWireRejectsOversizedMessage checks both size bounds over a real
@@ -339,6 +330,70 @@ func TestSweepWorkerDeathRequeues(t *testing.T) {
 	checkParity(t, "worker-death", out, ref)
 	if out.SessionFailures == 0 {
 		t.Error("the cut session was not counted as a failure")
+	}
+}
+
+// TestSweepSecondReadyRequeues: a worker that sends ready again while it
+// holds an unanswered job breaks the alternating exchange. Its session
+// ends with an error and its point is re-queued, and with stealing off an
+// honest worker still finishes the grid with the serial digests.
+func TestSweepSecondReadyRequeues(t *testing.T) {
+	points := smallGrid(t)[:2]
+	ref := serialDigests(t, points)
+	c := NewCoordinator(points, Options{StragglerAfter: -1})
+
+	rogueTr, coordTr := etherlink.LoopbackPair(256)
+	rogueSess := make(chan error, 1)
+	go func() { rogueSess <- c.ServeSession(coordTr) }()
+	rogue := newEndpoint(rogueTr, false, c.opt.sweepLink())
+	if err := sendMsg(rogue, &wireMsg{Type: "ready", Worker: "rogue"}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := recvMsg(rogue); err != nil || m.Type != "job" {
+		t.Fatalf("first reply to the rogue = %+v, %v; want a job", m, err)
+	}
+
+	devTr, coordTr2 := etherlink.LoopbackPair(256)
+	go (&Worker{Name: "honest"}).Serve(devTr)
+	honestSess := make(chan error, 1)
+	go func() { honestSess <- c.ServeSession(coordTr2) }()
+
+	if err := sendMsg(rogue, &wireMsg{Type: "ready", Worker: "rogue"}); err != nil {
+		t.Fatal(err)
+	}
+	// The rogue stays on the link and answers the coordinator's solicits,
+	// so only the protocol check can end its session.
+	go func() {
+		for {
+			if _, err := recvMsg(rogue); err != nil {
+				return
+			}
+		}
+	}()
+	timeout := time.After(30 * time.Second)
+	select {
+	case err := <-rogueSess:
+		if err == nil || !strings.Contains(err.Error(), "ready while") {
+			t.Fatalf("rogue session ended with %v, want the second-ready error", err)
+		}
+	case <-timeout:
+		t.Fatal("the session of a worker that sent ready twice never ended")
+	}
+	select {
+	case err := <-honestSess:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-timeout:
+		t.Fatal("the grid never finished")
+	}
+	out, err := c.outcome("second-ready", 2, 0, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkParity(t, "second-ready", out, ref)
+	if out.SessionFailures != 1 {
+		t.Errorf("%d session failures, want 1", out.SessionFailures)
 	}
 }
 

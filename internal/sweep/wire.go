@@ -3,7 +3,6 @@ package sweep
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"thermemu/internal/checkpoint"
@@ -43,6 +42,10 @@ import (
 // and no bytes ends its session with an error; the coordinator re-queues
 // the point as for any dead link.
 //
+// A ready from a worker that still holds an unanswered job breaks the
+// alternation: the coordinator ends that session with an error and
+// re-queues the point, as for a dead link.
+//
 // A worker that dies mid-job simply never sends its result; the
 // coordinator's session ends on the transport error and the job returns to
 // the queue. An idle worker whose job is stolen and completed elsewhere may
@@ -75,10 +78,6 @@ const prefixLen = 9
 // it buffer no more than this. The largest real message is a job carrying
 // its warm-up checkpoint, so the bound is the checkpoint's own.
 const maxMsgBytes = checkpoint.MaxBytes
-
-// errPeerStopped reports a graceful CtrlStop from the peer (e.g. a
-// supervisor shutting down) observed mid-conversation.
-var errPeerStopped = errors.New("sweep: peer stopped")
 
 func sendMsg(ep *etherlink.Endpoint, m *wireMsg) error {
 	return writeMsg(m, func(p []byte) error { return ep.Send(etherlink.MsgSweep, p) })
@@ -127,14 +126,7 @@ func recvMsg(ep *etherlink.Endpoint) (*wireMsg, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch f.Type {
-		case etherlink.MsgSweep:
-		case etherlink.MsgCtrl:
-			if c, err := etherlink.UnmarshalCtrl(f.Payload); err == nil && c.Op == etherlink.CtrlStop {
-				return nil, errPeerStopped
-			}
-			continue
-		default:
+		if f.Type != etherlink.MsgSweep {
 			continue // not ours (e.g. stray acks); the sweep stream is MsgSweep only
 		}
 		if m, err := a.add(f.Payload); m != nil || err != nil {

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 
 	"thermemu/internal/etherlink"
@@ -45,9 +44,6 @@ func (w *Worker) Serve(tr etherlink.Transport) error {
 	for {
 		m, err := recvMsg(ep)
 		if err != nil {
-			if errors.Is(err, errPeerStopped) {
-				return nil
-			}
 			return err
 		}
 		switch m.Type {
