@@ -234,39 +234,6 @@ func BenchmarkKernelAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkSnifferAblation compares emulation with count-logging only (free)
-// against exhaustive event-logging into the BRAM ring (the configuration
-// that can congest the Ethernet link).
-func BenchmarkSnifferAblation(b *testing.B) {
-	run := func(b *testing.B, logging bool) {
-		cfg := emu.DefaultConfig(4)
-		cfg.EventLogging = logging
-		cfg.EventBufCap = 1 << 16
-		p := emu.MustNew(cfg)
-		p.OnBufferFull = func() bool {
-			for p.Ring.Len() > 0 {
-				p.Ring.Pop()
-			}
-			return true
-		}
-		spec, err := Matrix(4, 8, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i, im := range spec.Programs {
-			if err := p.LoadProgram(i, im); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.StepOne()
-		}
-	}
-	b.Run("CountLogging", func(b *testing.B) { run(b, false) })
-	b.Run("EventLogging", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkThermalNonlinearAblation compares the paper's non-linear silicon
 // conductivity against a constant-k model.
 func BenchmarkThermalNonlinearAblation(b *testing.B) {

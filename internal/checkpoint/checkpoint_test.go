@@ -161,12 +161,13 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestDecodeRejectsRetiredFields pins the words the format keeps for
-// removed features (core 0's dual-issue pair counter, the L2 and
-// scratchpad counts): written as 0, and any other value is refused.
+// removed features (core 0's dual-issue pair counter, the L2, scratchpad,
+// event-sniffer and ring-event counts): written as 0, and any other value
+// is refused.
 func TestDecodeRejectsRetiredFields(t *testing.T) {
 	ck := fullCheckpoint(t, buildRun(t))
 	valid := checkpoint.Encode(ck)
-	for _, field := range []string{"paired", "l2", "scratch"} {
+	for _, field := range []string{"paired", "l2", "scratch", "event-sniffers", "ring-events"} {
 		if got := checkpoint.WithRetiredField(ck, field, 0); !bytes.Equal(got, valid) {
 			t.Fatalf("%s: patching in 0 changed the encoding", field)
 		}

@@ -10,8 +10,10 @@ import (
 // WithRetiredField returns Encode(c) with one retired word set to v and
 // the trailing checksum recomputed, so only the decoder's retired-field
 // check can tell it from a valid stream. field names the word: "paired"
-// (core 0's dual-issue pair counter), "l2" (the per-core L2 count) or
-// "scratch" (the per-core scratchpad count). c must hold at least one core.
+// (core 0's dual-issue pair counter), "l2" (the per-core L2 count),
+// "scratch" (the per-core scratchpad count), "event-sniffers" (the
+// event-sniffer count) or "ring-events" (the buffered ring-event count).
+// c must hold at least one core.
 func WithRetiredField(c *Checkpoint, field string, v uint64) []byte {
 	data := Encode(c)
 	// Header (magic, version), then the meta section: tag, length, body.
@@ -20,6 +22,18 @@ func WithRetiredField(c *Checkpoint, field string, v uint64) []byte {
 
 	s := c.Platform
 	w := &writer{}
+	// The event-sniffer and ring-event counts are the platform section's
+	// last two words.
+	switch field {
+	case "event-sniffers", "ring-events":
+		encodePlatform(w, s)
+		at := body + len(w.buf) - 8
+		if field == "ring-events" {
+			at += 4
+		}
+		binary.LittleEndian.PutUint32(data[at:], uint32(v))
+		return resum(data)
+	}
 	clock := s.Clock
 	encodeClock(w, &clock)
 	w.u32(uint32(len(s.Cores)))

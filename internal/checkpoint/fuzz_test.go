@@ -11,8 +11,8 @@ import (
 // FuzzCheckpointRoundTrip feeds arbitrary bytes to the strict decoder. The
 // contract under fuzz: never panic, and any input that decodes cleanly must
 // re-encode to the identical bytes (the codec is canonical). Seeds include
-// a real encoded checkpoint so the fuzzer starts inside the format, and two
-// that only the retired-word checks refuse.
+// a real encoded checkpoint so the fuzzer starts inside the format, and
+// three that only the retired-word checks refuse.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	small := &checkpoint.Checkpoint{Platform: &emu.PlatformState{}}
 	f.Add(checkpoint.Encode(small))
@@ -20,10 +20,12 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	p := emu.MustNew(emu.DefaultConfig(1))
 	p.Step(100)
 	f.Add(checkpoint.Encode(checkpoint.FromPlatform(p)))
-	// Streams that are valid but for a non-zero retired L2 count, and for
-	// an event-cycle word that differs from the core-step count.
+	// Streams that are valid but for a non-zero retired L2 count, for an
+	// event-cycle word that differs from the core-step count, and for a
+	// non-zero retired ring-event count.
 	f.Add(checkpoint.WithRetiredField(checkpoint.FromPlatform(p), "l2", 1))
 	f.Add(checkpoint.WithEventCycles(checkpoint.FromPlatform(p), 0))
+	f.Add(checkpoint.WithRetiredField(checkpoint.FromPlatform(p), "ring-events", 1))
 
 	f.Add([]byte{})
 	f.Add([]byte{0x54, 0x4d, 0x43, 0x4b}) // bare magic

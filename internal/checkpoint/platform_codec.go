@@ -288,21 +288,8 @@ func encodePlatform(w *writer, s *emu.PlatformState) {
 		}
 		w.bool(a.Enabled)
 	}
-	w.u32(uint32(len(s.Events)))
-	for _, e := range s.Events {
-		w.u64(e.Logged)
-		w.u64(e.Dropped)
-		w.u64(e.FullHits)
-		w.bool(e.Enabled)
-	}
-	w.u32(uint32(len(s.RingEvents)))
-	for _, ev := range s.RingEvents {
-		w.u64(ev.Cycle)
-		w.u16(ev.Source)
-		w.u8(uint8(ev.Kind))
-		w.u32(ev.Addr)
-		w.u32(ev.Info)
-	}
+	w.u32(0) // retired event-sniffer count
+	w.u32(0) // retired ring-event count
 }
 
 func decodePlatform(r *reader) *emu.PlatformState {
@@ -369,15 +356,8 @@ func decodePlatform(r *reader) *emu.PlatformState {
 		a.Enabled = r.bool()
 		s.Acts = append(s.Acts, a)
 	}
-	for i, n := 0, r.count(25); i < n && r.err == nil; i++ {
-		s.Events = append(s.Events, sniffer.EventCounters{
-			Logged: r.u64(), Dropped: r.u64(), FullHits: r.u64(), Enabled: r.bool()})
-	}
-	for i, n := 0, r.count(19); i < n && r.err == nil; i++ {
-		s.RingEvents = append(s.RingEvents, sniffer.Event{
-			Cycle: r.u64(), Source: r.u16(), Kind: sniffer.EventKind(r.u8()),
-			Addr: r.u32(), Info: r.u32()})
-	}
+	r.retired("event-sniffer count", uint64(r.u32()))
+	r.retired("ring-event count", uint64(r.u32()))
 	return s
 }
 

@@ -70,19 +70,18 @@ type Config struct {
 	// span, the window's cycle count at the lower of the current frequency
 	// and the policy's tm.Policy.FloorHz (the whole window with no policy),
 	// and the verdict then re-times those cycles (vpcm.SetFrequencyAt).
-	// This holds over the link as in process. Nothing overlaps with event
-	// logging, for a policy whose floor is unknown or on a window that cuts
-	// a checkpoint, and a verdict below the floor aborts the run;
-	// Result.OverlapCycles counts the cycles that overlapped.
+	// This holds over the link as in process. Nothing overlaps for a policy
+	// whose floor is unknown or on a window that cuts a checkpoint, and a
+	// verdict below the floor aborts the run; Result.OverlapCycles counts
+	// the cycles that overlapped.
 	//
 	// Above 0 window N+1 emulates while window N is dispatched and solved,
 	// behind a bounded hand-off queue of that depth; when the queue fills,
 	// the virtual clock freezes under the vpcm.ThermalLagSource attribution
 	// instead of corrupting windows. Window boundaries depend only on
 	// emulated state, so runs are bit-reproducible at every depth and —
-	// with TM feedback off — digest-identical across depths. Depths above 0
-	// are incompatible with Platform.EventLogging (the event ring drains
-	// through the link at each window boundary).
+	// with TM feedback off — digest-identical across depths. Every platform
+	// configuration runs at every depth.
 	PipelineDepth int
 	// DiscardSamples skips accumulating Result.Samples so week-long
 	// monitoring runs keep a flat memory profile; onSample still observes
@@ -143,7 +142,7 @@ type Result struct {
 	MaxTempK  float64
 	FinalSnap emu.Snapshot
 	// Link is the link metrics snapshot of a transport-mode run: frames,
-	// bytes, windows sent and answered, events, congestions, frozen time,
+	// bytes, windows sent and answered, congestions, frozen time,
 	// retries, gaps, CRC errors and the latency histogram.
 	Link etherlink.LinkSnapshot
 	// Report is the platform's detailed statistics report at run end. It is
@@ -238,9 +237,6 @@ func run(cfg Config, onSample func(Sample),
 	if cfg.PipelineDepth < 0 {
 		return nil, fmt.Errorf("core: negative pipeline depth %d", cfg.PipelineDepth)
 	}
-	if cfg.PipelineDepth > 0 && cfg.Platform.EventLogging {
-		return nil, fmt.Errorf("core: pipelined loop is incompatible with event logging (the BRAM ring drains inline with the synchronous solve)")
-	}
 	if cells := len(cfg.Host.SiCells); cfg.Transport != nil && etherlink.MaxTempsBatch(cells) == 0 {
 		return nil, &etherlink.TempsTooLargeError{Cells: cells}
 	}
@@ -274,15 +270,6 @@ func run(cfg Config, onSample func(Sample),
 		disp.EnableReliability(cfg.Link)
 		if err := disp.SendCtrl(etherlink.CtrlStart, uint64(cfg.Host.NumComponents())); err != nil {
 			return nil, err
-		}
-		if cfg.Platform.EventLogging {
-			// Event-logging sniffers drain through the link; when the BRAM
-			// ring fills mid-window the dispatcher pumps it out (freezing
-			// the virtual clock on congestion, per Section 4.2).
-			p.OnBufferFull = func() bool {
-				_, err := disp.PumpEvents(p.Ring)
-				return err == nil
-			}
 		}
 	}
 

@@ -12,7 +12,6 @@ import (
 	"thermemu/internal/floorplan"
 	"thermemu/internal/mem"
 	"thermemu/internal/power"
-	"thermemu/internal/sniffer"
 	"thermemu/internal/thermal"
 	"thermemu/internal/tm"
 	"thermemu/internal/workloads"
@@ -295,11 +294,12 @@ func TestHostServeComponentMismatch(t *testing.T) {
 	}
 }
 
-// TestHostRefusesRetiredMessages: a frame with a retired single-window
-// message code (1 or 2), as an older build sends, ends the session with an
-// error naming the code instead of leaving that peer to stall.
+// TestHostRefusesRetiredMessages: a frame with a retired message code — a
+// single-window message (1 or 2) or the event-log stream (5) — as an older
+// build sends, ends the session with an error naming the code instead of
+// leaving that peer to stall.
 func TestHostRefusesRetiredMessages(t *testing.T) {
-	for _, code := range []etherlink.MsgType{1, 2} {
+	for _, code := range []etherlink.MsgType{1, 2, 5} {
 		devTr, hostTr := etherlink.LoopbackPair(4)
 		host, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
 		if err != nil {
@@ -371,56 +371,6 @@ func cacheStats(reads uint64) mem.CacheStats {
 
 func ctrlStats(priv, shared uint64) mem.CtrlStats {
 	return mem.CtrlStats{PrivateReads: priv, SharedReads: shared}
-}
-
-func TestEventStreamingOverEthernet(t *testing.T) {
-	cfg := testConfig(t, 2, nil)
-	cfg.Platform.EventLogging = true
-	cfg.Platform.EventBufCap = 256
-	devTr, hostTr := etherlink.LoopbackPair(8)
-	cfg.Transport = devTr
-	cfg.DrainPhysCycles = 50
-
-	hostPlan, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var firstBatch []sniffer.Event
-	hostPlan.OnEvents = func(evs []sniffer.Event) {
-		if firstBatch == nil {
-			firstBatch = append([]sniffer.Event(nil), evs...)
-		}
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hostPlan.Serve(hostTr) }()
-
-	res, err := Run(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatal(err)
-	}
-	if !res.Done {
-		t.Fatal("run incomplete")
-	}
-	if hostPlan.EventsReceived == 0 {
-		t.Fatal("host received no logged events")
-	}
-	if res.Link.EventsSent != hostPlan.EventsReceived {
-		t.Errorf("device sent %d events, host received %d",
-			res.Link.EventsSent, hostPlan.EventsReceived)
-	}
-	// The first batch carries real platform activity: monotone cycles and
-	// fetch/memory kinds.
-	if len(firstBatch) == 0 {
-		t.Fatal("no first batch captured")
-	}
-	for i := 1; i < len(firstBatch); i++ {
-		if firstBatch[i].Cycle < firstBatch[i-1].Cycle {
-			t.Fatal("event cycles not monotone within a batch")
-		}
-	}
 }
 
 func TestPowerEvaluatorDarkCores(t *testing.T) {

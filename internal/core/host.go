@@ -14,7 +14,6 @@ import (
 
 	"thermemu/internal/etherlink"
 	"thermemu/internal/floorplan"
-	"thermemu/internal/sniffer"
 	"thermemu/internal/thermal"
 )
 
@@ -31,11 +30,6 @@ type ThermalHost struct {
 	Model   *thermal.Model
 	pm      *floorplan.PowerMap
 	cellPw  []float64
-
-	// EventsReceived counts exhaustively-logged events received over the
-	// link (MsgEvents frames); OnEvents, when set, receives each batch.
-	EventsReceived uint64
-	OnEvents       func([]sniffer.Event)
 }
 
 // NewThermalHost grids the floorplan into about targetCells thermal cells
@@ -197,15 +191,6 @@ func (h *ThermalHost) ServeWith(tr etherlink.Transport, opt ServeOptions) error 
 				ep.AcceptStop()
 				return nil
 			}
-		case etherlink.MsgEvents:
-			evs, err := etherlink.UnmarshalEvents(f.Payload)
-			if err != nil {
-				return err
-			}
-			h.EventsReceived += uint64(len(evs.Entries))
-			if h.OnEvents != nil {
-				h.OnEvents(evs.Entries)
-			}
 		case etherlink.MsgStatsBatch:
 			if err := etherlink.UnmarshalStatsBatchInto(&batch, f.Payload); err != nil {
 				return err
@@ -243,7 +228,8 @@ func (h *ThermalHost) ServeWith(tr etherlink.Transport, opt ServeOptions) error 
 				return err
 			}
 		default:
-			// Includes the retired single-window codes of older builds.
+			// Includes the retired single-window and event-log codes of
+			// older builds.
 			return fmt.Errorf("core: device sent a %v frame, which the host does not serve", f.Type)
 		}
 	}

@@ -392,13 +392,10 @@ func TestOverlapMatchesSerialFaultInSpan(t *testing.T) {
 	}
 }
 
-// TestOverlapIneligible pins where a run that overlaps must not: with
-// event logging, on checkpoint-cut windows and above depth 0.
+// TestOverlapIneligible pins where a run that overlaps must not: on
+// checkpoint-cut windows and above depth 0.
 func TestOverlapIneligible(t *testing.T) {
 	cases := map[string]func(*testing.T, *Config){
-		"event-logging": func(t *testing.T, cfg *Config) {
-			cfg.Platform.EventLogging = true
-		},
 		"checkpoint-every-window": func(t *testing.T, cfg *Config) {
 			cfg.CheckpointEvery = 1
 			cfg.CheckpointSink = func(*checkpoint.Checkpoint) error { return nil }

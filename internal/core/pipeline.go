@@ -45,8 +45,7 @@ package core
 // checkpoint needs the platform at its boundary). The link changes none of
 // this: the dispatcher on the solve stage only accounts its congestion and
 // resend stalls as frozen time, which the VPCM guards for a concurrent
-// Advance. Nothing overlaps with event logging, whose ring drains at the
-// window boundary, or for a policy whose floor is unknown.
+// Advance. Nothing overlaps for a policy whose floor is unknown.
 //
 // Above depth 0, backpressure — the solver lagging so far that the queue
 // fills — only freezes *physical* time via vpcm.ThermalLagSource,
@@ -197,16 +196,12 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 	depth := uint64(cfg.PipelineDepth)
 	ncomp := cfg.Host.NumComponents()
 	// floorHz is the lowest frequency a verdict can set; with no policy
-	// none is set. An unknown floor (0) turns the depth-0 overlap off. So
-	// does event logging: the BRAM ring drains at each window boundary,
-	// which needs the platform there, and a full ring is pumped from the
-	// emulate stage (Platform.OnBufferFull) through the dispatcher the solve
-	// stage is using, which is not safe for concurrent sends.
+	// none is set. An unknown floor (0) turns the depth-0 overlap off.
 	floorHz := uint64(math.MaxUint64)
 	if cfg.Policy != nil {
 		floorHz = cfg.Policy.FloorHz()
 	}
-	overlap := depth == 0 && !cfg.Platform.EventLogging && floorHz != 0
+	overlap := depth == 0 && floorHz != 0
 	// Window k reuses the ring slot of window k-len(jobs), whose feedback
 	// the boundary rule applied before window k-1 ended, while window k-1's
 	// snapshot stays the power baseline: depth+1 slots, and at least two.
@@ -332,13 +327,6 @@ func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluato
 			return finishPartial(err)
 		}
 		emu.DigestSnapshot(cfg.Golden, job.snap)
-		if disp != nil && cfg.Platform.EventLogging {
-			// Depth 0 only (Run rejects event logging in a pipeline): the
-			// sniffer ring drains through the link at the window boundary.
-			if _, err := disp.PumpEvents(p.Ring); err != nil {
-				return finishPartial(err)
-			}
-		}
 		if _, err := eval.Powers(*prev, job.snap, job.powers); err != nil {
 			return finishPartial(err)
 		}

@@ -311,19 +311,12 @@ func TestPipelinedPartialResultOnLinkCut(t *testing.T) {
 	}
 }
 
-// TestPipelineConfigValidation pins the rejected configurations.
+// TestPipelineConfigValidation pins the rejected configuration.
 func TestPipelineConfigValidation(t *testing.T) {
 	cfg := testConfig(t, 1, nil)
 	cfg.PipelineDepth = -1
 	if _, err := Run(cfg, nil); err == nil {
 		t.Error("negative pipeline depth accepted")
-	}
-
-	cfg = testConfig(t, 1, nil)
-	cfg.PipelineDepth = 1
-	cfg.Platform.EventLogging = true
-	if _, err := Run(cfg, nil); err == nil {
-		t.Error("event logging combined with pipelining accepted")
 	}
 }
 

@@ -12,7 +12,7 @@ package cpu
 // switch; a load that hits the data cache is one controller call
 // (mem.Controller.ReadWordHit). Inside the controller's hit window (the
 // last cacheable, Memory-backed range a data access resolved, cleared by
-// SetObserver, AttachCaches and AddRange) that call is one range compare,
+// AttachCaches and AddRange) that call is one range compare,
 // one cache probe and one 32-bit read. Per *window* it removes the serial
 // event kernel's per-cycle scan. Everything observable — stats,
 // stall accounting, activity-sniffer counters, memory-controller counters,
@@ -323,10 +323,9 @@ func (bc *blockCache) fetchPath(ctrl *mem.Controller, pc uint32) *mem.FetchPath 
 // sharedBefore orders the core against the rest of the platform: a memory
 // operation issued at or after it whose effective address the controller
 // does not report Private stops the core before any side effect of that
-// instruction (no fetch, no statistics). An access observer
-// sees every instruction, fetches included, and another core's
-// sniffer-control store can switch an attached activity sniffer mid-run,
-// so with either attached the whole window is clamped to sharedBefore.
+// instruction (no fetch, no statistics). Another core's sniffer-control
+// store can switch an attached activity sniffer mid-run, so with one
+// attached the whole window is clamped to sharedBefore.
 //
 // Ops run through the executor (execOps) wherever it can complete them, and
 // the bookkeeping those ops share — cycles, issued instructions, batched
@@ -341,7 +340,7 @@ func (c *Core) StepBlocks(now, max, sharedBefore uint64) (cycles, steps, skipped
 	bc := c.blocks
 	ctrl := c.ctrl
 	cyc, end := now, now+max
-	if (c.act != nil || ctrl.Observed()) && sharedBefore < end {
+	if c.act != nil && sharedBefore < end {
 		end = sharedBefore
 	}
 	// issued counts instructions committed this invocation; the per-core

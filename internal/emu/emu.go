@@ -127,9 +127,6 @@ type Config struct {
 	IC  ICKind
 	Bus *bus.Config // overrides the preset when non-nil (ICBus* only)
 	NoC *NoCSpec    // required for ICNoC
-
-	EventLogging bool // attach event-logging sniffers to the controllers
-	EventBufCap  int  // BRAM ring capacity (events)
 }
 
 // DefaultConfig mirrors the Table 3 exploration platform: N cores with 4 KB
@@ -145,8 +142,7 @@ func DefaultConfig(cores int) Config {
 		ICache: ic, DCache: dc,
 		PrivKB: 64, PrivLatency: 1, PrivPhysLatency: 1,
 		SharedKB: 1024, SharedLatency: 6, SharedPhysLatency: 6,
-		IC:          ICBusOPB,
-		EventBufCap: 4096,
+		IC: ICBusOPB,
 	}
 }
 
@@ -219,12 +215,6 @@ type Platform struct {
 	Net     *noc.Network // nil for bus platforms
 	Barrier *mem.Barrier
 	Hub     *sniffer.Hub
-	Ring    *sniffer.Ring
-	Events  []*sniffer.EventSniffer // per controller, when EventLogging
-
-	// OnBufferFull is invoked when the event BRAM fills; it should drain
-	// the ring (e.g. pump the Ethernet dispatcher) and report success.
-	OnBufferFull func() bool
 
 	// Skip-ahead kernel state: per-core wake cycles and idle-span origins
 	// (reused across spans to keep Step/Run allocation-free) plus telemetry.
@@ -245,11 +235,6 @@ func New(cfg Config) (*Platform, error) {
 		VPCM: vpcm.New(cfg.PhysHz, cfg.FreqHz),
 		Hub:  sniffer.NewHub(),
 	}
-	cap := cfg.EventBufCap
-	if cap <= 0 {
-		cap = 4096
-	}
-	p.Ring = sniffer.NewRing(cap)
 
 	p.Shared = mem.NewMemory("shared", uint32(cfg.SharedKB)*1024, cfg.SharedLatency)
 	if cfg.SharedPhysLatency > cfg.SharedLatency {
@@ -345,28 +330,6 @@ func New(cfg Config) (*Platform, error) {
 		p.Cores = append(p.Cores, core)
 		p.Ctrls = append(p.Ctrls, ctl)
 		p.Privs = append(p.Privs, priv)
-
-		if cfg.EventLogging {
-			es := sniffer.NewEventSniffer(fmt.Sprintf("events%d", i), uint16(i), p.Ring,
-				func() bool {
-					if p.OnBufferFull != nil {
-						return p.OnBufferFull()
-					}
-					return false
-				})
-			p.Hub.Register(es)
-			p.Events = append(p.Events, es)
-			ctl.SetObserver(func(a mem.Access) {
-				kind := sniffer.EvMemRead
-				switch {
-				case a.Fetch:
-					kind = sniffer.EvFetch
-				case a.Write:
-					kind = sniffer.EvMemWrite
-				}
-				es.Log(a.Cycle, kind, a.Addr, uint32(a.Stall))
-			})
-		}
 	}
 	return p, nil
 }
@@ -503,14 +466,13 @@ func (p *Platform) Run(maxCycles uint64) (uint64, bool) {
 // Either way every non-private access commits at the global front of the
 // (cycle, coreID) order, which is exactly StepOne's interleaving: no
 // access another core could observe is ever reordered, and the rest is
-// invisible. An access observer sees every instruction, and another core
-// can switch an activity sniffer, so with either attached StepBlocks clamps
-// the whole run to sharedBefore.
+// invisible. Another core can switch an activity sniffer, so with one
+// attached StepBlocks clamps the whole run to sharedBefore.
 //
 // Stall and idle spans are settled in bulk via cpu.AccrueStall/AccrueIdle
 // when the core next wakes or when the span ends; live cores are tracked as
 // a count updated on halt transitions. The result is bit-identical to
-// per-cycle stepping — same counters, event logs, VPCM time and
+// per-cycle stepping — same counters, VPCM time and
 // architectural state — which the golden digests and the differential
 // matrix enforce.
 func (p *Platform) stepSpan(limit uint64) {

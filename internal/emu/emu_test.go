@@ -7,7 +7,6 @@ import (
 	"thermemu/internal/asm"
 	"thermemu/internal/cpu"
 	"thermemu/internal/mem"
-	"thermemu/internal/sniffer"
 	"thermemu/internal/workloads"
 )
 
@@ -162,41 +161,11 @@ func TestPhysicalLatencySuppressionFlowsToVPCM(t *testing.T) {
 	}
 }
 
-func TestEventLoggingAndCongestion(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.EventLogging = true
-	cfg.EventBufCap = 8
-	p := MustNew(cfg)
-	drains := 0
-	p.OnBufferFull = func() bool {
-		drains++
-		for p.Ring.Len() > 0 {
-			p.Ring.Pop()
-		}
-		return true
-	}
-	im := asm.MustAssemble(spinProgram)
-	if err := p.LoadProgram(0, im); err != nil {
-		t.Fatal(err)
-	}
-	p.Run(100000)
-	if drains == 0 {
-		t.Error("BRAM buffer never filled")
-	}
-	if p.Events[0].Dropped != 0 {
-		t.Errorf("%d events dropped despite drain callback", p.Events[0].Dropped)
-	}
-	if p.Events[0].Logged == 0 {
-		t.Error("no events logged")
-	}
-}
-
 func TestSnifferControlFromSoftware(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.EventLogging = true
-	p := MustNew(cfg)
-	// The program disables sniffer 0 via the memory-mapped register, spins,
-	// then re-enables it.
+	p := MustNew(DefaultConfig(1))
+	act := p.AttachActivitySniffers()[0]
+	// The program disables sniffer 0 (activity0) via the memory-mapped
+	// register, spins, then re-enables it.
 	im := asm.MustAssemble(`
 		li  r1, 0x21000000
 		sw  r0, 0(r1)        ; disable sniffer 0
@@ -212,12 +181,15 @@ func TestSnifferControlFromSoftware(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Run(10000)
-	if !p.Events[0].Enabled() {
+	if !act.Enabled() {
 		t.Error("sniffer left disabled")
 	}
-	// The spin loop ran with logging off, so far fewer events than cycles.
-	if p.Events[0].Logged > 40 {
-		t.Errorf("logged %d events; sniffer disable had no effect", p.Events[0].Logged)
+	// The 100-instruction spin loop ran with the sniffer off, so it
+	// missed at least that many of the core's cycles, and no more than the
+	// cycles between the two stores.
+	total := p.Cores[0].Stats().Cycles()
+	if missed := total - act.Cycles(); act.Cycles() == 0 || missed < 100 || missed > 200 {
+		t.Errorf("sniffer counted %d of %d cycles; disable had no effect", act.Cycles(), total)
 	}
 }
 
@@ -337,20 +309,20 @@ func TestBusVsNoCSameResults(t *testing.T) {
 }
 
 func TestSnifferHubRegistered(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.EventLogging = true
-	p := MustNew(cfg)
+	p := MustNew(DefaultConfig(2))
+	if p.Hub.Len() != 0 {
+		t.Errorf("fresh platform registers %d sniffers", p.Hub.Len())
+	}
+	acts := p.AttachActivitySniffers()
 	if p.Hub.Len() != 2 {
 		t.Errorf("hub has %d sniffers", p.Hub.Len())
 	}
-	if _, ok := p.Hub.Lookup("events1"); !ok {
-		t.Error("events1 not registered")
+	if s, ok := p.Hub.Lookup("activity1"); !ok || s != acts[1] {
+		t.Error("activity1 not registered")
 	}
-	// Ring is shared between the sniffers.
-	p.Events[0].Log(1, sniffer.EvFetch, 0, 0)
-	p.Events[1].Log(1, sniffer.EvFetch, 0, 0)
-	if p.Ring.Len() != 2 {
-		t.Errorf("ring has %d events", p.Ring.Len())
+	// Attaching again registers nothing new.
+	if again := p.AttachActivitySniffers(); again[0] != acts[0] || p.Hub.Len() != 2 {
+		t.Errorf("second attach: hub has %d sniffers", p.Hub.Len())
 	}
 }
 

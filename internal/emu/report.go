@@ -90,13 +90,7 @@ func (p *Platform) Report() string {
 				enabled++
 			}
 		}
-		var logged, dropped uint64
-		for _, es := range p.Events {
-			logged += es.Logged
-			dropped += es.Dropped
-		}
-		fmt.Fprintf(&b, "  sniffers: %d registered (%d enabled), %d events logged, %d dropped, ring %d/%d\n",
-			p.Hub.Len(), enabled, logged, dropped, p.Ring.Len(), p.Ring.Cap())
+		fmt.Fprintf(&b, "  sniffers: %d registered (%d enabled)\n", p.Hub.Len(), enabled)
 	}
 	return b.String()
 }

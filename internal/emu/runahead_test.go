@@ -81,7 +81,6 @@ tail:
 // runAheadVariant selects what the platform makes observable.
 type runAheadVariant struct {
 	name     string
-	logging  bool // event-logging sniffers: every access is observed
 	activity bool // activity sniffers, toggled across cores by the program
 	cached   bool // cacheable shared range: private misses write back shared lines
 }
@@ -89,9 +88,7 @@ type runAheadVariant struct {
 func runAheadPlatform(t *testing.T, v runAheadVariant) *emu.Platform {
 	t.Helper()
 	cfg := emu.DefaultConfig(2)
-	cfg.EventLogging = v.logging
 	cfg.SharedCacheable = v.cached
-	cfg.EventBufCap = 1 << 16
 	p := emu.MustNew(cfg)
 	if v.activity {
 		p.AttachActivitySniffers()
@@ -109,7 +106,6 @@ func TestRunAheadOrdering(t *testing.T) {
 	const maxCycles = 1_000_000
 	for _, v := range []runAheadVariant{
 		{name: "plain"},
-		{name: "logging", logging: true},
 		{name: "activity", activity: true},
 		{name: "cached-shared", cached: true},
 	} {
@@ -151,23 +147,6 @@ func TestRunAheadOrdering(t *testing.T) {
 									i, m, want[i].Count(m), got[i].Count(m))
 							}
 						}
-					}
-				}
-				if !v.logging {
-					return
-				}
-				drain := func(q *emu.Platform) []sniffer.Event {
-					out := make([]sniffer.Event, q.Ring.Len())
-					q.Ring.Drain(out)
-					return out
-				}
-				wantEv, gotEv := drain(ref), drain(p)
-				if len(wantEv) == 0 || len(wantEv) != len(gotEv) {
-					t.Fatalf("event counts: StepOne %d, run-ahead %d", len(wantEv), len(gotEv))
-				}
-				for i := range wantEv {
-					if wantEv[i] != gotEv[i] {
-						t.Fatalf("event %d: StepOne %+v, run-ahead %+v", i, wantEv[i], gotEv[i])
 					}
 				}
 			})

@@ -101,48 +101,6 @@ func TestSkipAheadMatchesPerCycle(t *testing.T) {
 	}
 }
 
-// TestEventLogsIdenticalUnderSkipAhead runs an event-logging platform under
-// both kernels and compares the BRAM event streams verbatim: same events,
-// same cycle stamps, same order. Bulk accrual must not perturb logging
-// because stalled and halted cores issue no accesses.
-func TestEventLogsIdenticalUnderSkipAhead(t *testing.T) {
-	spec := diffSpec(t, "membound", 2)
-	const maxCycles = 200_000
-	run := func(perCycle bool) []sniffer.Event {
-		cfg := diffConfig(2, false)
-		cfg.EventLogging = true
-		cfg.EventBufCap = 1 << 20
-		p := emu.MustNew(cfg)
-		loadSpec(t, p, spec)
-		if perCycle {
-			for p.VPCM.Cycle() < maxCycles && !p.AllHalted() {
-				p.StepOne()
-			}
-		} else {
-			p.Run(maxCycles)
-		}
-		if !p.AllHalted() {
-			t.Fatalf("workload %s did not finish in %d cycles", spec.Name, uint64(maxCycles))
-		}
-		out := make([]sniffer.Event, p.Ring.Len())
-		p.Ring.Drain(out)
-		return out
-	}
-	want := run(true)
-	got := run(false)
-	if len(want) == 0 {
-		t.Fatal("per-cycle run logged no events")
-	}
-	if len(want) != len(got) {
-		t.Fatalf("event counts diverge: per-cycle %d, skip-ahead %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("event %d diverges: per-cycle %+v, skip-ahead %+v", i, want[i], got[i])
-		}
-	}
-}
-
 // TestActivitySniffersMatchCoreStats checks the sniffer choke point: the
 // per-core activity counters must equal the core's own statistics under the
 // per-cycle sweep and under the run-ahead kernel.

@@ -38,9 +38,7 @@ type PlatformState struct {
 	Noc     *noc.State
 	Skip    SkipStats
 
-	Acts       []sniffer.ActivityState // per core, when activity sniffers attached
-	Events     []sniffer.EventCounters // per core, when Config.EventLogging
-	RingEvents []sniffer.Event         // buffered BRAM events, when Config.EventLogging
+	Acts []sniffer.ActivityState // per core, when activity sniffers attached
 }
 
 // SaveState captures the full platform state. The platform must be
@@ -75,12 +73,6 @@ func (p *Platform) SaveState() *PlatformState {
 	}
 	for _, a := range p.acts {
 		s.Acts = append(s.Acts, a.SaveState())
-	}
-	if len(p.Events) > 0 {
-		for _, es := range p.Events {
-			s.Events = append(s.Events, es.SaveState())
-		}
-		s.RingEvents = p.Ring.SaveState()
 	}
 	return s
 }
@@ -118,8 +110,6 @@ func (p *Platform) RestoreState(s *PlatformState) error {
 		return fmt.Errorf("emu: checkpoint and platform disagree on bus interconnect")
 	case (s.Noc != nil) != (p.Net != nil):
 		return fmt.Errorf("emu: checkpoint and platform disagree on NoC interconnect")
-	case len(s.Events) != len(p.Events):
-		return fmt.Errorf("emu: checkpoint has %d event sniffers, platform has %d", len(s.Events), len(p.Events))
 	}
 	if len(s.Acts) > 0 && p.acts == nil {
 		p.AttachActivitySniffers()
@@ -171,14 +161,6 @@ func (p *Platform) RestoreState(s *PlatformState) error {
 	}
 	for i, a := range p.acts {
 		a.RestoreState(s.Acts[i])
-	}
-	for i, es := range p.Events {
-		es.RestoreState(s.Events[i])
-	}
-	if len(p.Events) > 0 {
-		if err := p.Ring.RestoreState(s.RingEvents); err != nil {
-			return err
-		}
 	}
 	p.skip = s.Skip
 	return nil

@@ -1,6 +1,7 @@
 package etherlink
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -171,16 +172,19 @@ func TestMaxStatsBatchFitsFrame(t *testing.T) {
 
 // TestBatchMsgTypesNamed keeps the wire enum and its debug names in sync,
 // and pins the codes: the statistics and temperature messages keep 7 and
-// 8, and the retired single-window codes 1 and 2 name no message.
+// 8, and the retired codes 1, 2 (single-window messages) and 5 (event-log
+// stream) name no message.
 func TestBatchMsgTypesNamed(t *testing.T) {
 	if MsgStatsBatch.String() != "stats-batch" || MsgTempBatch.String() != "temp-batch" {
 		t.Errorf("batch message names: %q, %q", MsgStatsBatch.String(), MsgTempBatch.String())
 	}
-	if MsgCtrl != 3 || MsgStatsBatch != 7 || MsgTempBatch != 8 || MsgSweep != 9 {
-		t.Errorf("wire codes moved: ctrl %d, stats %d, temps %d, sweep %d",
-			MsgCtrl, MsgStatsBatch, MsgTempBatch, MsgSweep)
+	if MsgCtrl != 3 || MsgAck != 4 || MsgNack != 6 || MsgStatsBatch != 7 || MsgTempBatch != 8 || MsgSweep != 9 {
+		t.Errorf("wire codes moved: ctrl %d, ack %d, nack %d, stats %d, temps %d, sweep %d",
+			MsgCtrl, MsgAck, MsgNack, MsgStatsBatch, MsgTempBatch, MsgSweep)
 	}
-	if MsgType(1).String() != "msg(1)" || MsgType(2).String() != "msg(2)" {
-		t.Errorf("retired codes named: %q, %q", MsgType(1), MsgType(2))
+	for _, code := range []MsgType{1, 2, 5} {
+		if want := fmt.Sprintf("msg(%d)", uint8(code)); code.String() != want {
+			t.Errorf("retired code %d named %q, want %q", uint8(code), code, want)
+		}
 	}
 }

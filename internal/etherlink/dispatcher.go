@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"thermemu/internal/sniffer"
 )
 
 // Freezer is the VPCM surface the dispatcher uses when the Ethernet link
@@ -41,13 +39,12 @@ type Dispatcher struct {
 
 	lastSendNs atomic.Int64 // wall clock of the last stats send, for RTT
 
-	// payloadBuf and eventBuf are scratch buffers reused across sends so
-	// the per-window hot path does not allocate payloads, and one and
+	// payloadBuf is a scratch buffer reused across sends so the
+	// per-window hot path does not allocate payloads, and one and
 	// oneReply are the one-slot messages behind SendStats and
 	// RecvTempsInto. The dispatcher is not safe for concurrent sends, so
 	// plain fields suffice.
 	payloadBuf []byte
-	eventBuf   []sniffer.Event
 	one        StatsBatch
 	oneReply   TempsBatch
 }
@@ -92,7 +89,7 @@ func (d *Dispatcher) accountFreeze(source string) {
 }
 
 // Link returns the link metrics of the dispatcher's endpoint: frames,
-// bytes, windows sent and answered, events, congestions, frozen time,
+// bytes, windows sent and answered, congestions, frozen time,
 // retries, gaps, CRC errors and the round-trip latency histogram.
 func (d *Dispatcher) Link() *LinkStats { return d.ep.LinkStats() }
 
@@ -216,34 +213,4 @@ func (d *Dispatcher) RecvTempsBatchInto(dst *TempsBatch, onCtrl func(*Ctrl)) err
 			// Unknown frames are ignored, as real MAC endpoints do.
 		}
 	}
-}
-
-// PumpEvents drains the BRAM ring into MsgEvents frames, freezing the
-// virtual clock on congestion like SendStatsBatch does. It returns the
-// number of events shipped. This is the paper's event-logging path:
-// exhaustive logs streamed to the host while count-logging statistics ride
-// the MsgStatsBatch frames.
-func (d *Dispatcher) PumpEvents(ring *sniffer.Ring) (int, error) {
-	total := 0
-	if d.eventBuf == nil {
-		d.eventBuf = make([]sniffer.Event, MaxEventsPerFrame)
-	}
-	buf := d.eventBuf
-	for ring.Len() > 0 {
-		n := ring.Drain(buf)
-		if n == 0 {
-			break
-		}
-		payload := (&Events{Entries: buf[:n]}).MarshalPayload()
-		b, err := d.ep.nextFrame(MsgEvents, payload)
-		if err != nil {
-			return total, err
-		}
-		if err := d.sendBackpressured(b); err != nil {
-			return total, err
-		}
-		d.ep.stats.EventsSent.Add(uint64(n))
-		total += n
-	}
-	return total, nil
 }

@@ -11,8 +11,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"thermemu/internal/sniffer"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -510,89 +508,5 @@ func TestEndpointRoundTripAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("endpoint round trip: %.1f allocs, want at most 2 (frame and Frame)", allocs)
-	}
-}
-
-func TestEventsPayloadRoundTrip(t *testing.T) {
-	in := &Events{Entries: []sniffer.Event{
-		{Cycle: 1, Source: 2, Kind: sniffer.EvMemWrite, Addr: 0x1000, Info: 42},
-		{Cycle: 999999, Source: 7, Kind: sniffer.EvFetch, Addr: 0xFFFF_FFF0, Info: 0},
-	}}
-	out, err := UnmarshalEvents(in.MarshalPayload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Entries) != 2 {
-		t.Fatalf("entries = %d", len(out.Entries))
-	}
-	for i := range in.Entries {
-		if out.Entries[i] != in.Entries[i] {
-			t.Errorf("entry %d: %+v != %+v", i, out.Entries[i], in.Entries[i])
-		}
-	}
-	if _, err := UnmarshalEvents([]byte{9}); err == nil {
-		t.Error("short events payload accepted")
-	}
-	if _, err := UnmarshalEvents(make([]byte, 2+5)); err == nil {
-		t.Error("misaligned events payload accepted")
-	}
-	// A full frame's worth of events still fits the MTU.
-	big := &Events{Entries: make([]sniffer.Event, MaxEventsPerFrame)}
-	if len(big.MarshalPayload()) > MaxPayload {
-		t.Error("max batch exceeds the MTU")
-	}
-}
-
-func TestDispatcherPumpEvents(t *testing.T) {
-	dev, host := LoopbackPair(4)
-	d := NewDispatcher(dev, nil, 0)
-	ring := sniffer.NewRing(500)
-	for i := 0; i < 200; i++ {
-		ring.Push(sniffer.Event{Cycle: uint64(i), Kind: sniffer.EvBusTxn})
-	}
-	type res struct {
-		events int
-		frames int
-		err    error
-	}
-	resCh := make(chan res, 1)
-	go func() {
-		ep := NewEndpoint(host, HostMAC, DeviceMAC, ReliableConfig{})
-		var r res
-		for r.events < 200 {
-			f, err := ep.Recv()
-			if err != nil {
-				r.err = err
-				break
-			}
-			if f.Type != MsgEvents {
-				continue
-			}
-			evs, err := UnmarshalEvents(f.Payload)
-			if err != nil {
-				r.err = err
-				break
-			}
-			r.frames++
-			r.events += len(evs.Entries)
-		}
-		resCh <- r
-	}()
-	n, err := d.PumpEvents(ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 200 || ring.Len() != 0 {
-		t.Fatalf("pumped %d, ring left %d", n, ring.Len())
-	}
-	r := <-resCh
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if r.events != 200 || r.frames < 3 {
-		t.Errorf("host saw %d events in %d frames", r.events, r.frames)
-	}
-	if n := d.Link().EventsSent.Load(); n != 200 {
-		t.Errorf("dispatcher counted %d events", n)
 	}
 }

@@ -5,8 +5,8 @@
 // temperatures are fed back the same way.
 //
 // The package provides the raw frame format (MAC header, custom payload,
-// CRC32), typed payload codecs for the statistics, temperature, event and
-// control messages, two transports (an in-process loopback and TCP via
+// CRC32), typed payload codecs for the statistics, temperature and control
+// messages, two transports (an in-process loopback and TCP via
 // net.Conn), and the device-side Ethernet dispatcher that drains the BRAM
 // statistics buffer and applies back-pressure to the VPCM when the link
 // saturates.
@@ -43,13 +43,14 @@ func (m MAC) String() string {
 type MsgType uint8
 
 // Message types. Codes 1 and 2 carried the single-window statistics and
-// temperature messages of older builds; they are retired, not reused, so a
-// host refuses such a peer's frames instead of misreading them.
+// temperature messages of older builds, and code 5 their event-log stream;
+// they are retired, not reused, so a host refuses such a peer's frames
+// instead of misreading them.
 const (
-	MsgCtrl   MsgType = iota + 3 // either direction: control operations
-	MsgAck                       // acknowledgement carrying the peer's last seq
-	MsgEvents                    // device -> host: exhaustive event log batch
-	MsgNack                      // either direction: resend request from Seq onward
+	MsgCtrl MsgType = iota + 3 // either direction: control operations
+	MsgAck                     // acknowledgement carrying the peer's last seq
+	_                          // 5: retired
+	MsgNack                    // either direction: resend request from Seq onward
 	// The statistics and temperature messages each carry 1..N consecutive
 	// sampling windows. The host steps them in order and answers each
 	// MsgStatsBatch with one MsgTempBatch, so the framing never changes
@@ -68,8 +69,6 @@ func (t MsgType) String() string {
 		return "ctrl"
 	case MsgAck:
 		return "ack"
-	case MsgEvents:
-		return "events"
 	case MsgNack:
 		return "nack"
 	case MsgStatsBatch:

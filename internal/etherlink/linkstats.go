@@ -34,10 +34,9 @@ type LinkStats struct {
 	FrozenPhys  atomic.Uint64 // physical cycles spent frozen on the link
 
 	// Dispatcher traffic: sampling windows shipped in statistics messages
-	// and answered by temperature messages, and logged events shipped.
+	// and answered by temperature messages.
 	WindowsSent     atomic.Uint64
 	WindowsAnswered atomic.Uint64
-	EventsSent      atomic.Uint64
 
 	latBuckets [len(latencyBoundsUs) + 1]atomic.Uint64
 	latCount   atomic.Uint64
@@ -94,7 +93,6 @@ type LinkSnapshot struct {
 
 	WindowsSent     uint64 `json:"windows_sent"`
 	WindowsAnswered uint64 `json:"windows_answered"`
-	EventsSent      uint64 `json:"events_sent"`
 
 	LatencyCount  uint64          `json:"latency_count"`
 	LatencyMeanUs float64         `json:"latency_mean_us"`
@@ -122,7 +120,6 @@ func (s *LinkStats) Snapshot() LinkSnapshot {
 
 		WindowsSent:     s.WindowsSent.Load(),
 		WindowsAnswered: s.WindowsAnswered.Load(),
-		EventsSent:      s.EventsSent.Load(),
 
 		LatencyCount: s.latCount.Load(),
 		LatencyMaxUs: s.latMaxUs.Load(),

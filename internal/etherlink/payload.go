@@ -3,8 +3,6 @@ package etherlink
 import (
 	"encoding/binary"
 	"fmt"
-
-	"thermemu/internal/sniffer"
 )
 
 // Stats is one sampling window of a statistics message: the power computed
@@ -268,56 +266,4 @@ func UnmarshalCtrl(b []byte) (*Ctrl, error) {
 		return nil, fmt.Errorf("etherlink: ctrl payload length %d, want 9", len(b))
 	}
 	return &Ctrl{Op: CtrlOp(b[0]), Arg: binary.LittleEndian.Uint64(b[1:])}, nil
-}
-
-// eventBytes is the wire size of one logged event.
-const eventBytes = 8 + 2 + 1 + 4 + 4
-
-// MaxEventsPerFrame is how many logged events fit a single MAC frame.
-const MaxEventsPerFrame = (MaxPayload - 2) / eventBytes
-
-// Events is the device-to-host exhaustive event-log message: the drained
-// contents of the BRAM ring produced by event-logging sniffers.
-type Events struct {
-	Entries []sniffer.Event
-}
-
-// MarshalPayload serialises the event batch.
-func (e *Events) MarshalPayload() []byte {
-	b := make([]byte, 2+eventBytes*len(e.Entries))
-	binary.LittleEndian.PutUint16(b[0:2], uint16(len(e.Entries)))
-	off := 2
-	for _, ev := range e.Entries {
-		binary.LittleEndian.PutUint64(b[off:], ev.Cycle)
-		binary.LittleEndian.PutUint16(b[off+8:], ev.Source)
-		b[off+10] = byte(ev.Kind)
-		binary.LittleEndian.PutUint32(b[off+11:], ev.Addr)
-		binary.LittleEndian.PutUint32(b[off+15:], ev.Info)
-		off += eventBytes
-	}
-	return b
-}
-
-// UnmarshalEvents parses an event batch payload.
-func UnmarshalEvents(b []byte) (*Events, error) {
-	if len(b) < 2 {
-		return nil, fmt.Errorf("etherlink: events payload too short (%d bytes)", len(b))
-	}
-	n := int(binary.LittleEndian.Uint16(b[0:2]))
-	if len(b) != 2+eventBytes*n {
-		return nil, fmt.Errorf("etherlink: events payload length %d, want %d entries", len(b), n)
-	}
-	e := &Events{Entries: make([]sniffer.Event, n)}
-	off := 2
-	for i := range e.Entries {
-		e.Entries[i] = sniffer.Event{
-			Cycle:  binary.LittleEndian.Uint64(b[off:]),
-			Source: binary.LittleEndian.Uint16(b[off+8:]),
-			Kind:   sniffer.EventKind(b[off+10]),
-			Addr:   binary.LittleEndian.Uint32(b[off+11:]),
-			Info:   binary.LittleEndian.Uint32(b[off+15:]),
-		}
-		off += eventBytes
-	}
-	return e, nil
 }

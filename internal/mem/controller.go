@@ -52,21 +52,6 @@ type Range struct {
 	hitMem *Memory
 }
 
-// Access describes one memory reference, delivered to the controller's
-// observer. This is the signal bundle an event-logging HW sniffer captures.
-type Access struct {
-	Cycle uint64
-	Core  int
-	Addr  uint32
-	Kind  RangeKind
-	Write bool
-	Fetch bool
-	Stall uint64
-}
-
-// Observer receives every access routed through a controller.
-type Observer func(Access)
-
 // CtrlStats are the count-logging statistics of one memory controller.
 type CtrlStats struct {
 	Fetches      uint64
@@ -84,13 +69,12 @@ type CtrlStats struct {
 // I/D caches and keeps the latency bookkeeping that, on the FPGA, drives the
 // VIRTUAL_CLK_SUPPRESSION signal into the VPCM.
 type Controller struct {
-	name     string
-	coreID   int
-	ranges   []Range // sorted by Base
-	icache   *Cache
-	dcache   *Cache
-	observer Observer
-	stats    CtrlStats
+	name   string
+	coreID int
+	ranges []Range // sorted by Base
+	icache *Cache
+	dcache *Cache
+	stats  CtrlStats
 	// last memoises the most recently resolved range: core access streams
 	// are strongly local (runs of fetches and data references into the same
 	// private range), so two compares usually replace the binary search.
@@ -108,15 +92,15 @@ type Controller struct {
 }
 
 // hitWindow is the last range a data access resolved whose dcache hits a
-// controller serves without routing: one with a hitMem, on a controller
-// with a data cache and no observer. A word access inside it costs one
-// range-and-alignment compare (and, for a private-only load, the priv bit),
-// one set walk of the cache directory and one 32-bit read or write of the
-// memory's page. The cache's enable bit is tested per access, because
-// Cache.SetEnabled does not know its controller; the page is loaded from
-// the memory's page table on every access, because Memory.RestoreState
-// replaces the table. Everything else the window assumes is fixed until
-// SetObserver, AttachCaches or AddRange, which clear it.
+// controller serves without routing: one with a hitMem, on a controller with
+// a data cache. A word access inside it costs one range-and-alignment
+// compare (and, for a private-only load, the priv bit), one set walk of the
+// cache directory and one 32-bit read or write of the memory's page. The
+// cache's enable bit is tested per access, because Cache.SetEnabled does not
+// know its controller; the page is loaded from the memory's page table on
+// every access, because Memory.RestoreState replaces the table. Everything
+// else the window assumes is fixed until AttachCaches or AddRange, which
+// clear it.
 type hitWindow struct {
 	base  uint32
 	words uint32 // words in the range, rounded up; 0 when there is no window
@@ -132,10 +116,10 @@ func (w *hitWindow) holds(addr uint32) bool {
 }
 
 // openWindow moves the hit window onto r, which has a hitMem. It leaves the
-// window closed while an observer is attached or there is no data cache.
+// window closed when there is no data cache.
 func (c *Controller) openWindow(r *Range) {
 	c.win = hitWindow{}
-	if c.observer == nil && c.dcache != nil {
+	if c.dcache != nil {
 		c.win = hitWindow{base: r.Base, words: uint32((r.end - uint64(r.Base) + 3) / 4),
 			priv: r.Kind == KindPrivate, mem: r.hitMem}
 	}
@@ -172,27 +156,13 @@ func (c *Controller) AttachCaches(icache, dcache *Cache) {
 	c.updateSpills()
 }
 
-// SetObserver installs the access observer (event-logging sniffer hook).
-func (c *Controller) SetObserver(o Observer) {
-	c.observer = o
-	c.win = hitWindow{}
-}
-
-// Observed reports whether an access observer is installed. Every access,
-// instruction fetches included, is then visible outside the core.
-func (c *Controller) Observed() bool { return c.observer != nil }
-
 // Private reports whether a data access at the global address addr touches
-// only this core's own state: the address resolves to a private range, no
-// observer is installed, and the access cannot write back a dirty line of
-// a non-private range (the data cache holds no such lines, or the line of
-// addr is resident, so no refill evicts anything). It mutates no cache
-// state. Unmapped addresses are not private: their fault is left to the
-// caller's ordered path.
+// only this core's own state: the address resolves to a private range and
+// the access cannot write back a dirty line of a non-private range (the
+// data cache holds no such lines, or the line of addr is resident, so no
+// refill evicts anything). It mutates no cache state. Unmapped addresses
+// are not private: their fault is left to the caller's ordered path.
 func (c *Controller) Private(addr uint32) bool {
-	if c.observer != nil {
-		return false
-	}
 	r := c.rangeFor(addr)
 	if r == nil || r.Kind != KindPrivate {
 		return false
@@ -313,24 +283,21 @@ func (c *Controller) fault(addr uint32, cause string) error {
 	return &FaultError{Ctrl: c.name, Addr: addr, Cause: cause}
 }
 
-func (c *Controller) account(a Access) {
-	c.stats.StallCycles += a.Stall
+// account charges one data access to a range of the given kind to the
+// count-logging statistics.
+func (c *Controller) account(kind RangeKind, write bool, stall uint64) {
+	c.stats.StallCycles += stall
 	switch {
-	case a.Fetch:
-		c.stats.Fetches++
-	case a.Kind == KindPrivate && a.Write:
+	case kind == KindPrivate && write:
 		c.stats.PrivateWrits++
-	case a.Kind == KindPrivate:
+	case kind == KindPrivate:
 		c.stats.PrivateReads++
-	case a.Kind == KindShared && a.Write:
+	case kind == KindShared && write:
 		c.stats.SharedWrits++
-	case a.Kind == KindShared:
+	case kind == KindShared:
 		c.stats.SharedReads++
 	default:
 		c.stats.DeviceOps++
-	}
-	if c.observer != nil {
-		c.observer(a)
 	}
 }
 
@@ -373,7 +340,8 @@ func (c *Controller) Fetch(now uint64, addr uint32) (uint32, uint64, error) {
 	}
 	stall := c.timedAccess(c.icache, now, r, addr, 4, false)
 	v := r.Target.LoadWord(addr - r.Base)
-	c.account(Access{Cycle: now, Core: c.coreID, Addr: addr, Kind: r.Kind, Fetch: true, Stall: stall})
+	c.stats.StallCycles += stall
+	c.stats.Fetches++
 	return v, stall, nil
 }
 
@@ -396,20 +364,19 @@ func (c *Controller) ReadWord(now uint64, addr uint32) (uint32, uint64, error) {
 	}
 	stall := c.timedAccess(c.dcache, now, r, addr, 4, false)
 	v := r.Target.LoadWord(addr - r.Base)
-	c.account(Access{Cycle: now, Core: c.coreID, Addr: addr, Kind: r.Kind, Stall: stall})
+	c.account(r.Kind, false, stall)
 	return v, stall, nil
 }
 
-// ReadWordHit is the block-dispatch load. When the aligned word load at
-// addr hits the data cache in a cacheable, non-device range and no observer
-// is attached, it completes the load with every effect ReadWord has (cache
-// statistics and LRU stamp, controller statistics, the backing
-// memory's read count) and reports ok. Otherwise it reports !ok and changes
-// nothing but the range memo and the hit window, leaving the load to
-// ReadWord. With privateOnly set it also refuses non-private ranges, so a
-// successful call proves what Private would: the load touched only this
-// core's own state (a hit refills nothing, so it cannot write back another
-// range's line).
+// ReadWordHit is the block-dispatch load. When the aligned word load at addr
+// hits the data cache in a cacheable, non-device range, it completes the
+// load with every effect ReadWord has (cache statistics and LRU stamp,
+// controller statistics, the backing memory's read count) and reports ok.
+// Otherwise it reports !ok and changes nothing but the range memo and the
+// hit window, leaving the load to ReadWord. With privateOnly set it also
+// refuses non-private ranges, so a successful call proves what Private
+// would: the load touched only this core's own state (a hit refills nothing,
+// so it cannot write back another range's line).
 func (c *Controller) ReadWordHit(addr uint32, privateOnly bool) (v uint32, stall uint64, ok bool) {
 	if !c.win.holds(addr) || privateOnly && !c.win.priv {
 		// Outside the window. The refusals stay inline, so a load the
@@ -421,7 +388,7 @@ func (c *Controller) ReadWordHit(addr uint32, privateOnly bool) (v uint32, stall
 			}
 		}
 		if r.hitMem == nil || addr%4 != 0 || privateOnly && r.Kind != KindPrivate ||
-			c.observer != nil || c.dcache == nil {
+			c.dcache == nil {
 			return 0, 0, false
 		}
 		c.openWindow(r)
@@ -485,7 +452,7 @@ func (c *Controller) WriteWord(now uint64, addr uint32, v uint32) (uint64, error
 	if c.codeWrite != nil {
 		c.codeWrite(addr, 4)
 	}
-	c.account(Access{Cycle: now, Core: c.coreID, Addr: addr, Kind: r.Kind, Write: true, Stall: stall})
+	c.account(r.Kind, true, stall)
 	return stall, nil
 }
 
@@ -497,7 +464,7 @@ func (c *Controller) LoadByte(now uint64, addr uint32) (byte, uint64, error) {
 	}
 	stall := c.timedAccess(c.dcache, now, r, addr, 1, false)
 	v := r.Target.LoadByte(addr - r.Base)
-	c.account(Access{Cycle: now, Core: c.coreID, Addr: addr, Kind: r.Kind, Stall: stall})
+	c.account(r.Kind, false, stall)
 	return v, stall, nil
 }
 
@@ -512,7 +479,7 @@ func (c *Controller) StoreByte(now uint64, addr uint32, b byte) (uint64, error) 
 	if c.codeWrite != nil {
 		c.codeWrite(addr, 1)
 	}
-	c.account(Access{Cycle: now, Core: c.coreID, Addr: addr, Kind: r.Kind, Write: true, Stall: stall})
+	c.account(r.Kind, true, stall)
 	return stall, nil
 }
 
@@ -541,7 +508,7 @@ func (c *Controller) Swap(now uint64, addr uint32, v uint32) (uint32, uint64, er
 	if c.codeWrite != nil {
 		c.codeWrite(addr, 4)
 	}
-	c.account(Access{Cycle: now, Core: c.coreID, Addr: addr, Kind: r.Kind, Write: true, Stall: stall})
+	c.account(r.Kind, true, stall)
 	return old, stall, nil
 }
 
@@ -670,7 +637,7 @@ func (fp *FetchPath) InitBatchPlan(p *BatchPlan, entry, n uint32, st *PlanStore)
 func (fp *FetchPath) Ready(p *BatchPlan) (hitLatency uint64, ok bool) {
 	c := fp.ctrl
 	ic := c.icache
-	if ic == nil || !ic.enable || c.observer != nil {
+	if ic == nil || !ic.enable {
 		return 0, false
 	}
 	if p.epoch == ic.epoch {
@@ -754,8 +721,8 @@ func (fp *FetchPath) Settle(p *BatchPlan, n uint32) {
 }
 
 // Fetch charges one instruction fetch at the aligned, in-range global
-// address addr — identical cache-directory update, stall computation,
-// functional read accounting and observer delivery to Controller.Fetch —
+// address addr — identical cache-directory update, stall computation and
+// functional read accounting to Controller.Fetch —
 // without the functional word load. Callers execute from pre-decoded state
 // whose coherence with memory is maintained by the code-write hook; the
 // backing memory's read counter is still bumped so functional traffic
@@ -776,12 +743,7 @@ func (fp *FetchPath) Fetch(now uint64, addr uint32) uint64 {
 		stall = fp.r.Target.Latency(now, addr-fp.base, 4, false)
 	}
 	fp.m.stats.Reads++
-	// Inlined account for the fetch kind; the Access record is only
-	// materialised when a sniffer observer is actually attached.
 	c.stats.StallCycles += stall
 	c.stats.Fetches++
-	if c.observer != nil {
-		c.observer(Access{Cycle: now, Core: c.coreID, Addr: addr, Kind: fp.r.Kind, Fetch: true, Stall: stall})
-	}
 	return stall
 }

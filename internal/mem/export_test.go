@@ -17,7 +17,7 @@ func (c *Controller) refReadWord(now uint64, addr uint32) (uint32, uint64, error
 	}
 	stall := c.timedAccess(c.dcache, now, r, addr, 4, false)
 	v := r.Target.LoadWord(addr - r.Base)
-	c.account(Access{Cycle: now, Core: c.coreID, Addr: addr, Kind: r.Kind, Stall: stall})
+	c.account(r.Kind, false, stall)
 	return v, stall, nil
 }
 
@@ -35,6 +35,6 @@ func (c *Controller) refWriteWord(now uint64, addr uint32, v uint32) (uint64, er
 	if c.codeWrite != nil {
 		c.codeWrite(addr, 4)
 	}
-	c.account(Access{Cycle: now, Core: c.coreID, Addr: addr, Kind: r.Kind, Write: true, Stall: stall})
+	c.account(r.Kind, true, stall)
 	return stall, nil
 }

@@ -9,13 +9,12 @@ import (
 
 // dataRig is one side of FuzzDataPath: a controller over every kind of
 // range a data access can meet, two data caches to swap between, and
-// the logs of what its observer and code-write hook saw.
+// the log of what its code-write hook saw.
 type dataRig struct {
 	ctl    *Controller
 	mems   []*Memory // priv, shared (behind an interconnect), uncached, odd-sized, raw
 	dev    [16]uint32
 	caches [2]*Cache
-	seen   []Access
 	code   []uint32 // addr<<3 | bytes of every store the code-write hook saw
 	// Save slots for the state ops.
 	cacheSlot CacheState
@@ -69,10 +68,10 @@ func newDataRig(t testing.TB, hitLatency uint64) *dataRig {
 // servable reports whether ReadWordHit must complete the load at addr: an
 // aligned load that hits the enabled data cache in a cacheable range
 // backed by a Memory (directly or behind an interconnect), private if
-// privateOnly is set, with no observer attached.
+// privateOnly is set.
 func (g *dataRig) servable(addr uint32, privateOnly bool) bool {
 	c := g.ctl
-	if c.observer != nil || addr%4 != 0 || c.dcache == nil || !c.dcache.Enabled() {
+	if addr%4 != 0 || c.dcache == nil || !c.dcache.Enabled() {
 		return false
 	}
 	r := c.rangeFor(addr)
@@ -90,18 +89,17 @@ func (g *dataRig) servable(addr uint32, privateOnly bool) bool {
 }
 
 // rigState is everything an op can change on one side, deep-copied so two
-// sides compare with reflect.DeepEqual, except the observer and code-write
-// logs: an op appends at most one entry to each, so the latest entries
-// stand for them. The range memo and the hit window are left out: they
-// only speed up the accesses.
+// sides compare with reflect.DeepEqual, except the code-write log: an op
+// appends at most one entry to it, so the latest entry stands for it. The
+// range memo and the hit window are left out: they only speed up the
+// accesses.
 type rigState struct {
-	Ctrl       CtrlStats
-	Caches     [2]cacheView
-	Mems       []MemStats
-	Dev        [16]uint32
-	Seen, Code int
-	LastSeen   Access
-	LastCode   uint32
+	Ctrl     CtrlStats
+	Caches   [2]cacheView
+	Mems     []MemStats
+	Dev      [16]uint32
+	Code     int
+	LastCode uint32
 }
 
 type cacheView struct {
@@ -112,10 +110,7 @@ type cacheView struct {
 }
 
 func (g *dataRig) state() rigState {
-	s := rigState{Ctrl: g.ctl.stats, Dev: g.dev, Seen: len(g.seen), Code: len(g.code)}
-	if len(g.seen) > 0 {
-		s.LastSeen = g.seen[len(g.seen)-1]
-	}
+	s := rigState{Ctrl: g.ctl.stats, Dev: g.dev, Code: len(g.code)}
 	if len(g.code) > 0 {
 		s.LastCode = g.code[len(g.code)-1]
 	}
@@ -161,9 +156,9 @@ func result(v uint32, stall uint64, err error) opResult {
 func runDataOp(g, ref *dataRig, op, sel, lo, hi byte, now uint64) (desc string, got, want opResult) {
 	addr := dataOpAddr(sel, lo, hi)
 	both := func(fn func(s *dataRig)) { fn(g); fn(ref) }
-	switch op % 13 {
+	switch op % 12 {
 	case 0, 1:
-		privateOnly := op%13 == 1
+		privateOnly := op%12 == 1
 		if ref.servable(addr, privateOnly) {
 			want = result(ref.ctl.refReadWord(now, addr))
 		}
@@ -188,18 +183,9 @@ func runDataOp(g, ref *dataRig, op, sel, lo, hi byte, now uint64) (desc string, 
 		v := uint32(lo) * 0x01010101
 		return fmt.Sprintf("Swap(%#x, %#x)", addr, v), result(g.ctl.Swap(now, addr, v)), result(ref.ctl.Swap(now, addr, v))
 	case 7:
-		both(func(s *dataRig) {
-			if lo&1 == 1 {
-				s.ctl.SetObserver(func(a Access) { s.seen = append(s.seen, a) })
-			} else {
-				s.ctl.SetObserver(nil)
-			}
-		})
-		return fmt.Sprintf("SetObserver(%v)", lo&1 == 1), got, want
-	case 8:
 		both(func(s *dataRig) { s.caches[sel&1].SetEnabled(lo&1 == 1) })
 		return fmt.Sprintf("caches[%d].SetEnabled(%v)", sel&1, lo&1 == 1), got, want
-	case 9:
+	case 8:
 		k := int(lo) % 3
 		both(func(s *dataRig) {
 			if k < 2 {
@@ -209,7 +195,7 @@ func runDataOp(g, ref *dataRig, op, sel, lo, hi byte, now uint64) (desc string, 
 			}
 		})
 		return fmt.Sprintf("AttachCaches(%d)", k), got, want
-	case 10:
+	case 9:
 		d := sel & 1
 		if lo&1 == 0 {
 			both(func(s *dataRig) { s.cacheSlot = s.caches[d].SaveState() })
@@ -218,7 +204,7 @@ func runDataOp(g, ref *dataRig, op, sel, lo, hi byte, now uint64) (desc string, 
 		got.Err = fmt.Sprint(g.caches[d].RestoreState(g.cacheSlot))
 		want.Err = fmt.Sprint(ref.caches[d].RestoreState(ref.cacheSlot))
 		return fmt.Sprintf("caches[%d].RestoreState", d), got, want
-	case 11:
+	case 10:
 		m := int(sel) % len(g.mems)
 		if lo&1 == 0 {
 			both(func(s *dataRig) { s.memSlots[m] = s.mems[m].SaveState() })
@@ -250,9 +236,9 @@ func dataSeed(hitLatency byte, ops ...[4]byte) []byte {
 // FuzzDataPath holds the hit window, ReadWord, WriteWord and ReadWordHit
 // to the general data path: a twin controller runs every word access
 // through rangeFor, timedAccess and account, and after each op of a
-// stream that also swaps observers, caches and saved state underneath,
-// both sides must agree on every result, every counter, every cache line
-// and what the observer and code-write hook saw. ReadWordHit
+// stream that also swaps caches and saved state underneath, both sides
+// must agree on every result, every counter, every cache line and what
+// the code-write hook saw. ReadWordHit
 // must complete exactly the loads the twin's state says are servable
 // hits, and change nothing when it refuses.
 func FuzzDataPath(f *testing.F) {
@@ -260,8 +246,7 @@ func FuzzDataPath(f *testing.F) {
 		rwh  = 0    // ReadWordHit
 		rwhP = 1    // ReadWordHit, private only
 		rw   = 2    // ReadWord
-		obs  = 7    // SetObserver
-		ena  = 8    // SetEnabled
+		ena  = 7    // SetEnabled
 		priv = 0    // range selectors, in dataOpAddr's order
 		shrd = 1    // shared, behind an interconnect
 		raw  = 4    // private, uncacheable
@@ -271,8 +256,8 @@ func FuzzDataPath(f *testing.F) {
 	// TestReadWordHitMatchesReadWord's cases: warm a private and a shared
 	// line, hit three private lines and the shared one, then refuse a
 	// miss, an unaligned, unmapped or uncacheable load, a shared load when
-	// only private ones may complete, and any load with an observer
-	// attached or the cache disabled.
+	// only private ones may complete, and any load with the cache
+	// disabled.
 	for _, lat := range []byte{0, 1} {
 		f.Add(dataSeed(lat,
 			[4]byte{rw, priv, 0x354 >> 2}, [4]byte{rw, shrd, 0x40 >> 2}, [4]byte{rw, priv, 0x100 >> 2}, [4]byte{rw, priv, 0x200 >> 2},
@@ -280,7 +265,6 @@ func FuzzDataPath(f *testing.F) {
 			[4]byte{rwh, shrd, 0x40 >> 2}, [4]byte{rwhP, shrd, 0x40 >> 2},
 			[4]byte{rwh, priv, 0x3f0 >> 2}, [4]byte{rwh, priv, 0x100 >> 2, mis}, [4]byte{rwh, unmp, 0},
 			[4]byte{rwh, raw, 0}, [4]byte{rw, raw, 0},
-			[4]byte{obs, 0, 1}, [4]byte{rwh, priv, 0x204 >> 2}, [4]byte{rw, priv, 0x204 >> 2}, [4]byte{obs, 0, 0},
 			[4]byte{rwh, priv, 0x204 >> 2}, [4]byte{ena, 0, 0}, [4]byte{rwh, priv, 0x204 >> 2}, [4]byte{rw, priv, 0x204 >> 2},
 			[4]byte{3, priv, 0x204 >> 2}, [4]byte{ena, 0, 1}, [4]byte{rw, priv, 0x204 >> 2}))
 	}

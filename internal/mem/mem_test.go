@@ -468,23 +468,6 @@ func TestControllerFunctionalEquivalenceQuick(t *testing.T) {
 	}
 }
 
-func TestControllerObserver(t *testing.T) {
-	ctl, _, _ := buildController(t, false)
-	var seen []Access
-	ctl.SetObserver(func(a Access) { seen = append(seen, a) })
-	ctl.WriteWord(5, 0x10, 1)
-	ctl.ReadWord(6, 0x1000_0004)
-	if len(seen) != 2 {
-		t.Fatalf("observer saw %d accesses", len(seen))
-	}
-	if !seen[0].Write || seen[0].Kind != KindPrivate || seen[0].Cycle != 5 {
-		t.Errorf("first access = %+v", seen[0])
-	}
-	if seen[1].Write || seen[1].Kind != KindShared {
-		t.Errorf("second access = %+v", seen[1])
-	}
-}
-
 func TestBarrierProtocol(t *testing.T) {
 	b := NewBarrier("bar", 3, 1)
 	g := b.LoadWord(0)
@@ -574,9 +557,9 @@ func snapLoad(c *Controller, priv, shared *Memory) loadState {
 // TestReadWordHitMatchesReadWord pins the block-dispatch load: a hit in
 // either way of a set, private or shared, leaves controller, cache and
 // memory state identical to ReadWord's, and every load it refuses — a
-// miss, an unaligned or unmapped address, an uncacheable range, an attached
-// observer, a shared range when only private ones may complete, a disabled
-// cache — changes nothing.
+// miss, an unaligned or unmapped address, an uncacheable range, a shared
+// range when only private ones may complete, a disabled cache — changes
+// nothing.
 func TestReadWordHitMatchesReadWord(t *testing.T) {
 	build := func() (*Controller, *Memory, *Memory) {
 		ctl := NewController("ctl0", 0)
@@ -652,9 +635,6 @@ func TestReadWordHitMatchesReadWord(t *testing.T) {
 	refuse("unmapped", 0x5000_0000, false)
 	refuse("uncacheable", 0x2000_0000, false)
 	refuse("shared, private only", 0x1000_0040, true)
-	hit.SetObserver(func(Access) {})
-	refuse("observer", 0x204, false)
-	hit.SetObserver(nil)
 	d.SetEnabled(false)
 	refuse("disabled", 0x204, false)
 }

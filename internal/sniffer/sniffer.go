@@ -1,215 +1,29 @@
 // Package sniffer implements the statistics-extraction subsystem of the
 // emulation framework (Section 4 of the DAC'06 paper): HW sniffers that
-// transparently monitor signals of the memory controllers and the external
-// pinout of emulated components, a BRAM ring buffer where extracted
-// statistics are stored, and memory-mapped control registers so software
-// running on the emulated cores can de/activate sniffers at run time.
+// transparently monitor signals of the emulated components, and
+// memory-mapped control registers so software running on the emulated
+// cores can de/activate sniffers at run time.
 //
-// Two sniffer types are provided, mirroring the paper:
-//
-//   - count-logging sniffers keep O(1) counters of switching activity and
-//     high-level events (cache misses, bus transactions, memory accesses);
-//     an effectively unlimited number can be attached without slowing the
-//     emulation;
-//   - event-logging sniffers exhaustively log every event into the BRAM
-//     buffer, which the Ethernet dispatcher drains; when the buffer fills,
-//     the congestion callback asks the VPCM to freeze the virtual clock.
+// The paper's sniffers come in two kinds. Count-logging sniffers keep O(1)
+// counters of switching activity and high-level events (cache misses, bus
+// transactions, memory accesses), so an effectively unlimited number can
+// be attached without slowing the emulation; the Activity sniffer here and
+// the count-logging statistics of the cores, memory controllers, caches,
+// bus and NoC are of this kind, and they are all the thermal loop reads.
+// Event-logging sniffers, which log every event into a BRAM buffer that
+// the Ethernet dispatcher drains, feed no result this framework
+// reproduces and are not modelled; only their FPGA area is
+// (internal/fpga).
 package sniffer
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// EventKind classifies a logged platform event.
-type EventKind uint8
-
-// Event kinds.
-const (
-	EvFetch EventKind = iota
-	EvMemRead
-	EvMemWrite
-	EvCacheMiss
-	EvBusTxn
-	EvNocPacket
-	EvStateChange
-	EvCustom
-)
-
-// String returns the kind name.
-func (k EventKind) String() string {
-	names := [...]string{"fetch", "mem-read", "mem-write", "cache-miss",
-		"bus-txn", "noc-packet", "state-change", "custom"}
-	if int(k) < len(names) {
-		return names[k]
-	}
-	return fmt.Sprintf("event(%d)", uint8(k))
-}
-
-// Event is one exhaustively-logged platform event.
-type Event struct {
-	Cycle  uint64
-	Source uint16 // index of the monitored component
-	Kind   EventKind
-	Addr   uint32
-	Info   uint32
-}
-
-// Ring is the BRAM buffer where sniffers store extracted statistics before
-// the Ethernet dispatcher sends them to the host. The backing array is
-// allocated on the first Push or RestoreState, so platforms that never log
-// events pay nothing for it.
-type Ring struct {
-	buf  []Event
-	size int
-	head int
-	n    int
-}
-
-// NewRing creates a buffer holding up to capacity events.
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		panic("sniffer: ring capacity must be positive")
-	}
-	return &Ring{size: capacity}
-}
-
-// Cap returns the buffer capacity.
-func (r *Ring) Cap() int { return r.size }
-
-// Len returns the number of buffered events.
-func (r *Ring) Len() int { return r.n }
-
-// Full reports whether the buffer cannot accept another event.
-func (r *Ring) Full() bool { return r.n == r.size }
-
-// alloc materialises the backing array.
-func (r *Ring) alloc() {
-	if r.buf == nil {
-		r.buf = make([]Event, r.size)
-	}
-}
-
-// Push appends an event, reporting false when the buffer is full.
-func (r *Ring) Push(ev Event) bool {
-	if r.Full() {
-		return false
-	}
-	r.alloc()
-	r.buf[(r.head+r.n)%r.size] = ev
-	r.n++
-	return true
-}
-
-// Pop removes and returns the oldest event.
-func (r *Ring) Pop() (Event, bool) {
-	if r.n == 0 {
-		return Event{}, false
-	}
-	ev := r.buf[r.head]
-	r.head = (r.head + 1) % r.size
-	r.n--
-	return ev, true
-}
-
-// Drain removes up to max events into out, returning the count.
-func (r *Ring) Drain(out []Event) int {
-	k := 0
-	for k < len(out) {
-		ev, ok := r.Pop()
-		if !ok {
-			break
-		}
-		out[k] = ev
-		k++
-	}
-	return k
-}
-
-// Sniffer is the common control surface of both sniffer types, matching the
-// paper's basic sniffer skeleton.
+// Sniffer is the control surface of every sniffer, matching the paper's
+// basic sniffer skeleton.
 type Sniffer interface {
 	Name() string
 	Enabled() bool
 	SetEnabled(bool)
-}
-
-// Counter is one named statistic of a count-logging sniffer.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// CountSniffer counts switching activity and high-level events. Counters
-// are registered once and addressed by dense index, so the per-event cost
-// is a single array increment — the property that lets the paper attach
-// "practically an unlimited number" of them without slowing emulation.
-type CountSniffer struct {
-	name    string
-	enabled bool
-	values  []uint64
-	names   []string
-	index   map[string]int
-}
-
-// NewCountSniffer creates an enabled count-logging sniffer.
-func NewCountSniffer(name string) *CountSniffer {
-	return &CountSniffer{name: name, enabled: true, index: make(map[string]int)}
-}
-
-// Name implements Sniffer.
-func (s *CountSniffer) Name() string { return s.name }
-
-// Enabled implements Sniffer.
-func (s *CountSniffer) Enabled() bool { return s.enabled }
-
-// SetEnabled implements Sniffer.
-func (s *CountSniffer) SetEnabled(on bool) { s.enabled = on }
-
-// Register adds a counter and returns its dense index.
-func (s *CountSniffer) Register(counter string) int {
-	if i, ok := s.index[counter]; ok {
-		return i
-	}
-	i := len(s.values)
-	s.values = append(s.values, 0)
-	s.names = append(s.names, counter)
-	s.index[counter] = i
-	return i
-}
-
-// Add increments counter i by delta (no-op while disabled).
-func (s *CountSniffer) Add(i int, delta uint64) {
-	if s.enabled {
-		s.values[i] += delta
-	}
-}
-
-// Set overwrites counter i (used for gauge-style statistics).
-func (s *CountSniffer) Set(i int, v uint64) {
-	if s.enabled {
-		s.values[i] = v
-	}
-}
-
-// Value returns the current value of counter i.
-func (s *CountSniffer) Value(i int) uint64 { return s.values[i] }
-
-// Snapshot returns all counters sorted by name.
-func (s *CountSniffer) Snapshot() []Counter {
-	out := make([]Counter, len(s.values))
-	for i := range s.values {
-		out[i] = Counter{Name: s.names[i], Value: s.values[i]}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	return out
-}
-
-// Reset zeroes every counter.
-func (s *CountSniffer) Reset() {
-	for i := range s.values {
-		s.values[i] = 0
-	}
 }
 
 // Mode is the per-cycle execution mode an activity sniffer attributes
@@ -285,53 +99,6 @@ func (a *Activity) Cycles() uint64 {
 
 // Reset zeroes every mode counter.
 func (a *Activity) Reset() { a.counts = [numModes]uint64{} }
-
-// EventSniffer exhaustively logs events into the shared BRAM ring.
-type EventSniffer struct {
-	name     string
-	enabled  bool
-	source   uint16
-	ring     *Ring
-	onFull   func() bool // asks the dispatcher to drain; reports success
-	Logged   uint64
-	Dropped  uint64
-	FullHits uint64
-}
-
-// NewEventSniffer creates an enabled event-logging sniffer writing to ring
-// with the given source id. onFull is invoked when the ring is full; it
-// should drain the ring (e.g. by pumping the Ethernet dispatcher, possibly
-// freezing the virtual clock meanwhile) and report whether space was made.
-func NewEventSniffer(name string, source uint16, ring *Ring, onFull func() bool) *EventSniffer {
-	return &EventSniffer{name: name, enabled: true, source: source, ring: ring, onFull: onFull}
-}
-
-// Name implements Sniffer.
-func (s *EventSniffer) Name() string { return s.name }
-
-// Enabled implements Sniffer.
-func (s *EventSniffer) Enabled() bool { return s.enabled }
-
-// SetEnabled implements Sniffer.
-func (s *EventSniffer) SetEnabled(on bool) { s.enabled = on }
-
-// Log records one event.
-func (s *EventSniffer) Log(cycle uint64, kind EventKind, addr, info uint32) {
-	if !s.enabled {
-		return
-	}
-	ev := Event{Cycle: cycle, Source: s.source, Kind: kind, Addr: addr, Info: info}
-	if s.ring.Push(ev) {
-		s.Logged++
-		return
-	}
-	s.FullHits++
-	if s.onFull != nil && s.onFull() && s.ring.Push(ev) {
-		s.Logged++
-		return
-	}
-	s.Dropped++
-}
 
 // Hub registers every sniffer in the platform and exposes the memory-mapped
 // enable/disable registers (one register per sniffer: write 0/1, read back

@@ -1,201 +1,11 @@
 package sniffer
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestRingPushPop(t *testing.T) {
-	r := NewRing(3)
-	for i := uint64(0); i < 3; i++ {
-		if !r.Push(Event{Cycle: i}) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	if !r.Full() {
-		t.Error("ring should be full")
-	}
-	if r.Push(Event{Cycle: 9}) {
-		t.Error("push into full ring succeeded")
-	}
-	for i := uint64(0); i < 3; i++ {
-		ev, ok := r.Pop()
-		if !ok || ev.Cycle != i {
-			t.Fatalf("pop %d: got %v, %v", i, ev, ok)
-		}
-	}
-	if _, ok := r.Pop(); ok {
-		t.Error("pop from empty ring succeeded")
-	}
-}
-
-// TestRingAllocatesOnFirstUse: platforms that never log events must not pay
-// for the buffer, yet Cap reports the configured capacity throughout.
-func TestRingAllocatesOnFirstUse(t *testing.T) {
-	r := NewRing(4096)
-	if err := r.RestoreState(nil); err != nil {
-		t.Fatal(err)
-	}
-	if r.buf != nil || r.Cap() != 4096 || r.Len() != 0 {
-		t.Fatalf("unused ring: buf allocated=%v cap=%d len=%d", r.buf != nil, r.Cap(), r.Len())
-	}
-	if !r.Push(Event{Cycle: 1}) || len(r.buf) != 4096 || r.Cap() != 4096 {
-		t.Fatalf("first push: len(buf)=%d cap=%d", len(r.buf), r.Cap())
-	}
-	q := NewRing(2)
-	if err := q.RestoreState([]Event{{Cycle: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	if ev, ok := q.Pop(); !ok || ev.Cycle != 5 {
-		t.Fatalf("restored ring popped %v, %v", ev, ok)
-	}
-	if err := q.RestoreState(make([]Event, 3)); err == nil {
-		t.Error("restore beyond capacity accepted")
-	}
-}
-
-func TestRingWrapAround(t *testing.T) {
-	r := NewRing(4)
-	for i := uint64(0); i < 100; i++ {
-		if !r.Push(Event{Cycle: i}) {
-			t.Fatalf("push %d", i)
-		}
-		ev, _ := r.Pop()
-		if ev.Cycle != i {
-			t.Fatalf("wrap: got %d want %d", ev.Cycle, i)
-		}
-	}
-}
-
-func TestRingDrain(t *testing.T) {
-	r := NewRing(8)
-	for i := uint64(0); i < 5; i++ {
-		r.Push(Event{Cycle: i})
-	}
-	buf := make([]Event, 3)
-	if n := r.Drain(buf); n != 3 {
-		t.Fatalf("drain = %d", n)
-	}
-	if buf[0].Cycle != 0 || buf[2].Cycle != 2 {
-		t.Errorf("drained %v", buf)
-	}
-	if r.Len() != 2 {
-		t.Errorf("remaining = %d", r.Len())
-	}
-}
-
-// Property: a ring never loses or reorders events under random interleaved
-// push/pop traffic.
-func TestRingFIFOPropertyQuick(t *testing.T) {
-	f := func(ops []bool) bool {
-		r := NewRing(16)
-		next, expect := uint64(0), uint64(0)
-		for _, push := range ops {
-			if push {
-				if r.Push(Event{Cycle: next}) {
-					next++
-				}
-			} else if ev, ok := r.Pop(); ok {
-				if ev.Cycle != expect {
-					return false
-				}
-				expect++
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCountSniffer(t *testing.T) {
-	s := NewCountSniffer("core0")
-	active := s.Register("active_cycles")
-	misses := s.Register("cache_misses")
-	if again := s.Register("active_cycles"); again != active {
-		t.Error("re-registration changed index")
-	}
-	s.Add(active, 10)
-	s.Add(misses, 2)
-	s.Add(active, 5)
-	if s.Value(active) != 15 || s.Value(misses) != 2 {
-		t.Errorf("values = %d, %d", s.Value(active), s.Value(misses))
-	}
-	snap := s.Snapshot()
-	if len(snap) != 2 || snap[0].Name != "active_cycles" || snap[0].Value != 15 {
-		t.Errorf("snapshot = %v", snap)
-	}
-	// Disabled sniffers ignore updates (run-time deactivation via SW).
-	s.SetEnabled(false)
-	s.Add(active, 100)
-	if s.Value(active) != 15 {
-		t.Error("disabled sniffer counted")
-	}
-	s.SetEnabled(true)
-	s.Set(misses, 7)
-	if s.Value(misses) != 7 {
-		t.Error("Set failed")
-	}
-	s.Reset()
-	if s.Value(active) != 0 {
-		t.Error("reset failed")
-	}
-}
-
-func TestEventSnifferLogsAndDrops(t *testing.T) {
-	ring := NewRing(2)
-	s := NewEventSniffer("mem0", 3, ring, nil)
-	s.Log(1, EvMemRead, 0x100, 0)
-	s.Log(2, EvMemWrite, 0x104, 42)
-	s.Log(3, EvCacheMiss, 0x108, 0) // full, no onFull: dropped
-	if s.Logged != 2 || s.Dropped != 1 || s.FullHits != 1 {
-		t.Errorf("logged=%d dropped=%d full=%d", s.Logged, s.Dropped, s.FullHits)
-	}
-	ev, _ := ring.Pop()
-	if ev.Source != 3 || ev.Kind != EvMemRead || ev.Addr != 0x100 {
-		t.Errorf("event = %+v", ev)
-	}
-}
-
-func TestEventSnifferCongestionCallback(t *testing.T) {
-	ring := NewRing(1)
-	drains := 0
-	s := NewEventSniffer("bus", 0, ring, func() bool {
-		drains++
-		// The dispatcher drains the ring (freezing the virtual clock in
-		// the real platform while it does so).
-		for {
-			if _, ok := ring.Pop(); !ok {
-				break
-			}
-		}
-		return true
-	})
-	s.Log(1, EvBusTxn, 0, 0)
-	s.Log(2, EvBusTxn, 0, 0) // triggers drain, then succeeds
-	if drains != 1 {
-		t.Errorf("drains = %d", drains)
-	}
-	if s.Dropped != 0 || s.Logged != 2 {
-		t.Errorf("logged=%d dropped=%d", s.Logged, s.Dropped)
-	}
-}
-
-func TestEventSnifferDisabled(t *testing.T) {
-	ring := NewRing(4)
-	s := NewEventSniffer("x", 0, ring, nil)
-	s.SetEnabled(false)
-	s.Log(1, EvFetch, 0, 0)
-	if ring.Len() != 0 || s.Logged != 0 {
-		t.Error("disabled sniffer logged")
-	}
-}
+import "testing"
 
 func TestHubControlRegisters(t *testing.T) {
 	h := NewHub()
-	a := NewCountSniffer("a")
-	b := NewCountSniffer("b")
+	a := NewActivity("a")
+	b := NewActivity("b")
 	ia := h.Register(a)
 	ib := h.Register(b)
 	if h.Len() != 2 {
@@ -228,22 +38,13 @@ func TestHubControlRegisters(t *testing.T) {
 
 func TestHubDuplicatePanics(t *testing.T) {
 	h := NewHub()
-	h.Register(NewCountSniffer("dup"))
+	h.Register(NewActivity("dup"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	h.Register(NewCountSniffer("dup"))
-}
-
-func TestEventKindStrings(t *testing.T) {
-	if EvCacheMiss.String() != "cache-miss" {
-		t.Errorf("got %q", EvCacheMiss.String())
-	}
-	if EventKind(200).String() == "" {
-		t.Error("unknown kind produced empty string")
-	}
+	h.Register(NewActivity("dup"))
 }
 
 func TestActivitySnifferAccrueEqualsTicks(t *testing.T) {

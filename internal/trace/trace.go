@@ -14,7 +14,6 @@ import (
 
 	"thermemu/internal/core"
 	"thermemu/internal/floorplan"
-	"thermemu/internal/sniffer"
 )
 
 // ---------------------------------------------------------------------------
@@ -175,30 +174,6 @@ func WriteSamplesVCD(w io.Writer, fp *floorplan.Floorplan, samples []core.Sample
 				v.SetReal("power_"+c.Name+"_w", s.CompPowerW[i])
 			}
 		}
-	}
-	return v.Err()
-}
-
-// WriteEventsVCD dumps an event-sniffer log as per-source activity wires:
-// each event toggles its source's wire, giving a waveform of memory-system
-// activity over virtual cycles (the timescale is one cycle per VCD tick).
-func WriteEventsVCD(w io.Writer, sources []string, events []sniffer.Event) error {
-	v := NewVCD(w)
-	for _, s := range sources {
-		v.AddWire("ev_" + s)
-	}
-	state := make([]bool, len(sources))
-	lastCycle := ^uint64(0)
-	for _, ev := range events {
-		if int(ev.Source) >= len(sources) {
-			return fmt.Errorf("trace: event source %d out of range", ev.Source)
-		}
-		if ev.Cycle != lastCycle {
-			v.Time(ev.Cycle)
-			lastCycle = ev.Cycle
-		}
-		state[ev.Source] = !state[ev.Source]
-		v.SetBit("ev_"+sources[ev.Source], state[ev.Source])
 	}
 	return v.Err()
 }

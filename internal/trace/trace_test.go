@@ -8,7 +8,6 @@ import (
 	"thermemu/internal/core"
 	"thermemu/internal/emu"
 	"thermemu/internal/floorplan"
-	"thermemu/internal/sniffer"
 	"thermemu/internal/thermal"
 	"thermemu/internal/tm"
 	"thermemu/internal/workloads"
@@ -151,30 +150,6 @@ func TestVCDIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate id %q at %d", id, i)
 		}
 		seen[id] = true
-	}
-}
-
-func TestWriteEventsVCD(t *testing.T) {
-	events := []sniffer.Event{
-		{Cycle: 10, Source: 0, Kind: sniffer.EvMemRead},
-		{Cycle: 10, Source: 1, Kind: sniffer.EvFetch},
-		{Cycle: 12, Source: 0, Kind: sniffer.EvMemWrite},
-	}
-	var buf bytes.Buffer
-	if err := WriteEventsVCD(&buf, []string{"core0", "core1"}, events); err != nil {
-		t.Fatal(err)
-	}
-	vcd := buf.String()
-	if !strings.Contains(vcd, "ev_core0") || !strings.Contains(vcd, "ev_core1") {
-		t.Errorf("missing wires:\n%s", vcd)
-	}
-	if !strings.Contains(vcd, "#10") || !strings.Contains(vcd, "#12") {
-		t.Errorf("missing timestamps:\n%s", vcd)
-	}
-	// Out-of-range source rejected.
-	bad := []sniffer.Event{{Cycle: 1, Source: 9}}
-	if err := WriteEventsVCD(&bytes.Buffer{}, []string{"only"}, bad); err == nil {
-		t.Error("out-of-range source accepted")
 	}
 }
 
