@@ -38,6 +38,10 @@
 // Workers4, and the checkpoint-shared warm-up grid beats the cold one in
 // wall time. Across processor counts, Workers4 at every count above one
 // must beat Workers4 at one: the sweep is where host parallelism pays.
+// Grouping binds when its rows are present: the three policies of one
+// platform run as one job (BenchmarkSweepGroup) take less than twice the
+// wall time of one of them alone (BenchmarkSweepSolo), which only one
+// emulation for all three allows.
 //
 // Promote mode (-promote) atomically replaces a baseline with its freshly
 // regenerated BASELINE.new sibling, so refreshes are a rename — a stray
@@ -370,6 +374,13 @@ func gateSweep(newPath, basePath string, ratio float64) int {
 			c.check(shared.nsPerOp < cold.nsPerOp,
 				"warm-up sharing (%d cpus): shared prefix %.3gs wall vs cold %.3gs wall",
 				p, shared.nsPerOp/1e9, cold.nsPerOp/1e9)
+		}
+		group, okG := fresh[procsKey("BenchmarkSweepGroup", p)]
+		solo, okO := fresh[procsKey("BenchmarkSweepSolo", p)]
+		if okG && okO {
+			c.check(group.nsPerOp < 2*solo.nsPerOp,
+				"grouping (%d cpus): 3 policies as one job %.3gs wall vs 1 point %.3gs wall (ceiling 2x)",
+				p, group.nsPerOp/1e9, solo.nsPerOp/1e9)
 		}
 	}
 

@@ -26,8 +26,40 @@ func sweepRows(w4 map[int]float64) string {
 		row("BenchmarkSweepWorkers8", rate)
 		fmt.Fprintf(&b, "BenchmarkSweepWarmupCold%s \t 5\t 60000000 ns/op\t %d.000 maxprocs\n", suffix, procs)
 		fmt.Fprintf(&b, "BenchmarkSweepWarmupShared%s \t 5\t 40000000 ns/op\t %d.000 maxprocs\n", suffix, procs)
+		fmt.Fprintf(&b, "BenchmarkSweepGroup%s \t 5\t 30000000 ns/op\t %d.000 maxprocs\n", suffix, procs)
+		fmt.Fprintf(&b, "BenchmarkSweepSolo%s \t 5\t 20000000 ns/op\t %d.000 maxprocs\n", suffix, procs)
 	}
 	return b.String()
+}
+
+// TestGateSweepGrouping: a group of three policies must take under twice
+// one point's wall time at every processor count.
+func TestGateSweepGrouping(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		group string
+		want  int
+	}{
+		{"grouped", "30000000", 0},
+		{"one emulation per point", "60000000", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := strings.ReplaceAll(sweepRows(map[int]float64{1: 1000, 2: 1600}),
+				"BenchmarkSweepGroup-2 \t 5\t 30000000", "BenchmarkSweepGroup-2 \t 5\t "+tc.group)
+			dir := t.TempDir()
+			base, fresh := filepath.Join(dir, "base.json"), filepath.Join(dir, "fresh.json")
+			if err := os.WriteFile(base, []byte(sweepRows(map[int]float64{1: 1000, 2: 1600})), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(fresh, []byte(rows), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// The 1/0.4 per-row ceiling leaves only the contract to fail.
+			if got := gateSweep(fresh, base, 0.4); got != tc.want {
+				t.Errorf("gateSweep = %d, want %d", got, tc.want)
+			}
+		})
+	}
 }
 
 func TestGateSweepHostScaling(t *testing.T) {

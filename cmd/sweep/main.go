@@ -1,9 +1,12 @@
 // Command sweep runs design-space exploration grids: it expands a
 // versioned sweep-spec file into (scenario × workload × policy × floorplan
-// × frequency) points, dispatches them to workers with work-stealing
-// straggler re-dispatch, optionally shares each platform's TM-off warm-up
-// prefix through TMCK checkpoints, and merges the per-point results into
-// the benchgate line format.
+// × frequency) points, groups the points that share a platform (they
+// differ only in TM policy) into one job each, dispatches the jobs to
+// workers with work-stealing straggler re-dispatch, optionally shares each
+// platform's TM-off warm-up prefix through TMCK checkpoints, and merges
+// the per-point results into the benchgate line format. A worker runs a
+// job as one co-emulation: the platform is emulated once for all of the
+// job's policies, each with its own clock, thermal host and digest.
 //
 // Single machine (in-process worker pool):
 //
@@ -15,8 +18,9 @@
 //	sweep -worker -connect coordinator:9080 -name rack2   (per worker host)
 //
 // Every point's golden digest is bit-identical to the same scenario run
-// serially through cmd/thermemu — whichever worker ran it, however faulty
-// the link (-fault injects chaos on in-process worker links).
+// serially through cmd/thermemu — whichever worker ran it, in whatever
+// group, however faulty the link (-fault injects chaos on in-process
+// worker links).
 package main
 
 import (
@@ -36,7 +40,7 @@ func main() {
 		specPath  = flag.String("spec", "", "sweep spec file (required unless -worker)")
 		workers   = flag.Int("workers", 4, "in-process worker pool size (coordinator without -listen)")
 		outPath   = flag.String("out", "", "write the benchgate-format result lines to this file")
-		straggler = flag.Duration("straggler", 2*time.Second, "in-flight age before an idle worker re-dispatches a point (negative disables stealing)")
+		straggler = flag.Duration("straggler", 2*time.Second, "in-flight age before an idle worker re-dispatches a job, one platform's points (negative disables stealing)")
 		fault     = flag.String("fault", "", "inject link faults on in-process worker links, e.g. drop=0.01,dup=0.005,reorder=0.01,corrupt=0.001")
 		faultSeed = flag.Int64("fault-seed", 1, "PRNG seed base for -fault (worker i uses seed+i)")
 		listen    = flag.String("listen", "", "serve the grid over TCP on this address instead of the in-process pool")

@@ -59,7 +59,10 @@ func TestWorkerRedialHealsCut(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "base.scn"), []byte(base.Render()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := sweep.ParseSpec("thermemu-sweep v1\n[sweep]\nname = cut\n[base]\nscenario = base.scn\n[axis policy]\nvalues = none, threshold-dfs\n")
+	// Two floorplans make two jobs (a job is one platform's policies), so
+	// the cut lands with the grid half done.
+	spec, err := sweep.ParseSpec("thermemu-sweep v1\n[sweep]\nname = cut\n[base]\nscenario = base.scn\n" +
+		"[axis floorplan]\nvalues = arm11, arm7\n[axis policy]\nvalues = none, threshold-dfs\n")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,6 +323,10 @@ func run(s *scenario.Scenario, o options) error {
 	} else if res.Cycles > 0 {
 		fmt.Printf("overlap:        %d cycles (%.1f%%) emulated while a verdict was outstanding\n",
 			res.OverlapCycles, 100*float64(res.OverlapCycles)/float64(res.Cycles))
+		// The wait is host timing, so it stays off the overlap line, which
+		// two runs of one scenario print identically.
+		fmt.Printf("verdict wait:   %v (%.1f%% of wall) blocked on verdicts\n",
+			res.VerdictWait, 100*res.VerdictWait.Seconds()/res.Wall.Seconds())
 	}
 	if s.Digest {
 		// The digest pins the whole run: identical flags must reproduce it

@@ -37,62 +37,66 @@ type ckptRuntime struct {
 	broken bool
 }
 
-// newCkptRuntime validates the checkpoint configuration and, when a resume
-// checkpoint is present, restores the platform, thermal model, policy and
-// golden lineage. It returns (nil, 0, nil) when neither checkpointing nor
-// resume is requested. The float64 is the running MaxTempK restored from
-// the checkpoint (0 on a fresh run).
-func newCkptRuntime(cfg *Config, p *emu.Platform, eval *PowerEvaluator) (*ckptRuntime, float64, error) {
+// newCkptRuntime validates the checkpoint configuration. It returns (nil,
+// nil) when neither checkpointing nor resume is requested.
+func newCkptRuntime(cfg *Config, p *emu.Platform) (*ckptRuntime, error) {
 	if cfg.CheckpointSink == nil && cfg.Resume == nil {
 		if cfg.CheckpointEvery > 0 {
-			return nil, 0, fmt.Errorf("core: CheckpointEvery is set without a CheckpointSink")
+			return nil, fmt.Errorf("core: CheckpointEvery is set without a CheckpointSink")
 		}
-		return nil, 0, nil
+		return nil, nil
 	}
 	if cfg.Transport != nil {
-		return nil, 0, fmt.Errorf("core: checkpoint/resume requires an in-process thermal host (a transport-mode run does not own the thermal state)")
+		return nil, fmt.Errorf("core: checkpoint/resume requires an in-process thermal host (a transport-mode run does not own the thermal state)")
 	}
 	if cfg.CheckpointSink != nil && cfg.Policy != nil {
 		if _, ok := cfg.Policy.(tm.Checkpointable); !ok {
-			return nil, 0, fmt.Errorf("core: policy %T cannot be checkpointed (no tm.Checkpointable)", cfg.Policy)
+			return nil, fmt.Errorf("core: policy %T cannot be checkpointed (no tm.Checkpointable)", cfg.Policy)
 		}
 	}
 	ck := &ckptRuntime{cfg: cfg, p: p, every: uint64(cfg.CheckpointEvery)}
 	if ck.every == 0 {
 		ck.every = 1
 	}
+	return ck, nil
+}
+
+// resume restores what a resume checkpoint holds beyond the platform —
+// the thermal model, the policy, the lagged component temperatures and
+// the golden lineage — and returns the running MaxTempK it carries (0
+// without a resume). The platform itself is restored by the caller.
+func (ck *ckptRuntime) resume(eval *PowerEvaluator) (float64, error) {
+	if ck == nil || ck.cfg.Resume == nil {
+		return 0, nil
+	}
+	cfg, r := ck.cfg, ck.cfg.Resume
 	var maxTempK float64
-	if r := cfg.Resume; r != nil {
-		if err := r.Apply(p); err != nil {
-			return nil, 0, fmt.Errorf("core: resume: %w", err)
+	ck.windows = r.Window
+	if l := r.Loop; l != nil {
+		if l.Thermal != nil {
+			if err := cfg.Host.Model.RestoreState(*l.Thermal); err != nil {
+				return 0, fmt.Errorf("core: resume thermal state: %w", err)
+			}
 		}
-		ck.windows = r.Window
-		if l := r.Loop; l != nil {
-			if l.Thermal != nil {
-				if err := cfg.Host.Model.RestoreState(*l.Thermal); err != nil {
-					return nil, 0, fmt.Errorf("core: resume thermal state: %w", err)
-				}
+		if l.Policy != nil && cfg.Policy != nil {
+			c, ok := cfg.Policy.(tm.Checkpointable)
+			if !ok {
+				return 0, fmt.Errorf("core: resume: policy %T cannot restore checkpoint state", cfg.Policy)
 			}
-			if l.Policy != nil && cfg.Policy != nil {
-				c, ok := cfg.Policy.(tm.Checkpointable)
-				if !ok {
-					return nil, 0, fmt.Errorf("core: resume: policy %T cannot restore checkpoint state", cfg.Policy)
-				}
-				c.RestoreCheckpoint(*l.Policy)
-			}
-			if len(l.CompTemps) > 0 {
-				ck.lagTemps = append([]float64(nil), l.CompTemps...)
-				eval.SetComponentTemps(ck.lagTemps)
-			}
-			maxTempK = l.MaxTempK
+			c.RestoreCheckpoint(*l.Policy)
 		}
-		if cfg.Golden != nil && !cfg.Fork {
-			if err := cfg.Golden.Seed(r.GoldenSum, int(r.GoldenLen)); err != nil {
-				return nil, 0, fmt.Errorf("core: resume golden lineage: %w", err)
-			}
+		if len(l.CompTemps) > 0 {
+			ck.lagTemps = append([]float64(nil), l.CompTemps...)
+			eval.SetComponentTemps(ck.lagTemps)
+		}
+		maxTempK = l.MaxTempK
+	}
+	if cfg.Golden != nil && !cfg.Fork {
+		if err := cfg.Golden.Seed(r.GoldenSum, int(r.GoldenLen)); err != nil {
+			return 0, fmt.Errorf("core: resume golden lineage: %w", err)
 		}
 	}
-	return ck, maxTempK, nil
+	return maxTempK, nil
 }
 
 // commit records one committed sampling window and the component

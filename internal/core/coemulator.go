@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"thermemu/internal/checkpoint"
@@ -168,6 +169,11 @@ type Result struct {
 	// MaxCycles. Like the samples and digests it never depends on host
 	// timing. It is 0 at depth > 0, where whole windows overlap instead.
 	OverlapCycles uint64
+	// VerdictWait is the wall time the emulate stage spent blocked on a
+	// verdict at depth 0: the part of the thermal solve the floor-span
+	// overlap did not hide. It depends on host timing and is 0 above
+	// depth 0, where a wait freezes virtual time instead (ThermalLagPs).
+	VerdictWait time.Duration
 }
 
 // DefaultWindowPs is the paper's 10 ms sampling period.
@@ -208,6 +214,35 @@ func Run(cfg Config, onSample func(Sample)) (*Result, error) {
 	})
 }
 
+// RunGroup runs one co-emulation per Config over one emulated platform,
+// stepped once for all of them: the software form of exploring many
+// thermal-management strategies on one FPGA emulation. The configs may
+// differ in everything that never feeds back into the platform — policy,
+// thermal host, window length, pipeline depth, leakage, DVFS, transport,
+// MaxCycles, checkpoints, golden trace — and must agree on the platform,
+// the workload and the Resume checkpoint (the same *checkpoint.Checkpoint).
+// They must not share a thermal host, a policy, a golden trace or a
+// transport. Each member keeps its own virtual clock, so member i's
+// result, samples, digest and checkpoints are those of Run(cfgs[i],
+// onSample[i]); errs[i] is the error that run would return. A set-up
+// error that concerns the group is every member's error. onSample may be
+// nil or shorter than cfgs; every callback runs on the caller's
+// goroutine, one member at a time.
+func RunGroup(cfgs []Config, onSample []func(Sample)) ([]*Result, []error) {
+	results, errs := make([]*Result, len(cfgs)), make([]error, len(cfgs))
+	members, err := runGroupCfgs(cfgs, onSample, func(p *emu.Platform) (func(uint64), func() error) {
+		return p.Step, nil
+	})
+	for i := range errs {
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		results[i], errs[i] = members[i].res, members[i].err
+	}
+	return results, errs
+}
+
 // RunMPARM executes the same closed loop with the signal-level MPARM-class
 // kernel (package mparm) stepping the platform instead of the fast kernel:
 // the Table 3 baseline with its SW thermal library. Windows, feedback,
@@ -226,59 +261,165 @@ func RunMPARM(cfg Config, onSample func(Sample)) (*Result, error) {
 	})
 }
 
-// run builds and loads the platform, restores any checkpoint, wires the
-// link, and runs the loop with the step function kernel binds to the
-// platform. A non-nil verify runs after a loop that ended without error.
+// run is a group of one.
 func run(cfg Config, onSample func(Sample),
 	kernel func(*emu.Platform) (step func(uint64), verify func() error)) (*Result, error) {
-	if cfg.Workload == nil || cfg.Host == nil {
-		return nil, fmt.Errorf("core: workload and host are required")
-	}
-	if cfg.PipelineDepth < 0 {
-		return nil, fmt.Errorf("core: negative pipeline depth %d", cfg.PipelineDepth)
-	}
-	if cells := len(cfg.Host.SiCells); cfg.Transport != nil && etherlink.MaxTempsBatch(cells) == 0 {
-		return nil, &etherlink.TempsTooLargeError{Cells: cells}
-	}
-	if cfg.WindowPs == 0 {
-		cfg.WindowPs = DefaultWindowPs
-	}
-	p, err := emu.New(cfg.Platform)
+	members, err := runGroupCfgs([]Config{cfg}, []func(Sample){onSample}, kernel)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.LoadWorkload(cfg.Workload); err != nil {
-		return nil, err
-	}
+	return members[0].res, members[0].err
+}
 
-	eval := NewPowerEvaluator(cfg.Host.FP)
-	eval.Leakage = cfg.Leakage
-	eval.DVFS = cfg.DVFS
-	// Checkpoint/resume setup. Resume restores the platform (clock, cores,
-	// memories, interconnect), the thermal model, the policy and the golden
-	// lineage here, before the first snapshot below is taken.
-	ck, resumedMax, err := newCkptRuntime(&cfg, p, eval)
+// runGroupCfgs builds and loads the platform, restores any checkpoint,
+// sets a member up per config (clock, power evaluator, checkpoint runtime,
+// link) and runs the group with the step function kernel binds to the
+// platform. The error is a set-up error of the whole group; each member
+// carries its own run's. A non-nil verify runs after a group in which
+// every member ended without error, and its error becomes every member's.
+func runGroupCfgs(cfgs []Config, onSample []func(Sample),
+	kernel func(*emu.Platform) (step func(uint64), verify func() error)) ([]member, error) {
+	if len(cfgs) == 0 {
+		return nil, nil
+	}
+	members := make([]member, len(cfgs))
+	for i := range members {
+		members[i].cfg = cfgs[i]
+		cfg := &members[i].cfg
+		if cfg.Workload == nil || cfg.Host == nil {
+			return nil, fmt.Errorf("core: workload and host are required")
+		}
+		if cfg.PipelineDepth < 0 {
+			return nil, fmt.Errorf("core: negative pipeline depth %d", cfg.PipelineDepth)
+		}
+		if cells := len(cfg.Host.SiCells); cfg.Transport != nil && etherlink.MaxTempsBatch(cells) == 0 {
+			return nil, &etherlink.TempsTooLargeError{Cells: cells}
+		}
+		if cfg.WindowPs == 0 {
+			cfg.WindowPs = DefaultWindowPs
+		}
+		if i > 0 {
+			if err := sharePlatform(members[:i], cfg); err != nil {
+				return nil, fmt.Errorf("core: group member %d: %w", i, err)
+			}
+		}
+	}
+	first := &members[0].cfg
+	p, err := emu.New(first.Platform)
 	if err != nil {
 		return nil, err
 	}
-	var disp *etherlink.Dispatcher
-	if cfg.Transport != nil {
-		// The dispatcher runs on the solve stage, concurrently with the
-		// emulating stage that advances the VPCM; it only accounts frozen
-		// time, which the VPCM guards for exactly that.
-		disp = etherlink.NewDispatcher(cfg.Transport, p.VPCM, cfg.DrainPhysCycles)
-		disp.EnableReliability(cfg.Link)
-		if err := disp.SendCtrl(etherlink.CtrlStart, uint64(cfg.Host.NumComponents())); err != nil {
+	if err := p.LoadWorkload(first.Workload); err != nil {
+		return nil, err
+	}
+	for i := range members {
+		if members[i].ck, err = newCkptRuntime(&members[i].cfg, p); err != nil {
 			return nil, err
 		}
 	}
+	// Resume restores the platform (clock, cores, memories, interconnect)
+	// once, before any member's clock forks from it and before the first
+	// snapshot is taken.
+	if r := first.Resume; r != nil {
+		if err := r.Apply(p); err != nil {
+			return nil, fmt.Errorf("core: resume: %w", err)
+		}
+	}
+	clock := p.VPCM.View()
+	for i := range members {
+		m := &members[i]
+		if i > 0 {
+			p.VPCM.Use(clock.Fork())
+		}
+		eval := NewPowerEvaluator(m.cfg.Host.FP)
+		eval.Leakage = m.cfg.Leakage
+		eval.DVFS = m.cfg.DVFS
+		// The thermal model, the policy and the golden lineage of a resume.
+		resumedMax, err := m.ck.resume(eval)
+		if err == nil {
+			err = m.dial(p)
+		}
+		if err != nil {
+			for j := range members[:i] {
+				members[j].st.stop()
+			}
+			return nil, err
+		}
+		var cb func(Sample)
+		if i < len(onSample) {
+			cb = onSample[i]
+		}
+		m.init(cb, p, eval, resumedMax)
+	}
 
 	step, verify := kernel(p)
-	res, err := runLoop(cfg, p, step, eval, disp, onSample, ck, resumedMax)
-	if err == nil && verify != nil {
-		err = verify()
+	runGroup(p, step, members)
+	if verify == nil {
+		return members, nil
 	}
-	return res, err
+	for i := range members {
+		if members[i].err != nil {
+			return members, nil
+		}
+	}
+	if err := verify(); err != nil {
+		for i := range members {
+			members[i].err = err
+		}
+	}
+	return members, nil
+}
+
+// dial opens the member's link in transport mode. The dispatcher runs on
+// the solve stage, concurrently with the emulate stage that advances the
+// platform; it only accounts frozen time, which the member's clock (the
+// View in use) guards for exactly that.
+func (m *member) dial(p *emu.Platform) error {
+	cfg := &m.cfg
+	if cfg.Transport == nil {
+		return nil
+	}
+	m.disp = etherlink.NewDispatcher(cfg.Transport, p.VPCM.View(), cfg.DrainPhysCycles)
+	m.disp.EnableReliability(cfg.Link)
+	return m.disp.SendCtrl(etherlink.CtrlStart, uint64(cfg.Host.NumComponents()))
+}
+
+// sharePlatform checks that a group member's cfg runs the platform of the
+// first of the earlier members, and shares no per-run state with any of
+// them.
+func sharePlatform(earlier []member, cfg *Config) error {
+	first := &earlier[0].cfg
+	if !reflect.DeepEqual(first.Platform, cfg.Platform) {
+		return fmt.Errorf("a group shares one platform, and this member configures another")
+	}
+	if w, v := first.Workload, cfg.Workload; w != v && (w.Name != v.Name ||
+		!reflect.DeepEqual(w.Programs, v.Programs) || !reflect.DeepEqual(w.Shared, v.Shared)) {
+		return fmt.Errorf("a group shares one workload, and this member loads %q", v.Name)
+	}
+	if first.Resume != cfg.Resume {
+		return fmt.Errorf("a group resumes one checkpoint, and this member names another")
+	}
+	for i := range earlier {
+		e := &earlier[i].cfg
+		switch {
+		case e.Host == cfg.Host:
+			return fmt.Errorf("a thermal host serves one member")
+		case sameObject(e.Policy, cfg.Policy):
+			return fmt.Errorf("a policy serves one member")
+		case cfg.Golden != nil && e.Golden == cfg.Golden:
+			return fmt.Errorf("a golden trace serves one member")
+		case sameObject(e.Transport, cfg.Transport):
+			return fmt.Errorf("a transport serves one member")
+		}
+	}
+	return nil
+}
+
+// sameObject reports whether two policies or transports are one object.
+// One that keeps state is a pointer; a value has no state to share.
+func sameObject(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	return va.Kind() == reflect.Pointer && reflect.TypeOf(b) == va.Type() && va.Pointer() == vb.Pointer()
 }
 
 // FreqHistory exposes the VPCM DFS trace of a finished platform run; the

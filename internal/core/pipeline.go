@@ -87,8 +87,8 @@ type window struct {
 	err       error
 }
 
-// thermalLagPs extracts the thermal-lag frozen time from the VPCM.
-func thermalLagPs(v *vpcm.VPCM) uint64 {
+// thermalLagPs extracts the thermal-lag frozen time from a member's clock.
+func thermalLagPs(v *vpcm.View) uint64 {
 	for _, e := range v.FrozenPsBySource() {
 		if e.Source == vpcm.ThermalLagSource {
 			return e.Ps
@@ -101,16 +101,18 @@ func thermalLagPs(v *vpcm.VPCM) uint64 {
 // window off, next returns the oldest submitted window once solved, stop
 // tears the stage down. The solve always runs on the stage's goroutine.
 type stage struct {
-	v          *vpcm.VPCM
+	clock      *vpcm.View
 	sv         *solver
-	lag        bool // waits freeze virtual time (depth > 0)
 	work, done chan *window
-	stopped    bool
+	// wait is the wall time next blocked on a verdict at depth 0.
+	wait    time.Duration
+	lag     bool // waits freeze virtual time (depth > 0)
+	stopped bool
 }
 
-func newStage(cfg Config, disp *etherlink.Dispatcher, v *vpcm.VPCM) *stage {
+func newStage(cfg *Config, disp *etherlink.Dispatcher, clock *vpcm.View) *stage {
 	depth := cfg.PipelineDepth
-	st := &stage{v: v, sv: &solver{host: cfg.Host, policy: cfg.Policy,
+	st := &stage{clock: clock, sv: &solver{host: cfg.Host, policy: cfg.Policy,
 		disp: disp, maxBatch: 1}, lag: depth > 0}
 	if disp != nil && depth > 0 {
 		st.sv.maxBatch = min(etherlink.MaxStatsBatch(cfg.Host.NumComponents()),
@@ -136,17 +138,21 @@ func (st *stage) submit(w *window) {
 // next returns the oldest solved window (ok is false if the solve stage
 // exited). At depth > 0 an empty done queue means the solver is behind:
 // virtual time freezes for the wait. At depth 0 the wait is the window
-// boundary's own synchronous solve, which virtual time does not see.
+// boundary's own synchronous solve, which virtual time does not see; its
+// wall time adds to wait.
 func (st *stage) next() (w *window, ok bool) {
-	if !st.lag {
-		w, ok = <-st.done
-		return w, ok
-	}
 	select {
 	case w, ok = <-st.done:
+		return w, ok
 	default:
-		st.lagFrozen(func() { w, ok = <-st.done })
 	}
+	if st.lag {
+		st.lagFrozen(func() { w, ok = <-st.done })
+		return w, ok
+	}
+	t0 := time.Now()
+	w, ok = <-st.done
+	st.wait += time.Since(t0)
 	return w, ok
 }
 
@@ -156,8 +162,8 @@ func (st *stage) next() (w *window, ok bool) {
 func (st *stage) lagFrozen(wait func()) {
 	t0 := time.Now()
 	wait()
-	phys := uint64(time.Since(t0).Seconds() * float64(st.v.PhysHz()))
-	st.v.AddFrozenTimeSource(vpcm.ThermalLagSource, phys)
+	phys := uint64(time.Since(t0).Seconds() * float64(st.clock.PhysHz()))
+	st.clock.AddFrozenTimeSource(vpcm.ThermalLagSource, phys)
 }
 
 // stop closes the work queue and waits for the solver goroutine to exit,
@@ -178,226 +184,374 @@ func windowCycles(windowPs, hz uint64) uint64 {
 	return max(windowPs/(uint64(1e12)/hz), 1)
 }
 
-// runLoop executes the co-emulation loop at the configured pipeline depth,
-// advancing the platform by each window's cycle count with step (the fast
-// kernel's Platform.Step or the MPARM baseline's Kernel.Step). The platform
-// is already built and loaded; disp is nil in in-process mode.
-func runLoop(cfg Config, p *emu.Platform, step func(uint64), eval *PowerEvaluator,
-	disp *etherlink.Dispatcher, onSample func(Sample), ck *ckptRuntime, resumedMax float64) (*Result, error) {
+// The group loop. A group is one or more co-emulations (members) over one
+// platform: the members differ in what never feeds back into the emulated
+// platform — TM policy, thermal host, window feedback — so they all see
+// the same cycle-by-cycle trajectory, and the platform is stepped once for
+// all of them. What depends on the virtual frequency is per member: its
+// vpcm.View (frequency, virtual time, DFS history, frozen time), power
+// evaluator, solve stage, policy, checkpoints and golden digest. A single
+// run (Run) is a group of one.
+//
+// Each member is in one of two states, each with a target cycle the
+// platform must reach before the member can move on:
+//
+//   - window open: the target is the window's end at the member's current
+//     frequency, from its boundary (capped by MaxCycles);
+//   - verdict pending: the window was handed off, and the target is its
+//     boundary plus the floor span every verdict agrees on (0 when the
+//     member may not overlap: a checkpoint cut, a halt, MaxCycles, depth
+//     above 0 or an unknown floor).
+//
+// The loop steps the platform to the lowest target of all members, so it
+// never passes a cycle some member has not decided on (conservative
+// lockstep), then moves every member whose target it reached — or every
+// member, once the platform halts — in member order: first each open
+// window closes (snapshot, power, digest, hand-off), so all the members'
+// solves run together; then each pending member waits for its verdict,
+// applies it at its boundary and opens its next window. A member moves
+// through exactly the states, at exactly the cycles, its solo run would,
+// so each member's samples, digest, OverlapCycles and checkpoints are
+// those of a solo Run of its Config. A member that fails finishes with a
+// partial result while the others go on.
 
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 1 << 62
-	}
-	tscale := cfg.ThermalTimeScale
-	if tscale <= 0 {
-		tscale = 1
-	}
-	depth := uint64(cfg.PipelineDepth)
-	ncomp := cfg.Host.NumComponents()
+// member is one co-emulation of a group.
+type member struct {
+	// cfg is the member's own copy, with MaxCycles and ThermalTimeScale
+	// defaults filled in.
+	cfg      Config
+	onSample func(Sample)
+	clock    *vpcm.View
+	eval     *PowerEvaluator
+	disp     *etherlink.Dispatcher
+	ck       *ckptRuntime
+	st       *stage
 	// floorHz is the lowest frequency a verdict can set; with no policy
 	// none is set. An unknown floor (0) turns the depth-0 overlap off.
-	floorHz := uint64(math.MaxUint64)
-	if cfg.Policy != nil {
-		floorHz = cfg.Policy.FloorHz()
-	}
-	overlap := depth == 0 && floorHz != 0
-	// Window k reuses the ring slot of window k-len(jobs), whose feedback
-	// the boundary rule applied before window k-1 ended, while window k-1's
-	// snapshot stays the power baseline: depth+1 slots, and at least two.
-	jobs := make([]*window, max(depth+1, 2))
-	for i := range jobs {
-		jobs[i] = &window{powers: make([]float64, ncomp)}
-	}
-	st := newStage(cfg, disp, p.VPCM)
+	floorHz uint64
 
-	res := &Result{MaxTempK: resumedMax}
-	start := time.Now()
-	// The initial snapshot, window 1's power baseline, lives in the last
-	// ring slot: window len(jobs) is the first to reuse it.
-	prev := &jobs[len(jobs)-1].snap
-	p.SnapshotInto(prev)
+	// Window k reuses the ring slot of window k-len(jobs), whose feedback
+	// the boundary rule applied before window k-1 ended, while window
+	// k-1's snapshot stays the power baseline: depth+1 slots, and at least
+	// two.
+	jobs []*window
 	// committed is the last fully-solved window; an abort reports it
 	// instead of the half-stepped platform state.
-	var committed emu.Snapshot
-	prev.CopyInto(&committed)
+	committed emu.Snapshot
 	// lagTemps is the evaluator-owned copy of the last applied component
 	// temperatures (the job buffer is reused after the boundary).
-	lagTemps := make([]float64, 0, ncomp)
+	lagTemps []float64
 
-	var (
-		seq     uint64 // windows emulated and handed off
-		applied uint64 // window feedbacks consumed
-		// The window boundary: where the last handed-off window ended and
-		// the next one begins, even when its floor span already ran.
-		// Feedback applies here.
-		bCycle, bTimePs = p.VPCM.Cycle(), p.VPCM.TimePs()
-	)
+	seq     uint64 // windows emulated and handed off
+	applied uint64 // window feedbacks consumed
+	// The window boundary: where the last handed-off window ended and the
+	// next one begins, even when its floor span already ran. Feedback
+	// applies here.
+	bCycle, bTimePs uint64
 
-	// applyNext commits the oldest in-flight window's feedback at the
-	// current window boundary: DFS programs the VPCM (re-timing any cycles
-	// already run past the boundary), component temperatures feed the next
-	// power evaluation (leakage), and the sample is emitted.
-	applyNext := func() error {
-		w, ok := st.next()
-		if !ok {
-			return fmt.Errorf("core: pipeline solver exited early")
+	target  uint64 // the platform cycle the member waits for
+	pending bool   // a window was handed off and its feedback is due
+	cut     bool   // the boundary cuts a checkpoint
+	done    bool
+
+	res   *Result
+	start time.Time
+	err   error
+}
+
+// init sets the member's loop state up over the platform p, whose VPCM's
+// View in use is the member's clock; m.cfg, m.ck and m.disp are already
+// set.
+func (m *member) init(onSample func(Sample), p *emu.Platform, eval *PowerEvaluator, resumedMax float64) {
+	cfg := &m.cfg
+	m.onSample, m.clock, m.eval = onSample, p.VPCM.View(), eval
+	if cfg.MaxCycles == 0 {
+		cfg.MaxCycles = 1 << 62
+	}
+	if cfg.ThermalTimeScale <= 0 {
+		cfg.ThermalTimeScale = 1
+	}
+	m.floorHz = math.MaxUint64
+	if cfg.Policy != nil {
+		m.floorHz = cfg.Policy.FloorHz()
+	}
+	ncomp := cfg.Host.NumComponents()
+	m.jobs = make([]*window, max(cfg.PipelineDepth+1, 2))
+	for i := range m.jobs {
+		m.jobs[i] = &window{powers: make([]float64, ncomp)}
+	}
+	m.st = newStage(cfg, m.disp, m.clock)
+	m.res = &Result{MaxTempK: resumedMax}
+	m.start = time.Now()
+	prev := m.prev()
+	p.SnapshotInto(prev)
+	prev.CopyInto(&m.committed)
+	m.lagTemps = make([]float64, 0, ncomp)
+	m.bCycle, m.bTimePs = p.VPCM.Cycle(), p.VPCM.TimePs()
+}
+
+// prev is the power baseline of the next window: the snapshot of the
+// last window handed off, which lives in the ring slot before the next
+// one's. The initial snapshot, window 1's baseline, lives in the last
+// slot: window len(jobs) is the first to reuse it.
+func (m *member) prev() *emu.Snapshot {
+	n := uint64(len(m.jobs))
+	return &m.jobs[(m.seq+n-1)%n].snap
+}
+
+// due reports whether the member can move with the platform at its cycle.
+func (m *member) due(p *emu.Platform) bool {
+	return !m.done && (p.VPCM.Cycle() >= m.target || p.AllHalted())
+}
+
+// open starts the member's next window at its boundary, or finishes the
+// member when no window remains. A window remains while its floor span
+// already ran, or the platform can still run.
+func (m *member) open(p *emu.Platform) {
+	cycle := p.VPCM.Cycle()
+	maxCycles := m.cfg.MaxCycles
+	if cycle <= m.bCycle && (p.AllHalted() || cycle >= maxCycles) {
+		m.finish(p)
+		return
+	}
+	// One sampling window at the current virtual frequency, from the
+	// boundary on. Its floor span may already have run while the previous
+	// window solved; it never runs past the window's end.
+	end := m.bCycle + min(windowCycles(m.cfg.WindowPs, m.clock.Frequency()), maxCycles-m.bCycle)
+	if p.AllHalted() {
+		end = min(end, cycle)
+	}
+	if end < cycle {
+		m.abort(p, fmt.Errorf("core: the platform ran to cycle %d, past the window that ends at cycle %d", cycle, end))
+		return
+	}
+	m.pending, m.target = false, end
+}
+
+// closeWindow ends the member's open window where the platform stands:
+// snapshot, fault check, digest, power evaluation and hand-off to the
+// solve stage. The member then waits for the window's feedback at its
+// boundary; at depth 0 the platform may first run the next window's floor
+// span, which every verdict agrees on. A checkpoint cut needs the platform
+// at the boundary, so it waits.
+func (m *member) closeWindow(p *emu.Platform) {
+	job, prev := m.jobs[m.seq%uint64(len(m.jobs))], m.prev()
+	p.SnapshotInto(&job.snap)
+	if err := p.Fault(); err != nil {
+		m.abort(p, err)
+		return
+	}
+	emu.DigestSnapshot(m.cfg.Golden, job.snap)
+	if _, err := m.eval.Powers(*prev, job.snap, job.powers); err != nil {
+		m.abort(p, err)
+		return
+	}
+	job.windowPs = uint64(float64(job.snap.TimePs-prev.TimePs) * m.cfg.ThermalTimeScale)
+	job.err = nil
+	m.seq++
+	m.st.submit(job)
+	m.bCycle, m.bTimePs = job.snap.Cycle, job.snap.TimePs
+
+	// Feedback boundary: before window seq+1 emulates, window seq-depth's
+	// feedback must be in effect (seq-applied is the in-flight count).
+	// When the windows emulated so far reach a checkpoint cadence
+	// multiple, every in-flight window drains first — a pipeline flush —
+	// so the platform state and all committed feedback coincide; the
+	// pipeline then refills.
+	m.cut = m.ck.pending(m.seq - m.applied)
+	m.pending, m.target = true, m.bCycle
+	overlap := m.cfg.PipelineDepth == 0 && m.floorHz != 0
+	if maxCycles := m.cfg.MaxCycles; overlap && !m.cut && !p.AllHalted() && m.bCycle < maxCycles {
+		m.target += min(windowCycles(m.cfg.WindowPs, min(m.clock.Frequency(), m.floorHz)), maxCycles-m.bCycle)
+	}
+}
+
+// settle applies the due feedback at the member's boundary, cuts a due
+// checkpoint and opens the next window.
+func (m *member) settle(p *emu.Platform) {
+	m.res.OverlapCycles += p.VPCM.Cycle() - m.bCycle
+	keep := uint64(m.cfg.PipelineDepth) // in-flight windows left unapplied
+	if m.cut {
+		keep = 0
+	}
+	for m.seq-m.applied > keep {
+		if err := m.applyNext(); err != nil {
+			m.abort(p, err)
+			return
 		}
-		if w.err != nil {
-			return w.err
+	}
+	if m.cut {
+		if err := m.ck.write(false, m.res.MaxTempK); err != nil {
+			m.abort(p, err)
+			return
 		}
-		if w.setFreqHz != 0 {
-			if w.setFreqHz < floorHz {
-				return fmt.Errorf("core: policy %s set %d Hz, below its floor %d Hz",
-					cfg.Policy.Name(), w.setFreqHz, floorHz)
-			}
-			p.VPCM.SetFrequencyAt(bCycle, bTimePs, w.setFreqHz)
-		}
-		lagTemps = append(lagTemps[:0], w.compTemps...)
-		eval.SetComponentTemps(lagTemps)
-		sample := Sample{
-			Cycle:     w.snap.Cycle,
-			TimePs:    w.snap.TimePs,
-			FreqHz:    w.snap.FreqHz,
-			MaxTempK:  w.maxTempK,
-			Throttled: w.throttled,
-		}
-		if cfg.DiscardSamples {
-			// The sample's slices are reused buffers: valid only while the
-			// callback runs (documented on Config.DiscardSamples).
-			sample.CompPowerW = w.powers
-			sample.CellTempK = w.cellTemps
-			sample.CompTempK = w.compTemps
+	}
+	m.open(p)
+}
+
+// advance moves the member as far as the platform's cycle allows.
+func (m *member) advance(p *emu.Platform) {
+	p.VPCM.Use(m.clock)
+	for m.due(p) {
+		if m.pending {
+			m.settle(p)
 		} else {
-			// The kept sample takes over the window's temperature buffers;
-			// the next solve into this ring slot allocates fresh ones.
-			sample.CompPowerW = append([]float64(nil), w.powers...)
-			sample.CellTempK, w.cellTemps = w.cellTemps, nil
-			sample.CompTempK, w.compTemps = w.compTemps, nil
-			res.Samples = append(res.Samples, sample)
-		}
-		if w.maxTempK > res.MaxTempK {
-			res.MaxTempK = w.maxTempK
-		}
-		if onSample != nil {
-			onSample(sample)
-		}
-		w.snap.CopyInto(&committed)
-		applied++
-		ck.commit(sample.CompTempK)
-		return nil
-	}
-
-	// finishPartial tears the solve stage down after err and reports the
-	// last committed window.
-	finishPartial := func(err error) (*Result, error) {
-		st.stop()
-		// The solver has exited, so the thermal model is quiescent and safe
-		// to snapshot for the flush.
-		err = ck.flushPartial(err, res.MaxTempK)
-		res.Partial = true
-		res.FinalSnap = committed
-		res.Cycles = committed.Cycle
-		res.VirtualS = float64(committed.TimePs) * 1e-12
-		res.Wall = time.Since(start)
-		res.DFSEvents = p.VPCM.DFSEvents()
-		res.ThermalLagPs = thermalLagPs(p.VPCM)
-		if disp != nil {
-			res.Link = disp.Link().Snapshot()
-		}
-		return res, err
-	}
-
-	// A window remains while its floor span already ran, or the platform
-	// can still run.
-	for p.VPCM.Cycle() > bCycle || (!p.AllHalted() && p.VPCM.Cycle() < maxCycles) {
-		// One sampling window at the current virtual frequency, from the
-		// boundary on. Its floor span may already have run while the
-		// previous window solved; it never runs past the window's end.
-		job := jobs[seq%uint64(len(jobs))]
-		end := bCycle + min(windowCycles(cfg.WindowPs, p.VPCM.Frequency()), maxCycles-bCycle)
-		if p.AllHalted() {
-			end = min(end, p.VPCM.Cycle())
-		}
-		if end > p.VPCM.Cycle() {
-			step(end - p.VPCM.Cycle())
-		}
-		p.SnapshotInto(&job.snap)
-		if err := p.Fault(); err != nil {
-			return finishPartial(err)
-		}
-		emu.DigestSnapshot(cfg.Golden, job.snap)
-		if _, err := eval.Powers(*prev, job.snap, job.powers); err != nil {
-			return finishPartial(err)
-		}
-		job.windowPs = uint64(float64(job.snap.TimePs-prev.TimePs) * tscale)
-		job.err = nil
-		prev = &job.snap
-		seq++
-		st.submit(job)
-		bCycle, bTimePs = job.snap.Cycle, job.snap.TimePs
-
-		// Feedback boundary: before window seq+1 emulates, window
-		// seq-depth's feedback must be in effect (seq-applied is the
-		// in-flight count). When the windows emulated so far reach a
-		// checkpoint cadence multiple, every in-flight window drains first —
-		// a pipeline flush — so the platform state and all committed
-		// feedback coincide; the pipeline then refills.
-		cut := ck.pending(seq - applied)
-		keep := depth
-		if cut {
-			keep = 0
-		}
-		// At depth 0 the next window's floor span runs while this window
-		// solves: every verdict agrees on those cycles. A checkpoint cut
-		// needs the platform at the boundary, so it waits.
-		if overlap && !cut && !p.AllHalted() && bCycle < maxCycles {
-			step(min(windowCycles(cfg.WindowPs, min(p.VPCM.Frequency(), floorHz)), maxCycles-bCycle))
-			res.OverlapCycles += p.VPCM.Cycle() - bCycle
-		}
-		for seq-applied > keep {
-			if err := applyNext(); err != nil {
-				return finishPartial(err)
-			}
-		}
-		if cut {
-			if err := ck.write(false, res.MaxTempK); err != nil {
-				return finishPartial(err)
-			}
+			m.closeWindow(p)
 		}
 	}
+}
 
+// applyNext commits the oldest in-flight window's feedback at the current
+// window boundary: DFS programs the member's clock (re-timing any cycles
+// already run past the boundary), component temperatures feed the next
+// power evaluation (leakage), and the sample is emitted.
+func (m *member) applyNext() error {
+	w, ok := m.st.next()
+	if !ok {
+		return fmt.Errorf("core: pipeline solver exited early")
+	}
+	if w.err != nil {
+		return w.err
+	}
+	if w.setFreqHz != 0 {
+		if w.setFreqHz < m.floorHz {
+			return fmt.Errorf("core: policy %s set %d Hz, below its floor %d Hz",
+				m.cfg.Policy.Name(), w.setFreqHz, m.floorHz)
+		}
+		m.clock.SetFrequencyAt(m.bCycle, m.bTimePs, w.setFreqHz)
+	}
+	m.lagTemps = append(m.lagTemps[:0], w.compTemps...)
+	m.eval.SetComponentTemps(m.lagTemps)
+	sample := Sample{
+		Cycle:     w.snap.Cycle,
+		TimePs:    w.snap.TimePs,
+		FreqHz:    w.snap.FreqHz,
+		MaxTempK:  w.maxTempK,
+		Throttled: w.throttled,
+	}
+	res := m.res
+	if m.cfg.DiscardSamples {
+		// The sample's slices are reused buffers: valid only while the
+		// callback runs (documented on Config.DiscardSamples).
+		sample.CompPowerW = w.powers
+		sample.CellTempK = w.cellTemps
+		sample.CompTempK = w.compTemps
+	} else {
+		// The kept sample takes over the window's temperature buffers;
+		// the next solve into this ring slot allocates fresh ones.
+		sample.CompPowerW = append([]float64(nil), w.powers...)
+		sample.CellTempK, w.cellTemps = w.cellTemps, nil
+		sample.CompTempK, w.compTemps = w.compTemps, nil
+		res.Samples = append(res.Samples, sample)
+	}
+	if w.maxTempK > res.MaxTempK {
+		res.MaxTempK = w.maxTempK
+	}
+	if m.onSample != nil {
+		m.onSample(sample)
+	}
+	w.snap.CopyInto(&m.committed)
+	m.applied++
+	m.ck.commit(sample.CompTempK)
+	return nil
+}
+
+// abort tears the member's solve stage down after err and reports its last
+// committed window.
+func (m *member) abort(p *emu.Platform, err error) {
+	m.st.stop()
+	// The solver has exited, so the thermal model is quiescent and safe to
+	// snapshot for the flush.
+	m.err = m.ck.flushPartial(err, m.res.MaxTempK)
+	m.done = true
+	res := m.res
+	res.Partial = true
+	res.FinalSnap = m.committed
+	res.Cycles = m.committed.Cycle
+	res.VirtualS = float64(m.committed.TimePs) * 1e-12
+	m.fillTimes()
+	if m.disp != nil {
+		res.Link = m.disp.Link().Snapshot()
+	}
+}
+
+// fillTimes records the member's wall-clock-derived figures.
+func (m *member) fillTimes() {
+	m.res.Wall = time.Since(m.start)
+	m.res.DFSEvents = m.clock.DFSEvents()
+	m.res.ThermalLagPs = thermalLagPs(m.clock)
+	m.res.VerdictWait = m.st.wait
+}
+
+// finish drains the member's in-flight windows at its final boundary and
+// reports the run.
+func (m *member) finish(p *emu.Platform) {
 	// Drain: the remaining min(depth, seq) in-flight windows still owe
 	// their feedback; commit them in order at the final boundary.
-	for applied < seq {
-		if err := applyNext(); err != nil {
-			return finishPartial(err)
+	for m.applied < m.seq {
+		if err := m.applyNext(); err != nil {
+			m.abort(p, err)
+			return
 		}
 	}
-	st.stop()
-
-	if disp != nil {
-		if err := disp.Stop(p.VPCM.Cycle()); err != nil {
-			return finishPartial(err)
+	m.st.stop()
+	res := m.res
+	if m.disp != nil {
+		if err := m.disp.Stop(p.VPCM.Cycle()); err != nil {
+			m.abort(p, err)
+			return
 		}
-		res.Link = disp.Link().Snapshot()
+		res.Link = m.disp.Link().Snapshot()
 	}
-	p.DigestInto(cfg.Golden)
+	m.done = true
+	p.DigestInto(m.cfg.Golden)
 	res.Cycles = p.VPCM.Cycle()
 	res.VirtualS = p.VPCM.Time()
-	res.Wall = time.Since(start)
 	res.Done = p.AllHalted()
-	res.DFSEvents = p.VPCM.DFSEvents()
-	res.ThermalLagPs = thermalLagPs(p.VPCM)
+	m.fillTimes()
 	res.FinalSnap = p.Snapshot()
 	res.Report = p.Report()
-
-	if res.Done && cfg.Workload.Verify != nil {
-		if err := cfg.Workload.Verify(p.ReadSharedWord); err != nil {
-			return res, fmt.Errorf("core: workload verification: %w", err)
+	if res.Done && m.cfg.Workload.Verify != nil {
+		if err := m.cfg.Workload.Verify(p.ReadSharedWord); err != nil {
+			m.err = fmt.Errorf("core: workload verification: %w", err)
 		}
 	}
-	return res, nil
+}
+
+// runGroup runs the members over the platform p with step (the fast
+// kernel's Platform.Step or the MPARM baseline's Kernel.Step) until every
+// member finishes.
+func runGroup(p *emu.Platform, step func(uint64), members []member) {
+	for i := range members {
+		m := &members[i]
+		p.VPCM.Use(m.clock)
+		m.open(p)
+	}
+	for {
+		target, live := uint64(math.MaxUint64), false
+		for i := range members {
+			if m := &members[i]; !m.done {
+				target, live = min(target, m.target), true
+			}
+		}
+		if !live {
+			return
+		}
+		if cycle := p.VPCM.Cycle(); target > cycle && !p.AllHalted() {
+			step(target - cycle)
+		}
+		// Close every due window first, so the members' solves overlap
+		// each other, then wait for verdicts in member order.
+		for i := range members {
+			if m := &members[i]; m.due(p) && !m.pending {
+				p.VPCM.Use(m.clock)
+				m.closeWindow(p)
+			}
+		}
+		for i := range members {
+			members[i].advance(p)
+		}
+	}
 }
 
 // solver dispatches each window's statistics (in-process call or Ethernet

@@ -405,9 +405,11 @@ func (p *Platform) WriteShared(offset uint32, data []byte) {
 	p.Shared.WriteBytes(offset, data)
 }
 
-// ReadSharedWord reads one word of shared memory without timing.
+// ReadSharedWord reads one word of shared memory without timing and
+// without counting the read: host-side inspection, such as a workload's
+// result check, leaves the statistics to emulated traffic.
 func (p *Platform) ReadSharedWord(offset uint32) uint32 {
-	return p.Shared.LoadWord(offset)
+	return p.Shared.PeekWord(offset)
 }
 
 // StepOne advances the platform by exactly one virtual cycle, sweeping

@@ -11,6 +11,8 @@ import (
 // mechanisms, the three architectural levels of Section 1.
 func (p *Platform) Report() string {
 	var b strings.Builder
+	// About 830 bytes plus 240 per core: sized once instead of grown.
+	b.Grow(1024 + 256*len(p.Cores))
 	cyc := p.VPCM.Cycle()
 	fmt.Fprintf(&b, "platform: %d x %s @ %d MHz, %s interconnect, %d cycles (%.6f s virtual)\n",
 		len(p.Cores), p.Cfg.CoreKind, p.VPCM.Frequency()/1e6, p.Cfg.IC, cyc, p.VPCM.Time())

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"thermemu/internal/core"
 	"thermemu/internal/emu"
@@ -18,7 +19,24 @@ import (
 // outside shared memory, program counts that disagree with the core count,
 // unparsable fault specs — and returns them joined, so a broken file
 // reports all its faults in one pass.
-func (s *Scenario) Lint() error {
+func (s *Scenario) Lint() error { return s.lint(nil) }
+
+// A Linter lints scenarios and builds and checks each distinct workload
+// once: scenarios whose workload sections, and the platform sizes those
+// checks read, are equal share one build (assembly included) and its
+// verdict. A grid's points differ mostly elsewhere, so one Linter per grid
+// expansion builds each workload once. It caches only what it has linted
+// and lives as long as its caller keeps it. The zero value is ready.
+type Linter struct {
+	workloads map[string][]error
+}
+
+// Lint is Scenario.Lint, reusing the verdict of an equal workload linted
+// before.
+func (l *Linter) Lint(s *Scenario) error { return s.lint(l) }
+
+// lint is Lint with the workload checks memoised in l, when l is not nil.
+func (s *Scenario) lint(l *Linter) error {
 	var errs []error
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
@@ -84,11 +102,53 @@ func (s *Scenario) Lint() error {
 	// The deep checks need a buildable workload; skip them if the shallow
 	// checks already doomed the platform parameters the build depends on.
 	if s.Cores >= 1 && sizesOK {
-		if err := s.lintWorkload(fail); err != nil {
-			errs = append(errs, err)
-		}
+		errs = append(errs, l.workload(s)...)
 	}
 	return errors.Join(errs...)
+}
+
+// workload returns the deep workload checks' findings for s: from an
+// equal workload's earlier run when l holds one, and recorded in l when l
+// is not nil.
+func (l *Linter) workload(s *Scenario) []error {
+	var key string
+	if l != nil {
+		key = s.workloadKey()
+		if errs, ok := l.workloads[key]; ok {
+			return errs
+		}
+	}
+	var errs []error
+	if err := s.lintWorkload(func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf(format, args...))
+	}); err != nil {
+		errs = append(errs, err)
+	}
+	if l != nil {
+		if l.workloads == nil {
+			l.workloads = map[string][]error{}
+		}
+		l.workloads[key] = errs
+	}
+	return errs
+}
+
+// workloadKey identifies everything Spec and lintWorkload read: the
+// workload section, the shared blocks, the core count and memory sizes,
+// and, for inline programs, the scenario name their spec is named after.
+func (s *Scenario) workloadKey() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d %d %d %q %d %d %d %d", s.Cores, s.PrivKB, s.SharedKB, s.Workload, s.N, s.Iters, s.Size, s.Words)
+	for _, p := range s.Programs {
+		fmt.Fprintf(&b, " program %d %q", p.Core, p.Src)
+	}
+	if len(s.Programs) > 0 {
+		fmt.Fprintf(&b, " name %q", s.Name)
+	}
+	for _, sh := range s.Shared {
+		fmt.Fprintf(&b, " shared %d %v", sh.Addr, sh.Words)
+	}
+	return b.String()
 }
 
 // Warnings reports lint findings that do not invalidate the scenario but

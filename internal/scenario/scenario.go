@@ -337,11 +337,41 @@ var floorplans = map[string]func() *floorplan.Floorplan{
 // caller owns transport/fault wiring (FaultConfig below) and run-control
 // knobs (digest, checkpoints, MaxCycles).
 func (s *Scenario) CoEmulation() (core.Config, error) {
-	pcfg, err := s.Platform()
+	spec, err := s.Spec()
 	if err != nil {
 		return core.Config{}, err
 	}
-	spec, err := s.Spec()
+	return s.coEmulation(spec)
+}
+
+// CoEmulations builds each scenario's CoEmulation configuration, sharing
+// one workload build (and its assembly) among scenarios whose workloads
+// are equal, as the points of one core.RunGroup are.
+func CoEmulations(ss []*Scenario) ([]core.Config, error) {
+	cfgs := make([]core.Config, len(ss))
+	specs := map[string]*workloads.Spec{}
+	for i, s := range ss {
+		key := s.workloadKey()
+		spec := specs[key]
+		if spec == nil {
+			var err error
+			if spec, err = s.Spec(); err != nil {
+				return nil, err
+			}
+			specs[key] = spec
+		}
+		cfg, err := s.coEmulation(spec)
+		if err != nil {
+			return nil, err
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs, nil
+}
+
+// coEmulation is CoEmulation with the workload already built.
+func (s *Scenario) coEmulation(spec *workloads.Spec) (core.Config, error) {
+	pcfg, err := s.Platform()
 	if err != nil {
 		return core.Config{}, err
 	}

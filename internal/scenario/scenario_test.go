@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -312,10 +313,20 @@ func TestLintCatches(t *testing.T) {
 		}, "program"},
 		{"no workload at all", func(s *Scenario) { s.Workload = "" }, "no workload"},
 	}
+	// One Linter across every case, the default scenario in between:
+	// a shared workload verdict must never leak into a scenario whose
+	// workload checks differ.
+	var shared Linter
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New()
 			tc.edit(s)
+			if err := shared.Lint(New()); err != nil {
+				t.Fatalf("the shared Linter rejected the default scenario: %v", err)
+			}
+			if a, b := fmt.Sprint(shared.Lint(s)), fmt.Sprint(s.Lint()); a != b {
+				t.Fatalf("the shared Linter says %q, a fresh Lint %q", a, b)
+			}
 			err := s.Lint()
 			if err == nil {
 				t.Fatalf("Lint accepted %+v", s)

@@ -32,7 +32,7 @@ func BenchmarkSweepWorkers8(b *testing.B) { benchWorkers(b, 8) }
 
 // warmupBenchGrid: one platform, every TM policy — a single warm-up group,
 // so prefix sharing eliminates (policies-1) redundant warm-up runs.
-func warmupBenchGrid(b *testing.B) []Point {
+func warmupBenchGrid(b testing.TB) []Point {
 	var points []Point
 	for _, pol := range []string{"none", "threshold-dfs", "proportional-dfs"} {
 		s := smallScenario()
@@ -67,6 +67,26 @@ func benchWarmup(b *testing.B, prefix int) {
 
 func BenchmarkSweepWarmupCold(b *testing.B)   { benchWarmup(b, 0) }
 func BenchmarkSweepWarmupShared(b *testing.B) { benchWarmup(b, warmupPrefixWindows) }
+
+// benchJob times one grid of points that share a warm-up key, without a
+// prefix, on one worker: one job, hence one emulation of the platform.
+func benchJob(b *testing.B, points []Point) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunPoints("job", points, 0, Options{Workers: 1, StragglerAfter: -1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "maxprocs")
+}
+
+// BenchmarkSweepGroup and BenchmarkSweepSolo feed benchgate -sweep's
+// grouping contract: the three policies of warmupBenchGrid run as one
+// group must take less than twice the wall time of the TM-off point
+// alone. Run point by point they take about three times as long, since
+// emulation, which the group does once, is most of a point's cost.
+func BenchmarkSweepGroup(b *testing.B) { benchJob(b, warmupBenchGrid(b)) }
+func BenchmarkSweepSolo(b *testing.B)  { benchJob(b, warmupBenchGrid(b)[:1]) }
 
 // BenchmarkSweepChaos keeps a throughput row for the chaos configuration so
 // regressions in the fault-healing path show up as windows/s, not just as

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,9 +18,10 @@ type Options struct {
 	// Workers is the in-process worker-pool size for Run (ignored by
 	// Serve, where workers dial in). Default 1.
 	Workers int
-	// StragglerAfter is how long a dispatched point may stay in flight
-	// before an idle worker re-dispatches it speculatively (work
-	// stealing). 0 takes the default (2 s); negative disables stealing.
+	// StragglerAfter is how long a dispatched job (a group of points that
+	// share a platform) may stay in flight before an idle worker
+	// re-dispatches it speculatively (work stealing). 0 takes the default
+	// (2 s); negative disables stealing.
 	StragglerAfter time.Duration
 	// Fault, when non-zero, wraps every in-process worker link in a
 	// FaultTransport (both directions) seeded with FaultSeed+workerIndex:
@@ -81,10 +83,10 @@ type Outcome struct {
 	// bytes: a worker is sent a checkpoint only when it does not already
 	// hold it.
 	WarmupSends int
-	// Steals counts speculative re-dispatches of straggling points,
-	// Duplicates the redundant results that produced (each verified
+	// Steals counts speculative re-dispatches of straggling jobs,
+	// Duplicates the redundant job results that produced (each verified
 	// digest-identical), SessionFailures the worker sessions lost to link
-	// or worker death (their points were re-queued).
+	// or worker death (their jobs were re-queued).
 	Steals          int
 	Duplicates      int
 	SessionFailures int
@@ -115,32 +117,37 @@ type warmup struct {
 	ck []byte
 }
 
-// pointState tracks one grid point through dispatch.
-type pointState struct {
-	point     Point
+// groupState tracks one job through dispatch: the grid points that share
+// a warm-up key (at most maxJobPoints of them), which a worker runs as one
+// co-emulation over one platform.
+type groupState struct {
+	points    []int // grid indexes, in grid order
+	label     string
 	warmupKey string
 	warmup    *warmup // nil until CutWarmups, and in sweeps without warm-ups
 	done      bool
-	result    *Result
 	// assigned maps session id -> dispatch time for every in-flight copy
 	// (more than one under stealing).
 	assigned      map[int64]time.Time
 	firstDispatch time.Time
 }
 
-// Coordinator owns a sweep's dispatch state. Sessions (one per connected
-// worker) pull points from a FIFO queue, preferring points whose warm-up
+// Coordinator owns a sweep's dispatch state. The grid's points are grouped
+// by warm-up key, and each group is one job. Sessions (one per connected
+// worker) pull groups from a FIFO queue, preferring groups whose warm-up
 // the worker already holds; an idle session with an empty queue steals the
-// oldest straggling in-flight point; a dead session's points return to the
+// oldest straggling in-flight group; a dead session's groups return to the
 // queue; duplicate results must be digest-identical.
 type Coordinator struct {
 	opt Options
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	st          []*pointState
-	pending     []int // point indexes awaiting (re-)dispatch, FIFO
-	doneCount   int
+	points      []Point
+	results     []*Result // by grid index, once its group is done
+	groups      []*groupState
+	pending     []int // group indexes awaiting (re-)dispatch, FIFO
+	doneCount   int   // groups done
 	failed      error
 	nextSession int64
 	steals      int
@@ -149,25 +156,39 @@ type Coordinator struct {
 	warmupSends int
 }
 
-// NewCoordinator builds a coordinator over an expanded grid. Call
-// CutWarmups before serving if the sweep shares warm-up prefixes.
+// NewCoordinator builds a coordinator over an expanded grid: one job per
+// run of points sharing a WarmupKey, in order of each key's first point,
+// split at maxJobPoints. Call CutWarmups before serving if the sweep
+// shares warm-up prefixes.
 func NewCoordinator(points []Point, opt Options) *Coordinator {
-	c := &Coordinator{opt: opt}
+	c := &Coordinator{opt: opt, points: points, results: make([]*Result, len(points))}
 	c.cond = sync.NewCond(&c.mu)
+	open := map[string]*groupState{}
 	for i := range points {
-		c.st = append(c.st, &pointState{
-			point:     points[i],
-			warmupKey: points[i].WarmupKey(),
-			assigned:  map[int64]time.Time{},
-		})
-		c.pending = append(c.pending, i)
+		key := points[i].WarmupKey()
+		g := open[key]
+		if g == nil || len(g.points) == maxJobPoints {
+			g = &groupState{warmupKey: key, assigned: map[int64]time.Time{}}
+			open[key] = g
+			c.pending = append(c.pending, len(c.groups))
+			c.groups = append(c.groups, g)
+		}
+		g.points = append(g.points, i)
+	}
+	for _, g := range c.groups {
+		names := make([]string, len(g.points))
+		for i, idx := range g.points {
+			names[i] = points[idx].Name
+		}
+		g.label = strings.Join(names, ", ")
 	}
 	return c
 }
 
 // CutWarmups runs each distinct platform's TM-off warm-up prefix once
 // (grouped by WarmupKey, up to parallel of them concurrently) and stores
-// the encoded checkpoints for dispatch. It returns the group count.
+// the encoded checkpoints for dispatch. It returns the warm-up group
+// count.
 func (c *Coordinator) CutWarmups(windows, parallel int) (int, error) {
 	type group struct {
 		key   string
@@ -175,10 +196,10 @@ func (c *Coordinator) CutWarmups(windows, parallel int) (int, error) {
 	}
 	var groups []group
 	seen := map[string]bool{}
-	for _, st := range c.st {
-		if !seen[st.warmupKey] {
-			seen[st.warmupKey] = true
-			groups = append(groups, group{st.warmupKey, st.point})
+	for _, g := range c.groups {
+		if !seen[g.warmupKey] {
+			seen[g.warmupKey] = true
+			groups = append(groups, group{g.warmupKey, c.points[g.points[0]]})
 		}
 	}
 	if parallel < 1 {
@@ -212,8 +233,8 @@ func (c *Coordinator) CutWarmups(windows, parallel int) (int, error) {
 	if err := errors.Join(errs...); err != nil {
 		return 0, fmt.Errorf("sweep: warm-up: %w", err)
 	}
-	for _, st := range c.st {
-		st.warmup = warmups[st.warmupKey]
+	for _, g := range c.groups {
+		g.warmup = warmups[g.warmupKey]
 	}
 	c.opt.logf("sweep: cut %d warm-up prefix checkpoint(s) at window %d", len(groups), windows)
 	return len(groups), nil
@@ -233,12 +254,12 @@ func (c *Coordinator) fail(err error) {
 func (c *Coordinator) finished() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.failed != nil || c.doneCount == len(c.st)
+	return c.failed != nil || c.doneCount == len(c.groups)
 }
 
-// next blocks until a point is available for the session, the grid
+// next blocks until a group is available for the session, the grid
 // completes, or the sweep fails. It prefers the re-dispatch/fresh FIFO,
-// taking the oldest queued point whose warm-up is the one the worker holds
+// taking the oldest queued group whose warm-up is the one the worker holds
 // (have) and otherwise the head; with nothing queued it steals the
 // longest-in-flight straggler not already held by this session, once the
 // straggler threshold passes.
@@ -247,44 +268,44 @@ func (c *Coordinator) next(sid int64, have string) (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if c.failed != nil || c.doneCount == len(c.st) {
+		if c.failed != nil || c.doneCount == len(c.groups) {
 			return 0, false
 		}
 		if len(c.pending) > 0 {
 			at := 0
-			for i, idx := range c.pending {
-				if w := c.st[idx].warmup; w != nil && w.id == have {
+			for i, gi := range c.pending {
+				if w := c.groups[gi].warmup; w != nil && w.id == have {
 					at = i
 					break
 				}
 			}
-			idx := c.pending[at]
+			gi := c.pending[at]
 			c.pending = append(c.pending[:at], c.pending[at+1:]...)
-			c.assignLocked(idx, sid)
-			return idx, true
+			c.assignLocked(gi, sid)
+			return gi, true
 		}
 		if straggler >= 0 {
 			now := time.Now()
 			best := -1
 			var bestStart time.Time
-			for i, st := range c.st {
-				if st.done || len(st.assigned) == 0 {
+			for i, g := range c.groups {
+				if g.done || len(g.assigned) == 0 {
 					continue
 				}
-				if _, mine := st.assigned[sid]; mine {
+				if _, mine := g.assigned[sid]; mine {
 					continue
 				}
-				if now.Sub(st.firstDispatch) < straggler {
+				if now.Sub(g.firstDispatch) < straggler {
 					continue
 				}
-				if best < 0 || st.firstDispatch.Before(bestStart) {
-					best, bestStart = i, st.firstDispatch
+				if best < 0 || g.firstDispatch.Before(bestStart) {
+					best, bestStart = i, g.firstDispatch
 				}
 			}
 			if best >= 0 {
 				c.steals++
 				c.opt.logf("sweep: stealing straggler %s (in flight %v)",
-					c.st[best].point.Name, time.Since(bestStart).Round(time.Millisecond))
+					c.groups[best].label, time.Since(bestStart).Round(time.Millisecond))
 				c.assignLocked(best, sid)
 				return best, true
 			}
@@ -293,12 +314,16 @@ func (c *Coordinator) next(sid int64, have string) (int, bool) {
 	}
 }
 
-// job builds the job message for point idx, carrying the warm-up
+// job builds the job message for group gi, carrying the warm-up
 // checkpoint bytes only when the worker does not already hold them.
-func (c *Coordinator) job(idx int, have string) *wireMsg {
-	st := c.st[idx]
-	m := &wireMsg{Type: "job", ID: idx, Name: st.point.Name, Scenario: st.point.Scenario.Render()}
-	if w := st.warmup; w != nil {
+func (c *Coordinator) job(gi int, have string) *wireMsg {
+	g := c.groups[gi]
+	m := &wireMsg{Type: "job", ID: gi}
+	for _, idx := range g.points {
+		p := &c.points[idx]
+		m.Points = append(m.Points, jobPoint{ID: idx, Name: p.Name, Scenario: p.Scenario.Render()})
+	}
+	if w := g.warmup; w != nil {
 		m.WarmupKey = w.id
 		if w.id != have {
 			m.Warmup = w.ck
@@ -310,50 +335,61 @@ func (c *Coordinator) job(idx int, have string) *wireMsg {
 	return m
 }
 
-func (c *Coordinator) assignLocked(idx int, sid int64) {
-	st := c.st[idx]
+func (c *Coordinator) assignLocked(gi int, sid int64) {
+	g := c.groups[gi]
 	now := time.Now()
-	st.assigned[sid] = now
-	if st.firstDispatch.IsZero() {
-		st.firstDispatch = now
+	g.assigned[sid] = now
+	if g.firstDispatch.IsZero() {
+		g.firstDispatch = now
 	}
 }
 
-// complete records one result. A duplicate (the point was stolen and both
-// copies finished) must carry the same digest — the determinism contract
-// holds even for the redundant run — and is then dropped.
+// complete records one group's results. A duplicate (the group was stolen
+// and both copies finished) must carry the same digests — the determinism
+// contract holds even for the redundant run — and is then dropped.
 func (c *Coordinator) complete(sid int64, m *wireMsg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if m.ID < 0 || m.ID >= len(c.st) {
-		return fmt.Errorf("sweep: result for unknown point id %d from worker %s", m.ID, m.Worker)
+	if m.ID < 0 || m.ID >= len(c.groups) {
+		return fmt.Errorf("sweep: result for unknown job id %d from worker %s", m.ID, m.Worker)
 	}
-	st := c.st[m.ID]
-	delete(st.assigned, sid)
+	g := c.groups[m.ID]
+	delete(g.assigned, sid)
 	if m.Error != "" {
 		// A point that cannot run is a grid configuration error, not a
 		// link fault: deterministic on every worker, so the sweep fails.
-		return fmt.Errorf("sweep: point %s failed on worker %s: %s", st.point.Name, m.Worker, m.Error)
+		return fmt.Errorf("sweep: job %s failed on worker %s: %s", g.label, m.Worker, m.Error)
 	}
-	if m.Result == nil {
-		return fmt.Errorf("sweep: empty result for point %s from worker %s", st.point.Name, m.Worker)
+	if len(m.Results) != len(g.points) {
+		return fmt.Errorf("sweep: %d results for the %d points of job %s from worker %s",
+			len(m.Results), len(g.points), g.label, m.Worker)
 	}
-	if st.done {
+	for i, r := range m.Results {
+		if r == nil || r.Point != g.points[i] {
+			return fmt.Errorf("sweep: result %d of job %s from worker %s is not point %s",
+				i, g.label, m.Worker, c.points[g.points[i]].Name)
+		}
+	}
+	if g.done {
 		c.dups++
-		if st.result.Digest != m.Result.Digest {
-			return fmt.Errorf("sweep: point %s: duplicate result digest %s != %s — the grid is not deterministic",
-				st.point.Name, m.Result.Digest, st.result.Digest)
+		for i, r := range m.Results {
+			if had := c.results[g.points[i]]; had.Digest != r.Digest {
+				return fmt.Errorf("sweep: point %s: duplicate result digest %s != %s — the grid is not deterministic",
+					had.Name, r.Digest, had.Digest)
+			}
 		}
 		return nil
 	}
-	st.done = true
-	st.result = m.Result
+	g.done = true
+	for i, r := range m.Results {
+		c.results[g.points[i]] = r
+	}
 	c.doneCount++
 	c.cond.Broadcast()
 	return nil
 }
 
-// release returns a dead session's in-flight points to the queue (unless
+// release returns a dead session's in-flight groups to the queue (unless
 // another copy is still in flight or already done).
 func (c *Coordinator) release(sid int64, failed bool) {
 	c.mu.Lock()
@@ -361,21 +397,21 @@ func (c *Coordinator) release(sid int64, failed bool) {
 	if failed {
 		c.sessFails++
 	}
-	for i, st := range c.st {
-		if _, mine := st.assigned[sid]; !mine {
+	for i, g := range c.groups {
+		if _, mine := g.assigned[sid]; !mine {
 			continue
 		}
-		delete(st.assigned, sid)
-		if !st.done && len(st.assigned) == 0 {
+		delete(g.assigned, sid)
+		if !g.done && len(g.assigned) == 0 {
 			c.pending = append([]int{i}, c.pending...)
-			c.opt.logf("sweep: re-queueing %s after its session died", st.point.Name)
+			c.opt.logf("sweep: re-queueing %s after its session died", g.label)
 		}
 	}
 	c.cond.Broadcast()
 }
 
 // ServeSession speaks the worker protocol over one transport until the
-// grid completes or the link dies; on death its points are re-queued. It
+// grid completes or the link dies; on death its groups are re-queued. It
 // is safe to run one session per connected worker concurrently.
 func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 	// Closing the transport on exit releases a worker blocked on its next
@@ -398,7 +434,7 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 		}
 		return err
 	}
-	held := -1 // the point of the job sent and not yet answered
+	held := -1 // the group of the job sent and not yet answered
 	for {
 		m, err := recvMsg(ep)
 		if err != nil {
@@ -407,10 +443,10 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 		switch m.Type {
 		case "ready":
 			if held >= 0 {
-				return sessErr(fmt.Errorf("sweep: worker %s sent ready while it holds point %s",
-					m.Worker, c.st[held].point.Name))
+				return sessErr(fmt.Errorf("sweep: worker %s sent ready while it holds job %s",
+					m.Worker, c.groups[held].label))
 			}
-			idx, ok := c.next(sid, m.Have)
+			gi, ok := c.next(sid, m.Have)
 			if !ok {
 				err := sendMsg(ep, &wireMsg{Type: "done"})
 				c.release(sid, false)
@@ -419,10 +455,10 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 				}
 				return err
 			}
-			if err := sendMsg(ep, c.job(idx, m.Have)); err != nil {
+			if err := sendMsg(ep, c.job(gi, m.Have)); err != nil {
 				return sessErr(err)
 			}
-			held = idx
+			held = gi
 		case "result":
 			held = -1
 			if err := c.complete(sid, m); err != nil {
@@ -490,12 +526,12 @@ func (c *Coordinator) outcome(name string, workers int, wall, warmupWall time.Du
 		SessionFailures: c.sessFails,
 	}
 	var missing []string
-	for _, st := range c.st {
-		if !st.done {
-			missing = append(missing, st.point.Name)
+	for i, r := range c.results {
+		if r == nil {
+			missing = append(missing, c.points[i].Name)
 			continue
 		}
-		o.Results = append(o.Results, st.result)
+		o.Results = append(o.Results, r)
 	}
 	if len(missing) > 0 {
 		return nil, fmt.Errorf("sweep: %d point(s) never finished (every worker lost?): %v", len(missing), missing)
@@ -605,7 +641,7 @@ func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, erro
 	}()
 	// Wait for completion (or failure), then stop accepting.
 	c.mu.Lock()
-	for c.failed == nil && c.doneCount < len(c.st) {
+	for c.failed == nil && c.doneCount < len(c.groups) {
 		c.cond.Wait()
 	}
 	c.mu.Unlock()

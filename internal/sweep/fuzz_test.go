@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -93,32 +94,43 @@ func prefixed(version byte, hdrLen, blobLen uint32, data string) []byte {
 // FuzzSweepWire holds the protocol receiver to its contract on arbitrary
 // MsgSweep payload streams: reassembly and decode never panic, the
 // assembler allocates exactly the length the prefix declares and never
-// more than maxMsgBytes, and a decoded message re-encodes to the same
-// bytes. The seeds are the payloads of a real job, carrying a warm-up
-// checkpoint as its blob, and of its result.
+// more than maxMsgBytes, a job or result lists at most maxJobPoints
+// points, and a decoded message re-encodes to the same bytes. The seeds
+// are the payloads of real jobs of one point and of a three-point group,
+// each carrying a warm-up checkpoint as its blob, and of their results.
 func FuzzSweepWire(f *testing.F) {
-	s := smallGrid(f)[0].Scenario
-	warmup, err := CutWarmup(s, 2)
+	group := warmupBenchGrid(f)
+	warmup, err := CutWarmup(group[0].Scenario, 2)
 	if err != nil {
 		f.Fatal(err)
 	}
-	job := &wireMsg{Type: "job", ID: 3, Name: s.Name, Scenario: s.Render(), WarmupKey: "k0", Warmup: warmup}
-	res, err := (&Worker{}).runJob(job, job.Warmup)
-	if err != nil {
-		f.Fatal(err)
+	var msgs []*wireMsg
+	for id, points := range [][]Point{group[:1], group} {
+		job := &wireMsg{Type: "job", ID: id, WarmupKey: "k0", Warmup: warmup}
+		for _, p := range points {
+			job.Points = append(job.Points, jobPoint{ID: p.Index, Name: p.Name, Scenario: p.Scenario.Render()})
+		}
+		res, err := (&Worker{}).runJob(job, job.Warmup)
+		if err != nil {
+			f.Fatal(err)
+		}
+		msgs = append(msgs, job, &wireMsg{Type: "result", Worker: "w0", ID: job.ID, Results: res})
 	}
-	reply := &wireMsg{Type: "result", Worker: "w0", ID: job.ID, Name: job.Name, Result: res}
-	for _, m := range []*wireMsg{job, reply, {Type: "ready", Worker: "w0", Have: "k0"}, {Type: "done"}} {
+	msgs = append(msgs, &wireMsg{Type: "ready", Worker: "w0", Have: "k0"}, &wireMsg{Type: "done"})
+	for _, m := range msgs {
 		payloads, err := encode(m)
 		if err != nil {
 			f.Fatal(err)
 		}
 		got, err := reassemble(payloads)
-		if err != nil || got == nil || got.Type != m.Type || got.Name != m.Name || !bytes.Equal(got.Warmup, m.Warmup) {
+		if err != nil || got == nil || got.Type != m.Type || len(got.Points) != len(m.Points) ||
+			len(got.Results) != len(m.Results) || !bytes.Equal(got.Warmup, m.Warmup) {
 			f.Fatalf("%s message does not survive the round trip (got %v, error %v)", m.Type, got != nil, err)
 		}
 		f.Add(frameStream(payloads))
 	}
+	over := `{"type":"job","points":[` + strings.Repeat(`{"id":0,"name":"p","scenario":""},`, maxJobPoints) + `{}]}`
+	f.Add(frameStream([][]byte{prefixed(wireVersion, uint32(len(over)), 0, over)}))
 	f.Add(frameStream([][]byte{{}}))
 	f.Add(frameStream([][]byte{[]byte("\x01{\"type\":\"done\"}")}))
 	f.Add(frameStream([][]byte{prefixed(wireVersion, maxMsgBytes, 1, "")}))
@@ -131,6 +143,10 @@ func FuzzSweepWire(f *testing.F) {
 		var a assembler
 		for _, p := range frames {
 			m, err := a.add(p)
+			if m != nil && (len(m.Points) > maxJobPoints || len(m.Results) > maxJobPoints) {
+				t.Fatalf("decoded a %q message of %d points and %d results, past the cap of %d",
+					m.Type, len(m.Points), len(m.Results), maxJobPoints)
+			}
 			if a.started {
 				h, b, _ := readPrefix(frames[0][1:])
 				if cap(a.buf) != h+b || cap(a.buf) > maxMsgBytes {

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"thermemu/internal/etherlink"
@@ -250,5 +251,70 @@ func TestSweepWarmupShipsOnce(t *testing.T) {
 		if out.WarmupSends < out.WarmupGroups || out.WarmupSends > limit {
 			t.Errorf("workers=%d: %d checkpoint sends, want %d..%d", workers, out.WarmupSends, out.WarmupGroups, limit)
 		}
+	}
+}
+
+// TestSweepGroupParity is the group contract end to end: every sweep
+// example and bench workload grid, and the smallGrid and warmupBenchGrid
+// grids, run through RunPoints — one job, and one emulation, per warm-up
+// group — give each point the result a solo RunPoint of its scenario
+// gives, fed the same warm-up checkpoint, in everything but wall time.
+func TestSweepGroupParity(t *testing.T) {
+	type grid struct {
+		name   string
+		points []Point
+		warmup int
+	}
+	grids := []grid{{"small", smallGrid(t), 0}, {"warmup-bench", warmupBenchGrid(t), warmupPrefixWindows}}
+	examples, _ := filepath.Glob("../../examples/scenarios/*.sweep")
+	workloads, _ := filepath.Glob("../../bench/workloads/*.sweep")
+	for _, path := range append(examples, workloads...) {
+		sp, err := LoadSpec(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, err := sp.Expand(filepath.Dir(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids = append(grids, grid{filepath.Base(path), points, sp.WarmupWindows})
+	}
+	if len(grids) < 4 {
+		t.Fatalf("found %d grids, want the two test grids and every sweep file", len(grids))
+	}
+	for _, g := range grids {
+		t.Run(g.name, func(t *testing.T) {
+			out, err := RunPoints(g.name, g.points, g.warmup, Options{Workers: 2, StragglerAfter: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out.Results) != len(g.points) {
+				t.Fatalf("%d results for %d points", len(out.Results), len(g.points))
+			}
+			cks := map[string][]byte{}
+			for i, p := range g.points {
+				var ck []byte
+				if g.warmup > 0 {
+					key := p.WarmupKey()
+					if cks[key] == nil {
+						if cks[key], err = CutWarmup(p.Scenario, g.warmup); err != nil {
+							t.Fatal(err)
+						}
+					}
+					ck = cks[key]
+				}
+				want, err := RunPoint(p.Scenario, ck)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Point, want.Name = p.Index, p.Name
+				got := *out.Results[i]
+				got.WallS, got.WindowsPerS = 0, 0
+				want.WallS, want.WindowsPerS = 0, 0
+				if !reflect.DeepEqual(got, *want) {
+					t.Errorf("point %s:\ngroup %+v\nsolo  %+v", p.Name, got, *want)
+				}
+			}
+		})
 	}
 }

@@ -32,30 +32,66 @@ type Result struct {
 // so its final digest equals an uninterrupted serial run's), a point with a
 // policy forks from it (fresh lineage, shared prefix cycles still saved).
 func RunPoint(s *scenario.Scenario, warmup []byte) (*Result, error) {
-	cfg, err := s.CoEmulation()
+	res, err := RunGroup([]*scenario.Scenario{s}, warmup)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Golden = golden.New()
-	res := &Result{Name: s.Name}
+	return res[0], nil
+}
+
+// RunGroup executes grid points that share one platform — scenarios equal
+// but for their TM policy, as points with one WarmupKey are — as one
+// co-emulation (core.RunGroup): the platform is emulated once, and each
+// point keeps its own clock, thermal host, policy and digest, so each
+// result equals RunPoint's for the same scenario and warm-up. A point that
+// fails fails the group, with the point named when there are several.
+func RunGroup(ss []*scenario.Scenario, warmup []byte) ([]*Result, error) {
+	var ck *checkpoint.Checkpoint
 	if warmup != nil {
-		ck, err := checkpoint.Decode(warmup)
-		if err != nil {
+		var err error
+		if ck, err = checkpoint.Decode(warmup); err != nil {
 			return nil, fmt.Errorf("sweep: warm-up checkpoint: %w", err)
 		}
-		cfg.Resume = ck
-		cfg.Fork = s.Policy != "none"
-		res.Warmed = true
-		res.Forked = cfg.Fork
 	}
-	windows := 0
-	cfg.DiscardSamples = true
-	run, err := core.Run(cfg, func(core.Sample) { windows++ })
+	cfgs, err := scenario.CoEmulations(ss)
 	if err != nil {
 		return nil, err
 	}
-	res.RunSummary = trace.NewRunSummary(cfg.Workload.Name, cfg.Host.FP, run, windows, cfg.Golden)
-	return res, nil
+	results := make([]*Result, len(ss))
+	windows := make([]int, len(ss))
+	onSample := make([]func(core.Sample), len(ss))
+	for i, s := range ss {
+		cfg := &cfgs[i]
+		cfg.Golden = golden.New()
+		cfg.DiscardSamples = true
+		results[i] = &Result{Name: s.Name}
+		if ck != nil {
+			cfg.Resume = ck
+			cfg.Fork = s.Policy != "none"
+			results[i].Warmed = true
+			results[i].Forked = cfg.Fork
+		}
+		onSample[i] = func(core.Sample) { windows[i]++ }
+	}
+	runs, errs := core.RunGroup(cfgs, onSample)
+	for i, err := range errs {
+		if err != nil {
+			return nil, nameErr(ss, i, err)
+		}
+	}
+	for i, run := range runs {
+		cfg := &cfgs[i]
+		results[i].RunSummary = trace.NewRunSummary(cfg.Workload.Name, cfg.Host.FP, run, windows[i], cfg.Golden)
+	}
+	return results, nil
+}
+
+// nameErr names the failing point of a group of several.
+func nameErr(ss []*scenario.Scenario, i int, err error) error {
+	if len(ss) == 1 {
+		return err
+	}
+	return fmt.Errorf("point %s: %w", ss[i].Name, err)
 }
 
 // errWarmupCut aborts the warm-up prefix run once its checkpoint is cut:

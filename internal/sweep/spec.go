@@ -1,17 +1,20 @@
 // Package sweep runs design-space exploration grids: a versioned spec file
 // names a base scenario and up to five axes (scenario × workload × TM
 // policy × floorplan × frequency), the coordinator expands the cartesian
-// grid into points, fans them out to workers over etherlink — in-process
-// loopback pairs for single-machine runs, TCP transports for distributed
-// ones — with work-stealing straggler re-dispatch, and merges the per-point
-// results into the benchgate line format so sweeps regression-gate like
-// benchmarks.
+// grid into points and groups the points that share a platform (equal
+// WarmupKey: they differ only in TM policy) into jobs, fans the jobs out
+// to workers over etherlink — in-process loopback pairs for single-machine
+// runs, TCP transports for distributed ones — with work-stealing
+// straggler re-dispatch, and merges the per-point results into the
+// benchgate line format so sweeps regression-gate like benchmarks. A
+// worker runs a job as one co-emulation (RunGroup): the platform is
+// emulated once for all of the job's points.
 //
 // Determinism is the contract: every point runs through the exact
 // scenario→core.Config path cmd/thermemu uses, so a point's golden digest
 // is bit-identical to the same scenario run serially, no matter which
-// worker ran it, how often it was re-dispatched, or how faulty the link
-// was.
+// worker ran it, in which group, how often it was re-dispatched, or how
+// faulty the link was.
 //
 // When the spec sets warmup-windows, the coordinator first runs each
 // platform's common prefix once with TM off, cuts a TMCK checkpoint at the
@@ -216,8 +219,9 @@ func (p *Point) WarmupKey() string {
 }
 
 // Expand builds the cartesian grid. dir resolves the spec's scenario file
-// paths (the spec file's directory). Every point is linted; a broken point
-// reports its grid coordinates.
+// paths (the spec file's directory). Every point is linted, and points with
+// equal workloads share one workload build; a broken point reports its
+// grid coordinates.
 func (sp *Spec) Expand(dir string) ([]Point, error) {
 	type basePair struct {
 		label string
@@ -264,7 +268,10 @@ func (sp *Spec) Expand(dir string) ([]Point, error) {
 		freqs = []int{0}
 	}
 
-	var points []Point
+	var (
+		points []Point
+		lint   scenario.Linter // builds each distinct workload once
+	)
 	for _, base := range bases {
 		for _, w := range orEmpty(sp.Workloads) {
 			for _, fp := range orEmpty(sp.Floorplans) {
@@ -294,7 +301,7 @@ func (sp *Spec) Expand(dir string) ([]Point, error) {
 						// A sweep's evidence is its digests: every point
 						// accumulates one regardless of the base scenario.
 						s.Digest = true
-						if err := s.Lint(); err != nil {
+						if err := lint.Lint(&s); err != nil {
 							return nil, fmt.Errorf("sweep: point %s: %w", name, err)
 						}
 						points = append(points, Point{Index: len(points), Name: name, Scenario: &s})

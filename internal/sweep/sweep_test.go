@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -96,7 +97,10 @@ func TestWireRoundTrip(t *testing.T) {
 	for i := range warmup {
 		warmup[i] = byte(i * 31)
 	}
-	sent := &wireMsg{Type: "job", ID: 7, Name: "p7", Scenario: "thermemu-scenario v1\n", WarmupKey: "k7", Warmup: warmup}
+	sent := &wireMsg{Type: "job", ID: 7, WarmupKey: "k7", Warmup: warmup, Points: []jobPoint{
+		{ID: 7, Name: "p7", Scenario: "thermemu-scenario v1\n"},
+		{ID: 9, Name: "p9", Scenario: "thermemu-scenario v1\n[tm]\npolicy = threshold-dfs\n"},
+	}}
 
 	errc := make(chan error, 1)
 	go func() { errc <- sendMsg(worker, sent) }()
@@ -107,8 +111,8 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != "job" || got.ID != 7 || got.Name != "p7" || got.Scenario != sent.Scenario || got.WarmupKey != "k7" {
-		t.Fatalf("round trip mangled header: %s %d %s %q %s", got.Type, got.ID, got.Name, got.Scenario, got.WarmupKey)
+	if got.Type != "job" || got.ID != 7 || !reflect.DeepEqual(got.Points, sent.Points) || got.WarmupKey != "k7" {
+		t.Fatalf("round trip mangled header: %s %d %+v %s", got.Type, got.ID, got.Points, got.WarmupKey)
 	}
 	if !bytes.Equal(got.Warmup, warmup) {
 		t.Fatalf("round trip mangled the %d-byte warmup payload", len(warmup))
@@ -180,7 +184,7 @@ func TestWireRejectsOversizedMessage(t *testing.T) {
 // versions when the peer speaks another one.
 func TestAssemblerBounds(t *testing.T) {
 	blob := bytes.Repeat([]byte{0xA5}, 3*etherlink.MaxPayload)
-	payloads, err := encode(&wireMsg{Type: "job", Name: "p", WarmupKey: "k", Warmup: blob})
+	payloads, err := encode(&wireMsg{Type: "job", Points: []jobPoint{{Name: "p"}}, WarmupKey: "k", Warmup: blob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +225,9 @@ func TestAssemblerBounds(t *testing.T) {
 		payload []byte
 		want    string
 	}{
-		{prefixed(3, 15, 0, `{"type":"done"}`), "wire version 3, this side speaks version 2"},
-		{[]byte("\x01{\"type\":\"done\"}"), "wire version 1, this side speaks version 2"},
+		{prefixed(2, 15, 0, `{"type":"done"}`), "wire version 2, this side speaks version 3"},
+		{prefixed(4, 15, 0, `{"type":"done"}`), "wire version 4, this side speaks version 3"},
+		{[]byte("\x01{\"type\":\"done\"}"), "wire version 1, this side speaks version 3"},
 	} {
 		if _, err := (&assembler{}).add(tc.payload); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("payload %q = %v, want an error containing %q", tc.payload[:4], err, tc.want)
@@ -569,7 +574,7 @@ func TestSweepUnheldWarmupRequeues(t *testing.T) {
 	if _, err := c.CutWarmups(prefix, 1); err != nil {
 		t.Fatal(err)
 	}
-	key := c.st[0].warmup.id
+	key := c.groups[0].warmup.id
 
 	// A peer claiming to hold the key is sent the job without the bytes.
 	link := c.opt.sweepLink()

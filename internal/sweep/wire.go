@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -28,23 +29,28 @@ import (
 // warm-up checkpoint, carried raw rather than base64-encoded inside the
 // JSON, and is empty on every other message.
 //
-// The exchange, strictly alternating per worker:
+// A job is a group: the grid points that share a warm-up key (the same
+// platform, workload and thermal set-up, differing only in TM policy), at
+// most maxJobPoints of them. The worker runs them as one co-emulation that
+// steps the platform once for all of them, and answers with one result
+// per point, in the job's order. The exchange, strictly alternating per
+// worker:
 //
 //	worker -> coordinator: ready {worker, have}
-//	coordinator -> worker: job {id, name, scenario, warmup_key} + blob | done {}
-//	worker -> coordinator: result {id, name, result | error}, then ready
+//	coordinator -> worker: job {id, points [{id, name, scenario}], warmup_key} + blob | done {}
+//	worker -> coordinator: result {id, results | error}, then ready
 //
 // A worker keeps the last warm-up checkpoint it received and reports its
-// key as have. A job names the warm-up its point resumes from in
+// key as have. A job names the warm-up its group resumes from in
 // warmup_key and carries the checkpoint bytes only when that key differs
 // from the worker's have, so each checkpoint crosses a worker's link once
 // per change of the warm-up it holds. A worker sent a key it does not hold
 // and no bytes ends its session with an error; the coordinator re-queues
-// the point as for any dead link.
+// the group as for any dead link.
 //
 // A ready from a worker that still holds an unanswered job breaks the
 // alternation: the coordinator ends that session with an error and
-// re-queues the point, as for a dead link.
+// re-queues the group, as for a dead link.
 //
 // A worker that dies mid-job simply never sends its result; the
 // coordinator's session ends on the transport error and the job returns to
@@ -52,22 +58,70 @@ import (
 // still deliver a duplicate result — the coordinator verifies the digests
 // match and drops it.
 type wireMsg struct {
-	Type      string  `json:"type"` // ready | job | result | done
-	Worker    string  `json:"worker,omitempty"`
-	Have      string  `json:"have,omitempty"` // ready: key of the warm-up checkpoint the worker holds
-	ID        int     `json:"id,omitempty"`
-	Name      string  `json:"name,omitempty"`
-	Scenario  string  `json:"scenario,omitempty"`   // canonical scenario render
-	WarmupKey string  `json:"warmup_key,omitempty"` // job: key of the warm-up checkpoint the point resumes from
-	Warmup    []byte  `json:"-"`                    // the blob: an encoded TMCK prefix checkpoint
-	Result    *Result `json:"result,omitempty"`
-	Error     string  `json:"error,omitempty"`
+	Type      string                `json:"type"` // ready | job | result | done
+	Worker    string                `json:"worker,omitempty"`
+	Have      string                `json:"have,omitempty"` // ready: key of the warm-up checkpoint the worker holds
+	ID        int                   `json:"id,omitempty"`   // job, result: the job's id
+	Points    boundedList[jobPoint] `json:"points,omitempty"`
+	WarmupKey string                `json:"warmup_key,omitempty"` // job: key of the warm-up checkpoint the group resumes from
+	Warmup    []byte                `json:"-"`                    // the blob: an encoded TMCK prefix checkpoint
+	Results   boundedList[*Result]  `json:"results,omitempty"`    // result: one per job point, in job order
+	Error     string                `json:"error,omitempty"`
+}
+
+// jobPoint is one grid point of a job.
+type jobPoint struct {
+	ID       int    `json:"id"`
+	Name     string `json:"name"`
+	Scenario string `json:"scenario"` // canonical scenario render
+}
+
+// maxJobPoints bounds the points of one job and the results of one reply.
+// The coordinator splits a larger warm-up group into several jobs, and the
+// receiver refuses a longer list as it decodes, before holding more than
+// this many elements.
+const maxJobPoints = 64
+
+// boundedList is a JSON array of at most maxJobPoints elements.
+type boundedList[T any] []T
+
+// UnmarshalJSON decodes the array element by element and fails at the
+// first element past maxJobPoints.
+func (l *boundedList[T]) UnmarshalJSON(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if tok == nil {
+		*l = nil
+		return nil
+	}
+	if tok != json.Delim('[') {
+		return fmt.Errorf("sweep: want a list, got %v", tok)
+	}
+	var out []T
+	for dec.More() {
+		if len(out) == maxJobPoints {
+			return fmt.Errorf("sweep: a list of more than %d points", maxJobPoints)
+		}
+		var v T
+		if err := dec.Decode(&v); err != nil {
+			return err
+		}
+		out = append(out, v)
+	}
+	if _, err := dec.Token(); err != nil {
+		return err
+	}
+	*l = out
+	return nil
 }
 
 // wireVersion numbers the framing above. Version 1 sent each message as
 // one JSON document with the checkpoint base64-encoded inside it, so its
-// first data byte is '{'.
-const wireVersion = 2
+// first data byte is '{'. Version 2 carried one point per job.
+const wireVersion = 3
 
 // prefixLen is the size of the version and length prefix.
 const prefixLen = 9
@@ -88,6 +142,9 @@ func sendMsg(ep *etherlink.Endpoint, m *wireMsg) error {
 // so emit must copy what it keeps (Endpoint.Send copies the payload into
 // its frame).
 func writeMsg(m *wireMsg, emit func([]byte) error) error {
+	if len(m.Points) > maxJobPoints || len(m.Results) > maxJobPoints {
+		return fmt.Errorf("sweep: %s message lists more than %d points", m.Type, maxJobPoints)
+	}
 	hdr, err := json.Marshal(m)
 	if err != nil {
 		return err

@@ -2,17 +2,20 @@ package sweep
 
 import (
 	"fmt"
+	"strings"
 
 	"thermemu/internal/etherlink"
 	"thermemu/internal/scenario"
 )
 
-// Worker executes grid points for a coordinator. Every job carries its
-// full scenario (canonical render) and, when the sweep shares warm-up
-// prefixes, the key of the TMCK checkpoint to resume or fork from. The
-// worker holds the last checkpoint it was sent, so the coordinator ships
-// the bytes only when the key changes. Any worker can run any point, and a
-// re-dispatched point computes the same digest wherever it lands.
+// Worker executes jobs for a coordinator. A job is a group of grid points
+// that share one platform: it carries each point's full scenario
+// (canonical render) and, when the sweep shares warm-up prefixes, the key
+// of the TMCK checkpoint the group resumes or forks from. The worker runs
+// the group as one co-emulation (RunGroup) and holds the last checkpoint
+// it was sent, so the coordinator ships the bytes only when the key
+// changes. Any worker can run any job, and a re-dispatched job computes
+// the same digests wherever it lands.
 type Worker struct {
 	Name string
 	// Link tunes the reliable endpoint (zero fields take the sweep
@@ -52,13 +55,13 @@ func (w *Worker) Serve(tr etherlink.Transport) error {
 			if err != nil {
 				return fmt.Errorf("sweep: %s: %w", w.Name, err)
 			}
-			w.logf("sweep: %s running %s", w.Name, m.Name)
-			reply := &wireMsg{Type: "result", Worker: w.Name, ID: m.ID, Name: m.Name}
+			w.logf("sweep: %s running %s", w.Name, jobLabel(m))
+			reply := &wireMsg{Type: "result", Worker: w.Name, ID: m.ID}
 			res, err := w.runJob(m, warmup)
 			if err != nil {
 				reply.Error = err.Error()
 			} else {
-				reply.Result = res
+				reply.Results = res
 			}
 			if err := sendMsg(ep, reply); err != nil {
 				return err
@@ -92,21 +95,41 @@ func (h *heldWarmup) resolve(m *wireMsg) ([]byte, error) {
 		h.key, h.ck = m.WarmupKey, m.Warmup
 	case m.WarmupKey != h.key:
 		return nil, fmt.Errorf("job %s resumes warm-up %s, which this worker does not hold (it holds %q)",
-			m.Name, m.WarmupKey, h.key)
+			jobLabel(m), m.WarmupKey, h.key)
 	}
 	return h.ck, nil
 }
 
-func (w *Worker) runJob(m *wireMsg, warmup []byte) (*Result, error) {
-	s, err := scenario.Parse(m.Scenario)
+// jobLabel names a job's points for logs and errors.
+func jobLabel(m *wireMsg) string {
+	names := make([]string, len(m.Points))
+	for i, p := range m.Points {
+		names[i] = p.Name
+	}
+	return strings.Join(names, ", ")
+}
+
+// runJob runs a job's points as one group and labels each result with its
+// grid coordinates.
+func (w *Worker) runJob(m *wireMsg, warmup []byte) ([]*Result, error) {
+	if len(m.Points) == 0 {
+		return nil, fmt.Errorf("job %d has no points", m.ID)
+	}
+	ss := make([]*scenario.Scenario, len(m.Points))
+	for i, p := range m.Points {
+		s, err := scenario.Parse(p.Scenario)
+		if err != nil {
+			return nil, fmt.Errorf("point %s: %w", p.Name, err)
+		}
+		ss[i] = s
+	}
+	res, err := RunGroup(ss, warmup)
 	if err != nil {
 		return nil, err
 	}
-	res, err := RunPoint(s, warmup)
-	if err != nil {
-		return nil, err
+	for i, r := range res {
+		r.Point = m.Points[i].ID
+		r.Name = m.Points[i].Name
 	}
-	res.Point = m.ID
-	res.Name = m.Name
 	return res, nil
 }

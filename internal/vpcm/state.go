@@ -33,15 +33,16 @@ type State struct {
 	History     []FreqChange
 }
 
-// SaveState captures the clock for checkpointing.
+// SaveState captures the clock, with the View in use, for checkpointing.
 func (v *VPCM) SaveState() State {
+	w := v.view
 	s := State{
 		PhysHz:   v.physHz,
-		VirtHz:   v.virtHz,
+		VirtHz:   w.virtHz,
 		Cycle:    v.cycle,
-		TimePs:   v.timePs,
-		History:  append([]FreqChange(nil), v.history...),
-		FrozenPs: v.FrozenPs(),
+		TimePs:   w.TimePs(),
+		History:  append([]FreqChange(nil), w.history...),
+		FrozenPs: w.FrozenPs(),
 	}
 	v.suppMu.Lock()
 	s.WallPs = v.wallPs
@@ -53,21 +54,14 @@ func (v *VPCM) SaveState() State {
 	sort.Slice(s.Suppression, func(i, j int) bool {
 		return s.Suppression[i].Source < s.Suppression[j].Source
 	})
-	v.freezeMu.Lock()
-	s.FrozenBySrc = make([]SourcePs, 0, len(v.frozenBySrc))
-	for src, ps := range v.frozenBySrc {
-		s.FrozenBySrc = append(s.FrozenBySrc, SourcePs{src, ps})
-	}
-	v.freezeMu.Unlock()
-	sort.Slice(s.FrozenBySrc, func(i, j int) bool {
-		return s.FrozenBySrc[i].Source < s.FrozenBySrc[j].Source
-	})
+	s.FrozenBySrc = w.FrozenPsBySource()
 	return s
 }
 
-// RestoreState rewinds the clock to a saved state. The physical oscillator
-// frequency is construction-time configuration, so a mismatch means the
-// checkpoint belongs to a differently configured platform.
+// RestoreState rewinds the clock, and the View in use, to a saved state.
+// The physical oscillator frequency is construction-time configuration, so
+// a mismatch means the checkpoint belongs to a differently configured
+// platform.
 func (v *VPCM) RestoreState(s State) error {
 	if s.PhysHz != v.physHz {
 		return fmt.Errorf("vpcm: checkpoint physical clock %d Hz, platform has %d Hz", s.PhysHz, v.physHz)
@@ -86,10 +80,11 @@ func (v *VPCM) RestoreState(s State) error {
 		return fmt.Errorf("vpcm: history's last change (cycle %d, %d ps) is past the clock (cycle %d, %d ps)",
 			last.Cycle, last.TimePs, s.Cycle, s.TimePs)
 	}
-	v.virtHz = s.VirtHz
+	w := v.view
 	v.cycle = s.Cycle
-	v.timePs = s.TimePs
-	v.history = append([]FreqChange(nil), s.History...)
+	w.virtHz = s.VirtHz
+	w.segCycle, w.segTimePs = s.Cycle, s.TimePs
+	w.history = append([]FreqChange(nil), s.History...)
 	v.suppMu.Lock()
 	v.wallPs = s.WallPs
 	v.suppress = make(map[string]uint64, len(s.Suppression))
@@ -99,12 +94,12 @@ func (v *VPCM) RestoreState(s State) error {
 		v.suppTotal += sc.Cycles
 	}
 	v.suppMu.Unlock()
-	v.freezeMu.Lock()
-	v.frozenPs = s.FrozenPs
-	v.frozenBySrc = make(map[string]uint64, len(s.FrozenBySrc))
+	w.freezeMu.Lock()
+	w.frozenPs = s.FrozenPs
+	w.frozenBySrc = make(map[string]uint64, len(s.FrozenBySrc))
 	for _, sp := range s.FrozenBySrc {
-		v.frozenBySrc[sp.Source] = sp.Ps
+		w.frozenBySrc[sp.Source] = sp.Ps
 	}
-	v.freezeMu.Unlock()
+	w.freezeMu.Unlock()
 	return nil
 }

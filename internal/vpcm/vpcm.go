@@ -49,25 +49,46 @@ type FreqChange struct {
 	Hz     uint64
 }
 
-// VPCM manages the virtual clock of the emulated platform.
+// VPCM manages the virtual clock of the emulated platform. It splits into
+// what the platform alone determines — the cycle count, memory suppression
+// and the emulation's physical time — and a View: the virtual frequency,
+// virtual time, DFS history and frozen time. Several co-emulations may
+// share one platform (one run per TM policy over the same emulated
+// trajectory), each with its own View; the frequency-dependent accessors
+// read and write the View in use (Use).
 type VPCM struct {
 	physHz uint64
-	virtHz uint64
 	cycle  uint64 // virtual platform cycles issued
-	timePs uint64 // virtual time elapsed
 	// suppMu guards the suppression state: memory controllers may raise
 	// suppression concurrently when the platform runs in parallel mode.
 	suppMu    sync.Mutex
 	suppress  map[string]uint64
 	suppTotal uint64
-	history   []FreqChange
 	// wallPs estimates physical (FPGA wall-clock) time: virtual cycles at
-	// the physical frequency plus suppression and freeze periods.
-	wallPs   uint64
-	frozenPs uint64
+	// the physical frequency plus suppression periods. The View adds its
+	// freeze periods.
+	wallPs uint64
+	view   *View // in use
+	own    View  // the clock's first View
+}
+
+// View is one co-emulation's virtual clock over a platform's cycle count:
+// its frequency, its virtual time, its DFS history and the physical time
+// it spent frozen. Virtual time is derived from the cycle count, so the
+// platform never writes a View while it steps: time at cycle c is the time
+// at the start of the current frequency segment plus the cycles since at
+// the current period.
+type View struct {
+	base   *VPCM
+	virtHz uint64
+	// The current frequency segment began at (segCycle, segTimePs).
+	segCycle  uint64
+	segTimePs uint64
+	history   []FreqChange
 	// freezeMu guards the per-source frozen-time attribution: the link
 	// layer may account resend stalls while observers read the totals.
 	freezeMu    sync.Mutex
+	frozenPs    uint64
 	frozenBySrc map[string]uint64
 }
 
@@ -77,70 +98,115 @@ func New(physHz, virtHz uint64) *VPCM {
 	if physHz == 0 || virtHz == 0 {
 		panic("vpcm: frequencies must be positive")
 	}
-	v := &VPCM{physHz: physHz, virtHz: virtHz, suppress: make(map[string]uint64)}
-	v.history = append(v.history, FreqChange{Cycle: 0, TimePs: 0, Hz: virtHz})
+	v := &VPCM{physHz: physHz, suppress: make(map[string]uint64)}
+	v.own = View{base: v, virtHz: virtHz, history: []FreqChange{{Cycle: 0, TimePs: 0, Hz: virtHz}}}
+	v.view = &v.own
 	return v
+}
+
+// Fork returns a copy of the view over the same platform clock: a second
+// co-emulation that starts from the same virtual time, frequency, history
+// and frozen time and then goes its own way.
+func (w *View) Fork() *View {
+	w.freezeMu.Lock()
+	defer w.freezeMu.Unlock()
+	f := &View{base: w.base, virtHz: w.virtHz, segCycle: w.segCycle, segTimePs: w.segTimePs,
+		history: append([]FreqChange(nil), w.history...), frozenPs: w.frozenPs}
+	if w.frozenBySrc != nil {
+		f.frozenBySrc = make(map[string]uint64, len(w.frozenBySrc))
+		for s, ps := range w.frozenBySrc {
+			f.frozenBySrc[s] = ps
+		}
+	}
+	return f
+}
+
+// View returns the View in use.
+func (v *VPCM) View() *View { return v.view }
+
+// Use makes w, which must come from this VPCM, the View the frequency-,
+// time-, history- and freeze-dependent methods read and write.
+func (v *VPCM) Use(w *View) {
+	if w.base != v {
+		panic("vpcm: a View of another clock")
+	}
+	v.view = w
 }
 
 // PhysHz returns the physical oscillator frequency.
 func (v *VPCM) PhysHz() uint64 { return v.physHz }
 
 // Frequency returns the current virtual clock frequency.
-func (v *VPCM) Frequency() uint64 { return v.virtHz }
+func (v *VPCM) Frequency() uint64 { return v.view.virtHz }
 
 // SetFrequency performs dynamic frequency scaling on the virtual clock.
-func (v *VPCM) SetFrequency(hz uint64) { v.SetFrequencyAt(v.cycle, v.timePs, hz) }
+func (v *VPCM) SetFrequency(hz uint64) { v.view.SetFrequencyAt(v.cycle, v.TimePs(), hz) }
+
+// SetFrequencyAt is View.SetFrequencyAt on the View in use.
+func (v *VPCM) SetFrequencyAt(cycle, timePs, hz uint64) { v.view.SetFrequencyAt(cycle, timePs, hz) }
 
 // SetFrequencyAt performs dynamic frequency scaling as of an earlier point
 // of the clock: the change is recorded at (cycle, timePs), and the cycles
 // issued since are re-timed at hz. The platform never reads the virtual
-// frequency while it steps — Advance maps cycles to picoseconds, and
-// suppression counts physical cycles — so cycles may run before the
-// frequency they ran at is known. The point must be one the clock passed
-// at the current frequency: at or after the last change, at or before the
-// current cycle, and at the time the current frequency gives it.
-func (v *VPCM) SetFrequencyAt(cycle, timePs, hz uint64) {
+// frequency while it steps — Advance counts cycles, and suppression counts
+// physical cycles — so cycles may run before the frequency they ran at is
+// known. The point must be one the clock passed at the current frequency:
+// at or after the last change, at or before the current cycle, and at the
+// time the current frequency gives it.
+func (w *View) SetFrequencyAt(cycle, timePs, hz uint64) {
 	if hz == 0 {
 		panic("vpcm: cannot scale to 0 Hz")
 	}
-	ran := v.cycle - cycle
-	if cycle > v.cycle || cycle < v.history[len(v.history)-1].Cycle ||
-		timePs+ran*(picosPerSec/v.virtHz) != v.timePs {
+	ran := w.base.cycle - cycle
+	if cycle > w.base.cycle || cycle < w.history[len(w.history)-1].Cycle ||
+		timePs+ran*(picosPerSec/w.virtHz) != w.TimePs() {
 		panic(fmt.Sprintf("vpcm: (cycle %d, %d ps) is not a point of the current %d Hz segment",
-			cycle, timePs, v.virtHz))
+			cycle, timePs, w.virtHz))
 	}
-	if hz == v.virtHz {
+	if hz == w.virtHz {
 		return
 	}
-	v.virtHz = hz
-	v.timePs = timePs + ran*(picosPerSec/hz)
-	v.history = append(v.history, FreqChange{Cycle: cycle, TimePs: timePs, Hz: hz})
+	w.virtHz = hz
+	w.segCycle, w.segTimePs = cycle, timePs
+	w.history = append(w.history, FreqChange{Cycle: cycle, TimePs: timePs, Hz: hz})
 }
+
+// PhysHz returns the physical oscillator frequency of the view's clock.
+func (w *View) PhysHz() uint64 { return w.base.physHz }
+
+// Frequency returns the view's virtual clock frequency.
+func (w *View) Frequency() uint64 { return w.virtHz }
+
+// TimePs returns the view's elapsed virtual time in picoseconds.
+func (w *View) TimePs() uint64 {
+	return w.segTimePs + (w.base.cycle-w.segCycle)*(picosPerSec/w.virtHz)
+}
+
+// DFSEvents returns the view's number of frequency changes after reset.
+func (w *View) DFSEvents() int { return len(w.history) - 1 }
 
 // History returns every frequency change, oldest first (the initial
 // frequency is entry 0).
-func (v *VPCM) History() []FreqChange { return v.history }
+func (v *VPCM) History() []FreqChange { return v.view.history }
 
 // DFSEvents returns the number of frequency changes after reset.
-func (v *VPCM) DFSEvents() int { return len(v.history) - 1 }
+func (v *VPCM) DFSEvents() int { return v.view.DFSEvents() }
 
 // Cycle returns the virtual platform cycle count.
 func (v *VPCM) Cycle() uint64 { return v.cycle }
 
 // TimePs returns the elapsed virtual time in picoseconds.
-func (v *VPCM) TimePs() uint64 { return v.timePs }
+func (v *VPCM) TimePs() uint64 { return v.view.TimePs() }
 
 // Time returns the elapsed virtual time in seconds.
-func (v *VPCM) Time() float64 { return float64(v.timePs) * 1e-12 }
+func (v *VPCM) Time() float64 { return float64(v.TimePs()) * 1e-12 }
 
 // WallPs returns the estimated physical execution time in picoseconds: the
 // virtual cycles clocked at the physical frequency plus every suppression
 // and freeze period. This models what a wall clock next to the FPGA would
 // measure.
 func (v *VPCM) WallPs() uint64 {
-	v.freezeMu.Lock()
-	defer v.freezeMu.Unlock()
-	return v.wallPs + v.frozenPs
+	return v.EmulationWallPs() + v.view.FrozenPs()
 }
 
 // EmulationWallPs returns the physical picoseconds attributable to the
@@ -156,13 +222,11 @@ func (v *VPCM) EmulationWallPs() uint64 {
 	return v.wallPs
 }
 
-// Advance clocks the virtual platform by n cycles at the current virtual
-// frequency. A freeze never blocks it: whoever waits on the link or the
-// solver is the goroutine that would advance, and it accounts the wait
-// with AddFrozenTimeSource.
+// Advance clocks the virtual platform by n cycles. A freeze never blocks
+// it: whoever waits on the link or the solver is the goroutine that would
+// advance, and it accounts the wait with AddFrozenTimeSource.
 func (v *VPCM) Advance(n uint64) {
 	v.cycle += n
-	v.timePs += n * (picosPerSec / v.virtHz)
 	v.wallPs += n * (picosPerSec / v.physHz)
 }
 
@@ -207,46 +271,49 @@ func (v *VPCM) SuppressionBySource() []struct {
 	return out
 }
 
+// AddFrozenTimeSource is View.AddFrozenTimeSource on the View in use.
+func (v *VPCM) AddFrozenTimeSource(source string, physCycles uint64) {
+	v.view.AddFrozenTimeSource(source, physCycles)
+}
+
 // AddFrozenTimeSource accounts physical time spent with the virtual clock
 // frozen, in physical cycles, attributed to a named source (e.g. "ethernet"
 // for congestion, "ethernet-resend" for link-loss recovery), so
 // observability can split the stall budget. It is safe to call while
 // another goroutine advances the clock.
-func (v *VPCM) AddFrozenTimeSource(source string, physCycles uint64) {
-	ps := physCycles * (picosPerSec / v.physHz)
-	v.freezeMu.Lock()
-	v.frozenPs += ps
-	if v.frozenBySrc == nil {
-		v.frozenBySrc = make(map[string]uint64)
+func (w *View) AddFrozenTimeSource(source string, physCycles uint64) {
+	ps := physCycles * (picosPerSec / w.base.physHz)
+	w.freezeMu.Lock()
+	w.frozenPs += ps
+	if w.frozenBySrc == nil {
+		w.frozenBySrc = make(map[string]uint64)
 	}
-	v.frozenBySrc[source] += ps
-	v.freezeMu.Unlock()
+	w.frozenBySrc[source] += ps
+	w.freezeMu.Unlock()
 }
 
 // FrozenPs returns the total physical picoseconds spent frozen.
-func (v *VPCM) FrozenPs() uint64 {
-	v.freezeMu.Lock()
-	defer v.freezeMu.Unlock()
-	return v.frozenPs
+func (v *VPCM) FrozenPs() uint64 { return v.view.FrozenPs() }
+
+// FrozenPs returns the view's total physical picoseconds spent frozen.
+func (w *View) FrozenPs() uint64 {
+	w.freezeMu.Lock()
+	defer w.freezeMu.Unlock()
+	return w.frozenPs
 }
 
 // FrozenPsBySource returns per-source frozen physical picoseconds, sorted
 // by source name.
-func (v *VPCM) FrozenPsBySource() []struct {
-	Source string
-	Ps     uint64
-} {
-	v.freezeMu.Lock()
-	defer v.freezeMu.Unlock()
-	out := make([]struct {
-		Source string
-		Ps     uint64
-	}, 0, len(v.frozenBySrc))
-	for s, ps := range v.frozenBySrc {
-		out = append(out, struct {
-			Source string
-			Ps     uint64
-		}{s, ps})
+func (v *VPCM) FrozenPsBySource() []SourcePs { return v.view.FrozenPsBySource() }
+
+// FrozenPsBySource returns the view's per-source frozen physical
+// picoseconds, sorted by source name.
+func (w *View) FrozenPsBySource() []SourcePs {
+	w.freezeMu.Lock()
+	defer w.freezeMu.Unlock()
+	out := make([]SourcePs, 0, len(w.frozenBySrc))
+	for s, ps := range w.frozenBySrc {
+		out = append(out, SourcePs{s, ps})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
 	return out
@@ -254,10 +321,10 @@ func (v *VPCM) FrozenPsBySource() []struct {
 
 // SpeedRatio returns virtual frequency over physical frequency: how much
 // faster the emulated platform is clocked than the FPGA fabric.
-func (v *VPCM) SpeedRatio() float64 { return float64(v.virtHz) / float64(v.physHz) }
+func (v *VPCM) SpeedRatio() float64 { return float64(v.Frequency()) / float64(v.physHz) }
 
 // String summarises the clock state.
 func (v *VPCM) String() string {
 	return fmt.Sprintf("vpcm{virt=%d Hz phys=%d Hz cycle=%d t=%.6fs suppressed=%d}",
-		v.virtHz, v.physHz, v.cycle, v.Time(), v.suppTotal)
+		v.Frequency(), v.physHz, v.cycle, v.Time(), v.SuppressionCycles())
 }

@@ -230,3 +230,41 @@ func TestRestoreStateRejectsHistoryPastClock(t *testing.T) {
 		t.Fatal("history past the clock accepted")
 	}
 }
+
+// TestViewsShareTheCycleCount: two views over one clock see every cycle
+// the platform advances, and keep their own frequency, virtual time, DFS
+// history and frozen time; the clock's accessors and saved state follow
+// the view in use.
+func TestViewsShareTheCycleCount(t *testing.T) {
+	v := New(100e6, 500e6)
+	v.Advance(100)
+	a := v.View()
+	b := a.Fork()
+	v.Advance(400) // 500 cycles at 500 MHz: 1 µs on both views
+	b.SetFrequencyAt(100, 200_000, 100e6)
+	b.AddFrozenTimeSource(ThermalLagSource, 7)
+	v.Advance(500)
+	if a.TimePs() != 2_000_000 || b.TimePs() != 200_000+900*10_000 {
+		t.Fatalf("virtual times %d and %d ps, want 2000000 and %d", a.TimePs(), b.TimePs(), 200_000+900*10_000)
+	}
+	if a.DFSEvents() != 0 || b.DFSEvents() != 1 || a.FrozenPs() != 0 || b.FrozenPs() != 70_000 {
+		t.Fatalf("view a: %d DFS, %d ps frozen; view b: %d DFS, %d ps frozen",
+			a.DFSEvents(), a.FrozenPs(), b.DFSEvents(), b.FrozenPs())
+	}
+	v.Use(b)
+	sb := v.SaveState()
+	if v.Frequency() != 100e6 || v.TimePs() != b.TimePs() || v.WallPs() != 10_000_000+70_000 ||
+		sb.Cycle != 1000 || sb.VirtHz != 100e6 || len(sb.History) != 2 {
+		t.Fatalf("with view b in use: %d Hz, %d ps, wall %d ps, state %+v", v.Frequency(), v.TimePs(), v.WallPs(), sb)
+	}
+	v.Use(a)
+	if sa := v.SaveState(); sa.TimePs != 2_000_000 || len(sa.History) != 1 || sa.WallPs != sb.WallPs {
+		t.Fatalf("with view a in use: state %+v", sa)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Use accepted a view of another clock")
+		}
+	}()
+	v.Use(New(100e6, 500e6).View())
+}
