@@ -35,7 +35,7 @@
 // must retain -ratio of its windows/s, and at every processor count whose
 // canonical scaling rows are present the contracts hold — Workers4 beats
 // Workers1 (above one CPU; within 15% on one CPU), Workers8 holds 80% of
-// Workers4, and the checkpoint-shared warm-up grid beats the cold one in
+// Workers4, and the shared-prefix warm-up grid beats the cold one in
 // wall time. Across processor counts, Workers4 at every count above one
 // must beat Workers4 at one: the sweep is where host parallelism pays.
 // Grouping binds when its rows are present: the three policies of one

@@ -2,11 +2,12 @@
 // versioned sweep-spec file into (scenario × workload × policy × floorplan
 // × frequency) points, groups the points that share a platform (they
 // differ only in TM policy) into one job each, dispatches the jobs to
-// workers with work-stealing straggler re-dispatch, optionally shares each
-// platform's TM-off warm-up prefix through TMCK checkpoints, and merges
-// the per-point results into the benchgate line format. A worker runs a
-// job as one co-emulation: the platform is emulated once for all of the
-// job's policies, each with its own clock, thermal host and digest.
+// workers with work-stealing straggler re-dispatch, and merges the
+// per-point results into the benchgate line format. A worker runs a job as
+// one co-emulation: the platform is emulated once for all of the job's
+// policies, each with its own clock, thermal host and digest. With a
+// warm-up, the worker first runs the platform's TM-off prefix and starts
+// every policy from that in-memory cut; no checkpoint crosses the wire.
 //
 // Single machine (in-process worker pool):
 //

@@ -1,9 +1,6 @@
 package sweep
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -15,8 +12,9 @@ import (
 
 // Options tunes a sweep run.
 type Options struct {
-	// Workers is the in-process worker-pool size for Run (ignored by
-	// Serve, where workers dial in). Default 1.
+	// Workers is the in-process worker-pool size for Run and RunPoints.
+	// Serve ignores it: there the workers dial in, and each cuts the
+	// warm-up prefix of the jobs it runs. Default 1.
 	Workers int
 	// StragglerAfter is how long a dispatched job (a group of points that
 	// share a platform) may stay in flight before an idle worker
@@ -29,17 +27,18 @@ type Options struct {
 	Fault     etherlink.FaultConfig
 	FaultSeed int64
 	// Link tunes the reliable endpoint protocol of every session (zero
-	// fields take sweep defaults: a window sized for checkpoint-carrying
-	// jobs and a 60 s idle budget to cover long points).
+	// fields take sweep defaults: a 4096-frame resend window and a 60 s
+	// idle budget to cover long points).
 	Link etherlink.ReliableConfig
 	// Logf, when non-nil, observes dispatch events.
 	Logf func(format string, args ...any)
 }
 
-// sweepLink fills the Options.Link defaults. Jobs carry warm-up
-// checkpoints (megabytes chunked into ~1.5 kB frames), so the go-back-N
-// resend window must span a whole job burst; the idle budget must outlast
-// the slowest point a worker computes between protocol messages.
+// sweepLink fills the Options.Link defaults. The go-back-N resend window
+// spans a whole message burst: a job or result of maxJobPoints points takes
+// a few dozen ~1.5 kB frames, far inside it. The idle budget (RetryTimeout
+// x MaxRetries, 60 s) must outlast the slowest job a worker computes
+// between protocol messages.
 func (o *Options) sweepLink() etherlink.ReliableConfig {
 	l := o.Link
 	if l.Window == 0 {
@@ -72,17 +71,15 @@ func (o *Options) logf(format string, args ...any) {
 type Outcome struct {
 	Name    string
 	Results []*Result
-	// WallS is the whole sweep's wall time including warm-up cutting;
-	// WarmupWallS is the warm-up share of it.
+	// WallS is the whole sweep's wall time. Each job runs its own TM-off
+	// warm-up prefix of WarmupWindows windows, so a sweep with a warm-up
+	// runs WarmupGroups (one per job) of them; WarmupWallS sums the
+	// prefixes' wall times as the jobs' results report them.
 	WallS         float64
 	WarmupWallS   float64
 	WarmupGroups  int
 	WarmupWindows int
 	Workers       int
-	// WarmupSends counts the job messages that carried warm-up checkpoint
-	// bytes: a worker is sent a checkpoint only when it does not already
-	// hold it.
-	WarmupSends int
 	// Steals counts speculative re-dispatches of straggling jobs,
 	// Duplicates the redundant job results that produced (each verified
 	// digest-identical), SessionFailures the worker sessions lost to link
@@ -110,22 +107,13 @@ func (o *Outcome) AggregateWindowsPerS() float64 {
 	return float64(o.Windows()) / o.WallS
 }
 
-// warmup is one shared warm-up prefix checkpoint. Its id, a digest of the
-// bytes, is the key a job names and a worker reports holding.
-type warmup struct {
-	id string
-	ck []byte
-}
-
 // groupState tracks one job through dispatch: the grid points that share
 // a warm-up key (at most maxJobPoints of them), which a worker runs as one
 // co-emulation over one platform.
 type groupState struct {
-	points    []int // grid indexes, in grid order
-	label     string
-	warmupKey string
-	warmup    *warmup // nil until CutWarmups, and in sweeps without warm-ups
-	done      bool
+	points []int // grid indexes, in grid order
+	label  string
+	done   bool
 	// assigned maps session id -> dispatch time for every in-flight copy
 	// (more than one under stealing).
 	assigned      map[int64]time.Time
@@ -134,12 +122,12 @@ type groupState struct {
 
 // Coordinator owns a sweep's dispatch state. The grid's points are grouped
 // by warm-up key, and each group is one job. Sessions (one per connected
-// worker) pull groups from a FIFO queue, preferring groups whose warm-up
-// the worker already holds; an idle session with an empty queue steals the
-// oldest straggling in-flight group; a dead session's groups return to the
-// queue; duplicate results must be digest-identical.
+// worker) pull groups from a FIFO queue; an idle session with an empty
+// queue steals the oldest straggling in-flight group; a dead session's
+// groups return to the queue; duplicate results must be digest-identical.
 type Coordinator struct {
-	opt Options
+	opt           Options
+	warmupWindows int // each job's TM-off prefix, 0 for none
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -153,22 +141,23 @@ type Coordinator struct {
 	steals      int
 	dups        int
 	sessFails   int
-	warmupSends int
+	warmupWall  time.Duration // summed over the done groups' results
 }
 
 // NewCoordinator builds a coordinator over an expanded grid: one job per
 // run of points sharing a WarmupKey, in order of each key's first point,
-// split at maxJobPoints. Call CutWarmups before serving if the sweep
-// shares warm-up prefixes.
-func NewCoordinator(points []Point, opt Options) *Coordinator {
-	c := &Coordinator{opt: opt, points: points, results: make([]*Result, len(points))}
+// split at maxJobPoints. With warmupWindows > 0 every job first runs its
+// platform's TM-off prefix of that many windows, on the worker that runs
+// it, and resumes its points from there.
+func NewCoordinator(points []Point, warmupWindows int, opt Options) *Coordinator {
+	c := &Coordinator{opt: opt, warmupWindows: warmupWindows, points: points, results: make([]*Result, len(points))}
 	c.cond = sync.NewCond(&c.mu)
 	open := map[string]*groupState{}
 	for i := range points {
 		key := points[i].WarmupKey()
 		g := open[key]
 		if g == nil || len(g.points) == maxJobPoints {
-			g = &groupState{warmupKey: key, assigned: map[int64]time.Time{}}
+			g = &groupState{assigned: map[int64]time.Time{}}
 			open[key] = g
 			c.pending = append(c.pending, len(c.groups))
 			c.groups = append(c.groups, g)
@@ -183,61 +172,6 @@ func NewCoordinator(points []Point, opt Options) *Coordinator {
 		g.label = strings.Join(names, ", ")
 	}
 	return c
-}
-
-// CutWarmups runs each distinct platform's TM-off warm-up prefix once
-// (grouped by WarmupKey, up to parallel of them concurrently) and stores
-// the encoded checkpoints for dispatch. It returns the warm-up group
-// count.
-func (c *Coordinator) CutWarmups(windows, parallel int) (int, error) {
-	type group struct {
-		key   string
-		point Point
-	}
-	var groups []group
-	seen := map[string]bool{}
-	for _, g := range c.groups {
-		if !seen[g.warmupKey] {
-			seen[g.warmupKey] = true
-			groups = append(groups, group{g.warmupKey, c.points[g.points[0]]})
-		}
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		errs    []error
-		sem     = make(chan struct{}, parallel)
-		warmups = map[string]*warmup{}
-	)
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g group) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ck, err := CutWarmup(g.point.Scenario, windows)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("point %s: %w", g.point.Name, err))
-				return
-			}
-			sum := sha256.Sum256(ck)
-			warmups[g.key] = &warmup{id: hex.EncodeToString(sum[:12]), ck: ck}
-		}(g)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return 0, fmt.Errorf("sweep: warm-up: %w", err)
-	}
-	for _, g := range c.groups {
-		g.warmup = warmups[g.warmupKey]
-	}
-	c.opt.logf("sweep: cut %d warm-up prefix checkpoint(s) at window %d", len(groups), windows)
-	return len(groups), nil
 }
 
 // fail aborts the sweep with the first fatal error.
@@ -258,12 +192,11 @@ func (c *Coordinator) finished() bool {
 }
 
 // next blocks until a group is available for the session, the grid
-// completes, or the sweep fails. It prefers the re-dispatch/fresh FIFO,
-// taking the oldest queued group whose warm-up is the one the worker holds
-// (have) and otherwise the head; with nothing queued it steals the
+// completes, or the sweep fails. It prefers the head of the
+// re-dispatch/fresh FIFO; with nothing queued it steals the
 // longest-in-flight straggler not already held by this session, once the
 // straggler threshold passes.
-func (c *Coordinator) next(sid int64, have string) (int, bool) {
+func (c *Coordinator) next(sid int64) (int, bool) {
 	straggler := c.opt.stragglerAfter()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -272,15 +205,8 @@ func (c *Coordinator) next(sid int64, have string) (int, bool) {
 			return 0, false
 		}
 		if len(c.pending) > 0 {
-			at := 0
-			for i, gi := range c.pending {
-				if w := c.groups[gi].warmup; w != nil && w.id == have {
-					at = i
-					break
-				}
-			}
-			gi := c.pending[at]
-			c.pending = append(c.pending[:at], c.pending[at+1:]...)
+			gi := c.pending[0]
+			c.pending = c.pending[1:]
 			c.assignLocked(gi, sid)
 			return gi, true
 		}
@@ -314,23 +240,12 @@ func (c *Coordinator) next(sid int64, have string) (int, bool) {
 	}
 }
 
-// job builds the job message for group gi, carrying the warm-up
-// checkpoint bytes only when the worker does not already hold them.
-func (c *Coordinator) job(gi int, have string) *wireMsg {
-	g := c.groups[gi]
-	m := &wireMsg{Type: "job", ID: gi}
-	for _, idx := range g.points {
+// job builds the job message for group gi.
+func (c *Coordinator) job(gi int) *wireMsg {
+	m := &wireMsg{Type: "job", ID: gi, WarmupWindows: c.warmupWindows}
+	for _, idx := range c.groups[gi].points {
 		p := &c.points[idx]
 		m.Points = append(m.Points, jobPoint{ID: idx, Name: p.Name, Scenario: p.Scenario.Render()})
-	}
-	if w := g.warmup; w != nil {
-		m.WarmupKey = w.id
-		if w.id != have {
-			m.Warmup = w.ck
-			c.mu.Lock()
-			c.warmupSends++
-			c.mu.Unlock()
-		}
 	}
 	return m
 }
@@ -384,6 +299,7 @@ func (c *Coordinator) complete(sid int64, m *wireMsg) error {
 	for i, r := range m.Results {
 		c.results[g.points[i]] = r
 	}
+	c.warmupWall += m.WarmupWall
 	c.doneCount++
 	c.cond.Broadcast()
 	return nil
@@ -446,7 +362,7 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 				return sessErr(fmt.Errorf("sweep: worker %s sent ready while it holds job %s",
 					m.Worker, c.groups[held].label))
 			}
-			gi, ok := c.next(sid, m.Have)
+			gi, ok := c.next(sid)
 			if !ok {
 				err := sendMsg(ep, &wireMsg{Type: "done"})
 				c.release(sid, false)
@@ -455,7 +371,7 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 				}
 				return err
 			}
-			if err := sendMsg(ep, c.job(gi, m.Have)); err != nil {
+			if err := sendMsg(ep, c.job(gi)); err != nil {
 				return sessErr(err)
 			}
 			held = gi
@@ -507,7 +423,7 @@ func (c *Coordinator) wake(stop <-chan struct{}) {
 }
 
 // outcome assembles the final report, failing if any point never finished.
-func (c *Coordinator) outcome(name string, workers int, wall, warmupWall time.Duration, warmupWindows, warmupGroups int) (*Outcome, error) {
+func (c *Coordinator) outcome(name string, workers int, wall time.Duration) (*Outcome, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failed != nil {
@@ -516,10 +432,8 @@ func (c *Coordinator) outcome(name string, workers int, wall, warmupWall time.Du
 	o := &Outcome{
 		Name:            name,
 		WallS:           wall.Seconds(),
-		WarmupWallS:     warmupWall.Seconds(),
-		WarmupGroups:    warmupGroups,
-		WarmupWindows:   warmupWindows,
-		WarmupSends:     c.warmupSends,
+		WarmupWallS:     c.warmupWall.Seconds(),
+		WarmupWindows:   c.warmupWindows,
 		Workers:         workers,
 		Steals:          c.steals,
 		Duplicates:      c.dups,
@@ -535,6 +449,9 @@ func (c *Coordinator) outcome(name string, workers int, wall, warmupWall time.Du
 	}
 	if len(missing) > 0 {
 		return nil, fmt.Errorf("sweep: %d point(s) never finished (every worker lost?): %v", len(missing), missing)
+	}
+	if c.warmupWindows > 0 {
+		o.WarmupGroups = len(c.groups)
 	}
 	return o, nil
 }
@@ -556,17 +473,8 @@ func RunPoints(name string, points []Point, warmupWindows int, opt Options) (*Ou
 	if workers < 1 {
 		workers = 1
 	}
-	c := NewCoordinator(points, opt)
+	c := NewCoordinator(points, warmupWindows, opt)
 	start := time.Now()
-	warmupGroups := 0
-	var warmupWall time.Duration
-	if warmupWindows > 0 {
-		var err error
-		if warmupGroups, err = c.CutWarmups(warmupWindows, workers); err != nil {
-			return nil, err
-		}
-		warmupWall = time.Since(start)
-	}
 	stop := make(chan struct{})
 	go c.wake(stop)
 	var wg sync.WaitGroup
@@ -597,7 +505,7 @@ func RunPoints(name string, points []Point, warmupWindows int, opt Options) (*Ou
 	}
 	wg.Wait()
 	close(stop)
-	return c.outcome(name, workers, time.Since(start), warmupWall, warmupWindows, warmupGroups)
+	return c.outcome(name, workers, time.Since(start))
 }
 
 // Serve executes a sweep as a TCP coordinator: workers dial ln's address
@@ -609,20 +517,8 @@ func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, erro
 	if err != nil {
 		return nil, err
 	}
-	c := NewCoordinator(points, opt)
+	c := NewCoordinator(points, spec.WarmupWindows, opt)
 	start := time.Now()
-	warmupGroups := 0
-	var warmupWall time.Duration
-	if spec.WarmupWindows > 0 {
-		parallel := opt.Workers
-		if parallel < 1 {
-			parallel = 1
-		}
-		if warmupGroups, err = c.CutWarmups(spec.WarmupWindows, parallel); err != nil {
-			return nil, err
-		}
-		warmupWall = time.Since(start)
-	}
 	stop := make(chan struct{})
 	go c.wake(stop)
 	go func() {
@@ -647,5 +543,5 @@ func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, erro
 	c.mu.Unlock()
 	close(stop)
 	ln.Close()
-	return c.outcome(spec.Name, 0, time.Since(start), warmupWall, spec.WarmupWindows, warmupGroups)
+	return c.outcome(spec.Name, 0, time.Since(start))
 }

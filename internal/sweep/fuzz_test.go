@@ -83,40 +83,45 @@ func reassemble(payloads [][]byte) (*wireMsg, error) {
 }
 
 // prefixed builds a single final payload whose prefix declares the given
-// version and lengths, followed by data.
-func prefixed(version byte, hdrLen, blobLen uint32, data string) []byte {
+// version and header length, followed by data.
+func prefixed(version byte, hdrLen uint32, data string) []byte {
 	p := []byte{1, version}
 	p = binary.LittleEndian.AppendUint32(p, hdrLen)
-	p = binary.LittleEndian.AppendUint32(p, blobLen)
 	return append(p, data...)
+}
+
+// v3Frame is a whole version-3 message: its prefix declared a header
+// length and a blob length, and the blob followed the header.
+func v3Frame() []byte {
+	p := []byte{1, 3}
+	p = binary.LittleEndian.AppendUint32(p, 15)
+	p = binary.LittleEndian.AppendUint32(p, 2)
+	return append(p, `{"type":"done"}xx`...)
 }
 
 // FuzzSweepWire holds the protocol receiver to its contract on arbitrary
 // MsgSweep payload streams: reassembly and decode never panic, the
 // assembler allocates exactly the length the prefix declares and never
 // more than maxMsgBytes, a job or result lists at most maxJobPoints
-// points, and a decoded message re-encodes to the same bytes. The seeds
-// are the payloads of real jobs of one point and of a three-point group,
-// each carrying a warm-up checkpoint as its blob, and of their results.
+// points, no count decodes negative, and a decoded message re-encodes to
+// the same bytes. The seeds are the payloads of real jobs of one point and
+// of a three-point group, each asking for a warm-up prefix, and of their
+// results.
 func FuzzSweepWire(f *testing.F) {
 	group := warmupBenchGrid(f)
-	warmup, err := CutWarmup(group[0].Scenario, 2)
-	if err != nil {
-		f.Fatal(err)
-	}
 	var msgs []*wireMsg
 	for id, points := range [][]Point{group[:1], group} {
-		job := &wireMsg{Type: "job", ID: id, WarmupKey: "k0", Warmup: warmup}
+		job := &wireMsg{Type: "job", ID: id, WarmupWindows: 2}
 		for _, p := range points {
 			job.Points = append(job.Points, jobPoint{ID: p.Index, Name: p.Name, Scenario: p.Scenario.Render()})
 		}
-		res, err := (&Worker{}).runJob(job, job.Warmup)
+		res, wall, err := (&Worker{}).runJob(job)
 		if err != nil {
 			f.Fatal(err)
 		}
-		msgs = append(msgs, job, &wireMsg{Type: "result", Worker: "w0", ID: job.ID, Results: res})
+		msgs = append(msgs, job, &wireMsg{Type: "result", Worker: "w0", ID: job.ID, Results: res, WarmupWall: wall})
 	}
-	msgs = append(msgs, &wireMsg{Type: "ready", Worker: "w0", Have: "k0"}, &wireMsg{Type: "done"})
+	msgs = append(msgs, &wireMsg{Type: "ready", Worker: "w0"}, &wireMsg{Type: "done"})
 	for _, m := range msgs {
 		payloads, err := encode(m)
 		if err != nil {
@@ -124,19 +129,23 @@ func FuzzSweepWire(f *testing.F) {
 		}
 		got, err := reassemble(payloads)
 		if err != nil || got == nil || got.Type != m.Type || len(got.Points) != len(m.Points) ||
-			len(got.Results) != len(m.Results) || !bytes.Equal(got.Warmup, m.Warmup) {
+			len(got.Results) != len(m.Results) || got.WarmupWindows != m.WarmupWindows || got.WarmupWall != m.WarmupWall {
 			f.Fatalf("%s message does not survive the round trip (got %v, error %v)", m.Type, got != nil, err)
 		}
 		f.Add(frameStream(payloads))
 	}
 	over := `{"type":"job","points":[` + strings.Repeat(`{"id":0,"name":"p","scenario":""},`, maxJobPoints) + `{}]}`
-	f.Add(frameStream([][]byte{prefixed(wireVersion, uint32(len(over)), 0, over)}))
+	f.Add(frameStream([][]byte{prefixed(wireVersion, uint32(len(over)), over)}))
 	f.Add(frameStream([][]byte{{}}))
 	f.Add(frameStream([][]byte{[]byte("\x01{\"type\":\"done\"}")}))
-	f.Add(frameStream([][]byte{prefixed(wireVersion, maxMsgBytes, 1, "")}))
-	f.Add(frameStream([][]byte{prefixed(wireVersion, 15, 2, `{"type":"done"}`)}))
-	f.Add(frameStream([][]byte{prefixed(wireVersion, 15, 0, `{"type":"done"}xx`)}))
-	f.Add(frameStream([][]byte{prefixed(wireVersion, 15, 3, `{"type":"done"}abc`)}))
+	f.Add(frameStream([][]byte{prefixed(wireVersion, maxMsgBytes+1, "")}))
+	f.Add(frameStream([][]byte{v3Frame()}))
+	f.Add(frameStream([][]byte{prefixed(wireVersion, 17, `{"type":"done"}`)}))
+	f.Add(frameStream([][]byte{prefixed(wireVersion, 15, `{"type":"done"}xx`)}))
+	negJob := `{"type":"job","points":[{"id":0,"name":"p","scenario":""}],"warmup_windows":-1}`
+	f.Add(frameStream([][]byte{prefixed(wireVersion, uint32(len(negJob)), negJob)}))
+	negResult := `{"type":"result","warmup_ns":-5}`
+	f.Add(frameStream([][]byte{prefixed(wireVersion, uint32(len(negResult)), negResult)}))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		frames := splitFrames(stream)
@@ -147,10 +156,13 @@ func FuzzSweepWire(f *testing.F) {
 				t.Fatalf("decoded a %q message of %d points and %d results, past the cap of %d",
 					m.Type, len(m.Points), len(m.Results), maxJobPoints)
 			}
+			if m != nil && (m.WarmupWindows < 0 || m.WarmupWall < 0) {
+				t.Fatalf("decoded a %q message with a negative warm-up: %d windows, %d ns", m.Type, m.WarmupWindows, m.WarmupWall)
+			}
 			if a.started {
-				h, b, _ := readPrefix(frames[0][1:])
-				if cap(a.buf) != h+b || cap(a.buf) > maxMsgBytes {
-					t.Fatalf("assembler allocated %d bytes for a declared %d (cap %d)", cap(a.buf), h+b, maxMsgBytes)
+				h, _ := readPrefix(frames[0][1:])
+				if cap(a.buf) != h || cap(a.buf) > maxMsgBytes {
+					t.Fatalf("assembler allocated %d bytes for a declared %d (cap %d)", cap(a.buf), h, maxMsgBytes)
 				}
 			}
 			if err != nil {

@@ -141,8 +141,8 @@ func TestSweepWarmupGridParity(t *testing.T) {
 }
 
 // TestSweepTCPParity drives the distributed path: a TCP coordinator, two
-// dialing workers, warm-up checkpoints shipped over the wire — digests must
-// still match the serial references.
+// dialing workers, each job cutting its warm-up prefix on its worker —
+// digests must still match the serial references fed CutWarmup's bytes.
 func TestSweepTCPParity(t *testing.T) {
 	dir := t.TempDir()
 	base := smallScenario()
@@ -187,69 +187,63 @@ func TestSweepTCPParity(t *testing.T) {
 			}
 		}("tcp-w" + string(rune('0'+i)))
 	}
-	out, err := Serve(spec, dir, ln, Options{StragglerAfter: -1, Workers: 2})
+	out, err := Serve(spec, dir, ln, Options{StragglerAfter: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkParity(t, "tcp", out, ref)
 }
 
-// TestSweepWarmupShipsOnce pins the ship-once protocol on a grid with two
-// warm-up groups queued in alternating order: a single worker is sent each
-// checkpoint exactly once (it is handed the held group's points first), a
-// pool of four at most once per worker per group, and every digest still
-// matches its serial twin fed the same checkpoint.
-func TestSweepWarmupShipsOnce(t *testing.T) {
+// TestSweepSplitGroupCutsPrefixPerJob covers a warm-up group larger than
+// one job: 65 points on one platform split at maxJobPoints into two jobs,
+// and each job cuts its own TM-off prefix in memory. Every point's digest
+// and lineage flags equal a solo RunPoint fed CutWarmup's bytes.
+func TestSweepSplitGroupCutsPrefixPerJob(t *testing.T) {
 	const prefix = 8
+	policies := []string{"none", "threshold-dfs", "proportional-dfs"}
 	var points []Point
-	for _, pol := range []string{"none", "threshold-dfs"} {
-		for _, w := range []string{"matrix", "fir"} {
-			s := smallScenario()
-			s.Workload = w
-			s.Policy = pol
-			s.Name = w + "/" + pol
-			if err := s.Lint(); err != nil {
-				t.Fatal(err)
-			}
-			points = append(points, Point{Index: len(points), Name: s.Name, Scenario: s})
-		}
-	}
-	ref := map[string]string{}
-	cks := map[string][]byte{}
-	for _, p := range points {
-		key := p.WarmupKey()
-		if cks[key] == nil {
-			ck, err := CutWarmup(p.Scenario, prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cks[key] = ck
-		}
-		r, err := RunPoint(p.Scenario, cks[key])
-		if err != nil {
+	for i := 0; i < maxJobPoints+1; i++ {
+		s := smallScenario()
+		s.Policy = policies[i%len(policies)]
+		s.Name = fmt.Sprintf("p%02d/%s", i, s.Policy)
+		if err := s.Lint(); err != nil {
 			t.Fatal(err)
 		}
-		ref[p.Name] = r.Digest
+		points = append(points, Point{Index: i, Name: s.Name, Scenario: s})
 	}
-	if len(cks) != 2 {
-		t.Fatalf("grid has %d warm-up groups, want 2", len(cks))
+	if points[0].WarmupKey() != points[len(points)-1].WarmupKey() {
+		t.Fatal("the grid's points should share one warm-up key")
+	}
+	ck, err := CutWarmup(points[0].Scenario, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Points of one policy run the same scenario, so one solo run per
+	// policy is every such point's reference.
+	solo := map[string]*Result{}
+	for _, p := range points[:len(policies)] {
+		if solo[p.Scenario.Policy], err = RunPoint(p.Scenario, ck); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	for _, workers := range []int{1, 4} {
-		out, err := RunPoints("ship", points, prefix, Options{Workers: workers, StragglerAfter: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkParity(t, fmt.Sprintf("workers=%d", workers), out, ref)
-		if out.WarmupGroups != len(cks) {
-			t.Errorf("workers=%d: warm-up groups = %d, want %d", workers, out.WarmupGroups, len(cks))
-		}
-		limit := workers * out.WarmupGroups
-		if workers == 1 && out.WarmupSends != out.WarmupGroups {
-			t.Errorf("workers=1: %d checkpoint sends, want one per group (%d)", out.WarmupSends, out.WarmupGroups)
-		}
-		if out.WarmupSends < out.WarmupGroups || out.WarmupSends > limit {
-			t.Errorf("workers=%d: %d checkpoint sends, want %d..%d", workers, out.WarmupSends, out.WarmupGroups, limit)
+	out, err := RunPoints("split", points, prefix, Options{Workers: 2, StragglerAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.WarmupGroups != 2 {
+		t.Errorf("warm-up prefixes run = %d, want 2 (one per job)", out.WarmupGroups)
+	}
+	if len(out.Results) != len(points) {
+		t.Fatalf("%d results for %d points", len(out.Results), len(points))
+	}
+	for i, r := range out.Results {
+		want := solo[points[i].Scenario.Policy]
+		if r.Name != points[i].Name || r.Digest != want.Digest || r.DigestRecords != want.DigestRecords ||
+			r.Warmed != want.Warmed || r.Forked != want.Forked {
+			t.Errorf("point %s: digest %s/%d warmed=%v forked=%v, solo %s/%d warmed=%v forked=%v",
+				points[i].Name, r.Digest, r.DigestRecords, r.Warmed, r.Forked,
+				want.Digest, want.DigestRecords, want.Warmed, want.Forked)
 		}
 	}
 }
@@ -258,7 +252,7 @@ func TestSweepWarmupShipsOnce(t *testing.T) {
 // example and bench workload grid, and the smallGrid and warmupBenchGrid
 // grids, run through RunPoints — one job, and one emulation, per warm-up
 // group — give each point the result a solo RunPoint of its scenario
-// gives, fed the same warm-up checkpoint, in everything but wall time.
+// gives, fed CutWarmup's bytes, in everything but wall time.
 func TestSweepGroupParity(t *testing.T) {
 	type grid struct {
 		name   string

@@ -28,24 +28,11 @@ type Result struct {
 // RunPoint executes one grid point: the scenario is compiled through the
 // same CoEmulation builder the CLI uses, with the golden digest always on.
 // warmup, when non-nil, is an encoded TMCK checkpoint of the point's TM-off
-// warm-up prefix: a TM-off point resumes it (continuing the golden lineage,
-// so its final digest equals an uninterrupted serial run's), a point with a
-// policy forks from it (fresh lineage, shared prefix cycles still saved).
+// warm-up prefix (CutWarmup's bytes): a TM-off point resumes it (continuing
+// the golden lineage, so its final digest equals an uninterrupted serial
+// run's), a point with a policy forks from it (fresh lineage, shared prefix
+// cycles still saved).
 func RunPoint(s *scenario.Scenario, warmup []byte) (*Result, error) {
-	res, err := RunGroup([]*scenario.Scenario{s}, warmup)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// RunGroup executes grid points that share one platform — scenarios equal
-// but for their TM policy, as points with one WarmupKey are — as one
-// co-emulation (core.RunGroup): the platform is emulated once, and each
-// point keeps its own clock, thermal host, policy and digest, so each
-// result equals RunPoint's for the same scenario and warm-up. A point that
-// fails fails the group, with the point named when there are several.
-func RunGroup(ss []*scenario.Scenario, warmup []byte) ([]*Result, error) {
 	var ck *checkpoint.Checkpoint
 	if warmup != nil {
 		var err error
@@ -53,6 +40,22 @@ func RunGroup(ss []*scenario.Scenario, warmup []byte) ([]*Result, error) {
 			return nil, fmt.Errorf("sweep: warm-up checkpoint: %w", err)
 		}
 	}
+	res, err := runGroup([]*scenario.Scenario{s}, ck)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// runGroup executes grid points that share one platform — scenarios equal
+// but for their TM policy, as points with one WarmupKey are — as one
+// co-emulation (core.RunGroup): the platform is emulated once, and each
+// point keeps its own clock, thermal host, policy and digest, so each
+// result equals RunPoint's for the same scenario and warm-up. A non-nil
+// warmup is the group's TM-off prefix checkpoint, which every point resumes
+// (TM off) or forks from (a policy). A point that fails fails the group,
+// with the point named when there are several.
+func runGroup(ss []*scenario.Scenario, warmup *checkpoint.Checkpoint) ([]*Result, error) {
 	cfgs, err := scenario.CoEmulations(ss)
 	if err != nil {
 		return nil, err
@@ -65,8 +68,8 @@ func RunGroup(ss []*scenario.Scenario, warmup []byte) ([]*Result, error) {
 		cfg.Golden = golden.New()
 		cfg.DiscardSamples = true
 		results[i] = &Result{Name: s.Name}
-		if ck != nil {
-			cfg.Resume = ck
+		if warmup != nil {
+			cfg.Resume = warmup
 			cfg.Fork = s.Policy != "none"
 			results[i].Warmed = true
 			results[i].Forked = cfg.Fork
@@ -100,9 +103,19 @@ var errWarmupCut = errors.New("sweep: warm-up prefix complete")
 
 // CutWarmup runs the TM-off warm-up prefix of a grid point's platform for
 // the given number of sampling windows and returns the encoded checkpoint
-// at that boundary. The prefix runs with the digest on, so a TM-off point
-// resuming it continues a real golden lineage.
+// at that boundary, which RunPoint takes. The prefix runs with the digest
+// on, so a TM-off point resuming it continues a real golden lineage.
 func CutWarmup(s *scenario.Scenario, windows int) ([]byte, error) {
+	ck, err := cutWarmup(s, windows)
+	if err != nil {
+		return nil, err
+	}
+	return checkpoint.Encode(ck), nil
+}
+
+// cutWarmup is CutWarmup without the encode: the in-memory checkpoint a
+// worker resumes its group from.
+func cutWarmup(s *scenario.Scenario, windows int) (*checkpoint.Checkpoint, error) {
 	if windows <= 0 {
 		return nil, fmt.Errorf("sweep: warm-up windows must be positive, got %d", windows)
 	}
@@ -129,5 +142,5 @@ func CutWarmup(s *scenario.Scenario, windows int) ([]byte, error) {
 	if cut == nil {
 		return nil, fmt.Errorf("sweep: workload %q halts before the %d-window warm-up prefix ends", s.Workload, windows)
 	}
-	return checkpoint.Encode(cut), nil
+	return cut, nil
 }

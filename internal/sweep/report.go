@@ -78,8 +78,8 @@ func (o *Outcome) WriteTable(w io.Writer) error {
 	fmt.Fprintf(w, "\ngrid:    %d points, %d windows in %.2fs wall -> %.1f aggregate windows/s\n",
 		len(rows), o.Windows(), o.WallS, o.AggregateWindowsPerS())
 	if o.WarmupWindows > 0 {
-		fmt.Fprintf(w, "warm-up: %d prefix group(s) x %d windows shared via checkpoints (%.2fs wall), %d checkpoint send(s)\n",
-			o.WarmupGroups, o.WarmupWindows, o.WarmupWallS, o.WarmupSends)
+		fmt.Fprintf(w, "warm-up: %d prefix group(s) x %d windows (%.2fs wall)\n",
+			o.WarmupGroups, o.WarmupWindows, o.WarmupWallS)
 	}
 	if o.Steals > 0 || o.Duplicates > 0 || o.SessionFailures > 0 {
 		fmt.Fprintf(w, "dispatch: %d steal(s), %d duplicate result(s), %d session failure(s)\n",

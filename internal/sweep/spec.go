@@ -7,8 +7,8 @@
 // runs, TCP transports for distributed ones — with work-stealing
 // straggler re-dispatch, and merges the per-point results into the
 // benchgate line format so sweeps regression-gate like benchmarks. A
-// worker runs a job as one co-emulation (RunGroup): the platform is
-// emulated once for all of the job's points.
+// worker runs a job as one co-emulation: the platform is emulated once for
+// all of the job's points.
 //
 // Determinism is the contract: every point runs through the exact
 // scenario→core.Config path cmd/thermemu uses, so a point's golden digest
@@ -16,12 +16,12 @@
 // worker ran it, in which group, how often it was re-dispatched, or how
 // faulty the link was.
 //
-// When the spec sets warmup-windows, the coordinator first runs each
-// platform's common prefix once with TM off, cuts a TMCK checkpoint at the
-// warm-up boundary, and ships it with every job: points with TM off resume
-// the lineage (their digest equals the uninterrupted serial run), points
-// with a policy fork from it (a what-if branch off the shared prefix),
-// eliminating the redundant warm-up cycles across the grid.
+// When the spec sets warmup-windows, the worker running a job first runs
+// the platform's common prefix with TM off and cuts a checkpoint in memory
+// at the warm-up boundary: points with TM off resume the lineage (their
+// digest equals the uninterrupted serial run), points with a policy fork
+// from it (a what-if branch off the shared prefix), so the policies share
+// the prefix's thermal solves.
 package sweep
 
 import (
@@ -40,7 +40,7 @@ const Header = "thermemu-sweep v1"
 type Spec struct {
 	Name string
 	// WarmupWindows > 0 shares a TM-off warm-up prefix of this many
-	// sampling windows across the grid via checkpoints.
+	// sampling windows across each job's points.
 	WarmupWindows int
 	// Base is the base scenario file, relative to the spec file
 	// ("" = the default scenario).

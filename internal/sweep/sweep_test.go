@@ -82,9 +82,9 @@ func checkParity(t *testing.T, column string, out *Outcome, ref map[string]strin
 	}
 }
 
-// TestWireRoundTrip pushes a multi-chunk job (a fake warm-up checkpoint
-// as its blob) through a loopback endpoint pair and checks it reassembles
-// bit-identically, with the header fields and the raw blob intact.
+// TestWireRoundTrip pushes a multi-chunk job (point scenarios long
+// enough to span several frames) through a loopback endpoint pair and
+// checks it reassembles bit-identically, with every header field intact.
 func TestWireRoundTrip(t *testing.T) {
 	devTr, coordTr := etherlink.LoopbackPair(256)
 	link := (&Options{}).sweepLink()
@@ -93,12 +93,9 @@ func TestWireRoundTrip(t *testing.T) {
 	defer devTr.Close()
 	defer coordTr.Close()
 
-	warmup := make([]byte, 4*etherlink.MaxPayload+123)
-	for i := range warmup {
-		warmup[i] = byte(i * 31)
-	}
-	sent := &wireMsg{Type: "job", ID: 7, WarmupKey: "k7", Warmup: warmup, Points: []jobPoint{
-		{ID: 7, Name: "p7", Scenario: "thermemu-scenario v1\n"},
+	long := "thermemu-scenario v1\n# " + strings.Repeat("x", 4*etherlink.MaxPayload) + "\n"
+	sent := &wireMsg{Type: "job", ID: 7, WarmupWindows: 12, Points: []jobPoint{
+		{ID: 7, Name: "p7", Scenario: long},
 		{ID: 9, Name: "p9", Scenario: "thermemu-scenario v1\n[tm]\npolicy = threshold-dfs\n"},
 	}}
 
@@ -111,22 +108,17 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != "job" || got.ID != 7 || !reflect.DeepEqual(got.Points, sent.Points) || got.WarmupKey != "k7" {
-		t.Fatalf("round trip mangled header: %s %d %+v %s", got.Type, got.ID, got.Points, got.WarmupKey)
+	if got.Type != "job" || got.ID != 7 || !reflect.DeepEqual(got.Points, sent.Points) || got.WarmupWindows != 12 {
+		t.Fatalf("round trip mangled header: %s %d %+v %d", got.Type, got.ID, got.Points, got.WarmupWindows)
 	}
-	if !bytes.Equal(got.Warmup, warmup) {
-		t.Fatalf("round trip mangled the %d-byte warmup payload", len(warmup))
-	}
-	// The blob travels raw: the frames carry it plus a small header, not
-	// its base64 expansion.
-	if n := coord.LinkStats().FramesRecv.Load(); n != uint64(len(warmup)/etherlink.MaxPayload+1) {
-		t.Errorf("a %d-byte blob took %d frames", len(warmup), n)
+	if n := coord.LinkStats().FramesRecv.Load(); n < 5 {
+		t.Errorf("a job of %d scenario bytes took %d frames, want several", len(long), n)
 	}
 
-	// A message without a blob decodes with a nil Warmup.
-	go func() { errc <- sendMsg(worker, &wireMsg{Type: "ready", Worker: "w0", Have: "k7"}) }()
-	if got, err = recvMsg(coord); err != nil || got.Have != "k7" || got.Warmup != nil {
-		t.Fatalf("ready round trip = %+v, %v", got, err)
+	// A result carries the prefix's wall time.
+	go func() { errc <- sendMsg(worker, &wireMsg{Type: "result", Worker: "w0", ID: 7, WarmupWall: 1234567}) }()
+	if got, err = recvMsg(coord); err != nil || got.Worker != "w0" || got.WarmupWall != 1234567 {
+		t.Fatalf("result round trip = %+v, %v", got, err)
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
@@ -144,8 +136,8 @@ func TestWireRejectsOversizedMessage(t *testing.T) {
 		more   int
 		errSub string
 	}{
-		{"declared over the cap", prefixed(wireVersion, maxMsgBytes, 1, ""), 0, "exceeds"},
-		{"chunks past the declared length", prefixed(wireVersion, 15, 4000, `{"type":"job"}`), 4, "runs past"},
+		{"declared over the cap", prefixed(wireVersion, maxMsgBytes+1, ""), 0, "exceeds"},
+		{"chunks past the declared length", prefixed(wireVersion, 4015, `{"type":"job"}`), 4, "runs past"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			devTr, coordTr := etherlink.LoopbackPair(256)
@@ -180,11 +172,11 @@ func TestWireRejectsOversizedMessage(t *testing.T) {
 
 // TestAssemblerBounds pins the receiver's allocation contract: it allocates
 // exactly the declared length once, errors on an oversized declaration
-// before allocating anything, rejects a short final chunk, and names both
-// versions when the peer speaks another one.
+// before allocating anything, rejects a short final chunk and a negative
+// count, and names both versions when the peer speaks another one.
 func TestAssemblerBounds(t *testing.T) {
-	blob := bytes.Repeat([]byte{0xA5}, 3*etherlink.MaxPayload)
-	payloads, err := encode(&wireMsg{Type: "job", Points: []jobPoint{{Name: "p"}}, WarmupKey: "k", Warmup: blob})
+	long := strings.Repeat("s", 3*etherlink.MaxPayload)
+	payloads, err := encode(&wireMsg{Type: "job", Points: []jobPoint{{Name: "p", Scenario: long}}, WarmupWindows: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +188,7 @@ func TestAssemblerBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			h, b, _ := readPrefix(p[1:])
-			declared = h + b
+			declared, _ = readPrefix(p[1:])
 		}
 		if cap(a.buf) != declared {
 			t.Fatalf("after chunk %d the assembler holds %d bytes of capacity, declared %d", i, cap(a.buf), declared)
@@ -209,7 +200,7 @@ func TestAssemblerBounds(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = (&assembler{}).add(prefixed(wireVersion, maxMsgBytes/2+1, maxMsgBytes/2, ""))
+	_, err = (&assembler{}).add(prefixed(wireVersion, maxMsgBytes+1, ""))
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized declaration = %v, want the size-cap error", err)
@@ -218,16 +209,21 @@ func TestAssemblerBounds(t *testing.T) {
 		t.Errorf("rejecting an oversized declaration allocated %d bytes", grew)
 	}
 
-	if _, err := (&assembler{}).add(prefixed(wireVersion, 15, 5, `{"type":"done"}`)); err == nil || !strings.Contains(err.Error(), "ends at 15 of its declared 20") {
+	if _, err := (&assembler{}).add(prefixed(wireVersion, 20, `{"type":"done"}`)); err == nil || !strings.Contains(err.Error(), "ends at 15 of its declared 20") {
 		t.Errorf("short final chunk = %v, want the truncation error", err)
+	}
+	neg := `{"type":"job","points":[{"id":0,"name":"p","scenario":""}],"warmup_windows":-1}`
+	if _, err := (&assembler{}).add(prefixed(wireVersion, uint32(len(neg)), neg)); err == nil || !strings.Contains(err.Error(), "negative warm-up") {
+		t.Errorf("job with a negative warm-up = %v, want the negative-count error", err)
 	}
 	for _, tc := range []struct {
 		payload []byte
 		want    string
 	}{
-		{prefixed(2, 15, 0, `{"type":"done"}`), "wire version 2, this side speaks version 3"},
-		{prefixed(4, 15, 0, `{"type":"done"}`), "wire version 4, this side speaks version 3"},
-		{[]byte("\x01{\"type\":\"done\"}"), "wire version 1, this side speaks version 3"},
+		{prefixed(2, 15, `{"type":"done"}`), "wire version 2, this side speaks version 4"},
+		{v3Frame(), "wire version 3, this side speaks version 4"},
+		{prefixed(5, 15, `{"type":"done"}`), "wire version 5, this side speaks version 4"},
+		{[]byte("\x01{\"type\":\"done\"}"), "wire version 1, this side speaks version 4"},
 	} {
 		if _, err := (&assembler{}).add(tc.payload); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("payload %q = %v, want an error containing %q", tc.payload[:4], err, tc.want)
@@ -299,7 +295,7 @@ func TestSweepWorkerDeathRequeues(t *testing.T) {
 	ref := serialDigests(t, points)
 
 	opt := Options{StragglerAfter: -1, Logf: t.Logf}
-	c := NewCoordinator(points, opt)
+	c := NewCoordinator(points, 0, opt)
 	stop := make(chan struct{})
 	go c.wake(stop)
 
@@ -328,7 +324,7 @@ func TestSweepWorkerDeathRequeues(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	out, err := c.outcome("death", 2, time.Since(start), 0, 0, 0)
+	out, err := c.outcome("death", 2, time.Since(start))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +341,7 @@ func TestSweepWorkerDeathRequeues(t *testing.T) {
 func TestSweepSecondReadyRequeues(t *testing.T) {
 	points := smallGrid(t)[:2]
 	ref := serialDigests(t, points)
-	c := NewCoordinator(points, Options{StragglerAfter: -1})
+	c := NewCoordinator(points, 0, Options{StragglerAfter: -1})
 
 	rogueTr, coordTr := etherlink.LoopbackPair(256)
 	rogueSess := make(chan error, 1)
@@ -392,7 +388,7 @@ func TestSweepSecondReadyRequeues(t *testing.T) {
 	case <-timeout:
 		t.Fatal("the grid never finished")
 	}
-	out, err := c.outcome("second-ready", 2, 0, 0, 0, 0)
+	out, err := c.outcome("second-ready", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +493,7 @@ func TestSweepSilentWorkerRequeues(t *testing.T) {
 	ref := serialDigests(t, points)
 	link := etherlink.ReliableConfig{RetryTimeout: 10 * time.Millisecond, MaxRetries: 5}
 	budget := time.Duration(link.MaxRetries+1) * link.RetryTimeout
-	c := NewCoordinator(points, Options{StragglerAfter: -1, Link: link})
+	c := NewCoordinator(points, 0, Options{StragglerAfter: -1, Link: link})
 
 	devTr, coordTr := etherlink.LoopbackPair(256)
 	silent := newStallTransport(devTr)
@@ -547,84 +543,9 @@ func TestSweepSilentWorkerRequeues(t *testing.T) {
 	if err := c.ServeSession(coordTr2); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.outcome("silent", 2, 0, 0, 0, 0)
+	out, err := c.outcome("silent", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkParity(t, "silent-worker", out, ref)
-}
-
-// TestSweepUnheldWarmupRequeues covers a job naming a warm-up the worker
-// does not hold and carrying no bytes. The coordinator omits the bytes
-// only for the key a worker reports holding; a peer that reports a key it
-// does not hold ends its session, the point is re-queued, and the next
-// worker is sent the checkpoint and finishes with the warmed digest.
-func TestSweepUnheldWarmupRequeues(t *testing.T) {
-	const prefix = 8
-	points := smallGrid(t)[:1]
-	ck, err := CutWarmup(points[0].Scenario, prefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunPoint(points[0].Scenario, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCoordinator(points, Options{StragglerAfter: -1})
-	if _, err := c.CutWarmups(prefix, 1); err != nil {
-		t.Fatal(err)
-	}
-	key := c.groups[0].warmup.id
-
-	// A peer claiming to hold the key is sent the job without the bytes.
-	link := c.opt.sweepLink()
-	devTr, coordTr := etherlink.LoopbackPair(256)
-	sessDone := make(chan error, 1)
-	go func() { sessDone <- c.ServeSession(coordTr) }()
-	liar := newEndpoint(devTr, false, link)
-	if err := sendMsg(liar, &wireMsg{Type: "ready", Worker: "liar", Have: key}); err != nil {
-		t.Fatal(err)
-	}
-	job, err := recvMsg(liar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.Type != "job" || job.WarmupKey != key || job.Warmup != nil {
-		t.Fatalf("job for a worker holding %s = %s with key %q and %d checkpoint bytes, want the key without bytes",
-			key, job.Type, job.WarmupKey, len(job.Warmup))
-	}
-
-	// A real worker handed that job ends its session with an error.
-	wTr, cTr := etherlink.LoopbackPair(256)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- (&Worker{Name: "w"}).Serve(wTr) }()
-	fake := newEndpoint(cTr, true, link)
-	if m, err := recvMsg(fake); err != nil || m.Type != "ready" || m.Have != "" {
-		t.Fatalf("first message = %+v, %v; want ready holding nothing", m, err)
-	}
-	if err := sendMsg(fake, job); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-serveErr; err == nil || !strings.Contains(err.Error(), "does not hold") {
-		t.Fatalf("Serve on an unheld warm-up key = %v, want the does-not-hold error", err)
-	}
-	cTr.Close()
-
-	// The liar's session dies the same way; the point goes back to the
-	// queue and a fresh worker, holding nothing, gets the bytes.
-	devTr.Close()
-	<-sessDone
-	devTr2, coordTr2 := etherlink.LoopbackPair(256)
-	go (&Worker{Name: "fresh"}).Serve(devTr2)
-	if err := c.ServeSession(coordTr2); err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.outcome("unheld", 2, 0, 0, prefix, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkParity(t, "unheld", out, map[string]string{points[0].Name: want.Digest})
-	if out.SessionFailures != 1 || out.WarmupSends != 1 {
-		t.Errorf("session failures %d, checkpoint sends %d; want 1 and 1", out.SessionFailures, out.WarmupSends)
-	}
 }

@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"time"
 
-	"thermemu/internal/checkpoint"
 	"thermemu/internal/etherlink"
 )
 
@@ -15,19 +15,16 @@ import (
 // same drops, duplicates, reordering and corruption the co-emulation link
 // does.
 //
-// A message is a prefix, a JSON header and a raw blob, cut into MsgSweep
-// payloads of at most MaxPayload bytes. Every payload starts with a
-// last-chunk marker (1 on the final chunk, 0 before it); the endpoint
-// delivers frames in order, so that is all the chunks need. The first
-// chunk's data opens with the prefix:
+// A message is a prefix and a JSON header, cut into MsgSweep payloads of
+// at most MaxPayload bytes. Every payload starts with a last-chunk marker
+// (1 on the final chunk, 0 before it); the endpoint delivers frames in
+// order, so that is all the chunks need. The first chunk's data opens with
+// the prefix:
 //
 //	byte 0     wire version (wireVersion)
 //	bytes 1-4  header length, uint32 little-endian
-//	bytes 5-8  blob length, uint32 little-endian
 //
-// The header is the JSON of wireMsg. The blob is a job's encoded TMCK
-// warm-up checkpoint, carried raw rather than base64-encoded inside the
-// JSON, and is empty on every other message.
+// The header is the JSON of wireMsg.
 //
 // A job is a group: the grid points that share a warm-up key (the same
 // platform, workload and thermal set-up, differing only in TM policy), at
@@ -36,17 +33,16 @@ import (
 // per point, in the job's order. The exchange, strictly alternating per
 // worker:
 //
-//	worker -> coordinator: ready {worker, have}
-//	coordinator -> worker: job {id, points [{id, name, scenario}], warmup_key} + blob | done {}
-//	worker -> coordinator: result {id, results | error}, then ready
+//	worker -> coordinator: ready {worker}
+//	coordinator -> worker: job {id, points [{id, name, scenario}], warmup_windows} | done {}
+//	worker -> coordinator: result {id, results | error, warmup_ns}, then ready
 //
-// A worker keeps the last warm-up checkpoint it received and reports its
-// key as have. A job names the warm-up its group resumes from in
-// warmup_key and carries the checkpoint bytes only when that key differs
-// from the worker's have, so each checkpoint crosses a worker's link once
-// per change of the warm-up it holds. A worker sent a key it does not hold
-// and no bytes ends its session with an error; the coordinator re-queues
-// the group as for any dead link.
+// A job with warmup_windows > 0 asks the worker to run the group's TM-off
+// prefix for that many windows first, in process, and to resume every
+// point from it: a TM-off point continues the prefix's golden lineage, a
+// policy point forks from it. The result reports the prefix's wall time
+// in warmup_ns. A negative warmup_windows or warmup_ns is refused as the
+// message decodes.
 //
 // A ready from a worker that still holds an unanswered job breaks the
 // alternation: the coordinator ends that session with an error and
@@ -58,15 +54,14 @@ import (
 // still deliver a duplicate result — the coordinator verifies the digests
 // match and drops it.
 type wireMsg struct {
-	Type      string                `json:"type"` // ready | job | result | done
-	Worker    string                `json:"worker,omitempty"`
-	Have      string                `json:"have,omitempty"` // ready: key of the warm-up checkpoint the worker holds
-	ID        int                   `json:"id,omitempty"`   // job, result: the job's id
-	Points    boundedList[jobPoint] `json:"points,omitempty"`
-	WarmupKey string                `json:"warmup_key,omitempty"` // job: key of the warm-up checkpoint the group resumes from
-	Warmup    []byte                `json:"-"`                    // the blob: an encoded TMCK prefix checkpoint
-	Results   boundedList[*Result]  `json:"results,omitempty"`    // result: one per job point, in job order
-	Error     string                `json:"error,omitempty"`
+	Type          string                `json:"type"` // ready | job | result | done
+	Worker        string                `json:"worker,omitempty"`
+	ID            int                   `json:"id,omitempty"` // job, result: the job's id
+	Points        boundedList[jobPoint] `json:"points,omitempty"`
+	WarmupWindows int                   `json:"warmup_windows,omitempty"` // job: TM-off prefix to cut before the group runs
+	Results       boundedList[*Result]  `json:"results,omitempty"`        // result: one per job point, in job order
+	WarmupWall    time.Duration         `json:"warmup_ns,omitempty"`      // result: the prefix's wall time
+	Error         string                `json:"error,omitempty"`
 }
 
 // jobPoint is one grid point of a job.
@@ -120,18 +115,20 @@ func (l *boundedList[T]) UnmarshalJSON(data []byte) error {
 
 // wireVersion numbers the framing above. Version 1 sent each message as
 // one JSON document with the checkpoint base64-encoded inside it, so its
-// first data byte is '{'. Version 2 carried one point per job.
-const wireVersion = 3
+// first data byte is '{'. Version 2 carried one point per job. Version 3
+// shipped the group's warm-up checkpoint as a raw blob after the header.
+const wireVersion = 4
 
 // prefixLen is the size of the version and length prefix.
-const prefixLen = 9
+const prefixLen = 5
 
-// maxMsgBytes bounds the declared header plus blob length of one protocol
-// message. The receiver checks it against the prefix before allocating,
-// and then allocates exactly the declared length once, so a peer can make
-// it buffer no more than this. The largest real message is a job carrying
-// its warm-up checkpoint, so the bound is the checkpoint's own.
-const maxMsgBytes = checkpoint.MaxBytes
+// maxMsgBytes bounds the declared header length of one protocol message.
+// The receiver checks it against the prefix before allocating, and then
+// allocates exactly the declared length once, so a peer can make it buffer
+// no more than this. The largest real message is a job or result of
+// maxJobPoints points, each a scenario render or a run summary of a few
+// kilobytes, far inside the bound.
+const maxMsgBytes = 16 << 20
 
 func sendMsg(ep *etherlink.Endpoint, m *wireMsg) error {
 	return writeMsg(m, func(p []byte) error { return ep.Send(etherlink.MsgSweep, p) })
@@ -149,16 +146,15 @@ func writeMsg(m *wireMsg, emit func([]byte) error) error {
 	if err != nil {
 		return err
 	}
-	if n := len(hdr) + len(m.Warmup); n > maxMsgBytes {
-		return fmt.Errorf("sweep: %s message of %d bytes exceeds %d bytes", m.Type, n, maxMsgBytes)
+	if len(hdr) > maxMsgBytes {
+		return fmt.Errorf("sweep: %s message of %d bytes exceeds %d bytes", m.Type, len(hdr), maxMsgBytes)
 	}
 	var prefix [prefixLen]byte
 	prefix[0] = wireVersion
 	binary.LittleEndian.PutUint32(prefix[1:], uint32(len(hdr)))
-	binary.LittleEndian.PutUint32(prefix[5:], uint32(len(m.Warmup)))
-	buf := make([]byte, min(etherlink.MaxPayload, 1+prefixLen+len(hdr)+len(m.Warmup)))
+	buf := make([]byte, min(etherlink.MaxPayload, 1+prefixLen+len(hdr)))
 	n := 1
-	for _, part := range [...][]byte{prefix[:], hdr, m.Warmup} {
+	for _, part := range [...][]byte{prefix[:], hdr} {
 		for len(part) > 0 {
 			if n == len(buf) {
 				buf[0] = 0
@@ -195,8 +191,7 @@ func recvMsg(ep *etherlink.Endpoint) (*wireMsg, error) {
 // assembler reassembles one protocol message from its MsgSweep payloads
 // into a single buffer of exactly the length its prefix declares.
 type assembler struct {
-	buf     []byte // header then blob; cap is the declared length
-	hdrLen  int
+	buf     []byte // the header; cap is the declared length
 	started bool
 }
 
@@ -204,20 +199,19 @@ type assembler struct {
 // chunk, nothing while more chunks are due, or an error for an empty
 // payload, a bad prefix (wrong version, truncated, or a declared length
 // past maxMsgBytes), data past the declared length, a final chunk short of
-// it, or a malformed header. The decoded message's Warmup aliases the blob
-// part of the buffer.
+// it, a malformed header, or a negative count.
 func (a *assembler) add(payload []byte) (*wireMsg, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("sweep: empty protocol frame")
 	}
 	last, data := payload[0] != 0, payload[1:]
 	if !a.started {
-		hdrLen, blobLen, err := readPrefix(data)
+		hdrLen, err := readPrefix(data)
 		if err != nil {
 			return nil, err
 		}
-		a.started, a.hdrLen = true, hdrLen
-		a.buf = make([]byte, 0, hdrLen+blobLen)
+		a.started = true
+		a.buf = make([]byte, 0, hdrLen)
 		data = data[prefixLen:]
 	}
 	if len(data) > cap(a.buf)-len(a.buf) {
@@ -231,34 +225,33 @@ func (a *assembler) add(payload []byte) (*wireMsg, error) {
 		return nil, fmt.Errorf("sweep: protocol message ends at %d of its declared %d bytes", len(a.buf), cap(a.buf))
 	}
 	var m wireMsg
-	if err := json.Unmarshal(a.buf[:a.hdrLen], &m); err != nil {
+	if err := json.Unmarshal(a.buf, &m); err != nil {
 		return nil, fmt.Errorf("sweep: malformed protocol message: %w", err)
 	}
-	if len(a.buf) > a.hdrLen {
-		m.Warmup = a.buf[a.hdrLen:]
+	if m.WarmupWindows < 0 || m.WarmupWall < 0 {
+		return nil, fmt.Errorf("sweep: %s message with a negative warm-up (%d windows, %d ns)", m.Type, m.WarmupWindows, m.WarmupWall)
 	}
 	return &m, nil
 }
 
 // readPrefix checks a message's version and length prefix and returns the
-// declared header and blob lengths.
-func readPrefix(data []byte) (hdrLen, blobLen int, err error) {
+// declared header length.
+func readPrefix(data []byte) (int, error) {
 	if len(data) > 0 && data[0] != wireVersion {
 		v := int(data[0])
 		if data[0] == '{' {
 			v = 1
 		}
-		return 0, 0, fmt.Errorf("sweep: peer speaks wire version %d, this side speaks version %d", v, wireVersion)
+		return 0, fmt.Errorf("sweep: peer speaks wire version %d, this side speaks version %d", v, wireVersion)
 	}
 	if len(data) < prefixLen {
-		return 0, 0, fmt.Errorf("sweep: protocol message prefix truncated to %d bytes", len(data))
+		return 0, fmt.Errorf("sweep: protocol message prefix truncated to %d bytes", len(data))
 	}
-	h := uint64(binary.LittleEndian.Uint32(data[1:]))
-	b := uint64(binary.LittleEndian.Uint32(data[5:]))
-	if h+b > maxMsgBytes {
-		return 0, 0, fmt.Errorf("sweep: protocol message declares %d bytes, which exceeds %d bytes", h+b, maxMsgBytes)
+	h := binary.LittleEndian.Uint32(data[1:])
+	if h > maxMsgBytes {
+		return 0, fmt.Errorf("sweep: protocol message declares %d bytes, which exceeds %d bytes", h, maxMsgBytes)
 	}
-	return int(h), int(b), nil
+	return int(h), nil
 }
 
 // newEndpoint wires a transport into the sweep protocol endpoint. The

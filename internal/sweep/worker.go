@@ -3,19 +3,20 @@ package sweep
 import (
 	"fmt"
 	"strings"
+	"time"
 
+	"thermemu/internal/checkpoint"
 	"thermemu/internal/etherlink"
 	"thermemu/internal/scenario"
 )
 
 // Worker executes jobs for a coordinator. A job is a group of grid points
 // that share one platform: it carries each point's full scenario
-// (canonical render) and, when the sweep shares warm-up prefixes, the key
-// of the TMCK checkpoint the group resumes or forks from. The worker runs
-// the group as one co-emulation (RunGroup) and holds the last checkpoint
-// it was sent, so the coordinator ships the bytes only when the key
-// changes. Any worker can run any job, and a re-dispatched job computes
-// the same digests wherever it lands.
+// (canonical render) and, when the sweep shares a warm-up prefix, its
+// length in windows. The worker cuts the group's TM-off prefix in memory
+// and runs the group from it as one co-emulation (runGroup). Any worker
+// can run any job, and a re-dispatched job computes the same digests
+// wherever it lands.
 type Worker struct {
 	Name string
 	// Link tunes the reliable endpoint (zero fields take the sweep
@@ -40,7 +41,6 @@ func (w *Worker) Serve(tr etherlink.Transport) error {
 		link = (&Options{Link: link}).sweepLink()
 	}
 	ep := newEndpoint(tr, false, link)
-	var held heldWarmup
 	if err := sendMsg(ep, &wireMsg{Type: "ready", Worker: w.Name}); err != nil {
 		return err
 	}
@@ -51,13 +51,9 @@ func (w *Worker) Serve(tr etherlink.Transport) error {
 		}
 		switch m.Type {
 		case "job":
-			warmup, err := held.resolve(m)
-			if err != nil {
-				return fmt.Errorf("sweep: %s: %w", w.Name, err)
-			}
 			w.logf("sweep: %s running %s", w.Name, jobLabel(m))
-			reply := &wireMsg{Type: "result", Worker: w.Name, ID: m.ID}
-			res, err := w.runJob(m, warmup)
+			res, warmupWall, err := w.runJob(m)
+			reply := &wireMsg{Type: "result", Worker: w.Name, ID: m.ID, WarmupWall: warmupWall}
 			if err != nil {
 				reply.Error = err.Error()
 			} else {
@@ -66,7 +62,7 @@ func (w *Worker) Serve(tr etherlink.Transport) error {
 			if err := sendMsg(ep, reply); err != nil {
 				return err
 			}
-			if err := sendMsg(ep, &wireMsg{Type: "ready", Worker: w.Name, Have: held.key}); err != nil {
+			if err := sendMsg(ep, &wireMsg{Type: "ready", Worker: w.Name}); err != nil {
 				return err
 			}
 		case "done":
@@ -78,28 +74,6 @@ func (w *Worker) Serve(tr etherlink.Transport) error {
 	}
 }
 
-// heldWarmup is the one warm-up checkpoint a worker keeps between jobs.
-type heldWarmup struct {
-	key string
-	ck  []byte
-}
-
-// resolve returns the checkpoint job m resumes from: none for a job without
-// a warm-up key, the job's own bytes (which replace the held checkpoint),
-// or the held checkpoint when the job names its key and carries no bytes.
-func (h *heldWarmup) resolve(m *wireMsg) ([]byte, error) {
-	switch {
-	case m.WarmupKey == "":
-		return m.Warmup, nil
-	case m.Warmup != nil:
-		h.key, h.ck = m.WarmupKey, m.Warmup
-	case m.WarmupKey != h.key:
-		return nil, fmt.Errorf("job %s resumes warm-up %s, which this worker does not hold (it holds %q)",
-			jobLabel(m), m.WarmupKey, h.key)
-	}
-	return h.ck, nil
-}
-
 // jobLabel names a job's points for logs and errors.
 func jobLabel(m *wireMsg) string {
 	names := make([]string, len(m.Points))
@@ -109,27 +83,40 @@ func jobLabel(m *wireMsg) string {
 	return strings.Join(names, ", ")
 }
 
-// runJob runs a job's points as one group and labels each result with its
-// grid coordinates.
-func (w *Worker) runJob(m *wireMsg, warmup []byte) ([]*Result, error) {
+// runJob runs a job's points as one group, from the TM-off prefix it cuts
+// first when the job asks for one, and labels each result with its grid
+// coordinates. It also returns the prefix's wall time.
+func (w *Worker) runJob(m *wireMsg) ([]*Result, time.Duration, error) {
 	if len(m.Points) == 0 {
-		return nil, fmt.Errorf("job %d has no points", m.ID)
+		return nil, 0, fmt.Errorf("job %d has no points", m.ID)
 	}
 	ss := make([]*scenario.Scenario, len(m.Points))
 	for i, p := range m.Points {
 		s, err := scenario.Parse(p.Scenario)
 		if err != nil {
-			return nil, fmt.Errorf("point %s: %w", p.Name, err)
+			return nil, 0, fmt.Errorf("point %s: %w", p.Name, err)
 		}
 		ss[i] = s
 	}
-	res, err := RunGroup(ss, warmup)
+	var (
+		warmup *checkpoint.Checkpoint
+		wall   time.Duration
+	)
+	if m.WarmupWindows > 0 {
+		start := time.Now()
+		var err error
+		if warmup, err = cutWarmup(ss[0], m.WarmupWindows); err != nil {
+			return nil, 0, err
+		}
+		wall = time.Since(start)
+	}
+	res, err := runGroup(ss, warmup)
 	if err != nil {
-		return nil, err
+		return nil, wall, err
 	}
 	for i, r := range res {
 		r.Point = m.Points[i].ID
 		r.Name = m.Points[i].Name
 	}
-	return res, nil
+	return res, wall, nil
 }
