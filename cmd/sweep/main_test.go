@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -118,5 +119,83 @@ func TestWorkerRedialHealsCut(t *testing.T) {
 	}
 	if s.out.SessionFailures != 1 {
 		t.Errorf("%d session failures, want 1 (the cut)", s.out.SessionFailures)
+	}
+}
+
+// exitListener records the connections it accepts, so a test can close
+// them all once Serve returns, as the coordinator process's exit would.
+type exitListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *exitListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, conn)
+		l.mu.Unlock()
+	}
+	return conn, err
+}
+
+func (l *exitListener) exit() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
+}
+
+// TestTCPWorkersEndOnDone runs the noc-grid example over a TCP coordinator
+// with two workers that do not redial, 20 times, and closes every
+// connection once Serve returns. Serve must not return before every
+// session has answered its worker's last ready with done, so each worker
+// must return nil, and every digest must equal the in-process run's.
+func TestTCPWorkersEndOnDone(t *testing.T) {
+	const specPath = "../../examples/scenarios/noc-grid.sweep"
+	spec, err := sweep.LoadSpec(specPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Dir(specPath)
+	ref, err := sweep.Run(spec, dir, sweep.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, r := range ref.Results {
+		want[r.Name] = r.Digest
+	}
+	for run := 0; run < 20; run++ {
+		tcp, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln := &exitListener{Listener: tcp}
+		workerErr := make(chan error, 2)
+		for w := 0; w < 2; w++ {
+			name := fmt.Sprintf("run%d-w%d", run, w)
+			go func() { workerErr <- runWorker(ln.Addr().String(), name, false, t.Logf) }()
+		}
+		out, err := sweep.Serve(spec, dir, ln, sweep.Options{})
+		ln.exit()
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		for w := 0; w < 2; w++ {
+			if err := <-workerErr; err != nil {
+				t.Errorf("run %d: worker: %v", run, err)
+			}
+		}
+		if len(out.Results) != len(want) {
+			t.Fatalf("run %d: %d results, want %d", run, len(out.Results), len(want))
+		}
+		for _, r := range out.Results {
+			if r.Digest != want[r.Name] {
+				t.Errorf("run %d: point %s digest %s, want in-process %s", run, r.Name, r.Digest, want[r.Name])
+			}
+		}
 	}
 }

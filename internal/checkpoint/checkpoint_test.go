@@ -45,7 +45,6 @@ func buildRun(t *testing.T) *emu.Platform {
 // loop section, exercising every format branch.
 func fullCheckpoint(t *testing.T, p *emu.Platform) *checkpoint.Checkpoint {
 	t.Helper()
-	p.AttachActivitySniffers()
 	p.Step(10_000)
 	ck := checkpoint.FromPlatform(p)
 	ck.Window = 3
@@ -85,7 +84,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestApplyRestoresExactState(t *testing.T) {
 	p := buildRun(t)
-	p.AttachActivitySniffers()
 	p.Step(10_000)
 	ck := checkpoint.FromPlatform(p)
 	want := checkpoint.StateDigest(p)
@@ -162,12 +160,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 // TestDecodeRejectsRetiredFields pins the words the format keeps for
 // removed features (core 0's dual-issue pair counter, the L2, scratchpad,
-// event-sniffer and ring-event counts): written as 0, and any other value
-// is refused.
+// activity-sniffer, event-sniffer and ring-event counts): written as 0, and
+// any other value is refused.
 func TestDecodeRejectsRetiredFields(t *testing.T) {
 	ck := fullCheckpoint(t, buildRun(t))
 	valid := checkpoint.Encode(ck)
-	for _, field := range []string{"paired", "l2", "scratch", "event-sniffers", "ring-events"} {
+	for _, field := range []string{"paired", "l2", "scratch", "activity-sniffers", "event-sniffers", "ring-events"} {
 		if got := checkpoint.WithRetiredField(ck, field, 0); !bytes.Equal(got, valid) {
 			t.Fatalf("%s: patching in 0 changed the encoding", field)
 		}

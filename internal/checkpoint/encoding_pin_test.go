@@ -1,10 +1,10 @@
 package checkpoint_test
 
 // The TMCK byte encoding is pinned: a fixed warmed platform (a golden
-// workload stopped mid-run, caches populated and sniffers attached) must
-// encode to exactly the committed length and FNV-64 of its bytes. A change
-// to any component's state layout — cache line order, field order, a new
-// counter — moves the pin, so on-disk compatibility never drifts silently.
+// workload stopped mid-run, caches populated) must encode to exactly the
+// committed length and FNV-64 of its bytes. A change to any component's
+// state layout — cache line order, field order, a new counter — moves the
+// pin, so on-disk compatibility never drifts silently.
 // Regenerate after an intentional format change with:
 //
 //	go test ./internal/checkpoint/ -run TestEncodingPinned -update
@@ -52,7 +52,6 @@ func TestEncodingPinned(t *testing.T) {
 			}
 			plat := emu.MustNew(tc.cfg())
 			loadSpec(t, plat, spec)
-			plat.AttachActivitySniffers()
 			plat.Step(tc.cycles)
 			if plat.AllHalted() {
 				t.Fatalf("capture point %d is past the end of the run", tc.cycles)

@@ -11,8 +11,9 @@ import (
 // the trailing checksum recomputed, so only the decoder's retired-field
 // check can tell it from a valid stream. field names the word: "paired"
 // (core 0's dual-issue pair counter), "l2" (the per-core L2 count),
-// "scratch" (the per-core scratchpad count), "event-sniffers" (the
-// event-sniffer count) or "ring-events" (the buffered ring-event count).
+// "scratch" (the per-core scratchpad count), "activity-sniffers" (the
+// activity-sniffer count), "event-sniffers" (the event-sniffer count) or
+// "ring-events" (the buffered ring-event count).
 // c must hold at least one core.
 func WithRetiredField(c *Checkpoint, field string, v uint64) []byte {
 	data := Encode(c)
@@ -22,16 +23,12 @@ func WithRetiredField(c *Checkpoint, field string, v uint64) []byte {
 
 	s := c.Platform
 	w := &writer{}
-	// The event-sniffer and ring-event counts are the platform section's
-	// last two words.
-	switch field {
-	case "event-sniffers", "ring-events":
+	// The activity-sniffer, event-sniffer and ring-event counts are the
+	// platform section's last three words.
+	tail := map[string]int{"activity-sniffers": 12, "event-sniffers": 8, "ring-events": 4}
+	if back, ok := tail[field]; ok {
 		encodePlatform(w, s)
-		at := body + len(w.buf) - 8
-		if field == "ring-events" {
-			at += 4
-		}
-		binary.LittleEndian.PutUint32(data[at:], uint32(v))
+		binary.LittleEndian.PutUint32(data[body+len(w.buf)-back:], uint32(v))
 		return resum(data)
 	}
 	clock := s.Clock

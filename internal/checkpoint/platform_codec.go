@@ -9,7 +9,6 @@ import (
 	"thermemu/internal/emu"
 	"thermemu/internal/mem"
 	"thermemu/internal/noc"
-	"thermemu/internal/sniffer"
 	"thermemu/internal/thermal"
 	"thermemu/internal/tm"
 	"thermemu/internal/vpcm"
@@ -281,13 +280,7 @@ func encodePlatform(w *writer, s *emu.PlatformState) {
 	w.u64(s.Skip.CoreSteps) // retired event-cycle counter, which equalled CoreSteps
 	w.u64(s.Skip.SkippedCycles)
 	w.u64(s.Skip.CoreSteps)
-	w.u32(uint32(len(s.Acts)))
-	for _, a := range s.Acts {
-		for _, c := range a.Counts {
-			w.u64(c)
-		}
-		w.bool(a.Enabled)
-	}
+	w.u32(0) // retired activity-sniffer count
 	w.u32(0) // retired event-sniffer count
 	w.u32(0) // retired ring-event count
 }
@@ -348,14 +341,7 @@ func decodePlatform(r *reader) *emu.PlatformState {
 	if r.err == nil && eventCycles != s.Skip.CoreSteps {
 		r.fail("event-cycle counter is %d, only the core-step count %d is supported", eventCycles, s.Skip.CoreSteps)
 	}
-	for i, n := 0, r.count(25); i < n && r.err == nil; i++ {
-		var a sniffer.ActivityState
-		for j := range a.Counts {
-			a.Counts[j] = r.u64()
-		}
-		a.Enabled = r.bool()
-		s.Acts = append(s.Acts, a)
-	}
+	r.retired("activity-sniffer count", uint64(r.u32()))
 	r.retired("event-sniffer count", uint64(r.u32()))
 	r.retired("ring-event count", uint64(r.u32()))
 	return s

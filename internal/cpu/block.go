@@ -15,7 +15,7 @@ package cpu
 // AttachCaches and AddRange) that call is one range compare,
 // one cache probe and one 32-bit read. Per *window* it removes the serial
 // event kernel's per-cycle scan. Everything observable — stats,
-// stall accounting, activity-sniffer counters, memory-controller counters,
+// stall accounting, memory-controller counters,
 // fault semantics, pc on fault — is bit-identical to Step, which the golden
 // differential matrix enforces.
 //
@@ -40,7 +40,6 @@ package cpu
 import (
 	"thermemu/internal/isa"
 	"thermemu/internal/mem"
-	"thermemu/internal/sniffer"
 )
 
 const (
@@ -323,9 +322,7 @@ func (bc *blockCache) fetchPath(ctrl *mem.Controller, pc uint32) *mem.FetchPath 
 // sharedBefore orders the core against the rest of the platform: a memory
 // operation issued at or after it whose effective address the controller
 // does not report Private stops the core before any side effect of that
-// instruction (no fetch, no statistics). Another core's sniffer-control
-// store can switch an attached activity sniffer mid-run, so with one
-// attached the whole window is clamped to sharedBefore.
+// instruction (no fetch, no statistics).
 //
 // Ops run through the executor (execOps) wherever it can complete them, and
 // the bookkeeping those ops share — cycles, issued instructions, batched
@@ -340,9 +337,6 @@ func (c *Core) StepBlocks(now, max, sharedBefore uint64) (cycles, steps, skipped
 	bc := c.blocks
 	ctrl := c.ctrl
 	cyc, end := now, now+max
-	if c.act != nil && sharedBefore < end {
-		end = sharedBefore
-	}
 	// issued counts instructions committed this invocation; the per-core
 	// active-cycle and instruction counters are settled from it in one add
 	// at the exit (their intermediate values are unobservable inside the
@@ -396,10 +390,9 @@ dispatch:
 		}
 		// The executor may run a stretch of several ops per call only when
 		// nothing has to be charged between them: batched fetches that hit
-		// with zero latency and no activity sniffer to accrue each cycle.
-		// Otherwise it runs one op per call and that op's fetch is charged
-		// below.
-		stretch := batched && fHit == 0 && c.act == nil
+		// with zero latency. Otherwise it runs one op per call and that op's
+		// fetch is charged below.
+		stretch := batched && fHit == 0
 		// stops is set when the executor is known to stop at ops[i]: the
 		// block's head hint, or the op a stretch just stopped at.
 		stops := b.headStops
@@ -434,11 +427,8 @@ dispatch:
 			}
 			// Active cycle: same charge order as Step. c.pc already names
 			// x: a block is entered at c.pc and only its last op can
-			// transfer control. With a sniffer attached n is at most 1.
+			// transfer control.
 			c.state = Active
-			if c.act != nil {
-				c.act.Accrue(sniffer.ModeActive, 1)
-			}
 			var fstall uint64
 			if batched {
 				fetched += uint32(n)

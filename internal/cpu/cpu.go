@@ -15,7 +15,6 @@ import (
 
 	"thermemu/internal/isa"
 	"thermemu/internal/mem"
-	"thermemu/internal/sniffer"
 )
 
 // Kind identifies a core preset. The framework ports several core types
@@ -123,11 +122,6 @@ type Core struct {
 	// dec memoizes instruction decode for the fetch/dispatch hot path.
 	// Decode is pure, so the table never needs invalidation.
 	dec isa.DecodeCache
-	// act, when attached, mirrors every charged cycle into a count-logging
-	// activity sniffer. It sits in Step/AccrueStall/AccrueIdle — the single
-	// choke point all stepping kernels flow through — so span-accrued and
-	// per-cycle stepping produce identical sniffer counters.
-	act *sniffer.Activity
 	// blocks, when enabled, caches pre-decoded straight-line blocks for
 	// StepBlocks (see block.go). Derived state: flushed on Reset and
 	// RestoreState, invalidated by code-range stores, never serialized.
@@ -214,9 +208,6 @@ func (c *Core) AccrueIdle(n uint64) {
 	}
 	c.state = Idle
 	c.stats.IdleCycles += n
-	if c.act != nil {
-		c.act.Accrue(sniffer.ModeIdle, n)
-	}
 }
 
 // AccrueStall charges n stalled cycles in one step, consuming n cycles of
@@ -236,9 +227,6 @@ func (c *Core) AccrueStall(n uint64) {
 	c.stall -= n
 	c.state = Stalled
 	c.stats.StallCycles += n
-	if c.act != nil {
-		c.act.Accrue(sniffer.ModeStalled, n)
-	}
 }
 
 // StallRemaining returns the outstanding memory-stall cycles: the number of
@@ -261,36 +249,21 @@ func (c *Core) WakeCycle(now uint64) uint64 {
 	return now + c.stall
 }
 
-// AttachActivity mirrors the core's per-mode cycle accounting into a
-// count-logging activity sniffer (nil detaches). Attached at the core
-// rather than a kernel so every stepping path — per-cycle or run-ahead —
-// feeds the same counters identically.
-func (c *Core) AttachActivity(a *sniffer.Activity) { c.act = a }
-
 // Step advances the core by one clock cycle at platform cycle now.
 func (c *Core) Step(now uint64) {
 	if c.Halted() {
 		c.state = Idle
 		c.stats.IdleCycles++
-		if c.act != nil {
-			c.act.Accrue(sniffer.ModeIdle, 1)
-		}
 		return
 	}
 	if c.stall > 0 {
 		c.stall--
 		c.state = Stalled
 		c.stats.StallCycles++
-		if c.act != nil {
-			c.act.Accrue(sniffer.ModeStalled, 1)
-		}
 		return
 	}
 	c.state = Active
 	c.stats.ActiveCycles++
-	if c.act != nil {
-		c.act.Accrue(sniffer.ModeActive, 1)
-	}
 	w, fstall, err := c.ctrl.Fetch(now, c.pc)
 	if err != nil {
 		c.fault = err

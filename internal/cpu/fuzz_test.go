@@ -8,7 +8,6 @@ import (
 	"thermemu/internal/asm"
 	"thermemu/internal/isa"
 	"thermemu/internal/mem"
-	"thermemu/internal/sniffer"
 )
 
 // fuzzProgram builds the program FuzzStepBlocks runs from raw fuzz bytes:
@@ -47,10 +46,10 @@ func fuzzProgram(data []byte) []uint32 {
 // FuzzStepBlocks runs fuzz programs on twin cores, one stepped by Step
 // alone and one driven the way the emulation kernel drives it: StepBlocks
 // with a random window and sharedBefore bound, and Step whenever StepBlocks
-// runs nothing. The core is uncached or cached with random hit latencies,
-// and may carry an activity sniffer. After every call both cores must
-// agree on registers, pc, stall, state, core counters and sniffer counts,
-// and at the end also on the memory system's counters and contents.
+// runs nothing. The core is uncached or cached with random hit latencies.
+// After every call both cores must agree on registers, pc, stall, state
+// and core counters, and at the end also on the memory system's counters
+// and contents.
 func FuzzStepBlocks(f *testing.F) {
 	for _, src := range []string{clipSource, allOpsSource(), `
 	loop:
@@ -79,8 +78,7 @@ func FuzzStepBlocks(f *testing.F) {
 		rng := rand.New(rand.NewPCG(seed, seed>>32))
 		cached := rng.IntN(3) > 0
 		icHit, dcHit := rng.Uint64N(3), rng.Uint64N(4)
-		sniff := rng.IntN(4) == 0
-		build := func() (*Core, *mem.Memory, *sniffer.Activity) {
+		build := func() (*Core, *mem.Memory) {
 			var (
 				c    *Core
 				priv *mem.Memory
@@ -91,15 +89,10 @@ func FuzzStepBlocks(f *testing.F) {
 				c, priv = newUncachedCore(t)
 			}
 			load(c, priv, im)
-			var a *sniffer.Activity
-			if sniff {
-				a = sniffer.NewActivity("act")
-				c.AttachActivity(a)
-			}
-			return c, priv, a
+			return c, priv
 		}
-		ref, refMem, refAct := build()
-		blk, blkMem, blkAct := build()
+		ref, refMem := build()
+		blk, blkMem := build()
 		blk.EnableBlocks()
 
 		const cycles = 3000
@@ -129,15 +122,8 @@ func FuzzStepBlocks(f *testing.F) {
 				ref.Fault() != nil && ref.Fault().Error() != blk.Fault().Error() {
 				t.Errorf("fault: interpreter %v, blocks %v", ref.Fault(), blk.Fault())
 			}
-			if sniff {
-				for _, m := range []sniffer.Mode{sniffer.ModeActive, sniffer.ModeStalled, sniffer.ModeIdle} {
-					if refAct.Count(m) != blkAct.Count(m) {
-						t.Errorf("sniffer %v: interpreter %d, blocks %d", m, refAct.Count(m), blkAct.Count(m))
-					}
-				}
-			}
 			if t.Failed() {
-				t.Fatalf("diverged by cycle %d (cached %v, hit latencies %d/%d, sniffer %v)", now, cached, icHit, dcHit, sniff)
+				t.Fatalf("diverged by cycle %d (cached %v, hit latencies %d/%d)", now, cached, icHit, dcHit)
 			}
 		}
 		compareCores(t, ref, refMem, blk, blkMem)

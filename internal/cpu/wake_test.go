@@ -1,16 +1,14 @@
 package cpu
 
-// Tests for the skip-ahead support surface: wake-cycle reporting, bulk
-// stall accrual and the activity-sniffer choke point. The contract under
-// test is bit-identity: AccrueStall(n) must be indistinguishable from n
-// per-cycle Step calls on a stalled core.
+// Tests for the skip-ahead support surface: wake-cycle reporting and bulk
+// stall accrual. The contract under test is bit-identity: AccrueStall(n)
+// must be indistinguishable from n per-cycle Step calls on a stalled core.
 
 import (
 	"testing"
 
 	"thermemu/internal/asm"
 	"thermemu/internal/mem"
-	"thermemu/internal/sniffer"
 )
 
 // buildSlowCore assembles src onto a core whose private memory has the
@@ -161,37 +159,5 @@ func TestWakeCycleReporting(t *testing.T) {
 	}
 	if got := h.WakeCycle(1); got != WakeNever {
 		t.Fatalf("halted wake = %d, want WakeNever", got)
-	}
-}
-
-// TestActivitySnifferSeesAllModes attaches an activity sniffer and checks
-// it mirrors the core's counters exactly, whether cycles arrive one at a
-// time or as accrued spans.
-func TestActivitySnifferSeesAllModes(t *testing.T) {
-	c := buildSlowCore(t, 3, slowLoop)
-	a := sniffer.NewActivity("activity0")
-	c.AttachActivity(a)
-	for now := uint64(0); now < 5_000 && !c.Halted(); {
-		w := c.WakeCycle(now)
-		if w > now {
-			c.AccrueStall(w - now)
-			now = w
-		}
-		c.Step(now)
-		now++
-	}
-	c.AccrueIdle(17) // halted tail, accrued in bulk
-	st := c.Stats()
-	if got := a.Count(sniffer.ModeActive); got != st.ActiveCycles {
-		t.Errorf("active: sniffer %d, core %d", got, st.ActiveCycles)
-	}
-	if got := a.Count(sniffer.ModeStalled); got != st.StallCycles {
-		t.Errorf("stalled: sniffer %d, core %d", got, st.StallCycles)
-	}
-	if got := a.Count(sniffer.ModeIdle); got != st.IdleCycles {
-		t.Errorf("idle: sniffer %d, core %d", got, st.IdleCycles)
-	}
-	if a.Cycles() != st.Cycles() {
-		t.Errorf("total: sniffer %d, core %d", a.Cycles(), st.Cycles())
 	}
 }

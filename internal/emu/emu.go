@@ -21,14 +21,15 @@ import (
 	"thermemu/internal/cpu"
 	"thermemu/internal/mem"
 	"thermemu/internal/noc"
-	"thermemu/internal/sniffer"
 	"thermemu/internal/vpcm"
 	"thermemu/internal/workloads"
 )
 
 // Address-map constants of the emulated platform. The memory controller
-// routes each range per Section 3.2; the sniffer control registers are
-// memory-mapped so emulated software can toggle sniffers (Section 4.1).
+// routes each range per Section 3.2. SniffBase is where the paper maps the
+// sniffer control registers (Section 4.1); every statistic here is an
+// always-on component counter, so the range is a device that reads 0 and
+// ignores stores.
 const (
 	PrivBase    = 0x0000_0000
 	SharedBase  = 0x1000_0000
@@ -43,6 +44,10 @@ const (
 	MaxPrivKB   = (SharedBase - PrivBase) / 1024
 	MaxSharedKB = (BarrierBase - SharedBase) / 1024
 )
+
+// MaxFreqHz bounds the virtual and physical clocks: 1 THz is the fastest
+// clock whose period is a whole picosecond, the VPCM's time unit.
+const MaxFreqHz uint64 = 1e12
 
 // ICKind selects the interconnect family.
 type ICKind int
@@ -181,6 +186,9 @@ func (c Config) Validate() error {
 	if c.FreqHz == 0 || c.PhysHz == 0 {
 		return fmt.Errorf("emu: frequencies must be positive")
 	}
+	if c.FreqHz > MaxFreqHz || c.PhysHz > MaxFreqHz {
+		return fmt.Errorf("emu: frequencies must be at most %d Hz, got %d and %d (virtual, physical)", MaxFreqHz, c.FreqHz, c.PhysHz)
+	}
 	if c.PrivKB <= 0 || c.SharedKB <= 0 {
 		return fmt.Errorf("emu: memory sizes must be positive")
 	}
@@ -214,15 +222,12 @@ type Platform struct {
 	Bus     *bus.Bus     // nil for NoC platforms
 	Net     *noc.Network // nil for bus platforms
 	Barrier *mem.Barrier
-	Hub     *sniffer.Hub
 
 	// Skip-ahead kernel state: per-core wake cycles and idle-span origins
 	// (reused across spans to keep Step/Run allocation-free) plus telemetry.
 	wake     []uint64
 	idleFrom []uint64
 	skip     SkipStats
-
-	acts []*sniffer.Activity // per-core activity sniffers, when attached
 }
 
 // New builds a platform from cfg.
@@ -233,7 +238,6 @@ func New(cfg Config) (*Platform, error) {
 	p := &Platform{
 		Cfg:  cfg,
 		VPCM: vpcm.New(cfg.PhysHz, cfg.FreqHz),
-		Hub:  sniffer.NewHub(),
 	}
 
 	p.Shared = mem.NewMemory("shared", uint32(cfg.SharedKB)*1024, cfg.SharedLatency)
@@ -241,6 +245,7 @@ func New(cfg Config) (*Platform, error) {
 		p.Shared.SetPhysicalLatency(cfg.SharedPhysLatency, p.VPCM)
 	}
 	p.Barrier = mem.NewBarrier("barrier", cfg.Cores, 1)
+	sniffctl := mem.NewRegDevice("sniffctl", 64, 1, nil, nil)
 
 	var ic mem.Interconnect
 	switch cfg.IC {
@@ -280,7 +285,6 @@ func New(cfg Config) (*Platform, error) {
 			return nil, err
 		}
 		shared := &mem.Routed{Under: p.Shared, IC: ic, Initiator: i}
-		sniffctl := mem.NewRegDevice("sniffctl", 64, 1, p.Hub.CtrlLoad, p.Hub.CtrlStore)
 		if err := ctl.AddRange(mem.Range{Name: "shared", Base: SharedBase, Target: shared,
 			Cacheable: cfg.SharedCacheable, Kind: mem.KindShared}); err != nil {
 			return nil, err
@@ -341,26 +345,6 @@ func MustNew(cfg Config) *Platform {
 		panic(err)
 	}
 	return p
-}
-
-// AttachActivitySniffers attaches one count-logging activity sniffer per
-// core (named activityN, registered with the hub so emulated software can
-// toggle them) and returns the sniffers indexed by core. The attachment
-// point is cpu.Core's accounting choke point, so per-cycle and run-ahead
-// stepping feed the counters identically. Idempotent: repeat
-// calls return the already-attached sniffers.
-func (p *Platform) AttachActivitySniffers() []*sniffer.Activity {
-	if p.acts != nil {
-		return p.acts
-	}
-	p.acts = make([]*sniffer.Activity, len(p.Cores))
-	for i, c := range p.Cores {
-		a := sniffer.NewActivity(fmt.Sprintf("activity%d", i))
-		p.Hub.Register(a)
-		c.AttachActivity(a)
-		p.acts[i] = a
-	}
-	return p.acts
 }
 
 // LoadProgram writes an assembled image into core's private memory and
@@ -462,14 +446,13 @@ func (p *Platform) Run(maxCycles uint64) (uint64, bool) {
 // alone at the front may run far ahead on private work — registers,
 // private memory, scratchpad, L1s, its stall counter — because no other
 // core can observe that work. It stops before its first non-private access
-// (shared memory, interconnect, barrier, sniffer control, devices) at or
-// after sharedBefore; when dispatch cannot start at all (an undispatchable
-// pc, a tracer, or a non-private access tied with a higher-ID core) the front core executes one interpreter Step instead.
-// Either way every non-private access commits at the global front of the
-// (cycle, coreID) order, which is exactly StepOne's interleaving: no
-// access another core could observe is ever reordered, and the rest is
-// invisible. Another core can switch an activity sniffer, so with one
-// attached StepBlocks clamps the whole run to sharedBefore.
+// (shared memory, interconnect, barrier, devices) at or after sharedBefore;
+// when dispatch cannot start at all (an undispatchable pc, a tracer, or a
+// non-private access tied with a higher-ID core) the front core executes
+// one interpreter Step instead. Either way every non-private access commits
+// at the global front of the (cycle, coreID) order, which is exactly
+// StepOne's interleaving: no access another core could observe is ever
+// reordered, and the rest is invisible.
 //
 // Stall and idle spans are settled in bulk via cpu.AccrueStall/AccrueIdle
 // when the core next wakes or when the span ends; live cores are tracked as

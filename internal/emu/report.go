@@ -85,14 +85,5 @@ func (p *Platform) Report() string {
 	fmt.Fprintf(&b, "\nvirtual platform clock:\n")
 	fmt.Fprintf(&b, "  %s, %d DFS events, %d suppression cycles\n",
 		p.VPCM, p.VPCM.DFSEvents(), p.VPCM.SuppressionCycles())
-	if p.Hub.Len() > 0 {
-		enabled := 0
-		for i := 0; i < p.Hub.Len(); i++ {
-			if p.Hub.Get(i).Enabled() {
-				enabled++
-			}
-		}
-		fmt.Fprintf(&b, "  sniffers: %d registered (%d enabled)\n", p.Hub.Len(), enabled)
-	}
 	return b.String()
 }

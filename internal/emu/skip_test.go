@@ -13,7 +13,6 @@ import (
 
 	"thermemu/internal/emu"
 	"thermemu/internal/golden"
-	"thermemu/internal/sniffer"
 	"thermemu/internal/workloads"
 )
 
@@ -98,50 +97,6 @@ func TestSkipAheadMatchesPerCycle(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestActivitySniffersMatchCoreStats checks the sniffer choke point: the
-// per-core activity counters must equal the core's own statistics under the
-// per-cycle sweep and under the run-ahead kernel.
-func TestActivitySniffersMatchCoreStats(t *testing.T) {
-	spec := diffSpec(t, "membound", 2)
-	const maxCycles = 200_000
-	check := func(t *testing.T, p *emu.Platform, acts []*sniffer.Activity) {
-		t.Helper()
-		for i, c := range p.Cores {
-			st := c.Stats()
-			a := acts[i]
-			if a.Count(sniffer.ModeActive) != st.ActiveCycles ||
-				a.Count(sniffer.ModeStalled) != st.StallCycles ||
-				a.Count(sniffer.ModeIdle) != st.IdleCycles {
-				t.Errorf("core %d: sniffer (%d/%d/%d) != stats (%d/%d/%d)", i,
-					a.Count(sniffer.ModeActive), a.Count(sniffer.ModeStalled), a.Count(sniffer.ModeIdle),
-					st.ActiveCycles, st.StallCycles, st.IdleCycles)
-			}
-		}
-	}
-	for _, mode := range []string{"percycle", "serial"} {
-		mode := mode
-		t.Run(mode, func(t *testing.T) {
-			p := emu.MustNew(diffConfig(2, false))
-			acts := p.AttachActivitySniffers()
-			loadSpec(t, p, spec)
-			var done bool
-			switch mode {
-			case "percycle":
-				for p.VPCM.Cycle() < maxCycles && !p.AllHalted() {
-					p.StepOne()
-				}
-				done = p.AllHalted()
-			case "serial":
-				_, done = p.Run(maxCycles)
-			}
-			if !done {
-				t.Fatalf("workload %s did not finish", spec.Name)
-			}
-			check(t, p, acts)
-		})
 	}
 }
 

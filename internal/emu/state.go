@@ -14,7 +14,6 @@ import (
 	"thermemu/internal/isa"
 	"thermemu/internal/mem"
 	"thermemu/internal/noc"
-	"thermemu/internal/sniffer"
 	"thermemu/internal/vpcm"
 )
 
@@ -37,8 +36,6 @@ type PlatformState struct {
 	Bus     *bus.State
 	Noc     *noc.State
 	Skip    SkipStats
-
-	Acts []sniffer.ActivityState // per core, when activity sniffers attached
 }
 
 // SaveState captures the full platform state. The platform must be
@@ -71,19 +68,13 @@ func (p *Platform) SaveState() *PlatformState {
 		n := p.Net.SaveState()
 		s.Noc = &n
 	}
-	for _, a := range p.acts {
-		s.Acts = append(s.Acts, a.SaveState())
-	}
 	return s
 }
 
 // RestoreState rewinds the platform to a saved state. Every component
 // validates the state's shape against its live configuration, so restoring
 // a checkpoint from a differently configured platform fails instead of
-// silently resuming corrupt state. When the state carries activity-sniffer
-// counters and the platform has none attached, the sniffers are attached
-// first, so a resumed run observes the same instrumentation as the run
-// that wrote the checkpoint.
+// silently resuming corrupt state.
 func (p *Platform) RestoreState(s *PlatformState) error {
 	if len(s.Cores) != len(p.Cores) {
 		return fmt.Errorf("emu: checkpoint has %d cores, platform has %d", len(s.Cores), len(p.Cores))
@@ -110,12 +101,6 @@ func (p *Platform) RestoreState(s *PlatformState) error {
 		return fmt.Errorf("emu: checkpoint and platform disagree on bus interconnect")
 	case (s.Noc != nil) != (p.Net != nil):
 		return fmt.Errorf("emu: checkpoint and platform disagree on NoC interconnect")
-	}
-	if len(s.Acts) > 0 && p.acts == nil {
-		p.AttachActivitySniffers()
-	}
-	if len(s.Acts) != len(p.acts) {
-		return fmt.Errorf("emu: checkpoint has %d activity sniffers, platform has %d", len(s.Acts), len(p.acts))
 	}
 
 	if err := p.VPCM.RestoreState(s.Clock); err != nil {
@@ -158,9 +143,6 @@ func (p *Platform) RestoreState(s *PlatformState) error {
 		if err := p.Net.RestoreState(*s.Noc); err != nil {
 			return err
 		}
-	}
-	for i, a := range p.acts {
-		a.RestoreState(s.Acts[i])
 	}
 	p.skip = s.Skip
 	return nil

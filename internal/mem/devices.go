@@ -1,9 +1,9 @@
 package mem
 
 // This file provides the memory-mapped devices of the emulated platform:
-// a generic register device (used for the sniffer control registers, which
-// the paper maps into the processors' address range so SW can de/activate
-// sniffers at run time) and a hardware barrier used by the parallel
+// a generic register device (the per-core info registers, and the range
+// where the paper maps its sniffer control registers, which here reads 0
+// and ignores stores) and a hardware barrier used by the parallel
 // workloads for phase synchronisation.
 
 // RegDevice is a small bank of 32-bit registers whose semantics are

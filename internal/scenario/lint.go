@@ -48,8 +48,8 @@ func (s *Scenario) lint(l *Linter) error {
 	if _, _, err := parseIC(s.IC); err != nil {
 		fail("platform: %v", err)
 	}
-	if s.FreqMHz < 0 {
-		fail("platform: freq-mhz must be non-negative, got %d", s.FreqMHz)
+	if maxMHz := int(emu.MaxFreqHz / 1e6); s.FreqMHz < 0 || s.FreqMHz > maxMHz {
+		fail("platform: freq-mhz must be between 0 and %d, got %d", maxMHz, s.FreqMHz)
 	}
 	sizesOK := true
 	if s.PrivKB < 1 || s.PrivKB > emu.MaxPrivKB {

@@ -262,6 +262,7 @@ func TestLintCatches(t *testing.T) {
 		{"no cores", func(s *Scenario) { s.Cores = 0 }, "cores"},
 		{"bad ic", func(s *Scenario) { s.IC = "hyperbus" }, "interconnect"},
 		{"negative freq", func(s *Scenario) { s.FreqMHz = -1 }, "freq-mhz"},
+		{"freq period under 1 ps", func(s *Scenario) { s.FreqMHz = 1_000_001 }, "freq-mhz"},
 		{"no priv", func(s *Scenario) { s.PrivKB = 0 }, "priv-kb"},
 		{"no shared", func(s *Scenario) { s.SharedKB = 0 }, "shared-kb"},
 		{"priv past shared range", func(s *Scenario) { s.PrivKB = 262145 }, "priv-kb"},

@@ -509,9 +509,12 @@ func RunPoints(name string, points []Point, warmupWindows int, opt Options) (*Ou
 }
 
 // Serve executes a sweep as a TCP coordinator: workers dial ln's address
-// (cmd/sweep -worker) and each accepted connection becomes a session. It
-// returns once the grid completes or fails; the listener is closed but
-// established sessions finish their last exchanges on their own.
+// (cmd/sweep -worker) and each accepted connection becomes a session. Once
+// the grid completes it closes the listener, lets every open session
+// answer its worker's next ready with done and end, and then returns, so a
+// coordinator process that exits on return never cuts a worker off before
+// its done. The wait is bounded by the session idle budget; sessions still
+// open then, or any open when the sweep fails, are closed.
 func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, error) {
 	points, err := spec.Expand(dir)
 	if err != nil {
@@ -521,14 +524,23 @@ func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, erro
 	start := time.Now()
 	stop := make(chan struct{})
 	go c.wake(stop)
+	var (
+		conns    []net.Conn // read only once accepting is closed
+		sessions sync.WaitGroup
+	)
+	accepting := make(chan struct{})
 	go func() {
+		defer close(accepting)
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return // listener closed
 			}
 			opt.logf("sweep: worker connected from %s", conn.RemoteAddr())
+			conns = append(conns, conn)
+			sessions.Add(1)
 			go func() {
+				defer sessions.Done()
 				if err := c.ServeSession(etherlink.NewTCP(conn, 256)); err != nil {
 					opt.logf("sweep: session %s: %v", conn.RemoteAddr(), err)
 				}
@@ -541,7 +553,26 @@ func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, erro
 		c.cond.Wait()
 	}
 	c.mu.Unlock()
+	wall := time.Since(start)
 	close(stop)
 	ln.Close()
-	return c.outcome(spec.Name, 0, time.Since(start))
+	<-accepting
+	ended := make(chan struct{})
+	go func() {
+		sessions.Wait()
+		close(ended)
+	}()
+	link := opt.sweepLink()
+	budget := link.RetryTimeout * time.Duration(link.MaxRetries)
+	if c.failedErr() != nil {
+		budget = 0
+	}
+	select {
+	case <-ended:
+	case <-time.After(budget):
+		for _, conn := range conns {
+			conn.Close() // a no-op for the sessions that have ended
+		}
+	}
+	return c.outcome(spec.Name, 0, wall)
 }
