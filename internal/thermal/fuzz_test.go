@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -24,11 +25,14 @@ func fuzzRects(data []byte) []Rect {
 }
 
 // FuzzNewModel feeds arbitrary cell rectangles to NewModel and requires one
-// of two outcomes: a validation error, or a model whose Step stays stable
-// (finite temperatures, never below ambient) under power injection. A model
-// that constructs successfully but then produces NaN/Inf or sub-ambient
-// temperatures is a bug in grid validation. Either way the result must
-// match the all-pairs oracle bit for bit, error text included.
+// of two outcomes: a validation error, or a model whose Step keeps the
+// discrete maximum principle. Heated, every temperature stays finite and
+// never below ambient; cooled at zero power, every temperature stays
+// between the ambient and the hottest temperature before cooling. A
+// sub-step past τ_min can break it (2.5·τ_min fails the first seed), so a
+// failure is a bug in grid validation or in the stable step. Either way
+// the result must match the all-pairs oracle bit for bit, error text
+// included.
 func FuzzNewModel(f *testing.F) {
 	// Valid 2x2 grid of 1 mm cells.
 	f.Add([]byte{0, 0, 50, 50, 50, 0, 50, 50, 0, 50, 50, 50, 50, 50, 50, 50})
@@ -74,18 +78,30 @@ func FuzzNewModel(f *testing.F) {
 		if err != nil {
 			return // rejecting bad input is a valid outcome
 		}
+		amb := DefaultProperties().AmbientK
+		check := func(phase string, hi float64) {
+			for i, v := range m.AllTemps() {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s: cell %d temperature is %v on accepted grid %+v", phase, i, v, si)
+				}
+				if v < amb-1e-9 {
+					t.Fatalf("%s: cell %d at %.12f K undershot ambient %.1f K on accepted grid %+v", phase, i, v, amb, si)
+				}
+				if v > hi+1e-9 {
+					t.Fatalf("%s: cell %d at %.12f K overshot %.12f K on accepted grid %+v", phase, i, v, hi, si)
+				}
+			}
+		}
 		m.SetPower(0, 0.2)
 		for i := 0; i < 5; i++ {
 			m.Step(1e-4)
 		}
-		amb := DefaultProperties().AmbientK
-		for i, v := range m.AllTemps() {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("cell %d temperature is %v after Step on accepted grid %+v", i, v, si)
-			}
-			if v < amb-1e-9 {
-				t.Fatalf("cell %d at %.12f K undershot ambient %.1f K on accepted grid %+v", i, v, amb, si)
-			}
+		check("heating", math.Inf(1))
+		hottest := slices.Max(m.AllTemps())
+		m.SetPower(0, 0)
+		for i := 0; i < 5; i++ {
+			m.Step(5e-3) // several τ_min of the millimetre cells
 		}
+		check("cooling", hottest)
 	})
 }

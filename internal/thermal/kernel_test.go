@@ -286,7 +286,8 @@ func FuzzSubstepKernel(f *testing.F) {
 // BenchmarkModelStep times Model.Step on the 37-cell Figure 6 mesh (28
 // silicon cells over a 3×3 spreader) and the 159-cell link-host mesh, with
 // the power toggling every step so conductance refreshes recur as in a
-// closed loop, and reports the cost of one sub-step.
+// closed loop, and reports the cost of one sub-step and the sub-steps one
+// 50 ms Step takes.
 func BenchmarkModelStep(b *testing.B) {
 	si150, cu150 := mesh150()
 	for _, c := range []struct {
@@ -306,13 +307,7 @@ func BenchmarkModelStep(b *testing.B) {
 			}
 			cold := make([]float64, len(hot))
 			m.Reset()
-			// The model is below the parallel threshold, so its body runs
-			// once per sub-step.
-			substeps, body := 0, m.body
-			m.body = func(k *ellKernel, h float64, lo, hi int) bool {
-				substeps++
-				return body(k, h, lo, hi)
-			}
+			substeps := CountSubsteps(m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pw := hot
@@ -324,7 +319,33 @@ func BenchmarkModelStep(b *testing.B) {
 				}
 				m.Step(0.05)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(substeps), "ns/sub-step")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(*substeps), "ns/sub-step")
+			b.ReportMetric(float64(*substeps)/float64(b.N), "sub-steps/op")
 		})
 	}
+}
+
+// CountSubsteps wraps m's kernel body with a counter of the sub-steps it
+// runs. It counts sub-steps only on a model below the parallel threshold,
+// where the body runs once per sub-step.
+func CountSubsteps(m *Model) *int {
+	n, body := new(int), m.body
+	m.body = func(k *ellKernel, h float64, lo, hi int) bool {
+		*n++
+		return body(k, h, lo, hi)
+	}
+	return n
+}
+
+// TauMin returns the smallest time constant C/ΣG of m's network at its
+// last conductance refresh, computed apart from stableDt so tests can hold
+// the sub-step to it.
+func TauMin(m *Model) float64 {
+	tau := math.Inf(1)
+	for i, c := range m.capC {
+		if m.sumG[i] > 0 {
+			tau = min(tau, c/m.sumG[i])
+		}
+	}
+	return tau
 }

@@ -18,14 +18,14 @@
 // neighbours, so cost is linear in the number of cells.
 //
 // The network is kept as flat edge arrays with a per-cell CSR incidence
-// index, which conductance refreshes, the stability bound and the
-// steady-state relaxation walk. The transient sub-step runs on a sliced-ELL
-// copy of that index (ell.go): cells sorted by neighbour count, four to a
-// slice, so one AVX2 instruction stream advances four cells at once where
-// the CPU has AVX2, and a pure-Go body runs the same slices elsewhere. Both
-// bodies compute each cell's scalar operation sequence, and the solver can
-// shard the slices over a persistent worker pool (see Options.Workers), so
-// every body and shard count produces bit-identical trajectories.
+// index, which conductance refreshes, the step bound and the steady-state
+// relaxation walk. Each forward-Euler sub-step, one smallest time constant
+// τ_min long, runs on a sliced-ELL copy of that index (ell.go): cells
+// sorted by neighbour count, four to a slice, advanced four at a time by an
+// AVX2 body where the CPU has AVX2 and by a pure-Go body elsewhere. Both
+// compute each cell's scalar operation sequence, and the solver can shard
+// the slices over a worker pool (Options.Workers), so every body and shard
+// count produces bit-identical trajectories.
 package thermal
 
 import (
@@ -265,7 +265,7 @@ type Model struct {
 	capC  []float64 // per-cell thermal capacitance, J/K
 	t     []float64 // temperatures, K (current state, cell order)
 	pw    []float64 // injected power, W (bottom silicon cells)
-	sumG  []float64 // per-cell total conductance (for stability)
+	sumG  []float64 // per-cell total conductance (for the step bound)
 	kCell []float64 // per-cell conductivity at the last refresh
 	tAtK  []float64 // temperatures the conductances were evaluated at
 
@@ -593,14 +593,13 @@ func (m *Model) sharded() bool {
 	return m.workers > 1 && len(m.t) >= m.minPar
 }
 
-// updateConductances refreshes edge conductances using the current cell
-// temperatures for the non-linear silicon law, and recomputes the per-cell
-// conductance sums used for the stability bound. It also records the
-// temperatures it used, so the solver can skip refreshes while temperatures
-// have barely moved. Only the silicon-touching edge prefix is re-evaluated
-// after construction; copper-copper conductances never change. The serial
-// path calls the three passes directly, so a refresh below the parallel
-// threshold allocates nothing; only the sharded path builds closures.
+// updateConductances refreshes edge conductances at the current cell
+// temperatures (the non-linear silicon law), the per-cell conductance sums
+// the step bound reads, and the temperatures it used, so the solver can skip
+// refreshes while they barely move. After construction only the
+// silicon-touching edge prefix is re-evaluated. The serial path calls the
+// three passes directly, so a refresh below the parallel threshold
+// allocates nothing; only the sharded path builds closures.
 func (m *Model) updateConductances() {
 	ne := m.nVarEdges
 	if m.kCell[0] == 0 { // only true before the initial refresh
@@ -673,18 +672,20 @@ func (m *Model) conductancesStale(tol float64) bool {
 	return false
 }
 
-// stableDt returns a forward-Euler-stable sub-step: half the smallest
-// thermal time constant C/ΣG in the network.
+// stableDt returns the sub-step: τ_min, the smallest time constant C/ΣG.
+// At h ≤ τ_min every weight of t' = (1 − h·ΣG/C)·t + (h/C)·(Σg·t_j +
+// conv·amb + pw) is non-negative, so a sub-step is a convex combination
+// that cannot oscillate or undershoot the ambient; the kernel reads the
+// conductances this bound read (refreshSums fills both). A smaller step
+// buys accuracy, not stability (TestSubstepAccuracy).
 func (m *Model) stableDt() float64 {
-	min := math.Inf(1)
-	for i := range m.capC {
+	tau := math.Inf(1)
+	for i, c := range m.capC {
 		if m.sumG[i] > 0 {
-			if tau := m.capC[i] / m.sumG[i]; tau < min {
-				min = tau
-			}
+			tau = min(tau, c/m.sumG[i])
 		}
 	}
-	return 0.5 * min
+	return tau
 }
 
 // substepAll runs one sub-step of h seconds over every kernel slice —
@@ -711,13 +712,12 @@ func (m *Model) substepAll(h float64) (stale bool) {
 	return stale
 }
 
-// Step advances the thermal state by dt seconds using forward Euler with
-// stability-limited sub-stepping; the silicon conductances are refreshed
-// whenever any silicon temperature has drifted more than 0.25 K since they
-// were last evaluated, so the non-linear law tracks the trajectory at a
-// negligible fraction of the cost of per-sub-step re-evaluation. The
-// sub-steps run in the kernel's slot order; temperatures are scattered in
-// on entry and gathered back before a refresh and on return.
+// Step advances the thermal state by dt seconds in forward-Euler sub-steps
+// of τ_min (stableDt). The silicon conductances, and τ_min with them, are
+// refreshed whenever a silicon temperature drifts more than 0.25 K from the
+// one they were evaluated at, a negligible cost next to per-sub-step
+// re-evaluation. Sub-steps run in the kernel's slot order; temperatures are
+// scattered in on entry and gathered back before a refresh and on return.
 func (m *Model) Step(dt float64) {
 	h := m.stableDt()
 	stale := m.conductancesStale(siKTolK)
