@@ -137,9 +137,6 @@ func (b *Bus) Config() Config { return b.cfg }
 // Stats returns the sniffer counters.
 func (b *Bus) Stats() Stats { return b.stats }
 
-// ResetStats zeroes the counters.
-func (b *Bus) ResetStats() { b.stats = Stats{} }
-
 // WaitCyclesOf returns the accumulated grant-wait cycles of one master.
 func (b *Bus) WaitCyclesOf(master int) uint64 { return b.perMaster[master] }
 

@@ -161,7 +161,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // TestDecodeRejectsRetiredFields pins the words the format keeps for
 // removed features (core 0's dual-issue pair counter, the L2, scratchpad,
 // activity-sniffer, event-sniffer and ring-event counts): written as 0, and
-// any other value is refused.
+// any other value is refused. Each cache's retired enable flag is written
+// as 1 (a cache is on while attached), and 0 is refused.
 func TestDecodeRejectsRetiredFields(t *testing.T) {
 	ck := fullCheckpoint(t, buildRun(t))
 	valid := checkpoint.Encode(ck)
@@ -175,6 +176,13 @@ func TestDecodeRejectsRetiredFields(t *testing.T) {
 				t.Errorf("%s = %d: decode error %v, want the retired-field refusal", field, v, err)
 			}
 		}
+	}
+	if got := checkpoint.WithCacheEnabled(ck, 1); !bytes.Equal(got, valid) {
+		t.Fatal("cache-enable: patching in 1 changed the encoding")
+	}
+	_, err := checkpoint.Decode(checkpoint.WithCacheEnabled(ck, 0))
+	if err == nil || !strings.Contains(err.Error(), "cache-enable flag is 0") {
+		t.Errorf("cache-enable = 0: decode error %v, want the disabled-cache refusal", err)
 	}
 }
 

@@ -87,6 +87,28 @@ func WithEventCycles(c *Checkpoint, v uint64) []byte {
 	return resum(data)
 }
 
+// WithCacheEnabled returns Encode(c) with the retired cache-enable flag of
+// core 0's instruction cache set to v and the trailing checksum
+// recomputed. c must hold at least one instruction cache.
+func WithCacheEnabled(c *Checkpoint, v byte) []byte {
+	data := Encode(c)
+	metaLen := binary.LittleEndian.Uint64(data[7:])
+	body := 6 + 9 + int(metaLen) + 9 // platform section body
+
+	s := c.Platform
+	w := &writer{}
+	clock := s.Clock
+	encodeClock(w, &clock)
+	w.u32(uint32(len(s.Cores)))
+	for i := range s.Cores {
+		encodeCore(w, &s.Cores[i])
+	}
+	w.u32(uint32(len(s.ICaches)))
+	encodeCache(w, &s.ICaches[0])
+	data[body+len(w.buf)-1] = v
+	return resum(data)
+}
+
 // resum rewrites the trailing checksum of an encoded stream.
 func resum(data []byte) []byte {
 	n := len(data) - 8

@@ -12,7 +12,7 @@ import (
 // contract under fuzz: never panic, and any input that decodes cleanly must
 // re-encode to the identical bytes (the codec is canonical). Seeds include
 // a real encoded checkpoint so the fuzzer starts inside the format, and
-// four that only the retired-word checks refuse.
+// five that only the retired-word checks refuse.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	small := &checkpoint.Checkpoint{Platform: &emu.PlatformState{}}
 	f.Add(checkpoint.Encode(small))
@@ -22,11 +22,13 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add(checkpoint.Encode(checkpoint.FromPlatform(p)))
 	// Streams that are valid but for a non-zero retired L2 count, for an
 	// event-cycle word that differs from the core-step count, and for a
-	// non-zero retired activity-sniffer or ring-event count.
+	// non-zero retired activity-sniffer or ring-event count, and for a
+	// disabled cache.
 	f.Add(checkpoint.WithRetiredField(checkpoint.FromPlatform(p), "l2", 1))
 	f.Add(checkpoint.WithEventCycles(checkpoint.FromPlatform(p), 0))
 	f.Add(checkpoint.WithRetiredField(checkpoint.FromPlatform(p), "activity-sniffers", 1))
 	f.Add(checkpoint.WithRetiredField(checkpoint.FromPlatform(p), "ring-events", 1))
+	f.Add(checkpoint.WithCacheEnabled(checkpoint.FromPlatform(p), 0))
 
 	f.Add([]byte{})
 	f.Add([]byte{0x54, 0x4d, 0x43, 0x4b}) // bare magic

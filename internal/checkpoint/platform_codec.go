@@ -120,7 +120,7 @@ func encodeCache(w *writer, c *mem.CacheState) {
 	w.u64(c.Stats.Misses)
 	w.u64(c.Stats.Evictions)
 	w.u64(c.Stats.Writebacks)
-	w.bool(c.Enabled)
+	w.bool(true) // retired cache-enable flag: a cache is on while attached
 }
 
 func decodeCache(r *reader) mem.CacheState {
@@ -136,7 +136,9 @@ func decodeCache(r *reader) mem.CacheState {
 	c.Stats.Misses = r.u64()
 	c.Stats.Evictions = r.u64()
 	c.Stats.Writebacks = r.u64()
-	c.Enabled = r.bool()
+	if !r.bool() && r.err == nil {
+		r.fail("cache-enable flag is 0, only 1 (enabled) is supported")
+	}
 	return c
 }
 

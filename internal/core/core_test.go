@@ -323,6 +323,58 @@ func TestHostRefusesRetiredMessages(t *testing.T) {
 	}
 }
 
+// TestHostRefusesUnknownCtrlOps: a control op the host does not serve —
+// a retired code (3, the old clock freeze) or one never assigned (9) —
+// ends the session with an error naming the op, and the statistics the
+// device sends after it are never answered.
+func TestHostRefusesUnknownCtrlOps(t *testing.T) {
+	for _, op := range []etherlink.CtrlOp{3, 9} {
+		devTr, hostTr := etherlink.LoopbackPair(4)
+		host, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- host.Serve(hostTr) }()
+		ep := etherlink.NewEndpoint(devTr, etherlink.DeviceMAC, etherlink.HostMAC, etherlink.ReliableConfig{})
+		sb := etherlink.StatsBatch{Windows: []etherlink.Stats{
+			{Cycle: 1, WindowPs: 1e9, PowerUW: make([]uint32, host.NumComponents())}}}
+		for _, f := range []struct {
+			typ     etherlink.MsgType
+			payload []byte
+		}{
+			{etherlink.MsgCtrl, (&etherlink.Ctrl{Op: etherlink.CtrlStart, Arg: uint64(host.NumComponents())}).MarshalPayload()},
+			{etherlink.MsgCtrl, (&etherlink.Ctrl{Op: op}).MarshalPayload()},
+			{etherlink.MsgStatsBatch, sb.MarshalPayload()},
+		} {
+			if err := ep.Send(f.typ, f.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), op.String()+" control op") {
+				t.Errorf("op %d: Serve returned %v, want a refusal naming %v", op, err, op)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("op %d: Serve still running 5 s after the op", op)
+		}
+		// Whatever the host sent before it returned is queued; none of it
+		// may be a temperature message.
+		devTr.SetRecvDeadline(time.Now().Add(20 * time.Millisecond))
+		for {
+			b, err := devTr.Recv()
+			if err != nil {
+				break
+			}
+			if f, err := etherlink.Unmarshal(b); err == nil && f.Type == etherlink.MsgTempBatch {
+				t.Errorf("op %d: host answered with temperatures", op)
+			}
+		}
+		devTr.Close()
+	}
+}
+
 // TestHostRejectsUnboundedWindow: a statistics frame whose window spans
 // 2^64 ps ends the session with an error at once instead of holding the
 // host in a months-long solve, and the in-process entry point rejects

@@ -147,7 +147,8 @@ type ServeOptions struct {
 // Serve runs the host side of the Ethernet protocol on a transport: it
 // answers every statistics message with a temperature message for the same
 // windows until a CtrlStop arrives or the transport closes, and ends the
-// session with an error on any other message type. It acknowledges the
+// session with an error on any other message type or control op (the
+// retired codes included). It acknowledges the
 // stop before it returns (etherlink.Endpoint.AcceptStop). This is what
 // cmd/thermserver runs on a TCP listener.
 func (h *ThermalHost) Serve(tr etherlink.Transport) error {
@@ -190,6 +191,8 @@ func (h *ThermalHost) ServeWith(tr etherlink.Transport, opt ServeOptions) error 
 			case etherlink.CtrlStop:
 				ep.AcceptStop()
 				return nil
+			default:
+				return fmt.Errorf("core: device sent a %v control op, which the host does not serve", c.Op)
 			}
 		case etherlink.MsgStatsBatch:
 			if err := etherlink.UnmarshalStatsBatchInto(&batch, f.Payload); err != nil {

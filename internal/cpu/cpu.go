@@ -179,9 +179,6 @@ func (c *Core) State() State { return c.state }
 // Stats returns the cumulative counters.
 func (c *Core) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters (the core state is preserved).
-func (c *Core) ResetStats() { c.stats = Stats{} }
-
 // Reset returns the core to its power-on state at the given entry point.
 // Translated blocks are discarded: program loaders write code through
 // Memory.WriteBytes (below the controller's code-write hook) and then

@@ -141,12 +141,12 @@ func TestTempsPayloadRoundTrip(t *testing.T) {
 }
 
 func TestCtrlPayloadRoundTrip(t *testing.T) {
-	c := &Ctrl{Op: CtrlFreeze, Arg: 999}
+	c := &Ctrl{Op: CtrlStop, Arg: 999}
 	got, err := UnmarshalCtrl(c.MarshalPayload())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != CtrlFreeze || got.Arg != 999 {
+	if got.Op != CtrlStop || got.Arg != 999 {
 		t.Errorf("got %+v", got)
 	}
 	if _, err := UnmarshalCtrl([]byte{1, 2}); err == nil {

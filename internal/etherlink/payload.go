@@ -223,12 +223,12 @@ func UnmarshalTempsBatch(b []byte) (*TempsBatch, error) {
 // CtrlOp is a control operation code.
 type CtrlOp uint8
 
-// Control operations.
+// Control operations. Codes 3 and 4 named a virtual-clock freeze and its
+// release, which no endpoint ever sent; they are retired, not reused, so a
+// host refuses them as it refuses any other unknown op.
 const (
-	CtrlStart  CtrlOp = iota + 1 // begin a run; Arg = component count
-	CtrlStop                     // end of run; Arg = final cycle
-	CtrlFreeze                   // host asks device to freeze the virtual clock
-	CtrlResume                   // host releases the freeze
+	CtrlStart CtrlOp = iota + 1 // begin a run; Arg = component count
+	CtrlStop                    // end of run; Arg = final cycle
 )
 
 // String returns the op name.
@@ -238,10 +238,6 @@ func (op CtrlOp) String() string {
 		return "start"
 	case CtrlStop:
 		return "stop"
-	case CtrlFreeze:
-		return "freeze"
-	case CtrlResume:
-		return "resume"
 	}
 	return fmt.Sprintf("ctrl(%d)", uint8(op))
 }

@@ -82,12 +82,11 @@ type Cache struct {
 	setMask   uint32
 	stamp     uint64
 	stats     CacheStats
-	enable    bool
-	// epoch counts directory shape changes (refill, invalidate, flush,
-	// enable toggle, restore): any event that can change which lines are
-	// resident. Batched-fetch plans record the epoch they were validated at
-	// and revalidate only when it moves, so a hot block's residency check
-	// is one compare. Pure hits move only LRU state and leave it unchanged.
+	// epoch counts directory shape changes (refill, invalidate, restore):
+	// any event that can change which lines are resident. Batched-fetch
+	// plans record the epoch they were validated at and revalidate only
+	// when it moves, so a hot block's residency check is one compare. Pure
+	// hits move only LRU state and leave it unchanged.
 	epoch uint64
 }
 
@@ -102,8 +101,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		assoc: uint32(cfg.Assoc), nSets: nSets,
 		lineShift: uint32(bits.TrailingZeros32(cfg.LineBytes)),
 		setShift:  uint32(bits.TrailingZeros32(nSets)),
-		setMask:   nSets - 1,
-		enable:    true}
+		setMask:   nSets - 1}
 }
 
 // Config returns the cache configuration.
@@ -111,41 +109,6 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // Stats returns the event counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
-
-// ResetStats zeroes the event counters.
-func (c *Cache) ResetStats() { c.stats = CacheStats{} }
-
-// SetEnabled turns the cache on or off; when disabled every access goes
-// straight to the backing target (used to make address ranges uncacheable
-// at run time).
-func (c *Cache) SetEnabled(on bool) {
-	c.enable = on
-	c.epoch++
-}
-
-// Resolver maps a global address to the target that backs it and the
-// target-local address (provided by the memory controller).
-type Resolver func(addr uint32) (Target, uint32)
-
-// Flush invalidates every line, charging write-backs for dirty ones against
-// the target resolved for each victim line, starting at cycle now. It
-// returns the total cycles spent.
-func (c *Cache) Flush(now uint64, resolve Resolver) uint64 {
-	c.epoch++
-	var total uint64
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.valid && ln.dirty {
-			addr := c.lineAddr(ln.tag, uint32(i)/c.assoc)
-			if t, local := resolve(addr); t != nil {
-				total += t.Latency(now+total, local, c.cfg.LineBytes, true)
-			}
-			c.stats.Writebacks++
-		}
-		*ln = cacheLine{}
-	}
-	return total
-}
 
 func (c *Cache) index(addr uint32) (set, tag uint32) {
 	line := addr >> c.lineShift
@@ -161,9 +124,6 @@ func (c *Cache) set(set uint32) []cacheLine {
 func (c *Cache) lineAddr(tag, set uint32) uint32 {
 	return (tag<<c.setShift | set) << c.lineShift
 }
-
-// Enabled reports whether the cache is currently active.
-func (c *Cache) Enabled() bool { return c.enable }
 
 // Access models one cache lookup at the given (global) address. On a hit it
 // returns (true, hit latency); on a miss it returns (false, 0) and the

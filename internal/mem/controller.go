@@ -96,11 +96,9 @@ type Controller struct {
 // a data cache. A word access inside it costs one range-and-alignment
 // compare (and, for a private-only load, the priv bit), one set walk of the
 // cache directory and one 32-bit read or write of the memory's page. The
-// cache's enable bit is tested per access, because Cache.SetEnabled does not
-// know its controller; the page is loaded from the memory's page table on
-// every access, because Memory.RestoreState replaces the table. Everything
-// else the window assumes is fixed until AttachCaches or AddRange, which
-// clear it.
+// page is loaded from the memory's page table on every access, because
+// Memory.RestoreState replaces the table. Everything else the window assumes
+// is fixed until AttachCaches or AddRange, which clear it.
 type hitWindow struct {
 	base  uint32
 	words uint32 // words in the range, rounded up; 0 when there is no window
@@ -139,9 +137,6 @@ func (c *Controller) CoreID() int { return c.coreID }
 // Stats returns the count-logging statistics.
 func (c *Controller) Stats() CtrlStats { return c.stats }
 
-// ResetStats zeroes the statistics counters.
-func (c *Controller) ResetStats() { c.stats = CtrlStats{} }
-
 // ICache and DCache return the attached caches (nil when absent).
 func (c *Controller) ICache() *Cache { return c.icache }
 
@@ -167,7 +162,7 @@ func (c *Controller) Private(addr uint32) bool {
 	if r == nil || r.Kind != KindPrivate {
 		return false
 	}
-	return !c.spills || !r.Cacheable || !c.dcache.enable || c.dcache.resident(addr) >= 0
+	return !c.spills || !r.Cacheable || c.dcache.resident(addr) >= 0
 }
 
 func (c *Controller) updateSpills() {
@@ -260,7 +255,8 @@ func (c *Controller) rangeFor(addr uint32) *Range {
 	return nil
 }
 
-// Resolve implements the cache Resolver over this controller's address map.
+// Resolve maps a global address to the target that backs it and the
+// target-local address (nil when unmapped).
 func (c *Controller) Resolve(addr uint32) (Target, uint32) {
 	if r := c.rangeFor(addr); r != nil {
 		return r.Target, addr - r.Base
@@ -304,7 +300,7 @@ func (c *Controller) account(kind RangeKind, write bool, stall uint64) {
 // timedAccess charges one reference of the given size through the cache (if
 // cacheable) or directly, and returns the stall cycles.
 func (c *Controller) timedAccess(cache *Cache, now uint64, r *Range, addr uint32, bytes uint32, write bool) uint64 {
-	if r.Kind == KindDevice || !r.Cacheable || cache == nil || !cache.Enabled() {
+	if r.Kind == KindDevice || !r.Cacheable || cache == nil {
 		return r.Target.Latency(now, addr-r.Base, bytes, write)
 	}
 	if hit, stall := cache.Access(addr, write); hit {
@@ -394,9 +390,6 @@ func (c *Controller) ReadWordHit(addr uint32, privateOnly bool) (v uint32, stall
 		c.openWindow(r)
 	}
 	d := c.dcache
-	if !d.enable {
-		return 0, 0, false
-	}
 	mi := d.resident(addr)
 	if mi < 0 {
 		return 0, 0, false
@@ -416,7 +409,7 @@ func (c *Controller) ReadWordHit(addr uint32, privateOnly bool) (v uint32, stall
 
 // WriteWord performs a 32-bit data store.
 func (c *Controller) WriteWord(now uint64, addr uint32, v uint32) (uint64, error) {
-	if c.win.holds(addr) && c.dcache.enable {
+	if c.win.holds(addr) {
 		if mi := c.dcache.resident(addr); mi >= 0 {
 			// The store twin of ReadWordHit's hit.
 			d := c.dcache
@@ -525,8 +518,7 @@ type FetchPath struct {
 	base uint32
 	end  uint64 // exclusive global end of the range
 	// cacheable folds the per-access range checks of timedAccess that are
-	// fixed once the platform is built (kind and cacheability); only the
-	// cache's runtime enable bit is left for fetch time.
+	// fixed once the platform is built (kind and cacheability).
 	cacheable bool
 }
 
@@ -572,7 +564,7 @@ type fetchSeg struct {
 // BatchPlan is the precomputed icache plan of one translated block: its
 // line segmentation plus the resident-line indices of the last successful
 // probe, tagged with the directory epoch they were validated at. While the
-// epoch stands still (no refill/invalidate/flush/restore), re-entering the
+// epoch stands still (no refill/invalidate/restore), re-entering the
 // block costs one compare instead of a directory walk, and a whole run of
 // hitting fetches settles in one batch with effects bit-identical to the
 // per-instruction path. The zero value is an empty plan; InitBatchPlan
@@ -637,7 +629,7 @@ func (fp *FetchPath) InitBatchPlan(p *BatchPlan, entry, n uint32, st *PlanStore)
 func (fp *FetchPath) Ready(p *BatchPlan) (hitLatency uint64, ok bool) {
 	c := fp.ctrl
 	ic := c.icache
-	if ic == nil || !ic.enable {
+	if ic == nil {
 		return 0, false
 	}
 	if p.epoch == ic.epoch {
@@ -733,7 +725,7 @@ func (fp *FetchPath) Fetch(now uint64, addr uint32) uint64 {
 	// the icache hit is the overwhelmingly common case on this path, so it
 	// pays only the directory probe, not the generic routing checks.
 	var stall uint64
-	if ic := c.icache; fp.cacheable && ic != nil && ic.enable {
+	if ic := c.icache; fp.cacheable && ic != nil {
 		if hit, s := ic.Access(addr, false); hit {
 			stall = s
 		} else {

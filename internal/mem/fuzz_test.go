@@ -66,12 +66,12 @@ func newDataRig(t testing.TB, hitLatency uint64) *dataRig {
 }
 
 // servable reports whether ReadWordHit must complete the load at addr: an
-// aligned load that hits the enabled data cache in a cacheable range
+// aligned load that hits the data cache in a cacheable range
 // backed by a Memory (directly or behind an interconnect), private if
 // privateOnly is set.
 func (g *dataRig) servable(addr uint32, privateOnly bool) bool {
 	c := g.ctl
-	if addr%4 != 0 || c.dcache == nil || !c.dcache.Enabled() {
+	if addr%4 != 0 || c.dcache == nil {
 		return false
 	}
 	r := c.rangeFor(addr)
@@ -103,10 +103,10 @@ type rigState struct {
 }
 
 type cacheView struct {
-	Stats             CacheStats
-	Lines             []cacheLine
-	Stamp, Epoch      uint64
-	Enabled, Attached bool
+	Stats        CacheStats
+	Lines        []cacheLine
+	Stamp, Epoch uint64
+	Attached     bool
 }
 
 func (g *dataRig) state() rigState {
@@ -116,7 +116,7 @@ func (g *dataRig) state() rigState {
 	}
 	for i, d := range g.caches {
 		s.Caches[i] = cacheView{Stats: d.stats, Lines: append([]cacheLine(nil), d.lines...),
-			Stamp: d.stamp, Epoch: d.epoch, Enabled: d.enable, Attached: g.ctl.dcache == d}
+			Stamp: d.stamp, Epoch: d.epoch, Attached: g.ctl.dcache == d}
 	}
 	for _, m := range g.mems {
 		s.Mems = append(s.Mems, m.Stats())
@@ -156,9 +156,9 @@ func result(v uint32, stall uint64, err error) opResult {
 func runDataOp(g, ref *dataRig, op, sel, lo, hi byte, now uint64) (desc string, got, want opResult) {
 	addr := dataOpAddr(sel, lo, hi)
 	both := func(fn func(s *dataRig)) { fn(g); fn(ref) }
-	switch op % 12 {
+	switch op % 11 {
 	case 0, 1:
-		privateOnly := op%12 == 1
+		privateOnly := op%11 == 1
 		if ref.servable(addr, privateOnly) {
 			want = result(ref.ctl.refReadWord(now, addr))
 		}
@@ -183,9 +183,6 @@ func runDataOp(g, ref *dataRig, op, sel, lo, hi byte, now uint64) (desc string, 
 		v := uint32(lo) * 0x01010101
 		return fmt.Sprintf("Swap(%#x, %#x)", addr, v), result(g.ctl.Swap(now, addr, v)), result(ref.ctl.Swap(now, addr, v))
 	case 7:
-		both(func(s *dataRig) { s.caches[sel&1].SetEnabled(lo&1 == 1) })
-		return fmt.Sprintf("caches[%d].SetEnabled(%v)", sel&1, lo&1 == 1), got, want
-	case 8:
 		k := int(lo) % 3
 		both(func(s *dataRig) {
 			if k < 2 {
@@ -195,7 +192,7 @@ func runDataOp(g, ref *dataRig, op, sel, lo, hi byte, now uint64) (desc string, 
 			}
 		})
 		return fmt.Sprintf("AttachCaches(%d)", k), got, want
-	case 9:
+	case 8:
 		d := sel & 1
 		if lo&1 == 0 {
 			both(func(s *dataRig) { s.cacheSlot = s.caches[d].SaveState() })
@@ -204,7 +201,7 @@ func runDataOp(g, ref *dataRig, op, sel, lo, hi byte, now uint64) (desc string, 
 		got.Err = fmt.Sprint(g.caches[d].RestoreState(g.cacheSlot))
 		want.Err = fmt.Sprint(ref.caches[d].RestoreState(ref.cacheSlot))
 		return fmt.Sprintf("caches[%d].RestoreState", d), got, want
-	case 10:
+	case 9:
 		m := int(sel) % len(g.mems)
 		if lo&1 == 0 {
 			both(func(s *dataRig) { s.memSlots[m] = s.mems[m].SaveState() })
@@ -246,7 +243,6 @@ func FuzzDataPath(f *testing.F) {
 		rwh  = 0    // ReadWordHit
 		rwhP = 1    // ReadWordHit, private only
 		rw   = 2    // ReadWord
-		ena  = 7    // SetEnabled
 		priv = 0    // range selectors, in dataOpAddr's order
 		shrd = 1    // shared, behind an interconnect
 		raw  = 4    // private, uncacheable
@@ -255,9 +251,9 @@ func FuzzDataPath(f *testing.F) {
 	)
 	// TestReadWordHitMatchesReadWord's cases: warm a private and a shared
 	// line, hit three private lines and the shared one, then refuse a
-	// miss, an unaligned, unmapped or uncacheable load, a shared load when
-	// only private ones may complete, and any load with the cache
-	// disabled.
+	// miss, an unaligned, unmapped or uncacheable load and a shared load
+	// when only private ones may complete; then hit, store and reload one
+	// word.
 	for _, lat := range []byte{0, 1} {
 		f.Add(dataSeed(lat,
 			[4]byte{rw, priv, 0x354 >> 2}, [4]byte{rw, shrd, 0x40 >> 2}, [4]byte{rw, priv, 0x100 >> 2}, [4]byte{rw, priv, 0x200 >> 2},
@@ -265,8 +261,7 @@ func FuzzDataPath(f *testing.F) {
 			[4]byte{rwh, shrd, 0x40 >> 2}, [4]byte{rwhP, shrd, 0x40 >> 2},
 			[4]byte{rwh, priv, 0x3f0 >> 2}, [4]byte{rwh, priv, 0x100 >> 2, mis}, [4]byte{rwh, unmp, 0},
 			[4]byte{rwh, raw, 0}, [4]byte{rw, raw, 0},
-			[4]byte{rwh, priv, 0x204 >> 2}, [4]byte{ena, 0, 0}, [4]byte{rwh, priv, 0x204 >> 2}, [4]byte{rw, priv, 0x204 >> 2},
-			[4]byte{3, priv, 0x204 >> 2}, [4]byte{ena, 0, 1}, [4]byte{rw, priv, 0x204 >> 2}))
+			[4]byte{rwh, priv, 0x204 >> 2}, [4]byte{3, priv, 0x204 >> 2}, [4]byte{rw, priv, 0x204 >> 2}))
 	}
 	// Long random streams: every op, range and state change, mixed.
 	for seed := int64(1); seed <= 2; seed++ {

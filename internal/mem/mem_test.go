@@ -236,25 +236,6 @@ func TestCacheInvalidate(t *testing.T) {
 	}
 }
 
-func TestCacheFlush(t *testing.T) {
-	c := NewCache(CacheConfig{Name: "fl", SizeBytes: 64, LineBytes: 16, Assoc: 1, HitLatency: 1})
-	ram := NewMemory("ram", 4096, 5)
-	c.Access(0, true)
-	c.Refill(0, true)
-	c.Access(16, false)
-	c.Refill(16, false)
-	cycles := c.Flush(0, func(addr uint32) (Target, uint32) { return ram, addr })
-	if cycles == 0 {
-		t.Error("flush of dirty line took no cycles")
-	}
-	if c.Contains(0) || c.Contains(16) {
-		t.Error("lines resident after flush")
-	}
-	if c.Stats().Writebacks != 1 {
-		t.Errorf("writebacks = %d, want 1", c.Stats().Writebacks)
-	}
-}
-
 // TestCacheHitRateProperty: for any access sequence, hits+misses == accesses
 // and re-accessing the same address immediately always hits.
 func TestCacheHitRateProperty(t *testing.T) {
@@ -558,8 +539,7 @@ func snapLoad(c *Controller, priv, shared *Memory) loadState {
 // either way of a set, private or shared, leaves controller, cache and
 // memory state identical to ReadWord's, and every load it refuses — a
 // miss, an unaligned or unmapped address, an uncacheable range, a shared
-// range when only private ones may complete, a disabled cache — changes
-// nothing.
+// range when only private ones may complete — changes nothing.
 func TestReadWordHitMatchesReadWord(t *testing.T) {
 	build := func() (*Controller, *Memory, *Memory) {
 		ctl := NewController("ctl0", 0)
@@ -580,8 +560,6 @@ func TestReadWordHitMatchesReadWord(t *testing.T) {
 			priv.StoreWord(a, a*7+1)
 		}
 		shared.StoreWord(0x40, 99)
-		priv.ResetStats()
-		shared.ResetStats()
 		return ctl, priv, shared
 	}
 	hit, hp, hs := build() // loads through ReadWordHit
@@ -635,6 +613,4 @@ func TestReadWordHitMatchesReadWord(t *testing.T) {
 	refuse("unmapped", 0x5000_0000, false)
 	refuse("uncacheable", 0x2000_0000, false)
 	refuse("shared, private only", 0x1000_0040, true)
-	d.SetEnabled(false)
-	refuse("disabled", 0x204, false)
 }

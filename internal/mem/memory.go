@@ -96,9 +96,6 @@ func (m *Memory) Size() uint32 { return m.size }
 // Stats returns the functional access counts.
 func (m *Memory) Stats() MemStats { return m.stats }
 
-// ResetStats zeroes the access counters.
-func (m *Memory) ResetStats() { m.stats = MemStats{} }
-
 func (m *Memory) page(addr uint32) *[pageSize]byte {
 	if addr >= m.size {
 		panic(fmt.Sprintf("mem: %s: address 0x%x beyond size 0x%x", m.name, addr, m.size))

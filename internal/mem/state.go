@@ -66,19 +66,17 @@ type CacheLineState struct {
 // CacheState is the checkpointable state of a Cache. Lines are stored
 // set-major (set 0 way 0, set 0 way 1, ...).
 type CacheState struct {
-	Lines   []CacheLineState
-	Stamp   uint64 // monotonic LRU clock
-	Stats   CacheStats
-	Enabled bool
+	Lines []CacheLineState
+	Stamp uint64 // monotonic LRU clock
+	Stats CacheStats
 }
 
 // SaveState captures the cache directory and counters.
 func (c *Cache) SaveState() CacheState {
 	s := CacheState{
-		Lines:   make([]CacheLineState, 0, int(c.nSets)*c.cfg.Assoc),
-		Stamp:   c.stamp,
-		Stats:   c.stats,
-		Enabled: c.enable,
+		Lines: make([]CacheLineState, 0, int(c.nSets)*c.cfg.Assoc),
+		Stamp: c.stamp,
+		Stats: c.stats,
 	}
 	for _, ln := range c.lines {
 		s.Lines = append(s.Lines, CacheLineState{Tag: ln.tag, Valid: ln.valid, Dirty: ln.dirty, LRU: ln.lru})
@@ -98,7 +96,6 @@ func (c *Cache) RestoreState(s CacheState) error {
 	}
 	c.stamp = s.Stamp
 	c.stats = s.Stats
-	c.enable = s.Enabled
 	c.epoch++
 	return nil
 }

@@ -220,9 +220,6 @@ func (n *Network) Topology() *Topology { return n.topo }
 // Stats returns the sniffer counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// ResetStats zeroes the counters (link horizons are preserved).
-func (n *Network) ResetStats() { n.stats = Stats{} }
-
 // LinkUtilisation returns per-link busy cycles, most-used first, as
 // (linkIndex, cycles) pairs.
 func (n *Network) LinkUtilisation() []struct {

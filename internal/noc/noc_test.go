@@ -105,12 +105,10 @@ func TestWriteVsReadPacketisation(t *testing.T) {
 	if s.OCPWrites != 1 || s.OCPReads != 0 {
 		t.Errorf("OCP counters = %+v", s)
 	}
-	n.ResetStats()
 	p.Transaction(0, 1000, 16, false, 0)
-	s = n.Stats()
 	// Read: request header+addr, response header + 4 data flits.
-	if s.Flits != 7 {
-		t.Errorf("read flits = %d, want 7", s.Flits)
+	if flits := n.Stats().Flits - s.Flits; flits != 7 {
+		t.Errorf("read flits = %d, want 7", flits)
 	}
 }
 

@@ -67,11 +67,10 @@ func NewRunSummary(workload string, fp *floorplan.Floorplan, res *core.Result, w
 }
 
 // WriteRunJSON writes the full structured run document: the run summary
-// plus the per-window sample series of WriteSamplesJSON. Documents written
-// by WriteSamplesJSON (no "run" key) stay readable by the same consumers —
-// the decoder ignores unknown fields in both directions.
+// plus the per-window sample series, each window's temperatures and powers
+// keyed by component name.
 func WriteRunJSON(w io.Writer, fp *floorplan.Floorplan, sum RunSummary, samples []core.Sample) error {
-	run := jsonRun{Floorplan: fp.Name, Run: &sum}
+	run := jsonRun{Floorplan: fp.Name, Run: sum}
 	for _, s := range samples {
 		run.Samples = append(run.Samples, makeJSONSample(fp, s))
 	}

@@ -6,10 +6,8 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"thermemu/internal/core"
@@ -193,11 +191,11 @@ type jsonSample struct {
 	PowerW    map[string]float64 `json:"power_w"`
 }
 
-// jsonRun is the JSON wire form of a whole run. Run is the structured
-// summary (WriteRunJSON); WriteSamplesJSON leaves it out.
+// jsonRun is the JSON wire form of a whole run (WriteRunJSON): the
+// structured summary and the sample series.
 type jsonRun struct {
 	Floorplan string       `json:"floorplan"`
-	Run       *RunSummary  `json:"run,omitempty"`
+	Run       RunSummary   `json:"run"`
 	Samples   []jsonSample `json:"samples"`
 }
 
@@ -222,42 +220,4 @@ func makeJSONSample(fp *floorplan.Floorplan, s core.Sample) jsonSample {
 		}
 	}
 	return js
-}
-
-// WriteSamplesJSON dumps a sample series as a self-describing JSON document
-// keyed by component names.
-func WriteSamplesJSON(w io.Writer, fp *floorplan.Floorplan, samples []core.Sample) error {
-	run := jsonRun{Floorplan: fp.Name}
-	for _, s := range samples {
-		run.Samples = append(run.Samples, makeJSONSample(fp, s))
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(run)
-}
-
-// ReadSamplesJSON parses a document written by WriteSamplesJSON. Component
-// values come back as sorted (name, value) pairs per sample, suitable for
-// downstream analysis tools.
-func ReadSamplesJSON(r io.Reader) (floorplanName string, samples []map[string]float64, err error) {
-	var run jsonRun
-	if err := json.NewDecoder(r).Decode(&run); err != nil {
-		return "", nil, err
-	}
-	out := make([]map[string]float64, 0, len(run.Samples))
-	for _, s := range run.Samples {
-		m := map[string]float64{
-			"time_s": s.TimeS, "freq_mhz": s.FreqMHz, "max_temp_k": s.MaxTempK,
-		}
-		keys := make([]string, 0, len(s.TempK))
-		for k := range s.TempK {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			m["temp_"+k] = s.TempK[k]
-		}
-		out = append(out, m)
-	}
-	return run.Floorplan, out, nil
 }

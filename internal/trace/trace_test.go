@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -153,35 +154,47 @@ func TestVCDIDsUnique(t *testing.T) {
 	}
 }
 
+// runDoc is what a consumer of the -json document reads back: the
+// floorplan name and each window's maximum and per-component temperatures.
+type runDoc struct {
+	Floorplan string `json:"floorplan"`
+	Samples   []struct {
+		MaxTempK float64            `json:"max_temp_k"`
+		TempK    map[string]float64 `json:"temp_k"`
+	} `json:"samples"`
+}
+
+// TestSamplesJSONRoundTrip checks the sample series of the run document:
+// one entry per window, keyed by component name.
 func TestSamplesJSONRoundTrip(t *testing.T) {
-	fp, samples := runSamples(t)
+	fp, res := runResult(t)
 	var buf bytes.Buffer
-	if err := WriteSamplesJSON(&buf, fp, samples); err != nil {
+	if err := WriteRunJSON(&buf, fp, NewRunSummary("matrix", fp, res, len(res.Samples), nil), res.Samples); err != nil {
 		t.Fatal(err)
 	}
-	name, rows, err := ReadSamplesJSON(&buf)
-	if err != nil {
+	var doc runDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if name != fp.Name {
-		t.Errorf("floorplan name = %q", name)
+	if doc.Floorplan != fp.Name {
+		t.Errorf("floorplan name = %q", doc.Floorplan)
 	}
-	if len(rows) != len(samples) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(samples))
+	if len(doc.Samples) != len(res.Samples) {
+		t.Fatalf("samples = %d, want %d", len(doc.Samples), len(res.Samples))
 	}
-	for i, row := range rows {
-		if row["max_temp_k"] != samples[i].MaxTempK {
-			t.Errorf("row %d max temp = %v, want %v", i, row["max_temp_k"], samples[i].MaxTempK)
+	for i, s := range doc.Samples {
+		if s.MaxTempK != res.Samples[i].MaxTempK {
+			t.Errorf("sample %d max temp = %v, want %v", i, s.MaxTempK, res.Samples[i].MaxTempK)
 		}
-		if _, ok := row["temp_core0"]; !ok {
-			t.Errorf("row %d missing component temperature", i)
+		if _, ok := s.TempK["core0"]; !ok {
+			t.Errorf("sample %d missing component temperature", i)
 		}
 	}
 }
 
 // TestRunJSONSummary checks the structured -json document: the run summary
-// rides alongside the sample series, and samples-only consumers
-// (ReadSamplesJSON) still read the same document.
+// rides alongside the sample series, and a consumer that reads only the
+// samples still reads the same document.
 func TestRunJSONSummary(t *testing.T) {
 	fp, res := runResult(t)
 	sum := NewRunSummary("matrix", fp, res, len(res.Samples), nil)
@@ -210,11 +223,11 @@ func TestRunJSONSummary(t *testing.T) {
 			t.Errorf("run document missing %s", want)
 		}
 	}
-	name, rows, err := ReadSamplesJSON(strings.NewReader(doc))
-	if err != nil {
+	var view runDoc
+	if err := json.Unmarshal(buf.Bytes(), &view); err != nil {
 		t.Fatalf("samples-only reader rejected the run document: %v", err)
 	}
-	if name != fp.Name || len(rows) != len(res.Samples) {
-		t.Fatalf("samples-only view: floorplan %q, %d rows", name, len(rows))
+	if view.Floorplan != fp.Name || len(view.Samples) != len(res.Samples) {
+		t.Fatalf("samples-only view: floorplan %q, %d samples", view.Floorplan, len(view.Samples))
 	}
 }

@@ -59,8 +59,11 @@ type FreqChange struct {
 type VPCM struct {
 	physHz uint64
 	cycle  uint64 // virtual platform cycles issued
-	// suppMu guards the suppression state: memory controllers may raise
-	// suppression concurrently when the platform runs in parallel mode.
+	// suppMu guards the suppression state. Memory controllers raise
+	// suppression from the goroutine that steps the platform, its only
+	// writer (the platform has one stepping kernel), so the lock is
+	// uncontended; it is kept so a reader on another goroutine sees the
+	// map and its total together.
 	suppMu    sync.Mutex
 	suppress  map[string]uint64
 	suppTotal uint64
