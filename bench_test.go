@@ -10,7 +10,6 @@ package thermemu
 // cmd/experiments binary runs the full-size configurations.
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
@@ -167,39 +166,6 @@ func benchSolver(b *testing.B, cells int) {
 func BenchmarkThermal660Cells(b *testing.B) { benchSolver(b, 660) }
 
 func BenchmarkThermal28Cells(b *testing.B) { benchSolver(b, 28) }
-
-// BenchmarkThermalScaling sweeps grid size x worker count over the sharded
-// solver, on square uniform dies rather than the ARM11 floorplan so the cell
-// counts land exactly on powers of two. MinParallelCells is forced to 1 so
-// every {cells}x{workers} case exercises the path it names; real speedup
-// requires as many free host CPUs as workers.
-func BenchmarkThermalScaling(b *testing.B) {
-	const die = 10e-3
-	for _, n := range []int{16, 32, 64} { // 256, 1024, 4096 silicon cells
-		si := thermal.UniformGrid(die, die, n, n)
-		cu := thermal.UniformGrid(die, die, n/2, n/2)
-		for _, workers := range []int{1, 2, 4} {
-			opt := thermal.DefaultOptions()
-			opt.Workers = workers
-			opt.MinParallelCells = 1
-			b.Run(fmt.Sprintf("%dx%d", n*n, workers), func(b *testing.B) {
-				m, err := thermal.NewModel(si, cu, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < m.NumSurfaceCells(); i++ {
-					m.SetPower(i, 2.0/float64(n*n)) // 2 W spread uniformly
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.Step(0.002) // one 2 ms window
-				}
-				simSeconds := float64(b.N) * 0.002
-				b.ReportMetric(simSeconds/b.Elapsed().Seconds(), "sim_s/wall_s")
-			})
-		}
-	}
-}
 
 // --- Ablations (DESIGN.md §5) ----------------------------------------------
 

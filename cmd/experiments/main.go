@@ -45,10 +45,9 @@ func main() {
 		fig6Pipe  = flag.Int("fig6-pipeline", 0, "Figure 6 pipeline depth (DFS sensor latency in windows; 0 = synchronous solve)")
 		out       = flag.String("out", "fig6.csv", "Figure 6 CSV output path")
 
-		solverSimS    = flag.Float64("solver-sim", 2.0, "seconds of thermal simulation to run")
-		solverWorkers = flag.Int("solver-workers", 0, "thermal solver shards (0 = auto, 1 = serial)")
-		steadyTol     = flag.Float64("steady-tol", 1e-6, "steady-state convergence tolerance, K")
-		steadySweeps  = flag.Int("steady-sweeps", 20000, "steady-state sweep budget")
+		solverSimS   = flag.Float64("solver-sim", 2.0, "seconds of thermal simulation to run")
+		steadyTol    = flag.Float64("steady-tol", 1e-6, "steady-state convergence tolerance, K")
+		steadySweeps = flag.Int("steady-sweeps", 20000, "steady-state sweep budget")
 	)
 	flag.Parse()
 
@@ -76,7 +75,7 @@ func main() {
 		fmt.Println()
 	}
 	if *all || *solver {
-		r, err := thermemu.SolverPerf(660, *solverSimS, *solverWorkers)
+		r, err := thermemu.SolverPerf(660, *solverSimS)
 		if err != nil {
 			fail(err)
 		}

@@ -97,7 +97,6 @@ func parseArgs(args []string) (*scenario.Scenario, options, error) {
 	fs.IntVar(&f.Pipeline, "pipeline", f.Pipeline, "pipeline depth: overlap emulation with the thermal solve at a sensor latency of this many windows (0 = synchronous solve)")
 	fs.Float64Var(&f.Timescale, "timescale", f.Timescale, "thermal time compression (1 = paper-faithful)")
 	fs.IntVar(&f.Cells, "cells", f.Cells, "thermal cells for the floorplan grid")
-	fs.IntVar(&f.Workers, "workers", f.Workers, "thermal solver shards (0 = auto, 1 = serial)")
 	fs.StringVar(&o.csv, "csv", "", "write per-window samples to this CSV file")
 	fs.StringVar(&o.host, "host", "", "remote thermal server address (empty = in-process)")
 	fs.StringVar(&f.Fault, "fault", f.Fault, "inject link faults, e.g. drop=0.01,dup=0.005,reorder=0.01,corrupt=0.001,delay=2ms,cut=500 (applied to both directions)")
@@ -166,8 +165,6 @@ func parseArgs(args []string) (*scenario.Scenario, options, error) {
 			s.Timescale = f.Timescale
 		case "cells":
 			s.Cells = f.Cells
-		case "workers":
-			s.Workers = f.Workers
 		case "fault":
 			s.Fault = f.Fault
 		case "fault-seed":

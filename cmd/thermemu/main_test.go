@@ -42,9 +42,9 @@ func TestParseArgsScenario(t *testing.T) {
 			with(def, func(s *scenario.Scenario) { s.FreqMHz = 100 })},
 		{"thermal and fault flags",
 			[]string{"-window", "0.5", "-pipeline", "2", "-timescale", "10", "-cells", "60",
-				"-workers", "1", "-fault", "drop=0.01", "-fault-seed", "7", "-digest"},
+				"-fault", "drop=0.01", "-fault-seed", "7", "-digest"},
 			with(def, func(s *scenario.Scenario) {
-				s.WindowMs, s.Pipeline, s.Timescale, s.Cells, s.Workers = 0.5, 2, 10, 60, 1
+				s.WindowMs, s.Pipeline, s.Timescale, s.Cells = 0.5, 2, 10, 60
 				s.Fault, s.FaultSeed, s.Digest = "drop=0.01", 7, true
 			})},
 		{"workload flags",

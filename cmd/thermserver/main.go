@@ -33,14 +33,13 @@ func main() {
 	var (
 		listen  = flag.String("listen", ":9077", "TCP listen address")
 		plan    = flag.String("floorplan", "arm11", "floorplan: arm7 | arm11")
-		cells   = flag.Int("cells", 28, "thermal cells for the floorplan grid")
-		workers = flag.Int("workers", 0, "thermal solver shards (0 = auto, 1 = serial)")
+		cells   = flag.Int("cells", 28, fmt.Sprintf("thermal cells for the floorplan grid (1-%d)", core.MaxCells))
 		once    = flag.Bool("once", false, "serve a single connection, then exit")
 		metrics = flag.String("metrics", "", "HTTP metrics listen address (empty = disabled)")
 		idle    = flag.Duration("idle", 30*time.Second, "drop a connection silent for this long")
 	)
 	flag.Parse()
-	if err := run(*listen, *plan, *cells, *workers, *once, *metrics, *idle); err != nil {
+	if err := run(*listen, *plan, *cells, *once, *metrics, *idle); err != nil {
 		fmt.Fprintln(os.Stderr, "thermserver:", err)
 		os.Exit(1)
 	}
@@ -77,7 +76,7 @@ func (s *serverStats) snapshot() metricsSnapshot {
 	}
 }
 
-func run(listen, plan string, cells, workers int, once bool, metricsAddr string,
+func run(listen, plan string, cells int, once bool, metricsAddr string,
 	idle time.Duration) error {
 	var fp *thermemu.Floorplan
 	switch plan {
@@ -87,6 +86,9 @@ func run(listen, plan string, cells, workers int, once bool, metricsAddr string,
 		fp = thermemu.FourARM11()
 	default:
 		return fmt.Errorf("unknown floorplan %q", plan)
+	}
+	if cells < 1 || cells > core.MaxCells {
+		return fmt.Errorf("-cells must be between 1 and %d, got %d", core.MaxCells, cells)
 	}
 	l, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -123,11 +125,7 @@ func run(listen, plan string, cells, workers int, once bool, metricsAddr string,
 		log.Printf("thermserver: device connected from %s", remote)
 		// Fresh thermal state per connection, as the paper launches the
 		// thermal tool per emulation run.
-		opt := thermemu.DefaultThermalOptions()
-		if workers > 0 {
-			opt.Workers = workers
-		}
-		host, err := thermemu.NewThermalHostWith(fp, cells, opt)
+		host, err := thermemu.NewThermalHost(fp, cells)
 		if err != nil {
 			stats.RunsFailed.Add(1)
 			log.Printf("thermserver: %s: thermal host: %v", remote, err)

@@ -370,7 +370,6 @@ func Resources() (string, error) {
 // 3 GHz Pentium 4).
 type SolverPerfResult struct {
 	Cells     int // RC nodes in the model
-	Workers   int // solver shards actually used
 	SimS      float64
 	Wall      time.Duration
 	RealTimeX float64 // simulated seconds per wall second
@@ -378,21 +377,15 @@ type SolverPerfResult struct {
 
 // String formats the result next to the paper's reference point.
 func (r SolverPerfResult) String() string {
-	return fmt.Sprintf("thermal solver: %.1f s simulated on %d cells (%d workers) in %v (%.1fx real time; paper: 2 s in 1.65 s)",
-		r.SimS, r.Cells, r.Workers, r.Wall.Round(time.Millisecond), r.RealTimeX)
+	return fmt.Sprintf("thermal solver: %.1f s simulated on %d cells in %v (%.1fx real time; paper: 2 s in 1.65 s)",
+		r.SimS, r.Cells, r.Wall.Round(time.Millisecond), r.RealTimeX)
 }
 
 // SolverPerf measures the RC solver on a floorplan gridded to surfaceCells
 // bottom cells, stepping simS simulated seconds in 10 ms windows under a
-// representative ARM11 load. workers sets thermal.Options.Workers (<= 0
-// leaves the auto GOMAXPROCS default); sharding only engages above the
-// model's cell threshold, so small grids stay on the serial path either way.
-func SolverPerf(surfaceCells int, simS float64, workers int) (SolverPerfResult, error) {
-	opt := DefaultThermalOptions()
-	if workers > 0 {
-		opt.Workers = workers
-	}
-	host, err := NewThermalHostWith(FourARM11(), surfaceCells, opt)
+// representative ARM11 load.
+func SolverPerf(surfaceCells int, simS float64) (SolverPerfResult, error) {
+	host, err := NewThermalHost(FourARM11(), surfaceCells)
 	if err != nil {
 		return SolverPerfResult{}, err
 	}
@@ -408,8 +401,7 @@ func SolverPerf(surfaceCells int, simS float64, workers int) (SolverPerfResult, 
 	}
 	wall := time.Since(start)
 	return SolverPerfResult{
-		Cells: host.Model.NumCells(), Workers: host.Model.Workers(),
-		SimS: simS, Wall: wall,
+		Cells: host.Model.NumCells(), SimS: simS, Wall: wall,
 		RealTimeX: simS / wall.Seconds(),
 	}, nil
 }

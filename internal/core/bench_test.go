@@ -15,7 +15,7 @@ import (
 
 // benchLoopConfig is the CI reference closed loop: the 4-core OPB-bus
 // platform from Table 3 running Matrix-TM at 100 MHz, the ARM11 floorplan
-// on 28 cells with the sharded solver enabled, and a thermal time scale at
+// on 28 cells, and a thermal time scale at
 // which the solve stage costs about as much as a window of emulation — the
 // regime the pipelined loop is built for.
 //
@@ -32,9 +32,7 @@ func benchLoopConfig(b testing.TB) Config {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := thermal.DefaultOptions()
-	opt.Workers = 4
-	host, err := NewThermalHost(floorplan.FourARM11(), 28, opt)
+	host, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,9 +93,7 @@ func benchClosedLoop(b *testing.B, depth int, linkDelay time.Duration) {
 			devTr, hostTr := etherlink.LoopbackPair(16)
 			cfg.Transport = delayTransport{Transport: devTr, delay: linkDelay}
 			cfg.DrainPhysCycles = 100
-			opt := thermal.DefaultOptions()
-			opt.Workers = 4
-			hostPlan, err := NewThermalHost(floorplan.FourARM11(), 28, opt)
+			hostPlan, err := NewThermalHost(floorplan.FourARM11(), 28, thermal.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}

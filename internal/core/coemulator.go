@@ -82,7 +82,8 @@ type Config struct {
 	// instead of corrupting windows. Window boundaries depend only on
 	// emulated state, so runs are bit-reproducible at every depth and —
 	// with TM feedback off — digest-identical across depths. Every platform
-	// configuration runs at every depth.
+	// configuration runs at every depth. The depth must lie in
+	// [0, MaxPipelineDepth].
 	PipelineDepth int
 	// DiscardSamples skips accumulating Result.Samples so week-long
 	// monitoring runs keep a flat memory profile; onSample still observes
@@ -178,6 +179,12 @@ type Result struct {
 
 // DefaultWindowPs is the paper's 10 ms sampling period.
 const DefaultWindowPs = 10_000_000_000
+
+// MaxPipelineDepth bounds Config.PipelineDepth. The committed
+// configurations use depth 4 at most; the window ring and the hand-off
+// queue are sized by the depth, so a depth far past this is a corrupt or
+// hostile scenario that would allocate before the first window.
+const MaxPipelineDepth = 64
 
 // Fig6Config builds the Figure 6 experiment: the Fig6 platform (4 RISC-32
 // cores, 8 kB DM caches, 32 kB private + 32 kB shared memories, 4-switch
@@ -291,6 +298,9 @@ func runGroupCfgs(cfgs []Config, onSample []func(Sample),
 		}
 		if cfg.PipelineDepth < 0 {
 			return nil, fmt.Errorf("core: negative pipeline depth %d", cfg.PipelineDepth)
+		}
+		if cfg.PipelineDepth > MaxPipelineDepth {
+			return nil, fmt.Errorf("core: pipeline depth %d is above the maximum of %d", cfg.PipelineDepth, MaxPipelineDepth)
 		}
 		if cells := len(cfg.Host.SiCells); cfg.Transport != nil && etherlink.MaxTempsBatch(cells) == 0 {
 			return nil, &etherlink.TempsTooLargeError{Cells: cells}

@@ -375,6 +375,36 @@ func TestHostRefusesUnknownCtrlOps(t *testing.T) {
 	}
 }
 
+// TestSetupRefusesOversizedInputs: NewThermalHost refuses a cell target
+// outside [1, MaxCells], and RunGroup a pipeline depth above
+// MaxPipelineDepth for the whole group, before anything sized by them is
+// allocated. The bounds themselves are accepted.
+func TestSetupRefusesOversizedInputs(t *testing.T) {
+	for _, cells := range []int{-1, 0, MaxCells + 1, 400_000} {
+		_, err := NewThermalHost(floorplan.FourARM11(), cells, thermal.DefaultOptions())
+		if err == nil || !strings.Contains(err.Error(), "thermal cells must be between 1 and 65536") {
+			t.Errorf("NewThermalHost(%d cells): error %v, want the cell bound", cells, err)
+		}
+	}
+	if _, err := NewThermalHost(floorplan.FourARM11(), 1, thermal.DefaultOptions()); err != nil {
+		t.Errorf("NewThermalHost(1 cell): %v", err)
+	}
+
+	ok, deep := testConfig(t, 1, nil), testConfig(t, 1, nil)
+	deep.Workload = ok.Workload
+	deep.PipelineDepth = MaxPipelineDepth + 1
+	_, errs := RunGroup([]Config{ok, deep}, nil)
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "above the maximum of 64") {
+			t.Errorf("member %d of a group with depth %d: error %v, want the depth bound", i, deep.PipelineDepth, err)
+		}
+	}
+	ok.PipelineDepth = MaxPipelineDepth
+	if _, err := Run(ok, nil); err != nil {
+		t.Errorf("depth %d: %v", ok.PipelineDepth, err)
+	}
+}
+
 // TestHostRejectsUnboundedWindow: a statistics frame whose window spans
 // 2^64 ps ends the session with an error at once instead of holding the
 // host in a months-long solve, and the in-process entry point rejects

@@ -32,10 +32,21 @@ type ThermalHost struct {
 	cellPw  []float64
 }
 
+// MaxCells bounds NewThermalHost's targetCells. The committed
+// configurations grid at most 660 cells; the model's memory grows linearly
+// with the count, and a target far past this is a corrupt or hostile
+// scenario, which would otherwise allocate hundreds of megabytes before
+// anything ran.
+const MaxCells = 1 << 16
+
 // NewThermalHost grids the floorplan into about targetCells thermal cells
 // (multi-resolution, refined over the high-power-density components) plus a
-// coarser copper-spreader grid, and builds the RC model.
+// coarser copper-spreader grid, and builds the RC model. targetCells must
+// lie in [1, MaxCells].
 func NewThermalHost(fp *floorplan.Floorplan, targetCells int, opt thermal.Options) (*ThermalHost, error) {
+	if targetCells < 1 || targetCells > MaxCells {
+		return nil, fmt.Errorf("core: thermal cells must be between 1 and %d, got %d", MaxCells, targetCells)
+	}
 	if err := fp.Validate(); err != nil {
 		return nil, err
 	}

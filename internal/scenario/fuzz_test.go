@@ -26,6 +26,9 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add(Header + "\n[scenario]\nname = a # b\n")
 	f.Add(Header + "\n[thermal]\nwindow-ms = 10\ntimescale = 10000\n") // parses; Lint rejects the 100 s span
 	f.Add(Header + "\n[platform]\nfreq-mhz = 2000000\n")               // parses; Lint rejects the 0.5 ps period
+	f.Add(Header + "\n[thermal]\nworkers = 2\n")                       // an unknown key
+	f.Add(Header + "\n[thermal]\ncells = 400000\n")                    // parses; Lint rejects the cell count
+	f.Add(Header + "\n[thermal]\npipeline = 200000\n")                 // parses; Lint rejects the depth
 	f.Fuzz(func(t *testing.T, src string) {
 		s1, err := Parse(src)
 		if err != nil {

@@ -13,8 +13,9 @@ import (
 
 // Lint validates a scenario without running it. It collects every problem
 // it can find — unknown workload/policy/floorplan/interconnect names,
-// non-positive platform or thermal parameters, a window whose thermal span
-// exceeds core.MaxWindowThermalS, programs that overrun
+// non-positive platform or thermal parameters, a cell count or pipeline
+// depth above core.MaxCells or core.MaxPipelineDepth, a window whose
+// thermal span exceeds core.MaxWindowThermalS, programs that overrun
 // private memory, shared-memory blocks that overlap each other or fall
 // outside shared memory, program counts that disagree with the core count,
 // unparsable fault specs — and returns them joined, so a broken file
@@ -64,8 +65,8 @@ func (s *Scenario) lint(l *Linter) error {
 	if _, ok := floorplans[s.Floorplan]; !ok {
 		fail("thermal: unknown floorplan %q (want arm7 | arm11)", s.Floorplan)
 	}
-	if s.Cells < 1 {
-		fail("thermal: cells must be at least 1, got %d", s.Cells)
+	if s.Cells < 1 || s.Cells > core.MaxCells {
+		fail("thermal: cells must be between 1 and %d, got %d", core.MaxCells, s.Cells)
 	}
 	if !(s.WindowMs > 0) {
 		fail("thermal: window-ms must be positive, got %v", s.WindowMs)
@@ -76,11 +77,8 @@ func (s *Scenario) lint(l *Linter) error {
 	if span := s.WindowMs * 1e-3 * s.Timescale; span > core.MaxWindowThermalS {
 		fail("thermal: window-ms × timescale spans %g s of thermal time per window, above the %d s cap", span, core.MaxWindowThermalS)
 	}
-	if s.Pipeline < 0 {
-		fail("thermal: pipeline must be non-negative, got %d", s.Pipeline)
-	}
-	if s.Workers < 0 {
-		fail("thermal: workers must be non-negative, got %d", s.Workers)
+	if s.Pipeline < 0 || s.Pipeline > core.MaxPipelineDepth {
+		fail("thermal: pipeline must be between 0 and %d, got %d", core.MaxPipelineDepth, s.Pipeline)
 	}
 
 	if _, ok := policies[s.Policy]; !ok {

@@ -110,7 +110,7 @@ var kvSections = map[string][]string{
 	"scenario": {"name", "digest"},
 	"platform": {"cores", "ic", "freq-mhz", "priv-kb", "shared-kb"},
 	"workload": {"name", "n", "iters", "size", "words"},
-	"thermal":  {"floorplan", "cells", "window-ms", "timescale", "pipeline", "workers"},
+	"thermal":  {"floorplan", "cells", "window-ms", "timescale", "pipeline"},
 	"tm":       {"policy"},
 	"fault":    {"spec", "seed"},
 	"shared":   nil, // keys are addresses
@@ -285,8 +285,6 @@ func (p *parser) assign(qual, val string) error {
 		return parseFloat(&s.Timescale, qual, val)
 	case "thermal.pipeline":
 		return parseInt(&s.Pipeline, qual, val)
-	case "thermal.workers":
-		return parseInt(&s.Workers, qual, val)
 	case "tm.policy":
 		s.Policy = val
 	case "fault.spec":

@@ -61,7 +61,6 @@ func (s *Scenario) Render() string {
 	fmt.Fprintf(&b, "window-ms = %s\n", strconv.FormatFloat(s.WindowMs, 'g', -1, 64))
 	fmt.Fprintf(&b, "timescale = %s\n", strconv.FormatFloat(s.Timescale, 'g', -1, 64))
 	fmt.Fprintf(&b, "pipeline = %d\n", s.Pipeline)
-	fmt.Fprintf(&b, "workers = %d\n", s.Workers)
 	b.WriteString("\n[tm]\n")
 	fmt.Fprintf(&b, "policy = %s\n", s.Policy)
 	if s.Fault != "" || s.FaultSeed != 1 {

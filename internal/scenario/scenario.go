@@ -105,7 +105,11 @@ type Scenario struct {
 	WindowMs  float64
 	Timescale float64
 	Pipeline  int
-	Workers   int
+
+	// Deprecated: Workers is ignored and no scenario key sets it; the
+	// thermal solver is serial. It is kept only until its last reader goes
+	// (ROADMAP item 4).
+	Workers int
 
 	// [tm]
 	Policy string // none | threshold-dfs | proportional-dfs
@@ -379,11 +383,7 @@ func (s *Scenario) coEmulation(spec *workloads.Spec) (core.Config, error) {
 	if !ok {
 		return core.Config{}, fmt.Errorf("scenario: unknown floorplan %q (want arm7 | arm11)", s.Floorplan)
 	}
-	topt := thermal.DefaultOptions()
-	if s.Workers > 0 {
-		topt.Workers = s.Workers
-	}
-	host, err := core.NewThermalHost(fpBuild(), s.Cells, topt)
+	host, err := core.NewThermalHost(fpBuild(), s.Cells, thermal.DefaultOptions())
 	if err != nil {
 		return core.Config{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"thermemu/internal/core"
 	"thermemu/internal/emu"
 	"thermemu/internal/workloads"
 )
@@ -41,7 +42,6 @@ cells = 12
 window-ms = 0.5
 timescale = 50
 pipeline = 2
-workers = 1
 
 [tm]
 policy = threshold-dfs
@@ -74,7 +74,7 @@ func TestParseFullFile(t *testing.T) {
 			{Addr: 0x8000, Words: []uint32{0xdeadbeef, 1, 2, 3}},
 			{Addr: 0x9000, Words: []uint32{42}},
 		},
-		Floorplan: "arm7", Cells: 12, WindowMs: 0.5, Timescale: 50, Pipeline: 2, Workers: 1,
+		Floorplan: "arm7", Cells: 12, WindowMs: 0.5, Timescale: 50, Pipeline: 2,
 		Policy: "threshold-dfs",
 		Fault:  "drop=0.01,delay=2ms", FaultSeed: 7,
 	}
@@ -155,6 +155,7 @@ func TestParseErrors(t *testing.T) {
 		{"unknown key", Header + "\n[platform]\nspeed = 9\n", "unknown key"},
 		{"speculate key", Header + "\n[platform]\npriv-kb = 32\nspeculate = true\n", `line 4: unknown key "speculate"`},
 		{"parallel key", Header + "\n[platform]\ncores = 2\nparallel = true\n", `line 4: unknown key "parallel"`},
+		{"workers key", Header + "\n[thermal]\ncells = 28\nworkers = 2\n", `line 4: unknown key "workers"`},
 		{"blocks key", Header + "\n[platform]\ncores = 2\nblocks = true\n", `line 4: unknown key "blocks"`},
 		{"duplicate key", Header + "\n[platform]\ncores = 2\ncores = 4\n", "duplicate key"},
 		{"key outside section", Header + "\ncores = 4\n", "outside any section"},
@@ -270,11 +271,12 @@ func TestLintCatches(t *testing.T) {
 		{"bad workload", func(s *Scenario) { s.Workload = "fibonacci" }, "unknown workload"},
 		{"bad floorplan", func(s *Scenario) { s.Floorplan = "x86" }, "floorplan"},
 		{"no cells", func(s *Scenario) { s.Cells = 0 }, "cells"},
+		{"cells over bound", func(s *Scenario) { s.Cells = core.MaxCells + 1 }, "cells must be between 1 and 65536"},
 		{"zero window", func(s *Scenario) { s.WindowMs = 0 }, "window-ms"},
 		{"zero timescale", func(s *Scenario) { s.Timescale = 0 }, "timescale"},
 		{"thermal span over cap", func(s *Scenario) { s.WindowMs, s.Timescale = 10, 10000 }, "cap"},
 		{"negative pipeline", func(s *Scenario) { s.Pipeline = -1 }, "pipeline"},
-		{"negative workers", func(s *Scenario) { s.Workers = -2 }, "workers"},
+		{"pipeline over bound", func(s *Scenario) { s.Pipeline = core.MaxPipelineDepth + 1 }, "pipeline must be between 0 and 64"},
 		{"bad policy", func(s *Scenario) { s.Policy = "cryo" }, "policy"},
 		{"bad fault", func(s *Scenario) { s.Fault = "drop=2" }, "fault"},
 		{"workload params", func(s *Scenario) { s.Workload = "fir"; s.Words = 30 }, "divide evenly"},

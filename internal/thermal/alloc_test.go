@@ -3,18 +3,15 @@ package thermal
 import "testing"
 
 // TestStepAllocsZero pins the solver's share of the zero-allocation window
-// contract: a Step that refreshes the non-linear conductances on a model
-// below the parallel threshold (the 28-cell closed-loop mesh, configured
-// with workers) must not touch the heap.
+// contract: a Step that refreshes the non-linear conductances on the
+// 28-cell closed-loop mesh must not touch the heap.
 func TestStepAllocsZero(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Workers = 4
-	m, err := NewModel(UniformGrid(4e-3, 4e-3, 7, 4), UniformGrid(4e-3, 4e-3, 3, 3), opt)
+	m, err := NewModel(UniformGrid(4e-3, 4e-3, 7, 4), UniformGrid(4e-3, 4e-3, 3, 3), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumSurfaceCells() != 28 || m.sharded() {
-		t.Fatalf("want a serial 28-cell model, got %d cells (sharded %v)", m.NumSurfaceCells(), m.sharded())
+	if m.NumSurfaceCells() != 28 {
+		t.Fatalf("want a 28-cell model, got %d cells", m.NumSurfaceCells())
 	}
 	for i := 0; i < m.NumSurfaceCells(); i++ {
 		m.SetPower(i, 2)

@@ -48,7 +48,7 @@ var avx2Body substepBody
 //
 // The float64 conversions forbid fused multiply-adds, so the result is the
 // same on every architecture. All flows read the state at the start of the
-// sub-step, so the result does not depend on how slices are sharded.
+// sub-step, so the result does not depend on the order slices run in.
 func (k *ellKernel) substepGo(h float64, lo, hi int) (stale bool) {
 	t, tn, g, idx, rows := k.t, k.tn, k.g, k.idx, k.rows
 	negConv, invCap, pw, tAtK := k.negConv, k.invCap, k.pw, k.tAtK
@@ -77,7 +77,7 @@ func (k *ellKernel) substepGo(h float64, lo, hi int) (stale bool) {
 // constants, in three allocations. perm maps slots to cells and pos cells
 // to slots; the cells are sorted by neighbour count with a counting sort,
 // which is stable. Temperatures, powers and tAtK are filled in by scatterIn
-// and refreshK, conductances by refreshSums.
+// and updateConductances, conductances by updateConductances.
 func (m *Model) buildELL() {
 	n := len(m.capC)
 	nSlices := (n + ellLanes - 1) / ellLanes

@@ -89,8 +89,8 @@ func sameBits(got, want []float64) string {
 	return ""
 }
 
-// kernelCase builds one reference model and one model per body and shard
-// count on the same mesh.
+// kernelCase builds one reference model and one model per kernel body on
+// the same mesh.
 type kernelCase struct {
 	ref    *csrStepper
 	models map[string]*Model
@@ -99,25 +99,19 @@ type kernelCase struct {
 func newKernelCase(t testing.TB, si, cu []Rect, nzSi int) kernelCase {
 	t.Helper()
 	opt := DefaultOptions()
-	opt.NzSi, opt.Workers = nzSi, 1
+	opt.NzSi = nzSi
 	ref, err := NewModel(si, cu, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kc := kernelCase{ref: newCSRStepper(ref), models: map[string]*Model{}}
 	for name, body := range kernelBodies() {
-		for _, workers := range []int{1, 3} {
-			opt.Workers, opt.MinParallelCells = workers, 1
-			m, err := NewModel(si, cu, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.sharded() != (workers > 1) {
-				t.Fatalf("workers %d: sharded %v", workers, m.sharded())
-			}
-			m.body = body
-			kc.models[fmt.Sprintf("%s/workers=%d", name, workers)] = m
+		m, err := NewModel(si, cu, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
+		m.body = body
+		kc.models[name] = m
 	}
 	return kc
 }
@@ -145,10 +139,10 @@ func (kc kernelCase) window(pw []float64, dt float64) string {
 	return ""
 }
 
-// TestSubstepKernelsMatchCSR holds both kernel bodies, serial and sharded,
-// to the CSR reference bit for bit over random multi-resolution meshes
-// with one and two silicon sub-layers, through heating, cooling and the
-// conductance refreshes they trigger.
+// TestSubstepKernelsMatchCSR holds both kernel bodies to the CSR reference
+// bit for bit over random multi-resolution meshes with one and two silicon
+// sub-layers, through heating, cooling and the conductance refreshes they
+// trigger.
 func TestSubstepKernelsMatchCSR(t *testing.T) {
 	unaligned := 0
 	for seed := int64(1); seed <= 8; seed++ {

@@ -130,7 +130,7 @@ func newModelAllPairs(siCells, cuCells []Rect, opt Options) (*Model, error) {
 		m.convG = append(m.convG, 1/(rHalf+rConv))
 	}
 
-	m.finalize(nCells, edges, opt)
+	m.finalize(nCells, edges)
 	return m, nil
 }
 

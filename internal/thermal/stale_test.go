@@ -29,18 +29,14 @@ func (m *Model) stepScanning(dt float64) {
 }
 
 // TestStaleFoldMatchesScan: folding the drift test into the sub-step leaves
-// every trajectory bit-identical, serial and sharded, with one and two
-// silicon sub-layers, through heating and cooling windows.
+// every trajectory bit-identical, with one and two silicon sub-layers,
+// through heating and cooling windows.
 func TestStaleFoldMatchesScan(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		si, cu := randomMesh(rng)
 		opt := DefaultOptions()
 		opt.NzSi = 1 + int(seed%2)
-		opt.Workers = 1
-		if seed > 3 {
-			opt.Workers, opt.MinParallelCells = 3, 1
-		}
 		folded, err := NewModel(si, cu, opt)
 		if err != nil {
 			t.Fatal(err)

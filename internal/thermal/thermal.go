@@ -23,9 +23,8 @@
 // τ_min long, runs on a sliced-ELL copy of that index (ell.go): cells
 // sorted by neighbour count, four to a slice, advanced four at a time by an
 // AVX2 body where the CPU has AVX2 and by a pure-Go body elsewhere. Both
-// compute each cell's scalar operation sequence, and the solver can shard
-// the slices over a worker pool (Options.Workers), so every body and shard
-// count produces bit-identical trajectories.
+// compute each cell's scalar operation sequence, so both bodies produce
+// bit-identical trajectories.
 package thermal
 
 import (
@@ -33,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 )
 
@@ -187,30 +185,15 @@ type Options struct {
 	NzSi  int // silicon sub-layers (>=1)
 	NzCu  int // copper sub-layers (>=1)
 
-	// Workers is the number of shards the solver's cell and edge loops are
-	// split into on a persistent worker pool: 0 picks GOMAXPROCS, 1 forces
-	// the serial path. Sharding never changes results — each cell's update
-	// is computed with exactly the same arithmetic in either mode.
+	// Deprecated: Workers is ignored; the solver is serial at every mesh
+	// size. It is kept only until its last assignment goes (ROADMAP item 4).
 	Workers int
-
-	// MinParallelCells is the cell count below which the solver stays
-	// serial even with Workers > 1, so small meshes (e.g. the 28-cell
-	// Fig. 6 grid) never pay synchronisation overhead. 0 picks the
-	// default of 1024.
-	MinParallelCells int
 }
 
-// DefaultOptions returns Table 2 properties with one sub-layer per material
-// and automatic solver sharding (Workers = GOMAXPROCS above the default
-// cell threshold).
+// DefaultOptions returns Table 2 properties with one sub-layer per material.
 func DefaultOptions() Options {
 	return Options{Props: DefaultProperties(), NzSi: 1, NzCu: 1}
 }
-
-// defaultMinParallelCells is the serial-fallback threshold: below this many
-// RC nodes one sub-step is tens of microseconds of work at most, and shard
-// handoff would cost a measurable fraction of it.
-const defaultMinParallelCells = 1024
 
 // siKTolK is the silicon temperature drift (kelvin) that triggers a
 // conductance refresh; the conductivity law is smooth, so a 0.25 K drift
@@ -244,8 +227,7 @@ type Model struct {
 
 	// CSR incidence: cell i's edges are nbrEdge[nbrStart[i]:nbrStart[i+1]]
 	// with the far endpoint in nbrCell. Each cell's flow is accumulated
-	// from this index alone, which is what makes sharded passes race-free:
-	// shard workers only read t and only write their own cells.
+	// from this index alone.
 	nbrStart []int32
 	nbrCell  []int32
 	nbrEdge  []int32
@@ -271,10 +253,6 @@ type Model struct {
 
 	time     float64
 	spreader float64 // spreader area, m²
-
-	workers    int    // shard count for the parallel path
-	minPar     int    // serial fallback below this cell count
-	shardStale []bool // per-shard drift flags of the last sharded sub-step
 }
 
 // validateGrid rejects rectangles the RC construction cannot give a physical
@@ -416,13 +394,13 @@ func NewModel(siCells, cuCells []Rect, opt Options) (*Model, error) {
 		m.convG = append(m.convG, 1/(rHalf+rConv))
 	}
 
-	m.finalize(nCells, edges, opt)
+	m.finalize(nCells, edges)
 	return m, nil
 }
 
 // finalize flattens the construction-time edge list into the CSR layout,
 // lays out the sub-step kernel and sizes the solver state.
-func (m *Model) finalize(nCells int, edges []edgeRec, opt Options) {
+func (m *Model) finalize(nCells int, edges []edgeRec) {
 	ne := len(edges)
 	m.edgeA = make([]int32, ne)
 	m.edgeB = make([]int32, ne)
@@ -488,15 +466,6 @@ func (m *Model) finalize(nCells int, edges []edgeRec, opt Options) {
 	m.kCell = make([]float64, nCells)
 	m.tAtK = make([]float64, nCells)
 
-	m.workers = opt.Workers
-	if m.workers <= 0 {
-		m.workers = runtime.GOMAXPROCS(0)
-	}
-	m.minPar = opt.MinParallelCells
-	if m.minPar <= 0 {
-		m.minPar = defaultMinParallelCells
-	}
-	m.shardStale = make([]bool, m.workers)
 	m.updateConductances()
 }
 
@@ -509,9 +478,6 @@ func (m *Model) NumSurfaceCells() int { return m.nSi2D }
 
 // NumEdges returns the resistor count (excluding convection resistors).
 func (m *Model) NumEdges() int { return len(m.edgeA) }
-
-// Workers returns the effective shard count of the solver (1 means serial).
-func (m *Model) Workers() int { return m.workers }
 
 // Time returns the simulated time in seconds.
 func (m *Model) Time() float64 { return m.time }
@@ -587,64 +553,34 @@ func (m *Model) ConvectedPower() float64 {
 	return q
 }
 
-// sharded reports whether per-cell loops run on the worker pool: the model
-// is configured for it and large enough to amortise the handoffs.
-func (m *Model) sharded() bool {
-	return m.workers > 1 && len(m.t) >= m.minPar
-}
-
 // updateConductances refreshes edge conductances at the current cell
 // temperatures (the non-linear silicon law), the per-cell conductance sums
 // the step bound reads, and the temperatures it used, so the solver can skip
 // refreshes while they barely move. After construction only the
-// silicon-touching edge prefix is re-evaluated. The serial path calls the
-// three passes directly, so a refresh below the parallel threshold
-// allocates nothing; only the sharded path builds closures.
+// silicon-touching edge prefix is re-evaluated.
 func (m *Model) updateConductances() {
 	ne := m.nVarEdges
 	if m.kCell[0] == 0 { // only true before the initial refresh
 		ne = len(m.edgeA)
 	}
-	n := len(m.t)
-	if !m.sharded() {
-		m.refreshK(0, n)
-		m.refreshEdges(0, ne)
-		m.refreshSums(0, n)
-		return
-	}
-	parallelFor(m.workers, n, func(_, lo, hi int) { m.refreshK(lo, hi) })
-	parallelFor(m.workers, ne, func(_, lo, hi int) { m.refreshEdges(lo, hi) })
-	parallelFor(m.workers, n, func(_, lo, hi int) { m.refreshSums(lo, hi) })
-}
-
-// refreshK re-evaluates the conductivity of cells [lo, hi) at their current
-// temperatures and records those temperatures, in cell order and, for the
-// kernel's drift test, in slot order.
-func (m *Model) refreshK(lo, hi int) {
-	for i := lo; i < hi; i++ {
+	// Cell conductivities at the current temperatures, and those
+	// temperatures in cell order and, for the kernel's drift test, in slot
+	// order.
+	for i, ti := range m.t {
 		if i < m.nSi {
-			m.kCell[i] = m.props.SiConductivity(m.t[i])
-			m.ell.tAtK[m.pos[i]] = m.t[i]
+			m.kCell[i] = m.props.SiConductivity(ti)
+			m.ell.tAtK[m.pos[i]] = ti
 		} else {
 			m.kCell[i] = m.props.CuK
 		}
-		m.tAtK[i] = m.t[i]
+		m.tAtK[i] = ti
 	}
-}
-
-// refreshEdges recomputes the conductance of edges [lo, hi) from the cell
-// conductivities.
-func (m *Model) refreshEdges(lo, hi int) {
-	for e := lo; e < hi; e++ {
+	for e := range ne {
 		m.edgeG[e] = m.edgeArea[e] /
 			(m.edgeDa[e]/m.kCell[m.edgeA[e]] + m.edgeDb[e]/m.kCell[m.edgeB[e]])
 	}
-}
-
-// refreshSums copies the edge conductances of cells [lo, hi) into their
-// kernel entries and totals each cell's conductance sum.
-func (m *Model) refreshSums(lo, hi int) {
-	for i := lo; i < hi; i++ {
+	// Each cell's edge conductances into its kernel entries, and its sum.
+	for i := range m.t {
 		s := m.conv[i]
 		r := m.ellEntry(i)
 		for k := m.nbrStart[i]; k < m.nbrStart[i+1]; k++ {
@@ -676,7 +612,7 @@ func (m *Model) conductancesStale(tol float64) bool {
 // At h ≤ τ_min every weight of t' = (1 − h·ΣG/C)·t + (h/C)·(Σg·t_j +
 // conv·amb + pw) is non-negative, so a sub-step is a convex combination
 // that cannot oscillate or undershoot the ambient; the kernel reads the
-// conductances this bound read (refreshSums fills both). A smaller step
+// conductances this bound read (updateConductances fills both). A smaller step
 // buys accuracy, not stability (TestSubstepAccuracy).
 func (m *Model) stableDt() float64 {
 	tau := math.Inf(1)
@@ -688,26 +624,14 @@ func (m *Model) stableDt() float64 {
 	return tau
 }
 
-// substepAll runs one sub-step of h seconds over every kernel slice —
-// serial below the parallel threshold, sharded over slice ranges on the
-// worker pool above it — and swaps the kernel's temperature buffers. It
-// reports whether any silicon cell drifted more than siKTolK from the
-// temperature its conductances were evaluated at (the shards OR their
-// flags): conductancesStale's test on the new state, folded into the pass
-// that produces it.
+// substepAll runs one sub-step of h seconds over every kernel slice and
+// swaps the kernel's temperature buffers. It reports whether any silicon
+// cell drifted more than siKTolK from the temperature its conductances were
+// evaluated at: conductancesStale's test on the new state, folded into the
+// pass that produces it.
 func (m *Model) substepAll(h float64) (stale bool) {
 	k := &m.ell
-	nSlices := len(k.rows) - 1
-	if !m.sharded() {
-		stale = m.body(k, h, 0, nSlices)
-	} else {
-		flags := m.shardStale
-		clear(flags)
-		parallelFor(m.workers, nSlices, func(shard, lo, hi int) {
-			flags[shard] = m.body(k, h, lo, hi)
-		})
-		stale = slices.Contains(flags, true)
-	}
+	stale = m.body(k, h, 0, len(k.rows)-1)
 	k.t, k.tn = k.tn, k.t
 	return stale
 }

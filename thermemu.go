@@ -63,8 +63,8 @@ type (
 	Floorplan = floorplan.Floorplan
 	// Transport moves framework MAC frames between device and host.
 	Transport = etherlink.Transport
-	// ThermalOptions configures the RC thermal model (mesh depth, material
-	// properties, and the Workers solver-sharding knob).
+	// ThermalOptions configures the RC thermal model (mesh depth and
+	// material properties).
 	ThermalOptions = thermal.Options
 	// LinkStats aggregates atomic link-layer counters (shareable across
 	// endpoints); LinkSnapshot is its JSON-encodable point-in-time copy.
@@ -110,8 +110,7 @@ type (
 // relaxation exhausts its sweep budget; branch on it with errors.Is.
 var ErrNoConvergence = thermal.ErrNoConvergence
 
-// DefaultThermalOptions returns the Table 2 thermal model configuration
-// (auto worker count: Workers 0 resolves to GOMAXPROCS).
+// DefaultThermalOptions returns the Table 2 thermal model configuration.
 func DefaultThermalOptions() ThermalOptions { return thermal.DefaultOptions() }
 
 // DefaultPlatform returns the Table 3 exploration platform with the given
@@ -155,7 +154,7 @@ func NewThermalHost(fp *Floorplan, targetCells int) (*ThermalHost, error) {
 }
 
 // NewThermalHostWith is NewThermalHost with explicit thermal options, e.g. to
-// pin the solver worker count (opt.Workers) or the mesh depth.
+// set the mesh depth or the material properties.
 func NewThermalHostWith(fp *Floorplan, targetCells int, opt ThermalOptions) (*ThermalHost, error) {
 	return core.NewThermalHost(fp, targetCells, opt)
 }

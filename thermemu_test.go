@@ -187,7 +187,7 @@ func TestResourcesReproducesUtilisation(t *testing.T) {
 }
 
 func TestSolverPerfBeatsRealTimeClaim(t *testing.T) {
-	r, err := SolverPerf(660, 0.2, 1)
+	r, err := SolverPerf(660, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
