@@ -1,13 +1,14 @@
 // Command sweep runs design-space exploration grids: it expands a
 // versioned sweep-spec file into (scenario × workload × policy × floorplan
 // × frequency) points, groups the points that share a platform (they
-// differ only in TM policy) into one job each, dispatches the jobs to
-// workers with work-stealing straggler re-dispatch, and merges the
-// per-point results into the benchgate line format. A worker runs a job as
-// one co-emulation: the platform is emulated once for all of the job's
-// policies, each with its own clock, thermal host and digest. With a
-// warm-up, the worker first runs the platform's TM-off prefix and starts
-// every policy from that in-memory cut; no checkpoint crosses the wire.
+// differ only in TM policy) into one job each, dispatches each job to one
+// worker at a time (re-queued only if that worker's session ends early),
+// and merges the per-point results into the benchgate line format. A
+// worker runs a job as one co-emulation: the platform is emulated once for
+// all of the job's policies, each with its own clock, thermal host and
+// digest. With a warm-up, the worker first runs the platform's TM-off
+// prefix and starts every policy from that in-memory cut; no checkpoint
+// crosses the wire.
 //
 // Single machine (in-process worker pool):
 //
@@ -41,7 +42,6 @@ func main() {
 		specPath  = flag.String("spec", "", "sweep spec file (required unless -worker)")
 		workers   = flag.Int("workers", 4, "in-process worker pool size (coordinator without -listen)")
 		outPath   = flag.String("out", "", "write the benchgate-format result lines to this file")
-		straggler = flag.Duration("straggler", 2*time.Second, "in-flight age before an idle worker re-dispatches a job, one platform's points (negative disables stealing)")
 		fault     = flag.String("fault", "", "inject link faults on in-process worker links, e.g. drop=0.01,dup=0.005,reorder=0.01,corrupt=0.001")
 		faultSeed = flag.Int64("fault-seed", 1, "PRNG seed base for -fault (worker i uses seed+i)")
 		listen    = flag.String("listen", "", "serve the grid over TCP on this address instead of the in-process pool")
@@ -52,16 +52,15 @@ func main() {
 		verbose   = flag.Bool("v", false, "log dispatch events")
 	)
 	flag.Parse()
-	if err := run(*specPath, *workers, *outPath, *straggler, *fault, *faultSeed,
+	if err := run(*specPath, *workers, *outPath, *fault, *faultSeed,
 		*listen, *worker, *connect, *name, *redial, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(specPath string, workers int, outPath string, straggler time.Duration,
-	fault string, faultSeed int64, listen string, worker bool, connect, name string,
-	redial, verbose bool) error {
+func run(specPath string, workers int, outPath, fault string, faultSeed int64,
+	listen string, worker bool, connect, name string, redial, verbose bool) error {
 	logf := func(string, ...any) {}
 	if verbose {
 		logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
@@ -84,11 +83,10 @@ func run(specPath string, workers int, outPath string, straggler time.Duration,
 		return err
 	}
 	opt := sweep.Options{
-		Workers:        workers,
-		StragglerAfter: straggler,
-		Fault:          fcfg,
-		FaultSeed:      faultSeed,
-		Logf:           logf,
+		Workers:   workers,
+		Fault:     fcfg,
+		FaultSeed: faultSeed,
+		Logf:      logf,
 	}
 	dir := filepath.Dir(specPath)
 	var out *sweep.Outcome

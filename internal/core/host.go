@@ -123,24 +123,15 @@ func (h *ThermalHost) SteadyState(compPowerW []float64, tol float64, maxSweeps i
 	return sweeps, h.Model.Temps(), err
 }
 
-// ComponentTemps converts per-cell temperatures into per-component sensor
-// readings (area-weighted over the covering cells).
-func (h *ThermalHost) ComponentTemps(cellTemps []float64) []float64 {
-	return h.ComponentTempsInto(cellTemps, nil)
-}
-
-// ComponentTempsInto is ComponentTemps with a caller-owned output buffer,
-// reused when its capacity suffices.
+// ComponentTempsInto converts per-cell temperatures into per-component
+// sensor readings (area-weighted over the covering cells), into a
+// caller-owned output buffer reused when its capacity suffices.
 func (h *ThermalHost) ComponentTempsInto(cellTemps, out []float64) []float64 {
 	n := len(h.FP.Components)
 	if cap(out) < n {
 		out = make([]float64, n)
 	}
-	out = out[:n]
-	for i := range h.FP.Components {
-		out[i] = floorplan.ComponentTemp(h.FP, h.SiCells, cellTemps, i)
-	}
-	return out
+	return h.pm.ComponentTemps(cellTemps, out[:n])
 }
 
 // ServeOptions tunes one Serve session.

@@ -47,16 +47,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// DefaultFreqHz returns the nominal clock of the preset.
-func (k Kind) DefaultFreqHz() uint64 {
-	switch k {
-	case ARM11:
-		return 500e6
-	default:
-		return 100e6
-	}
-}
-
 // State is the per-cycle execution mode observed by the sniffers.
 type State int
 

@@ -302,10 +302,12 @@ func (fp *Floorplan) GridTargetCells(target int) []thermal.Rect {
 
 // PowerMap distributes per-component power onto thermal cells by area
 // overlap: a cell receives, from each component, the component's power
-// scaled by the covered fraction of the component.
+// scaled by the covered fraction of the component. In the other direction
+// it reads each component's sensor from the same overlaps.
 type PowerMap struct {
 	nCells  int
 	entries [][]mapEntry
+	sensors []sensor // one per component
 }
 
 type mapEntry struct {
@@ -313,15 +315,31 @@ type mapEntry struct {
 	frac float64
 }
 
-// NewPowerMap precomputes the overlap fractions between the floorplan's
-// components and the given thermal cells.
+// sensor is one component's covering cells, in ascending cell order, with
+// each cell's raw overlap area and their sum.
+type sensor struct {
+	cells []sensorCell
+	area  float64
+}
+
+type sensorCell struct {
+	cell int
+	area float64
+}
+
+// NewPowerMap precomputes the overlaps between the floorplan's components
+// and the given thermal cells.
 func NewPowerMap(fp *Floorplan, cells []thermal.Rect) *PowerMap {
-	pm := &PowerMap{nCells: len(cells), entries: make([][]mapEntry, len(cells))}
+	pm := &PowerMap{nCells: len(cells), entries: make([][]mapEntry, len(cells)),
+		sensors: make([]sensor, len(fp.Components))}
 	for ci, cell := range cells {
 		for ki := range fp.Components {
 			r := fp.Components[ki].Rect
 			if ov := r.Overlap(cell); ov > 0 {
 				pm.entries[ci] = append(pm.entries[ci], mapEntry{ki, ov / r.Area()})
+				s := &pm.sensors[ki]
+				s.cells = append(s.cells, sensorCell{ci, ov})
+				s.area += ov
 			}
 		}
 	}
@@ -346,8 +364,29 @@ func (pm *PowerMap) CellPowers(compPowers []float64, out []float64) []float64 {
 	return out
 }
 
+// ComponentTemps converts per-cell temperatures into per-component sensor
+// readings: ComponentTemp of every component from the overlaps found at
+// set-up, summed in the same order, so the readings are bit-identical. out
+// must have one entry per component; it is overwritten and returned.
+func (pm *PowerMap) ComponentTemps(temps, out []float64) []float64 {
+	for ki := range pm.sensors {
+		s := &pm.sensors[ki]
+		if s.area == 0 {
+			out[ki] = 0
+			continue
+		}
+		var tsum float64
+		for _, c := range s.cells {
+			tsum += c.area * temps[c.cell]
+		}
+		out[ki] = tsum / s.area
+	}
+	return out
+}
+
 // ComponentTemp estimates a component's sensor reading as the area-weighted
-// average of the cells covering it.
+// average of the cells covering it, intersecting the component with every
+// cell. PowerMap.ComponentTemps is the table-driven form the loop runs.
 func ComponentTemp(fp *Floorplan, cells []thermal.Rect, temps []float64, comp int) float64 {
 	var wsum, tsum float64
 	r := fp.Components[comp].Rect

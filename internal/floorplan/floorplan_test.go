@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -162,6 +163,37 @@ func TestComponentTemp(t *testing.T) {
 	ct := ComponentTemp(fp, cells, temps, fp.Find("core0"))
 	if ct < 300 || ct > 300+float64(len(cells)) {
 		t.Errorf("component temp = %v out of range", ct)
+	}
+}
+
+// TestComponentTempsMatchComponentTemp holds the set-up overlap table to
+// the per-call reference, bit for bit, on the 28- and 150-cell grids of
+// both floorplans under random temperatures.
+func TestComponentTempsMatchComponentTemp(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, fp := range []*Floorplan{FourARM7(), FourARM11()} {
+		for _, target := range []int{28, 150} {
+			cells := fp.GridTargetCells(target)
+			pm := NewPowerMap(fp, cells)
+			pairs := 0
+			for _, s := range pm.sensors {
+				pairs += len(s.cells)
+			}
+			t.Logf("%s, %d cells: %d overlapping pairs of %d", fp.Name, len(cells), pairs, len(cells)*len(fp.Components))
+			temps := make([]float64, len(cells))
+			out := make([]float64, len(fp.Components))
+			for trial := 0; trial < 20; trial++ {
+				for i := range temps {
+					temps[i] = 300 + 150*rng.Float64()
+				}
+				pm.ComponentTemps(temps, out)
+				for ki := range fp.Components {
+					if want := ComponentTemp(fp, cells, temps, ki); math.Float64bits(out[ki]) != math.Float64bits(want) {
+						t.Fatalf("%s, %d cells, %s: %v, want %v", fp.Name, len(cells), fp.Components[ki].Name, out[ki], want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -227,9 +227,6 @@ func (c *Controller) AddRange(r Range) error {
 	return nil
 }
 
-// Ranges returns the registered ranges in address order.
-func (c *Controller) Ranges() []Range { return c.ranges }
-
 func (c *Controller) rangeFor(addr uint32) *Range {
 	if r := c.last; r != nil && addr >= r.Base && uint64(addr) < r.end {
 		return r

@@ -327,9 +327,6 @@ var policies = map[string]func() tm.Policy{
 	"proportional-dfs": func() tm.Policy { return tm.NewProportionalDFS() },
 }
 
-// PolicyNames lists the accepted [tm] policy values.
-func PolicyNames() []string { return []string{"none", "proportional-dfs", "threshold-dfs"} }
-
 // floorplans maps floorplan names to the Figure 4 layouts.
 var floorplans = map[string]func() *floorplan.Floorplan{
 	"arm7":  floorplan.FourARM7,

@@ -16,7 +16,7 @@ func benchWorkers(b *testing.B, workers int) {
 	windows := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := RunPoints("bench", points, 0, Options{Workers: workers, StragglerAfter: -1})
+		out, err := RunPoints("bench", points, 0, Options{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func benchWarmup(b *testing.B, prefix int) {
 	points := warmupBenchGrid(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunPoints("warm", points, prefix, Options{Workers: 1, StragglerAfter: -1}); err != nil {
+		if _, err := RunPoints("warm", points, prefix, Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func BenchmarkSweepWarmupShared(b *testing.B) { benchWarmup(b, warmupPrefixWindo
 func benchJob(b *testing.B, points []Point) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunPoints("job", points, 0, Options{Workers: 1, StragglerAfter: -1}); err != nil {
+		if _, err := RunPoints("job", points, 0, Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,10 +97,9 @@ func BenchmarkSweepChaos(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := RunPoints("chaos", points, 0, Options{
-			Workers:        4,
-			StragglerAfter: -1,
-			Fault:          etherlink.FaultConfig{Drop: 0.02, Dup: 0.01, Reorder: 0.02, Corrupt: 0.005},
-			FaultSeed:      int64(1000 + i),
+			Workers:   4,
+			Fault:     etherlink.FaultConfig{Drop: 0.02, Dup: 0.01, Reorder: 0.02, Corrupt: 0.005},
+			FaultSeed: int64(1000 + i),
 		})
 		if err != nil {
 			b.Fatal(err)

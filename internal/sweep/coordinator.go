@@ -16,11 +16,6 @@ type Options struct {
 	// Serve ignores it: there the workers dial in, and each cuts the
 	// warm-up prefix of the jobs it runs. Default 1.
 	Workers int
-	// StragglerAfter is how long a dispatched job (a group of points that
-	// share a platform) may stay in flight before an idle worker
-	// re-dispatches it speculatively (work stealing). 0 takes the default
-	// (2 s); negative disables stealing.
-	StragglerAfter time.Duration
 	// Fault, when non-zero, wraps every in-process worker link in a
 	// FaultTransport (both directions) seeded with FaultSeed+workerIndex:
 	// chaos soak for the dispatch protocol.
@@ -53,13 +48,6 @@ func (o *Options) sweepLink() etherlink.ReliableConfig {
 	return l
 }
 
-func (o *Options) stragglerAfter() time.Duration {
-	if o.StragglerAfter == 0 {
-		return 2 * time.Second
-	}
-	return o.StragglerAfter
-}
-
 func (o *Options) logf(format string, args ...any) {
 	if o.Logf != nil {
 		o.Logf(format, args...)
@@ -80,13 +68,13 @@ type Outcome struct {
 	WarmupGroups  int
 	WarmupWindows int
 	Workers       int
-	// Steals counts speculative re-dispatches of straggling jobs,
-	// Duplicates the redundant job results that produced (each verified
-	// digest-identical), SessionFailures the worker sessions lost to link
-	// or worker death (their jobs were re-queued).
-	Steals          int
-	Duplicates      int
+	// SessionFailures counts the worker sessions lost to link or worker
+	// death, or ended for breaking the protocol; each one's held job was
+	// re-queued.
 	SessionFailures int
+	// Deprecated: a job is never dispatched twice at once, so Steals is
+	// always 0.
+	Steals int
 }
 
 // Windows totals the committed sampling windows across the grid.
@@ -114,50 +102,42 @@ type groupState struct {
 	points []int // grid indexes, in grid order
 	label  string
 	done   bool
-	// assigned maps session id -> dispatch time for every in-flight copy
-	// (more than one under stealing).
-	assigned      map[int64]time.Time
-	firstDispatch time.Time
 }
 
-// Coordinator owns a sweep's dispatch state. The grid's points are grouped
+// coordinator owns a sweep's dispatch state. The grid's points are grouped
 // by warm-up key, and each group is one job. Sessions (one per connected
-// worker) pull groups from a FIFO queue; an idle session with an empty
-// queue steals the oldest straggling in-flight group; a dead session's
-// groups return to the queue; duplicate results must be digest-identical.
-type Coordinator struct {
+// worker) pull groups from a FIFO queue, and a group is held by one
+// session at a time: only that session's death returns it to the queue.
+type coordinator struct {
 	opt           Options
 	warmupWindows int // each job's TM-off prefix, 0 for none
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	points      []Point
-	results     []*Result // by grid index, once its group is done
-	groups      []*groupState
-	pending     []int // group indexes awaiting (re-)dispatch, FIFO
-	doneCount   int   // groups done
-	failed      error
-	nextSession int64
-	steals      int
-	dups        int
-	sessFails   int
-	warmupWall  time.Duration // summed over the done groups' results
+	mu         sync.Mutex
+	cond       *sync.Cond
+	points     []Point
+	results    []*Result // by grid index, once its group is done
+	groups     []*groupState
+	pending    []int // group indexes awaiting (re-)dispatch, FIFO
+	doneCount  int   // groups done
+	failed     error
+	sessFails  int
+	warmupWall time.Duration // summed over the done groups' results
 }
 
-// NewCoordinator builds a coordinator over an expanded grid: one job per
+// newCoordinator builds a coordinator over an expanded grid: one job per
 // run of points sharing a WarmupKey, in order of each key's first point,
 // split at maxJobPoints. With warmupWindows > 0 every job first runs its
 // platform's TM-off prefix of that many windows, on the worker that runs
 // it, and resumes its points from there.
-func NewCoordinator(points []Point, warmupWindows int, opt Options) *Coordinator {
-	c := &Coordinator{opt: opt, warmupWindows: warmupWindows, points: points, results: make([]*Result, len(points))}
+func newCoordinator(points []Point, warmupWindows int, opt Options) *coordinator {
+	c := &coordinator{opt: opt, warmupWindows: warmupWindows, points: points, results: make([]*Result, len(points))}
 	c.cond = sync.NewCond(&c.mu)
 	open := map[string]*groupState{}
 	for i := range points {
 		key := points[i].WarmupKey()
 		g := open[key]
 		if g == nil || len(g.points) == maxJobPoints {
-			g = &groupState{assigned: map[int64]time.Time{}}
+			g = &groupState{}
 			open[key] = g
 			c.pending = append(c.pending, len(c.groups))
 			c.groups = append(c.groups, g)
@@ -175,7 +155,7 @@ func NewCoordinator(points []Point, warmupWindows int, opt Options) *Coordinator
 }
 
 // fail aborts the sweep with the first fatal error.
-func (c *Coordinator) fail(err error) {
+func (c *coordinator) fail(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failed == nil {
@@ -184,20 +164,10 @@ func (c *Coordinator) fail(err error) {
 	c.cond.Broadcast()
 }
 
-// finished reports (under no lock) whether dispatch is over.
-func (c *Coordinator) finished() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failed != nil || c.doneCount == len(c.groups)
-}
-
-// next blocks until a group is available for the session, the grid
-// completes, or the sweep fails. It prefers the head of the
-// re-dispatch/fresh FIFO; with nothing queued it steals the
-// longest-in-flight straggler not already held by this session, once the
-// straggler threshold passes.
-func (c *Coordinator) next(sid int64) (int, bool) {
-	straggler := c.opt.stragglerAfter()
+// next blocks until a group is queued, the grid completes, or the sweep
+// fails, and takes the head of the queue: re-queued groups first, then
+// fresh ones in grid order.
+func (c *coordinator) next() (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
@@ -207,41 +177,14 @@ func (c *Coordinator) next(sid int64) (int, bool) {
 		if len(c.pending) > 0 {
 			gi := c.pending[0]
 			c.pending = c.pending[1:]
-			c.assignLocked(gi, sid)
 			return gi, true
-		}
-		if straggler >= 0 {
-			now := time.Now()
-			best := -1
-			var bestStart time.Time
-			for i, g := range c.groups {
-				if g.done || len(g.assigned) == 0 {
-					continue
-				}
-				if _, mine := g.assigned[sid]; mine {
-					continue
-				}
-				if now.Sub(g.firstDispatch) < straggler {
-					continue
-				}
-				if best < 0 || g.firstDispatch.Before(bestStart) {
-					best, bestStart = i, g.firstDispatch
-				}
-			}
-			if best >= 0 {
-				c.steals++
-				c.opt.logf("sweep: stealing straggler %s (in flight %v)",
-					c.groups[best].label, time.Since(bestStart).Round(time.Millisecond))
-				c.assignLocked(best, sid)
-				return best, true
-			}
 		}
 		c.cond.Wait()
 	}
 }
 
 // job builds the job message for group gi.
-func (c *Coordinator) job(gi int) *wireMsg {
+func (c *coordinator) job(gi int) *wireMsg {
 	m := &wireMsg{Type: "job", ID: gi, WarmupWindows: c.warmupWindows}
 	for _, idx := range c.groups[gi].points {
 		p := &c.points[idx]
@@ -250,26 +193,12 @@ func (c *Coordinator) job(gi int) *wireMsg {
 	return m
 }
 
-func (c *Coordinator) assignLocked(gi int, sid int64) {
-	g := c.groups[gi]
-	now := time.Now()
-	g.assigned[sid] = now
-	if g.firstDispatch.IsZero() {
-		g.firstDispatch = now
-	}
-}
-
-// complete records one group's results. A duplicate (the group was stolen
-// and both copies finished) must carry the same digests — the determinism
-// contract holds even for the redundant run — and is then dropped.
-func (c *Coordinator) complete(sid int64, m *wireMsg) error {
+// complete records the results of group gi, which the sending session
+// held.
+func (c *coordinator) complete(gi int, m *wireMsg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if m.ID < 0 || m.ID >= len(c.groups) {
-		return fmt.Errorf("sweep: result for unknown job id %d from worker %s", m.ID, m.Worker)
-	}
-	g := c.groups[m.ID]
-	delete(g.assigned, sid)
+	g := c.groups[gi]
 	if m.Error != "" {
 		// A point that cannot run is a grid configuration error, not a
 		// link fault: deterministic on every worker, so the sweep fails.
@@ -285,16 +214,6 @@ func (c *Coordinator) complete(sid int64, m *wireMsg) error {
 				i, g.label, m.Worker, c.points[g.points[i]].Name)
 		}
 	}
-	if g.done {
-		c.dups++
-		for i, r := range m.Results {
-			if had := c.results[g.points[i]]; had.Digest != r.Digest {
-				return fmt.Errorf("sweep: point %s: duplicate result digest %s != %s — the grid is not deterministic",
-					had.Name, r.Digest, had.Digest)
-			}
-		}
-		return nil
-	}
 	g.done = true
 	for i, r := range m.Results {
 		c.results[g.points[i]] = r
@@ -305,52 +224,43 @@ func (c *Coordinator) complete(sid int64, m *wireMsg) error {
 	return nil
 }
 
-// release returns a dead session's in-flight groups to the queue (unless
-// another copy is still in flight or already done).
-func (c *Coordinator) release(sid int64, failed bool) {
+// release ends a session early while it holds group gi (-1 for none): it
+// returns gi to the head of the queue, and counts a session failure unless
+// dispatch is over, which it reports. A held group is never done: only
+// its holder completes it, and that clears the hold first.
+func (c *coordinator) release(gi int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if failed {
+	clean := c.failed != nil || c.doneCount == len(c.groups)
+	if !clean {
 		c.sessFails++
 	}
-	for i, g := range c.groups {
-		if _, mine := g.assigned[sid]; !mine {
-			continue
-		}
-		delete(g.assigned, sid)
-		if !g.done && len(g.assigned) == 0 {
-			c.pending = append([]int{i}, c.pending...)
-			c.opt.logf("sweep: re-queueing %s after its session died", g.label)
-		}
+	if gi >= 0 {
+		c.pending = append([]int{gi}, c.pending...)
+		c.opt.logf("sweep: re-queueing %s after its session ended", c.groups[gi].label)
+		c.cond.Broadcast()
 	}
-	c.cond.Broadcast()
+	return clean
 }
 
-// ServeSession speaks the worker protocol over one transport until the
-// grid completes or the link dies; on death its groups are re-queued. It
-// is safe to run one session per connected worker concurrently.
-func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
+// serveSession speaks the worker protocol over one transport until the
+// grid completes or the session ends; the job it holds when it ends early
+// is re-queued. It is safe to run one session per connected worker
+// concurrently.
+func (c *coordinator) serveSession(tr etherlink.Transport) error {
 	// Closing the transport on exit releases a worker blocked on its next
 	// message (e.g. when the sweep fails fatally): it sees the link die now
 	// rather than after its full resend budget.
 	defer tr.Close()
-	sid := func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.nextSession++
-		return c.nextSession
-	}()
 	ep := newEndpoint(tr, true, c.opt.sweepLink())
+	held := -1 // the group of the job sent and not yet answered
 	sessErr := func(err error) error {
 		// A link death after completion is a normal exit.
-		clean := c.finished()
-		c.release(sid, !clean)
-		if clean {
+		if c.release(held) {
 			return nil
 		}
 		return err
 	}
-	held := -1 // the group of the job sent and not yet answered
 	for {
 		m, err := recvMsg(ep)
 		if err != nil {
@@ -362,22 +272,25 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 				return sessErr(fmt.Errorf("sweep: worker %s sent ready while it holds job %s",
 					m.Worker, c.groups[held].label))
 			}
-			gi, ok := c.next(sid)
+			gi, ok := c.next()
 			if !ok {
 				err := sendMsg(ep, &wireMsg{Type: "done"})
-				c.release(sid, false)
 				if c.failedErr() != nil {
 					return c.failedErr()
 				}
 				return err
 			}
+			held = gi
 			if err := sendMsg(ep, c.job(gi)); err != nil {
 				return sessErr(err)
 			}
-			held = gi
 		case "result":
+			if held < 0 || m.ID != held {
+				return sessErr(fmt.Errorf("sweep: worker %s sent a result for job %d, which it does not hold",
+					m.Worker, m.ID))
+			}
 			held = -1
-			if err := c.complete(sid, m); err != nil {
+			if err := c.complete(m.ID, m); err != nil {
 				c.fail(err)
 				return err
 			}
@@ -389,41 +302,14 @@ func (c *Coordinator) ServeSession(tr etherlink.Transport) error {
 	}
 }
 
-func (c *Coordinator) failedErr() error {
+func (c *coordinator) failedErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.failed
 }
 
-// wake periodically broadcasts so sessions waiting in next re-evaluate the
-// straggler threshold, every quarter threshold between 1 ms and 1 s, so a
-// straggler is stolen within 1.25 thresholds; it stops when stop is closed.
-func (c *Coordinator) wake(stop <-chan struct{}) {
-	straggler := c.opt.stragglerAfter()
-	if straggler < 0 {
-		return
-	}
-	interval := straggler / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	if interval > time.Second {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			c.cond.Broadcast()
-		}
-	}
-}
-
 // outcome assembles the final report, failing if any point never finished.
-func (c *Coordinator) outcome(name string, workers int, wall time.Duration) (*Outcome, error) {
+func (c *coordinator) outcome(name string, workers int, wall time.Duration) (*Outcome, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failed != nil {
@@ -435,8 +321,6 @@ func (c *Coordinator) outcome(name string, workers int, wall time.Duration) (*Ou
 		WarmupWallS:     c.warmupWall.Seconds(),
 		WarmupWindows:   c.warmupWindows,
 		Workers:         workers,
-		Steals:          c.steals,
-		Duplicates:      c.dups,
 		SessionFailures: c.sessFails,
 	}
 	var missing []string
@@ -473,10 +357,8 @@ func RunPoints(name string, points []Point, warmupWindows int, opt Options) (*Ou
 	if workers < 1 {
 		workers = 1
 	}
-	c := NewCoordinator(points, warmupWindows, opt)
+	c := newCoordinator(points, warmupWindows, opt)
 	start := time.Now()
-	stop := make(chan struct{})
-	go c.wake(stop)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		devTr, coordTr := etherlink.LoopbackPair(256)
@@ -498,13 +380,12 @@ func RunPoints(name string, points []Point, warmupWindows int, opt Options) (*Ou
 		}()
 		go func() {
 			defer wg.Done()
-			if err := c.ServeSession(coordTr); err != nil {
+			if err := c.serveSession(coordTr); err != nil {
 				opt.logf("sweep: session: %v", err)
 			}
 		}()
 	}
 	wg.Wait()
-	close(stop)
 	return c.outcome(name, workers, time.Since(start))
 }
 
@@ -520,10 +401,8 @@ func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, erro
 	if err != nil {
 		return nil, err
 	}
-	c := NewCoordinator(points, spec.WarmupWindows, opt)
+	c := newCoordinator(points, spec.WarmupWindows, opt)
 	start := time.Now()
-	stop := make(chan struct{})
-	go c.wake(stop)
 	var (
 		conns    []net.Conn // read only once accepting is closed
 		sessions sync.WaitGroup
@@ -541,7 +420,7 @@ func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, erro
 			sessions.Add(1)
 			go func() {
 				defer sessions.Done()
-				if err := c.ServeSession(etherlink.NewTCP(conn, 256)); err != nil {
+				if err := c.serveSession(etherlink.NewTCP(conn, 256)); err != nil {
 					opt.logf("sweep: session %s: %v", conn.RemoteAddr(), err)
 				}
 			}()
@@ -554,7 +433,6 @@ func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, erro
 	}
 	c.mu.Unlock()
 	wall := time.Since(start)
-	close(stop)
 	ln.Close()
 	<-accepting
 	ended := make(chan struct{})

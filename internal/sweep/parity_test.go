@@ -122,7 +122,7 @@ func TestSweepWarmupGridParity(t *testing.T) {
 		t.Fatalf("warmed TM-off reference %s != cold serial %s", ref["base/none"], coldNone.Digest)
 	}
 
-	out, err := RunPoints("warm", points, prefix, Options{Workers: 2, StragglerAfter: -1})
+	out, err := RunPoints("warm", points, prefix, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSweepTCPParity(t *testing.T) {
 			}
 		}("tcp-w" + string(rune('0'+i)))
 	}
-	out, err := Serve(spec, dir, ln, Options{StragglerAfter: -1})
+	out, err := Serve(spec, dir, ln, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSweepSplitGroupCutsPrefixPerJob(t *testing.T) {
 		}
 	}
 
-	out, err := RunPoints("split", points, prefix, Options{Workers: 2, StragglerAfter: -1})
+	out, err := RunPoints("split", points, prefix, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestSweepGroupParity(t *testing.T) {
 	}
 	for _, g := range grids {
 		t.Run(g.name, func(t *testing.T) {
-			out, err := RunPoints(g.name, g.points, g.warmup, Options{Workers: 2, StragglerAfter: -1})
+			out, err := RunPoints(g.name, g.points, g.warmup, Options{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

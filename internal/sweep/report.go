@@ -81,9 +81,8 @@ func (o *Outcome) WriteTable(w io.Writer) error {
 		fmt.Fprintf(w, "warm-up: %d prefix group(s) x %d windows (%.2fs wall)\n",
 			o.WarmupGroups, o.WarmupWindows, o.WarmupWallS)
 	}
-	if o.Steals > 0 || o.Duplicates > 0 || o.SessionFailures > 0 {
-		fmt.Fprintf(w, "dispatch: %d steal(s), %d duplicate result(s), %d session failure(s)\n",
-			o.Steals, o.Duplicates, o.SessionFailures)
+	if o.SessionFailures > 0 {
+		fmt.Fprintf(w, "dispatch: %d session failure(s)\n", o.SessionFailures)
 	}
 	return nil
 }

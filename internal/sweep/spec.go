@@ -4,11 +4,12 @@
 // grid into points and groups the points that share a platform (equal
 // WarmupKey: they differ only in TM policy) into jobs, fans the jobs out
 // to workers over etherlink — in-process loopback pairs for single-machine
-// runs, TCP transports for distributed ones — with work-stealing
-// straggler re-dispatch, and merges the per-point results into the
-// benchgate line format so sweeps regression-gate like benchmarks. A
-// worker runs a job as one co-emulation: the platform is emulated once for
-// all of the job's points.
+// runs, TCP transports for distributed ones — one worker per job at a
+// time, re-queueing a job only when its worker's session ends early, and
+// merges the per-point results into the benchgate line format so sweeps
+// regression-gate like benchmarks. A worker runs a job as one
+// co-emulation: the platform is emulated once for all of the job's
+// points.
 //
 // Determinism is the contract: every point runs through the exact
 // scenario→core.Config path cmd/thermemu uses, so a point's golden digest

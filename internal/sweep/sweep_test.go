@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"thermemu/internal/etherlink"
 	"thermemu/internal/scenario"
+	"thermemu/internal/trace"
 )
 
 // smallScenario is the test grid's base platform: the default scenario
@@ -237,35 +239,13 @@ func TestAssemblerBounds(t *testing.T) {
 func TestSweepInProcessParity(t *testing.T) {
 	points := smallGrid(t)
 	ref := serialDigests(t, points)
-	out, err := RunPoints("grid", points, 0, Options{Workers: 4, StragglerAfter: -1})
+	out, err := RunPoints("grid", points, 0, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkParity(t, "workers=4", out, ref)
 	if out.Windows() == 0 || out.AggregateWindowsPerS() <= 0 {
 		t.Fatalf("throughput accounting: %+v", out)
-	}
-}
-
-// TestSweepStealsStraggler forces work stealing: two workers, one point, a
-// straggler threshold far below the point's runtime. The idle worker must
-// re-dispatch the in-flight point, and any duplicate result must be
-// digest-verified rather than dropped blind.
-func TestSweepStealsStraggler(t *testing.T) {
-	s := smallScenario()
-	s.Name = "lone"
-	if err := s.Lint(); err != nil {
-		t.Fatal(err)
-	}
-	points := []Point{{Index: 0, Name: "lone", Scenario: s}}
-	ref := serialDigests(t, points)
-	out, err := RunPoints("steal", points, 0, Options{Workers: 2, StragglerAfter: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkParity(t, "steal", out, ref)
-	if out.Steals == 0 {
-		t.Error("idle worker never stole the straggling point")
 	}
 }
 
@@ -276,10 +256,9 @@ func TestSweepChaosParity(t *testing.T) {
 	points := smallGrid(t)
 	ref := serialDigests(t, points)
 	out, err := RunPoints("chaos", points, 0, Options{
-		Workers:        4,
-		StragglerAfter: -1,
-		Fault:          etherlink.FaultConfig{Drop: 0.02, Dup: 0.01, Reorder: 0.02, Corrupt: 0.005},
-		FaultSeed:      42,
+		Workers:   4,
+		Fault:     etherlink.FaultConfig{Drop: 0.02, Dup: 0.01, Reorder: 0.02, Corrupt: 0.005},
+		FaultSeed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,10 +273,8 @@ func TestSweepWorkerDeathRequeues(t *testing.T) {
 	points := smallGrid(t)
 	ref := serialDigests(t, points)
 
-	opt := Options{StragglerAfter: -1, Logf: t.Logf}
-	c := NewCoordinator(points, 0, opt)
-	stop := make(chan struct{})
-	go c.wake(stop)
+	opt := Options{Logf: t.Logf}
+	c := newCoordinator(points, 0, opt)
 
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -319,11 +296,10 @@ func TestSweepWorkerDeathRequeues(t *testing.T) {
 		}(wtr)
 		go func(tr etherlink.Transport) {
 			defer wg.Done()
-			c.ServeSession(tr)
+			c.serveSession(tr)
 		}(coordTr)
 	}
 	wg.Wait()
-	close(stop)
 	out, err := c.outcome("death", 2, time.Since(start))
 	if err != nil {
 		t.Fatal(err)
@@ -334,32 +310,35 @@ func TestSweepWorkerDeathRequeues(t *testing.T) {
 	}
 }
 
-// TestSweepSecondReadyRequeues: a worker that sends ready again while it
-// holds an unanswered job breaks the alternating exchange. Its session
-// ends with an error and its point is re-queued, and with stealing off an
-// honest worker still finishes the grid with the serial digests.
-func TestSweepSecondReadyRequeues(t *testing.T) {
-	points := smallGrid(t)[:2]
+// rogueRequeues runs a rogue session that takes one job and then breaks
+// the alternating exchange with the message breach builds from that job,
+// beside an honest worker. The rogue's session must end with an error
+// containing the returned text, its job must be re-queued, and the honest
+// worker must finish the grid with the serial digests.
+func rogueRequeues(t *testing.T, points []Point, breach func(c *coordinator, job *wireMsg) (*wireMsg, string)) {
+	t.Helper()
 	ref := serialDigests(t, points)
-	c := NewCoordinator(points, 0, Options{StragglerAfter: -1})
+	c := newCoordinator(points, 0, Options{})
 
 	rogueTr, coordTr := etherlink.LoopbackPair(256)
 	rogueSess := make(chan error, 1)
-	go func() { rogueSess <- c.ServeSession(coordTr) }()
+	go func() { rogueSess <- c.serveSession(coordTr) }()
 	rogue := newEndpoint(rogueTr, false, c.opt.sweepLink())
 	if err := sendMsg(rogue, &wireMsg{Type: "ready", Worker: "rogue"}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := recvMsg(rogue); err != nil || m.Type != "job" {
-		t.Fatalf("first reply to the rogue = %+v, %v; want a job", m, err)
+	job, err := recvMsg(rogue)
+	if err != nil || job.Type != "job" {
+		t.Fatalf("first reply to the rogue = %+v, %v; want a job", job, err)
 	}
 
 	devTr, coordTr2 := etherlink.LoopbackPair(256)
 	go (&Worker{Name: "honest"}).Serve(devTr)
 	honestSess := make(chan error, 1)
-	go func() { honestSess <- c.ServeSession(coordTr2) }()
+	go func() { honestSess <- c.serveSession(coordTr2) }()
 
-	if err := sendMsg(rogue, &wireMsg{Type: "ready", Worker: "rogue"}); err != nil {
+	m, want := breach(c, job)
+	if err := sendMsg(rogue, m); err != nil {
 		t.Fatal(err)
 	}
 	// The rogue stays on the link and answers the coordinator's solicits,
@@ -374,11 +353,11 @@ func TestSweepSecondReadyRequeues(t *testing.T) {
 	timeout := time.After(30 * time.Second)
 	select {
 	case err := <-rogueSess:
-		if err == nil || !strings.Contains(err.Error(), "ready while") {
-			t.Fatalf("rogue session ended with %v, want the second-ready error", err)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("rogue session ended with %v, want %q", err, want)
 		}
 	case <-timeout:
-		t.Fatal("the session of a worker that sent ready twice never ended")
+		t.Fatalf("the rogue's session never ended (want %q)", want)
 	}
 	select {
 	case err := <-honestSess:
@@ -388,14 +367,42 @@ func TestSweepSecondReadyRequeues(t *testing.T) {
 	case <-timeout:
 		t.Fatal("the grid never finished")
 	}
-	out, err := c.outcome("second-ready", 2, 0)
+	out, err := c.outcome("rogue", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, "second-ready", out, ref)
+	checkParity(t, "rogue", out, ref)
 	if out.SessionFailures != 1 {
 		t.Errorf("%d session failures, want 1", out.SessionFailures)
 	}
+}
+
+// TestSweepSecondReadyRequeues: a worker that sends ready again while it
+// holds an unanswered job breaks the alternating exchange.
+func TestSweepSecondReadyRequeues(t *testing.T) {
+	rogueRequeues(t, smallGrid(t)[:2], func(*coordinator, *wireMsg) (*wireMsg, string) {
+		return &wireMsg{Type: "ready", Worker: "rogue"}, "ready while"
+	})
+}
+
+// TestSweepForeignResultRequeues: a worker that answers its job with a
+// result for a job it was never given has its fabricated digests dropped.
+func TestSweepForeignResultRequeues(t *testing.T) {
+	grid := smallGrid(t)
+	points := []Point{grid[0], grid[2]} // two workloads: two jobs
+	points[1].Index = 1
+	rogueRequeues(t, points, func(c *coordinator, job *wireMsg) (*wireMsg, string) {
+		if len(c.groups) != 2 {
+			t.Fatalf("%d jobs, want 2", len(c.groups))
+		}
+		other := 1 - job.ID
+		forged := &wireMsg{Type: "result", Worker: "rogue", ID: other}
+		for _, idx := range c.groups[other].points {
+			forged.Results = append(forged.Results, &Result{Point: idx, Name: points[idx].Name,
+				RunSummary: trace.RunSummary{Digest: "0000000000000000", DigestRecords: 1}})
+		}
+		return forged, fmt.Sprintf("result for job %d, which it does not hold", other)
+	})
 }
 
 // TestSweepPointErrorFailsFast: a point that cannot run (unknown workload
@@ -406,7 +413,7 @@ func TestSweepPointErrorFailsFast(t *testing.T) {
 	s.Workload = "no-such-workload"
 	s.Name = "broken"
 	points := []Point{{Index: 0, Name: "broken", Scenario: s}}
-	_, err := RunPoints("broken", points, 0, Options{Workers: 1, StragglerAfter: -1})
+	_, err := RunPoints("broken", points, 0, Options{Workers: 1})
 	if err == nil || !strings.Contains(err.Error(), "no-such-workload") {
 		t.Fatalf("RunPoints = %v, want the point's configuration error", err)
 	}
@@ -416,7 +423,7 @@ func TestSweepPointErrorFailsFast(t *testing.T) {
 // the same line shapes benchgate parses.
 func TestOutcomeBenchFormat(t *testing.T) {
 	points := smallGrid(t)[:1]
-	out, err := RunPoints("fmt", points, 0, Options{Workers: 1, StragglerAfter: -1})
+	out, err := RunPoints("fmt", points, 0, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +500,7 @@ func TestSweepSilentWorkerRequeues(t *testing.T) {
 	ref := serialDigests(t, points)
 	link := etherlink.ReliableConfig{RetryTimeout: 10 * time.Millisecond, MaxRetries: 5}
 	budget := time.Duration(link.MaxRetries+1) * link.RetryTimeout
-	c := NewCoordinator(points, 0, Options{StragglerAfter: -1, Link: link})
+	c := newCoordinator(points, 0, Options{Link: link})
 
 	devTr, coordTr := etherlink.LoopbackPair(256)
 	silent := newStallTransport(devTr)
@@ -503,7 +510,7 @@ func TestSweepSilentWorkerRequeues(t *testing.T) {
 		(&Worker{Name: "silent", Link: c.opt.sweepLink()}).Serve(silent)
 	}()
 	sessDone := make(chan error, 1)
-	go func() { sessDone <- c.ServeSession(coordTr) }()
+	go func() { sessDone <- c.serveSession(coordTr) }()
 
 	var dead time.Duration
 	select {
@@ -540,7 +547,7 @@ func TestSweepSilentWorkerRequeues(t *testing.T) {
 	c.opt.Link = etherlink.ReliableConfig{}
 	devTr2, coordTr2 := etherlink.LoopbackPair(256)
 	go (&Worker{Name: "healthy"}).Serve(devTr2)
-	if err := c.ServeSession(coordTr2); err != nil {
+	if err := c.serveSession(coordTr2); err != nil {
 		t.Fatal(err)
 	}
 	out, err := c.outcome("silent", 2, 0)
