@@ -16,8 +16,14 @@
 //
 // Distributed (one coordinator, workers anywhere):
 //
-//	sweep -spec grid.sweep -listen :9080
+//	sweep -spec grid.sweep -listen :9080 -workers 2
 //	sweep -worker -connect coordinator:9080 -name rack2   (per worker host)
+//
+// With -listen, -workers is how many workers the coordinator tells done
+// before it exits: it keeps accepting after the last result, so a worker
+// that dials late is told done rather than refused, for at most the 60 s
+// session idle budget. Without -workers it stops accepting at the last
+// result.
 //
 // Every point's golden digest is bit-identical to the same scenario run
 // serially through cmd/thermemu — whichever worker ran it, in whatever
@@ -40,7 +46,7 @@ import (
 func main() {
 	var (
 		specPath  = flag.String("spec", "", "sweep spec file (required unless -worker)")
-		workers   = flag.Int("workers", 4, "in-process worker pool size (coordinator without -listen)")
+		workers   = flag.Int("workers", 4, "in-process worker pool size; with -listen, the workers to tell done before exiting (default none)")
 		outPath   = flag.String("out", "", "write the benchgate-format result lines to this file")
 		fault     = flag.String("fault", "", "inject link faults on in-process worker links, e.g. drop=0.01,dup=0.005,reorder=0.01,corrupt=0.001")
 		faultSeed = flag.Int64("fault-seed", 1, "PRNG seed base for -fault (worker i uses seed+i)")
@@ -52,6 +58,15 @@ func main() {
 		verbose   = flag.Bool("v", false, "log dispatch events")
 	)
 	flag.Parse()
+	if *listen != "" {
+		expected := 0
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "workers" {
+				expected = *workers
+			}
+		})
+		*workers = expected
+	}
 	if err := run(*specPath, *workers, *outPath, *fault, *faultSeed,
 		*listen, *worker, *connect, *name, *redial, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)

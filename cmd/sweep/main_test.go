@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -197,5 +198,75 @@ func TestTCPWorkersEndOnDone(t *testing.T) {
 				t.Errorf("run %d: point %s digest %s, want in-process %s", run, r.Name, r.Digest, want[r.Name])
 			}
 		}
+	}
+}
+
+// TestLateWorkerToldDone runs the noc-grid example over a TCP coordinator
+// that expects two workers while only one dials in before the grid
+// finishes. A second worker started after that is told done: it exits 0
+// within 1 s without running a job, and Serve then returns with a result
+// for every point and no lost session.
+func TestLateWorkerToldDone(t *testing.T) {
+	const specPath = "../../examples/scenarios/noc-grid.sweep"
+	spec, err := sweep.LoadSpec(specPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type served struct {
+		out *sweep.Outcome
+		err error
+	}
+	done := make(chan served, 1)
+	go func() {
+		out, err := sweep.Serve(spec, filepath.Dir(specPath), ln, sweep.Options{Workers: 2})
+		done <- served{out, err}
+	}()
+	// The first worker runs every job: it is told done only once the grid
+	// is finished.
+	if err := runWorker(ln.Addr().String(), "early", false, t.Logf); err != nil {
+		t.Fatalf("early worker: %v", err)
+	}
+	var (
+		mu   sync.Mutex
+		jobs []string
+	)
+	logf := func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...)
+		t.Log(msg)
+		if strings.Contains(msg, " running ") {
+			mu.Lock()
+			jobs = append(jobs, msg)
+			mu.Unlock()
+		}
+	}
+	start := time.Now()
+	if err := runWorker(ln.Addr().String(), "late", false, logf); err != nil {
+		t.Fatalf("late worker: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("late worker took %v to end, want at most 1 s", d)
+	}
+	if len(jobs) > 0 {
+		t.Errorf("late worker ran jobs after the grid finished: %v", jobs)
+	}
+	var s served
+	select {
+	case s = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return once both workers were told done")
+	}
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	points, err := spec.Expand(filepath.Dir(specPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.out.Results) != len(points) || s.out.SessionFailures != 0 {
+		t.Errorf("%d results for %d points, %d session failures", len(s.out.Results), len(points), s.out.SessionFailures)
 	}
 }

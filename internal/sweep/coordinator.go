@@ -12,9 +12,12 @@ import (
 
 // Options tunes a sweep run.
 type Options struct {
-	// Workers is the in-process worker-pool size for Run and RunPoints.
-	// Serve ignores it: there the workers dial in, and each cuts the
-	// warm-up prefix of the jobs it runs. Default 1.
+	// Workers is the in-process worker-pool size for Run and RunPoints
+	// (default 1). For Serve, where the workers dial in, it is how many
+	// worker sessions to tell done: after the last result Serve keeps
+	// accepting, and answers each new session's ready with done, until
+	// that many sessions have been told done or the session idle budget
+	// has passed. 0 stops accepting at the last result.
 	Workers int
 	// Fault, when non-zero, wraps every in-process worker link in a
 	// FaultTransport (both directions) seeded with FaultSeed+workerIndex:
@@ -121,6 +124,7 @@ type coordinator struct {
 	doneCount  int   // groups done
 	failed     error
 	sessFails  int
+	toldDone   int           // sessions answered with done
 	warmupWall time.Duration // summed over the done groups' results
 }
 
@@ -278,6 +282,10 @@ func (c *coordinator) serveSession(tr etherlink.Transport) error {
 				if c.failedErr() != nil {
 					return c.failedErr()
 				}
+				c.mu.Lock()
+				c.toldDone++
+				c.cond.Broadcast()
+				c.mu.Unlock()
 				return err
 			}
 			held = gi
@@ -391,11 +399,14 @@ func RunPoints(name string, points []Point, warmupWindows int, opt Options) (*Ou
 
 // Serve executes a sweep as a TCP coordinator: workers dial ln's address
 // (cmd/sweep -worker) and each accepted connection becomes a session. Once
-// the grid completes it closes the listener, lets every open session
-// answer its worker's next ready with done and end, and then returns, so a
-// coordinator process that exits on return never cuts a worker off before
-// its done. The wait is bounded by the session idle budget; sessions still
-// open then, or any open when the sweep fails, are closed.
+// the grid completes it keeps accepting until opt.Workers sessions have
+// been told done, so a worker that dials after the last result is told
+// done too, rather than refused. It then closes the listener, lets every
+// open session answer its worker's next ready with done and end, and
+// returns, so a coordinator process that exits on return never cuts a
+// worker off before its done. The session idle budget bounds both waits
+// together; sessions still open then, or any open when the sweep fails,
+// are closed.
 func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, error) {
 	points, err := spec.Expand(dir)
 	if err != nil {
@@ -426,13 +437,29 @@ func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, erro
 			}()
 		}
 	}()
-	// Wait for completion (or failure), then stop accepting.
+	// Wait for completion (or failure), then for opt.Workers sessions to
+	// be told done, then stop accepting.
 	c.mu.Lock()
 	for c.failed == nil && c.doneCount < len(c.groups) {
 		c.cond.Wait()
 	}
-	c.mu.Unlock()
 	wall := time.Since(start)
+	link := opt.sweepLink()
+	deadline := time.Now().Add(link.RetryTimeout * time.Duration(link.MaxRetries))
+	wake := time.AfterFunc(time.Until(deadline), func() {
+		c.mu.Lock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	})
+	defer wake.Stop()
+	for c.failed == nil && c.toldDone < opt.Workers && time.Now().Before(deadline) {
+		c.cond.Wait()
+	}
+	drain := time.Until(deadline)
+	if c.failed != nil {
+		drain = 0 // a failed sweep closes its sessions at once
+	}
+	c.mu.Unlock()
 	ln.Close()
 	<-accepting
 	ended := make(chan struct{})
@@ -440,14 +467,9 @@ func Serve(spec *Spec, dir string, ln net.Listener, opt Options) (*Outcome, erro
 		sessions.Wait()
 		close(ended)
 	}()
-	link := opt.sweepLink()
-	budget := link.RetryTimeout * time.Duration(link.MaxRetries)
-	if c.failedErr() != nil {
-		budget = 0
-	}
 	select {
 	case <-ended:
-	case <-time.After(budget):
+	case <-time.After(drain):
 		for _, conn := range conns {
 			conn.Close() // a no-op for the sessions that have ended
 		}

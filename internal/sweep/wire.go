@@ -50,9 +50,9 @@ import (
 //
 // A worker that dies mid-job simply never sends its result; the
 // coordinator's session ends on the transport error and the job returns to
-// the queue. An idle worker whose job is stolen and completed elsewhere may
-// still deliver a duplicate result — the coordinator verifies the digests
-// match and drops it.
+// the queue. A job has one holder at a time, so a result for a job the
+// session does not hold breaks the protocol: the coordinator ends that
+// session with an error, as for a second ready.
 type wireMsg struct {
 	Type          string                `json:"type"` // ready | job | result | done
 	Worker        string                `json:"worker,omitempty"`

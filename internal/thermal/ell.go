@@ -7,9 +7,9 @@ import "math"
 const ellLanes = 4
 
 // ellKernel is the sub-step's sliced-ELL layout. Cells are stably sorted by
-// neighbour count and grouped into slices of ellLanes lanes; a lane is one
-// cell at its permuted position ("slot"). Slice s owns slots [4s, 4s+4) and
-// neighbour rows [rows[s], rows[s+1]) of g and idx, stored column-major:
+// rate class and neighbour count (buildELL) and grouped into slices of
+// ellLanes lanes; a lane is one cell at its permuted position ("slot").
+// Slice s owns slots [4s, 4s+4) and neighbour rows [rows[s], rows[s+1]) of g and idx, stored column-major:
 // entry rows[s]+4r+l is lane l's r-th neighbour, in that cell's CSR order.
 // A lane with fewer neighbours than the slice's widest is padded with
 // conductance 0 and its own slot, which adds +0 to its flow; so are the
@@ -75,9 +75,15 @@ func (k *ellKernel) substepGo(h float64, lo, hi int) (stale bool) {
 
 // buildELL lays out the sub-step kernel from the CSR index and the per-cell
 // constants, in three allocations. perm maps slots to cells and pos cells
-// to slots; the cells are sorted by neighbour count with a counting sort,
-// which is stable. Temperatures, powers and tAtK are filled in by scatterIn
-// and updateConductances, conductances by updateConductances.
+// to slots. The cells are sorted by rate class, fine first, then by
+// neighbour count, with a counting sort, which is stable; a slice is as
+// wide as its widest lane. A cell is fine when its τ = C/ΣG at ambient,
+// where the model is built, is below 2·τ_min, and the classes are kept apart only when the
+// fine cells are fewer than half the cells and leave at least one slice
+// to the coarse: they then fill the leading fineSlices slices (a coarse
+// cell that shares the last of them steps fine). Otherwise every cell is
+// of one class and fineSlices is 0. Temperatures, powers and tAtK are
+// filled in by scatterIn and loadKernel, conductances by loadKernel.
 func (m *Model) buildELL() {
 	n := len(m.capC)
 	nSlices := (n + ellLanes - 1) / ellLanes
@@ -87,29 +93,54 @@ func (m *Model) buildELL() {
 	for c := range int32(n) {
 		maxDeg = max(maxDeg, deg(c))
 	}
+	tau0, _ := m.stableDt()
+	fine := func(c int32) bool { return m.capC[c]/m.sumG[c] < 2*tau0 }
+	nFine := 0
+	for c := range int32(n) {
+		if fine(c) {
+			nFine++
+		}
+	}
+	m.fineSlices = (nFine + ellLanes - 1) / ellLanes
+	if 2*nFine >= n || m.fineSlices >= nSlices {
+		m.fineSlices = 0
+	}
+	key := func(c int32) int32 {
+		if m.fineSlices > 0 && !fine(c) {
+			return maxDeg + 1 + deg(c)
+		}
+		return deg(c)
+	}
 
-	ints := make([]int32, 2*n+nSlices+1+int(maxDeg)+1)
+	nKeys := int(maxDeg) + 1
+	if m.fineSlices > 0 {
+		nKeys *= 2
+	}
+	ints := make([]int32, 2*n+nSlices+1+nKeys)
 	m.perm, m.pos = ints[:n:n], ints[n:2*n:2*n]
 	rows, first := ints[2*n:2*n+nSlices+1:2*n+nSlices+1], ints[2*n+nSlices+1:]
 	for c := range int32(n) {
-		first[deg(c)]++
+		first[key(c)]++
 	}
-	for d, at := int32(0), int32(0); d <= maxDeg; d++ {
+	for d, at := 0, int32(0); d < nKeys; d++ {
 		first[d], at = at, at+first[d]
 	}
 	for c := range int32(n) {
-		p := first[deg(c)]
-		first[deg(c)]++
+		p := first[key(c)]
+		first[key(c)]++
 		m.perm[p], m.pos[c] = c, p
 	}
 	for s := 0; s < nSlices; s++ {
-		// The sort makes a slice's last cell its widest.
-		width := deg(m.perm[min(ellLanes*(s+1), n)-1])
+		var width int32
+		for _, c := range m.perm[ellLanes*s : min(ellLanes*(s+1), n)] {
+			width = max(width, deg(c))
+		}
 		rows[s+1] = rows[s] + ellLanes*width
 	}
 	nEnt := int(rows[nSlices])
+	nMean := ellLanes * m.fineSlices
 
-	f := make([]float64, 6*nPad+nEnt)
+	f := make([]float64, 6*nPad+nEnt+nMean)
 	carve := func(l int) []float64 {
 		s := f[:l:l]
 		f = f[l:]
@@ -119,6 +150,7 @@ func (m *Model) buildELL() {
 	*k = ellKernel{t: carve(nPad), tn: carve(nPad), negConv: carve(nPad), invCap: carve(nPad),
 		pw: carve(nPad), tAtK: carve(nPad), g: carve(nEnt), idx: make([]int32, nEnt), rows: rows,
 		amb: m.props.AmbientK, tol: siKTolK}
+	m.mean = carve(nMean)
 	for p := range nPad {
 		r, end := int(rows[p/ellLanes])+p%ellLanes, int(rows[p/ellLanes+1])
 		if p < n {
@@ -136,6 +168,21 @@ func (m *Model) buildELL() {
 		}
 		for ; r < end; r += ellLanes {
 			k.idx[r] = int32(p)
+		}
+	}
+}
+
+// loadKernel copies the conductances and refresh temperatures that
+// evalConductances left in cell order into the kernel's slots.
+func (m *Model) loadKernel() {
+	for c := range m.t {
+		if c < m.nSi {
+			m.ell.tAtK[m.pos[c]] = m.tAtK[c]
+		}
+		r := m.ellEntry(c)
+		for k := m.nbrStart[c]; k < m.nbrStart[c+1]; k++ {
+			m.ell.g[r] = m.edgeG[m.nbrEdge[k]]
+			r += ellLanes
 		}
 	}
 }

@@ -24,6 +24,11 @@ func fuzzRects(data []byte) []Rect {
 	return rects
 }
 
+// twoRateSeed is a refined grid on which the rate split engages: two 2 mm
+// cells beside four 0.5 mm cells, whose τ is about half theirs.
+var twoRateSeed = []byte{0, 0, 100, 100, 100, 0, 100, 100,
+	0, 100, 25, 25, 25, 100, 25, 25, 0, 125, 25, 25, 25, 125, 25, 25}
+
 // FuzzNewModel feeds arbitrary cell rectangles to NewModel and requires one
 // of two outcomes: a validation error, or a model whose Step keeps the
 // discrete maximum principle. Heated, every temperature stays finite and
@@ -32,7 +37,8 @@ func fuzzRects(data []byte) []Rect {
 // sub-step past τ_min can break it (2.5·τ_min fails the first seed), so a
 // failure is a bug in grid validation or in the stable step. Either way
 // the result must match the all-pairs oracle bit for bit, error text
-// included.
+// included. The cooling steps span several macro-steps, so on a grid
+// whose refined cells split off (twoRateSeed) they run at two rates.
 func FuzzNewModel(f *testing.F) {
 	// Valid 2x2 grid of 1 mm cells.
 	f.Add([]byte{0, 0, 50, 50, 50, 0, 50, 50, 0, 50, 50, 50, 50, 50, 50, 50})
@@ -44,6 +50,8 @@ func FuzzNewModel(f *testing.F) {
 	f.Add([]byte{0, 0, 20, 20, 200, 200, 20, 20})
 	// Single valid cell.
 	f.Add([]byte{10, 10, 100, 100})
+	// Refined grid that steps at two rates.
+	f.Add(twoRateSeed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		si := fuzzRects(data)

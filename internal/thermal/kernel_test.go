@@ -8,28 +8,40 @@ import (
 )
 
 // csrStepper is the transient solver as it ran on the CSR incidence index
-// before the sliced-ELL kernel: one pass over the cells in their own order,
+// before the sliced-ELL kernel: passes over the cells in their own order,
 // with its own next-sub-step buffer. It is the reference both kernel bodies
 // are held to bit for bit. The float64 conversions keep its operation
 // sequence unfused on every architecture; on amd64 the compiler never
-// fuses, so they change nothing there.
+// fuses, so they change nothing there. Its two-rate step takes the model's
+// rate classes from the layout (a cell is fine when its slot lies in the
+// fine slices) and otherwise knows nothing of slots.
 type csrStepper struct {
 	m     *Model
 	tNext []float64
+	mean  []float64
 }
 
 func newCSRStepper(m *Model) *csrStepper {
-	return &csrStepper{m: m, tNext: make([]float64, len(m.t))}
+	return &csrStepper{m: m, tNext: make([]float64, len(m.t)), mean: make([]float64, len(m.t))}
 }
 
-// substepRange advances cells [lo, hi) by one explicit-Euler sub-step of h
-// seconds, reading m.t and writing tNext, and reports whether any silicon
-// cell it wrote drifted more than siKTolK from tAtK.
-func (c *csrStepper) substepRange(h float64, lo, hi int) (stale bool) {
+// allCells selects every cell for substep.
+func allCells(int) bool { return true }
+
+// fine reports whether cell i steps at the fine rate of a two-rate mesh.
+func (c *csrStepper) fine(i int) bool { return int(c.m.pos[i]) < ellLanes*c.m.fineSlices }
+
+// substep advances the cells that pick selects by one explicit-Euler
+// sub-step of h seconds, reading m.t and writing tNext, and reports whether
+// any silicon cell it wrote drifted more than siKTolK from tAtK.
+func (c *csrStepper) substep(h float64, pick func(int) bool) (stale bool) {
 	m := c.m
 	t, tn, tAtK := m.t, c.tNext, m.tAtK
 	amb, nSi := m.props.AmbientK, m.nSi
-	for i := lo; i < hi; i++ {
+	for i := range t {
+		if !pick(i) {
+			continue
+		}
 		ti := t[i]
 		q := -m.conv[i] * (ti - amb)
 		for k, e := int(m.nbrStart[i]), int(m.nbrStart[i+1]); k < e; k++ {
@@ -49,22 +61,47 @@ func (c *csrStepper) substepRange(h float64, lo, hi int) (stale bool) {
 	return stale
 }
 
+// macroStep is Model.macroStep on the CSR reference.
+func (c *csrStepper) macroStep(H float64) (stale bool) {
+	m := c.m
+	coarse := func(i int) bool { return !c.fine(i) }
+	copy(c.mean, m.t)
+	c.substep(H/2, c.fine)
+	for i := range m.t {
+		if c.fine(i) {
+			m.t[i] = c.tNext[i]
+		}
+	}
+	fineStale := c.substep(H/2, c.fine)
+	for i := range m.t {
+		if c.fine(i) {
+			m.t[i] = (c.mean[i] + m.t[i]) * 0.5
+		}
+	}
+	coarseStale := c.substep(H, coarse)
+	m.t, c.tNext = c.tNext, m.t
+	return fineStale || coarseStale
+}
+
 // step is Model.Step on the CSR reference.
 func (c *csrStepper) step(dt float64) {
 	m := c.m
-	h := m.stableDt()
+	h, macro := m.stableDt()
 	stale := m.conductancesStale(siKTolK)
 	for remaining := dt; remaining > 1e-15; {
 		if stale {
 			m.updateConductances()
-			h = m.stableDt()
+			h, macro = m.stableDt()
 		}
-		if h > remaining {
-			h = remaining
+		if m.fineSlices > 0 && macro <= remaining {
+			stale = c.macroStep(macro)
+			remaining -= macro
+		} else {
+			hs := min(h, remaining)
+			stale = c.substep(hs, allCells)
+			m.t, c.tNext = c.tNext, m.t
+			remaining -= hs
 		}
-		stale = c.substepRange(h, 0, len(m.t))
-		m.t, c.tNext = c.tNext, m.t
-		remaining -= h
 	}
 	m.time += dt
 }
@@ -141,16 +178,19 @@ func (kc kernelCase) window(pw []float64, dt float64) string {
 
 // TestSubstepKernelsMatchCSR holds both kernel bodies to the CSR reference
 // bit for bit over random multi-resolution meshes with one and two silicon
-// sub-layers, through heating, cooling and the conductance refreshes they
-// trigger.
+// sub-layers, single-rate and two-rate, through heating, cooling and the
+// conductance refreshes they trigger.
 func TestSubstepKernelsMatchCSR(t *testing.T) {
-	unaligned := 0
-	for seed := int64(1); seed <= 8; seed++ {
+	unaligned, twoRate := 0, 0
+	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		si, cu := randomMesh(rng)
 		kc := newKernelCase(t, si, cu, 1+int(seed%2))
 		if kc.ref.m.NumCells()%ellLanes != 0 {
 			unaligned++
+		}
+		if kc.ref.m.fineSlices > 0 {
+			twoRate++
 		}
 		pw := make([]float64, kc.ref.m.NumSurfaceCells())
 		refreshes := 0
@@ -175,6 +215,48 @@ func TestSubstepKernelsMatchCSR(t *testing.T) {
 	}
 	if unaligned == 0 {
 		t.Fatal("every mesh has a multiple of 4 cells: no padded slice was exercised")
+	}
+	if twoRate == 0 {
+		t.Fatal("no mesh split its cells by rate: the macro-step was not exercised")
+	}
+}
+
+// TestTwoRateLayout pins the rate split the two-rate Step rests on, on the
+// link-host mesh and on FuzzNewModel's refined-grid seed (whose copper grid
+// is the 2×2 tiling of its bounding box): every cell with τ below 2·τ_min
+// at ambient sits in the leading fine slices, no cell past them has τ
+// below the macro-step, and the fine sub-step is at most τ_min.
+func TestTwoRateLayout(t *testing.T) {
+	si150, cu150 := mesh150()
+	seed := fuzzRects(twoRateSeed)
+	for _, c := range []struct {
+		name   string
+		si, cu []Rect
+		fine   int
+	}{
+		{"mesh150", si150, cu150, 2},
+		{"fuzz seed", seed, UniformGrid(4e-3, 3e-3, 2, 2), 1},
+	} {
+		m, err := NewModel(c.si, c.cu, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.fineSlices != c.fine {
+			t.Fatalf("%s: %d fine slices, want %d", c.name, m.fineSlices, c.fine)
+		}
+		tauMin, macro := m.stableDt()
+		if macro/2 > tauMin {
+			t.Errorf("%s: fine sub-step %g s exceeds τ_min %g s", c.name, macro/2, tauMin)
+		}
+		for p, cell := range m.perm {
+			tau := m.capC[cell] / m.sumG[cell]
+			if p >= ellLanes*m.fineSlices && tau < macro {
+				t.Errorf("%s: coarse slot %d has τ %g s, below the macro-step %g s", c.name, p, tau, macro)
+			}
+			if p >= ellLanes*m.fineSlices && tau < 2*tauMin {
+				t.Errorf("%s: fine cell %d (τ %g s) lies in coarse slot %d", c.name, cell, tau, p)
+			}
+		}
 	}
 }
 
@@ -246,7 +328,8 @@ func FuzzSubstepKernel(f *testing.F) {
 			pw[i] = 0.3 * rng.Float64()
 		}
 		drift := rng.Float64()
-		h := 0.5 * ref.stableDt()
+		tau, _ := ref.stableDt()
+		h := 0.5 * tau
 		load := func(m *Model) {
 			copy(m.t, temps)
 			m.updateConductances()
@@ -258,7 +341,7 @@ func FuzzSubstepKernel(f *testing.F) {
 			}
 		}
 		load(ref)
-		wantStale := kc.ref.substepRange(h, 0, ref.NumCells())
+		wantStale := kc.ref.substep(h, allCells)
 		for name, m := range kc.models {
 			load(m)
 			m.scatterIn()
@@ -278,10 +361,12 @@ func FuzzSubstepKernel(f *testing.F) {
 }
 
 // BenchmarkModelStep times Model.Step on the 37-cell Figure 6 mesh (28
-// silicon cells over a 3×3 spreader) and the 159-cell link-host mesh, with
-// the power toggling every step so conductance refreshes recur as in a
-// closed loop, and reports the cost of one sub-step and the sub-steps one
-// 50 ms Step takes.
+// silicon cells over a 3×3 spreader) and the 159-cell link-host mesh, whose
+// eight refined cells step at the fine rate. In the toggle case the power
+// changes every 50 ms Step, so conductance refreshes recur far more often
+// than in a closed loop; in the window case it changes once per 0.4 s
+// window, as in the hostlink loop. It reports the cost of one cell update
+// and the cell updates one Step takes.
 func BenchmarkModelStep(b *testing.B) {
 	si150, cu150 := mesh150()
 	for _, c := range []struct {
@@ -290,56 +375,35 @@ func BenchmarkModelStep(b *testing.B) {
 		{UniformGrid(4e-3, 4e-3, 7, 4), UniformGrid(4e-3, 4e-3, 3, 3)},
 		{si150, cu150},
 	} {
-		m, err := NewModel(c.si, c.cu, DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("cells=%d", m.NumCells()), func(b *testing.B) {
-			hot := make([]float64, m.NumSurfaceCells())
-			for i := range hot {
-				hot[i] = 4.0 / float64(len(hot))
-			}
-			cold := make([]float64, len(hot))
-			m.Reset()
-			substeps := CountSubsteps(m)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pw := hot
-				if i%2 == 1 {
-					pw = cold
-				}
-				if err := m.SetPowers(pw); err != nil {
+		for _, power := range []struct {
+			name  string
+			every int // Steps per power level
+		}{{"toggle", 1}, {"window", 8}} {
+			b.Run(fmt.Sprintf("cells=%d/power=%s", len(c.si)+len(c.cu), power.name), func(b *testing.B) {
+				m, err := NewModel(c.si, c.cu, DefaultOptions())
+				if err != nil {
 					b.Fatal(err)
 				}
-				m.Step(0.05)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(*substeps), "ns/sub-step")
-			b.ReportMetric(float64(*substeps)/float64(b.N), "sub-steps/op")
-		})
-	}
-}
-
-// CountSubsteps wraps m's kernel body with a counter of the sub-steps it
-// runs. It counts sub-steps only on a model below the parallel threshold,
-// where the body runs once per sub-step.
-func CountSubsteps(m *Model) *int {
-	n, body := new(int), m.body
-	m.body = func(k *ellKernel, h float64, lo, hi int) bool {
-		*n++
-		return body(k, h, lo, hi)
-	}
-	return n
-}
-
-// TauMin returns the smallest time constant C/ΣG of m's network at its
-// last conductance refresh, computed apart from stableDt so tests can hold
-// the sub-step to it.
-func TauMin(m *Model) float64 {
-	tau := math.Inf(1)
-	for i, c := range m.capC {
-		if m.sumG[i] > 0 {
-			tau = min(tau, c/m.sumG[i])
+				hot := make([]float64, m.NumSurfaceCells())
+				for i := range hot {
+					hot[i] = 4.0 / float64(len(hot))
+				}
+				cold := make([]float64, len(hot))
+				updates := CountCellUpdates(m)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pw := hot
+					if i/power.every%2 == 1 {
+						pw = cold
+					}
+					if err := m.SetPowers(pw); err != nil {
+						b.Fatal(err)
+					}
+					m.Step(0.05)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(*updates), "ns/cell-update")
+				b.ReportMetric(float64(*updates)/float64(b.N), "cell-updates/op")
+			})
 		}
 	}
-	return tau
 }

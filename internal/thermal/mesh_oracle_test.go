@@ -136,9 +136,11 @@ func newModelAllPairs(siCells, cuCells []Rect, opt Options) (*Model, error) {
 
 // CompareBuilders builds one mesh with NewModel and with the all-pairs
 // oracle and describes the first difference: in the error text, the edge
-// list, the CSR incidence index, the kernel layout, capacitances or
-// convection paths. It
-// returns "" when the two models are bit-identical.
+// list, the CSR incidence index, the kernel layout and its rate split,
+// capacitances or convection paths. It also checks the layout's slot order
+// against the oracle's own time constants: fine cells (τ below 2·τ_min)
+// first when the rates split, then by neighbour count. It returns "" when
+// the two models are bit-identical and the order holds.
 func CompareBuilders(si, cu []Rect, opt Options) string {
 	got, gotErr := NewModel(si, cu, opt)
 	want, wantErr := newModelAllPairs(si, cu, opt)
@@ -150,6 +152,12 @@ func CompareBuilders(si, cu []Rect, opt Options) string {
 	}
 	if got.nVarEdges != want.nVarEdges {
 		return fmt.Sprintf("nVarEdges %d, oracle %d", got.nVarEdges, want.nVarEdges)
+	}
+	if got.fineSlices != want.fineSlices {
+		return fmt.Sprintf("fineSlices %d, oracle %d", got.fineSlices, want.fineSlices)
+	}
+	if d := slotOrder(want); d != "" {
+		return d
 	}
 	for _, c := range []struct {
 		name      string
@@ -200,6 +208,25 @@ func firstDiff[T any](got, want []T, same func(a, b T) bool) string {
 	for i := range got {
 		if !same(got[i], want[i]) {
 			return fmt.Sprintf("[%d] = %v, oracle %v", i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// slotOrder describes the first pair of adjacent slots out of (rate class,
+// neighbour count) order, the classes taken from m's time constants.
+func slotOrder(m *Model) string {
+	tauMin := TauMin(m)
+	key := func(c int32) (coarse bool, deg int32) {
+		coarse = m.fineSlices > 0 && m.capC[c]/m.sumG[c] >= 2*tauMin
+		return coarse, m.nbrStart[c+1] - m.nbrStart[c]
+	}
+	for p := 1; p < len(m.perm); p++ {
+		c0, d0 := key(m.perm[p-1])
+		c1, d1 := key(m.perm[p])
+		if c0 && !c1 || c0 == c1 && d0 > d1 {
+			return fmt.Sprintf("slot %d (coarse %v, %d neighbours) before slot %d (coarse %v, %d neighbours)",
+				p-1, c0, d0, p, c1, d1)
 		}
 	}
 	return ""

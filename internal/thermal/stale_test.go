@@ -7,22 +7,25 @@ import (
 )
 
 // stepScanning is Step with the drift test as its own pass over the
-// silicon cells before every sub-step: the reference the folded test in
-// the kernel bodies must reproduce.
+// silicon cells before every sub-step or macro-step: the reference the
+// folded test in the kernel bodies must reproduce.
 func (m *Model) stepScanning(dt float64) {
-	h := m.stableDt()
+	h, macro := m.stableDt()
 	m.scatterIn()
 	for remaining := dt; remaining > 1e-15; {
 		m.gatherOut()
 		if m.conductancesStale(siKTolK) {
 			m.updateConductances()
-			h = m.stableDt()
+			h, macro = m.stableDt()
 		}
-		if h > remaining {
-			h = remaining
+		if m.fineSlices > 0 && macro <= remaining {
+			m.macroStep(macro)
+			remaining -= macro
+		} else {
+			hs := min(h, remaining)
+			m.substepAll(hs)
+			remaining -= hs
 		}
-		m.substepAll(h)
-		remaining -= h
 	}
 	m.gatherOut()
 	m.time += dt

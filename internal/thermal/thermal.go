@@ -25,6 +25,13 @@
 // AVX2 body where the CPU has AVX2 and by a pure-Go body elsewhere. Both
 // compute each cell's scalar operation sequence, so both bodies produce
 // bit-identical trajectories.
+//
+// The multi-resolution grid steps at two rates when its smallest cells
+// alone set τ_min. The cells whose τ = C/ΣG is below 2·τ_min, when they are
+// fewer than half the cells, take the leading slices of the layout and
+// sub-step at τ_min, while every other cell steps once per 2·τ_min against
+// their mean temperature, which keeps the heat across the class boundary
+// conserved. On meshes without such a gap every cell steps at τ_min.
 package thermal
 
 import (
@@ -234,11 +241,15 @@ type Model struct {
 
 	// The sub-step kernel's sliced-ELL layout (ell.go): perm maps kernel
 	// slots to cells and pos cells to slots. body is the kernel body the
-	// model runs.
-	ell  ellKernel
-	perm []int32
-	pos  []int32
-	body substepBody
+	// model runs. The leading fineSlices slices hold the fine cells of a
+	// two-rate mesh (0 when every cell steps at one rate), and mean holds
+	// their slots' mean temperature during a macro-step.
+	ell        ellKernel
+	perm       []int32
+	pos        []int32
+	body       substepBody
+	fineSlices int
+	mean       []float64
 
 	convIdx []int     // top-copper cells with a convection path
 	convG   []float64 // conductance paired with convIdx
@@ -451,12 +462,6 @@ func (m *Model) finalize(nCells int, edges []edgeRec) {
 	for k, ci := range m.convIdx {
 		m.conv[ci] = m.convG[k]
 	}
-	m.buildELL()
-	m.body = avx2Body
-	if m.body == nil {
-		m.body = (*ellKernel).substepGo
-	}
-
 	m.t = make([]float64, nCells)
 	for i := range m.t {
 		m.t[i] = m.props.AmbientK
@@ -466,7 +471,15 @@ func (m *Model) finalize(nCells int, edges []edgeRec) {
 	m.kCell = make([]float64, nCells)
 	m.tAtK = make([]float64, nCells)
 
-	m.updateConductances()
+	// The conductances at ambient give the time constants the layout
+	// classifies the cells by.
+	m.evalConductances()
+	m.buildELL()
+	m.loadKernel()
+	m.body = avx2Body
+	if m.body == nil {
+		m.body = (*ellKernel).substepGo
+	}
 }
 
 // NumCells returns the total node count of the RC network.
@@ -556,20 +569,23 @@ func (m *Model) ConvectedPower() float64 {
 // updateConductances refreshes edge conductances at the current cell
 // temperatures (the non-linear silicon law), the per-cell conductance sums
 // the step bound reads, and the temperatures it used, so the solver can skip
-// refreshes while they barely move. After construction only the
-// silicon-touching edge prefix is re-evaluated.
+// refreshes while they barely move, and loads them into the kernel.
 func (m *Model) updateConductances() {
+	m.evalConductances()
+	m.loadKernel()
+}
+
+// evalConductances is updateConductances in cell order, without the
+// kernel. After construction only the silicon-touching edge prefix is
+// re-evaluated.
+func (m *Model) evalConductances() {
 	ne := m.nVarEdges
 	if m.kCell[0] == 0 { // only true before the initial refresh
 		ne = len(m.edgeA)
 	}
-	// Cell conductivities at the current temperatures, and those
-	// temperatures in cell order and, for the kernel's drift test, in slot
-	// order.
 	for i, ti := range m.t {
 		if i < m.nSi {
 			m.kCell[i] = m.props.SiConductivity(ti)
-			m.ell.tAtK[m.pos[i]] = ti
 		} else {
 			m.kCell[i] = m.props.CuK
 		}
@@ -579,15 +595,10 @@ func (m *Model) updateConductances() {
 		m.edgeG[e] = m.edgeArea[e] /
 			(m.edgeDa[e]/m.kCell[m.edgeA[e]] + m.edgeDb[e]/m.kCell[m.edgeB[e]])
 	}
-	// Each cell's edge conductances into its kernel entries, and its sum.
 	for i := range m.t {
 		s := m.conv[i]
-		r := m.ellEntry(i)
 		for k := m.nbrStart[i]; k < m.nbrStart[i+1]; k++ {
-			g := m.edgeG[m.nbrEdge[k]]
-			m.ell.g[r] = g
-			r += ellLanes
-			s += g
+			s += m.edgeG[m.nbrEdge[k]]
 		}
 		m.sumG[i] = s
 	}
@@ -608,20 +619,26 @@ func (m *Model) conductancesStale(tol float64) bool {
 	return false
 }
 
-// stableDt returns the sub-step: τ_min, the smallest time constant C/ΣG.
-// At h ≤ τ_min every weight of t' = (1 − h·ΣG/C)·t + (h/C)·(Σg·t_j +
-// conv·amb + pw) is non-negative, so a sub-step is a convex combination
-// that cannot oscillate or undershoot the ambient; the kernel reads the
-// conductances this bound read (updateConductances fills both). A smaller step
-// buys accuracy, not stability (TestSubstepAccuracy).
-func (m *Model) stableDt() float64 {
-	tau := math.Inf(1)
+// stableDt returns the sub-step, τ_min, the smallest time constant C/ΣG,
+// and the two-rate macro-step: 2·τ_min, capped by the smallest τ of a cell
+// in the coarse slices. At h ≤ τ every weight of t' = (1 − h·ΣG/C)·t +
+// (h/C)·(Σg·t_j + conv·amb + pw) is non-negative, so a sub-step is a convex
+// combination that cannot oscillate or undershoot the ambient; the kernel
+// reads the conductances this bound read (updateConductances fills both).
+// A smaller step buys accuracy, not stability (TestSubstepAccuracy).
+func (m *Model) stableDt() (tau, macro float64) {
+	tau, coarse := math.Inf(1), math.Inf(1)
+	fineSlots := int32(ellLanes * m.fineSlices)
 	for i, c := range m.capC {
 		if m.sumG[i] > 0 {
-			tau = min(tau, c/m.sumG[i])
+			ti := c / m.sumG[i]
+			tau = min(tau, ti)
+			if m.fineSlices > 0 && m.pos[i] >= fineSlots {
+				coarse = min(coarse, ti)
+			}
 		}
 	}
-	return tau
+	return tau, min(2*tau, coarse)
 }
 
 // substepAll runs one sub-step of h seconds over every kernel slice and
@@ -636,27 +653,57 @@ func (m *Model) substepAll(h float64) (stale bool) {
 	return stale
 }
 
+// macroStep advances every cell by H seconds at two rates. The fine slices
+// take two sub-steps of H/2 while the coarse slots stay frozen; then the
+// coarse slices take one step of H, reading each fine slot at the mean of
+// its temperatures at the start of the two sub-steps. Across every
+// fine-coarse edge both sides then move the same heat, g·H·(t_c − mean),
+// and every update is a convex combination, since H/2 ≤ τ_min and H is at
+// most every coarse-slice τ. It reports the drift test on the new state,
+// like substepAll.
+func (m *Model) macroStep(H float64) (stale bool) {
+	k, f := &m.ell, m.fineSlices
+	nf := ellLanes * f
+	copy(m.mean, k.t[:nf])
+	m.body(k, H/2, 0, f)
+	copy(k.t[:nf], k.tn[:nf])
+	fineStale := m.body(k, H/2, 0, f)
+	for p, t0 := range m.mean {
+		k.t[p] = (t0 + k.t[p]) * 0.5
+	}
+	coarseStale := m.body(k, H, f, len(k.rows)-1)
+	k.t, k.tn = k.tn, k.t
+	return fineStale || coarseStale
+}
+
 // Step advances the thermal state by dt seconds in forward-Euler sub-steps
-// of τ_min (stableDt). The silicon conductances, and τ_min with them, are
+// of τ_min (stableDt). On a two-rate mesh (fineSlices > 0) it advances in
+// macro-steps instead: the fine cells, the refined cells that set τ_min,
+// step at half the macro-step and every other cell at the whole, 2·τ_min
+// or less (macroStep); a tail shorter than a macro-step runs in sub-steps
+// of τ_min. The silicon conductances, and both steps with them, are
 // refreshed whenever a silicon temperature drifts more than 0.25 K from the
 // one they were evaluated at, a negligible cost next to per-sub-step
 // re-evaluation. Sub-steps run in the kernel's slot order; temperatures are
 // scattered in on entry and gathered back before a refresh and on return.
 func (m *Model) Step(dt float64) {
-	h := m.stableDt()
+	h, macro := m.stableDt()
 	stale := m.conductancesStale(siKTolK)
 	m.scatterIn()
 	for remaining := dt; remaining > 1e-15; {
 		if stale {
 			m.gatherOut()
 			m.updateConductances()
-			h = m.stableDt()
+			h, macro = m.stableDt()
 		}
-		if h > remaining {
-			h = remaining
+		if m.fineSlices > 0 && macro <= remaining {
+			stale = m.macroStep(macro)
+			remaining -= macro
+		} else {
+			hs := min(h, remaining)
+			stale = m.substepAll(hs)
+			remaining -= hs
 		}
-		stale = m.substepAll(h)
-		remaining -= h
 	}
 	m.gatherOut()
 	m.time += dt

@@ -33,21 +33,33 @@ func transientModel(t *testing.T, si, cu []Rect) *Model {
 
 // TestParallelEnergyBalance asserts global energy balance through the
 // transient solver (Step, where TestEnergyBalanceAtSteadyState goes
-// through SteadyState): after integrating long past the package time
-// constant (~1.1 s), the injected power equals the convected power.
+// through SteadyState), single-rate on a uniform mesh and two-rate on the
+// link-host mesh: after integrating long past the package time constant
+// (~1.1 s), the injected power equals the convected power.
 func TestParallelEnergyBalance(t *testing.T) {
-	si := UniformGrid(4e-3, 4e-3, 8, 8)
-	cu := UniformGrid(4e-3, 4e-3, 4, 4)
-	m := transientModel(t, si, cu)
-	for i := 0; i < m.NumSurfaceCells(); i++ {
-		m.SetPower(i, 0.01)
-	}
-	for i := 0; i < 200; i++ {
-		m.Step(0.05) // 10 s total, ~9 package time constants
-	}
-	in, out := m.TotalPower(), m.ConvectedPower()
-	if math.Abs(in-out)/in > 1e-3 {
-		t.Errorf("energy balance through Step: in %.9f W, convected %.9f W", in, out)
+	si150, cu150 := mesh150()
+	for _, c := range []struct {
+		name   string
+		si, cu []Rect
+		fine   bool
+	}{
+		{"uniform", UniformGrid(4e-3, 4e-3, 8, 8), UniformGrid(4e-3, 4e-3, 4, 4), false},
+		{"mesh150", si150, cu150, true},
+	} {
+		m := transientModel(t, c.si, c.cu)
+		if (m.fineSlices > 0) != c.fine {
+			t.Fatalf("%s: %d fine slices", c.name, m.fineSlices)
+		}
+		for i := 0; i < m.NumSurfaceCells(); i++ {
+			m.SetPower(i, 0.01)
+		}
+		for i := 0; i < 200; i++ {
+			m.Step(0.05) // 10 s total, ~9 package time constants
+		}
+		in, out := m.TotalPower(), m.ConvectedPower()
+		if math.Abs(in-out)/in > 1e-3 {
+			t.Errorf("%s: energy balance through Step: in %.9f W, convected %.9f W", c.name, in, out)
+		}
 	}
 }
 

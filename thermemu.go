@@ -63,9 +63,6 @@ type (
 	Floorplan = floorplan.Floorplan
 	// Transport moves framework MAC frames between device and host.
 	Transport = etherlink.Transport
-	// ThermalOptions configures the RC thermal model (mesh depth and
-	// material properties).
-	ThermalOptions = thermal.Options
 	// LinkStats aggregates atomic link-layer counters (shareable across
 	// endpoints); LinkSnapshot is its JSON-encodable point-in-time copy.
 	LinkStats    = etherlink.LinkStats
@@ -110,9 +107,6 @@ type (
 // relaxation exhausts its sweep budget; branch on it with errors.Is.
 var ErrNoConvergence = thermal.ErrNoConvergence
 
-// DefaultThermalOptions returns the Table 2 thermal model configuration.
-func DefaultThermalOptions() ThermalOptions { return thermal.DefaultOptions() }
-
 // DefaultPlatform returns the Table 3 exploration platform with the given
 // core count (4 KB I/D caches, 16 KB private memories, 1 MB shared, OPB).
 func DefaultPlatform(cores int) PlatformConfig { return emu.DefaultConfig(cores) }
@@ -151,12 +145,6 @@ func Fig6(iters int, withTM bool) (CoEmulationConfig, error) {
 // builds the RC model around it (Table 2 properties).
 func NewThermalHost(fp *Floorplan, targetCells int) (*ThermalHost, error) {
 	return core.NewThermalHost(fp, targetCells, thermal.DefaultOptions())
-}
-
-// NewThermalHostWith is NewThermalHost with explicit thermal options, e.g. to
-// set the mesh depth or the material properties.
-func NewThermalHostWith(fp *Floorplan, targetCells int, opt ThermalOptions) (*ThermalHost, error) {
-	return core.NewThermalHost(fp, targetCells, opt)
 }
 
 // FourARM7 and FourARM11 return the floorplans of Figure 4.
@@ -248,13 +236,11 @@ func ReadCheckpoint(path string) (*Checkpoint, error) { return checkpoint.ReadFi
 // ReplayToDivergence lockstep-replays two sides from their nearest common
 // checkpoint with the per-cycle reference kernel and reports the exact
 // cycle, core and fields where their architectural state first disagrees.
-// hintCycle usually comes from ReplayHint on a golden divergence.
+// hintCycle is the cycle of the first differing record that CompareGolden
+// reports.
 func ReplayToDivergence(a, b *Replayer, hintCycle uint64) (*ReplayReport, error) {
 	return checkpoint.ReplayToDivergence(a, b, hintCycle)
 }
-
-// ReplayHint extracts the replay target cycle from a golden divergence.
-func ReplayHint(d *GoldenDivergence) (uint64, bool) { return checkpoint.HintFromDivergence(d) }
 
 // RunWorkloadGolden is RunWorkload with conformance sampling: a statistics
 // snapshot is folded into tr every `every` cycles plus the platform's full
@@ -312,10 +298,4 @@ func LoopbackLink(depth int) (device, host Transport) {
 // injection, for testing protocol invariants under loss.
 func WithLinkFaults(tr Transport, seed int64, send, recv LinkFaultConfig) Transport {
 	return etherlink.NewFaultTransport(tr, seed, send, recv)
-}
-
-// ParseLinkFaultSpec parses a comma-separated impairment spec such as
-// "drop=0.01,dup=0.005,delay=2ms" into a LinkFaultConfig.
-func ParseLinkFaultSpec(spec string) (LinkFaultConfig, error) {
-	return etherlink.ParseFaultSpec(spec)
 }
